@@ -14,9 +14,7 @@ Subpackages by theme:
 
 from .linalg import (
     HermitianOperator,
-    eig_hermitian,
     fidelity,
-    matrix_function,
     operator_norm,
     positive_part,
     trace_distance,

@@ -20,7 +20,7 @@ caller-supplied eps is never trusted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

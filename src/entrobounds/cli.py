@@ -156,7 +156,7 @@ def _cmd_witness(args) -> int:
     dims = settings.get("dims", (4,))
     eps_grid = settings.get("eps", (0.25,))
     tol = settings.get("tol", 1e-9)
-    worst = 0.0
+    worst, checked = 0.0, 0
     for d in dims:
         for eps in eps_grid:
             if args.name == "fannes":
@@ -179,6 +179,9 @@ def _cmd_witness(args) -> int:
             print(f"{args.name} d={d} eps={eps}: lhs={rep.lhs:.6f} "
                   f"rhs={rep.rhs:.6f} slack={rep.slack:.3e} valid={rep.valid}")
             worst = min(worst, rep.slack)
+            checked += 1
+    if not checked:
+        raise ConfigError(f"no (d, eps) pair admits a {args.name} witness")
     return EXIT_VIOLATIONS if worst < -tol else EXIT_OK
 
 

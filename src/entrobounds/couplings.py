@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianOperator, operator_norm, positive_part, trace_norm
+from .linalg import HermitianOperator, positive_part, trace_norm
 from .states import (
     BipartiteState,
     ClassicalDistribution,
@@ -71,12 +71,12 @@ class QuantumCoupling:
 
     @property
     def overlap_psi(self) -> float:
-        lam, u = self.psi.op.eigenvalues, self.psi.op.eigenvectors
+        u = self.psi.op.eigenvectors
         return float(abs(np.vdot(u[:, 0], self.vartheta)))
 
     @property
     def overlap_phi(self) -> float:
-        lam, u = self.phi.op.eigenvalues, self.phi.op.eigenvectors
+        u = self.phi.op.eigenvectors
         return float(abs(np.vdot(u[:, 0], self.vartheta)))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import ConvexSetModel
-from .entropies import relative_entropy, von_neumann_entropy
+from .entropies import relative_entropy
 from .linalg import HermitianOperator
 from .states import DensityOperator, sample_pure_state, _as_rng
 
@@ -46,7 +46,6 @@ class SimplexPoint:
 class OptimizerResult:
     value: float
     weights: SimplexPoint
-    gradient_norm: float
     iterations: int
     converged: bool
     gap: float
@@ -134,7 +133,6 @@ def dc_minimize(rho: DensityOperator, model: ConvexSetModel,
     w = np.full(m, 1.0 / m) if start is None else np.asarray(start, float)
     value = dc_objective(rho, model, w)
     gap = math.inf
-    grad = np.zeros(m)
     it = 0
     stalled = 0
     for it in range(1, max_iters + 1):
@@ -184,7 +182,6 @@ def dc_minimize(rho: DensityOperator, model: ConvexSetModel,
     return OptimizerResult(
         value=value,
         weights=SimplexPoint(w),
-        gradient_norm=float(np.linalg.norm(grad)),
         iterations=it,
         converged=gap <= tol,
         gap=gap,

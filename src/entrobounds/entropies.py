@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .linalg import HermitianOperator
+from .linalg import as_operator
 from .states import BipartiteState, ClassicalDistribution, DensityOperator, partial_trace
 
 LOG2_E = math.log2(math.e)
@@ -27,8 +27,7 @@ def _h_terms(p: np.ndarray) -> float:
 
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -tr rho log2 rho."""
-    op = rho.op if hasattr(rho, "op") else rho
-    return _h_terms(op.eigenvalues)
+    return _h_terms(as_operator(rho).eigenvalues)
 
 
 def shannon_entropy(p) -> float:
@@ -69,10 +68,8 @@ def relative_entropy(rho: DensityOperator, gamma) -> float:
     of rho is not contained in the support of gamma (never raises for
     support violations).
     """
-    gamma_op = gamma.op if hasattr(gamma, "op") else gamma
-    if not isinstance(gamma_op, HermitianOperator):
-        gamma_op = HermitianOperator(gamma_op)
-    rho_mat = rho.mat if hasattr(rho, "mat") else np.asarray(rho)
+    gamma_op = as_operator(gamma)
+    rho_op = as_operator(rho)
     lam = gamma_op.eigenvalues
     u = gamma_op.eigenvectors
     thr = max(gamma_op.zero_threshold(), _EIG_FLOOR * max(abs(lam[0]), 1.0))
@@ -80,12 +77,11 @@ def relative_entropy(rho: DensityOperator, gamma) -> float:
         raise ValueError("gamma is not positive semidefinite")
     keep = lam > thr
     # weight of rho outside supp(gamma) decides finiteness
-    rho_diag = np.real(np.einsum("ij,ji->i", u.conj().T @ rho_mat, u))
+    rho_diag = np.real(np.einsum("ij,ji->i", u.conj().T @ rho_op.mat, u))
     outside = rho_diag[~keep].sum()
     if outside > 1e-10:
         return math.inf
     log_gamma_term = float((rho_diag[keep] * np.log2(lam[keep])).sum())
-    rho_op = rho.op if hasattr(rho, "op") else HermitianOperator(rho_mat)
     return -von_neumann_entropy(rho_op) - log_gamma_term
 
 

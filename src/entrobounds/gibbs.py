@@ -20,12 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropies import (
-    LOG2_E,
-    binary_entropy,
-    clipped_binary,
-    shannon_entropy,
-)
+from .entropies import LOG2_E, binary_entropy, clipped_binary
 from .linalg import HermitianOperator
 from .states import (
     BipartiteState,

@@ -13,27 +13,16 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bounds as bnd
 from . import couplings as cpl
 from . import gibbs as gb
-from .dc_optimizer import dc_minimize, estimate_kappa
 from .entropies import shannon_entropy, von_neumann_entropy
-from .linalg import fidelity, operator_norm, trace_distance, HermitianOperator
-from .states import (
-    BipartiteState,
-    DensityOperator,
-    sample_pure_bipartite,
-    sample_qc_state,
-    sample_state,
-    vector_marginals,
-)
-
-SUITES = ("fannes", "af", "dc", "couplings", "cor_pure", "gibbs",
-          "energy_bounds", "tightness")
+from .linalg import fidelity, trace_distance
+from .states import BipartiteState, sample_pure_bipartite, sample_qc_state, sample_state
 
 REPORT_COLUMNS = ("suite", "case", "variant", "dim", "energy", "epsilon",
                   "epsilon_prime", "lhs", "rhs", "slack", "valid", "kappa_estimated")
@@ -72,7 +61,6 @@ class CampaignConfig:
 class CampaignReport:
     config: CampaignConfig
     records: list
-    runtime: float = 0.0  # informational only; never serialized
 
     @property
     def min_slack(self) -> float:
@@ -84,185 +72,146 @@ class CampaignReport:
 
     @property
     def violations(self) -> int:
-        tol = self.config.tolerance
-        return sum(1 for r in self.records if r["slack"] < -tol)
+        return sum(1 for r in self.records if not r["valid"])
 
 
 def _rng(seed: int, case: int) -> np.random.Generator:
     return np.random.default_rng([seed, case])
 
 
-def _record(suite, case, variant, *, dim=None, energy=None, epsilon=None,
-            epsilon_prime=None, lhs=None, rhs=None, tol=1e-9, kappa_estimated=False):
-    slack = rhs - lhs
-    return {
-        "suite": suite, "case": case, "variant": variant,
-        "dim": dim, "energy": energy, "epsilon": epsilon,
-        "epsilon_prime": epsilon_prime,
-        "lhs": lhs, "rhs": rhs, "slack": slack,
-        "valid": bool(slack >= -tol),
-        "kappa_estimated": bool(kappa_estimated),
-    }
-
-
-def _from_report(suite, case, rep: bnd.BoundReport, tol):
-    return _record(suite, case, rep.params.variant, dim=rep.params.dim_d,
-                   epsilon=rep.params.epsilon, lhs=rep.lhs, rhs=rep.rhs, tol=tol,
-                   kappa_estimated=rep.params.kappa_is_estimate)
+def _from_report(rep: bnd.BoundReport) -> dict:
+    return {"variant": rep.params.variant, "dim": rep.params.dim_d,
+            "epsilon": rep.params.epsilon, "lhs": rep.lhs, "rhs": rep.rhs,
+            "kappa_estimated": bool(rep.params.kappa_is_estimate)}
 
 
 # -- suites -------------------------------------------------------------------
+#
+# A suite is a grid function, CampaignConfig -> list of parameter tuples
+# (one per case), and a case function, (rng, *params) -> list of record
+# field dicts.  Fields a case leaves out are blank in the report.
 
 
-def _suite_fannes(cfg: CampaignConfig):
-    records, case = [], 0
-    for d in cfg.dims:
-        for _ in range(cfg.samples):
-            rng = _rng(cfg.seed, case)
-            rho = sample_state(d, d, rng)
-            sigma = sample_state(d, d, rng)
-            records.append(_from_report("fannes", case, bnd.check_fannes(rho, sigma),
-                                        cfg.tolerance))
-            case += 1
-    return records
+def _dims_by_samples(cfg: CampaignConfig):
+    return [(d,) for d in cfg.dims for _ in range(cfg.samples)]
 
 
-def _suite_af(cfg: CampaignConfig):
-    records, case = [], 0
-    for d in cfg.dims:
-        for _ in range(cfg.samples):
-            rng = _rng(cfg.seed, case)
-            rho = BipartiteState(sample_state(d * d, d * d, rng), (d, d))
-            sigma = BipartiteState(sample_state(d * d, d * d, rng), (d, d))
-            records.append(_from_report("af", case, bnd.check_af(rho, sigma), cfg.tolerance))
-            case += 1
-            rng = _rng(cfg.seed, case)
-            rho = sample_qc_state(d, d, rng)
-            sigma = sample_qc_state(d, d, rng)
-            records.append(_from_report(
-                "af", case, bnd.check_af(rho, sigma, classical_b=True), cfg.tolerance))
-            case += 1
-    return records
+def _case_fannes(rng, d):
+    rho = sample_state(d, d, rng)
+    sigma = sample_state(d, d, rng)
+    return [_from_report(bnd.check_fannes(rho, sigma))]
 
 
-def _suite_dc(cfg: CampaignConfig):
-    records, case = [], 0
-    for d in cfg.dims:
-        for _ in range(cfg.samples):
-            rng = _rng(cfg.seed, case)
-            gens = [sample_state(d, d, rng).mat for _ in range(3)]
-            model = bnd.ConvexSetModel(generators=gens)
-            rho = sample_state(d, d, rng)
-            sigma = sample_state(d, d, rng)
-            rep = bnd.check_dc(rho, sigma, model, rng=rng, n_probes=50)
-            records.append(_from_report("dc", case, rep, cfg.tolerance))
-            case += 1
-    return records
+def _grid_af(cfg: CampaignConfig):
+    return [(d, classical_b) for d in cfg.dims for _ in range(cfg.samples)
+            for classical_b in (False, True)]
 
 
-def _suite_couplings(cfg: CampaignConfig):
-    records, case = [], 0
-    for d in cfg.dims:
-        for _ in range(cfg.samples):
-            rng = _rng(cfg.seed, case)
-            rho = sample_state(d, d, rng)
-            sigma = sample_state(d, d, rng)
-            eps = trace_distance(rho, sigma)
-            qc = cpl.quantum_coupling(rho, sigma)
-            records.append(_record("couplings", case, "quantum_overlap_psi", dim=d,
-                                   epsilon=eps, lhs=1.0 - eps, rhs=qc.overlap_psi,
-                                   tol=cfg.tolerance))
-            records.append(_record("couplings", case, "quantum_fidelity_theta", dim=d,
-                                   epsilon=eps, lhs=1.0 - eps,
-                                   rhs=fidelity(qc.psi.as_density(), qc.theta),
-                                   tol=cfg.tolerance))
-            dc_ = cpl.diagonal_coupling(rho, sigma)
-            records.append(_record("couplings", case, "diagonal_largest_eigenvalue",
-                                   dim=d, epsilon=eps, lhs=1.0 - eps,
-                                   rhs=dc_.largest_eigenvalue, tol=cfg.tolerance))
-            case += 1
-    return records
+def _case_af(rng, d, classical_b):
+    if classical_b:
+        rho = sample_qc_state(d, d, rng)
+        sigma = sample_qc_state(d, d, rng)
+    else:
+        rho = BipartiteState(sample_state(d * d, d * d, rng), (d, d))
+        sigma = BipartiteState(sample_state(d * d, d * d, rng), (d, d))
+    return [_from_report(bnd.check_af(rho, sigma, classical_b=classical_b))]
 
 
-def _suite_cor_pure(cfg: CampaignConfig):
-    records, case = [], 0
-    for d in cfg.dims:
-        for _ in range(cfg.samples):
-            rng = _rng(cfg.seed, case)
-            phi = sample_pure_bipartite(d, d, rng)
-            psi = sample_pure_bipartite(d, d, rng)
-            records.append(_from_report(
-                "cor_pure", case, bnd.check_cor_pure(phi, psi, which="ef"), cfg.tolerance))
-            case += 1
-    return records
+def _case_dc(rng, d):
+    gens = [sample_state(d, d, rng).mat for _ in range(3)]
+    model = bnd.ConvexSetModel(generators=gens)
+    rho = sample_state(d, d, rng)
+    sigma = sample_state(d, d, rng)
+    return [_from_report(bnd.check_dc(rho, sigma, model, rng=rng, n_probes=50))]
 
 
-def _suite_gibbs(cfg: CampaignConfig):
+def _case_couplings(rng, d):
+    rho = sample_state(d, d, rng)
+    sigma = sample_state(d, d, rng)
+    eps = trace_distance(rho, sigma)
+    qc = cpl.quantum_coupling(rho, sigma)
+    shared = {"dim": d, "epsilon": eps, "lhs": 1.0 - eps}
+    return [{**shared, "variant": "quantum_overlap_psi", "rhs": qc.overlap_psi},
+            {**shared, "variant": "quantum_fidelity_theta",
+             "rhs": fidelity(qc.psi.as_density(), qc.theta)},
+            {**shared, "variant": "diagonal_largest_eigenvalue",
+             "rhs": cpl.diagonal_coupling(rho, sigma).largest_eigenvalue}]
+
+
+def _case_cor_pure(rng, d):
+    phi = sample_pure_bipartite(d, d, rng)
+    psi = sample_pure_bipartite(d, d, rng)
+    return [_from_report(bnd.check_cor_pure(phi, psi, which="ef"))]
+
+
+def _grid_gibbs(cfg: CampaignConfig):
     h = gb.HamiltonianSpec.oscillators([1.0], n_max=256)
-    records = []
-    for case, e in enumerate(cfg.energies):
-        sol = gb.solve_beta(h, e)
-        direct = shannon_entropy(sol.diagonal_probabilities())
-        records.append(_record("gibbs", case, "formula_vs_direct", dim=h.dim, energy=e,
-                               lhs=abs(sol.entropy - direct), rhs=cfg.tolerance,
-                               tol=cfg.tolerance))
-    return records
+    return [(h, e, cfg.tolerance) for e in cfg.energies]
 
 
-def _suite_energy_bounds(cfg: CampaignConfig):
-    records, case = [], 0
-    n_max = 40
-    h = gb.HamiltonianSpec.oscillators([1.0], n_max=n_max)
-    for e in cfg.energies:
-        for _ in range(cfg.samples):
-            rng = _rng(cfg.seed, case)
-            rho = gb.sample_energy_constrained(h, e, rng=rng)
-            sigma = gb.sample_energy_constrained(h, e, rng=rng)
-            eps = trace_distance(rho, sigma)
-            lhs = abs(von_neumann_entropy(rho) - von_neumann_entropy(sigma))
-            records.append(_record("energy_bounds", case, "lemma4", dim=h.dim, energy=e,
-                                   epsilon=eps, lhs=lhs,
-                                   rhs=gb.lemma4_bound(h, e, max(eps, 1e-12)),
-                                   tol=cfg.tolerance))
-            ep = min(1.0, eps + 0.1)
-            records.append(_record("energy_bounds", case, "meta5", dim=h.dim, energy=e,
-                                   epsilon=eps, epsilon_prime=ep, lhs=lhs,
-                                   rhs=gb.meta5_bound(h, e, eps, ep), tol=cfg.tolerance))
-            case += 1
-    return records
+def _case_gibbs(rng, h, e, tol):
+    sol = gb.solve_beta(h, e)
+    direct = shannon_entropy(sol.diagonal_probabilities())
+    return [{"variant": "formula_vs_direct", "dim": h.dim, "energy": e,
+             "lhs": abs(sol.entropy - direct), "rhs": tol}]
 
 
-def _suite_tightness(cfg: CampaignConfig):
-    records, case = [], 0
-    for d in cfg.dims:
-        for eps in cfg.epsilons:
-            if not 0.0 < eps <= 1.0 - 1.0 / d:
-                continue
-            rho, sigma = bnd.tightness_witness_fannes(d, eps)
-            records.append(_from_report("tightness", case, bnd.check_fannes(rho, sigma),
-                                        cfg.tolerance))
-            case += 1
-            rho2, sigma2 = bnd.tightness_witness_af(d, eps)
-            rep = bnd.check_af(rho2, sigma2)
-            records.append(_from_report("tightness", case, rep, cfg.tolerance))
-            case += 1
-    return records
+def _grid_energy_bounds(cfg: CampaignConfig):
+    h = gb.HamiltonianSpec.oscillators([1.0], n_max=40)
+    return [(h, e) for e in cfg.energies for _ in range(cfg.samples)]
 
 
-_SUITE_RUNNERS = {
-    "fannes": _suite_fannes,
-    "af": _suite_af,
-    "dc": _suite_dc,
-    "couplings": _suite_couplings,
-    "cor_pure": _suite_cor_pure,
-    "gibbs": _suite_gibbs,
-    "energy_bounds": _suite_energy_bounds,
-    "tightness": _suite_tightness,
+def _case_energy_bounds(rng, h, e):
+    rho = gb.sample_energy_constrained(h, e, rng=rng)
+    sigma = gb.sample_energy_constrained(h, e, rng=rng)
+    eps = trace_distance(rho, sigma)
+    lhs = abs(von_neumann_entropy(rho) - von_neumann_entropy(sigma))
+    shared = {"dim": h.dim, "energy": e, "epsilon": eps, "lhs": lhs}
+    ep = min(1.0, eps + 0.1)
+    return [{**shared, "variant": "lemma4", "rhs": gb.lemma4_bound(h, e, max(eps, 1e-12))},
+            {**shared, "variant": "meta5", "epsilon_prime": ep,
+             "rhs": gb.meta5_bound(h, e, eps, ep)}]
+
+
+def _grid_tightness(cfg: CampaignConfig):
+    return [(d, eps, witness) for d in cfg.dims for eps in cfg.epsilons
+            if 0.0 < eps <= 1.0 - 1.0 / d for witness in ("fannes", "af")]
+
+
+def _case_tightness(rng, d, eps, witness):
+    if witness == "fannes":
+        return [_from_report(bnd.check_fannes(*bnd.tightness_witness_fannes(d, eps)))]
+    return [_from_report(bnd.check_af(*bnd.tightness_witness_af(d, eps)))]
+
+
+_SUITE_TABLE = {
+    "fannes": (_dims_by_samples, _case_fannes),
+    "af": (_grid_af, _case_af),
+    "dc": (_dims_by_samples, _case_dc),
+    "couplings": (_dims_by_samples, _case_couplings),
+    "cor_pure": (_dims_by_samples, _case_cor_pure),
+    "gibbs": (_grid_gibbs, _case_gibbs),
+    "energy_bounds": (_grid_energy_bounds, _case_energy_bounds),
+    "tightness": (_grid_tightness, _case_tightness),
 }
+
+SUITES = tuple(_SUITE_TABLE)
+
+_BLANK_RECORD = {**dict.fromkeys(REPORT_COLUMNS), "kappa_estimated": False}
 
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:
-    records = _SUITE_RUNNERS[config.suite](config)
+    grid_fn, case_fn = _SUITE_TABLE[config.suite]
+    grid = grid_fn(config)
+    if not grid:
+        raise ConfigError(f"the {config.suite} grid has no cases")
+    records = []
+    for case, params in enumerate(grid):
+        for fields in case_fn(_rng(config.seed, case), *params):
+            slack = fields["rhs"] - fields["lhs"]
+            records.append({**_BLANK_RECORD, **fields, "suite": config.suite,
+                            "case": case, "slack": slack,
+                            "valid": bool(slack >= -config.tolerance)})
     report = CampaignReport(config=config, records=records)
     if config.output:
         write_report(report, config.output, config.format)

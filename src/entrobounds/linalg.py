@@ -84,13 +84,6 @@ class HermitianOperator:
         lam_max = self.eigenvalues[0] if self.dim else 0.0
         return ZERO_EIGENVALUE_RTOL * max(lam_max, 0.0)
 
-    def support_projector(self) -> "HermitianOperator":
-        """Projector onto the span of eigenvectors with eigenvalue above
-        the zero threshold."""
-        keep = self.eigenvalues > self.zero_threshold()
-        v = self.eigenvectors[:, keep]
-        return HermitianOperator(v @ v.conj().T)
-
     def apply_function(self, f, support_only: bool = False) -> "HermitianOperator":
         """Return ``U f(Lambda) U^dagger``.
 
@@ -129,19 +122,13 @@ class HermitianOperator:
         return self.apply_function(lambda x: 1.0 / np.sqrt(x), support_only=True)
 
 
-def matrix_function(op: HermitianOperator, f, support_only: bool = False):
-    """Functional calculus ``U f(Lambda) U^dagger`` (module-level alias)."""
-    return op.apply_function(f, support_only=support_only)
-
-
-def eig_hermitian(op: HermitianOperator):
-    """Return ``(eigenvalues, eigenvectors)`` in non-increasing order.
-
-    The residual ``max|A - U Lambda U^dagger|`` is guaranteed below
-    ``1e-10 * (1 + max|A|)``; this is asserted in the test suite rather
-    than recomputed on every call.
-    """
-    return op.eigenvalues, op.eigenvectors
+def as_operator(x) -> HermitianOperator:
+    """Coerce a state (anything with ``.op``), an operator or a square
+    array to a :class:`HermitianOperator`."""
+    if isinstance(x, HermitianOperator):
+        return x
+    op = getattr(x, "op", None)
+    return op if op is not None else HermitianOperator(x)
 
 
 def trace_norm(op) -> float:
@@ -167,8 +154,7 @@ def positive_part(op: HermitianOperator) -> HermitianOperator:
 
 def fidelity(rho, sigma) -> float:
     """F(rho, sigma) = || sqrt(rho) sqrt(sigma) ||_1, in [0, 1]."""
-    rho_op = rho.op if hasattr(rho, "op") else rho
-    sigma_op = sigma.op if hasattr(sigma, "op") else sigma
+    rho_op, sigma_op = as_operator(rho), as_operator(sigma)
     if rho_op.dim != sigma_op.dim:
         raise ValueError(f"dimension mismatch: {rho_op.dim} vs {sigma_op.dim}")
     prod = rho_op.sqrt().mat @ sigma_op.sqrt().mat
@@ -178,6 +164,5 @@ def fidelity(rho, sigma) -> float:
 
 def trace_distance(rho, sigma) -> float:
     """Half the trace norm of the difference."""
-    rho_op = rho.op if hasattr(rho, "op") else rho
-    sigma_op = sigma.op if hasattr(sigma, "op") else sigma
+    rho_op, sigma_op = as_operator(rho), as_operator(sigma)
     return 0.5 * trace_norm(HermitianOperator(rho_op.mat - sigma_op.mat))

@@ -8,7 +8,7 @@ Transposes are always taken in this fixed computational basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -38,15 +38,43 @@ class TestConfig:
             CampaignConfig(suite="fannes", format="xml")
 
 
+def _dim(case, cases_per_dim):
+    return 2 if case < cases_per_dim else 3
+
+
+# (case, variant, dim, energy) of every record at dims=(2, 3), samples=3,
+# energies=(1.0, 2.0), epsilons=(0.1, 0.3, 0.6).  A case is one sample per
+# grid point; af numbers its general and qc variants, and tightness its
+# fannes and af witnesses (0.6 > 1 - 1/2 is skipped at d=2), as separate
+# cases; couplings and energy_bounds emit several records per case.
+CASE_LAYOUT = {
+    "fannes": [(k, "fannes_exact", _dim(k, 3), None) for k in range(6)],
+    "af": [(k, ("af_general", "af_classical_B")[k % 2], _dim(k, 6), None)
+           for k in range(12)],
+    "dc": [(k, "dc_generic", _dim(k, 3), None) for k in range(6)],
+    "couplings": [(k, v, _dim(k, 3), None) for k in range(6)
+                  for v in ("quantum_overlap_psi", "quantum_fidelity_theta",
+                            "diagonal_largest_eigenvalue")],
+    "cor_pure": [(k, "ef_cor1", _dim(k, 3), None) for k in range(6)],
+    "gibbs": [(0, "formula_vs_direct", 257, 1.0), (1, "formula_vs_direct", 257, 2.0)],
+    "energy_bounds": [(k, v, 41, 1.0 if k < 3 else 2.0) for k in range(6)
+                      for v in ("lemma4", "meta5")],
+    "tightness": [(k, ("fannes_exact", "af_general")[k % 2], _dim(k, 4), None)
+                  for k in range(10)],
+}
+
+
 class TestCampaigns:
     @pytest.mark.parametrize("suite", SUITES)
     def test_every_suite_runs_clean(self, suite):
         cfg = CampaignConfig(suite=suite, dims=(2, 3), samples=3, seed=1,
-                             energies=(1.0,), epsilons=(0.1, 0.3))
+                             energies=(1.0, 2.0), epsilons=(0.1, 0.3, 0.6))
         report = run_campaign(cfg)
         assert report.records
         assert report.violations == 0
         assert report.min_slack >= -cfg.tolerance
+        layout = [(r["case"], r["variant"], r["dim"], r["energy"]) for r in report.records]
+        assert layout == CASE_LAYOUT[suite]
 
     def test_deterministic_given_seed(self):
         cfg = CampaignConfig(suite="fannes", **SMALL)
@@ -142,6 +170,15 @@ class TestCli:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("just a line\n")
         assert cli.main(["verify", "fannes", "--config", str(cfg)]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["verify tightness", "witness fannes"])
+    def test_empty_grid_exits_2(self, command, capsys):
+        # eps = 0.75 exceeds 1 - 1/d at d = 2, so nothing is checked
+        rc = cli.main([*command.split(), "--dims", "2", "--eps", "0.75"])
+        assert rc == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""
 
     def test_witness_fannes(self, capsys):
         rc = cli.main(["witness", "fannes", "--dims", "2,4", "--eps", "0.25"])

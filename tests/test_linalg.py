@@ -6,9 +6,8 @@ import pytest
 from entrobounds.linalg import (
     HermitianOperator,
     MatrixFunctionDomainError,
-    eig_hermitian,
+    as_operator,
     fidelity,
-    matrix_function,
     operator_norm,
     positive_part,
     trace_distance,
@@ -27,16 +26,18 @@ def random_hermitian(rng, d):
 
 class TestEigHermitian:
     def test_pauli_x(self):
-        lam, _ = eig_hermitian(HermitianOperator(PAULI_X))
+        lam = HermitianOperator(PAULI_X).eigenvalues
         np.testing.assert_allclose(lam, [1.0, -1.0], atol=1e-12)
 
     def test_identity(self):
-        lam, u = eig_hermitian(HermitianOperator.identity(4))
+        op = HermitianOperator.identity(4)
+        lam, u = op.eigenvalues, op.eigenvectors
         np.testing.assert_allclose(lam, np.ones(4), atol=1e-12)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-10)
 
     def test_diagonal_sorted_descending(self):
-        lam, u = eig_hermitian(HermitianOperator.diagonal([3.0, 1.0, 2.0]))
+        op = HermitianOperator.diagonal([3.0, 1.0, 2.0])
+        lam, u = op.eigenvalues, op.eigenvectors
         np.testing.assert_allclose(lam, [3.0, 2.0, 1.0], atol=1e-12)
         # permutation eigenvectors
         assert np.allclose(np.abs(u), np.abs(u).round(), atol=1e-12)
@@ -45,7 +46,7 @@ class TestEigHermitian:
         rng = np.random.default_rng(11)
         for d in (2, 3, 8, 16, 64):
             op = random_hermitian(rng, d)
-            lam, u = eig_hermitian(op)
+            lam, u = op.eigenvalues, op.eigenvectors
             recon = (u * lam) @ u.conj().T
             scale = 1.0 + np.abs(op.mat).max()
             assert np.abs(recon - op.mat).max() <= 1e-10 * scale
@@ -59,21 +60,37 @@ class TestEigHermitian:
 
 class TestMatrixFunction:
     def test_sqrt(self):
-        out = matrix_function(HermitianOperator.diagonal([4.0, 9.0]), np.sqrt)
+        out = HermitianOperator.diagonal([4.0, 9.0]).apply_function(np.sqrt)
         np.testing.assert_allclose(out.mat, np.diag([2.0, 3.0]), atol=1e-12)
 
     def test_inverse_sqrt_support_only(self):
         op = HermitianOperator.diagonal([4.0, 0.0])
-        out = matrix_function(op, lambda x: 1.0 / np.sqrt(x), support_only=True)
+        out = op.apply_function(lambda x: 1.0 / np.sqrt(x), support_only=True)
         np.testing.assert_allclose(out.mat, np.diag([0.5, 0.0]), atol=1e-12)
 
     def test_log_identity_is_zero(self):
-        out = matrix_function(HermitianOperator.identity(3), np.log)
+        out = HermitianOperator.identity(3).apply_function(np.log)
         np.testing.assert_allclose(out.mat, np.zeros((3, 3)), atol=1e-12)
 
     def test_log_negative_eigenvalue_raises(self):
         with pytest.raises(MatrixFunctionDomainError, match="-1"):
-            matrix_function(HermitianOperator(PAULI_Z), np.log)
+            HermitianOperator(PAULI_Z).apply_function(np.log)
+
+
+class TestAsOperator:
+    def test_operator_state_and_array(self):
+        op = HermitianOperator(PAULI_X)
+        assert as_operator(op) is op
+        rho = DensityOperator.maximally_mixed(2)
+        assert as_operator(rho) is rho.op
+        arr = as_operator(np.diag([1.0, 0.0]))
+        assert isinstance(arr, HermitianOperator)
+        np.testing.assert_allclose(arr.eigenvalues, [1.0, 0.0], atol=1e-12)
+
+    def test_arrays_accepted_by_distance_functions(self):
+        p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        assert trace_distance(p0, p1) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity(p0, p0) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestNorms:
