@@ -40,7 +40,7 @@ def main():
     sigma = DensityOperator(0.9 * rho.mat + 0.1 * sigma.mat)
     rep = check_dc(rho, sigma, model, rng=np.random.default_rng(0), n_probes=50)
     print(f"\ncontinuity check at eps = {trace_distance(rho, sigma):.4f}:")
-    print(f"  |D_C(rho) - D_C(sigma)| = {rep.lhs:.6f}")
+    print(f"  |D_C(rho) - D_C(sigma)| <= {rep.lhs:.6f} (solver values plus duality gaps)")
     print(f"  bound eps*kappa + (1+eps) h(eps/(1+eps)) = {rep.rhs:.6f}")
     print(f"  slack = {rep.slack:.6f} (kappa estimated: "
           f"{rep.params.kappa_is_estimate})")

@@ -3,11 +3,15 @@
 The objective is jointly convex in the mixture, the linear subproblem
 over the simplex is an argmin over the m vertices, and the Frank-Wolfe
 duality gap certifies suboptimality, so the returned value is within
-``tol`` of the true minimum whenever ``converged`` is set.
+``gap`` (at most ``tol`` whenever ``converged`` is set) of the true
+minimum.
 
 Gradient: d/dw_i [-tr rho log2 gamma(w)] = -tr[rho Dlog_gamma[gamma_i]],
 assembled in the eigenbasis of gamma(w) with first divided differences
 of log2: (log2 a - log2 b)/(a - b) off the diagonal, 1/(a ln 2) on it.
+The derivative along a direction d is the same contraction with the one
+operator sum_i d_i gamma_i, so each line-search step costs one
+eigendecomposition.
 """
 
 from __future__ import annotations
@@ -22,8 +26,12 @@ from .entropies import relative_entropy
 from .linalg import HermitianOperator
 from .states import DensityOperator, sample_pure_state, _as_rng
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_LINE_SEARCH_ITERS = 60
+# The line search stops once |f'(t)| <= _SLOPE_RTOL |f'(0)|, or once its
+# bracket is narrower than _STEP_RTOL t_max, or after _LINE_SEARCH_ITERS
+# derivative evaluations.
+_SLOPE_RTOL = 1e-10
+_STEP_RTOL = 1e-12
+_LINE_SEARCH_ITERS = 100
 
 
 class SingularMixtureError(RuntimeError):
@@ -64,32 +72,45 @@ def dc_objective(rho: DensityOperator, model: ConvexSetModel, w) -> float:
     return relative_entropy(rho, HermitianOperator(_mixture(model, np.asarray(w, float))))
 
 
-def dc_gradient(rho: DensityOperator, weights, model: ConvexSetModel) -> np.ndarray:
-    """Gradient of w -> D(rho || gamma(w)) via divided differences of log2."""
-    w = np.asarray(weights, dtype=float)
-    gamma = HermitianOperator(_mixture(model, w))
+def _eigenbasis_terms(rho: DensityOperator, mix: np.ndarray):
+    """Spectral data of the mixture ``mix`` that its log2 derivatives need.
+
+    Returns ``(u, rho_tilde, dd, outside)``: the eigenvectors of the
+    mixture, rho in that eigenbasis, the first divided differences of log2
+    of the eigenvalues (zero on rows and columns outside the support), and
+    the weight of rho outside the support.
+    """
+    gamma = HermitianOperator(mix)
     lam = gamma.eigenvalues
     u = gamma.eigenvectors
     thr = max(gamma.zero_threshold(), 1e-14)
     support = lam > thr
     rho_tilde = u.conj().T @ rho.mat @ u
-    if not support.all():
-        outside = float(np.real(np.trace(rho_tilde[~support][:, ~support])))
-        if outside > 1e-10:
-            raise SingularMixtureError(
-                f"rho has weight {outside:.3e} outside the mixture support"
-            )
-    # first divided differences of log2 on the support; rows/cols outside
-    # the support never couple to rho (checked above)
+    outside = float(np.real(np.trace(rho_tilde[~support][:, ~support])))
+    # rows/cols outside the support never couple to rho when outside ~ 0;
+    # safe is positive and a - b is nonzero off ``close``, so nothing here
+    # divides by zero
     safe = np.where(support, lam, 1.0)
     a = safe[:, None]
     b = safe[None, :]
+    log_safe = np.log2(safe)
     close = np.abs(a - b) <= 1e-10 * np.maximum(a, b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dd = np.where(close,
-                      1.0 / (np.maximum(a, b) * math.log(2.0)),
-                      (np.log2(a) - np.log2(b)) / np.where(close, 1.0, a - b))
-    dd = np.where(np.outer(support, support), dd, 0.0)
+    dd = np.where(close,
+                  1.0 / (np.maximum(a, b) * math.log(2.0)),
+                  (log_safe[:, None] - log_safe[None, :]) / np.where(close, 1.0, a - b))
+    dd[~support] = 0.0
+    dd[:, ~support] = 0.0
+    return u, rho_tilde, dd, outside
+
+
+def dc_gradient(rho: DensityOperator, weights, model: ConvexSetModel) -> np.ndarray:
+    """Gradient of w -> D(rho || gamma(w)) via divided differences of log2."""
+    w = np.asarray(weights, dtype=float)
+    u, rho_tilde, dd, outside = _eigenbasis_terms(rho, _mixture(model, w))
+    if outside > 1e-10:
+        raise SingularMixtureError(
+            f"rho has weight {outside:.3e} outside the mixture support"
+        )
     grad = np.empty(len(w))
     for i, g in enumerate(model.generators):
         g_tilde = u.conj().T @ g.mat @ u
@@ -97,37 +118,71 @@ def dc_gradient(rho: DensityOperator, weights, model: ConvexSetModel) -> np.ndar
     return grad
 
 
-def _golden_section(f, lo: float = 0.0, hi: float = 1.0) -> float:
-    """Minimize a unimodal function on [lo, hi] with a fixed iteration count."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
+def _slope(rho: DensityOperator, mix: np.ndarray, d_mix: np.ndarray) -> float:
+    """Derivative of the objective at the mixture ``mix`` along the
+    operator direction ``d_mix`` = sum_i d_i gamma_i; +inf when ``mix`` is
+    singular on the support of rho (the objective is +inf there)."""
+    u, rho_tilde, dd, outside = _eigenbasis_terms(rho, mix)
+    if outside > 1e-10:
+        return math.inf
+    d_tilde = u.conj().T @ d_mix @ u
+    return -float(np.real(np.sum(rho_tilde.T * (dd * d_tilde))))
+
+
+def _line_search(slope, slope0: float, t_max: float) -> float:
+    """Exact line minimizer over [0, t_max] of a function convex in t.
+
+    ``slope(t)`` is its derivative and ``slope0 = slope(0) < 0``.  Returns
+    ``t_max`` when ``slope(t_max) <= 0``; otherwise finds the root of the
+    slope by Illinois regula falsi, bisecting while the upper end of the
+    bracket has slope +inf.
+    """
+    hi, s_hi = t_max, slope(t_max)
+    if s_hi <= 0.0:
+        return t_max
+    lo, s_lo = 0.0, slope0
+    kept = 0  # +1: hi survived the last step, -1: lo did
     for _ in range(_LINE_SEARCH_ITERS):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
+        if math.isinf(s_hi):
+            t = 0.5 * (lo + hi)
         else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+            t = lo - s_lo * (hi - lo) / (s_hi - s_lo)
+        s = slope(t)
+        if abs(s) <= _SLOPE_RTOL * -slope0:
+            break
+        # Illinois: halve the slope of an end kept twice in a row, so
+        # that both ends of the bracket keep moving
+        if s < 0.0:
+            lo, s_lo = t, s
+            if kept > 0:
+                s_hi *= 0.5
+            kept = 1
+        else:
+            hi, s_hi = t, s
+            if kept < 0:
+                s_lo *= 0.5
+            kept = -1
+        if hi - lo <= _STEP_RTOL * t_max:
+            break
+    return t
 
 
 def dc_minimize(rho: DensityOperator, model: ConvexSetModel,
                 tol: float = 1e-6, max_iters: int = 2000,
                 start=None) -> OptimizerResult:
-    """Away-step Frank-Wolfe with golden-section line search.
+    """Away-step Frank-Wolfe with an exact derivative line search.
 
     Away steps restore linear convergence on the simplex (plain
-    Frank-Wolfe zigzags near non-vertex boundary optima).  Converged when
-    the Frank-Wolfe duality gap <= tol (bits); the gap bounds the
-    distance of ``value`` from the true minimum.  The gap certificate
-    bottoms out around 1e-8: the line search cannot resolve objective
-    differences below the eigensolver noise floor, even though the value
-    itself converges much further.  Iteration stops early when 100
-    consecutive steps fail to improve the value.
+    Frank-Wolfe zigzags near non-vertex boundary optima).  Each step
+    minimizes the objective along its segment [0, t_max] by a root-find
+    on the directional derivative (Illinois regula falsi): the step is
+    t_max when the derivative is still <= 0 there, which for an away
+    step drops the vertex from the active set, and a mixture singular on
+    the support of rho counts as derivative +inf.  Converged when the
+    Frank-Wolfe duality gap <= tol (bits).  ``gap`` bounds the distance
+    of ``value`` from the true minimum whether or not the run converged.
+    Iteration stops early when 100 consecutive steps fail to improve the
+    value.
     """
     m = len(model.generators)
     w = np.full(m, 1.0 / m) if start is None else np.asarray(start, float)
@@ -152,20 +207,17 @@ def dc_minimize(rho: DensityOperator, model: ConvexSetModel,
         away_gap = float(-(grad @ away_dir))
         drop_vertex = None
         if away_gap > gap and w[away_vertex] < 1.0 - 1e-15:
-            direction = away_dir
+            direction, slope0 = away_dir, -away_gap
             t_max = w[away_vertex] / (1.0 - w[away_vertex])
             drop_vertex = away_vertex
         else:
-            direction = fw_dir
+            direction, slope0 = fw_dir, -gap
             t_max = 1.0
-        t = _golden_section(lambda t: dc_objective(rho, model, w + t * direction),
-                            0.0, t_max)
-        # drop step: taking the full away step zeroes the vertex exactly,
-        # otherwise its residual weight stalls future away steps
-        if drop_vertex is not None and \
-                dc_objective(rho, model, w + t_max * direction) <= \
-                dc_objective(rho, model, w + t * direction):
-            t = t_max
+        mix, d_mix = _mixture(model, w), _mixture(model, direction)
+        t = _line_search(lambda t: _slope(rho, mix + t * d_mix, d_mix), slope0, t_max)
+        # drop step: by convexity the search returns t_max exactly when the
+        # full away step is no worse; zero the vertex exactly, otherwise its
+        # residual weight stalls future away steps
         w_new = np.clip(w + t * direction, 0.0, None)
         if drop_vertex is not None and t == t_max:
             w_new[drop_vertex] = 0.0

@@ -11,6 +11,7 @@ from entrobounds.bounds import (
     af_witness_gap,
     check_af,
     check_cor_pure,
+    check_dc,
     check_fannes,
     cor1_bounds,
     cor1_delta,
@@ -20,9 +21,10 @@ from entrobounds.bounds import (
     tightness_witness_af,
     tightness_witness_fannes,
 )
+from entrobounds.dc_optimizer import dc_minimize
 from entrobounds.entropies import conditional_entropy, von_neumann_entropy
 from entrobounds.linalg import trace_distance
-from entrobounds.states import BipartiteState, sample_pure_bipartite, sample_state
+from entrobounds.states import BipartiteState, DensityOperator, sample_pure_bipartite, sample_state
 
 # independently computed reference values (40-digit arithmetic)
 FANNES_01_4 = 0.62749184366139684
@@ -139,6 +141,24 @@ class TestCheckers:
             assert rep.params.variant == variant
         with pytest.raises(ValueError, match="unknown"):
             check_cor_pure(phi, psi, which="xx")
+
+    def test_dc_lhs_carries_the_gaps(self):
+        # both states are members of the set, so D_C = 0 for each and the
+        # certified lhs is (up to the solver values, ~1e-11) the two gaps
+        rng = np.random.default_rng(9)
+        gens = [sample_state(3, 3, rng).mat for _ in range(3)]
+        model = ConvexSetModel(generators=gens, kappa=1.0)
+        rho, sigma = (DensityOperator(sum(wi * g for wi, g in zip(w, gens)))
+                      for w in ([0.2, 0.5, 0.3], rng.dirichlet(np.ones(3))))
+        tol = 1e-6
+        rep = check_dc(rho, sigma, model, tol=tol)
+        res_rho = dc_minimize(rho, model, tol=tol)
+        res_sigma = dc_minimize(sigma, model, tol=tol)
+        gaps = res_rho.gap + res_sigma.gap
+        assert rep.lhs == abs(res_rho.value - res_sigma.value) + gaps
+        assert rep.lhs == pytest.approx(gaps, abs=1e-10)
+        assert gaps > 0.0
+        assert rep.lhs <= 2 * tol
 
     def test_report_slack_and_valid(self):
         params = BoundParams(epsilon=0.1, dim_d=2, variant="x")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from entrobounds import dc_optimizer
 from entrobounds.bounds import ConvexSetModel
 from entrobounds.dc_optimizer import (
     SimplexPoint,
@@ -13,6 +14,7 @@ from entrobounds.dc_optimizer import (
     estimate_kappa,
 )
 from entrobounds.entropies import conditional_entropy, relative_entropy, von_neumann_entropy
+from entrobounds.harness import CampaignConfig, run_campaign
 from entrobounds.linalg import HermitianOperator
 from entrobounds.states import (
     BipartiteState,
@@ -73,6 +75,38 @@ def finite_diff_gradient(rho, w, model, h=1e-6):
         dn = dc_objective(rho, model, w - h * e)
         grad[i] = (up - dn) / (2 * h)
     return grad
+
+
+def segment_search(rho, model, w, direction, t_max):
+    """The minimizer's line search along w + t direction, t in [0, t_max]."""
+    mix = dc_optimizer._mixture(model, w)
+    d_mix = dc_optimizer._mixture(model, direction)
+    slope0 = float(dc_gradient(rho, w, model) @ direction)
+    return dc_optimizer._line_search(
+        lambda t: dc_optimizer._slope(rho, mix + t * d_mix, d_mix), slope0, t_max)
+
+
+def segment_scan(rho, model, w, direction, t_max, levels=3, points=1001):
+    """Independent line minimizer: the objective on a dense t grid (batched
+    eigendecompositions), refined twice around the best point."""
+    gens = np.stack([g.mat for g in model.generators])
+    neg_s = -von_neumann_entropy(rho)
+
+    def batch_eval(ts):
+        gammas = np.einsum("ki,ijl->kjl", w + ts[:, None] * direction, gens)
+        lam, u = np.linalg.eigh(gammas)
+        q = np.real(np.einsum("kia,ij,kja->ka", u.conj(), rho.mat, u))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(q > 1e-14, q * np.log2(np.clip(lam, 1e-300, None)), 0.0)
+        return neg_s - terms.sum(axis=1)
+
+    lo, hi = 0.0, t_max
+    for _ in range(levels):
+        ts = np.linspace(lo, hi, points)
+        best = ts[int(np.argmin(batch_eval(ts)))]
+        step = ts[1] - ts[0]
+        lo, hi = max(0.0, best - step), min(t_max, best + step)
+    return best
 
 
 class TestSimplexPoint:
@@ -194,6 +228,78 @@ class TestMinimizer:
         res = dc_minimize(state.as_density(), model)
         expected = 1.0 - conditional_entropy(state)
         assert res.value == pytest.approx(expected, abs=1e-8)
+
+
+class TestLineSearch:
+    QUBIT = ConvexSetModel(generators=[np.diag([1.0, 0.0]), np.eye(2) / 2])
+
+    def test_returns_t_max_when_slope_never_positive(self):
+        # rho = |1><1|: along w = (1 - s, s) the objective -log2(s/2)
+        # decreases all the way to the vertex 1/2
+        rho = DensityOperator.diagonal([0.0, 1.0])
+        w = np.array([0.5, 0.5])
+        direction = np.array([-0.5, 0.5])
+        mix = dc_optimizer._mixture(self.QUBIT, w)
+        d_mix = dc_optimizer._mixture(self.QUBIT, direction)
+        for t in np.linspace(0.0, 1.0, 11):
+            assert dc_optimizer._slope(rho, mix + t * d_mix, d_mix) < 0.0
+        assert segment_search(rho, self.QUBIT, w, direction, 1.0) == 1.0
+        res = dc_minimize(rho, self.QUBIT)
+        assert res.weights.weights.tolist() == [0.0, 1.0]
+        assert res.iterations == 2
+
+    def test_matches_dense_scan(self):
+        rng = np.random.default_rng(10)
+        for i in range(20):
+            gens = [sample_state(3, 3, rng).mat for _ in range(3)]
+            model = ConvexSetModel(generators=gens)
+            rho = sample_state(3, 3, rng)
+            w = rng.dirichlet(np.ones(3))
+            grad = dc_gradient(rho, w, model)
+            if i % 2 == 0:
+                # Frank-Wolfe segment towards the best vertex
+                direction = -w.copy()
+                direction[int(np.argmin(grad))] += 1.0
+                t_max = 1.0
+            else:
+                # away segment off the worst vertex
+                k = int(np.argmax(grad))
+                direction = w.copy()
+                direction[k] -= 1.0
+                t_max = w[k] / (1.0 - w[k])
+            t = segment_search(rho, model, w, direction, t_max)
+            assert 0.0 <= t <= t_max
+            assert abs(t - segment_scan(rho, model, w, direction, t_max)) <= 1e-6 * t_max
+
+    def test_away_step_to_singular_mixture(self):
+        # rho = diag(0.9, 0.1) = 0.8 |0><0| + 0.2 (1/2); the away step off
+        # 1/2 from w = (0.3, 0.7) ends at |0><0|, which misses supp(rho)
+        rho = DensityOperator.diagonal([0.9, 0.1])
+        w = np.array([0.3, 0.7])
+        direction = np.array([0.3, -0.3])
+        t_max = 0.7 / 0.3
+        assert dc_optimizer._slope(rho, dc_optimizer._mixture(self.QUBIT, w + t_max * direction),
+                                   dc_optimizer._mixture(self.QUBIT, direction)) == math.inf
+        t = segment_search(rho, self.QUBIT, w, direction, t_max)
+        assert 0.0 < t < t_max
+        assert t == pytest.approx(5.0 / 3.0, abs=1e-9)
+        res = dc_minimize(rho, self.QUBIT, start=w)
+        assert res.converged
+        assert res.value == pytest.approx(0.0, abs=1e-6)
+
+    def test_every_criterion_12_minimization_converges(self, monkeypatch):
+        results = []
+        inner = dc_optimizer.dc_minimize
+
+        def recording(*args, **kwargs):
+            res = inner(*args, **kwargs)
+            results.append(res)
+            return res
+
+        monkeypatch.setattr(dc_optimizer, "dc_minimize", recording)
+        run_campaign(CampaignConfig(suite="dc", dims=(2, 3), samples=3, seed=12))
+        assert len(results) == 351
+        assert all(r.converged for r in results)
 
 
 class TestKappaEstimate:

@@ -191,6 +191,17 @@ class TestCli:
                        "--energies", "10"])
         assert rc == cli.EXIT_OK
 
+    def test_witness_oscillator_loops_over_energies(self, capsys):
+        # --dims has no meaning for the oscillator and must not multiply lines
+        rc = cli.main(["witness", "oscillator", "--dims", "2,8",
+                       "--energies", "10,20,40", "--eps", "0.1,0.2"])
+        assert rc == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            f"oscillator E={e} eps={eps}"
+            for e in (10.0, 20.0, 40.0) for eps in (0.1, 0.2)]
+        assert len({line.split(": ")[1] for line in lines}) == 6
+
     def test_gibbs_table_command(self, capsys):
         rc = cli.main(["gibbs-table", "--energies", "0.5,1.0", "--modes", "1.0"])
         assert rc == cli.EXIT_OK
