@@ -62,8 +62,10 @@ class ConvexSetModel:
 
     At least one generator must be full rank (keeps the relative-entropy
     distance finite).  ``kappa`` is the largest variation of D_C over
-    states: exact when known in closed form, otherwise a sampled upper
-    estimate flagged via ``kappa_is_estimate``.
+    states: exact when known in closed form, otherwise a sampled estimate
+    flagged via ``kappa_is_estimate``.  A sampled kappa is a max and a min
+    over finitely many probes, so it can only underestimate the true
+    variation (up to the solver tolerance).
     """
 
     generators: list
@@ -176,7 +178,8 @@ def check_dc(rho: DensityOperator, sigma: DensityOperator, model: ConvexSetModel
     true minimum by at most its duality gap, so the lhs
     |v_rho - v_sigma| + gap_rho + gap_sigma bounds |D_C(rho) - D_C(sigma)|
     from above whether or not the solver converged.  kappa comes from the
-    model (or a sampled upper estimate over pure-state probes, flagged)."""
+    model, or else from a sampled estimate over pure-state probes, which
+    can only underestimate the true kappa and is flagged as estimated."""
     from .dc_optimizer import dc_minimize, estimate_kappa
 
     eps = trace_distance(rho, sigma)

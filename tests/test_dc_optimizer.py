@@ -10,6 +10,7 @@ from entrobounds.dc_optimizer import (
     SingularMixtureError,
     dc_gradient,
     dc_minimize,
+    dc_minimize_stack,
     dc_objective,
     estimate_kappa,
 )
@@ -20,6 +21,7 @@ from entrobounds.states import (
     BipartiteState,
     DensityOperator,
     partial_trace,
+    sample_pure_state,
     sample_state,
 )
 
@@ -77,13 +79,23 @@ def finite_diff_gradient(rho, w, model, h=1e-6):
     return grad
 
 
+def mixture(model, w):
+    """The mixture sum_i w_i gamma_i, as a stack of one."""
+    return dc_optimizer._mixtures(dc_optimizer._generators(model), np.asarray(w, float)[None])
+
+
+def slope(rho, mix, d_mix):
+    """The minimizer's directional derivative at a stack-of-one mixture."""
+    return float(dc_optimizer._slopes(rho.mat[None], mix, d_mix)[0])
+
+
 def segment_search(rho, model, w, direction, t_max):
     """The minimizer's line search along w + t direction, t in [0, t_max]."""
-    mix = dc_optimizer._mixture(model, w)
-    d_mix = dc_optimizer._mixture(model, direction)
+    mix = mixture(model, w)
+    d_mix = mixture(model, direction)
     slope0 = float(dc_gradient(rho, w, model) @ direction)
-    return dc_optimizer._line_search(
-        lambda t: dc_optimizer._slope(rho, mix + t * d_mix, d_mix), slope0, t_max)
+    return float(dc_optimizer._line_search(
+        rho.mat[None], mix, d_mix, np.array([slope0]), np.array([float(t_max)]))[0])
 
 
 def segment_scan(rho, model, w, direction, t_max, levels=3, points=1001):
@@ -117,6 +129,11 @@ class TestSimplexPoint:
     def test_invalid(self):
         with pytest.raises(ValueError, match="simplex"):
             SimplexPoint(np.array([0.5, 0.6]))
+
+    def test_clipped_weights_sum_to_one(self):
+        p = SimplexPoint(np.array([1.0 + 5e-13, 0.0, -5e-13]))
+        assert abs(p.weights.sum() - 1.0) <= 1e-15
+        assert (p.weights >= 0.0).all()
 
 
 class TestObjectiveAndGradient:
@@ -208,6 +225,23 @@ class TestMinimizer:
             other = dc_minimize(rho, model, start=start).value
             assert abs(other - base) < 1e-6
 
+    @pytest.mark.parametrize("start, match", [
+        ([0.5, 0.5], "3 generators"),
+        ([0.7, 0.7, 0.7], "simplex"),
+        ([np.nan, 0.5, 0.5], "simplex"),
+    ])
+    def test_invalid_start_raises_before_any_eigendecomposition(self, monkeypatch, start, match):
+        rng = np.random.default_rng(9)
+        model = ConvexSetModel(generators=[sample_state(3, 3, rng).mat for _ in range(3)])
+        rho = sample_state(3, 3, rng)
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigendecomposition before the start was checked")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        with pytest.raises(ValueError, match=match):
+            dc_minimize(rho, model, start=start)
+
     def test_gap_bounds_suboptimality(self):
         rng = np.random.default_rng(6)
         gens = [sample_state(3, 3, rng).mat for _ in range(3)]
@@ -239,10 +273,10 @@ class TestLineSearch:
         rho = DensityOperator.diagonal([0.0, 1.0])
         w = np.array([0.5, 0.5])
         direction = np.array([-0.5, 0.5])
-        mix = dc_optimizer._mixture(self.QUBIT, w)
-        d_mix = dc_optimizer._mixture(self.QUBIT, direction)
+        mix = mixture(self.QUBIT, w)
+        d_mix = mixture(self.QUBIT, direction)
         for t in np.linspace(0.0, 1.0, 11):
-            assert dc_optimizer._slope(rho, mix + t * d_mix, d_mix) < 0.0
+            assert slope(rho, mix + t * d_mix, d_mix) < 0.0
         assert segment_search(rho, self.QUBIT, w, direction, 1.0) == 1.0
         res = dc_minimize(rho, self.QUBIT)
         assert res.weights.weights.tolist() == [0.0, 1.0]
@@ -278,8 +312,8 @@ class TestLineSearch:
         w = np.array([0.3, 0.7])
         direction = np.array([0.3, -0.3])
         t_max = 0.7 / 0.3
-        assert dc_optimizer._slope(rho, dc_optimizer._mixture(self.QUBIT, w + t_max * direction),
-                                   dc_optimizer._mixture(self.QUBIT, direction)) == math.inf
+        assert slope(rho, mixture(self.QUBIT, w + t_max * direction),
+                     mixture(self.QUBIT, direction)) == math.inf
         t = segment_search(rho, self.QUBIT, w, direction, t_max)
         assert 0.0 < t < t_max
         assert t == pytest.approx(5.0 / 3.0, abs=1e-9)
@@ -288,18 +322,69 @@ class TestLineSearch:
         assert res.value == pytest.approx(0.0, abs=1e-6)
 
     def test_every_criterion_12_minimization_converges(self, monkeypatch):
+        # every minimisation, estimate_kappa's probes included, runs
+        # through the stacked entry point
         results = []
-        inner = dc_optimizer.dc_minimize
+        inner = dc_optimizer.dc_minimize_stack
 
         def recording(*args, **kwargs):
             res = inner(*args, **kwargs)
-            results.append(res)
+            results.extend(res)
             return res
 
-        monkeypatch.setattr(dc_optimizer, "dc_minimize", recording)
+        monkeypatch.setattr(dc_optimizer, "dc_minimize_stack", recording)
         run_campaign(CampaignConfig(suite="dc", dims=(2, 3), samples=3, seed=12))
         assert len(results) == 351
         assert all(r.converged for r in results)
+
+
+class TestLockstep:
+    """A stack runs every state exactly as a stack of one does."""
+
+    @staticmethod
+    def assert_matches_solo(rhos, model, stacked):
+        for rho, res in zip(rhos, stacked, strict=True):
+            solo = dc_minimize(rho, model)
+            assert res.iterations == solo.iterations
+            assert res.converged == solo.converged
+            assert abs(res.value - solo.value) <= 1e-12
+            assert abs(res.gap - solo.gap) <= 1e-12
+            np.testing.assert_allclose(res.weights.weights, solo.weights.weights, rtol=0, atol=1e-12)
+
+    def test_fast_and_slow_probes(self):
+        rng = np.random.default_rng(3)
+        gens = [sample_state(3, 3, rng).mat for _ in range(3)]
+        model = ConvexSetModel(generators=gens)
+        rhos = ([sample_pure_state(3, rng) for _ in range(8)]
+                + [sample_state(3, 3, rng) for _ in range(4)]
+                + [DensityOperator(g / np.trace(g).real) for g in gens])
+        stacked = dc_minimize_stack(rhos, model)
+        iterations = [r.iterations for r in stacked]
+        assert min(iterations) == 2 and max(iterations) >= 20
+        self.assert_matches_solo(rhos, model, stacked)
+
+    def test_rank_deficient_model_with_singular_endpoints(self, monkeypatch):
+        # away steps off 1/3 head for the rank-one vertices, where the
+        # mixture misses part of supp(rho)
+        model = ConvexSetModel(generators=[np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0]),
+                                           np.eye(3) / 3])
+        rng = np.random.default_rng(0)
+        rhos = [DensityOperator.diagonal([0.9, 0.1, 0.0]), DensityOperator.diagonal([0.0, 0.0, 1.0]),
+                DensityOperator.diagonal([0.5, 0.3, 0.2]), sample_pure_state(3, rng),
+                sample_state(3, 2, rng)]
+        singular = []
+        inner = dc_optimizer._slopes
+
+        def recording(*args):
+            slopes = inner(*args)
+            singular.extend(slopes[np.isinf(slopes)])
+            return slopes
+
+        monkeypatch.setattr(dc_optimizer, "_slopes", recording)
+        stacked = dc_minimize_stack(rhos, model)
+        assert singular
+        assert all(r.converged for r in stacked)
+        self.assert_matches_solo(rhos, model, stacked)
 
 
 class TestKappaEstimate:
@@ -315,3 +400,19 @@ class TestKappaEstimate:
         gens = [sample_state(3, 3, rng).mat for _ in range(3)]
         model = ConvexSetModel(generators=gens)
         assert estimate_kappa(model, rng=rng, n_probes=10) >= 0.0
+
+    def test_matches_probe_by_probe_minimisation(self):
+        # the stacked estimate equals the max/min over one dc_minimize per
+        # probe on the same RNG stream
+        rng = np.random.default_rng(11)
+        gens = [sample_state(3, 3, rng).mat for _ in range(3)]
+        model = ConvexSetModel(generators=gens)
+        est = estimate_kappa(model, rng=np.random.default_rng(5), n_probes=15)
+        probe_rng = np.random.default_rng(5)
+        probes = ([sample_pure_state(3, probe_rng) for _ in range(15)]
+                  + [DensityOperator.pure(e) for e in np.eye(3)])
+        lows = [DensityOperator.maximally_mixed(3)] + [DensityOperator(g / np.trace(g).real)
+                                                       for g in gens]
+        high = [dc_minimize(p, model, tol=1e-7).value for p in probes]
+        low = [dc_minimize(p, model, tol=1e-7).value for p in lows]
+        assert est == pytest.approx(max(high) - min(high + low), abs=1e-12)
