@@ -25,7 +25,6 @@ from .states import (
     BipartiteState,
     ClassicalDistribution,
     DensityOperator,
-    purification_vector,
     vector_marginals,
 )
 
@@ -145,23 +144,24 @@ def quantum_coupling(rho: DensityOperator, sigma: DensityOperator) -> QuantumCou
     if rho.dim != sigma.dim:
         raise ValueError("dimension mismatch")
     d = rho.dim
-    phi = BipartiteState.pure(purification_vector(rho), (d, d))
-    psi_vec = purification_vector(sigma)
+    # sqrt(rho), flattened row-major, is the pretty good purification of rho
+    sqrt_rho = rho.op.sqrt().mat
+    sqrt_sigma = sigma.op.sqrt().mat
+    psi_vec = sqrt_sigma.reshape(-1)
+    phi = BipartiteState.pure(sqrt_rho.reshape(-1), (d, d))
     psi = BipartiteState.pure(psi_vec, (d, d))
 
     dec = build_decomposition(rho, sigma)
     eps = dec.epsilon
     if dec.degenerate:
-        theta = DensityOperator(np.outer(psi_vec, psi_vec.conj()))
+        rho_isq = rho.op.inv_sqrt_support().mat
         return QuantumCoupling(
             phi=phi, psi=psi, vartheta=psi_vec,
-            x_op=rho.op.sqrt().mat @ rho.op.inv_sqrt_support().mat,
-            y_op=rho.op.sqrt().mat.T @ rho.op.inv_sqrt_support().mat.T,
-            theta=theta, epsilon=0.0,
+            x_op=sqrt_rho @ rho_isq,
+            y_op=sqrt_rho.T @ rho_isq.T,
+            theta=psi.as_density(), epsilon=0.0,
         )
 
-    sqrt_rho = rho.op.sqrt().mat
-    sqrt_sigma = sigma.op.sqrt().mat
     omega_isq = dec.omega.op.inv_sqrt_support().mat
     scale = 1.0 / np.sqrt(1.0 + eps)
     x_op = scale * (sqrt_rho @ omega_isq)

@@ -7,6 +7,11 @@ is built on :class:`HermitianOperator`.
 Conventions
 -----------
 * Eigenvalues are stored in non-increasing order.
+* The decomposition is lazy: one ``np.linalg.eigh`` on the first read of
+  ``eigenvalues`` or ``eigenvectors``, cached from then on.  Operators
+  whose spectrum is never read are never decomposed.
+* Rank-one projectors (:meth:`HermitianOperator.projector`) carry their
+  spectrum in closed form and never call ``eigh``.
 * Eigenvalues below ``ZERO_EIGENVALUE_RTOL * lambda_max`` are treated as
   exact zeros for support projections and support-restricted inverses.
 * All values are immutable after construction; operations are pure.
@@ -27,8 +32,14 @@ class MatrixFunctionDomainError(ValueError):
     """Scalar function undefined at a retained eigenvalue."""
 
 
+def _frozen(a):
+    a.setflags(write=False)
+    return a
+
+
 class HermitianOperator:
-    """A dense complex Hermitian matrix with cached spectral decomposition.
+    """A dense complex Hermitian matrix with a lazily cached spectral
+    decomposition.
 
     The input is symmetrized on construction; a deviation from Hermiticity
     larger than ``HERMITICITY_ATOL`` (relative to the largest entry) raises.
@@ -39,11 +50,13 @@ class HermitianOperator:
         The (symmetrized) matrix.  Do not mutate.
     dim : int
     eigenvalues : (d,) real ndarray, non-increasing
+        Computed on first read.
     eigenvectors : (d, d) complex ndarray
-        Columns are the eigenvectors matching ``eigenvalues``.
+        Columns are the eigenvectors matching ``eigenvalues``.  Computed
+        on first read.
     """
 
-    __slots__ = ("mat", "dim", "eigenvalues", "eigenvectors")
+    __slots__ = ("mat", "dim", "_eigenvalues", "_eigenvectors", "_top_vector")
 
     def __init__(self, mat):
         mat = np.asarray(mat, dtype=complex)
@@ -57,20 +70,46 @@ class HermitianOperator:
         mat.setflags(write=False)
         self.mat = mat
         self.dim = mat.shape[0]
-        evals, evecs = np.linalg.eigh(mat)
-        # eigh returns ascending order; flip to the non-increasing convention
-        self.eigenvalues = np.ascontiguousarray(evals[::-1])
-        self.eigenvectors = np.ascontiguousarray(evecs[:, ::-1])
-        self.eigenvalues.setflags(write=False)
-        self.eigenvectors.setflags(write=False)
+        self._eigenvalues = self._eigenvectors = self._top_vector = None
 
     @classmethod
     def diagonal(cls, values) -> "HermitianOperator":
         return cls(np.diag(np.asarray(values, dtype=float)))
 
     @classmethod
-    def identity(cls, dim: int) -> "HermitianOperator":
-        return cls(np.eye(dim))
+    def projector(cls, vec) -> "HermitianOperator":
+        """``|v><v|`` for ``v = vec / ||vec||``, with its spectrum known:
+        eigenvalues ``(1, 0, ..., 0)`` and a unitary whose first column is
+        ``v`` (a Householder reflection, built on first read)."""
+        v = np.asarray(vec, dtype=complex)
+        v = v / np.linalg.norm(v)
+        op = cls(np.outer(v, v.conj()))
+        lam = np.zeros(op.dim)
+        lam[0] = 1.0
+        op._eigenvalues = _frozen(lam)
+        op._top_vector = v
+        return op
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        if self._eigenvalues is None:
+            self._decompose()
+        return self._eigenvalues
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        if self._eigenvectors is None:
+            if self._top_vector is None:
+                self._decompose()
+            else:
+                self._eigenvectors = _frozen(_householder_completion(self._top_vector))
+        return self._eigenvectors
+
+    def _decompose(self):
+        evals, evecs = np.linalg.eigh(self.mat)
+        # eigh returns ascending order; flip to the non-increasing convention
+        self._eigenvalues = _frozen(np.ascontiguousarray(evals[::-1]))
+        self._eigenvectors = _frozen(np.ascontiguousarray(evecs[:, ::-1]))
 
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim})"
@@ -120,6 +159,25 @@ class HermitianOperator:
 
     def inv_sqrt_support(self) -> "HermitianOperator":
         return self.apply_function(lambda x: 1.0 / np.sqrt(x), support_only=True)
+
+
+def _householder_completion(v: np.ndarray) -> np.ndarray:
+    """A unitary whose first column is the unit vector ``v``.
+
+    The reflection ``H = 1 - 2 w w^dagger / ||w||^2`` with
+    ``w = e^{i theta} e_1 + v`` and ``e^{i theta}`` the phase of ``v_0``
+    maps ``e_1`` to ``-e^{-i theta} v``; ``||w||^2 >= 2``, so nothing
+    cancels.  Its other columns span the complement of ``v``; the first
+    is replaced by ``v`` itself.
+    """
+    a = abs(v[0])
+    phase = v[0] / a if a > 0 else 1.0
+    w = v.copy()
+    w[0] += phase
+    u = np.outer(w, (-2.0 / np.vdot(w, w).real) * w.conj())
+    u[np.diag_indices_from(u)] += 1.0
+    u[:, 0] = v
+    return u
 
 
 def as_operator(x) -> HermitianOperator:

@@ -58,9 +58,9 @@ class DensityOperator:
 
     @classmethod
     def pure(cls, vec) -> "DensityOperator":
-        v = np.asarray(vec, dtype=complex)
-        v = v / np.linalg.norm(v)
-        return cls(np.outer(v, v.conj()))
+        """``|v><v|`` for ``v = vec / ||vec||``; its spectrum is known, so
+        no eigendecomposition is made."""
+        return cls(HermitianOperator.projector(vec))
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
@@ -77,7 +77,7 @@ class DensityOperator:
 class BipartiteState:
     """A density operator on ``A (x) B`` with an explicit factorization."""
 
-    __slots__ = ("op", "dims")
+    __slots__ = ("_density", "dims")
 
     def __init__(self, state, dims):
         if not isinstance(state, DensityOperator):
@@ -87,8 +87,12 @@ class BipartiteState:
             raise StateValidationError(
                 f"dims {d_a}x{d_b} do not match operator dimension {state.dim}"
             )
-        self.op = state.op
+        self._density = state
         self.dims = (d_a, d_b)
+
+    @property
+    def op(self):
+        return self._density.op
 
     @property
     def mat(self):
@@ -103,7 +107,7 @@ class BipartiteState:
         return cls(DensityOperator.pure(vec), dims)
 
     def as_density(self) -> DensityOperator:
-        return DensityOperator(self.op)
+        return self._density
 
     def __repr__(self):
         return f"BipartiteState(dims={self.dims})"

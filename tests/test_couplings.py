@@ -174,6 +174,18 @@ class TestQuantumCoupling:
             # fidelity route to the trace distance bound
             assert fidelity(qc.psi.as_density(), qc.theta) >= 1.0 - eps - 1e-9
 
+    def test_fidelity_with_pure_psi_is_the_overlap(self):
+        # F(psi, Theta) = sqrt(<psi|Theta|psi>) for pure psi
+        rng = np.random.default_rng(12)
+        for _ in range(75):
+            d = int(rng.integers(2, 5))
+            rho, sigma = sample_state(d, d, rng), sample_state(d, d, rng)
+            qc = quantum_coupling(rho, sigma)
+            v = sigma.op.sqrt().mat.reshape(-1)
+            v = v / np.linalg.norm(v)
+            expected = np.sqrt(np.vdot(v, qc.theta.mat @ v).real)
+            assert abs(fidelity(qc.psi.as_density(), qc.theta) - expected) <= 1e-13
+
     def test_vartheta_marginals_dominated(self):
         rng = np.random.default_rng(7)
         for _ in range(30):

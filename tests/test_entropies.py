@@ -173,7 +173,7 @@ class TestRelativeEntropy:
     def test_against_identity_gives_negentropy(self):
         rng = np.random.default_rng(7)
         rho = sample_state(5, 3, rng)
-        d = relative_entropy(rho, HermitianOperator.identity(5))
+        d = relative_entropy(rho, HermitianOperator(np.eye(5)))
         assert d == pytest.approx(-von_neumann_entropy(rho), abs=1e-10)
 
     def test_conditional_entropy_variational_form(self):

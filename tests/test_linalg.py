@@ -13,7 +13,14 @@ from entrobounds.linalg import (
     trace_distance,
     trace_norm,
 )
-from entrobounds.states import DensityOperator, sample_state
+from entrobounds.entropies import von_neumann_entropy
+from entrobounds.states import (
+    DensityOperator,
+    maximally_entangled_state,
+    sample_pure_bipartite,
+    sample_pure_state,
+    sample_state,
+)
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Z = np.diag([1.0, -1.0])
@@ -30,7 +37,7 @@ class TestEigHermitian:
         np.testing.assert_allclose(lam, [1.0, -1.0], atol=1e-12)
 
     def test_identity(self):
-        op = HermitianOperator.identity(4)
+        op = HermitianOperator(np.eye(4))
         lam, u = op.eigenvalues, op.eigenvectors
         np.testing.assert_allclose(lam, np.ones(4), atol=1e-12)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-10)
@@ -58,6 +65,74 @@ class TestEigHermitian:
             HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Count calls of ``np.linalg.eigh``; read ``eigh_calls[0]``."""
+    count = [0]
+    original = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return count
+
+
+class TestLazySpectrum:
+    def test_unread_spectrum_is_never_decomposed(self, eigh_calls):
+        rng = np.random.default_rng(21)
+        op = random_hermitian(rng, 6)
+        assert eigh_calls[0] == 0
+        op.apply_function(np.exp)
+        assert eigh_calls[0] == 1  # only op itself; the result is not read
+        lam, u = op.eigenvalues, op.eigenvectors
+        assert eigh_calls[0] == 1
+        np.testing.assert_allclose((u * lam) @ u.conj().T, op.mat, atol=1e-12)
+
+    def test_pure_states_make_no_call(self, eigh_calls):
+        rng = np.random.default_rng(22)
+        rho = DensityOperator.pure(rng.standard_normal(5) + 1j * rng.standard_normal(5))
+        psi = sample_pure_bipartite(4, 4, rng)
+        phi = maximally_entangled_state(16)
+        assert von_neumann_entropy(sample_pure_state(8, rng)) == 0.0
+        for state in (rho, psi, phi):
+            assert state.op.eigenvalues[0] == 1.0
+            assert (state.op.eigenvalues[1:] == 0.0).all()
+            assert von_neumann_entropy(state) == 0.0
+        assert eigh_calls[0] == 0
+
+    def test_fidelity_of_full_rank_states_makes_two_calls(self, eigh_calls):
+        rng = np.random.default_rng(23)
+        rho, sigma = sample_state(4, 4, rng), sample_state(4, 4, rng)
+        before = eigh_calls[0]
+        fidelity(rho.mat, sigma.mat)
+        assert eigh_calls[0] - before == 2
+        # states decompose once, on validation, and fidelity reuses that
+        eigh_calls[0] = 0
+        f = fidelity(DensityOperator(rho.mat), DensityOperator(sigma.mat))
+        assert eigh_calls[0] == 2
+        assert f == pytest.approx(fidelity(rho, sigma), abs=1e-15)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 16, 256])
+    def test_projector_eigenvectors(self, d, eigh_calls):
+        rng = np.random.default_rng(d)
+        g = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        lead_zeros = g.copy()
+        lead_zeros[: d // 2] = 0.0
+        vectors = [g, lead_zeros, -1j * g, np.eye(d)[0], np.eye(d)[-1]]
+        for vec in vectors:
+            op = HermitianOperator.projector(vec)
+            v = vec / np.linalg.norm(vec)
+            u = op.eigenvectors
+            assert np.abs(u.conj().T @ u - np.eye(d)).max() <= 1e-14
+            assert abs(abs(np.vdot(u[:, 0], v)) - 1.0) <= 1e-14
+            np.testing.assert_allclose(op.eigenvalues, np.eye(d)[0], atol=0)
+            recon = (u * op.eigenvalues) @ u.conj().T
+            assert np.abs(recon - op.mat).max() <= 1e-14
+        assert eigh_calls[0] == 0
+
+
 class TestMatrixFunction:
     def test_sqrt(self):
         out = HermitianOperator.diagonal([4.0, 9.0]).apply_function(np.sqrt)
@@ -69,7 +144,7 @@ class TestMatrixFunction:
         np.testing.assert_allclose(out.mat, np.diag([0.5, 0.0]), atol=1e-12)
 
     def test_log_identity_is_zero(self):
-        out = HermitianOperator.identity(3).apply_function(np.log)
+        out = HermitianOperator(np.eye(3)).apply_function(np.log)
         np.testing.assert_allclose(out.mat, np.zeros((3, 3)), atol=1e-12)
 
     def test_log_negative_eigenvalue_raises(self):

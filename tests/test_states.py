@@ -41,6 +41,16 @@ class TestDensityOperator:
         np.testing.assert_allclose(rho.mat, np.diag([1.0, 0.0]), atol=1e-14)
 
 
+class TestBipartiteState:
+    def test_as_density_returns_the_validated_state(self):
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            for bs in (BipartiteState(sample_state(16, 3, rng), (4, 4)),
+                       sample_pure_bipartite(2, 2, rng)):
+                assert np.array_equal(bs.as_density().mat, bs.mat)
+                assert bs.as_density().op is bs.op
+
+
 class TestPartialTrace:
     def test_product_state(self):
         a = np.diag([0.7, 0.3])
@@ -127,7 +137,7 @@ class TestPinching:
 
     def test_identity_projector(self):
         rho = DensityOperator.maximally_mixed(3)
-        dec = pinching(rho, HermitianOperator.identity(3))
+        dec = pinching(rho, HermitianOperator(np.eye(3)))
         assert dec.weight_gt == 0.0
         assert dec.state_gt is None
         np.testing.assert_allclose(dec.state_le.mat, rho.mat, atol=1e-14)
