@@ -46,7 +46,7 @@ def main():
     print("quantum coupling:")
     print(f"  |<psi|vartheta>| = {qc.overlap_psi:.6f}  (>= 1 - eps = {1 - eps:.6f})")
     print(f"  |<phi|vartheta>| = {qc.overlap_phi:.6f}")
-    print(f"  F(psi, Theta)    = {fidelity(qc.psi.as_density(), qc.theta):.6f}")
+    print(f"  F(psi, Theta)    = {fidelity(qc.psi, qc.theta):.6f}")
     print(f"  marginal errors: "
           f"A {np.abs(partial_trace(theta, 'A').mat - rho.mat).max():.2e}, "
           f"B {np.abs(partial_trace(theta, 'B').mat - sigma.mat.T).max():.2e}")

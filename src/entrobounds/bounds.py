@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropies import binary_entropy, conditional_entropy, von_neumann_entropy
-from .linalg import HermitianOperator, trace_distance
+from .linalg import as_operator, trace_distance
 from .states import BipartiteState, DensityOperator, maximally_entangled_state, partial_trace
 
 VALIDITY_TOL = 1e-9
@@ -36,7 +36,6 @@ class BoundParams:
     epsilon: float
     dim_d: int
     variant: str
-    delta_cor1: float = 0.0
     kappa: float = 0.0
     kappa_is_estimate: bool = False
 
@@ -75,8 +74,7 @@ class ConvexSetModel:
     def __post_init__(self):
         if not self.generators:
             raise ValueError("generator list must be non-empty")
-        gens = [g if isinstance(g, HermitianOperator) else HermitianOperator(g)
-                for g in self.generators]
+        gens = [as_operator(g) for g in self.generators]
         object.__setattr__(self, "generators", gens)
         for g in gens:
             if g.eigenvalues[-1] < -1e-10:
@@ -161,7 +159,7 @@ def check_fannes(rho: DensityOperator, sigma: DensityOperator) -> BoundReport:
 def check_af(rho: BipartiteState, sigma: BipartiteState, classical_b: bool = False) -> BoundReport:
     if rho.dims != sigma.dims:
         raise ValueError("bipartite dimension mismatch")
-    eps = trace_distance(rho.op, sigma.op)
+    eps = trace_distance(rho, sigma)
     lhs = abs(conditional_entropy(rho) - conditional_entropy(sigma))
     d_a = rho.dims[0]
     rhs = af_bound(min(eps, 1.0), d_a, classical_b=classical_b)
@@ -201,7 +199,7 @@ def check_cor_pure(phi: BipartiteState, psi: BipartiteState, which: str = "ef") 
     E_F = E_R = S(tr_B .) in closed form."""
     if phi.dims != psi.dims:
         raise ValueError("bipartite dimension mismatch")
-    eps = min(trace_distance(phi.op, psi.op), 1.0)
+    eps = min(trace_distance(phi, psi), 1.0)
     lhs = abs(von_neumann_entropy(partial_trace(phi, "A"))
               - von_neumann_entropy(partial_trace(psi, "A")))
     d = min(phi.dims)
@@ -217,8 +215,7 @@ def check_cor_pure(phi: BipartiteState, psi: BipartiteState, which: str = "ef") 
     else:
         raise ValueError(f"unknown corollary bound {which!r}")
     return BoundReport(lhs=lhs, rhs=rhs,
-                       params=BoundParams(epsilon=eps, dim_d=d, variant=variant,
-                                          delta_cor1=cor1_delta(eps)))
+                       params=BoundParams(epsilon=eps, dim_d=d, variant=variant))
 
 
 # -- extremal witnesses ------------------------------------------------------
@@ -249,7 +246,7 @@ def tightness_witness_af(d: int, epsilon: float):
     sigma = maximally_entangled_state(d)
     phi = sigma.mat
     rest = (np.eye(d * d) - phi) * (epsilon / (d * d - 1))
-    rho = BipartiteState(DensityOperator((1.0 - epsilon) * phi + rest), (d, d))
+    rho = BipartiteState((1.0 - epsilon) * phi + rest, (d, d))
     return rho, sigma
 
 

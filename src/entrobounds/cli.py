@@ -177,19 +177,19 @@ def _cmd_witness(args) -> int:
         axis, values = "E", settings.get("energies", (100.0,))
     else:
         axis, values = "d", settings.get("dims", (4,))
-    worst, checked = 0.0, 0
+    verdicts = []
     for x in values:
         for eps in eps_grid:
             rep = _witness_report(args.name, x, eps)
             if rep is None:
                 continue
+            valid = rep.slack >= -tol
             print(f"{args.name} {axis}={x} eps={eps}: lhs={rep.lhs:.6f} "
-                  f"rhs={rep.rhs:.6f} slack={rep.slack:.3e} valid={rep.valid}")
-            worst = min(worst, rep.slack)
-            checked += 1
-    if not checked:
+                  f"rhs={rep.rhs:.6f} slack={rep.slack:.3e} valid={valid}")
+            verdicts.append(valid)
+    if not verdicts:
         raise ConfigError(f"no ({axis}, eps) pair admits a {args.name} witness")
-    return EXIT_VIOLATIONS if worst < -tol else EXIT_OK
+    return EXIT_OK if all(verdicts) else EXIT_VIOLATIONS
 
 
 def _cmd_gibbs_table(args) -> int:
@@ -233,7 +233,7 @@ def _cmd_coupling_demo(args) -> int:
     qc = cpl.quantum_coupling(rho, sigma)
     print(f"quantum coupling: |<psi|theta>|={qc.overlap_psi:.6f} "
           f"|<phi|theta>|={qc.overlap_phi:.6f} (need >= {1 - eps:.6f})")
-    print(f"                  F(psi, Theta)={fidelity(qc.psi.as_density(), qc.theta):.6f}")
+    print(f"                  F(psi, Theta)={fidelity(qc.psi, qc.theta):.6f}")
 
     diag = cpl.diagonal_coupling(rho, sigma)
     print(f"diagonal coupling: ||omega||_inf={diag.largest_eigenvalue:.6f} "

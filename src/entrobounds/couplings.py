@@ -70,12 +70,12 @@ class QuantumCoupling:
 
     @property
     def overlap_psi(self) -> float:
-        u = self.psi.op.eigenvectors
+        u = self.psi.eigenvectors
         return float(abs(np.vdot(u[:, 0], self.vartheta)))
 
     @property
     def overlap_phi(self) -> float:
-        u = self.phi.op.eigenvectors
+        u = self.phi.eigenvectors
         return float(abs(np.vdot(u[:, 0], self.vartheta)))
 
 
@@ -87,7 +87,7 @@ class DiagonalCoupling:
 
     @property
     def largest_eigenvalue(self) -> float:
-        return float(self.omega.op.eigenvalues[0])
+        return float(self.omega.eigenvalues[0])
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +145,8 @@ def quantum_coupling(rho: DensityOperator, sigma: DensityOperator) -> QuantumCou
         raise ValueError("dimension mismatch")
     d = rho.dim
     # sqrt(rho), flattened row-major, is the pretty good purification of rho
-    sqrt_rho = rho.op.sqrt().mat
-    sqrt_sigma = sigma.op.sqrt().mat
+    sqrt_rho = rho.sqrt().mat
+    sqrt_sigma = sigma.sqrt().mat
     psi_vec = sqrt_sigma.reshape(-1)
     phi = BipartiteState.pure(sqrt_rho.reshape(-1), (d, d))
     psi = BipartiteState.pure(psi_vec, (d, d))
@@ -154,15 +154,15 @@ def quantum_coupling(rho: DensityOperator, sigma: DensityOperator) -> QuantumCou
     dec = build_decomposition(rho, sigma)
     eps = dec.epsilon
     if dec.degenerate:
-        rho_isq = rho.op.inv_sqrt_support().mat
+        rho_isq = rho.inv_sqrt_support().mat
         return QuantumCoupling(
             phi=phi, psi=psi, vartheta=psi_vec,
             x_op=sqrt_rho @ rho_isq,
             y_op=sqrt_rho.T @ rho_isq.T,
-            theta=psi.as_density(), epsilon=0.0,
+            theta=psi, epsilon=0.0,
         )
 
-    omega_isq = dec.omega.op.inv_sqrt_support().mat
+    omega_isq = dec.omega.inv_sqrt_support().mat
     scale = 1.0 / np.sqrt(1.0 + eps)
     x_op = scale * (sqrt_rho @ omega_isq)
     y_op = scale * (sqrt_sigma.T @ omega_isq.T)  # (sigma^T)^{1/2} (omega^T)^{-1/2}
@@ -215,8 +215,8 @@ def diagonal_coupling(rho: DensityOperator, sigma: DensityOperator) -> DiagonalC
     if rho.dim != sigma.dim:
         raise ValueError("dimension mismatch")
     d = rho.dim
-    r, e = _phase_fixed_eigenbasis(rho.op)
-    s, f = _phase_fixed_eigenbasis(sigma.op)
+    r, e = _phase_fixed_eigenbasis(rho)
+    s, f = _phase_fixed_eigenbasis(sigma)
     r = np.clip(r, 0.0, None)
     s = np.clip(s, 0.0, None)
     c = np.sqrt(np.minimum(r, s))
@@ -234,7 +234,7 @@ def diagonal_coupling(rho: DensityOperator, sigma: DensityOperator) -> DiagonalC
         omega_mat = np.outer(phi_vec, phi_vec.conj()) / max(overlap, 1e-300)
         eps = 0.0
     return DiagonalCoupling(
-        omega=BipartiteState(DensityOperator(omega_mat), (d, d)),
+        omega=BipartiteState(omega_mat, (d, d)),
         phi_vector=phi_vec,
         epsilon_mirsky=eps,
     )

@@ -58,7 +58,7 @@ def clipped_binary(x: float) -> float:
 
 def conditional_entropy(state: BipartiteState) -> float:
     """S(A|B) = S(AB) - S(B)."""
-    return von_neumann_entropy(state.op) - von_neumann_entropy(partial_trace(state, "B"))
+    return von_neumann_entropy(state) - von_neumann_entropy(partial_trace(state, "B"))
 
 
 def relative_entropy(rho: DensityOperator, gamma) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropies import LOG2_E, binary_entropy, clipped_binary
+from .entropies import LOG2_E, binary_entropy, clipped_binary, shannon_entropy
 from .linalg import HermitianOperator
 from .states import (
     BipartiteState,
@@ -91,9 +91,6 @@ class HamiltonianSpec:
     @property
     def n_modes(self) -> int:
         return 0 if self.hbar_omegas is None else len(self.hbar_omegas)
-
-    def matrix(self) -> HermitianOperator:
-        return HermitianOperator.diagonal(self.levels)
 
     def max_mean_energy(self) -> float:
         """Supremum of attainable Gibbs mean energies (beta -> 0 limit)."""
@@ -193,6 +190,14 @@ def solve_beta(hamiltonian: HamiltonianSpec, energy: float) -> GibbsSolution:
     entropy = math.log2(z) + beta * energy * LOG2_E
     return GibbsSolution(hamiltonian=hamiltonian, beta=beta, partition=z,
                          energy=energy, entropy=entropy)
+
+
+def entropy_check(sol: GibbsSolution) -> tuple[float, float]:
+    """(S_direct, |S_formula - S_direct|): the Shannon entropy of the Gibbs
+    weights on the (truncated) level basis, and its distance from the
+    closed-form entropy ``sol.entropy``."""
+    direct = shannon_entropy(sol.diagonal_probabilities())
+    return direct, abs(sol.entropy - direct)
 
 
 def gibbs_entropy(hamiltonian: HamiltonianSpec, energy: float) -> float:
@@ -306,7 +311,6 @@ class CutoffDecomposition:
     weight_gt: float
     state_le: object  # DensityOperator or BipartiteState
     state_gt: object
-    projector_le: HermitianOperator
     mean_energy: float
 
 
@@ -341,7 +345,7 @@ def cutoff_decompose(state, hamiltonian: HamiltonianSpec, energy: float,
     cutoff = energy / delta
     mask = (levels <= cutoff).astype(float)
     proj = np.diag(np.repeat(mask, d_b)) if d_b > 1 else np.diag(mask)
-    dec = pinching(state.as_density() if bipartite else state, HermitianOperator(proj))
+    dec = pinching(state, HermitianOperator(proj))
     state_le, state_gt = dec.state_le, dec.state_gt
     if bipartite:
         if state_le is not None:
@@ -353,7 +357,6 @@ def cutoff_decompose(state, hamiltonian: HamiltonianSpec, energy: float,
         weight_gt=dec.weight_gt,
         state_le=state_le,
         state_gt=state_gt,
-        projector_le=HermitianOperator(proj),
         mean_energy=e_state,
     )
 
@@ -388,7 +391,7 @@ def sample_energy_constrained(hamiltonian: HamiltonianSpec, energy: float,
     flat = np.array([i * d_b + j for i in idx for j in range(d_b)])
     full = np.zeros((dim * d_b, dim * d_b), dtype=complex)
     full[np.ix_(flat, flat)] = small
-    return BipartiteState(DensityOperator(full), (dim, d_b))
+    return BipartiteState(full, (dim, d_b))
 
 
 def _single_mode_truncation(energy: float, tail: float) -> int:
@@ -400,7 +403,6 @@ def _single_mode_truncation(energy: float, tail: float) -> int:
 
 def oscillator_tightness_witness(energy: float, epsilon: float,
                                  conditional: bool = False,
-                                 d_b: int | None = None,
                                  n_max: int | None = None):
     """Extremal pairs for the single-mode oscillator bounds.
 
@@ -432,13 +434,10 @@ def oscillator_tightness_witness(energy: float, epsilon: float,
     sol = solve_beta(h, energy)
     gamma = sol.state()
     d = gamma.dim
-    if d_b is not None and d_b != d:
-        raise ValueError("the canonical purification requires d_b == d_a")
     rho_vec = purification_vector(gamma)
     rho = BipartiteState.pure(rho_vec, (d, d))
     tau = partial_trace(rho, "B")
     sigma = BipartiteState(
-        DensityOperator((1.0 - epsilon) * rho.mat + epsilon * np.kron(gamma.mat, tau.mat)),
-        (d, d),
+        (1.0 - epsilon) * rho.mat + epsilon * np.kron(gamma.mat, tau.mat), (d, d)
     )
     return rho, sigma

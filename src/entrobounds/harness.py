@@ -20,7 +20,7 @@ import numpy as np
 from . import bounds as bnd
 from . import couplings as cpl
 from . import gibbs as gb
-from .entropies import shannon_entropy, von_neumann_entropy
+from .entropies import von_neumann_entropy
 from .linalg import fidelity, trace_distance
 from .states import BipartiteState, sample_pure_bipartite, sample_qc_state, sample_state
 
@@ -133,7 +133,7 @@ def _case_couplings(rng, d):
     shared = {"dim": d, "epsilon": eps, "lhs": 1.0 - eps}
     return [{**shared, "variant": "quantum_overlap_psi", "rhs": qc.overlap_psi},
             {**shared, "variant": "quantum_fidelity_theta",
-             "rhs": fidelity(qc.psi.as_density(), qc.theta)},
+             "rhs": fidelity(qc.psi, qc.theta)},
             {**shared, "variant": "diagonal_largest_eigenvalue",
              "rhs": cpl.diagonal_coupling(rho, sigma).largest_eigenvalue}]
 
@@ -150,10 +150,9 @@ def _grid_gibbs(cfg: CampaignConfig):
 
 
 def _case_gibbs(rng, h, e, tol):
-    sol = gb.solve_beta(h, e)
-    direct = shannon_entropy(sol.diagonal_probabilities())
+    _, gap = gb.entropy_check(gb.solve_beta(h, e))
     return [{"variant": "formula_vs_direct", "dim": h.dim, "energy": e,
-             "lhs": abs(sol.entropy - direct), "rhs": tol}]
+             "lhs": gap, "rhs": tol}]
 
 
 def _grid_energy_bounds(cfg: CampaignConfig):
@@ -258,10 +257,10 @@ def emit_gibbs_table(hamiltonian: gb.HamiltonianSpec, energies, path=None):
     for e in energies:
         try:
             sol = gb.solve_beta(hamiltonian, e)
-            direct = shannon_entropy(sol.diagonal_probabilities())
+            direct, gap = gb.entropy_check(sol)
             rows.append({"E": e, "beta": sol.beta, "Z": sol.partition,
                          "S_formula": sol.entropy, "S_direct": direct,
-                         "abs_diff": abs(sol.entropy - direct), "error": ""})
+                         "abs_diff": gap, "error": ""})
         except gb.EnergyDomainError as exc:
             rows.append({"E": e, "beta": None, "Z": None, "S_formula": None,
                          "S_direct": None, "abs_diff": None, "error": str(exc)})

@@ -2,7 +2,8 @@
 
 Spectral decompositions, matrix functions, Schatten norms and fidelity.
 Everything downstream (states, entropies, couplings, Gibbs machinery)
-is built on :class:`HermitianOperator`.
+is built on :class:`HermitianOperator`; density operators and bipartite
+states are subclasses of it.
 
 Conventions
 -----------
@@ -41,8 +42,9 @@ class HermitianOperator:
     """A dense complex Hermitian matrix with a lazily cached spectral
     decomposition.
 
-    The input is symmetrized on construction; a deviation from Hermiticity
-    larger than ``HERMITICITY_ATOL`` (relative to the largest entry) raises.
+    The input is symmetrized on construction; a non-finite entry, or a
+    deviation from Hermiticity larger than ``HERMITICITY_ATOL`` (relative
+    to the largest entry), raises.
 
     Attributes
     ----------
@@ -62,9 +64,14 @@ class HermitianOperator:
         mat = np.asarray(mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-        scale = max(1.0, np.abs(mat).max()) if mat.size else 1.0
+        largest = np.abs(mat).max() if mat.size else 0.0
+        # NaN or inf anywhere makes the largest magnitude non-finite
+        if not largest < np.inf:
+            bad = np.argwhere(~np.isfinite(mat))
+            raise ValueError(f"matrix has {len(bad)} non-finite entries, "
+                             f"the first at {tuple(int(i) for i in bad[0])}")
         dev = np.abs(mat - mat.conj().T).max() if mat.size else 0.0
-        if dev > HERMITICITY_ATOL * scale * 10:
+        if dev > HERMITICITY_ATOL * max(1.0, largest) * 10:
             raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
         mat = (mat + mat.conj().T) / 2
         mat.setflags(write=False)
@@ -82,7 +89,10 @@ class HermitianOperator:
         eigenvalues ``(1, 0, ..., 0)`` and a unitary whose first column is
         ``v`` (a Householder reflection, built on first read)."""
         v = np.asarray(vec, dtype=complex)
-        v = v / np.linalg.norm(v)
+        norm = np.linalg.norm(v)
+        if not 0.0 < norm < np.inf:
+            raise ValueError(f"cannot normalize a vector of norm {norm:g}")
+        v = v / norm
         op = cls(np.outer(v, v.conj()))
         lam = np.zeros(op.dim)
         lam[0] = 1.0
@@ -181,12 +191,9 @@ def _householder_completion(v: np.ndarray) -> np.ndarray:
 
 
 def as_operator(x) -> HermitianOperator:
-    """Coerce a state (anything with ``.op``), an operator or a square
-    array to a :class:`HermitianOperator`."""
-    if isinstance(x, HermitianOperator):
-        return x
-    op = getattr(x, "op", None)
-    return op if op is not None else HermitianOperator(x)
+    """A square array as a :class:`HermitianOperator`; an operator,
+    states included (a state is its operator), is returned as it is."""
+    return x if isinstance(x, HermitianOperator) else HermitianOperator(x)
 
 
 def trace_norm(op) -> float:

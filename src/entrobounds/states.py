@@ -1,5 +1,9 @@
 """Density operators, bipartite structure, channels and state sampling.
 
+A state is its operator: :class:`DensityOperator` subclasses
+:class:`~entrobounds.linalg.HermitianOperator` and
+:class:`BipartiteState` subclasses :class:`DensityOperator`.
+
 Index convention: the product basis vector ``|i>_A |j>_B`` maps to the
 flat index ``i * d_B + j`` (A-major, row-major).  Every partial trace,
 purification and maximally-entangled-vector construction below uses it.
@@ -19,42 +23,48 @@ class StateValidationError(ValueError):
     pass
 
 
-class DensityOperator:
+class DensityOperator(HermitianOperator):
     """Positive unit-trace operator.
 
-    Eigenvalues are clamped at 0 (sampling and arithmetic produce
-    -1e-14-scale noise) and the trace renormalized on construction.
-    Eigenvalues below -1e-10, or a trace off from 1 by more than 1e-8,
-    are rejected as genuinely invalid input.
+    A state is its operator: every member of :class:`HermitianOperator`
+    (``mat``, ``dim``, the lazy spectrum, matrix functions) applies to it
+    directly.
+
+    Built from an array or a plain :class:`HermitianOperator`, the input
+    is validated.  Eigenvalues are clamped at 0 (sampling and arithmetic
+    produce -1e-14-scale noise) and the trace renormalized.  Eigenvalues
+    below -1e-10, or a trace off from 1 by more than 1e-8, are rejected
+    as genuinely invalid input.  An operator's cached spectrum is kept,
+    so a projector is never decomposed.  A ``DensityOperator`` passed in
+    is already valid and is taken over with no second validation.
     """
 
-    __slots__ = ("op", "dim")
+    __slots__ = ()
 
     def __init__(self, mat_or_op):
-        op = mat_or_op if isinstance(mat_or_op, HermitianOperator) else HermitianOperator(mat_or_op)
-        if op.eigenvalues[-1] < -1e-10:
+        if not isinstance(mat_or_op, HermitianOperator):
+            super().__init__(mat_or_op)
+        else:
+            self.mat = mat_or_op.mat
+            self.dim = mat_or_op.dim
+            self._eigenvalues = mat_or_op._eigenvalues
+            self._eigenvectors = mat_or_op._eigenvectors
+            self._top_vector = mat_or_op._top_vector
+            if isinstance(mat_or_op, DensityOperator):
+                return
+        if self.eigenvalues[-1] < -1e-10:
             raise StateValidationError(
-                f"negative eigenvalue {op.eigenvalues[-1]:.3e} beyond tolerance"
+                f"negative eigenvalue {self.eigenvalues[-1]:.3e} beyond tolerance"
             )
-        tr = op.trace()
+        tr = self.trace()
         if abs(tr - 1.0) > 1e-8:
             raise StateValidationError(f"trace {tr!r} is not 1")
-        if op.eigenvalues[-1] < 0.0:
-            lam = np.clip(op.eigenvalues, 0.0, None)
-            u = op.eigenvectors
-            op = HermitianOperator((u * (lam / lam.sum())) @ u.conj().T)
+        if self.eigenvalues[-1] < 0.0:
+            lam = np.clip(self.eigenvalues, 0.0, None)
+            u = self.eigenvectors
+            super().__init__((u * (lam / lam.sum())) @ u.conj().T)
         elif abs(tr - 1.0) > 1e-14:
-            op = HermitianOperator(op.mat / tr)
-        self.op = op
-        self.dim = op.dim
-
-    @property
-    def mat(self):
-        return self.op.mat
-
-    @property
-    def eigenvalues(self):
-        return self.op.eigenvalues
+            super().__init__(self.mat / tr)
 
     @classmethod
     def pure(cls, vec) -> "DensityOperator":
@@ -66,48 +76,27 @@ class DensityOperator:
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
         return cls(np.eye(dim) / dim)
 
-    @classmethod
-    def diagonal(cls, probs) -> "DensityOperator":
-        return cls(np.diag(np.asarray(probs, dtype=float)))
-
     def __repr__(self):
         return f"DensityOperator(dim={self.dim})"
 
 
-class BipartiteState:
+class BipartiteState(DensityOperator):
     """A density operator on ``A (x) B`` with an explicit factorization."""
 
-    __slots__ = ("_density", "dims")
+    __slots__ = ("dims",)
 
     def __init__(self, state, dims):
-        if not isinstance(state, DensityOperator):
-            state = DensityOperator(state)
+        super().__init__(state)
         d_a, d_b = int(dims[0]), int(dims[1])
-        if d_a * d_b != state.dim:
+        if d_a * d_b != self.dim:
             raise StateValidationError(
-                f"dims {d_a}x{d_b} do not match operator dimension {state.dim}"
+                f"dims {d_a}x{d_b} do not match operator dimension {self.dim}"
             )
-        self._density = state
         self.dims = (d_a, d_b)
-
-    @property
-    def op(self):
-        return self._density.op
-
-    @property
-    def mat(self):
-        return self.op.mat
-
-    @property
-    def dim(self):
-        return self.op.dim
 
     @classmethod
     def pure(cls, vec, dims) -> "BipartiteState":
-        return cls(DensityOperator.pure(vec), dims)
-
-    def as_density(self) -> DensityOperator:
-        return self._density
+        return cls(HermitianOperator.projector(vec), dims)
 
     def __repr__(self):
         return f"BipartiteState(dims={self.dims})"
@@ -194,12 +183,12 @@ def pretty_good_purification(rho: DensityOperator) -> BipartiteState:
 
     The A1 marginal is rho; the A2 marginal is rho^T.
     """
-    vec = rho.op.sqrt().mat.reshape(-1)  # row-major flatten == (sqrt(rho) (x) 1)|Phi>
+    vec = rho.sqrt().mat.reshape(-1)  # row-major flatten == (sqrt(rho) (x) 1)|Phi>
     return BipartiteState.pure(vec, (rho.dim, rho.dim))
 
 
 def purification_vector(rho: DensityOperator) -> np.ndarray:
-    return rho.op.sqrt().mat.reshape(-1)
+    return rho.sqrt().mat.reshape(-1)
 
 
 def dephase_in_eigenbasis(rho: DensityOperator, sigma: DensityOperator):
@@ -210,8 +199,8 @@ def dephase_in_eigenbasis(rho: DensityOperator, sigma: DensityOperator):
     """
     if rho.dim != sigma.dim:
         raise ValueError("dimension mismatch")
-    u = rho.op.eigenvectors
-    p = ClassicalDistribution(rho.op.eigenvalues)
+    u = rho.eigenvectors
+    p = ClassicalDistribution(rho.eigenvalues)
     q = ClassicalDistribution(np.real(np.diag(u.conj().T @ sigma.mat @ u)))
     return p, q
 
@@ -271,7 +260,7 @@ def steer(psi: BipartiteState, element: HermitianOperator) -> np.ndarray:
     """tr_R [ psi (1 (x) M) ] as a raw (sub-normalized) matrix."""
     d_a, d_r = psi.dims
     # psi is pure: extract its vector as the dominant eigenvector
-    lam, u = psi.op.eigenvalues, psi.op.eigenvectors
+    lam, u = psi.eigenvalues, psi.eigenvectors
     if lam[0] < 1.0 - 1e-9:
         raise StateValidationError("steer() requires a pure bipartite state")
     v = u[:, 0].reshape(d_a, d_r)
@@ -323,4 +312,4 @@ def sample_qc_state(d_a: int, d_x: int, rng) -> BipartiteState:
         proj = np.zeros((d_x, d_x))
         proj[x, x] = 1.0
         out += p[x] * np.kron(block, proj)
-    return BipartiteState(DensityOperator(out), (d_a, d_x))
+    return BipartiteState(out, (d_a, d_x))

@@ -164,7 +164,7 @@ def test_criterion_05_quantum_coupling():
                                qc.overlap_psi - (1.0 - eps),
                                qc.overlap_phi - (1.0 - eps))
         worst["fid"] = min(worst["fid"],
-                           fidelity(qc.psi.as_density(), qc.theta) - (1.0 - eps))
+                           fidelity(qc.psi, qc.theta) - (1.0 - eps))
     ok = (worst["marg"] <= 1e-9 and worst["norm"] <= 1.0 + 1e-10
           and worst["overlap"] >= -1e-9 and worst["fid"] >= -1e-9)
     _report(5, ok, f"max marginal dev={worst['marg']:.2e} max norm={worst['norm']:.12f} "
@@ -236,7 +236,7 @@ def test_criterion_07_dc_bound_and_optimizer():
         dims = (d_a, d_b)
         rho = BipartiteState(sample_state(d_a * d_b, d_a * d_b, rng), dims)
         sigma = BipartiteState(sample_state(d_a * d_b, d_a * d_b, rng), dims)
-        eps = min(trace_distance(rho.op, sigma.op), 1.0)
+        eps = min(trace_distance(rho, sigma), 1.0)
         lhs = abs(conditional_entropy(rho) - conditional_entropy(sigma))
         rhs = dc_bound(eps, 2.0 * math.log2(d_a))
         min_slack = min(min_slack, rhs - lhs)
@@ -338,7 +338,7 @@ def test_criterion_10_energy_constrained_bounds():
         rng = _rng(10, 1, i)
         rho = sample_energy_constrained(h, e, d_b=3, rng=rng)
         sigma = sample_energy_constrained(h, e, d_b=3, rng=rng)
-        eps = trace_distance(rho.op, sigma.op)
+        eps = trace_distance(rho, sigma)
         lhs = abs(conditional_entropy(rho) - conditional_entropy(sigma))
         for ep in eps_prime_grid(eps):
             if ep > eps:
@@ -364,7 +364,7 @@ def test_criterion_10_energy_constrained_bounds():
             if dec.state_gt is not None:
                 e_gt = float((h.levels * np.real(np.diag(dec.state_gt.mat))).sum())
                 cut_ok &= dec.weight_gt * e_gt <= e + 1e-9
-        td = trace_distance(dr.state_le.op, ds.state_le.op)
+        td = trace_distance(dr.state_le, ds.state_le)
         cut_ok &= td <= truncated_trace_distance_bound(eps, delta) + 1e-9
 
     ok = min_slack >= -1e-9 and min_slack_cond >= -1e-9 and cut_ok

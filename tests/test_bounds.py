@@ -207,7 +207,7 @@ class TestWitnesses:
         for d in (2, 4, 8):
             for eps in (0.05, 0.1, 0.3):
                 rho, sigma = tightness_witness_af(d, eps)
-                assert trace_distance(rho.op, sigma.op) == pytest.approx(eps, abs=1e-11)
+                assert trace_distance(rho, sigma) == pytest.approx(eps, abs=1e-11)
 
     def test_af_witness_gap_closed_form(self):
         assert af_witness_gap(8, 0.1) == pytest.approx(AF_GAP_8_01, abs=1e-13)

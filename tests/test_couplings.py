@@ -140,7 +140,7 @@ class TestQuantumCoupling:
         qc = quantum_coupling(rho, rho)
         assert qc.epsilon == 0.0
         assert qc.overlap_psi == pytest.approx(1.0, abs=1e-10)
-        assert fidelity(qc.psi.as_density(), qc.theta) == pytest.approx(1.0, abs=1e-9)
+        assert fidelity(qc.psi, qc.theta) == pytest.approx(1.0, abs=1e-9)
 
     def test_commuting_qubit_pair(self):
         rho = DensityOperator.diagonal([0.9, 0.1])
@@ -172,7 +172,7 @@ class TestQuantumCoupling:
             assert np.abs(m_a.mat - rho.mat).max() < 1e-9
             assert np.abs(m_b.mat - sigma.mat.T).max() < 1e-9
             # fidelity route to the trace distance bound
-            assert fidelity(qc.psi.as_density(), qc.theta) >= 1.0 - eps - 1e-9
+            assert fidelity(qc.psi, qc.theta) >= 1.0 - eps - 1e-9
 
     def test_fidelity_with_pure_psi_is_the_overlap(self):
         # F(psi, Theta) = sqrt(<psi|Theta|psi>) for pure psi
@@ -181,10 +181,10 @@ class TestQuantumCoupling:
             d = int(rng.integers(2, 5))
             rho, sigma = sample_state(d, d, rng), sample_state(d, d, rng)
             qc = quantum_coupling(rho, sigma)
-            v = sigma.op.sqrt().mat.reshape(-1)
+            v = sigma.sqrt().mat.reshape(-1)
             v = v / np.linalg.norm(v)
             expected = np.sqrt(np.vdot(v, qc.theta.mat @ v).real)
-            assert abs(fidelity(qc.psi.as_density(), qc.theta) - expected) <= 1e-13
+            assert abs(fidelity(qc.psi, qc.theta) - expected) <= 1e-13
 
     def test_vartheta_marginals_dominated(self):
         rng = np.random.default_rng(7)

@@ -259,7 +259,7 @@ class TestMinimizer:
         state = BipartiteState(sample_state(6, 6, rng), (2, 3))
         marg = partial_trace(state, "B")
         model = ConvexSetModel(generators=[np.kron(np.eye(2) / 2, marg.mat)])
-        res = dc_minimize(state.as_density(), model)
+        res = dc_minimize(state, model)
         expected = 1.0 - conditional_entropy(state)
         assert res.value == pytest.approx(expected, abs=1e-8)
 

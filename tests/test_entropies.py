@@ -183,7 +183,7 @@ class TestRelativeEntropy:
             state = BipartiteState(sample_state(6, 6, rng), (2, 3))
             marg = partial_trace(state, "B")
             gamma = HermitianOperator(np.kron(np.eye(2), marg.mat))
-            assert relative_entropy(state.as_density(), gamma) == pytest.approx(
+            assert relative_entropy(state, gamma) == pytest.approx(
                 -conditional_entropy(state), abs=1e-9)
 
     def test_concavity_sandwich(self):

@@ -293,7 +293,7 @@ class TestCutoff:
             eps = trace_distance(rho, sigma)
             dr = cutoff_decompose(rho, h, e, delta)
             ds = cutoff_decompose(sigma, h, e, delta)
-            td = trace_distance(dr.state_le.op, ds.state_le.op)
+            td = trace_distance(dr.state_le, ds.state_le)
             assert td <= truncated_trace_distance_bound(eps, delta) + 1e-9
 
 
@@ -347,7 +347,7 @@ class TestWitnesses:
         rho, sigma = oscillator_tightness_witness(e, eps, conditional=True, n_max=30)
         gap = abs(conditional_entropy(rho) - conditional_entropy(sigma))
         h = HamiltonianSpec.oscillators([1.0])
-        eps_actual = trace_distance(rho.op, sigma.op)
+        eps_actual = trace_distance(rho, sigma)
         ep = min(1.0, eps_actual + 0.05)
         assert gap <= meta6_bound(h, e, eps_actual, ep) + 1e-9
         # the purification makes the gap large (order of 2 eps S(gamma))

@@ -186,6 +186,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "valid=True" in out
 
+    def test_witness_verdicts_follow_tol(self, capsys):
+        # the d=8, eps=0.25 witness saturates its bound to slack -2.2e-16
+        rc = cli.main(["witness", "fannes", "--dims", "2,8", "--eps", "0.25,0.5",
+                       "--tol", "0"])
+        assert rc == cli.EXIT_VIOLATIONS
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.endswith("valid=True") for line in lines] == [True, True, False, True]
+
     def test_witness_oscillator(self, capsys):
         rc = cli.main(["witness", "oscillator", "--eps", "0.2",
                        "--energies", "10"])

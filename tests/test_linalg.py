@@ -64,6 +64,15 @@ class TestEigHermitian:
         with pytest.raises(ValueError, match="Hermitian"):
             HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("mat, where", [
+        ([[np.nan, 0.0], [0.0, 1.0]], r"\(0, 0\)"),
+        # an unpaired infinity: the Hermiticity deviation alone is inf <= inf
+        ([[0.0, np.inf], [1.0, 1.0]], r"\(0, 1\)"),
+    ])
+    def test_non_finite_entries_rejected(self, mat, where):
+        with pytest.raises(ValueError, match="1 non-finite entries, the first at " + where):
+            HermitianOperator(mat)
+
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
@@ -97,8 +106,8 @@ class TestLazySpectrum:
         phi = maximally_entangled_state(16)
         assert von_neumann_entropy(sample_pure_state(8, rng)) == 0.0
         for state in (rho, psi, phi):
-            assert state.op.eigenvalues[0] == 1.0
-            assert (state.op.eigenvalues[1:] == 0.0).all()
+            assert state.eigenvalues[0] == 1.0
+            assert (state.eigenvalues[1:] == 0.0).all()
             assert von_neumann_entropy(state) == 0.0
         assert eigh_calls[0] == 0
 
@@ -157,7 +166,7 @@ class TestAsOperator:
         op = HermitianOperator(PAULI_X)
         assert as_operator(op) is op
         rho = DensityOperator.maximally_mixed(2)
-        assert as_operator(rho) is rho.op
+        assert as_operator(rho) is rho
         arr = as_operator(np.diag([1.0, 0.0]))
         assert isinstance(arr, HermitianOperator)
         np.testing.assert_allclose(arr.eigenvalues, [1.0, 0.0], atol=1e-12)

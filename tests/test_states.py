@@ -36,19 +36,35 @@ class TestDensityOperator:
         assert rho.eigenvalues[-1] >= 0.0
         assert np.trace(rho.mat).real == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("vec", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 0.0]])
+    def test_pure_rejects_zero_and_non_finite_vectors(self, vec):
+        with pytest.raises(ValueError, match="norm"):
+            DensityOperator.pure(vec)
+
+    def test_rejects_non_finite_entries(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityOperator(np.diag([np.inf, 0.0]))
+
     def test_pure_normalizes(self):
         rho = DensityOperator.pure([2.0, 0.0])
         np.testing.assert_allclose(rho.mat, np.diag([1.0, 0.0]), atol=1e-14)
 
 
 class TestBipartiteState:
-    def test_as_density_returns_the_validated_state(self):
+    def test_takes_over_a_validated_state(self, monkeypatch):
         rng = np.random.default_rng(31)
-        for _ in range(10):
-            for bs in (BipartiteState(sample_state(16, 3, rng), (4, 4)),
-                       sample_pure_bipartite(2, 2, rng)):
-                assert np.array_equal(bs.as_density().mat, bs.mat)
-                assert bs.as_density().op is bs.op
+        states = [rho for _ in range(10)
+                  for rho in (sample_state(16, 3, rng), sample_pure_state(16, rng))]
+        spectra = [rho.eigenvalues for rho in states]
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(a) or eigh(*a, **k))
+        for rho, lam in zip(states, spectra):
+            bs = BipartiteState(rho, (4, 4))
+            assert isinstance(bs, DensityOperator) and isinstance(bs, HermitianOperator)
+            assert np.array_equal(bs.mat, rho.mat)
+            assert bs.eigenvalues is lam
+        assert calls == []
 
 
 class TestPartialTrace:
@@ -72,7 +88,7 @@ class TestPartialTrace:
     def test_vector_marginals_match_partial_trace(self):
         rng = np.random.default_rng(7)
         psi = sample_pure_bipartite(3, 4, rng)
-        v = psi.op.eigenvectors[:, 0]
+        v = psi.eigenvectors[:, 0]
         m_a, m_b = vector_marginals(v, 3, 4)
         np.testing.assert_allclose(m_a, partial_trace(psi, "A").mat, atol=1e-10)
         np.testing.assert_allclose(m_b, partial_trace(psi, "B").mat, atol=1e-10)
