@@ -26,7 +26,7 @@ def main():
         rho = sample_state(d, d, rng)
         sigma = sample_state(d, d, rng)
         rep = check_fannes(rho, sigma)
-        print(f"{d:>3} {rep.params.epsilon:8.4f} {rep.lhs:8.4f} "
+        print(f"{d:>3} {rep.epsilon:8.4f} {rep.lhs:8.4f} "
               f"{rep.rhs:8.4f} {rep.slack:8.4f}")
 
     print()

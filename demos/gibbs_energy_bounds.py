@@ -31,7 +31,7 @@ def main():
         sol = solve_beta(h, e)
         print(f"{e:>6} {sol.beta:>10.6f} {sol.entropy:>12.6f} "
               f"{gibbs_entropy_g(e):>10.6f} "
-              f"{oscillator_entropy_upper(1, [1.0], e):>10.6f}")
+              f"{oscillator_entropy_upper([1.0], e):>10.6f}")
 
     print("\nenergy-constrained pairs (E = 2, Fock cutoff 40):")
     ht = HamiltonianSpec.oscillators([1.0], n_max=40)
@@ -47,7 +47,7 @@ def main():
               f"  two-parameter bound(eps'={ep:.4f})="
               f"{meta5_bound(ht, 2.0, eps, ep):.4f}"
               f"  closed form(alpha=0.25)="
-              f"{lemma7_bounds(1, [1.0], 2.0, eps, 0.25)[0]:.4f}")
+              f"{lemma7_bounds([1.0], 2.0, eps, 0.25)[0]:.4f}")
 
     print("\nwitness at E = 100, eps = 0.2 (ground state vs thermal mixture):")
     p, q = oscillator_tightness_witness(100.0, 0.2)

@@ -43,7 +43,7 @@ def main():
     print(f"  |D_C(rho) - D_C(sigma)| <= {rep.lhs:.6f} (solver values plus duality gaps)")
     print(f"  bound eps*kappa + (1+eps) h(eps/(1+eps)) = {rep.rhs:.6f}")
     print(f"  slack = {rep.slack:.6f} (kappa estimated: "
-          f"{rep.params.kappa_is_estimate})")
+          f"{rep.kappa_estimated})")
 
 
 if __name__ == "__main__":

@@ -28,31 +28,24 @@ from .entropies import binary_entropy, conditional_entropy, von_neumann_entropy
 from .linalg import as_operator, trace_distance
 from .states import BipartiteState, DensityOperator, maximally_entangled_state, partial_trace
 
-VALIDITY_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class BoundParams:
-    epsilon: float
-    dim_d: int
-    variant: str
-    kappa: float = 0.0
-    kappa_is_estimate: bool = False
-
-
 @dataclass(frozen=True)
 class BoundReport:
+    """One checked bound ``lhs <= rhs``.  The fields are the columns of a
+    campaign report (``harness.REPORT_COLUMNS``); a check leaves the
+    parameters it has no use for at their defaults."""
+
+    variant: str
+    dim: int
     lhs: float
     rhs: float
-    params: BoundParams
+    epsilon: float | None = None
+    energy: float | None = None
+    epsilon_prime: float | None = None
+    kappa_estimated: bool = False
 
     @property
     def slack(self) -> float:
         return self.rhs - self.lhs
-
-    @property
-    def valid(self) -> bool:
-        return self.slack >= -VALIDITY_TOL
 
 
 @dataclass(frozen=True)
@@ -152,8 +145,7 @@ def check_fannes(rho: DensityOperator, sigma: DensityOperator) -> BoundReport:
     eps = trace_distance(rho, sigma)
     lhs = abs(von_neumann_entropy(rho) - von_neumann_entropy(sigma))
     rhs = fannes_audenaert_bound(min(eps, 1.0), rho.dim)
-    return BoundReport(lhs=lhs, rhs=rhs,
-                       params=BoundParams(epsilon=eps, dim_d=rho.dim, variant="fannes_exact"))
+    return BoundReport(variant="fannes_exact", dim=rho.dim, lhs=lhs, rhs=rhs, epsilon=eps)
 
 
 def check_af(rho: BipartiteState, sigma: BipartiteState, classical_b: bool = False) -> BoundReport:
@@ -164,8 +156,7 @@ def check_af(rho: BipartiteState, sigma: BipartiteState, classical_b: bool = Fal
     d_a = rho.dims[0]
     rhs = af_bound(min(eps, 1.0), d_a, classical_b=classical_b)
     variant = "af_classical_B" if classical_b else "af_general"
-    return BoundReport(lhs=lhs, rhs=rhs,
-                       params=BoundParams(epsilon=eps, dim_d=d_a, variant=variant))
+    return BoundReport(variant=variant, dim=d_a, lhs=lhs, rhs=rhs, epsilon=eps)
 
 
 def check_dc(rho: DensityOperator, sigma: DensityOperator, model: ConvexSetModel,
@@ -189,9 +180,8 @@ def check_dc(rho: DensityOperator, sigma: DensityOperator, model: ConvexSetModel
     else:
         kappa, is_est = estimate_kappa(model, rng=rng, n_probes=n_probes), True
     rhs = dc_bound(min(eps, 1.0), kappa)
-    return BoundReport(lhs=lhs, rhs=rhs,
-                       params=BoundParams(epsilon=eps, dim_d=model.dim, variant="dc_generic",
-                                          kappa=kappa, kappa_is_estimate=is_est))
+    return BoundReport(variant="dc_generic", dim=model.dim, lhs=lhs, rhs=rhs, epsilon=eps,
+                       kappa_estimated=bool(is_est))
 
 
 def check_cor_pure(phi: BipartiteState, psi: BipartiteState, which: str = "ef") -> BoundReport:
@@ -214,8 +204,7 @@ def check_cor_pure(phi: BipartiteState, psi: BipartiteState, which: str = "ef") 
         variant = "er_cor2"
     else:
         raise ValueError(f"unknown corollary bound {which!r}")
-    return BoundReport(lhs=lhs, rhs=rhs,
-                       params=BoundParams(epsilon=eps, dim_d=d, variant=variant))
+    return BoundReport(variant=variant, dim=d, lhs=lhs, rhs=rhs, epsilon=eps)
 
 
 # -- extremal witnesses ------------------------------------------------------

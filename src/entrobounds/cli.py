@@ -165,8 +165,8 @@ def _witness_report(name, x, eps):
     lhs = abs(shannon_entropy(p) - shannon_entropy(q))
     h = gb.HamiltonianSpec.oscillators([1.0], n_max=len(p) - 1)
     rhs = gb.lemma4_bound(h, x, eps)
-    return bnd.BoundReport(lhs=lhs, rhs=rhs, params=bnd.BoundParams(
-        epsilon=eps, dim_d=len(p), variant="oscillator_lemma4"))
+    return bnd.BoundReport(variant="oscillator_lemma4", dim=len(p), lhs=lhs, rhs=rhs,
+                           epsilon=eps, energy=x)
 
 
 def _cmd_witness(args) -> int:

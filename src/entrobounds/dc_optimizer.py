@@ -38,6 +38,8 @@ from .states import DensityOperator, sample_pure_state, _as_rng
 _SLOPE_RTOL = 1e-10
 _STEP_RTOL = 1e-12
 _LINE_SEARCH_ITERS = 100
+# Frank-Wolfe iterations after which a solve stops unconverged.
+_MAX_ITERS = 2000
 # Weight of rho outside the mixture support above which D is +inf.
 _OUTSIDE_TOL = 1e-10
 
@@ -210,7 +212,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def dc_minimize_stack(rhos, model: ConvexSetModel, tol: float = 1e-6,
-                      max_iters: int = 2000, starts=None) -> list[OptimizerResult]:
+                      starts=None) -> list[OptimizerResult]:
     """``dc_minimize`` for each state of ``rhos``, run in lockstep.
 
     Every element follows exactly the iterations it would follow alone;
@@ -234,7 +236,7 @@ def dc_minimize_stack(rhos, model: ConvexSetModel, tol: float = 1e-6,
     iterations = np.zeros(n, dtype=int)
     stalled = np.zeros(n, dtype=int)
     live = np.arange(n)
-    for it in range(1, max_iters + 1):
+    for it in range(1, _MAX_ITERS + 1):
         if not live.size:
             break
         iterations[live] = it
@@ -303,8 +305,7 @@ def dc_gradient(rho: DensityOperator, weights, model: ConvexSetModel) -> np.ndar
 
 
 def dc_minimize(rho: DensityOperator, model: ConvexSetModel,
-                tol: float = 1e-6, max_iters: int = 2000,
-                start=None) -> OptimizerResult:
+                tol: float = 1e-6, start=None) -> OptimizerResult:
     """Away-step Frank-Wolfe with an exact derivative line search.
 
     Away steps restore linear convergence on the simplex (plain
@@ -322,7 +323,7 @@ def dc_minimize(rho: DensityOperator, model: ConvexSetModel,
     This is ``dc_minimize_stack`` on a stack of one.
     """
     starts = None if start is None else [start]
-    return dc_minimize_stack([rho], model, tol=tol, max_iters=max_iters, starts=starts)[0]
+    return dc_minimize_stack([rho], model, tol=tol, starts=starts)[0]
 
 
 def estimate_kappa(model: ConvexSetModel, rng=None, n_probes: int = 200,

@@ -205,15 +205,14 @@ def gibbs_entropy(hamiltonian: HamiltonianSpec, energy: float) -> float:
     return solve_beta(hamiltonian, energy).entropy
 
 
-def oscillator_entropy_upper(n_modes: int, hbar_omegas, energy: float) -> float:
+def oscillator_entropy_upper(hbar_omegas, energy: float) -> float:
     """Closed-form upper bound on the ell-mode Gibbs entropy at total
     energy E, obtained by splitting the energy equally among the modes:
     ell log2(e) + sum_i log2(E/(ell hbar omega_i) + 1)."""
     if energy <= 0:
         raise EnergyDomainError(f"energy must be positive, got {energy!r}")
     hw = np.asarray(hbar_omegas, dtype=float)
-    if len(hw) != n_modes:
-        raise ValueError("mode count does not match frequency list")
+    n_modes = len(hw)
     e_bar = energy / n_modes
     return n_modes * LOG2_E + float(np.log2(e_bar / hw + 1.0).sum())
 
@@ -221,21 +220,11 @@ def oscillator_entropy_upper(n_modes: int, hbar_omegas, energy: float) -> float:
 # -- energy-constrained continuity bounds ------------------------------------
 
 
-@dataclass(frozen=True)
-class EnergyBoundParams:
-    energy: float
-    epsilon: float
-    epsilon_prime: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon < self.epsilon_prime <= 1.0:
-            raise ValueError(
-                f"need 0 <= eps < eps' <= 1, got ({self.epsilon!r}, {self.epsilon_prime!r})"
-            )
-
-    @property
-    def delta(self) -> float:
-        return (self.epsilon_prime - self.epsilon) / (1.0 + self.epsilon_prime)
+def meta_delta(epsilon: float, epsilon_prime: float) -> float:
+    """delta = (eps' - eps)/(1 + eps') of the two-parameter bounds."""
+    if not 0.0 <= epsilon < epsilon_prime <= 1.0:
+        raise ValueError(f"need 0 <= eps < eps' <= 1, got ({epsilon!r}, {epsilon_prime!r})")
+    return (epsilon_prime - epsilon) / (1.0 + epsilon_prime)
 
 
 def lemma4_bound(hamiltonian: HamiltonianSpec, energy: float, epsilon: float) -> float:
@@ -251,8 +240,7 @@ def meta5_bound(hamiltonian: HamiltonianSpec, energy: float,
                 epsilon: float, epsilon_prime: float) -> float:
     """(eps' + 2 delta) S(gamma(E/delta)) + h(eps') + h(delta),
     delta = (eps' - eps)/(1 + eps')."""
-    p = EnergyBoundParams(energy=energy, epsilon=epsilon, epsilon_prime=epsilon_prime)
-    d = p.delta
+    d = meta_delta(epsilon, epsilon_prime)
     return ((epsilon_prime + 2.0 * d) * gibbs_entropy(hamiltonian, energy / d)
             + binary_entropy(epsilon_prime) + binary_entropy(d))
 
@@ -261,15 +249,13 @@ def meta6_bound(hamiltonian: HamiltonianSpec, energy: float,
                 epsilon: float, epsilon_prime: float) -> float:
     """Conditional-entropy analogue:
     (2 eps' + 4 delta) S(gamma(E/delta)) + (1+eps') h(eps'/(1+eps')) + 2 h(delta)."""
-    p = EnergyBoundParams(energy=energy, epsilon=epsilon, epsilon_prime=epsilon_prime)
-    d = p.delta
+    d = meta_delta(epsilon, epsilon_prime)
     return ((2.0 * epsilon_prime + 4.0 * d) * gibbs_entropy(hamiltonian, energy / d)
             + (1.0 + epsilon_prime) * binary_entropy(epsilon_prime / (1.0 + epsilon_prime))
             + 2.0 * binary_entropy(d))
 
 
-def lemma7_bounds(n_modes: int, hbar_omegas, energy: float,
-                  epsilon: float, alpha: float):
+def lemma7_bounds(hbar_omegas, energy: float, epsilon: float, alpha: float):
     """Oscillator-specialized bounds at delta = alpha eps (1 - eps).
 
     Returns (entropy_rhs, conditional_rhs).  The common prefactor is
@@ -282,8 +268,7 @@ def lemma7_bounds(n_modes: int, hbar_omegas, energy: float,
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon {epsilon!r} outside [0, 1)")
     hw = np.asarray(hbar_omegas, dtype=float)
-    if len(hw) != n_modes:
-        raise ValueError("mode count does not match frequency list")
+    n_modes = len(hw)
     ratio = (1.0 + alpha) / (1.0 - alpha)
     c = ratio + 2.0 * alpha
     e_bar = energy / n_modes

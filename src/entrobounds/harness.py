@@ -79,17 +79,11 @@ def _rng(seed: int, case: int) -> np.random.Generator:
     return np.random.default_rng([seed, case])
 
 
-def _from_report(rep: bnd.BoundReport) -> dict:
-    return {"variant": rep.params.variant, "dim": rep.params.dim_d,
-            "epsilon": rep.params.epsilon, "lhs": rep.lhs, "rhs": rep.rhs,
-            "kappa_estimated": bool(rep.params.kappa_is_estimate)}
-
-
 # -- suites -------------------------------------------------------------------
 #
 # A suite is a grid function, CampaignConfig -> list of parameter tuples
-# (one per case), and a case function, (rng, *params) -> list of record
-# field dicts.  Fields a case leaves out are blank in the report.
+# (one per case), and a case function, (rng, *params) -> list of
+# ``BoundReport``s.  Fields a case leaves at None are blank in the report.
 
 
 def _dims_by_samples(cfg: CampaignConfig):
@@ -99,7 +93,7 @@ def _dims_by_samples(cfg: CampaignConfig):
 def _case_fannes(rng, d):
     rho = sample_state(d, d, rng)
     sigma = sample_state(d, d, rng)
-    return [_from_report(bnd.check_fannes(rho, sigma))]
+    return [bnd.check_fannes(rho, sigma)]
 
 
 def _grid_af(cfg: CampaignConfig):
@@ -114,7 +108,7 @@ def _case_af(rng, d, classical_b):
     else:
         rho = BipartiteState(sample_state(d * d, d * d, rng), (d, d))
         sigma = BipartiteState(sample_state(d * d, d * d, rng), (d, d))
-    return [_from_report(bnd.check_af(rho, sigma, classical_b=classical_b))]
+    return [bnd.check_af(rho, sigma, classical_b=classical_b)]
 
 
 def _case_dc(rng, d):
@@ -122,7 +116,7 @@ def _case_dc(rng, d):
     model = bnd.ConvexSetModel(generators=gens)
     rho = sample_state(d, d, rng)
     sigma = sample_state(d, d, rng)
-    return [_from_report(bnd.check_dc(rho, sigma, model, rng=rng, n_probes=50))]
+    return [bnd.check_dc(rho, sigma, model, rng=rng, n_probes=50)]
 
 
 def _case_couplings(rng, d):
@@ -130,18 +124,17 @@ def _case_couplings(rng, d):
     sigma = sample_state(d, d, rng)
     eps = trace_distance(rho, sigma)
     qc = cpl.quantum_coupling(rho, sigma)
-    shared = {"dim": d, "epsilon": eps, "lhs": 1.0 - eps}
-    return [{**shared, "variant": "quantum_overlap_psi", "rhs": qc.overlap_psi},
-            {**shared, "variant": "quantum_fidelity_theta",
-             "rhs": fidelity(qc.psi, qc.theta)},
-            {**shared, "variant": "diagonal_largest_eigenvalue",
-             "rhs": cpl.diagonal_coupling(rho, sigma).largest_eigenvalue}]
+    rhs = {"quantum_overlap_psi": qc.overlap_psi,
+           "quantum_fidelity_theta": fidelity(qc.psi, qc.theta),
+           "diagonal_largest_eigenvalue": cpl.diagonal_coupling(rho, sigma).largest_eigenvalue}
+    return [bnd.BoundReport(variant=v, dim=d, lhs=1.0 - eps, rhs=r, epsilon=eps)
+            for v, r in rhs.items()]
 
 
 def _case_cor_pure(rng, d):
     phi = sample_pure_bipartite(d, d, rng)
     psi = sample_pure_bipartite(d, d, rng)
-    return [_from_report(bnd.check_cor_pure(phi, psi, which="ef"))]
+    return [bnd.check_cor_pure(phi, psi, which="ef")]
 
 
 def _grid_gibbs(cfg: CampaignConfig):
@@ -151,8 +144,7 @@ def _grid_gibbs(cfg: CampaignConfig):
 
 def _case_gibbs(rng, h, e, tol):
     _, gap = gb.entropy_check(gb.solve_beta(h, e))
-    return [{"variant": "formula_vs_direct", "dim": h.dim, "energy": e,
-             "lhs": gap, "rhs": tol}]
+    return [bnd.BoundReport(variant="formula_vs_direct", dim=h.dim, lhs=gap, rhs=tol, energy=e)]
 
 
 def _grid_energy_bounds(cfg: CampaignConfig):
@@ -165,11 +157,12 @@ def _case_energy_bounds(rng, h, e):
     sigma = gb.sample_energy_constrained(h, e, rng=rng)
     eps = trace_distance(rho, sigma)
     lhs = abs(von_neumann_entropy(rho) - von_neumann_entropy(sigma))
-    shared = {"dim": h.dim, "energy": e, "epsilon": eps, "lhs": lhs}
     ep = min(1.0, eps + 0.1)
-    return [{**shared, "variant": "lemma4", "rhs": gb.lemma4_bound(h, e, max(eps, 1e-12))},
-            {**shared, "variant": "meta5", "epsilon_prime": ep,
-             "rhs": gb.meta5_bound(h, e, eps, ep)}]
+    return [bnd.BoundReport(variant="lemma4", dim=h.dim, lhs=lhs,
+                            rhs=gb.lemma4_bound(h, e, max(eps, 1e-12)), epsilon=eps, energy=e),
+            bnd.BoundReport(variant="meta5", dim=h.dim, lhs=lhs,
+                            rhs=gb.meta5_bound(h, e, eps, ep), epsilon=eps, energy=e,
+                            epsilon_prime=ep)]
 
 
 def _grid_tightness(cfg: CampaignConfig):
@@ -179,8 +172,8 @@ def _grid_tightness(cfg: CampaignConfig):
 
 def _case_tightness(rng, d, eps, witness):
     if witness == "fannes":
-        return [_from_report(bnd.check_fannes(*bnd.tightness_witness_fannes(d, eps)))]
-    return [_from_report(bnd.check_af(*bnd.tightness_witness_af(d, eps)))]
+        return [bnd.check_fannes(*bnd.tightness_witness_fannes(d, eps))]
+    return [bnd.check_af(*bnd.tightness_witness_af(d, eps))]
 
 
 _SUITE_TABLE = {
@@ -196,8 +189,6 @@ _SUITE_TABLE = {
 
 SUITES = tuple(_SUITE_TABLE)
 
-_BLANK_RECORD = {**dict.fromkeys(REPORT_COLUMNS), "kappa_estimated": False}
-
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     grid_fn, case_fn = _SUITE_TABLE[config.suite]
@@ -206,11 +197,10 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         raise ConfigError(f"the {config.suite} grid has no cases")
     records = []
     for case, params in enumerate(grid):
-        for fields in case_fn(_rng(config.seed, case), *params):
-            slack = fields["rhs"] - fields["lhs"]
-            records.append({**_BLANK_RECORD, **fields, "suite": config.suite,
-                            "case": case, "slack": slack,
-                            "valid": bool(slack >= -config.tolerance)})
+        for rep in case_fn(_rng(config.seed, case), *params):
+            row = {**vars(rep), "suite": config.suite, "case": case, "slack": rep.slack,
+                   "valid": bool(rep.slack >= -config.tolerance)}
+            records.append({c: row[c] for c in REPORT_COLUMNS})
     report = CampaignReport(config=config, records=records)
     if config.output:
         write_report(report, config.output, config.format)

@@ -217,11 +217,16 @@ def positive_part(op: HermitianOperator) -> HermitianOperator:
     return HermitianOperator((u * lam) @ u.conj().T)
 
 
-def fidelity(rho, sigma) -> float:
-    """F(rho, sigma) = || sqrt(rho) sqrt(sigma) ||_1, in [0, 1]."""
+def _operator_pair(rho, sigma):
     rho_op, sigma_op = as_operator(rho), as_operator(sigma)
     if rho_op.dim != sigma_op.dim:
         raise ValueError(f"dimension mismatch: {rho_op.dim} vs {sigma_op.dim}")
+    return rho_op, sigma_op
+
+
+def fidelity(rho, sigma) -> float:
+    """F(rho, sigma) = || sqrt(rho) sqrt(sigma) ||_1, in [0, 1]."""
+    rho_op, sigma_op = _operator_pair(rho, sigma)
     prod = rho_op.sqrt().mat @ sigma_op.sqrt().mat
     f = trace_norm(prod)
     return float(min(max(f, 0.0), 1.0))
@@ -229,5 +234,5 @@ def fidelity(rho, sigma) -> float:
 
 def trace_distance(rho, sigma) -> float:
     """Half the trace norm of the difference."""
-    rho_op, sigma_op = as_operator(rho), as_operator(sigma)
+    rho_op, sigma_op = _operator_pair(rho, sigma)
     return 0.5 * trace_norm(HermitianOperator(rho_op.mat - sigma_op.mat))

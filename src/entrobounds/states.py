@@ -168,10 +168,9 @@ def vector_marginals(vec, d_a: int, d_b: int):
     return v @ v.conj().T, (v.conj().T @ v).T
 
 
-def maximally_entangled_vector(dim: int, normalized: bool = True) -> np.ndarray:
-    """|Phi> = sum_i |i>|i>, optionally divided by sqrt(dim)."""
-    v = np.eye(dim, dtype=complex).reshape(-1)
-    return v / np.sqrt(dim) if normalized else v
+def maximally_entangled_vector(dim: int) -> np.ndarray:
+    """|Phi> = sum_i |i>|i> / sqrt(dim)."""
+    return np.eye(dim, dtype=complex).reshape(-1) / np.sqrt(dim)
 
 
 def maximally_entangled_state(dim: int) -> BipartiteState:

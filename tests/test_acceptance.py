@@ -300,7 +300,7 @@ def test_criterion_09_gibbs_solver():
     vals = np.array([gibbs_entropy(h1, e) for e in grid])
     monotone = bool((np.diff(vals) > 0).all())
     concave = bool((np.diff(vals, 2) < 1e-8).all())
-    upper = all(gibbs_entropy(h1, e) <= oscillator_entropy_upper(1, [1.0], e) + 1e-9
+    upper = all(gibbs_entropy(h1, e) <= oscillator_entropy_upper([1.0], e) + 1e-9
                 for e in grid[::10])
 
     tail = [d * gibbs_entropy(h1, 1.0 / d) for d in [2.0 ** -k for k in range(1, 21)]]
@@ -384,7 +384,7 @@ def test_criterion_11_oscillator_bounds_and_witness():
         eps = trace_distance(rho, sigma)
         lhs = abs(von_neumann_entropy(rho) - von_neumann_entropy(sigma))
         for alpha in (0.05, 0.1, 0.25, 0.5):
-            ent_rhs, _ = lemma7_bounds(1, [1.0], e, min(eps, 1.0 - 1e-12), alpha)
+            ent_rhs, _ = lemma7_bounds([1.0], e, min(eps, 1.0 - 1e-12), alpha)
             min_slack = min(min_slack, ent_rhs - lhs)
 
     p, q = oscillator_tightness_witness(100.0, 0.2)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from entrobounds.bounds import (
-    BoundParams,
     BoundReport,
     ConvexSetModel,
     af_bound,
@@ -104,14 +103,14 @@ class TestCheckers:
         rho = sample_state(3, 3, np.random.default_rng(0))
         rep = check_fannes(rho, rho)
         assert rep.lhs == pytest.approx(0.0, abs=1e-12)
-        assert rep.valid
+        assert rep.slack >= -1e-9
 
     def test_fannes_recomputes_epsilon(self):
         rng = np.random.default_rng(1)
         rho = sample_state(4, 4, rng)
         sigma = sample_state(4, 4, rng)
         rep = check_fannes(rho, sigma)
-        assert rep.params.epsilon == pytest.approx(trace_distance(rho, sigma), abs=1e-12)
+        assert rep.epsilon == pytest.approx(trace_distance(rho, sigma), abs=1e-12)
         assert rep.lhs == pytest.approx(
             abs(von_neumann_entropy(rho) - von_neumann_entropy(sigma)), abs=1e-12)
 
@@ -121,8 +120,8 @@ class TestCheckers:
             rho = BipartiteState(sample_state(6, 6, rng), (2, 3))
             sigma = BipartiteState(sample_state(6, 6, rng), (2, 3))
             rep = check_af(rho, sigma)
-            assert rep.valid
-            assert rep.params.dim_d == 2
+            assert rep.slack >= -1e-9
+            assert rep.dim == 2
 
     def test_af_dimension_mismatch(self):
         rng = np.random.default_rng(3)
@@ -137,8 +136,8 @@ class TestCheckers:
         psi = sample_pure_bipartite(3, 3, rng)
         for which, variant in (("ef", "ef_cor1"), ("ec", "ec_cor1"), ("er", "er_cor2")):
             rep = check_cor_pure(phi, psi, which=which)
-            assert rep.valid
-            assert rep.params.variant == variant
+            assert rep.slack >= -1e-9
+            assert rep.variant == variant
         with pytest.raises(ValueError, match="unknown"):
             check_cor_pure(phi, psi, which="xx")
 
@@ -161,12 +160,8 @@ class TestCheckers:
         assert rep.lhs <= 2 * tol
 
     def test_report_slack_and_valid(self):
-        params = BoundParams(epsilon=0.1, dim_d=2, variant="x")
-        good = BoundReport(lhs=1.0, rhs=1.5, params=params)
+        good = BoundReport(variant="x", dim=2, lhs=1.0, rhs=1.5, epsilon=0.1)
         assert good.slack == pytest.approx(0.5)
-        assert good.valid
-        bad = BoundReport(lhs=1.5, rhs=1.0, params=params)
-        assert not bad.valid
 
 
 class TestConvexSetModel:
@@ -197,7 +192,7 @@ class TestWitnesses:
                 rho, sigma = tightness_witness_fannes(d, eps)
                 rep = check_fannes(rho, sigma)
                 assert abs(rep.slack) <= 1e-10
-                assert rep.params.epsilon == pytest.approx(eps, abs=1e-12)
+                assert rep.epsilon == pytest.approx(eps, abs=1e-12)
 
     def test_fannes_witness_domain(self):
         with pytest.raises(ValueError, match="epsilon"):

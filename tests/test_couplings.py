@@ -30,19 +30,17 @@ def grid_min_mismatch(p, q, step):
     """Exhaustive coarse-grid oracle for min Pr{X != Y} over couplings of
     two distributions of length 2 or 3: grid the free (d-1)x(d-1) block,
     complete the last row/column by the marginal constraints, and keep
-    feasible points."""
+    feasible points.  The whole grid is one array of joint matrices."""
     d = len(p)
-    best = 1.0
+    n = d - 1
     ticks = np.arange(0.0, 1.0 + step / 2, step)
-    for block in itertools.product(ticks, repeat=(d - 1) * (d - 1)):
-        j = np.zeros((d, d))
-        j[: d - 1, : d - 1] = np.asarray(block).reshape(d - 1, d - 1)
-        j[: d - 1, d - 1] = p[: d - 1] - j[: d - 1, : d - 1].sum(axis=1)
-        j[d - 1, :] = np.asarray(q) - j[: d - 1, :].sum(axis=0)
-        if (j < -1e-12).any():
-            continue
-        best = min(best, 1.0 - np.trace(j))
-    return best
+    blocks = np.array(list(itertools.product(ticks, repeat=n * n))).reshape(-1, n, n)
+    j = np.zeros((len(blocks), d, d))
+    j[:, :n, :n] = blocks
+    j[:, :n, n] = p[:n] - j[:, :n, :n].sum(axis=2)
+    j[:, n, :] = np.asarray(q) - j[:, :n, :].sum(axis=1)
+    feasible = ~(j < -1e-12).any(axis=(1, 2))
+    return (1.0 - np.trace(j, axis1=1, axis2=2))[feasible].min(initial=1.0)
 
 
 class TestClassicalCoupling:

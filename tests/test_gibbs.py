@@ -14,7 +14,6 @@ from entrobounds.linalg import trace_distance
 from entrobounds.states import BipartiteState, DensityOperator
 from entrobounds.gibbs import (
     CutoffDecomposition,
-    EnergyBoundParams,
     EnergyDomainError,
     HamiltonianSpec,
     cutoff_decompose,
@@ -24,6 +23,7 @@ from entrobounds.gibbs import (
     mean_energy,
     meta5_bound,
     meta6_bound,
+    meta_delta,
     oscillator_entropy_upper,
     oscillator_tightness_witness,
     partition_function,
@@ -160,11 +160,11 @@ class TestGibbsMaximality:
         assert (np.diff(vals, 2) < 1e-8).all()
 
     def test_oscillator_upper_bound(self):
-        assert oscillator_entropy_upper(2, [1.0, 2.0], 3.0) == pytest.approx(
+        assert oscillator_entropy_upper([1.0, 2.0], 3.0) == pytest.approx(
             OSC_UPPER_2M, abs=1e-12)
         h = HamiltonianSpec.oscillators([1.0, 2.0])
         for e in (0.5, 1.0, 3.0, 20.0):
-            assert gibbs_entropy(h, e) <= oscillator_entropy_upper(2, [1.0, 2.0], e) + 1e-9
+            assert gibbs_entropy(h, e) <= oscillator_entropy_upper([1.0, 2.0], e) + 1e-9
 
     def test_vanishing_energy_weighting(self):
         # delta S(gamma(E/delta)) -> 0 as delta -> 0 (log growth only)
@@ -175,10 +175,9 @@ class TestGibbsMaximality:
 
 class TestEnergyBounds:
     def test_params_delta(self):
-        p = EnergyBoundParams(energy=1.0, epsilon=0.0, epsilon_prime=0.2)
-        assert p.delta == pytest.approx(0.2 / 1.2, abs=1e-14)
+        assert meta_delta(0.0, 0.2) == pytest.approx(0.2 / 1.2, abs=1e-14)
         with pytest.raises(ValueError, match="eps"):
-            EnergyBoundParams(energy=1.0, epsilon=0.3, epsilon_prime=0.2)
+            meta_delta(0.3, 0.2)
 
     def test_lemma4_values(self):
         h = HamiltonianSpec.oscillators([1.0])
@@ -204,24 +203,24 @@ class TestEnergyBounds:
             assert lhs <= lemma4_bound(h, e, max(eps, 1e-12)) + 1e-9
 
     def test_lemma7_values_and_dominance(self):
-        ent, cond = lemma7_bounds(1, [1.0], 1.0, 0.1, 0.25)
+        ent, cond = lemma7_bounds([1.0], 1.0, 0.1, 0.25)
         assert ent == pytest.approx(LEMMA7_ENT, abs=1e-12)
         assert cond == pytest.approx(LEMMA7_COND, abs=1e-12)
         with pytest.raises(ValueError, match="alpha"):
-            lemma7_bounds(1, [1.0], 1.0, 0.1, 0.8)
+            lemma7_bounds([1.0], 1.0, 0.1, 0.8)
 
     def test_lemma7_conditional_is_twice_entropy(self):
         for e in (0.5, 1.0, 4.0):
             for eps in (0.01, 0.1, 0.3):
                 for alpha in (0.05, 0.25, 0.5):
-                    ent, cond = lemma7_bounds(2, [1.0, 2.0], e, eps, alpha)
+                    ent, cond = lemma7_bounds([1.0, 2.0], e, eps, alpha)
                     # identical structure with doubled leading terms
                     assert cond >= ent
                     assert cond <= 2.0 * ent + 1e-12
 
     def test_lemma7_monotone_in_epsilon(self):
         grid = np.linspace(0.0, 0.6, 100)
-        vals = np.array([lemma7_bounds(1, [1.0], 1.0, e, 0.25)[0] for e in grid])
+        vals = np.array([lemma7_bounds([1.0], 1.0, e, 0.25)[0] for e in grid])
         assert (np.diff(vals) >= -1e-12).all()
 
 

@@ -202,6 +202,14 @@ class TestNorms:
             prod = trace_norm(HermitianOperator(np.kron(a.mat, b.mat)))
             assert prod == pytest.approx(trace_norm(a) * trace_norm(b), abs=1e-9)
 
+    @pytest.mark.parametrize("rho, sigma", [
+        (np.eye(1), np.eye(3) / 3),  # would broadcast to a 3x3 difference
+        (DensityOperator.maximally_mixed(2), DensityOperator.maximally_mixed(3)),
+    ], ids=["broadcastable", "states"])
+    def test_trace_distance_dimension_mismatch(self, rho, sigma):
+        with pytest.raises(ValueError, match="dimension mismatch: "):
+            trace_distance(rho, sigma)
+
 
 class TestFidelity:
     def test_self_fidelity(self):
