@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropies import binary_entropy, conditional_entropy, von_neumann_entropy
-from .linalg import as_operator, trace_distance
+from .linalg import HermitianOperator, as_operator, trace_distance
 from .states import BipartiteState, DensityOperator, maximally_entangled_state, partial_trace
 
 @dataclass(frozen=True)
@@ -226,17 +226,17 @@ def tightness_witness_fannes(d: int, epsilon: float):
 
 def tightness_witness_af(d: int, epsilon: float):
     """(rho, sigma) nearly saturating the conditional-entropy bound:
-    sigma = Phi_d, rho = (1-eps) Phi_d + eps/(d^2-1) (1 - Phi_d).
+    sigma = Phi_d, rho = (1-eps) Phi_d + eps/(d^2-1) (1 - Phi_d), built as
+    the factor (Phi, [1-eps], eps/(d^2-1)) on sigma's own vector, so the
+    trace distance of the pair needs no d^2 x d^2 eigendecomposition.
     The achieved gap is eps log2(d^2 - 1) + h(eps)."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon {epsilon!r} outside (0, 1]")
     sigma = maximally_entangled_state(d)
-    phi = sigma.mat
-    rest = (np.eye(d * d) - phi) * (epsilon / (d * d - 1))
-    rho = BipartiteState((1.0 - epsilon) * phi + rest, (d, d))
-    return rho, sigma
+    rho = HermitianOperator.factored(sigma.factor[0], [1.0 - epsilon], epsilon / (d * d - 1))
+    return BipartiteState(rho, (d, d)), sigma
 
 
 def af_witness_gap(d: int, epsilon: float) -> float:

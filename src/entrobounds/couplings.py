@@ -116,7 +116,7 @@ def build_decomposition(rho: DensityOperator, sigma: DensityOperator) -> Couplin
     """The eps/Delta/Delta'/omega bundle with eps Delta = (rho - sigma)_+."""
     if rho.dim != sigma.dim:
         raise ValueError("dimension mismatch")
-    diff = HermitianOperator(rho.mat - sigma.mat)
+    diff = rho - sigma
     eps = 0.5 * trace_norm(diff)
     if eps < _DEGENERATE_EPS:
         mm = DensityOperator.maximally_mixed(rho.dim)

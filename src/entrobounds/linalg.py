@@ -11,8 +11,10 @@ Conventions
 * The decomposition is lazy: one ``np.linalg.eigh`` on the first read of
   ``eigenvalues`` or ``eigenvectors``, cached from then on.  Operators
   whose spectrum is never read are never decomposed.
-* Rank-one projectors (:meth:`HermitianOperator.projector`) carry their
-  spectrum in closed form and never call ``eigh``.
+* An operator with a thin factor (``HermitianOperator.factor``), such as
+  a projector, and a diagonal operator know their spectrum and never call
+  ``eigh``.  The difference of two factored operators is factored again
+  from a 2k x 2k eigenproblem, in O(d k^2) instead of O(d^3).
 * Eigenvalues below ``ZERO_EIGENVALUE_RTOL * lambda_max`` are treated as
   exact zeros for support projections and support-restricted inverses.
 * All values are immutable after construction; operations are pure.
@@ -40,7 +42,7 @@ def _frozen(a):
 
 class HermitianOperator:
     """A dense complex Hermitian matrix with a lazily cached spectral
-    decomposition.
+    decomposition, and optionally a thin factor that fixes its spectrum.
 
     The input is symmetrized on construction; a non-finite entry, or a
     deviation from Hermiticity larger than ``HERMITICITY_ATOL`` (relative
@@ -51,14 +53,18 @@ class HermitianOperator:
     mat : (d, d) complex ndarray
         The (symmetrized) matrix.  Do not mutate.
     dim : int
+    factor : tuple ``(V, lam, c)`` or None
+        ``mat = c 1 + V diag(lam - c) V^dagger``: ``V`` (d, k) has
+        orthonormal columns with eigenvalues ``lam``, and ``c`` is the
+        eigenvalue on their complement.  A projector is ``(v, [1], 0)``.
     eigenvalues : (d,) real ndarray, non-increasing
         Computed on first read.
     eigenvectors : (d, d) complex ndarray
         Columns are the eigenvectors matching ``eigenvalues``.  Computed
-        on first read.
+        on first read; for a factor, ``V`` completed to a unitary.
     """
 
-    __slots__ = ("mat", "dim", "_eigenvalues", "_eigenvectors", "_top_vector")
+    __slots__ = ("mat", "dim", "factor", "_eigenvalues", "_eigenvectors")
 
     def __init__(self, mat):
         mat = np.asarray(mat, dtype=complex)
@@ -77,28 +83,43 @@ class HermitianOperator:
         mat.setflags(write=False)
         self.mat = mat
         self.dim = mat.shape[0]
-        self._eigenvalues = self._eigenvectors = self._top_vector = None
+        self.factor = self._eigenvalues = self._eigenvectors = None
 
     @classmethod
     def diagonal(cls, values) -> "HermitianOperator":
-        return cls(np.diag(np.asarray(values, dtype=float)))
+        """``diag(values)`` with its spectrum known: the values in
+        non-increasing order, the matching identity columns as
+        eigenvectors."""
+        values = np.asarray(values, dtype=float)
+        op = HermitianOperator(np.diag(values))
+        order = np.argsort(-values, kind="stable")
+        op._eigenvalues = _frozen(values[order])
+        op._eigenvectors = _frozen(np.eye(op.dim, dtype=complex)[:, order])
+        return op if cls is HermitianOperator else cls(op)
+
+    @classmethod
+    def factored(cls, vecs, lam, c=0.0) -> "HermitianOperator":
+        """``c 1 + V diag(lam - c) V^dagger`` carrying ``(V, lam, c)`` as its
+        factor.  The columns of ``vecs`` must be orthonormal (unchecked)."""
+        vecs = _frozen(np.array(vecs, dtype=complex))
+        lam = _frozen(np.array(lam, dtype=float))
+        # outer products, not a BLAS product: a projector is exactly
+        # np.outer(v, v^*), whatever the BLAS build or thread count
+        mat = np.diag(np.full(len(vecs), c, dtype=complex))
+        for a, b in zip((vecs * (lam - c)).T, vecs.conj().T):
+            mat += np.outer(a, b)
+        op = HermitianOperator(mat)
+        op.factor = (vecs, lam, float(c))
+        return op if cls is HermitianOperator else cls(op)
 
     @classmethod
     def projector(cls, vec) -> "HermitianOperator":
-        """``|v><v|`` for ``v = vec / ||vec||``, with its spectrum known:
-        eigenvalues ``(1, 0, ..., 0)`` and a unitary whose first column is
-        ``v`` (a Householder reflection, built on first read)."""
+        """``|v><v|`` for ``v = vec / ||vec||``: the factor ``(v, [1], 0)``."""
         v = np.asarray(vec, dtype=complex)
         norm = np.linalg.norm(v)
         if not 0.0 < norm < np.inf:
             raise ValueError(f"cannot normalize a vector of norm {norm:g}")
-        v = v / norm
-        op = cls(np.outer(v, v.conj()))
-        lam = np.zeros(op.dim)
-        lam[0] = 1.0
-        op._eigenvalues = _frozen(lam)
-        op._top_vector = v
-        return op
+        return cls.factored((v / norm)[:, None], [1.0])
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -109,17 +130,36 @@ class HermitianOperator:
     @property
     def eigenvectors(self) -> np.ndarray:
         if self._eigenvectors is None:
-            if self._top_vector is None:
-                self._decompose()
-            else:
-                self._eigenvectors = _frozen(_householder_completion(self._top_vector))
+            self._decompose(vectors=True)
         return self._eigenvectors
 
-    def _decompose(self):
-        evals, evecs = np.linalg.eigh(self.mat)
-        # eigh returns ascending order; flip to the non-increasing convention
-        self._eigenvalues = _frozen(np.ascontiguousarray(evals[::-1]))
-        self._eigenvectors = _frozen(np.ascontiguousarray(evecs[:, ::-1]))
+    def _decompose(self, vectors=False):
+        if self.factor is None:
+            evals, evecs = np.linalg.eigh(self.mat)
+            # eigh returns ascending order; flip to the non-increasing convention
+            self._eigenvalues = _frozen(np.ascontiguousarray(evals[::-1]))
+            self._eigenvectors = _frozen(np.ascontiguousarray(evecs[:, ::-1]))
+            return
+        # one stable sort of [lam, c, ..., c]; the completion of V follows it
+        vecs, lam, c = self.factor
+        values = np.concatenate([lam, np.full(self.dim - len(lam), c)])
+        order = np.argsort(-values, kind="stable")
+        self._eigenvalues = _frozen(values[order])
+        if vectors:
+            complement = np.linalg.qr(vecs, mode="complete")[0][:, len(lam):]
+            self._eigenvectors = _frozen(np.hstack([vecs, complement])[:, order])
+
+    def __sub__(self, other: "HermitianOperator") -> "HermitianOperator":
+        """``self - other``, factored if both are: with ``Q R = [V_a V_b]`` it
+        is ``(c_a - c_b) 1 + Q R diag(lam_a - c_a, c_b - lam_b) R^dagger Q^dagger``,
+        one small eigh.  Coinciding columns (a singular ``R``) stay exact."""
+        diff = HermitianOperator(self.mat - other.mat)
+        if self.factor is not None and other.factor is not None:
+            (va, la, ca), (vb, lb, cb) = self.factor, other.factor
+            q, r = np.linalg.qr(np.hstack([va, vb]))
+            mu, w = np.linalg.eigh((r * np.concatenate([la - ca, cb - lb])) @ r.conj().T)
+            diff.factor = (_frozen(q @ w), _frozen(mu + (ca - cb)), ca - cb)
+        return diff
 
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim})"
@@ -171,25 +211,6 @@ class HermitianOperator:
         return self.apply_function(lambda x: 1.0 / np.sqrt(x), support_only=True)
 
 
-def _householder_completion(v: np.ndarray) -> np.ndarray:
-    """A unitary whose first column is the unit vector ``v``.
-
-    The reflection ``H = 1 - 2 w w^dagger / ||w||^2`` with
-    ``w = e^{i theta} e_1 + v`` and ``e^{i theta}`` the phase of ``v_0``
-    maps ``e_1`` to ``-e^{-i theta} v``; ``||w||^2 >= 2``, so nothing
-    cancels.  Its other columns span the complement of ``v``; the first
-    is replaced by ``v`` itself.
-    """
-    a = abs(v[0])
-    phase = v[0] / a if a > 0 else 1.0
-    w = v.copy()
-    w[0] += phase
-    u = np.outer(w, (-2.0 / np.vdot(w, w).real) * w.conj())
-    u[np.diag_indices_from(u)] += 1.0
-    u[:, 0] = v
-    return u
-
-
 def as_operator(x) -> HermitianOperator:
     """A square array as a :class:`HermitianOperator`; an operator,
     states included (a state is its operator), is returned as it is."""
@@ -235,4 +256,4 @@ def fidelity(rho, sigma) -> float:
 def trace_distance(rho, sigma) -> float:
     """Half the trace norm of the difference."""
     rho_op, sigma_op = _operator_pair(rho, sigma)
-    return 0.5 * trace_norm(HermitianOperator(rho_op.mat - sigma_op.mat))
+    return 0.5 * trace_norm(rho_op - sigma_op)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianOperator, trace_norm
+from .linalg import HermitianOperator, _frozen, trace_norm
 
 
 class StateValidationError(ValueError):
@@ -34,9 +34,10 @@ class DensityOperator(HermitianOperator):
     is validated.  Eigenvalues are clamped at 0 (sampling and arithmetic
     produce -1e-14-scale noise) and the trace renormalized.  Eigenvalues
     below -1e-10, or a trace off from 1 by more than 1e-8, are rejected
-    as genuinely invalid input.  An operator's cached spectrum is kept,
-    so a projector is never decomposed.  A ``DensityOperator`` passed in
-    is already valid and is taken over with no second validation.
+    as genuinely invalid input.  An operator's factor and known spectrum
+    are kept, and a repaired state keeps the eigenpairs its validation
+    read, so no state is decomposed twice.  A ``DensityOperator`` passed
+    in is already valid and is taken over with no second validation.
     """
 
     __slots__ = ()
@@ -45,26 +46,28 @@ class DensityOperator(HermitianOperator):
         if not isinstance(mat_or_op, HermitianOperator):
             super().__init__(mat_or_op)
         else:
-            self.mat = mat_or_op.mat
-            self.dim = mat_or_op.dim
-            self._eigenvalues = mat_or_op._eigenvalues
-            self._eigenvectors = mat_or_op._eigenvectors
-            self._top_vector = mat_or_op._top_vector
+            for name in HermitianOperator.__slots__:
+                setattr(self, name, getattr(mat_or_op, name))
             if isinstance(mat_or_op, DensityOperator):
                 return
-        if self.eigenvalues[-1] < -1e-10:
-            raise StateValidationError(
-                f"negative eigenvalue {self.eigenvalues[-1]:.3e} beyond tolerance"
-            )
+        lam = self.eigenvalues
+        if lam[-1] < -1e-10:
+            raise StateValidationError(f"negative eigenvalue {lam[-1]:.3e} beyond tolerance")
         tr = self.trace()
         if abs(tr - 1.0) > 1e-8:
             raise StateValidationError(f"trace {tr!r} is not 1")
-        if self.eigenvalues[-1] < 0.0:
-            lam = np.clip(self.eigenvalues, 0.0, None)
-            u = self.eigenvectors
-            super().__init__((u * (lam / lam.sum())) @ u.conj().T)
+        if lam[-1] < 0.0:
+            lam = np.clip(lam, 0.0, None)
+            scale, u = lam.sum(), self.eigenvectors
+            super().__init__((u * (lam / scale)) @ u.conj().T)
         elif abs(tr - 1.0) > 1e-14:
+            scale, u, factor = tr, self._eigenvectors, self.factor
             super().__init__(self.mat / tr)
+            if factor is not None:
+                self.factor = (factor[0], _frozen(factor[1] / tr), factor[2] / tr)
+        else:
+            return
+        self._eigenvalues, self._eigenvectors = _frozen(lam / scale), u
 
     @classmethod
     def pure(cls, vec) -> "DensityOperator":

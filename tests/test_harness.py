@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -151,6 +153,34 @@ class TestCli:
                              "--seed", "3", "--out", p]) == cli.EXIT_OK
         with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
             assert a.read() == b.read()
+
+    def test_verify_gibbs_applies_the_tolerance_once(self, capsys):
+        # formula-vs-direct gaps: 8.95e-10 at E=10, 2.80e-9 at E=10.5 (< 2 tol)
+        rc = cli.main(["verify", "gibbs", "--energies", "10,10.5", "--tol", "1.5e-9"])
+        assert rc == cli.EXIT_VIOLATIONS
+        assert "violations=1" in capsys.readouterr().out
+
+    def test_reports_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        """The d=16 tightness and cor_pure suites (256-dim witness and pure
+        pairs) give the same bytes with 1 and with 2 BLAS threads."""
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        calls = [["verify", "tightness", "--dims", "16", "--eps", "0.05,0.25,0.5"],
+                 ["verify", "cor_pure", "--dims", "16", "--samples", "8", "--seed", "1"]]
+        reports = {}
+        for threads in ("1", "2"):
+            outs = [str(tmp_path / f"{threads}-{k}.csv") for k in range(len(calls))]
+            script = "import sys\nfrom entrobounds.cli import main\nsys.exit(" + " or ".join(
+                f"main({call + ['--out', out]!r})" for call, out in zip(calls, outs)) + ")\n"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                           capture_output=True)
+            reports[threads] = []
+            for out in outs:
+                with open(out, "rb") as fh:
+                    reports[threads].append(fh.read())
+        assert reports["1"] == reports["2"]
 
     def test_config_file_and_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

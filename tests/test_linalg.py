@@ -13,8 +13,12 @@ from entrobounds.linalg import (
     trace_distance,
     trace_norm,
 )
+from entrobounds.bounds import tightness_witness_af, tightness_witness_fannes
 from entrobounds.entropies import von_neumann_entropy
+from entrobounds.gibbs import HamiltonianSpec, solve_beta
+from entrobounds.harness import _case_cor_pure, _case_tightness
 from entrobounds.states import (
+    BipartiteState,
     DensityOperator,
     maximally_entangled_state,
     sample_pure_bipartite,
@@ -88,6 +92,20 @@ def eigh_calls(monkeypatch):
     return count
 
 
+@pytest.fixture
+def eigh_dims(monkeypatch):
+    """Record the matrix dimension of every ``np.linalg.eigh`` call."""
+    dims = []
+    original = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        dims.append(np.shape(a)[-1])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    return dims
+
+
 class TestLazySpectrum:
     def test_unread_spectrum_is_never_decomposed(self, eigh_calls):
         rng = np.random.default_rng(21)
@@ -140,6 +158,128 @@ class TestLazySpectrum:
             recon = (u * op.eigenvalues) @ u.conj().T
             assert np.abs(recon - op.mat).max() <= 1e-14
         assert eigh_calls[0] == 0
+
+    def test_constructors_with_a_known_spectrum_make_no_call(self, eigh_calls):
+        gibbs = solve_beta(HamiltonianSpec.oscillators([1.0], n_max=64), 1.0).state()
+        states = [DensityOperator.projector([1, 1j]), DensityOperator.diagonal([0.2, 0.5, 0.3]),
+                  *tightness_witness_fannes(16, 0.25), gibbs]
+        for state in states:
+            assert type(state) is DensityOperator
+            lam, u = state.eigenvalues, state.eigenvectors
+            assert (np.diff(lam) <= 0).all()
+            assert np.abs((u * lam) @ u.conj().T - state.mat).max() <= 1e-15
+        np.testing.assert_array_equal(states[1].eigenvalues, [0.5, 0.3, 0.2])
+        np.testing.assert_array_equal(np.abs(states[1].eigenvectors), np.eye(3)[:, [1, 2, 0]])
+        assert eigh_calls[0] == 0
+
+    @pytest.mark.parametrize("lam", [
+        [0.6, 0.4 + 2e-13, 0.0, -2e-13],  # clamped at 0
+        [0.6, 0.3, 0.1 + 3e-12, 0.0],  # trace renormalized
+    ], ids=["clamped", "renormalized"])
+    def test_repaired_state_is_decomposed_once(self, lam, eigh_calls):
+        rng = np.random.default_rng(24)
+        u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+        rho = DensityOperator((u * lam) @ u.conj().T)
+        assert eigh_calls[0] == 1
+        assert rho.eigenvalues[-1] >= 0.0
+        assert abs(rho.eigenvalues.sum() - 1.0) <= 1e-15
+        assert abs(rho.trace() - 1.0) <= 1e-15
+        v = rho.eigenvectors
+        assert np.abs((v * rho.eigenvalues) @ v.conj().T - rho.mat).max() <= 1e-15
+        von_neumann_entropy(rho)
+        fidelity(rho, rho.sqrt().mat @ rho.sqrt().mat)
+        assert eigh_calls[0] == 2  # only the product, which is a new operator
+
+    def test_pure_pair_and_af_witness_make_no_full_size_call(self, eigh_dims):
+        _case_cor_pure(np.random.default_rng(25), 16)
+        _case_tightness(None, 16, 0.25, "af")
+        assert 256 not in eigh_dims
+        assert 16 in eigh_dims  # the marginals are decomposed as before
+
+
+def _unit(rng, d):
+    g = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return g / np.linalg.norm(g)
+
+
+def _orthonormal(rng, d, k):
+    return np.linalg.qr(rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k)))[0]
+
+
+def _dense_spectrum(op):
+    return np.linalg.eigh(op.mat)[0][::-1]
+
+
+def _assert_factored_eigenpairs(op):
+    lam, u = op.eigenvalues, op.eigenvectors
+    assert (np.diff(lam) <= 0).all()
+    assert np.abs(u.conj().T @ u - np.eye(op.dim)).max() <= 1e-14
+    assert np.abs((u * lam) @ u.conj().T - op.mat).max() <= 1e-14
+
+
+class TestFactoredOperator:
+    @pytest.mark.parametrize("d", [2, 16, 256])
+    def test_pure_pair_difference_matches_dense(self, d):
+        rng = np.random.default_rng(d)
+        u = _unit(rng, d)
+        w = _unit(rng, d)
+        w = w - np.vdot(u, w) * u
+        w /= np.linalg.norm(w)
+        pairs = {"random": _unit(rng, d), "near": u + 1e-6 * w, "orthogonal": w,
+                 "equal": u, "phase": -1j * u}
+        for name, v in pairs.items():
+            diff = HermitianOperator.projector(u) - HermitianOperator.projector(v)
+            assert diff.factor is not None
+            np.testing.assert_allclose(diff.eigenvalues, _dense_spectrum(diff), rtol=0, atol=1e-13,
+                                       err_msg=name)
+            vn = v / np.linalg.norm(v)
+            gap = np.linalg.norm(vn - np.vdot(u, vn) * u)  # sqrt(1 - |<u|v>|^2), no cancellation
+            assert trace_distance(DensityOperator.pure(u), DensityOperator.pure(v)) \
+                == pytest.approx(gap, rel=1e-6, abs=1e-13)
+            _assert_factored_eigenpairs(diff)
+        near = HermitianOperator.projector(u) - HermitianOperator.projector(pairs["near"])
+        assert near.eigenvalues[0] == pytest.approx(1e-6 / math.sqrt(1 + 1e-12), rel=1e-9)
+
+    @pytest.mark.parametrize("d", [2, 16])
+    @pytest.mark.parametrize("eps", [0.05, 0.5, 1.0])
+    def test_af_witness_pair(self, d, eps):
+        rho, sigma = tightness_witness_af(d, eps)
+        assert isinstance(rho, BipartiteState) and rho.factor is not None
+        diff = rho - sigma
+        for op in (rho, sigma, diff):
+            np.testing.assert_allclose(op.eigenvalues, _dense_spectrum(op), rtol=0, atol=1e-13)
+            _assert_factored_eigenpairs(op)
+        c = eps / (d * d - 1)
+        np.testing.assert_allclose(rho.eigenvalues, sorted([1 - eps] + [c] * (d * d - 1))[::-1],
+                                   rtol=0, atol=1e-16)
+        assert trace_distance(rho, sigma) == pytest.approx(eps, abs=1e-14)
+        if eps == 1.0:  # c > lam: the witness vector comes last
+            assert rho.eigenvalues[-1] == 0.0
+            assert abs(abs(np.vdot(rho.eigenvectors[:, -1], sigma.factor[0][:, 0])) - 1) <= 1e-14
+
+    @pytest.mark.parametrize("d", [3, 16, 64])
+    def test_rank_two_minus_rank_three(self, d):
+        rng = np.random.default_rng(d)
+        if d > 3:  # one column shared exactly, one in part
+            w = _orthonormal(rng, d, 4)
+            va = w[:, :2]
+            vb = np.stack([w[:, 0], (w[:, 1] + w[:, 2]) / np.sqrt(2), w[:, 3]], axis=1)
+        else:
+            va, vb = _orthonormal(rng, d, 2), _orthonormal(rng, d, 3)
+        a = HermitianOperator.factored(va, [0.5, -0.2], 0.1)
+        b = HermitianOperator.factored(vb, [0.3, 0.2, 0.7], -0.05)
+        for op in (a, b, a - b, b - a):
+            np.testing.assert_allclose(op.eigenvalues, _dense_spectrum(op), rtol=0, atol=1e-13)
+            _assert_factored_eigenpairs(op)
+        assert (a - b).factor[2] == pytest.approx(0.15)
+
+    def test_difference_without_a_factor_is_dense(self):
+        rng = np.random.default_rng(26)
+        rho, sigma = sample_state(4, 4, rng), DensityOperator.pure(_unit(rng, 4))
+        for diff in (rho - sigma, sigma - rho, rho - rho):
+            assert diff.factor is None
+            assert type(diff) is HermitianOperator
+        np.testing.assert_array_equal((rho - sigma).mat, HermitianOperator(rho.mat - sigma.mat).mat)
 
 
 class TestMatrixFunction:
