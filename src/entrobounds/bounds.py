@@ -54,10 +54,13 @@ class ConvexSetModel:
 
     At least one generator must be full rank (keeps the relative-entropy
     distance finite).  ``kappa`` is the largest variation of D_C over
-    states: exact when known in closed form, otherwise a sampled estimate
-    flagged via ``kappa_is_estimate``.  A sampled kappa is a max and a min
-    over finitely many probes, so it can only underestimate the true
-    variation (up to the solver tolerance).
+    states, when the caller knows it; an estimate is flagged via
+    ``kappa_is_estimate``.  Left at None, ``check_dc`` certifies it: the
+    minimum of D_C is exactly -log2 max_i tr gamma_i (Klein's inequality),
+    and ``dc_optimizer.kappa_upper`` bounds the maximum by
+    -log2 lambda_min(sum_i w_i gamma_i), which holds at every w, at the w
+    of an ascent of lambda_min.  A solve at the minimum eigenvector there
+    gives the low end of the bracket.
     """
 
     generators: list
@@ -160,25 +163,33 @@ def check_af(rho: BipartiteState, sigma: BipartiteState, classical_b: bool = Fal
 
 
 def check_dc(rho: DensityOperator, sigma: DensityOperator, model: ConvexSetModel,
-             rng=None, n_probes: int = 200, tol: float = 1e-6) -> BoundReport:
+             tol: float = 1e-6) -> BoundReport:
     """Continuity of the relative-entropy distance from the set.
 
     D_C values come from the Frank-Wolfe minimizer.  Each lies above the
     true minimum by at most its duality gap, so the lhs
     |v_rho - v_sigma| + gap_rho + gap_sigma bounds |D_C(rho) - D_C(sigma)|
     from above whether or not the solver converged.  kappa comes from the
-    model, or else from a sampled estimate over pure-state probes, which
-    can only underestimate the true kappa and is flagged as estimated."""
-    from .dc_optimizer import dc_minimize, estimate_kappa
+    model, or else from the certified bracket lo <= kappa <= hi of
+    ``dc_optimizer.kappa_upper``, whose witness state is solved in one stack
+    with rho and sigma; the rhs uses hi.  The low end of D_C is exact
+    (Klein): min D_C = -log2 max_i tr gamma_i.  An empty bracket (lo > hi)
+    means a rounding error beyond the allowance of hi and raises.
+    """
+    from .dc_optimizer import dc_minimize_stack, kappa_lower, kappa_upper
 
     eps = trace_distance(rho, sigma)
-    res_rho = dc_minimize(rho, model, tol=tol)
-    res_sigma = dc_minimize(sigma, model, tol=tol)
-    lhs = abs(res_rho.value - res_sigma.value) + res_rho.gap + res_sigma.gap
     if model.kappa is not None:
+        res_rho, res_sigma = dc_minimize_stack([rho, sigma], model, tol=tol)
         kappa, is_est = model.kappa, model.kappa_is_estimate
     else:
-        kappa, is_est = estimate_kappa(model, rng=rng, n_probes=n_probes), True
+        kappa, witness = kappa_upper(model)
+        res_rho, res_sigma, res_witness = dc_minimize_stack([rho, sigma, witness], model, tol=tol)
+        lo = kappa_lower(model, res_witness)
+        if lo > kappa:
+            raise ArithmeticError(f"empty kappa bracket [{lo!r}, {kappa!r}]")
+        is_est = False
+    lhs = abs(res_rho.value - res_sigma.value) + res_rho.gap + res_sigma.gap
     rhs = dc_bound(min(eps, 1.0), kappa)
     return BoundReport(variant="dc_generic", dim=model.dim, lhs=lhs, rhs=rhs, epsilon=eps,
                        kappa_estimated=bool(is_est))

@@ -18,6 +18,16 @@ step is one batched eigendecomposition of the ``(n, d, d)`` mixtures of
 the states that still need it, and a state drops out of every later
 eigendecomposition once it has finished.  ``dc_minimize`` is the stack
 of one.
+
+kappa, the largest variation of D_C over states, has a certified
+bracket.  Its low end is exact: by Klein's inequality D(rho||gamma) >=
+-log2 tr gamma, so min_rho D_C(rho) = -log2 T with T = max_i tr gamma_i,
+attained at gamma_i / tr gamma_i.  For every simplex point w,
+max_rho D_C(rho) <= max_rho D(rho||gamma(w)) = -log2 lambda_min(gamma(w)),
+and lambda_min(gamma(w)) is concave in w.  ``kappa_upper`` maximises it by
+projected Newton ascent and returns hi = -log2 lambda_min + log2 T at the
+best point; ``kappa_lower`` turns the solve of its minimum eigenvector
+|v*> into lo = D_C(v*) - gap + log2 T.
 """
 
 from __future__ import annotations
@@ -42,6 +52,14 @@ _LINE_SEARCH_ITERS = 100
 _MAX_ITERS = 2000
 # Weight of rho outside the mixture support above which D is +inf.
 _OUTSIDE_TOL = 1e-10
+# The ascent of lambda_min smooths it at a temperature that starts at
+# _SMOOTHING[0] times the largest generator eigenvalue and falls with the
+# ascent's gap, down to _SMOOTHING[1] times it.  The ascent stops once its
+# gap is at most _ASCENT_RTOL lambda_min, or after _ASCENT_EIGH
+# eigendecompositions.
+_SMOOTHING = (1e-2, 1e-6)
+_ASCENT_RTOL = 1e-6
+_ASCENT_EIGH = 100
 
 
 class SingularMixtureError(RuntimeError):
@@ -326,6 +344,156 @@ def dc_minimize(rho: DensityOperator, model: ConvexSetModel,
     return dc_minimize_stack([rho], model, tol=tol, starts=starts)[0]
 
 
+def _soft_min(lam: np.ndarray, mu: float):
+    """The soft minimum f = -mu ln sum_j exp(-lam_j/mu) of an ascending
+    spectrum, which lies between lam[0] - mu ln d and lam[0], and its Gibbs
+    weights p = exp(-lam/mu)/Z."""
+    e = np.exp((lam[0] - lam) / mu)
+    return lam[0] - mu * math.log(e.sum()), e / e.sum()
+
+
+def _soft_min_derivatives(gens, lam, u, p, mu):
+    """Gradient (m,) and Hessian (m, m) in w of the soft minimum f.
+
+    The gradient is g_i = tr[P gamma_i] for the Gibbs state
+    P = sum_j p_j |u_j><u_j|.  The Hessian pairs the generators in the
+    eigenbasis: off the diagonal with the divided differences
+    (p_j - p_k)/(lam_j - lam_k) of p, written with expm1 so that close
+    eigenvalues lose no digits; on it with -1/mu times the p-covariance of
+    their diagonals, a sum of squares in which nothing cancels.
+    """
+    g_tilde = _adjoint(u)[None] @ gens @ u[None]
+    diag = np.real(np.einsum("ijj->ij", g_tilde))
+    grad = diag @ p
+    # lam is ascending, so p[min(j, k)] is the larger weight of a pair
+    index = np.arange(len(lam))
+    p_low = p[np.minimum.outer(index, index)]
+    spread = np.abs(lam[:, None] - lam[None, :])
+    dd = np.where(spread > 0.0,
+                  p_low * np.expm1(-spread / mu) / np.where(spread > 0.0, spread, 1.0),
+                  -p_low / mu)
+    np.fill_diagonal(dd, 0.0)
+    centred = diag - grad[:, None]
+    hess = (np.real(np.einsum("ijk,jk,ljk->il", g_tilde, dd, g_tilde.conj()))
+            - (centred * p) @ centred.T / mu)
+    return grad, hess
+
+
+def _newton_step(grad, hess, w):
+    """Maximiser of grad.s + s.hess.s/2 over sum(s) = 0, with s zero off
+    the face spanned by the support of ``w`` and the vertex of largest
+    gradient.  That vertex leaves the face again when the step would take
+    its weight below zero.  A tiny ridge keeps flat directions finite: the
+    step then runs to the boundary, where the caller's ratio test stops it.
+    """
+    face = w > 0.0
+    face[grad.argmax()] = True
+    while True:
+        idx = np.flatnonzero(face)
+        n = len(idx)
+        curvature = -hess[np.ix_(idx, idx)]
+        ridge = 1e-12 * (np.abs(grad).max() + max(curvature.diagonal().max(), 0.0))
+        kkt = np.ones((n + 1, n + 1))
+        kkt[:n, :n] = curvature + ridge * np.eye(n)
+        kkt[n, n] = 0.0
+        step = np.zeros_like(w)
+        step[idx] = np.linalg.solve(kkt, np.append(grad[idx], 0.0))[:n]
+        blocked = (w == 0.0) & (step < 0.0)
+        if not blocked.any():
+            return step
+        face &= ~blocked
+
+
+def _max_min_eigenvalue(gens: np.ndarray, scale: float):
+    """Approach max_w lambda_min(gamma(w)) over the simplex from below.
+
+    Projected Newton ascent on the soft minimum f of the spectrum of
+    gamma(w), from the uniform weights, with an Armijo backtracking search
+    whose longest step ends on the boundary of the simplex (the weights
+    that reach it drop to zero).  For every state P, lambda_min(gamma(w))
+    <= tr[P gamma(w)] <= max_i tr[P gamma_i], so the Gibbs state behind
+    each gradient bounds the optimum from above.  The temperature falls to
+    a quarter of the gap between that bound and the best lambda_min over
+    max(ln d, 1), so that smoothing never costs more than a quarter of the
+    gap.  The ascent stops once the gap is within _ASCENT_RTOL of the best
+    lambda_min, when a step makes no progress, or when its budget of
+    eigendecompositions is spent.  ``scale`` bounds the generators' norms.
+    Returns the largest lambda_min seen and its eigenvector.
+    """
+    log_d = max(math.log(gens.shape[-1]), 1.0)
+    mu, mu_min = _SMOOTHING[0] * scale, _SMOOTHING[1] * scale
+    w = np.full(len(gens), 1.0 / len(gens))
+    lam, u = np.linalg.eigh(_mixtures(gens, w[None])[0])
+    best, upper = (lam[0], u[:, 0]), math.inf
+    budget = _ASCENT_EIGH - 1
+    while budget:
+        f, p = _soft_min(lam, mu)
+        grad, hess = _soft_min_derivatives(gens, lam, u, p, mu)
+        upper = min(upper, grad.max())
+        if upper - best[0] <= _ASCENT_RTOL * best[0]:
+            break
+        step = _newton_step(grad, hess, w)
+        slope = grad @ step
+        if not slope > 0.0:
+            break
+        shrinking = step < 0.0
+        ratios = np.where(shrinking, w / np.where(shrinking, -step, 1.0), math.inf)
+        t = min(1.0, ratios.min())
+        while budget:
+            budget -= 1
+            w_new = np.clip(w + t * step, 0.0, None)
+            w_new[ratios <= t] = 0.0
+            w_new /= w_new.sum()
+            lam_new, u_new = np.linalg.eigh(_mixtures(gens, w_new[None])[0])
+            if lam_new[0] > best[0]:
+                best = (lam_new[0], u_new[:, 0])
+            if _soft_min(lam_new, mu)[0] >= f + 1e-4 * t * slope:
+                w, lam, u = w_new, lam_new, u_new
+                break
+            t *= 0.5
+        mu = max(mu_min, min(mu, (upper - best[0]) / (4.0 * log_d)))
+    return best
+
+
+def _log2_max_trace(model: ConvexSetModel) -> float:
+    """log2 T, T = max_i tr gamma_i: min_rho D_C(rho) = -log2 T (Klein)."""
+    return math.log2(max(g.trace() for g in model.generators))
+
+
+def kappa_upper(model: ConvexSetModel) -> tuple[float, DensityOperator]:
+    """Certified upper end ``hi`` of kappa, and the witness state of its
+    lower end.
+
+    hi = -log2 lambda_min(gamma(w)) + log2 T at the best point w of the
+    ascent, with lambda_min first lowered by a rounding allowance: eigh is
+    backward stable, so the computed eigenvalue is that of a matrix within
+    a small multiple of d eps ||gamma(w)|| of the mixture, and forming the
+    mixture in floating point adds at most m d eps max_i ||gamma_i||.  hi
+    is +inf when no mixture is certifiably full rank.  The witness is
+    |v*><v*| for the minimum eigenvector v* at w.
+    """
+    gens = _generators(model)
+    m, d = gens.shape[:2]
+    scale = max(g.eigenvalues[0] for g in model.generators)
+    lam_min, v = _max_min_eigenvalue(gens, scale)
+    lam_min -= 8 * d * (m + 1) * np.finfo(float).eps * scale
+    hi = -math.log2(lam_min) + _log2_max_trace(model) if lam_min > 0.0 else math.inf
+    return hi, DensityOperator.pure(v)
+
+
+def kappa_lower(model: ConvexSetModel, witness: OptimizerResult) -> float:
+    """Certified lower end ``lo`` of kappa from the solve of any state:
+    D_C there is at least ``value - gap``, and min D_C = -log2 T."""
+    return witness.value - witness.gap + _log2_max_trace(model)
+
+
+def kappa_bracket(model: ConvexSetModel, tol: float = 1e-6) -> tuple[float, float]:
+    """``(lo, hi)`` with lo <= kappa <= hi: one ascent (``kappa_upper``)
+    and one solve of its witness state."""
+    hi, witness = kappa_upper(model)
+    return kappa_lower(model, dc_minimize(witness, model, tol=tol)), hi
+
+
 def estimate_kappa(model: ConvexSetModel, rng=None, n_probes: int = 200,
                    tol: float = 1e-7) -> float:
     """Sampled estimate of the largest variation of D_C over states.
@@ -336,7 +504,7 @@ def estimate_kappa(model: ConvexSetModel, rng=None, n_probes: int = 200,
     minimized in one lockstep stack.  Being a max and a min over finitely
     many points, the estimate can only fall short of the true variation
     (up to ``tol``): an underestimate, not a certificate; callers flag it
-    as such.
+    as such.  ``kappa_bracket`` certifies kappa from both sides.
     """
     rng = _as_rng(rng if rng is not None else 0)
     d = model.dim

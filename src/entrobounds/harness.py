@@ -116,7 +116,7 @@ def _case_dc(rng, d):
     model = bnd.ConvexSetModel(generators=gens)
     rho = sample_state(d, d, rng)
     sigma = sample_state(d, d, rng)
-    return [bnd.check_dc(rho, sigma, model, rng=rng, n_probes=50)]
+    return [bnd.check_dc(rho, sigma, model)]
 
 
 def _case_couplings(rng, d):

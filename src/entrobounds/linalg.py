@@ -245,9 +245,26 @@ def _operator_pair(rho, sigma):
     return rho_op, sigma_op
 
 
+def _pure_vector(op: HermitianOperator):
+    """``v`` when ``op`` carries the projector factor ``(v, [1], 0)``, else None."""
+    if op.factor is None:
+        return None
+    vecs, lam, c = op.factor
+    return vecs[:, 0] if lam.tolist() == [1.0] and c == 0.0 else None
+
+
 def fidelity(rho, sigma) -> float:
-    """F(rho, sigma) = || sqrt(rho) sqrt(sigma) ||_1, in [0, 1]."""
+    """F(rho, sigma) = || sqrt(rho) sqrt(sigma) ||_1, in [0, 1].
+
+    When either operand is a projector ``|v><v|`` by its factor, the square
+    root of it is itself and F = sqrt(<v|other|v>), with no decomposition.
+    """
     rho_op, sigma_op = _operator_pair(rho, sigma)
+    for pure, other in ((rho_op, sigma_op), (sigma_op, rho_op)):
+        v = _pure_vector(pure)
+        if v is not None:
+            f = np.sqrt(max(np.real(np.vdot(v, other.mat @ v)), 0.0))
+            return float(min(f, 1.0))
     prod = rho_op.sqrt().mat @ sigma_op.sqrt().mat
     f = trace_norm(prod)
     return float(min(max(f, 0.0), 1.0))

@@ -20,7 +20,7 @@ from entrobounds.bounds import (
     tightness_witness_af,
     tightness_witness_fannes,
 )
-from entrobounds.dc_optimizer import dc_minimize
+from entrobounds.dc_optimizer import dc_minimize, kappa_upper
 from entrobounds.entropies import conditional_entropy, von_neumann_entropy
 from entrobounds.linalg import trace_distance
 from entrobounds.states import BipartiteState, DensityOperator, sample_pure_bipartite, sample_state
@@ -158,6 +158,22 @@ class TestCheckers:
         assert rep.lhs == pytest.approx(gaps, abs=1e-10)
         assert gaps > 0.0
         assert rep.lhs <= 2 * tol
+
+    def test_dc_rhs_uses_the_certified_upper_end(self):
+        rng = np.random.default_rng(4)
+        gens = [sample_state(3, 3, rng).mat for _ in range(3)]
+        rho, sigma = sample_state(3, 3, rng), sample_state(3, 3, rng)
+        rep = check_dc(rho, sigma, ConvexSetModel(generators=gens))
+        hi, _ = kappa_upper(ConvexSetModel(generators=gens))
+        assert rep.rhs == dc_bound(rep.epsilon, hi)
+        assert not rep.kappa_estimated
+        # a supplied kappa keeps its label; the witness state shares the
+        # stack of rho and sigma without changing their solves
+        given = check_dc(rho, sigma, ConvexSetModel(generators=gens, kappa=2.0,
+                                                     kappa_is_estimate=True))
+        assert given.kappa_estimated
+        assert given.rhs == dc_bound(rep.epsilon, 2.0)
+        assert given.lhs == rep.lhs
 
     def test_report_slack_and_valid(self):
         good = BoundReport(variant="x", dim=2, lhs=1.0, rhs=1.5, epsilon=0.1)

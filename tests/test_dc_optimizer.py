@@ -13,6 +13,7 @@ from entrobounds.dc_optimizer import (
     dc_minimize_stack,
     dc_objective,
     estimate_kappa,
+    kappa_bracket,
 )
 from entrobounds.entropies import conditional_entropy, relative_entropy, von_neumann_entropy
 from entrobounds.harness import CampaignConfig, run_campaign
@@ -322,8 +323,8 @@ class TestLineSearch:
         assert res.value == pytest.approx(0.0, abs=1e-6)
 
     def test_every_criterion_12_minimization_converges(self, monkeypatch):
-        # every minimisation, estimate_kappa's probes included, runs
-        # through the stacked entry point
+        # every minimisation runs through the stacked entry point: rho,
+        # sigma and the kappa witness, one stack of 3 per case
         results = []
         inner = dc_optimizer.dc_minimize_stack
 
@@ -334,7 +335,7 @@ class TestLineSearch:
 
         monkeypatch.setattr(dc_optimizer, "dc_minimize_stack", recording)
         run_campaign(CampaignConfig(suite="dc", dims=(2, 3), samples=3, seed=12))
-        assert len(results) == 351
+        assert len(results) == 18
         assert all(r.converged for r in results)
 
 
@@ -416,3 +417,72 @@ class TestKappaEstimate:
         high = [dc_minimize(p, model, tol=1e-7).value for p in probes]
         low = [dc_minimize(p, model, tol=1e-7).value for p in lows]
         assert est == pytest.approx(max(high) - min(high + low), abs=1e-12)
+
+
+def _campaign_model(seed, case, d):
+    """The set of ``verify dc`` case ``case`` at ``--seed seed``, drawn as
+    ``harness._case_dc`` draws it, with the RNG left where the case's
+    states end."""
+    rng = np.random.default_rng([seed, case])
+    model = ConvexSetModel(generators=[sample_state(d, d, rng).mat for _ in range(3)])
+    sample_state(d, d, rng), sample_state(d, d, rng)
+    return model, rng
+
+
+class TestKappaBracket:
+    """lo <= kappa <= hi from one ascent and one solve.  lo carries the
+    solver's rounding, so where lo meets kappa exactly it may pass it by a
+    few ulps; hi carries its own rounding allowance."""
+
+    def test_singleton_maximally_mixed(self):
+        # C = {1/d}: D_C(rho) = log2 d - S(rho), so kappa = log2 d exactly
+        for d in (2, 3):
+            lo, hi = kappa_bracket(ConvexSetModel(generators=[np.eye(d) / d]))
+            assert lo <= math.log2(d) + 1e-14
+            assert math.log2(d) <= hi <= math.log2(d) + 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_commuting_bipartite_set(self, d):
+        # C = {1_A (x) |j><j|_B} and 1_A (x) 1_B/d_B, the finite form of
+        # criterion 7's set {1_A (x) xi}: Phi attains max D_C = log2 d_B
+        # and the Klein minimum is -log2 d_A (every generator has trace
+        # d_A), so kappa = log2 d_A + log2 d_B
+        eye = np.eye(d)
+        gens = [np.kron(eye, np.outer(e, e)) for e in eye] + [np.eye(d * d) / d]
+        model = ConvexSetModel(generators=gens)
+        kappa = 2.0 * math.log2(d)
+        lo, hi = kappa_bracket(model)
+        assert lo <= kappa <= hi <= kappa + 1e-12
+        phi = DensityOperator.pure(np.eye(d).reshape(-1))
+        assert dc_minimize(phi, model).value == pytest.approx(math.log2(d), abs=1e-6)
+
+    def test_random_models(self):
+        # rank-deficient generators of traces other than 1, beside one
+        # full-rank state; the sampled estimate, a lower end of kappa up to
+        # its solver tolerance, stays below hi
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            d, m = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+            gens = [sample_state(d, int(rng.integers(1, d + 1)), rng).mat * rng.uniform(0.2, 3.0)
+                    for _ in range(m)]
+            gens.append(sample_state(d, d, rng).mat)
+            model = ConvexSetModel(generators=gens)
+            lo, hi = kappa_bracket(model)
+            assert lo <= hi
+            assert estimate_kappa(model, rng=rng, n_probes=10) <= hi + 1e-6
+
+    def test_sampled_estimate_of_the_campaign_falls_below_lo(self):
+        # dc_campaign's two cases; check_dc used to put estimate_kappa with
+        # 50 probes on the case's RNG stream into the rhs
+        for case, d in enumerate((2, 3)):
+            model, rng = _campaign_model(0, case, d)
+            lo, _ = kappa_bracket(model)
+            assert estimate_kappa(model, rng=rng, n_probes=50) < lo
+
+    @pytest.mark.parametrize("seed, case, d", [(0, 0, 2), (0, 1, 3)]
+                             + [(12, k, 2 + k // 3) for k in range(6)])
+    def test_campaign_brackets_are_tight(self, seed, case, d):
+        # dc_campaign (seed 0) and the criterion-12 dc suite (seed 12)
+        lo, hi = kappa_bracket(_campaign_model(seed, case, d)[0])
+        assert lo <= hi
+        assert (hi - lo) / hi <= 0.01

@@ -109,10 +109,11 @@ class TestCampaigns:
         with open(path) as fh:
             assert fh.readline().startswith("# entrobounds-report v1")
 
-    def test_dc_suite_flags_estimated_kappa(self):
+    def test_dc_suite_records_no_estimated_kappa(self):
         cfg = CampaignConfig(suite="dc", dims=(2,), samples=2, seed=0)
         report = run_campaign(cfg)
-        assert all(r["kappa_estimated"] for r in report.records)
+        assert report.records
+        assert not any(r["kappa_estimated"] for r in report.records)
 
 
 class TestGibbsTable:

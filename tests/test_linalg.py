@@ -376,6 +376,24 @@ class TestFidelity:
         with pytest.raises(ValueError, match="mismatch"):
             fidelity(DensityOperator.maximally_mixed(2), DensityOperator.maximally_mixed(3))
 
+    @pytest.mark.parametrize("d", [2, 16, 256])
+    def test_pure_operand_matches_dense_path(self, d, monkeypatch):
+        # a projector operand takes the closed form sqrt(<v|other|v>) with
+        # no decomposition; the dense path is ||sqrt(a) sqrt(b)||_1, with
+        # the projector's square root built from its exact spectrum
+        rng = np.random.default_rng(d)
+        u, v, mixed = sample_pure_state(d, rng), sample_pure_state(d, rng), sample_state(d, d, rng)
+        pairs = [(u, mixed), (mixed, u), (u, v)]
+        dense = [trace_norm(a.sqrt().mat @ b.sqrt().mat) for a, b in pairs]
+        calls = []
+        for name in ("eigh", "svd", "qr"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+        fast = [fidelity(a, b) for a, b in pairs]
+        assert calls == []
+        np.testing.assert_allclose(fast, dense, rtol=0, atol=1e-12)
+
     def test_fuchs_van_de_graaf(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
