@@ -487,11 +487,11 @@ def kappa_lower(model: ConvexSetModel, witness: OptimizerResult) -> float:
     return witness.value - witness.gap + _log2_max_trace(model)
 
 
-def kappa_bracket(model: ConvexSetModel, tol: float = 1e-6) -> tuple[float, float]:
+def kappa_bracket(model: ConvexSetModel) -> tuple[float, float]:
     """``(lo, hi)`` with lo <= kappa <= hi: one ascent (``kappa_upper``)
     and one solve of its witness state."""
     hi, witness = kappa_upper(model)
-    return kappa_lower(model, dc_minimize(witness, model, tol=tol)), hi
+    return kappa_lower(model, dc_minimize(witness, model)), hi
 
 
 def estimate_kappa(model: ConvexSetModel, rng=None, n_probes: int = 200,

@@ -20,6 +20,7 @@ from entrobounds.bounds import (
     tightness_witness_af,
     tightness_witness_fannes,
 )
+from entrobounds import dc_optimizer
 from entrobounds.dc_optimizer import dc_minimize, kappa_upper
 from entrobounds.entropies import conditional_entropy, von_neumann_entropy
 from entrobounds.linalg import trace_distance
@@ -174,6 +175,15 @@ class TestCheckers:
         assert given.kappa_estimated
         assert given.rhs == dc_bound(rep.epsilon, 2.0)
         assert given.lhs == rep.lhs
+
+    def test_dc_empty_bracket_raises(self, monkeypatch):
+        # an upper end below the solved witness is a failed certificate
+        rng = np.random.default_rng(5)
+        model = ConvexSetModel(generators=[sample_state(2, 2, rng).mat for _ in range(3)])
+        witness = kappa_upper(model)[1]
+        monkeypatch.setattr(dc_optimizer, "kappa_upper", lambda model: (0.0, witness))
+        with pytest.raises(ArithmeticError, match="empty kappa bracket"):
+            check_dc(sample_state(2, 2, rng), sample_state(2, 2, rng), model)
 
     def test_report_slack_and_valid(self):
         good = BoundReport(variant="x", dim=2, lhs=1.0, rhs=1.5, epsilon=0.1)
