@@ -41,7 +41,6 @@ class BoundReport:
     epsilon: float | None = None
     energy: float | None = None
     epsilon_prime: float | None = None
-    kappa_estimated: bool = False
 
     @property
     def slack(self) -> float:
@@ -53,19 +52,12 @@ class ConvexSetModel:
     """Finitely generated convex set of PSD operators.
 
     At least one generator must be full rank (keeps the relative-entropy
-    distance finite).  ``kappa`` is the largest variation of D_C over
-    states, when the caller knows it; an estimate is flagged via
-    ``kappa_is_estimate``.  Left at None, ``check_dc`` certifies it: the
-    minimum of D_C is exactly -log2 max_i tr gamma_i (Klein's inequality),
-    and ``dc_optimizer.kappa_upper`` bounds the maximum by
-    -log2 lambda_min(sum_i w_i gamma_i), which holds at every w, at the w
-    of an ascent of lambda_min.  A solve at the minimum eigenvector there
-    gives the low end of the bracket.
+    distance finite).  kappa, the largest variation of D_C over states,
+    is not a setting of the model: ``dc_optimizer.kappa_bracket``
+    certifies it from the generators alone.
     """
 
     generators: list
-    kappa: float | None = None
-    kappa_is_estimate: bool = False
 
     def __post_init__(self):
         if not self.generators:
@@ -169,30 +161,18 @@ def check_dc(rho: DensityOperator, sigma: DensityOperator, model: ConvexSetModel
     D_C values come from the Frank-Wolfe minimizer.  Each lies above the
     true minimum by at most its duality gap, so the lhs
     |v_rho - v_sigma| + gap_rho + gap_sigma bounds |D_C(rho) - D_C(sigma)|
-    from above whether or not the solver converged.  kappa comes from the
-    model, or else from the certified bracket lo <= kappa <= hi of
-    ``dc_optimizer.kappa_upper``, whose witness state is solved in one stack
-    with rho and sigma; the rhs uses hi.  The low end of D_C is exact
-    (Klein): min D_C = -log2 max_i tr gamma_i.  An empty bracket (lo > hi)
-    means a rounding error beyond the allowance of hi and raises.
+    from above whether or not the solver converged.  The rhs takes the
+    upper end of the certified bracket lo <= kappa <= hi of
+    ``dc_optimizer.kappa_bracket``, whose witness state is solved in one
+    stack with rho and sigma; an empty bracket raises ``ArithmeticError``.
     """
-    from .dc_optimizer import dc_minimize_stack, kappa_lower, kappa_upper
+    from .dc_optimizer import kappa_bracket
 
     eps = trace_distance(rho, sigma)
-    if model.kappa is not None:
-        res_rho, res_sigma = dc_minimize_stack([rho, sigma], model, tol=tol)
-        kappa, is_est = model.kappa, model.kappa_is_estimate
-    else:
-        kappa, witness = kappa_upper(model)
-        res_rho, res_sigma, res_witness = dc_minimize_stack([rho, sigma, witness], model, tol=tol)
-        lo = kappa_lower(model, res_witness)
-        if lo > kappa:
-            raise ArithmeticError(f"empty kappa bracket [{lo!r}, {kappa!r}]")
-        is_est = False
+    _, kappa, (res_rho, res_sigma) = kappa_bracket(model, [rho, sigma], tol)
     lhs = abs(res_rho.value - res_sigma.value) + res_rho.gap + res_sigma.gap
     rhs = dc_bound(min(eps, 1.0), kappa)
-    return BoundReport(variant="dc_generic", dim=model.dim, lhs=lhs, rhs=rhs, epsilon=eps,
-                       kappa_estimated=bool(is_est))
+    return BoundReport(variant="dc_generic", dim=model.dim, lhs=lhs, rhs=rhs, epsilon=eps)
 
 
 def check_cor_pure(phi: BipartiteState, psi: BipartiteState, which: str = "ef") -> BoundReport:

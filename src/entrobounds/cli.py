@@ -10,8 +10,10 @@ Subcommands:
 Exit codes: 0 = all checks valid, 1 = violations found,
 2 = configuration or domain error.
 
-A flat key=value config file can be passed with ``--config``; explicit
-flags override file entries.
+Each subcommand takes the flags of the settings it reads (``_COMMANDS``)
+and no others.  A flat key=value config file can be passed with
+``--config``; it may set the same keys, and explicit flags override its
+entries.
 """
 
 from __future__ import annotations
@@ -62,87 +64,61 @@ def _load_config_file(path):
     return values
 
 
+# Every setting a subcommand may read: its flag's ``add_argument`` keywords
+# (``type`` also parses the config-file value) and its CampaignConfig field.
+_SETTINGS = {
+    "dims": (dict(type=_parse_ints, help="comma-separated dimension grid"), "dims"),
+    "energies": (dict(type=_parse_floats, help="comma-separated energy grid"), "energies"),
+    "eps": (dict(type=_parse_floats, help="comma-separated epsilon grid"), "epsilons"),
+    "samples": (dict(type=int, help="samples per grid point"), "samples"),
+    "seed": (dict(type=int, help="campaign seed"), "seed"),
+    "tol": (dict(type=float, help="tolerance of a valid check"), "tolerance"),
+    "out": (dict(type=str, help="report file path"), "output"),
+    "format": (dict(type=str, choices=("csv", "json"), help="report format"), "format"),
+}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="entrobounds",
         description="Numerical verification of entropy continuity bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, keys, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for key in keys:
+            p.add_argument(f"--{key}", **_SETTINGS[key][0])
+        p.add_argument("--config", help="flat key=value config file")
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--dims", type=_parse_ints, default=None,
-                        help="comma-separated dimension grid")
-    common.add_argument("--energies", type=_parse_floats, default=None,
-                        help="comma-separated energy grid")
-    common.add_argument("--eps", type=_parse_floats, default=None,
-                        help="comma-separated epsilon grid")
-    common.add_argument("--samples", type=int, default=None)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--tol", type=float, default=None)
-    common.add_argument("--out", default=None, help="report file path")
-    common.add_argument("--format", choices=("csv", "json"), default=None)
-    common.add_argument("--config", default=None, help="flat key=value config file")
-
-    p_verify = sub.add_parser("verify", parents=[common],
-                              help="run a verification campaign")
-    p_verify.add_argument("suite", choices=SUITES)
-
-    p_witness = sub.add_parser("witness", parents=[common],
-                               help="evaluate a tightness witness")
-    p_witness.add_argument("name", choices=("fannes", "af", "oscillator"))
-
-    p_table = sub.add_parser("gibbs-table", parents=[common],
-                             help="tabulate the Gibbs solver")
+    sub.choices["verify"].add_argument("suite", choices=SUITES)
+    sub.choices["witness"].add_argument("name", choices=("fannes", "af", "oscillator"))
+    p_table = sub.choices["gibbs-table"]
     p_table.add_argument("--modes", type=_parse_floats, default=(1.0,),
                          help="oscillator mode energies (hbar omega)")
     p_table.add_argument("--levels", type=_parse_floats, default=None,
                          help="explicit level list (overrides --modes)")
-
-    sub.add_parser("coupling-demo", parents=[common],
-                   help="construct and check couplings for a sampled pair")
     return parser
 
 
-_CONFIG_KEYS = {
-    "dims": _parse_ints,
-    "energies": _parse_floats,
-    "eps": _parse_floats,
-    "samples": int,
-    "seed": int,
-    "tol": float,
-    "out": str,
-    "format": str,
-}
-
-
-def _merged_settings(args):
+def _settings(args):
+    """The settings ``args.command`` reads: the config file's entries,
+    overridden by the flags given."""
+    keys = _COMMANDS[args.command][1]
     settings = {}
-    if getattr(args, "config", None):
-        raw = _load_config_file(args.config)
-        for key, val in raw.items():
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-            settings[key] = _CONFIG_KEYS[key](val)
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            settings[key] = flag
+    if args.config:
+        for key, val in _load_config_file(args.config).items():
+            if key not in keys:
+                raise ConfigError(f"{args.command} reads no config key {key!r}")
+            settings[key] = _SETTINGS[key][0]["type"](val)
+    for key in keys:
+        if getattr(args, key) is not None:
+            settings[key] = getattr(args, key)
     return settings
 
 
-def _campaign_config(suite, settings):
-    kwargs = {"suite": suite}
-    mapping = {"dims": "dims", "energies": "energies", "eps": "epsilons",
-               "samples": "samples", "seed": "seed", "tol": "tolerance",
-               "out": "output", "format": "format"}
-    for key, attr in mapping.items():
-        if key in settings:
-            kwargs[attr] = settings[key]
-    return CampaignConfig(**kwargs)
-
-
-def _cmd_verify(args) -> int:
-    cfg = _campaign_config(args.suite, _merged_settings(args))
+def _cmd_verify(args, settings) -> int:
+    cfg = CampaignConfig(suite=args.suite,
+                         **{_SETTINGS[key][1]: val for key, val in settings.items()})
     report = run_campaign(cfg)
     print(f"suite={cfg.suite} cases={len(report.records)} "
           f"min_slack={report.min_slack:.3e} max_slack={report.max_slack:.3e} "
@@ -169,10 +145,9 @@ def _witness_report(name, x, eps):
                            epsilon=eps, energy=x)
 
 
-def _cmd_witness(args) -> int:
-    settings = _merged_settings(args)
+def _cmd_witness(args, settings) -> int:
     eps_grid = settings.get("eps", (0.25,))
-    tol = settings.get("tol", 1e-9)
+    tol = settings.get("tol", CampaignConfig.tolerance)
     if args.name == "oscillator":
         axis, values = "E", settings.get("energies", (100.0,))
     else:
@@ -192,15 +167,14 @@ def _cmd_witness(args) -> int:
     return EXIT_OK if all(verdicts) else EXIT_VIOLATIONS
 
 
-def _cmd_gibbs_table(args) -> int:
-    settings = _merged_settings(args)
+def _cmd_gibbs_table(args, settings) -> int:
     energies = settings.get("energies", (0.25, 0.5, 1.0, 2.0, 4.0))
     if args.levels is not None:
         h = gb.HamiltonianSpec.explicit(args.levels)
     else:
         h = gb.HamiltonianSpec.oscillators(args.modes, n_max=512)
     rows = emit_gibbs_table(h, energies, path=settings.get("out"))
-    tol = settings.get("tol", 1e-9)
+    tol = settings.get("tol", CampaignConfig.tolerance)
     bad = 0
     for row in rows:
         if row["error"]:
@@ -213,11 +187,10 @@ def _cmd_gibbs_table(args) -> int:
     return EXIT_VIOLATIONS if bad else EXIT_OK
 
 
-def _cmd_coupling_demo(args) -> int:
-    settings = _merged_settings(args)
+def _cmd_coupling_demo(args, settings) -> int:
     d = settings.get("dims", (3,))[0]
     seed = settings.get("seed", 0)
-    tol = settings.get("tol", 1e-9)
+    tol = settings.get("tol", CampaignConfig.tolerance)
     rng = np.random.default_rng(seed)
     rho = sample_state(d, d, rng)
     sigma = sample_state(d, d, rng)
@@ -244,19 +217,22 @@ def _cmd_coupling_demo(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATIONS
 
 
+# Each subcommand: its handler, the settings it reads and its help text.
+_COMMANDS = {
+    "verify": (_cmd_verify, tuple(_SETTINGS), "run a verification campaign"),
+    "witness": (_cmd_witness, ("dims", "energies", "eps", "tol"),
+                "evaluate a tightness witness"),
+    "gibbs-table": (_cmd_gibbs_table, ("energies", "tol", "out"),
+                    "tabulate the Gibbs solver"),
+    "coupling-demo": (_cmd_coupling_demo, ("dims", "seed", "tol"),
+                      "construct and check couplings for a sampled pair"),
+}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "witness":
-            return _cmd_witness(args)
-        if args.command == "gibbs-table":
-            return _cmd_gibbs_table(args)
-        if args.command == "coupling-demo":
-            return _cmd_coupling_demo(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command][0](args, _settings(args))
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

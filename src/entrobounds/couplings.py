@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianOperator, positive_part, trace_norm
+from .linalg import HermitianOperator, _pure_vector, positive_part, trace_norm
 from .states import (
     BipartiteState,
     ClassicalDistribution,
@@ -70,13 +70,11 @@ class QuantumCoupling:
 
     @property
     def overlap_psi(self) -> float:
-        u = self.psi.eigenvectors
-        return float(abs(np.vdot(u[:, 0], self.vartheta)))
+        return float(abs(np.vdot(_pure_vector(self.psi), self.vartheta)))
 
     @property
     def overlap_phi(self) -> float:
-        u = self.phi.eigenvectors
-        return float(abs(np.vdot(u[:, 0], self.vartheta)))
+        return float(abs(np.vdot(_pure_vector(self.phi), self.vartheta)))
 
 
 @dataclass(frozen=True)

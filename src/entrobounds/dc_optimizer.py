@@ -19,15 +19,15 @@ the states that still need it, and a state drops out of every later
 eigendecomposition once it has finished.  ``dc_minimize`` is the stack
 of one.
 
-kappa, the largest variation of D_C over states, has a certified
-bracket.  Its low end is exact: by Klein's inequality D(rho||gamma) >=
--log2 tr gamma, so min_rho D_C(rho) = -log2 T with T = max_i tr gamma_i,
-attained at gamma_i / tr gamma_i.  For every simplex point w,
-max_rho D_C(rho) <= max_rho D(rho||gamma(w)) = -log2 lambda_min(gamma(w)),
-and lambda_min(gamma(w)) is concave in w.  ``kappa_upper`` maximises it by
-projected Newton ascent and returns hi = -log2 lambda_min + log2 T at the
-best point; ``kappa_lower`` turns the solve of its minimum eigenvector
-|v*> into lo = D_C(v*) - gap + log2 T.
+kappa, the largest variation of D_C over states, has one certified
+bracket, ``kappa_bracket``.  Its low end is exact: by Klein's inequality
+D(rho||gamma) >= -log2 tr gamma, so min_rho D_C(rho) = -log2 T with
+T = max_i tr gamma_i, attained at gamma_i / tr gamma_i.  For every
+simplex point w, max_rho D_C(rho) <= max_rho D(rho||gamma(w)) =
+-log2 lambda_min(gamma(w)), and lambda_min(gamma(w)) is concave in w.  A
+projected Newton ascent maximises it; hi = -log2 lambda_min + log2 T at
+the best point, and the solve of its minimum eigenvector |v*> gives
+lo = D_C(v*) - gap + log2 T.
 """
 
 from __future__ import annotations
@@ -114,14 +114,20 @@ def _spectra(rho: np.ndarray, mix: np.ndarray):
     return lam, u, left @ u, q
 
 
+def _support(lam: np.ndarray) -> np.ndarray:
+    """Which eigenvalues of each mixture count as inside its support: those
+    above 1e-12 max(lambda_max, 1), the rule of ``relative_entropy``."""
+    lam0 = lam[:, :1]
+    thr = np.maximum(ZERO_EIGENVALUE_RTOL * np.maximum(lam0, 0.0),
+                     _EIG_FLOOR * np.maximum(np.abs(lam0), 1.0))
+    return lam > thr
+
+
 def _values(neg_s: np.ndarray, lam: np.ndarray, q: np.ndarray) -> np.ndarray:
     """D(rho || mixture) in bits from ``_spectra``; +inf outside the support."""
     if (lam[:, -1] < -1e-10).any():
         raise ValueError("gamma is not positive semidefinite")
-    lam0 = lam[:, :1]
-    thr = np.maximum(ZERO_EIGENVALUE_RTOL * np.maximum(lam0, 0.0),
-                     _EIG_FLOOR * np.maximum(np.abs(lam0), 1.0))
-    keep = lam > thr
+    keep = _support(lam)
     log_terms = np.where(keep, q * np.log2(np.where(keep, lam, 1.0)), 0.0)
     values = neg_s - log_terms.sum(axis=1)
     values[np.where(keep, 0.0, q).sum(axis=1) > _OUTSIDE_TOL] = math.inf
@@ -135,8 +141,7 @@ def _log2_divided_differences(lam: np.ndarray, q: np.ndarray):
     rows and columns outside the support, and the weight ``q`` of rho
     outside the support.
     """
-    thr = np.maximum(ZERO_EIGENVALUE_RTOL * np.maximum(lam[:, :1], 0.0), 1e-14)
-    support = lam > thr
+    support = _support(lam)
     outside = np.where(support, 0.0, q).sum(axis=1)
     # rows/cols outside the support never couple to rho when outside ~ 0;
     # safe is positive and a - b is nonzero off ``close``, so nothing here
@@ -455,43 +460,34 @@ def _max_min_eigenvalue(gens: np.ndarray, scale: float):
     return best
 
 
-def _log2_max_trace(model: ConvexSetModel) -> float:
-    """log2 T, T = max_i tr gamma_i: min_rho D_C(rho) = -log2 T (Klein)."""
-    return math.log2(max(g.trace() for g in model.generators))
-
-
-def kappa_upper(model: ConvexSetModel) -> tuple[float, DensityOperator]:
-    """Certified upper end ``hi`` of kappa, and the witness state of its
-    lower end.
+def kappa_bracket(model: ConvexSetModel, states=(), tol: float = 1e-6
+                  ) -> tuple[float, float, list[OptimizerResult]]:
+    """``(lo, hi, results)`` with lo <= kappa <= hi, certified.
 
     hi = -log2 lambda_min(gamma(w)) + log2 T at the best point w of the
     ascent, with lambda_min first lowered by a rounding allowance: eigh is
     backward stable, so the computed eigenvalue is that of a matrix within
     a small multiple of d eps ||gamma(w)|| of the mixture, and forming the
     mixture in floating point adds at most m d eps max_i ||gamma_i||.  hi
-    is +inf when no mixture is certifiably full rank.  The witness is
-    |v*><v*| for the minimum eigenvector v* at w.
+    is +inf when no mixture is certifiably full rank.  lo = value - gap +
+    log2 T from the solve of |v*><v*|, v* the minimum eigenvector at w:
+    D_C there is at least value - gap, and min D_C = -log2 T.  That solve
+    runs in one ``dc_minimize_stack`` after ``states``, whose results come
+    back in order.  An empty bracket (lo > hi) means a rounding error
+    beyond the allowance of hi and raises ``ArithmeticError``.
     """
     gens = _generators(model)
     m, d = gens.shape[:2]
     scale = max(g.eigenvalues[0] for g in model.generators)
     lam_min, v = _max_min_eigenvalue(gens, scale)
     lam_min -= 8 * d * (m + 1) * np.finfo(float).eps * scale
-    hi = -math.log2(lam_min) + _log2_max_trace(model) if lam_min > 0.0 else math.inf
-    return hi, DensityOperator.pure(v)
-
-
-def kappa_lower(model: ConvexSetModel, witness: OptimizerResult) -> float:
-    """Certified lower end ``lo`` of kappa from the solve of any state:
-    D_C there is at least ``value - gap``, and min D_C = -log2 T."""
-    return witness.value - witness.gap + _log2_max_trace(model)
-
-
-def kappa_bracket(model: ConvexSetModel) -> tuple[float, float]:
-    """``(lo, hi)`` with lo <= kappa <= hi: one ascent (``kappa_upper``)
-    and one solve of its witness state."""
-    hi, witness = kappa_upper(model)
-    return kappa_lower(model, dc_minimize(witness, model)), hi
+    log2_t = math.log2(max(g.trace() for g in model.generators))
+    hi = -math.log2(lam_min) + log2_t if lam_min > 0.0 else math.inf
+    *results, witness = dc_minimize_stack([*states, DensityOperator.pure(v)], model, tol=tol)
+    lo = witness.value - witness.gap + log2_t
+    if lo > hi:
+        raise ArithmeticError(f"empty kappa bracket [{lo!r}, {hi!r}]")
+    return lo, hi, results
 
 
 def estimate_kappa(model: ConvexSetModel, rng=None, n_probes: int = 200,

@@ -28,7 +28,7 @@ from .states import (
     _as_rng,
     partial_trace,
     pinching,
-    purification_vector,
+    pretty_good_purification,
     sample_state,
 )
 
@@ -419,8 +419,7 @@ def oscillator_tightness_witness(energy: float, epsilon: float,
     sol = solve_beta(h, energy)
     gamma = sol.state()
     d = gamma.dim
-    rho_vec = purification_vector(gamma)
-    rho = BipartiteState.pure(rho_vec, (d, d))
+    rho = pretty_good_purification(gamma)
     tau = partial_trace(rho, "B")
     sigma = BipartiteState(
         (1.0 - epsilon) * rho.mat + epsilon * np.kron(gamma.mat, tau.mat), (d, d)

@@ -25,9 +25,9 @@ from .linalg import fidelity, trace_distance
 from .states import BipartiteState, sample_pure_bipartite, sample_qc_state, sample_state
 
 REPORT_COLUMNS = ("suite", "case", "variant", "dim", "energy", "epsilon",
-                  "epsilon_prime", "lhs", "rhs", "slack", "valid", "kappa_estimated")
+                  "epsilon_prime", "lhs", "rhs", "slack", "valid")
 
-SCHEMA_LINE = "# entrobounds-report v1: " + ",".join(REPORT_COLUMNS)
+SCHEMA_LINE = "# entrobounds-report v2: " + ",".join(REPORT_COLUMNS)
 
 
 class ConfigError(ValueError):

@@ -189,10 +189,6 @@ def pretty_good_purification(rho: DensityOperator) -> BipartiteState:
     return BipartiteState.pure(vec, (rho.dim, rho.dim))
 
 
-def purification_vector(rho: DensityOperator) -> np.ndarray:
-    return rho.sqrt().mat.reshape(-1)
-
-
 def dephase_in_eigenbasis(rho: DensityOperator, sigma: DensityOperator):
     """Dephasing channel in the eigenbasis of rho.
 

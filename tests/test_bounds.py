@@ -21,7 +21,7 @@ from entrobounds.bounds import (
     tightness_witness_fannes,
 )
 from entrobounds import dc_optimizer
-from entrobounds.dc_optimizer import dc_minimize, kappa_upper
+from entrobounds.dc_optimizer import dc_minimize, kappa_bracket
 from entrobounds.entropies import conditional_entropy, von_neumann_entropy
 from entrobounds.linalg import trace_distance
 from entrobounds.states import BipartiteState, DensityOperator, sample_pure_bipartite, sample_state
@@ -147,7 +147,7 @@ class TestCheckers:
         # certified lhs is (up to the solver values, ~1e-11) the two gaps
         rng = np.random.default_rng(9)
         gens = [sample_state(3, 3, rng).mat for _ in range(3)]
-        model = ConvexSetModel(generators=gens, kappa=1.0)
+        model = ConvexSetModel(generators=gens)
         rho, sigma = (DensityOperator(sum(wi * g for wi, g in zip(w, gens)))
                       for w in ([0.2, 0.5, 0.3], rng.dirichlet(np.ones(3))))
         tol = 1e-6
@@ -165,23 +165,16 @@ class TestCheckers:
         gens = [sample_state(3, 3, rng).mat for _ in range(3)]
         rho, sigma = sample_state(3, 3, rng), sample_state(3, 3, rng)
         rep = check_dc(rho, sigma, ConvexSetModel(generators=gens))
-        hi, _ = kappa_upper(ConvexSetModel(generators=gens))
+        _, hi, _ = kappa_bracket(ConvexSetModel(generators=gens))
         assert rep.rhs == dc_bound(rep.epsilon, hi)
-        assert not rep.kappa_estimated
-        # a supplied kappa keeps its label; the witness state shares the
-        # stack of rho and sigma without changing their solves
-        given = check_dc(rho, sigma, ConvexSetModel(generators=gens, kappa=2.0,
-                                                     kappa_is_estimate=True))
-        assert given.kappa_estimated
-        assert given.rhs == dc_bound(rep.epsilon, 2.0)
-        assert given.lhs == rep.lhs
 
     def test_dc_empty_bracket_raises(self, monkeypatch):
         # an upper end below the solved witness is a failed certificate
         rng = np.random.default_rng(5)
         model = ConvexSetModel(generators=[sample_state(2, 2, rng).mat for _ in range(3)])
-        witness = kappa_upper(model)[1]
-        monkeypatch.setattr(dc_optimizer, "kappa_upper", lambda model: (0.0, witness))
+        ascent = dc_optimizer._max_min_eigenvalue
+        monkeypatch.setattr(dc_optimizer, "_max_min_eigenvalue",
+                            lambda gens, scale: (1e6, ascent(gens, scale)[1]))
         with pytest.raises(ArithmeticError, match="empty kappa bracket"):
             check_dc(sample_state(2, 2, rng), sample_state(2, 2, rng), model)
 

@@ -190,6 +190,16 @@ class TestObjectiveAndGradient:
         with pytest.raises(SingularMixtureError, match="support"):
             dc_gradient(rho, np.array([1.0, 0.0]), model)
 
+    def test_objective_and_gradient_share_one_support(self):
+        # 7e-13 is below 1e-12 max(lambda_max, 1) but above 1e-12 lambda_max:
+        # outside the support for the objective, hence for the gradient
+        model = ConvexSetModel(generators=[np.diag([0.5, 7e-13]), np.eye(2) / 2])
+        rho = DensityOperator.maximally_mixed(2)
+        w = np.array([1.0, 0.0])
+        assert dc_objective(rho, model, w) == math.inf
+        with pytest.raises(SingularMixtureError, match="support"):
+            dc_gradient(rho, w, model)
+
 
 class TestMinimizer:
     def test_qubit_closed_form(self):
@@ -437,7 +447,7 @@ class TestKappaBracket:
     def test_singleton_maximally_mixed(self):
         # C = {1/d}: D_C(rho) = log2 d - S(rho), so kappa = log2 d exactly
         for d in (2, 3):
-            lo, hi = kappa_bracket(ConvexSetModel(generators=[np.eye(d) / d]))
+            lo, hi, _ = kappa_bracket(ConvexSetModel(generators=[np.eye(d) / d]))
             assert lo <= math.log2(d) + 1e-14
             assert math.log2(d) <= hi <= math.log2(d) + 1e-12
 
@@ -451,7 +461,7 @@ class TestKappaBracket:
         gens = [np.kron(eye, np.outer(e, e)) for e in eye] + [np.eye(d * d) / d]
         model = ConvexSetModel(generators=gens)
         kappa = 2.0 * math.log2(d)
-        lo, hi = kappa_bracket(model)
+        lo, hi, _ = kappa_bracket(model)
         assert lo <= kappa <= hi <= kappa + 1e-12
         phi = DensityOperator.pure(np.eye(d).reshape(-1))
         assert dc_minimize(phi, model).value == pytest.approx(math.log2(d), abs=1e-6)
@@ -467,7 +477,7 @@ class TestKappaBracket:
                     for _ in range(m)]
             gens.append(sample_state(d, d, rng).mat)
             model = ConvexSetModel(generators=gens)
-            lo, hi = kappa_bracket(model)
+            lo, hi, _ = kappa_bracket(model)
             assert lo <= hi
             assert estimate_kappa(model, rng=rng, n_probes=10) <= hi + 1e-6
 
@@ -476,13 +486,34 @@ class TestKappaBracket:
         # 50 probes on the case's RNG stream into the rhs
         for case, d in enumerate((2, 3)):
             model, rng = _campaign_model(0, case, d)
-            lo, _ = kappa_bracket(model)
+            lo, _, _ = kappa_bracket(model)
             assert estimate_kappa(model, rng=rng, n_probes=50) < lo
 
     @pytest.mark.parametrize("seed, case, d", [(0, 0, 2), (0, 1, 3)]
                              + [(12, k, 2 + k // 3) for k in range(6)])
     def test_campaign_brackets_are_tight(self, seed, case, d):
         # dc_campaign (seed 0) and the criterion-12 dc suite (seed 12)
-        lo, hi = kappa_bracket(_campaign_model(seed, case, d)[0])
+        lo, hi, _ = kappa_bracket(_campaign_model(seed, case, d)[0])
         assert lo <= hi
         assert (hi - lo) / hi <= 0.01
+
+    def test_states_share_the_witness_stack(self):
+        # the bracket does not depend on the states solved beside its
+        # witness, and each of them is solved as it is alone
+        model, rng = _campaign_model(12, 4, 3)
+        rhos = [sample_state(3, 3, rng), sample_state(3, 3, rng)]
+        lo, hi, results = kappa_bracket(model, rhos)
+        lo_alone, hi_alone, none = kappa_bracket(model)
+        assert none == []
+        assert hi == hi_alone
+        assert abs(lo - lo_alone) <= 1e-12
+        TestLockstep.assert_matches_solo(rhos, model, results)
+
+    def test_empty_bracket_raises(self, monkeypatch):
+        # an ascent claiming too large a lambda_min puts hi below lo
+        model = _campaign_model(0, 0, 2)[0]
+        ascent = dc_optimizer._max_min_eigenvalue
+        monkeypatch.setattr(dc_optimizer, "_max_min_eigenvalue",
+                            lambda gens, scale: (1e6, ascent(gens, scale)[1]))
+        with pytest.raises(ArithmeticError, match="empty kappa bracket"):
+            kappa_bracket(model)

@@ -107,13 +107,15 @@ class TestCampaigns:
         cfg = CampaignConfig(suite="fannes", output=path, **SMALL)
         run_campaign(cfg)
         with open(path) as fh:
-            assert fh.readline().startswith("# entrobounds-report v1")
+            assert fh.readline().startswith("# entrobounds-report v2")
 
     def test_dc_suite_records_no_estimated_kappa(self):
+        # kappa comes only from the certified bracket, so no column labels it
         cfg = CampaignConfig(suite="dc", dims=(2,), samples=2, seed=0)
         report = run_campaign(cfg)
         assert report.records
-        assert not any(r["kappa_estimated"] for r in report.records)
+        header = render_report(report, "csv").split("\r\n")[1]
+        assert "kappa_estimated" not in header.split(",")
 
 
 class TestGibbsTable:
@@ -258,3 +260,37 @@ class TestCli:
         out = capsys.readouterr().out
         assert "quantum coupling" in out
         assert "diagonal coupling" in out
+
+    @pytest.mark.parametrize("argv", [
+        "witness fannes --out {out}",
+        "gibbs-table --energies 1 --format json --out {out}",
+        "coupling-demo --eps 0.1",
+    ])
+    def test_flag_the_subcommand_does_not_read_exits_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "r.txt"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv.format(out=out).split())
+        assert exc.value.code == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_config_key_the_subcommand_does_not_read_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("dims=2\nsamples=3\n")
+        rc = cli.main(["witness", "fannes", "--config", str(cfg)])
+        assert rc == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "samples" in captured.err
+        assert captured.out == ""
+
+    def test_verify_reads_every_config_key(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("dims=2\nenergies=1\neps=0.1\nsamples=2\nseed=5\ntol=1e-9\n"
+                       f"out={out}\nformat=json\n")
+        rc = cli.main(["verify", "fannes", "--config", str(cfg), "--samples", "3"])
+        assert rc == cli.EXIT_OK
+        assert "cases=3" in capsys.readouterr().out
+        assert len(json.loads(out.read_text())) == 3
