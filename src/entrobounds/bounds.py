@@ -154,8 +154,8 @@ def check_af(rho: BipartiteState, sigma: BipartiteState, classical_b: bool = Fal
     return BoundReport(variant=variant, dim=d_a, lhs=lhs, rhs=rhs, epsilon=eps)
 
 
-def check_dc(rho: DensityOperator, sigma: DensityOperator, model: ConvexSetModel,
-             tol: float = 1e-6) -> BoundReport:
+def check_dc(rho: DensityOperator, sigma: DensityOperator,
+             model: ConvexSetModel) -> BoundReport:
     """Continuity of the relative-entropy distance from the set.
 
     D_C values come from the Frank-Wolfe minimizer.  Each lies above the
@@ -169,7 +169,7 @@ def check_dc(rho: DensityOperator, sigma: DensityOperator, model: ConvexSetModel
     from .dc_optimizer import kappa_bracket
 
     eps = trace_distance(rho, sigma)
-    _, kappa, (res_rho, res_sigma) = kappa_bracket(model, [rho, sigma], tol)
+    _, kappa, (res_rho, res_sigma) = kappa_bracket(model, [rho, sigma])
     lhs = abs(res_rho.value - res_sigma.value) + res_rho.gap + res_sigma.gap
     rhs = dc_bound(min(eps, 1.0), kappa)
     return BoundReport(variant="dc_generic", dim=model.dim, lhs=lhs, rhs=rhs, epsilon=eps)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianOperator, _pure_vector, positive_part, trace_norm
+from .linalg import HermitianOperator, positive_part, trace_norm
 from .states import (
     BipartiteState,
     ClassicalDistribution,
@@ -70,11 +70,18 @@ class QuantumCoupling:
 
     @property
     def overlap_psi(self) -> float:
-        return float(abs(np.vdot(_pure_vector(self.psi), self.vartheta)))
+        return _overlap(self.psi, self.vartheta)
 
     @property
     def overlap_phi(self) -> float:
-        return float(abs(np.vdot(_pure_vector(self.phi), self.vartheta)))
+        return _overlap(self.phi, self.vartheta)
+
+
+def _overlap(pure: BipartiteState, vartheta: np.ndarray) -> float:
+    """|<v|vartheta>| for pure = |v><v|, with v read from the projector
+    factor: DensityOperator may divide the factor's eigenvalue by a trace
+    that rounding put off 1, never its vector."""
+    return float(abs(np.vdot(pure.factor[0][:, 0], vartheta)))
 
 
 @dataclass(frozen=True)

@@ -460,8 +460,8 @@ def _max_min_eigenvalue(gens: np.ndarray, scale: float):
     return best
 
 
-def kappa_bracket(model: ConvexSetModel, states=(), tol: float = 1e-6
-                  ) -> tuple[float, float, list[OptimizerResult]]:
+def kappa_bracket(model: ConvexSetModel,
+                  states=()) -> tuple[float, float, list[OptimizerResult]]:
     """``(lo, hi, results)`` with lo <= kappa <= hi, certified.
 
     hi = -log2 lambda_min(gamma(w)) + log2 T at the best point w of the
@@ -483,7 +483,7 @@ def kappa_bracket(model: ConvexSetModel, states=(), tol: float = 1e-6
     lam_min -= 8 * d * (m + 1) * np.finfo(float).eps * scale
     log2_t = math.log2(max(g.trace() for g in model.generators))
     hi = -math.log2(lam_min) + log2_t if lam_min > 0.0 else math.inf
-    *results, witness = dc_minimize_stack([*states, DensityOperator.pure(v)], model, tol=tol)
+    *results, witness = dc_minimize_stack([*states, DensityOperator.pure(v)], model)
     lo = witness.value - witness.gap + log2_t
     if lo > hi:
         raise ArithmeticError(f"empty kappa bracket [{lo!r}, {hi!r}]")

@@ -151,7 +151,7 @@ class TestCheckers:
         rho, sigma = (DensityOperator(sum(wi * g for wi, g in zip(w, gens)))
                       for w in ([0.2, 0.5, 0.3], rng.dirichlet(np.ones(3))))
         tol = 1e-6
-        rep = check_dc(rho, sigma, model, tol=tol)
+        rep = check_dc(rho, sigma, model)
         res_rho = dc_minimize(rho, model, tol=tol)
         res_sigma = dc_minimize(sigma, model, tol=tol)
         gaps = res_rho.gap + res_sigma.gap

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -139,6 +140,18 @@ class TestQuantumCoupling:
         assert qc.epsilon == 0.0
         assert qc.overlap_psi == pytest.approx(1.0, abs=1e-10)
         assert fidelity(qc.psi, qc.theta) == pytest.approx(1.0, abs=1e-9)
+
+    def test_overlaps_read_a_renormalised_factor(self):
+        # DensityOperator divides a factor's eigenvalue by a trace that is
+        # off 1 by more than 1e-14; the vector the overlaps read is unchanged
+        rng = np.random.default_rng(7)
+        qc = quantum_coupling(sample_state(3, 3, rng), sample_state(3, 3, rng))
+        v = qc.psi.factor[0][:, 0]
+        psi = BipartiteState(HermitianOperator.factored(v[:, None], [1.0 + 3e-14]), (3, 3))
+        assert psi.factor[1].tolist() != [1.0]
+        moved = dataclasses.replace(qc, phi=psi, psi=psi)
+        assert moved.overlap_psi == qc.overlap_psi
+        assert moved.overlap_phi == qc.overlap_psi
 
     def test_commuting_qubit_pair(self):
         rho = DensityOperator.diagonal([0.9, 0.1])
