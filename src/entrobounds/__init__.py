@@ -3,7 +3,7 @@
 Subpackages by theme:
 
 * :mod:`entrobounds.linalg`       -- Hermitian spectral calculus, norms, fidelity
-* :mod:`entrobounds.states`       -- density operators, channels, sampling
+* :mod:`entrobounds.states`       -- density operators, bipartite structure, sampling
 * :mod:`entrobounds.entropies`    -- entropy functionals (bits)
 * :mod:`entrobounds.couplings`    -- classical, quantum and diagonal couplings
 * :mod:`entrobounds.bounds`       -- closed-form bound evaluators and witnesses
@@ -22,17 +22,13 @@ from .linalg import (
 )
 from .states import (
     BipartiteState,
-    ClassicalDistribution,
     DensityOperator,
-    dephase_in_eigenbasis,
     maximally_entangled_state,
     partial_trace,
-    pinching,
     pretty_good_purification,
     sample_pure_bipartite,
     sample_qc_state,
     sample_state,
-    steering_povm,
 )
 from .entropies import (
     binary_entropy,

@@ -2,8 +2,7 @@
 
 Bound formulas (all in bits):
 
-* Fannes-Audenaert: eps log2(d-1) + h(eps) for eps <= 1 - 1/d, else log2 d;
-  simplified universal variant eps log2 d + h(eps).
+* Fannes-Audenaert: eps log2(d-1) + h(eps) for eps <= 1 - 1/d, else log2 d.
 * Tightened Alicki-Fannes for the conditional entropy:
   2 eps log2 d_A + (1+eps) h(eps/(1+eps)), coefficient eps instead of
   2 eps when both states are qc (or both cq).
@@ -78,13 +77,11 @@ class ConvexSetModel:
 # -- bound formulas ----------------------------------------------------------
 
 
-def fannes_audenaert_bound(epsilon: float, d: int, simplified: bool = False) -> float:
+def fannes_audenaert_bound(epsilon: float, d: int) -> float:
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon {epsilon!r} outside [0, 1]")
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    if simplified:
-        return epsilon * math.log2(d) + binary_entropy(epsilon)
     if epsilon > 1.0 - 1.0 / d:
         return math.log2(d)
     return epsilon * math.log2(d - 1) + binary_entropy(epsilon)

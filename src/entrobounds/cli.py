@@ -79,6 +79,7 @@ _SETTINGS = {
 
 
 def _build_parser():
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="entrobounds",
         description="Numerical verification of entropy continuity bounds.",
@@ -97,7 +98,7 @@ def _build_parser():
                          help="oscillator mode energies (hbar omega)")
     p_table.add_argument("--levels", type=_parse_floats, default=None,
                          help="explicit level list (overrides --modes)")
-    return parser
+    return parser, sub.choices
 
 
 def _settings(args):
@@ -230,7 +231,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        # the subcommand's own usage line lists the flags it does take
+        commands[args.command].error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return _COMMANDS[args.command][0](args, _settings(args))
     except (ConfigError, ValueError, OSError) as exc:

@@ -21,12 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import HermitianOperator, positive_part, trace_norm
-from .states import (
-    BipartiteState,
-    ClassicalDistribution,
-    DensityOperator,
-    vector_marginals,
-)
+from .states import BipartiteState, DensityOperator, vector_marginals
 
 _DEGENERATE_EPS = 1e-12
 
@@ -105,8 +100,7 @@ def maximal_classical_coupling(p, q) -> ClassicalCoupling:
     Achieves Pr{X != Y} = 0.5 * ||p - q||_1, the minimum over all
     couplings of p and q.
     """
-    pv = p.probs if isinstance(p, ClassicalDistribution) else np.asarray(p, float)
-    qv = q.probs if isinstance(q, ClassicalDistribution) else np.asarray(q, float)
+    pv, qv = np.asarray(p, float), np.asarray(q, float)
     if pv.shape != qv.shape:
         raise ValueError("distributions must have equal length")
     m = np.minimum(pv, qv)

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .linalg import as_operator
-from .states import BipartiteState, ClassicalDistribution, DensityOperator, partial_trace
+from .states import BipartiteState, DensityOperator, partial_trace
 
 LOG2_E = math.log2(math.e)
 
@@ -31,14 +31,7 @@ def von_neumann_entropy(rho) -> float:
 
 
 def shannon_entropy(p) -> float:
-    probs = p.probs if isinstance(p, ClassicalDistribution) else np.asarray(p, float)
-    return _h_terms(probs)
-
-
-def conditional_shannon(joint) -> float:
-    """H(X|Y) = H(XY) - H(Y) for a joint probability matrix joint[x, y]."""
-    joint = np.asarray(joint, dtype=float)
-    return _h_terms(joint.reshape(-1)) - _h_terms(joint.sum(axis=0))
+    return _h_terms(p)
 
 
 def binary_entropy(x: float) -> float:

@@ -21,13 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropies import LOG2_E, binary_entropy, clipped_binary, shannon_entropy
-from .linalg import HermitianOperator
 from .states import (
     BipartiteState,
     DensityOperator,
     _as_rng,
     partial_trace,
-    pinching,
     pretty_good_purification,
     sample_state,
 )
@@ -328,18 +326,21 @@ def cutoff_decompose(state, hamiltonian: HamiltonianSpec, energy: float,
             f"state energy {e_state!r} exceeds the constraint {energy!r}"
         )
     cutoff = energy / delta
-    mask = (levels <= cutoff).astype(float)
-    proj = np.diag(np.repeat(mask, d_b)) if d_b > 1 else np.diag(mask)
-    dec = pinching(state, HermitianOperator(proj))
-    state_le, state_gt = dec.state_le, dec.state_gt
-    if bipartite:
-        if state_le is not None:
-            state_le = BipartiteState(state_le, state.dims)
-        if state_gt is not None:
-            state_gt = BipartiteState(state_gt, state.dims)
+    # P rho P and Q rho Q for the diagonal 0/1 projector P and Q = 1 - P
+    below = np.repeat(levels <= cutoff, d_b)
+    low = np.where(np.outer(below, below), state.mat, 0.0)
+    high = np.where(np.outer(~below, ~below), state.mat, 0.0)
+    lam = min(max(float(np.real(np.trace(high))), 0.0), 1.0)
+    make = (lambda m: BipartiteState(m, state.dims)) if bipartite else DensityOperator
+    state_le = make(low / (1.0 - lam)) if lam < 1.0 - 1e-12 else None
+    state_gt = make(high / lam) if lam > 1e-12 else None
+    if state_le is None:
+        lam = 1.0
+    if state_gt is None:
+        lam = 0.0
     return CutoffDecomposition(
         cutoff=cutoff,
-        weight_gt=dec.weight_gt,
+        weight_gt=lam,
         state_le=state_le,
         state_gt=state_gt,
         mean_energy=e_state,

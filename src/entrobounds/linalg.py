@@ -225,10 +225,8 @@ def trace_norm(op) -> float:
     return float(np.linalg.svd(np.asarray(op, dtype=complex), compute_uv=False).sum())
 
 
-def operator_norm(op) -> float:
-    if isinstance(op, HermitianOperator):
-        return float(np.abs(op.eigenvalues).max())
-    return float(np.linalg.norm(np.asarray(op, dtype=complex), 2))
+def operator_norm(op: HermitianOperator) -> float:
+    return float(np.abs(op.eigenvalues).max())
 
 
 def positive_part(op: HermitianOperator) -> HermitianOperator:

@@ -1,4 +1,4 @@
-"""Density operators, bipartite structure, channels and state sampling.
+"""Density operators, bipartite structure and state sampling.
 
 A state is its operator: :class:`DensityOperator` subclasses
 :class:`~entrobounds.linalg.HermitianOperator` and
@@ -12,11 +12,9 @@ Transposes are always taken in this fixed computational basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linalg import HermitianOperator, _frozen, trace_norm
+from .linalg import HermitianOperator, _frozen
 
 
 class StateValidationError(ValueError):
@@ -105,52 +103,6 @@ class BipartiteState(DensityOperator):
         return f"BipartiteState(dims={self.dims})"
 
 
-@dataclass(frozen=True)
-class ClassicalDistribution:
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if (p < -1e-12).any():
-            raise StateValidationError("negative probability")
-        s = p.sum()
-        if abs(s - 1.0) > 1e-9:
-            raise StateValidationError(f"probabilities sum to {s!r}")
-        object.__setattr__(self, "probs", np.clip(p, 0.0, None) / max(s, 1e-300))
-
-    def __len__(self):
-        return len(self.probs)
-
-
-@dataclass(frozen=True)
-class SteeringPOVM:
-    """POVM (M_x) on the purifying system realizing a convex decomposition."""
-
-    elements: list
-    weights: np.ndarray
-
-
-@dataclass(frozen=True)
-class PinchingDecomposition:
-    """Result of the pinching channel T(rho) = P rho P + Q rho Q.
-
-    ``weight_gt`` is the probability mass on the upper block; absent
-    components (weight 0 or 1) are ``None`` rather than fabricated.
-    """
-
-    weight_gt: float
-    state_le: DensityOperator | None
-    state_gt: DensityOperator | None
-
-    def reconstruct(self, dim: int) -> np.ndarray:
-        out = np.zeros((dim, dim), dtype=complex)
-        if self.state_le is not None:
-            out += (1.0 - self.weight_gt) * self.state_le.mat
-        if self.state_gt is not None:
-            out += self.weight_gt * self.state_gt.mat
-        return out
-
-
 # -- structural operations -------------------------------------------------
 
 
@@ -187,82 +139,6 @@ def pretty_good_purification(rho: DensityOperator) -> BipartiteState:
     """
     vec = rho.sqrt().mat.reshape(-1)  # row-major flatten == (sqrt(rho) (x) 1)|Phi>
     return BipartiteState.pure(vec, (rho.dim, rho.dim))
-
-
-def dephase_in_eigenbasis(rho: DensityOperator, sigma: DensityOperator):
-    """Dephasing channel in the eigenbasis of rho.
-
-    Returns (p, q): p is the spectrum of rho, q the diagonal of sigma in
-    rho's eigenbasis.  The map is CPTP, so ||p - q||_1 <= ||rho - sigma||_1.
-    """
-    if rho.dim != sigma.dim:
-        raise ValueError("dimension mismatch")
-    u = rho.eigenvectors
-    p = ClassicalDistribution(rho.eigenvalues)
-    q = ClassicalDistribution(np.real(np.diag(u.conj().T @ sigma.mat @ u)))
-    return p, q
-
-
-def pinching(state: DensityOperator, projector: HermitianOperator) -> PinchingDecomposition:
-    """Apply the pinching map of an (energy-cutoff) projector.
-
-    T(rho) = P rho P + (1-P) rho (1-P), returned as the convex split
-    (1 - lambda) rho_le + lambda rho_gt with normalized block states.
-    """
-    p = projector.mat
-    if np.abs(p @ p - p).max() > 1e-10:
-        raise ValueError("projector is not idempotent")
-    q = np.eye(state.dim) - p
-    low = p @ state.mat @ p
-    high = q @ state.mat @ q
-    lam = float(np.real(np.trace(high)))
-    lam = min(max(lam, 0.0), 1.0)
-    state_le = DensityOperator(low / (1.0 - lam)) if lam < 1.0 - 1e-12 else None
-    state_gt = DensityOperator(high / lam) if lam > 1e-12 else None
-    if state_le is None:
-        lam = 1.0
-    if state_gt is None:
-        lam = 0.0
-    return PinchingDecomposition(weight_gt=lam, state_le=state_le, state_gt=state_gt)
-
-
-def steering_povm(psi: BipartiteState, decomposition) -> SteeringPOVM:
-    """POVM on the purifying factor steering to a given decomposition.
-
-    ``psi`` is a pure state on A (x) R whose A-marginal is sigma, and
-    ``decomposition`` a list of (p_x, sigma_x DensityOperator) with
-    sum_x p_x sigma_x = sigma.  Elements are
-    M_x = (sigma^T)^{-1/2} p_x sigma_x^T (sigma^T)^{-1/2}
-    with support-restricted inverses; they satisfy
-    p_x sigma_x = tr_R psi (1 (x) M_x) and sum to the support projector
-    of sigma^T.
-    """
-    sigma = partial_trace(psi, "A")
-    mix = sum(p * s.mat for p, s in decomposition)
-    resid = trace_norm(HermitianOperator(mix - sigma.mat))
-    if resid > 1e-9:
-        raise StateValidationError(
-            f"decomposition does not average to sigma (residual {resid:.3e})"
-        )
-    sigma_t = HermitianOperator(sigma.mat.T)
-    isq = sigma_t.inv_sqrt_support().mat
-    elements = []
-    weights = []
-    for p, s in decomposition:
-        elements.append(HermitianOperator(isq @ (p * s.mat.T) @ isq))
-        weights.append(float(p))
-    return SteeringPOVM(elements=elements, weights=np.asarray(weights))
-
-
-def steer(psi: BipartiteState, element: HermitianOperator) -> np.ndarray:
-    """tr_R [ psi (1 (x) M) ] as a raw (sub-normalized) matrix."""
-    d_a, d_r = psi.dims
-    # psi is pure: extract its vector as the dominant eigenvector
-    lam, u = psi.eigenvalues, psi.eigenvectors
-    if lam[0] < 1.0 - 1e-9:
-        raise StateValidationError("steer() requires a pure bipartite state")
-    v = u[:, 0].reshape(d_a, d_r)
-    return v @ element.mat.T @ v.conj().T
 
 
 # -- sampling ----------------------------------------------------------------

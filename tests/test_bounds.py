@@ -28,7 +28,6 @@ from entrobounds.states import BipartiteState, DensityOperator, sample_pure_bipa
 
 # independently computed reference values (40-digit arithmetic)
 FANNES_01_4 = 0.62749184366139684
-FANNES_SIMPL_01_4 = 0.66899559358928122
 AF_01_2 = 0.68344668561366463
 AF_CQ_01_2 = 0.58344668561366463
 DC_02_K3 = 1.3800269059780251
@@ -42,8 +41,6 @@ AF_GAP_8_01 = 1.0667235859392729
 class TestFormulas:
     def test_fannes_values(self):
         assert fannes_audenaert_bound(0.1, 4) == pytest.approx(FANNES_01_4, abs=1e-13)
-        assert fannes_audenaert_bound(0.1, 4, simplified=True) == pytest.approx(
-            FANNES_SIMPL_01_4, abs=1e-13)
 
     def test_fannes_piecewise_branch(self):
         # past eps = 1 - 1/d the bound is the constant log2 d

@@ -8,7 +8,6 @@ from entrobounds.entropies import (
     binary_entropy,
     clipped_binary,
     conditional_entropy,
-    conditional_shannon,
     gibbs_entropy_g,
     relative_entropy,
     shannon_entropy,
@@ -88,13 +87,6 @@ class TestShannonAndBinary:
         assert clipped_binary(0.25) == pytest.approx(H_025, abs=1e-14)
         with pytest.raises(ValueError, match="negative"):
             clipped_binary(-0.1)
-
-    def test_conditional_shannon_independent(self):
-        joint = np.outer([0.25, 0.75], [0.4, 0.6])  # joint[x, y] = p_x q_y
-        assert conditional_shannon(joint) == pytest.approx(H_025, abs=1e-12)
-
-    def test_conditional_shannon_deterministic(self):
-        assert conditional_shannon(np.diag([0.3, 0.7])) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestConditionalEntropy:

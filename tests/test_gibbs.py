@@ -11,7 +11,7 @@ from entrobounds.entropies import (
     von_neumann_entropy,
 )
 from entrobounds.linalg import trace_distance
-from entrobounds.states import BipartiteState, DensityOperator
+from entrobounds.states import BipartiteState, DensityOperator, sample_state
 from entrobounds.gibbs import (
     CutoffDecomposition,
     EnergyDomainError,
@@ -258,6 +258,25 @@ class TestCutoff:
         assert dec.weight_gt == 0.0
         assert dec.state_gt is None
         np.testing.assert_allclose(dec.state_le.mat, rho.mat, atol=1e-12)
+
+    def test_diagonal_state_split(self):
+        h = HamiltonianSpec.explicit([0.0, 1.0, 2.0])
+        rho = DensityOperator.diagonal([0.5, 0.3, 0.2])
+        dec = cutoff_decompose(rho, h, 0.7, 0.5)
+        assert dec.weight_gt == pytest.approx(0.2, abs=1e-14)
+        np.testing.assert_allclose(np.diag(dec.state_le.mat).real,
+                                   [0.625, 0.375, 0.0], atol=1e-12)
+        np.testing.assert_allclose(np.diag(dec.state_gt.mat).real,
+                                   [0.0, 0.0, 1.0], atol=1e-12)
+
+    def test_reconstruction_matches_pinched_state(self):
+        h = HamiltonianSpec.explicit([0.0, 1.0, 4.0, 5.0])
+        rho = sample_state(4, 4, np.random.default_rng(4))
+        dec = cutoff_decompose(rho, h, 3.5, 0.9)
+        p = np.diag([1.0, 1.0, 0.0, 0.0])
+        q = np.eye(4) - p
+        recon = (1 - dec.weight_gt) * dec.state_le.mat + dec.weight_gt * dec.state_gt.mat
+        np.testing.assert_allclose(recon, p @ rho.mat @ p + q @ rho.mat @ q, atol=1e-12)
 
     def test_energy_constraint_enforced(self):
         h = HamiltonianSpec.explicit([0.0, 1.0, 2.0])

@@ -273,6 +273,7 @@ class TestCli:
         assert exc.value.code == cli.EXIT_CONFIG
         captured = capsys.readouterr()
         assert "unrecognized arguments" in captured.err
+        assert f"usage: entrobounds {argv.split()[0]}" in captured.err
         assert captured.out == ""
         assert not out.exists()
 

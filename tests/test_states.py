@@ -2,22 +2,18 @@ import numpy as np
 import pytest
 
 from entrobounds.entropies import von_neumann_entropy
-from entrobounds.linalg import HermitianOperator, trace_distance, trace_norm
+from entrobounds.linalg import HermitianOperator
 from entrobounds.states import (
     BipartiteState,
     DensityOperator,
     StateValidationError,
-    dephase_in_eigenbasis,
     maximally_entangled_state,
     partial_trace,
-    pinching,
     pretty_good_purification,
     sample_pure_bipartite,
     sample_pure_state,
     sample_qc_state,
     sample_state,
-    steer,
-    steering_povm,
     vector_marginals,
 )
 
@@ -111,98 +107,6 @@ class TestPurification:
         psi = pretty_good_purification(rho)
         np.testing.assert_allclose(partial_trace(psi, "A").mat, rho.mat, atol=1e-10)
         np.testing.assert_allclose(partial_trace(psi, "B").mat, rho.mat.T, atol=1e-10)
-
-
-class TestDephasing:
-    def test_commuting_case_is_identity(self):
-        rho = DensityOperator.diagonal([0.7, 0.3])
-        sigma = DensityOperator.diagonal([0.5, 0.5])
-        p, q = dephase_in_eigenbasis(rho, sigma)
-        np.testing.assert_allclose(sorted(p.probs), [0.3, 0.7], atol=1e-14)
-        np.testing.assert_allclose(q.probs, [0.5, 0.5], atol=1e-14)
-
-    def test_contracts_trace_distance(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            rho = sample_state(4, 4, rng)
-            sigma = sample_state(4, 4, rng)
-            p, q = dephase_in_eigenbasis(rho, sigma)
-            classical = 0.5 * np.abs(p.probs - q.probs).sum()
-            assert classical <= trace_distance(rho, sigma) + 1e-10
-
-    def test_raises_entropy_of_second_argument(self):
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            rho = sample_state(3, 3, rng)
-            sigma = sample_state(3, 3, rng)
-            _, q = dephase_in_eigenbasis(rho, sigma)
-            assert von_neumann_entropy(DensityOperator.diagonal(q.probs)) \
-                >= von_neumann_entropy(sigma) - 1e-10
-
-
-class TestPinching:
-    def test_diagonal_state_split(self):
-        rho = DensityOperator.diagonal([0.5, 0.3, 0.2])
-        proj = HermitianOperator.diagonal([1.0, 1.0, 0.0])
-        dec = pinching(rho, proj)
-        assert dec.weight_gt == pytest.approx(0.2, abs=1e-14)
-        np.testing.assert_allclose(np.diag(dec.state_le.mat).real,
-                                   [0.625, 0.375, 0.0], atol=1e-12)
-        np.testing.assert_allclose(np.diag(dec.state_gt.mat).real,
-                                   [0.0, 0.0, 1.0], atol=1e-12)
-
-    def test_identity_projector(self):
-        rho = DensityOperator.maximally_mixed(3)
-        dec = pinching(rho, HermitianOperator(np.eye(3)))
-        assert dec.weight_gt == 0.0
-        assert dec.state_gt is None
-        np.testing.assert_allclose(dec.state_le.mat, rho.mat, atol=1e-14)
-
-    def test_reconstruction_matches_pinched_state(self):
-        rng = np.random.default_rng(4)
-        rho = sample_state(4, 4, rng)
-        p = np.diag([1.0, 1.0, 0.0, 0.0])
-        dec = pinching(rho, HermitianOperator(p))
-        q = np.eye(4) - p
-        expected = p @ rho.mat @ p + q @ rho.mat @ q
-        np.testing.assert_allclose(dec.reconstruct(4), expected, atol=1e-12)
-
-    def test_non_idempotent_rejected(self):
-        with pytest.raises(ValueError, match="idempotent"):
-            pinching(DensityOperator.maximally_mixed(2),
-                     HermitianOperator(np.diag([0.5, 0.5])))
-
-
-class TestSteering:
-    def test_computational_decomposition_of_maximally_mixed(self):
-        psi = maximally_entangled_state(2)
-        decomposition = [(0.5, DensityOperator.diagonal([1.0, 0.0])),
-                         (0.5, DensityOperator.diagonal([0.0, 1.0]))]
-        povm = steering_povm(psi, decomposition)
-        np.testing.assert_allclose(povm.elements[0].mat, np.diag([1.0, 0.0]), atol=1e-12)
-        np.testing.assert_allclose(povm.elements[1].mat, np.diag([0.0, 1.0]), atol=1e-12)
-
-    def test_random_decomposition_is_steered_exactly(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            states = [sample_state(3, 3, rng) for _ in range(3)]
-            w = rng.dirichlet(np.ones(3))
-            sigma = DensityOperator(sum(wi * s.mat for wi, s in zip(w, states)))
-            psi = pretty_good_purification(sigma)
-            povm = steering_povm(psi, list(zip(w, states)))
-            total = np.zeros((3, 3), dtype=complex)
-            for (wi, s), m in zip(zip(w, states), povm.elements):
-                out = steer(psi, m)
-                np.testing.assert_allclose(out, wi * s.mat, atol=1e-9)
-                total += m.mat
-            # elements sum to the support projector of sigma^T
-            np.testing.assert_allclose(total, np.eye(3), atol=1e-9)
-
-    def test_rejects_inconsistent_decomposition(self):
-        psi = maximally_entangled_state(2)
-        bad = [(1.0, DensityOperator.diagonal([1.0, 0.0]))]
-        with pytest.raises(StateValidationError, match="average"):
-            steering_povm(psi, bad)
 
 
 class TestSampling:
