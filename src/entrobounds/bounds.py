@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropies import binary_entropy, conditional_entropy, von_neumann_entropy
-from .linalg import HermitianOperator, as_operator, trace_distance
+from .linalg import PSD_ATOL, HermitianOperator, as_operator, trace_distance
 from .states import BipartiteState, DensityOperator, maximally_entangled_state, partial_trace
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ class ConvexSetModel:
         gens = [as_operator(g) for g in self.generators]
         object.__setattr__(self, "generators", gens)
         for g in gens:
-            if g.eigenvalues[-1] < -1e-10:
+            if g.eigenvalues[-1] < -PSD_ATOL:
                 raise ValueError("generators must be PSD")
         if not any(g.eigenvalues[-1] > 1e-10 for g in gens):
             raise ValueError("need at least one full-rank generator")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianOperator, positive_part, trace_norm
+from .linalg import HermitianOperator, positive_part, rank_one_factor, trace_norm
 from .states import BipartiteState, DensityOperator, vector_marginals
 
 _DEGENERATE_EPS = 1e-12
@@ -73,10 +73,8 @@ class QuantumCoupling:
 
 
 def _overlap(pure: BipartiteState, vartheta: np.ndarray) -> float:
-    """|<v|vartheta>| for pure = |v><v|, with v read from the projector
-    factor: DensityOperator may divide the factor's eigenvalue by a trace
-    that rounding put off 1, never its vector."""
-    return float(abs(np.vdot(pure.factor[0][:, 0], vartheta)))
+    """|<v|vartheta>| for pure = |v><v|, with v read from its factor."""
+    return float(abs(np.vdot(rank_one_factor(pure)[0], vartheta)))
 
 
 @dataclass(frozen=True)

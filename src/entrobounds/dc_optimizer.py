@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import ConvexSetModel
-from .entropies import _EIG_FLOOR, von_neumann_entropy
-from .linalg import ZERO_EIGENVALUE_RTOL
+from .entropies import von_neumann_entropy
+from .linalg import OUTSIDE_SUPPORT_ATOL, PSD_ATOL, support_mask
 from .states import DensityOperator, sample_pure_state, _as_rng
 
 # The line search stops once |f'(t)| <= _SLOPE_RTOL |f'(0)|, or once its
@@ -50,8 +50,6 @@ _STEP_RTOL = 1e-12
 _LINE_SEARCH_ITERS = 100
 # Frank-Wolfe iterations after which a solve stops unconverged.
 _MAX_ITERS = 2000
-# Weight of rho outside the mixture support above which D is +inf.
-_OUTSIDE_TOL = 1e-10
 # The ascent of lambda_min smooths it at a temperature that starts at
 # _SMOOTHING[0] times the largest generator eigenvalue and falls with the
 # ascent's gap, down to _SMOOTHING[1] times it.  The ascent stops once its
@@ -114,23 +112,14 @@ def _spectra(rho: np.ndarray, mix: np.ndarray):
     return lam, u, left @ u, q
 
 
-def _support(lam: np.ndarray) -> np.ndarray:
-    """Which eigenvalues of each mixture count as inside its support: those
-    above 1e-12 max(lambda_max, 1), the rule of ``relative_entropy``."""
-    lam0 = lam[:, :1]
-    thr = np.maximum(ZERO_EIGENVALUE_RTOL * np.maximum(lam0, 0.0),
-                     _EIG_FLOOR * np.maximum(np.abs(lam0), 1.0))
-    return lam > thr
-
-
 def _values(neg_s: np.ndarray, lam: np.ndarray, q: np.ndarray) -> np.ndarray:
     """D(rho || mixture) in bits from ``_spectra``; +inf outside the support."""
-    if (lam[:, -1] < -1e-10).any():
+    if (lam[:, -1] < -PSD_ATOL).any():
         raise ValueError("gamma is not positive semidefinite")
-    keep = _support(lam)
+    keep = support_mask(lam)
     log_terms = np.where(keep, q * np.log2(np.where(keep, lam, 1.0)), 0.0)
     values = neg_s - log_terms.sum(axis=1)
-    values[np.where(keep, 0.0, q).sum(axis=1) > _OUTSIDE_TOL] = math.inf
+    values[np.where(keep, 0.0, q).sum(axis=1) > OUTSIDE_SUPPORT_ATOL] = math.inf
     return values
 
 
@@ -141,7 +130,7 @@ def _log2_divided_differences(lam: np.ndarray, q: np.ndarray):
     rows and columns outside the support, and the weight ``q`` of rho
     outside the support.
     """
-    support = _support(lam)
+    support = support_mask(lam)
     outside = np.where(support, 0.0, q).sum(axis=1)
     # rows/cols outside the support never couple to rho when outside ~ 0;
     # safe is positive and a - b is nonzero off ``close``, so nothing here
@@ -166,7 +155,7 @@ def _contract(rho_tilde: np.ndarray, dd: np.ndarray, x_tilde: np.ndarray) -> np.
 def _gradients(gens, lam, u, rho_tilde, q) -> np.ndarray:
     """Gradients (n, m) of w -> D(rho || gamma(w)) from ``_spectra``."""
     dd, outside = _log2_divided_differences(lam, q)
-    if (outside > _OUTSIDE_TOL).any():
+    if (outside > OUTSIDE_SUPPORT_ATOL).any():
         raise SingularMixtureError(
             f"rho has weight {outside.max():.3e} outside the mixture support"
         )
@@ -181,7 +170,7 @@ def _slopes(rho: np.ndarray, mix: np.ndarray, d_mix: np.ndarray) -> np.ndarray:
     lam, u, rho_tilde, q = _spectra(rho, mix)
     dd, outside = _log2_divided_differences(lam, q)
     slopes = _contract(rho_tilde, dd, _adjoint(u) @ d_mix @ u)
-    slopes[outside > _OUTSIDE_TOL] = math.inf
+    slopes[outside > OUTSIDE_SUPPORT_ATOL] = math.inf
     return slopes
 
 

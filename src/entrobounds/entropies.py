@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .linalg import as_operator
+from .linalg import OUTSIDE_SUPPORT_ATOL, PSD_ATOL, as_operator, support_mask
 from .states import BipartiteState, DensityOperator, partial_trace
 
 LOG2_E = math.log2(math.e)
@@ -65,14 +65,13 @@ def relative_entropy(rho: DensityOperator, gamma) -> float:
     rho_op = as_operator(rho)
     lam = gamma_op.eigenvalues
     u = gamma_op.eigenvectors
-    thr = max(gamma_op.zero_threshold(), _EIG_FLOOR * max(abs(lam[0]), 1.0))
-    if lam[-1] < -1e-10:
+    if lam[-1] < -PSD_ATOL:
         raise ValueError("gamma is not positive semidefinite")
-    keep = lam > thr
+    keep = support_mask(lam)
     # weight of rho outside supp(gamma) decides finiteness
     rho_diag = np.real(np.einsum("ij,ji->i", u.conj().T @ rho_op.mat, u))
     outside = rho_diag[~keep].sum()
-    if outside > 1e-10:
+    if outside > OUTSIDE_SUPPORT_ATOL:
         return math.inf
     log_gamma_term = float((rho_diag[keep] * np.log2(lam[keep])).sum())
     return -von_neumann_entropy(rho_op) - log_gamma_term

@@ -1,12 +1,13 @@
 """Gibbs states, partition functions and energy-constrained continuity bounds.
 
-Hamiltonians come in two kinds:
+A Hamiltonian is one of:
 
-* ``explicit_levels``: a finite ascending list of energies with ground
+* explicit levels: a finite ascending list of energies with ground
   level exactly 0;
-* ``oscillator_modes``: ell harmonic modes, H = sum_i hbar omega_i n_i,
-  with a per-mode Fock cutoff for matrix-form work and exact geometric
-  closed forms (Z, mean energy) for the untruncated model.
+* oscillator modes, when ``hbar_omegas`` is given: ell harmonic modes,
+  H = sum_i hbar omega_i n_i, with a per-mode Fock cutoff for
+  matrix-form work and exact geometric closed forms (Z, mean energy)
+  for the untruncated model.
 
 The inverse temperature beta(E) solves tr e^{-beta H}(H - E) = 0 by
 bisection (the mean energy is strictly decreasing in beta).  Entropies
@@ -43,13 +44,14 @@ class TruncationError(ValueError):
 
 
 class HamiltonianSpec:
-    """Discrete-spectrum Hamiltonian with ground energy 0."""
+    """Discrete-spectrum Hamiltonian with ground energy 0: oscillator
+    modes when ``hbar_omegas`` is given, explicit ``levels`` otherwise."""
 
-    __slots__ = ("kind", "levels", "hbar_omegas", "n_max")
+    __slots__ = ("levels", "hbar_omegas", "n_max")
 
-    def __init__(self, kind, levels=None, hbar_omegas=None, n_max=None):
-        self.kind = kind
-        if kind == "explicit_levels":
+    def __init__(self, levels=None, hbar_omegas=None, n_max=None):
+        self.hbar_omegas = self.n_max = None
+        if hbar_omegas is None:
             lv = np.asarray(levels, dtype=float)
             if lv.ndim != 1 or len(lv) < 1:
                 raise ValueError("need a 1-D level list")
@@ -57,30 +59,24 @@ class HamiltonianSpec:
                 raise ValueError("ground state energy must be exactly 0")
             if (np.diff(lv) < 0).any():
                 raise ValueError("levels must be ascending")
-            self.levels = lv
-            self.hbar_omegas = None
-            self.n_max = None
-        elif kind == "oscillator_modes":
+        else:
             w = np.asarray(hbar_omegas, dtype=float)
             if (w <= 0).any():
                 raise ValueError("mode energies must be positive")
-            self.hbar_omegas = w
-            self.n_max = int(n_max) if n_max is not None else 64
+            self.hbar_omegas, self.n_max = w, int(n_max)
             # product-basis energies, last mode minor index
             lv = np.zeros(1)
             for hw in w:
                 lv = (lv[:, None] + hw * np.arange(self.n_max + 1)[None, :]).reshape(-1)
-            self.levels = lv
-        else:
-            raise ValueError(f"unknown Hamiltonian kind {kind!r}")
+        self.levels = lv
 
     @classmethod
     def explicit(cls, levels) -> "HamiltonianSpec":
-        return cls("explicit_levels", levels=levels)
+        return cls(levels=levels)
 
     @classmethod
     def oscillators(cls, hbar_omegas, n_max: int = 64) -> "HamiltonianSpec":
-        return cls("oscillator_modes", hbar_omegas=hbar_omegas, n_max=n_max)
+        return cls(hbar_omegas=hbar_omegas, n_max=n_max)
 
     @property
     def dim(self) -> int:
@@ -92,12 +88,12 @@ class HamiltonianSpec:
 
     def max_mean_energy(self) -> float:
         """Supremum of attainable Gibbs mean energies (beta -> 0 limit)."""
-        if self.kind == "explicit_levels":
+        if self.hbar_omegas is None:
             return float(self.levels.mean())
         return math.inf
 
     def __repr__(self):
-        if self.kind == "explicit_levels":
+        if self.hbar_omegas is None:
             return f"HamiltonianSpec(explicit_levels, dim={self.dim})"
         return f"HamiltonianSpec(oscillators={list(self.hbar_omegas)}, n_max={self.n_max})"
 
@@ -107,14 +103,14 @@ def partition_function(hamiltonian: HamiltonianSpec, beta: float) -> float:
     product for (untruncated) oscillator modes."""
     if beta <= 0:
         raise EnergyDomainError(f"beta must be positive, got {beta!r}")
-    if hamiltonian.kind == "explicit_levels":
+    if hamiltonian.hbar_omegas is None:
         return float(np.exp(-beta * hamiltonian.levels).sum())
     return float(np.prod(1.0 / (1.0 - np.exp(-beta * hamiltonian.hbar_omegas))))
 
 
 def truncation_tail(hamiltonian: HamiltonianSpec, beta: float) -> float:
     """Relative Gibbs mass lost to the per-mode Fock cutoff."""
-    if hamiltonian.kind == "explicit_levels":
+    if hamiltonian.hbar_omegas is None:
         return 0.0
     q = np.exp(-beta * hamiltonian.hbar_omegas)
     return float(1.0 - np.prod(1.0 - q ** (hamiltonian.n_max + 1)))
@@ -123,7 +119,7 @@ def truncation_tail(hamiltonian: HamiltonianSpec, beta: float) -> float:
 def mean_energy(hamiltonian: HamiltonianSpec, beta: float) -> float:
     if beta <= 0:
         raise EnergyDomainError(f"beta must be positive, got {beta!r}")
-    if hamiltonian.kind == "explicit_levels":
+    if hamiltonian.hbar_omegas is None:
         w = np.exp(-beta * hamiltonian.levels)
         return float((hamiltonian.levels * w).sum() / w.sum())
     hw = hamiltonian.hbar_omegas
@@ -368,16 +364,12 @@ def sample_energy_constrained(hamiltonian: HamiltonianSpec, energy: float,
         raise EnergyDomainError(f"no levels at or below energy {energy!r}")
     k = len(idx)
     dim = len(levels)
-    if d_b is None:
-        small = sample_state(k, k, rng).mat
-        full = np.zeros((dim, dim), dtype=complex)
-        full[np.ix_(idx, idx)] = small
-        return DensityOperator(full)
-    small = sample_state(k * d_b, k * d_b, rng).mat
-    flat = np.array([i * d_b + j for i in idx for j in range(d_b)])
-    full = np.zeros((dim * d_b, dim * d_b), dtype=complex)
+    d = 1 if d_b is None else d_b
+    small = sample_state(k * d, k * d, rng).mat
+    flat = (idx[:, None] * d + np.arange(d)).ravel()
+    full = np.zeros((dim * d, dim * d), dtype=complex)
     full[np.ix_(flat, flat)] = small
-    return BipartiteState(full, (dim, d_b))
+    return DensityOperator(full) if d_b is None else BipartiteState(full, (dim, d_b))
 
 
 def _single_mode_truncation(energy: float, tail: float) -> int:

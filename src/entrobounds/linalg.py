@@ -16,7 +16,8 @@ Conventions
   ``eigh``.  The difference of two factored operators is factored again
   from a 2k x 2k eigenproblem, in O(d k^2) instead of O(d^3).
 * Eigenvalues below ``ZERO_EIGENVALUE_RTOL * lambda_max`` are treated as
-  exact zeros for support projections and support-restricted inverses.
+  exact zeros for support-restricted inverses; ``support_mask`` is the
+  support of gamma in D(rho || gamma).
 * All values are immutable after construction; operations are pure.
 """
 
@@ -29,6 +30,11 @@ import numpy as np
 ZERO_EIGENVALUE_RTOL = 1e-12
 
 HERMITICITY_ATOL = 1e-12
+
+# Eigenvalues down to -PSD_ATOL are rounding noise of a PSD operator.
+PSD_ATOL = 1e-10
+# Weight of rho outside supp(gamma) above which D(rho || gamma) = +inf.
+OUTSIDE_SUPPORT_ATOL = 1e-10
 
 
 class MatrixFunctionDomainError(ValueError):
@@ -176,9 +182,10 @@ class HermitianOperator:
     def apply_function(self, f, support_only: bool = False) -> "HermitianOperator":
         """Return ``U f(Lambda) U^dagger``.
 
-        With ``support_only``, ``f`` is applied only to eigenvalues above
-        the zero threshold; the rest map to 0 (support-restricted inverse
-        convention, e.g. ``omega^{-1/2}``).
+        ``f`` is called once, on the array of retained eigenvalues, and
+        acts elementwise.  With ``support_only``, only eigenvalues above the
+        zero threshold are retained; the rest map to 0 (support-restricted
+        inverse convention, e.g. ``omega^{-1/2}``).
         """
         lam = self.eigenvalues
         out = np.zeros_like(lam)
@@ -187,7 +194,7 @@ class HermitianOperator:
         else:
             keep = np.ones(self.dim, dtype=bool)
         with np.errstate(all="ignore"):
-            vals = np.array([f(x) for x in lam[keep]], dtype=float)
+            vals = np.asarray(f(lam[keep]), dtype=float)
         bad = ~np.isfinite(vals)
         if bad.any():
             offender = lam[keep][bad][0]
@@ -201,11 +208,11 @@ class HermitianOperator:
     def sqrt(self) -> "HermitianOperator":
         # clip tiny negative noise; genuinely negative eigenvalues raise
         thr = -10 * max(self.zero_threshold(), ZERO_EIGENVALUE_RTOL)
-        if self.eigenvalues[-1] < thr - 1e-10:
+        if self.eigenvalues[-1] < thr - PSD_ATOL:
             raise MatrixFunctionDomainError(
                 f"square root of operator with eigenvalue {self.eigenvalues[-1]!r}"
             )
-        return self.apply_function(lambda x: np.sqrt(max(x, 0.0)))
+        return self.apply_function(lambda lam: np.sqrt(np.maximum(lam, 0.0)))
 
     def inv_sqrt_support(self) -> "HermitianOperator":
         return self.apply_function(lambda x: 1.0 / np.sqrt(x), support_only=True)
@@ -231,9 +238,13 @@ def operator_norm(op: HermitianOperator) -> float:
 
 def positive_part(op: HermitianOperator) -> HermitianOperator:
     """(A)_+ = sum of positive-eigenvalue spectral components."""
-    lam = np.where(op.eigenvalues > 0, op.eigenvalues, 0.0)
-    u = op.eigenvectors
-    return HermitianOperator((u * lam) @ u.conj().T)
+    return op.apply_function(lambda lam: np.where(lam > 0, lam, 0.0))
+
+
+def support_mask(lam: np.ndarray) -> np.ndarray:
+    """Which eigenvalues of non-increasing spectra (last axis) are inside
+    the support: those above ``ZERO_EIGENVALUE_RTOL max(|lambda_max|, 1)``."""
+    return lam > ZERO_EIGENVALUE_RTOL * np.maximum(np.abs(lam[..., :1]), 1.0)
 
 
 def _operator_pair(rho, sigma):
@@ -243,25 +254,27 @@ def _operator_pair(rho, sigma):
     return rho_op, sigma_op
 
 
-def _pure_vector(op: HermitianOperator):
-    """``v`` when ``op`` carries the projector factor ``(v, [1], 0)``, else None."""
+def rank_one_factor(op: HermitianOperator):
+    """``(v, w)`` when ``op = w |v><v|`` by a rank-one factor ``(v, [w], 0)``
+    with ``w > 0`` (any renormalised pure state), else None."""
     if op.factor is None:
         return None
     vecs, lam, c = op.factor
-    return vecs[:, 0] if lam.tolist() == [1.0] and c == 0.0 else None
+    return (vecs[:, 0], float(lam[0])) if len(lam) == 1 and c == 0.0 and lam[0] > 0 else None
 
 
 def fidelity(rho, sigma) -> float:
     """F(rho, sigma) = || sqrt(rho) sqrt(sigma) ||_1, in [0, 1].
 
-    When either operand is a projector ``|v><v|`` by its factor, the square
-    root of it is itself and F = sqrt(<v|other|v>), with no decomposition.
+    When either operand is ``w |v><v|`` by its factor (``rank_one_factor``),
+    F = sqrt(w <v|other|v>), with no decomposition.
     """
     rho_op, sigma_op = _operator_pair(rho, sigma)
     for pure, other in ((rho_op, sigma_op), (sigma_op, rho_op)):
-        v = _pure_vector(pure)
-        if v is not None:
-            f = np.sqrt(max(np.real(np.vdot(v, other.mat @ v)), 0.0))
+        pair = rank_one_factor(pure)
+        if pair is not None:
+            v, w = pair
+            f = np.sqrt(max(w * np.real(np.vdot(v, other.mat @ v)), 0.0))
             return float(min(f, 1.0))
     prod = rho_op.sqrt().mat @ sigma_op.sqrt().mat
     f = trace_norm(prod)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import HermitianOperator, _frozen
+from .linalg import PSD_ATOL, HermitianOperator, _frozen
 
 
 class StateValidationError(ValueError):
@@ -31,7 +31,7 @@ class DensityOperator(HermitianOperator):
     Built from an array or a plain :class:`HermitianOperator`, the input
     is validated.  Eigenvalues are clamped at 0 (sampling and arithmetic
     produce -1e-14-scale noise) and the trace renormalized.  Eigenvalues
-    below -1e-10, or a trace off from 1 by more than 1e-8, are rejected
+    below ``-PSD_ATOL``, or a trace off from 1 by more than 1e-8, are rejected
     as genuinely invalid input.  An operator's factor and known spectrum
     are kept, and a repaired state keeps the eigenpairs its validation
     read, so no state is decomposed twice.  A ``DensityOperator`` passed
@@ -49,7 +49,7 @@ class DensityOperator(HermitianOperator):
             if isinstance(mat_or_op, DensityOperator):
                 return
         lam = self.eigenvalues
-        if lam[-1] < -1e-10:
+        if lam[-1] < -PSD_ATOL:
             raise StateValidationError(f"negative eigenvalue {lam[-1]:.3e} beyond tolerance")
         tr = self.trace()
         if abs(tr - 1.0) > 1e-8:
@@ -182,8 +182,6 @@ def sample_qc_state(d_a: int, d_x: int, rng) -> BipartiteState:
     p = rng.dirichlet(np.ones(d_x))
     out = np.zeros((d_a * d_x, d_a * d_x), dtype=complex)
     for x in range(d_x):
-        block = sample_state(d_a, d_a, rng).mat
-        proj = np.zeros((d_x, d_x))
-        proj[x, x] = 1.0
-        out += p[x] * np.kron(block, proj)
+        # |i>|x> is the flat index i d_x + x
+        out[x::d_x, x::d_x] = p[x] * sample_state(d_a, d_a, rng).mat
     return BipartiteState(out, (d_a, d_x))

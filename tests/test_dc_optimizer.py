@@ -192,11 +192,13 @@ class TestObjectiveAndGradient:
 
     def test_objective_and_gradient_share_one_support(self):
         # 7e-13 is below 1e-12 max(lambda_max, 1) but above 1e-12 lambda_max:
-        # outside the support for the objective, hence for the gradient
+        # outside the support for the objective, hence for the gradient and
+        # for relative_entropy
         model = ConvexSetModel(generators=[np.diag([0.5, 7e-13]), np.eye(2) / 2])
         rho = DensityOperator.maximally_mixed(2)
         w = np.array([1.0, 0.0])
         assert dc_objective(rho, model, w) == math.inf
+        assert relative_entropy(rho, np.diag([0.5, 7e-13])) == math.inf
         with pytest.raises(SingularMixtureError, match="support"):
             dc_gradient(rho, w, model)
 

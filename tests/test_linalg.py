@@ -190,6 +190,20 @@ class TestLazySpectrum:
         fidelity(rho, rho.sqrt().mat @ rho.sqrt().mat)
         assert eigh_calls[0] == 2  # only the product, which is a new operator
 
+    def test_fidelity_of_a_renormalised_pure_state_makes_no_call(self, eigh_calls):
+        # DensityOperator divides a factor's weight by a trace that is off 1
+        # by more than 1e-14; the state is still w |v><v| by its factor
+        rng = np.random.default_rng(26)
+        v = sample_pure_state(9, rng).factor[0][:, 0]
+        psi = BipartiteState(HermitianOperator.factored(v[:, None], [1.0 + 3e-14]), (3, 3))
+        w = psi.factor[1][0]
+        assert w != 1.0
+        g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        sigma = HermitianOperator(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+        f = fidelity(psi, sigma)
+        assert eigh_calls[0] == 0
+        assert abs(f - math.sqrt(w * np.vdot(v, sigma.mat @ v).real)) <= 1e-15
+
     def test_pure_pair_and_af_witness_make_no_full_size_call(self, eigh_dims):
         _case_cor_pure(np.random.default_rng(25), 16)
         _case_tightness(None, 16, 0.25, "af")
