@@ -109,8 +109,14 @@ def maximal_classical_coupling(p, q) -> ClassicalCoupling:
     return ClassicalCoupling(joint=joint, p=pv, q=qv)
 
 
+def _unit_trace(op: HermitianOperator) -> DensityOperator:
+    """``op / tr op``: dividing by eps would scale rounding by 1/eps."""
+    return DensityOperator(op.mat / op.trace())
+
+
 def build_decomposition(rho: DensityOperator, sigma: DensityOperator) -> CouplingDecomposition:
-    """The eps/Delta/Delta'/omega bundle with eps Delta = (rho - sigma)_+."""
+    """The eps/Delta/Delta'/omega bundle with eps Delta = (rho - sigma)_+
+    and eps Delta' = (sigma - rho)_+."""
     if rho.dim != sigma.dim:
         raise ValueError("dimension mismatch")
     diff = rho - sigma
@@ -120,10 +126,10 @@ def build_decomposition(rho: DensityOperator, sigma: DensityOperator) -> Couplin
         return CouplingDecomposition(
             epsilon=0.0, delta=mm, delta_prime=mm, omega=rho, degenerate=True
         )
-    eps_delta = positive_part(diff).mat
-    delta = DensityOperator(eps_delta / eps)
-    omega = DensityOperator((sigma.mat + eps_delta) / (1.0 + eps))
-    delta_prime = DensityOperator(((1.0 + eps) * omega.mat - rho.mat) / eps)
+    eps_delta = positive_part(diff)
+    omega = DensityOperator((sigma.mat + eps_delta.mat) / (1.0 + eps))
+    delta = _unit_trace(eps_delta)
+    delta_prime = _unit_trace(diff.apply_function(lambda lam: np.where(lam < 0, -lam, 0.0)))
     return CouplingDecomposition(
         epsilon=eps, delta=delta, delta_prime=delta_prime, omega=omega
     )
@@ -176,8 +182,7 @@ def quantum_coupling(rho: DensityOperator, sigma: DensityOperator) -> QuantumCou
                 raise CouplingConsistencyError(
                     f"marginal residual has eigenvalue {res.eigenvalues[-1]:.3e}"
                 )
-        d1 = DensityOperator(positive_part(res1).mat / max(res1.trace(), 1e-300))
-        d2 = DensityOperator(positive_part(res2).mat / max(res2.trace(), 1e-300))
+        d1, d2 = _unit_trace(positive_part(res1)), _unit_trace(positive_part(res2))
         theta_mat = np.outer(vartheta, vartheta.conj()) + slack * np.kron(d1.mat, d2.mat)
     else:
         theta_mat = np.outer(vartheta, vartheta.conj()) / norm_sq

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -153,6 +154,24 @@ class TestQuantumCoupling:
         moved = dataclasses.replace(qc, phi=psi, psi=psi)
         assert moved.overlap_psi == qc.overlap_psi
         assert moved.overlap_phi == qc.overlap_psi
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    @pytest.mark.parametrize("t", [1e-11, 1e-9, 1e-7, 1e-6])
+    def test_close_pairs(self, t, rank):
+        # sigma = (1 - t) rho + t tau: eps is of order t, so dividing by eps
+        # would scale the rounding of tr(rho - sigma) by 1/t
+        rng = np.random.default_rng(int(1e3 * rank - math.log10(t)))
+        for _ in range(10):
+            rho = sample_state(3, rank, rng)
+            sigma = DensityOperator((1.0 - t) * rho.mat + t * sample_state(3, 3, rng).mat)
+            dec = build_decomposition(rho, sigma)
+            eps = dec.epsilon
+            for state, part in ((sigma, dec.delta), (rho, dec.delta_prime)):
+                recon = (state.mat + eps * part.mat) / (1.0 + eps)
+                assert np.abs(dec.omega.mat - recon).max() <= 1e-12
+            qc = quantum_coupling(rho, sigma)
+            assert qc.overlap_psi >= 1.0 - eps - 1e-9
+            assert qc.overlap_phi >= 1.0 - eps - 1e-9
 
     def test_commuting_qubit_pair(self):
         rho = DensityOperator.diagonal([0.9, 0.1])
