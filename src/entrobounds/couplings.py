@@ -65,16 +65,11 @@ class QuantumCoupling:
 
     @property
     def overlap_psi(self) -> float:
-        return _overlap(self.psi, self.vartheta)
+        return float(abs(np.vdot(rank_one_factor(self.psi)[0], self.vartheta)))
 
     @property
     def overlap_phi(self) -> float:
-        return _overlap(self.phi, self.vartheta)
-
-
-def _overlap(pure: BipartiteState, vartheta: np.ndarray) -> float:
-    """|<v|vartheta>| for pure = |v><v|, with v read from its factor."""
-    return float(abs(np.vdot(rank_one_factor(pure)[0], vartheta)))
+        return float(abs(np.vdot(rank_one_factor(self.phi)[0], self.vartheta)))
 
 
 @dataclass(frozen=True)

@@ -293,10 +293,8 @@ class CutoffDecomposition:
     mean_energy: float
 
 
-def _energy_of(mat: np.ndarray, levels: np.ndarray, d_b: int = 1) -> float:
-    diag = np.real(np.diag(mat))
-    if d_b > 1:
-        diag = diag.reshape(len(levels), d_b).sum(axis=1)
+def _energy_of(mat: np.ndarray, levels: np.ndarray, d_b: int) -> float:
+    diag = np.real(np.diag(mat)).reshape(len(levels), d_b).sum(axis=1)
     return float((levels * diag).sum())
 
 

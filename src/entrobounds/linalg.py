@@ -194,14 +194,12 @@ class HermitianOperator:
         else:
             keep = np.ones(self.dim, dtype=bool)
         with np.errstate(all="ignore"):
-            vals = np.asarray(f(lam[keep]), dtype=float)
-        bad = ~np.isfinite(vals)
+            out[keep] = f(lam[keep])
+        bad = ~np.isfinite(out)
         if bad.any():
-            offender = lam[keep][bad][0]
             raise MatrixFunctionDomainError(
-                f"function undefined at retained eigenvalue {offender!r}"
+                f"function undefined at retained eigenvalue {lam[bad][0]!r}"
             )
-        out[keep] = vals
         u = self.eigenvectors
         return HermitianOperator((u * out) @ u.conj().T)
 

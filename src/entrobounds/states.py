@@ -182,6 +182,5 @@ def sample_qc_state(d_a: int, d_x: int, rng) -> BipartiteState:
     p = rng.dirichlet(np.ones(d_x))
     out = np.zeros((d_a * d_x, d_a * d_x), dtype=complex)
     for x in range(d_x):
-        # |i>|x> is the flat index i d_x + x
         out[x::d_x, x::d_x] = p[x] * sample_state(d_a, d_a, rng).mat
     return BipartiteState(out, (d_a, d_x))
