@@ -231,11 +231,14 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser, commands = _build_parser()
     args, extras = parser.parse_known_args(argv)
     if extras:
-        # the subcommand's own usage line lists the flags it does take
-        commands[args.command].error(f"unrecognized arguments: {' '.join(extras)}")
+        # report with the usage of the parser that got them: the top-level
+        # one (no flag but -h) got all words before the subcommand
+        owner = commands[args.command] if argv[0] == args.command else parser
+        owner.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return _COMMANDS[args.command][0](args, _settings(args))
     except (ConfigError, ValueError, OSError) as exc:
