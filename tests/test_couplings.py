@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -160,7 +159,7 @@ class TestQuantumCoupling:
     def test_close_pairs(self, t, rank):
         # sigma = (1 - t) rho + t tau: eps is of order t, so dividing by eps
         # would scale the rounding of tr(rho - sigma) by 1/t
-        rng = np.random.default_rng(int(1e3 * rank - math.log10(t)))
+        rng = np.random.default_rng(rank)
         for _ in range(10):
             rho = sample_state(3, rank, rng)
             sigma = DensityOperator((1.0 - t) * rho.mat + t * sample_state(3, 3, rng).mat)
