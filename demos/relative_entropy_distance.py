@@ -22,7 +22,7 @@ from entrobounds.states import DensityOperator
 def main():
     rng = np.random.default_rng(3)
     d = 3
-    gens = [sample_state(d, d, rng).mat for _ in range(3)]
+    gens = [sample_state(d, d, rng) for _ in range(3)]
     model = ConvexSetModel(generators=gens)
 
     rho = sample_state(d, d, rng)

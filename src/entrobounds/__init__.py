@@ -47,7 +47,6 @@ from .couplings import (
 )
 from .bounds import (
     BoundReport,
-    ConvexSetModel,
     af_bound,
     check_af,
     check_cor_pure,
@@ -60,7 +59,7 @@ from .bounds import (
     tightness_witness_af,
     tightness_witness_fannes,
 )
-from .dc_optimizer import dc_gradient, dc_minimize
+from .dc_optimizer import ConvexSetModel, dc_gradient, dc_minimize
 from .gibbs import (
     HamiltonianSpec,
     cutoff_decompose,

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropies import binary_entropy, conditional_entropy, von_neumann_entropy
-from .linalg import PSD_ATOL, HermitianOperator, as_operator, trace_distance
+from .dc_optimizer import ConvexSetModel, kappa_bracket
+from .linalg import trace_distance
 from .states import BipartiteState, DensityOperator, maximally_entangled_state, partial_trace
 
 @dataclass(frozen=True)
@@ -44,34 +45,6 @@ class BoundReport:
     @property
     def slack(self) -> float:
         return self.rhs - self.lhs
-
-
-@dataclass(frozen=True)
-class ConvexSetModel:
-    """Finitely generated convex set of PSD operators.
-
-    At least one generator must be full rank (keeps the relative-entropy
-    distance finite).  kappa, the largest variation of D_C over states,
-    is not a setting of the model: ``dc_optimizer.kappa_bracket``
-    certifies it from the generators alone.
-    """
-
-    generators: list
-
-    def __post_init__(self):
-        if not self.generators:
-            raise ValueError("generator list must be non-empty")
-        gens = [as_operator(g) for g in self.generators]
-        object.__setattr__(self, "generators", gens)
-        for g in gens:
-            if g.eigenvalues[-1] < -PSD_ATOL:
-                raise ValueError("generators must be PSD")
-        if not any(g.eigenvalues[-1] > 1e-10 for g in gens):
-            raise ValueError("need at least one full-rank generator")
-
-    @property
-    def dim(self) -> int:
-        return self.generators[0].dim
 
 
 # -- bound formulas ----------------------------------------------------------
@@ -163,8 +136,6 @@ def check_dc(rho: DensityOperator, sigma: DensityOperator,
     ``dc_optimizer.kappa_bracket``, whose witness state is solved in one
     stack with rho and sigma; an empty bracket raises ``ArithmeticError``.
     """
-    from .dc_optimizer import kappa_bracket
-
     eps = trace_distance(rho, sigma)
     _, kappa, (res_rho, res_sigma) = kappa_bracket(model, [rho, sigma])
     lhs = abs(res_rho.value - res_sigma.value) + res_rho.gap + res_sigma.gap
@@ -223,8 +194,8 @@ def tightness_witness_af(d: int, epsilon: float):
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon {epsilon!r} outside (0, 1]")
     sigma = maximally_entangled_state(d)
-    rho = HermitianOperator.factored(sigma.factor[0], [1.0 - epsilon], epsilon / (d * d - 1))
-    return BipartiteState(rho, (d, d)), sigma
+    rho = BipartiteState.factored(sigma.factor[0], [1.0 - epsilon], epsilon / (d * d - 1), (d, d))
+    return rho, sigma
 
 
 def af_witness_gap(d: int, epsilon: float) -> float:

@@ -34,7 +34,7 @@ from .harness import (
     emit_gibbs_table,
     run_campaign,
 )
-from .linalg import fidelity, trace_distance
+from .linalg import fidelity
 from .states import sample_state
 
 EXIT_OK = 0
@@ -48,6 +48,14 @@ def _parse_floats(text):
 
 def _parse_ints(text):
     return tuple(int(x) for x in text.split(","))
+
+
+def tolerance(text):
+    """A finite number >= 0; a NaN or infinite tolerance certifies nothing."""
+    tol = float(text)
+    if not 0.0 <= tol < float("inf"):
+        raise ValueError(f"invalid tolerance value: {text!r}")
+    return tol
 
 
 def _load_config_file(path):
@@ -72,7 +80,7 @@ _SETTINGS = {
     "eps": (dict(type=_parse_floats, help="comma-separated epsilon grid"), "epsilons"),
     "samples": (dict(type=int, help="samples per grid point"), "samples"),
     "seed": (dict(type=int, help="campaign seed"), "seed"),
-    "tol": (dict(type=float, help="tolerance of a valid check"), "tolerance"),
+    "tol": (dict(type=tolerance, help="tolerance of a valid check, finite >= 0"), "tolerance"),
     "out": (dict(type=str, help="report file path"), "output"),
     "format": (dict(type=str, choices=("csv", "json"), help="report format"), "format"),
 }
@@ -195,10 +203,10 @@ def _cmd_coupling_demo(args, settings) -> int:
     rng = np.random.default_rng(seed)
     rho = sample_state(d, d, rng)
     sigma = sample_state(d, d, rng)
-    eps = trace_distance(rho, sigma)
+    dec = cpl.build_decomposition(rho, sigma)
+    eps = dec.epsilon
     print(f"sampled pair: d={d} seed={seed} trace distance eps={eps:.6f}")
 
-    dec = cpl.build_decomposition(rho, sigma)
     recon = (sigma.mat + dec.epsilon * dec.delta.mat) / (1.0 + dec.epsilon)
     print(f"decomposition: eps={dec.epsilon:.6f} "
           f"max|omega - (sigma + eps Delta)/(1+eps)| = "
@@ -241,7 +249,7 @@ def main(argv=None) -> int:
         owner.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return _COMMANDS[args.command][0](args, _settings(args))
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

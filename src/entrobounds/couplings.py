@@ -10,8 +10,9 @@ Four devices:
 * the diagonal coupling assembled from sorted spectra (Mirsky route),
   whose largest eigenvalue witnesses 1 - trace distance.
 
-Degenerate inputs (rho == sigma up to 1e-12) return flagged trivial
-couplings instead of dividing by zero.
+The quantum coupling is one construction for every pair; only the
+decomposition special-cases eps < 1e-12, where Delta is 0/0 and
+omega = rho.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ class CouplingDecomposition:
     delta: DensityOperator
     delta_prime: DensityOperator
     omega: DensityOperator
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -118,9 +118,7 @@ def build_decomposition(rho: DensityOperator, sigma: DensityOperator) -> Couplin
     eps = 0.5 * trace_norm(diff)
     if eps < _DEGENERATE_EPS:
         mm = DensityOperator.maximally_mixed(rho.dim)
-        return CouplingDecomposition(
-            epsilon=0.0, delta=mm, delta_prime=mm, omega=rho, degenerate=True
-        )
+        return CouplingDecomposition(epsilon=0.0, delta=mm, delta_prime=mm, omega=rho)
     eps_delta = positive_part(diff)
     omega = DensityOperator((sigma.mat + eps_delta.mat) / (1.0 + eps))
     delta = _unit_trace(eps_delta)
@@ -145,21 +143,11 @@ def quantum_coupling(rho: DensityOperator, sigma: DensityOperator) -> QuantumCou
     # sqrt(rho), flattened row-major, is the pretty good purification of rho
     sqrt_rho = rho.sqrt().mat
     sqrt_sigma = sigma.sqrt().mat
-    psi_vec = sqrt_sigma.reshape(-1)
     phi = BipartiteState.pure(sqrt_rho.reshape(-1), (d, d))
-    psi = BipartiteState.pure(psi_vec, (d, d))
+    psi = BipartiteState.pure(sqrt_sigma.reshape(-1), (d, d))
 
     dec = build_decomposition(rho, sigma)
     eps = dec.epsilon
-    if dec.degenerate:
-        rho_isq = rho.inv_sqrt_support().mat
-        return QuantumCoupling(
-            phi=phi, psi=psi, vartheta=psi_vec,
-            x_op=sqrt_rho @ rho_isq,
-            y_op=sqrt_rho.T @ rho_isq.T,
-            theta=psi, epsilon=0.0,
-        )
-
     omega_isq = dec.omega.inv_sqrt_support().mat
     scale = 1.0 / np.sqrt(1.0 + eps)
     x_op = scale * (sqrt_rho @ omega_isq)

@@ -37,9 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import ConvexSetModel
 from .entropies import von_neumann_entropy
-from .linalg import OUTSIDE_SUPPORT_ATOL, PSD_ATOL, support_mask
+from .linalg import OUTSIDE_SUPPORT_ATOL, PSD_ATOL, as_operator, support_mask
 from .states import DensityOperator, sample_pure_state, _as_rng
 
 # The line search stops once |f'(t)| <= _SLOPE_RTOL |f'(0)|, or once its
@@ -63,6 +62,34 @@ _ASCENT_EIGH = 100
 class SingularMixtureError(RuntimeError):
     """Mixture singular on the support of rho; restrict the support or
     start from an interior point."""
+
+
+@dataclass(frozen=True)
+class ConvexSetModel:
+    """Finitely generated convex set of PSD operators.
+
+    At least one generator must be full rank (keeps the relative-entropy
+    distance finite).  kappa, the largest variation of D_C over states,
+    is not a setting of the model: ``kappa_bracket`` certifies it from
+    the generators alone.
+    """
+
+    generators: list
+
+    def __post_init__(self):
+        if not self.generators:
+            raise ValueError("generator list must be non-empty")
+        gens = [as_operator(g) for g in self.generators]
+        object.__setattr__(self, "generators", gens)
+        for g in gens:
+            if g.eigenvalues[-1] < -PSD_ATOL:
+                raise ValueError("generators must be PSD")
+        if not any(g.eigenvalues[-1] > 1e-10 for g in gens):
+            raise ValueError("need at least one full-rank generator")
+
+    @property
+    def dim(self) -> int:
+        return self.generators[0].dim
 
 
 @dataclass(frozen=True)

@@ -393,6 +393,8 @@ def oscillator_tightness_witness(energy: float, epsilon: float,
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon {epsilon!r} outside (0, 1]")
+    if energy <= 0:
+        raise EnergyDomainError(f"energy must be positive, got {energy!r}")
     if not conditional:
         cut = n_max if n_max is not None else _single_mode_truncation(energy, 1e-13)
         h = HamiltonianSpec.oscillators([1.0], n_max=cut)

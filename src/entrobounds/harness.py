@@ -112,7 +112,7 @@ def _case_af(rng, d, classical_b):
 
 
 def _case_dc(rng, d):
-    gens = [sample_state(d, d, rng).mat for _ in range(3)]
+    gens = [sample_state(d, d, rng) for _ in range(3)]
     model = bnd.ConvexSetModel(generators=gens)
     rho = sample_state(d, d, rng)
     sigma = sample_state(d, d, rng)
@@ -122,8 +122,8 @@ def _case_dc(rng, d):
 def _case_couplings(rng, d):
     rho = sample_state(d, d, rng)
     sigma = sample_state(d, d, rng)
-    eps = trace_distance(rho, sigma)
     qc = cpl.quantum_coupling(rho, sigma)
+    eps = qc.epsilon
     rhs = {"quantum_overlap_psi": qc.overlap_psi,
            "quantum_fidelity_theta": fidelity(qc.psi, qc.theta),
            "diagonal_largest_eigenvalue": cpl.diagonal_coupling(rho, sigma).largest_eigenvalue}
@@ -221,15 +221,20 @@ def _format_value(v):
     return str(v)
 
 
+def _write_csv(fh, schema_line: str, cols, rows) -> None:
+    """The schema line, the header ``cols`` and one line per row."""
+    fh.write(schema_line + "\r\n")
+    writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
+    writer.writerow(cols)
+    for row in rows:
+        writer.writerow([_format_value(row[c]) for c in cols])
+
+
 def render_report(report: CampaignReport, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report.records, indent=2, default=_format_value) + "\n"
     buf = io.StringIO()
-    buf.write(SCHEMA_LINE + "\r\n")
-    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL)
-    writer.writerow(REPORT_COLUMNS)
-    for rec in report.records:
-        writer.writerow([_format_value(rec[c]) for c in REPORT_COLUMNS])
+    _write_csv(buf, SCHEMA_LINE, REPORT_COLUMNS, report.records)
     return buf.getvalue()
 
 
@@ -258,9 +263,5 @@ def emit_gibbs_table(hamiltonian: gb.HamiltonianSpec, energies, path=None):
     if path:
         cols = ("E", "beta", "Z", "S_formula", "S_direct", "abs_diff", "error")
         with open(path, "w", newline="") as fh:
-            fh.write("# entrobounds-gibbs-table v1: " + ",".join(cols) + "\r\n")
-            writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
-            writer.writerow(cols)
-            for row in rows:
-                writer.writerow([_format_value(row[c]) for c in cols])
+            _write_csv(fh, "# entrobounds-gibbs-table v1: " + ",".join(cols), cols, rows)
     return rows

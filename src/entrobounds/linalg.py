@@ -91,8 +91,9 @@ class HermitianOperator:
         self.dim = mat.shape[0]
         self.factor = self._eigenvalues = self._eigenvectors = None
 
+    # each structured constructor passes further arguments (``dims``) on to cls
     @classmethod
-    def diagonal(cls, values) -> "HermitianOperator":
+    def diagonal(cls, values, *args) -> "HermitianOperator":
         """``diag(values)`` with its spectrum known: the values in
         non-increasing order, the matching identity columns as
         eigenvectors."""
@@ -101,10 +102,10 @@ class HermitianOperator:
         order = np.argsort(-values, kind="stable")
         op._eigenvalues = _frozen(values[order])
         op._eigenvectors = _frozen(np.eye(op.dim, dtype=complex)[:, order])
-        return op if cls is HermitianOperator else cls(op)
+        return op if cls is HermitianOperator else cls(op, *args)
 
     @classmethod
-    def factored(cls, vecs, lam, c=0.0) -> "HermitianOperator":
+    def factored(cls, vecs, lam, c=0.0, *args) -> "HermitianOperator":
         """``c 1 + V diag(lam - c) V^dagger`` carrying ``(V, lam, c)`` as its
         factor.  The columns of ``vecs`` must be orthonormal (unchecked)."""
         vecs = _frozen(np.array(vecs, dtype=complex))
@@ -116,16 +117,16 @@ class HermitianOperator:
             mat += np.outer(a, b)
         op = HermitianOperator(mat)
         op.factor = (vecs, lam, float(c))
-        return op if cls is HermitianOperator else cls(op)
+        return op if cls is HermitianOperator else cls(op, *args)
 
     @classmethod
-    def projector(cls, vec) -> "HermitianOperator":
+    def pure(cls, vec, *args) -> "HermitianOperator":
         """``|v><v|`` for ``v = vec / ||vec||``: the factor ``(v, [1], 0)``."""
         v = np.asarray(vec, dtype=complex)
         norm = np.linalg.norm(v)
         if not 0.0 < norm < np.inf:
             raise ValueError(f"cannot normalize a vector of norm {norm:g}")
-        return cls.factored((v / norm)[:, None], [1.0])
+        return cls.factored((v / norm)[:, None], [1.0], 0.0, *args)
 
     @property
     def eigenvalues(self) -> np.ndarray:

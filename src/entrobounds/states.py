@@ -68,14 +68,8 @@ class DensityOperator(HermitianOperator):
         self._eigenvalues, self._eigenvectors = _frozen(lam / scale), u
 
     @classmethod
-    def pure(cls, vec) -> "DensityOperator":
-        """``|v><v|`` for ``v = vec / ||vec||``; its spectrum is known, so
-        no eigendecomposition is made."""
-        return cls(HermitianOperator.projector(vec))
-
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityOperator":
-        return cls(np.eye(dim) / dim)
+    def maximally_mixed(cls, dim: int, *args) -> "DensityOperator":
+        return cls.diagonal(np.full(dim, 1.0 / dim), *args)
 
     def __repr__(self):
         return f"DensityOperator(dim={self.dim})"
@@ -94,10 +88,6 @@ class BipartiteState(DensityOperator):
                 f"dims {d_a}x{d_b} do not match operator dimension {self.dim}"
             )
         self.dims = (d_a, d_b)
-
-    @classmethod
-    def pure(cls, vec, dims) -> "BipartiteState":
-        return cls(HermitianOperator.projector(vec), dims)
 
     def __repr__(self):
         return f"BipartiteState(dims={self.dims})"

@@ -103,7 +103,6 @@ class TestDecomposition:
     def test_identical_pair_degenerate(self):
         rho = sample_state(3, 3, np.random.default_rng(3))
         dec = build_decomposition(rho, rho)
-        assert dec.degenerate
         assert dec.epsilon == 0.0
         np.testing.assert_allclose(dec.omega.mat, rho.mat, atol=1e-14)
 
@@ -136,11 +135,19 @@ class TestDecomposition:
 
 class TestQuantumCoupling:
     def test_identical_pair(self):
-        rho = sample_state(3, 2, np.random.default_rng(5))
-        qc = quantum_coupling(rho, rho)
-        assert qc.epsilon == 0.0
-        assert qc.overlap_psi == pytest.approx(1.0, abs=1e-10)
-        assert fidelity(qc.psi, qc.theta) == pytest.approx(1.0, abs=1e-9)
+        # eps = 0 takes the general construction with omega = rho
+        for rank in (1, 2, 3):
+            rho = sample_state(3, rank, np.random.default_rng(5))
+            qc = quantum_coupling(rho, rho)
+            assert qc.epsilon == 0.0
+            assert qc.overlap_psi == pytest.approx(1.0, abs=1e-10)
+            assert qc.overlap_phi == pytest.approx(1.0, abs=1e-10)
+            assert fidelity(qc.psi, qc.theta) >= 1.0 - 1e-9
+            theta = BipartiteState(qc.theta, (3, 3))
+            np.testing.assert_allclose(partial_trace(theta, "A").mat, rho.mat, atol=1e-9)
+            np.testing.assert_allclose(partial_trace(theta, "B").mat, rho.mat.T, atol=1e-9)
+            for op in (qc.x_op, qc.y_op):
+                assert np.linalg.norm(op, 2) <= 1.0 + 1e-9
 
     def test_overlaps_read_a_renormalised_factor(self):
         # DensityOperator divides a factor's eigenvalue by a trace that is

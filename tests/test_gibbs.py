@@ -374,3 +374,7 @@ class TestWitnesses:
     def test_witness_domain(self):
         with pytest.raises(ValueError, match="epsilon"):
             oscillator_tightness_witness(1.0, 0.0)
+        for energy in (0.0, -1.0):
+            for conditional in (False, True):
+                with pytest.raises(EnergyDomainError, match="energy must be positive"):
+                    oscillator_tightness_witness(energy, 0.25, conditional=conditional)

@@ -280,6 +280,41 @@ class TestCli:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    @pytest.mark.parametrize("command", ["verify fannes --dims 2 --samples 3", "witness fannes",
+                                         "gibbs-table --energies 1", "coupling-demo"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, command, tol, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*command.split(), "--tol", tol])
+        assert exc.value.code == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"argument --tol: invalid tolerance value: '{tol}'" in captured.err
+        assert captured.out == ""
+
+    def test_tolerance_in_a_config_file_is_checked(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("tol=nan\n")
+        rc = cli.main(["verify", "fannes", "--dims", "2", "--samples", "1", "--config", str(cfg)])
+        assert rc == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "error: invalid tolerance value: 'nan'" in captured.err
+        assert captured.out == ""
+
+    def test_witness_oscillator_energy_domain_exits_2(self, capsys):
+        rc = cli.main(["witness", "oscillator", "--energies", "-1"])
+        assert rc == cli.EXIT_CONFIG
+        assert "energy must be positive" in capsys.readouterr().err
+
+    def test_grid_too_large_to_allocate_exits_2(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 11.9 GiB")
+        monkeypatch.setattr("entrobounds.harness.sample_state", refuse)
+        rc = cli.main(["verify", "af", "--dims", "200", "--samples", "1"])
+        assert rc == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "error: Unable to allocate 11.9 GiB" in captured.err
+        assert captured.out == ""
+
     def test_config_key_the_subcommand_does_not_read_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("dims=2\nsamples=3\n")

@@ -149,7 +149,7 @@ class TestLazySpectrum:
         lead_zeros[: d // 2] = 0.0
         vectors = [g, lead_zeros, -1j * g, np.eye(d)[0], np.eye(d)[-1]]
         for vec in vectors:
-            op = HermitianOperator.projector(vec)
+            op = HermitianOperator.pure(vec)
             v = vec / np.linalg.norm(vec)
             u = op.eigenvectors
             assert np.abs(u.conj().T @ u - np.eye(d)).max() <= 1e-14
@@ -161,8 +161,8 @@ class TestLazySpectrum:
 
     def test_constructors_with_a_known_spectrum_make_no_call(self, eigh_calls):
         gibbs = solve_beta(HamiltonianSpec.oscillators([1.0], n_max=64), 1.0).state()
-        states = [DensityOperator.projector([1, 1j]), DensityOperator.diagonal([0.2, 0.5, 0.3]),
-                  *tightness_witness_fannes(16, 0.25), gibbs]
+        states = [DensityOperator.pure([1, 1j]), DensityOperator.diagonal([0.2, 0.5, 0.3]),
+                  *tightness_witness_fannes(16, 0.25), gibbs, DensityOperator.maximally_mixed(3)]
         for state in states:
             assert type(state) is DensityOperator
             lam, u = state.eigenvalues, state.eigenvectors
@@ -170,6 +170,18 @@ class TestLazySpectrum:
             assert np.abs((u * lam) @ u.conj().T - state.mat).max() <= 1e-15
         np.testing.assert_array_equal(states[1].eigenvalues, [0.5, 0.3, 0.2])
         np.testing.assert_array_equal(np.abs(states[1].eigenvectors), np.eye(3)[:, [1, 2, 0]])
+        # a subclass's constructor arguments are passed on
+        v = np.array([1.0, 1j, 0.0, 0.5]) / 1.5
+        bipartite = [BipartiteState.diagonal([0.4, 0.3, 0.2, 0.1], (2, 2)),
+                     BipartiteState.pure(v, (2, 2)),
+                     BipartiteState.factored(v[:, None], [1.0], 0.0, (2, 2)),
+                     BipartiteState.maximally_mixed(4, (2, 2))]
+        for state in bipartite:
+            assert type(state) is BipartiteState
+            assert state.dims == (2, 2)
+            lam, u = state.eigenvalues, state.eigenvectors
+            assert (np.diff(lam) <= 0).all()
+            assert np.abs((u * lam) @ u.conj().T - state.mat).max() <= 1e-15
         assert eigh_calls[0] == 0
 
     @pytest.mark.parametrize("lam", [
@@ -242,7 +254,7 @@ class TestFactoredOperator:
         pairs = {"random": _unit(rng, d), "near": u + 1e-6 * w, "orthogonal": w,
                  "equal": u, "phase": -1j * u}
         for name, v in pairs.items():
-            diff = HermitianOperator.projector(u) - HermitianOperator.projector(v)
+            diff = HermitianOperator.pure(u) - HermitianOperator.pure(v)
             assert diff.factor is not None
             np.testing.assert_allclose(diff.eigenvalues, _dense_spectrum(diff), rtol=0, atol=1e-13,
                                        err_msg=name)
@@ -251,7 +263,7 @@ class TestFactoredOperator:
             assert trace_distance(DensityOperator.pure(u), DensityOperator.pure(v)) \
                 == pytest.approx(gap, rel=1e-6, abs=1e-13)
             _assert_factored_eigenpairs(diff)
-        near = HermitianOperator.projector(u) - HermitianOperator.projector(pairs["near"])
+        near = HermitianOperator.pure(u) - HermitianOperator.pure(pairs["near"])
         assert near.eigenvalues[0] == pytest.approx(1e-6 / math.sqrt(1 + 1e-12), rel=1e-9)
 
     @pytest.mark.parametrize("d", [2, 16])
