@@ -50,35 +50,41 @@ class BoundReport:
 # -- bound formulas ----------------------------------------------------------
 
 
-def fannes_audenaert_bound(epsilon: float, d: int) -> float:
+def _unit_interval(epsilon: float) -> None:
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon {epsilon!r} outside [0, 1]")
+
+
+def _dimension(d: int) -> None:
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
+
+
+def _af_form(epsilon: float, coefficient: float) -> float:
+    """eps c + (1+eps) h(eps/(1+eps)), the shape of every Alicki-Fannes-type bound."""
+    return epsilon * coefficient + (1.0 + epsilon) * binary_entropy(epsilon / (1.0 + epsilon))
+
+
+def fannes_audenaert_bound(epsilon: float, d: int) -> float:
+    _unit_interval(epsilon)
+    _dimension(d)
     if epsilon > 1.0 - 1.0 / d:
         return math.log2(d)
     return epsilon * math.log2(d - 1) + binary_entropy(epsilon)
 
 
-def _af_entropic_term(epsilon: float) -> float:
-    return (1.0 + epsilon) * binary_entropy(epsilon / (1.0 + epsilon))
-
-
 def af_bound(epsilon: float, d_a: int, classical_b: bool = False) -> float:
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon {epsilon!r} outside [0, 1]")
-    if d_a < 2:
-        raise ValueError(f"dimension must be >= 2, got {d_a}")
+    _unit_interval(epsilon)
+    _dimension(d_a)
     coeff = 1.0 if classical_b else 2.0
-    return coeff * epsilon * math.log2(d_a) + _af_entropic_term(epsilon)
+    return _af_form(epsilon, coeff * math.log2(d_a))
 
 
 def dc_bound(epsilon: float, kappa: float) -> float:
     if kappa < 0:
         raise ValueError(f"kappa must be nonnegative, got {kappa!r}")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon {epsilon!r} outside [0, 1]")
-    return epsilon * kappa + _af_entropic_term(epsilon)
+    _unit_interval(epsilon)
+    return _af_form(epsilon, kappa)
 
 
 def cor1_delta(epsilon: float) -> float:
@@ -88,19 +94,15 @@ def cor1_delta(epsilon: float) -> float:
 def cor1_bounds(epsilon: float, d: int):
     """(E_F rhs, E_C rhs) at delta = sqrt(eps(2-eps)); d is the smaller of
     the two local dimensions."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon {epsilon!r} outside [0, 1]")
+    _unit_interval(epsilon)
     delta = cor1_delta(epsilon)
-    ef = delta * math.log2(d) + _af_entropic_term(delta)
-    ec = 2.0 * delta * math.log2(d) + _af_entropic_term(delta)
-    return ef, ec
+    return _af_form(delta, math.log2(d)), _af_form(delta, 2.0 * math.log2(d))
 
 
 def cor2_bound(epsilon: float, d: int) -> float:
     """E_R (and regularized E_R) continuity bound."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon {epsilon!r} outside [0, 1]")
-    return epsilon * math.log2(d) + _af_entropic_term(epsilon)
+    _unit_interval(epsilon)
+    return _af_form(epsilon, math.log2(d))
 
 
 # -- checkers ----------------------------------------------------------------
@@ -172,8 +174,7 @@ def check_cor_pure(phi: BipartiteState, psi: BipartiteState, which: str = "ef") 
 def tightness_witness_fannes(d: int, epsilon: float):
     """(rho, sigma) saturating the Fannes-Audenaert bound:
     sigma = |0><0|, rho = (1-eps)|0><0| + eps/(d-1) (1 - |0><0|)."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    _dimension(d)
     if not 0.0 < epsilon <= 1.0 - 1.0 / d:
         raise ValueError(f"epsilon {epsilon!r} outside (0, 1 - 1/d]")
     probs = np.full(d, epsilon / (d - 1))
@@ -189,8 +190,7 @@ def tightness_witness_af(d: int, epsilon: float):
     the factor (Phi, [1-eps], eps/(d^2-1)) on sigma's own vector, so the
     trace distance of the pair needs no d^2 x d^2 eigendecomposition.
     The achieved gap is eps log2(d^2 - 1) + h(eps)."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    _dimension(d)
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon {epsilon!r} outside (0, 1]")
     sigma = maximally_entangled_state(d)

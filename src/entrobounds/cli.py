@@ -3,12 +3,13 @@
 Subcommands:
 
 * ``verify <suite>``     -- run a verification campaign over a grid
-* ``witness <name>``     -- evaluate an extremal tightness witness
+* ``witness <name>``     -- check an extremal tightness witness over a grid
 * ``gibbs-table``        -- tabulate the Gibbs solver over an energy grid
-* ``coupling-demo``      -- build every coupling for a sampled pair
+* ``coupling-demo``      -- build every coupling for one sampled pair
 
-Exit codes: 0 = all checks valid, 1 = violations found,
-2 = configuration or domain error.
+``verify`` and ``witness`` check through the one campaign loop of
+``harness``.  Exit codes: 0 = all checks valid, 1 = violations found,
+2 = configuration or domain error (a ``witness`` run then prints no line).
 
 Each subcommand takes the flags of the settings it reads (``_COMMANDS``)
 and no others.  A flat key=value config file can be passed with
@@ -23,14 +24,13 @@ import sys
 
 import numpy as np
 
-from . import bounds as bnd
 from . import couplings as cpl
 from . import gibbs as gb
-from .entropies import shannon_entropy
 from .harness import (
     CampaignConfig,
     ConfigError,
     SUITES,
+    check_witnesses,
     emit_gibbs_table,
     run_campaign,
 )
@@ -137,43 +137,17 @@ def _cmd_verify(args, settings) -> int:
     return EXIT_VIOLATIONS if report.violations else EXIT_OK
 
 
-def _witness_report(name, x, eps):
-    """Check the ``name`` witness at dimension (or, for the oscillator,
-    energy) ``x``; None when eps admits no witness there."""
-    if name == "fannes":
-        if not 0.0 < eps <= 1.0 - 1.0 / x:
-            return None
-        return bnd.check_fannes(*bnd.tightness_witness_fannes(x, eps))
-    if name == "af":
-        return bnd.check_af(*bnd.tightness_witness_af(x, eps))
-    p, q = gb.oscillator_tightness_witness(x, eps)
-    lhs = abs(shannon_entropy(p) - shannon_entropy(q))
-    h = gb.HamiltonianSpec.oscillators([1.0], n_max=len(p) - 1)
-    rhs = gb.lemma4_bound(h, x, eps)
-    return bnd.BoundReport(variant="oscillator_lemma4", dim=len(p), lhs=lhs, rhs=rhs,
-                           epsilon=eps, energy=x)
-
-
 def _cmd_witness(args, settings) -> int:
-    eps_grid = settings.get("eps", (0.25,))
-    tol = settings.get("tol", CampaignConfig.tolerance)
     if args.name == "oscillator":
-        axis, values = "E", settings.get("energies", (100.0,))
+        axis, xs = "E", settings.get("energies", (100.0,))
     else:
-        axis, values = "d", settings.get("dims", (4,))
-    verdicts = []
-    for x in values:
-        for eps in eps_grid:
-            rep = _witness_report(args.name, x, eps)
-            if rep is None:
-                continue
-            valid = rep.slack >= -tol
-            print(f"{args.name} {axis}={x} eps={eps}: lhs={rep.lhs:.6f} "
-                  f"rhs={rep.rhs:.6f} slack={rep.slack:.3e} valid={valid}")
-            verdicts.append(valid)
-    if not verdicts:
-        raise ConfigError(f"no ({axis}, eps) pair admits a {args.name} witness")
-    return EXIT_OK if all(verdicts) else EXIT_VIOLATIONS
+        axis, xs = "d", settings.get("dims", (4,))
+    rows = check_witnesses(args.name, xs, settings.get("eps", (0.25,)),
+                           settings.get("tol", CampaignConfig.tolerance))
+    for x, eps, rec in rows:
+        print(f"{args.name} {axis}={x} eps={eps}: lhs={rec['lhs']:.6f} "
+              f"rhs={rec['rhs']:.6f} slack={rec['slack']:.3e} valid={rec['valid']}")
+    return EXIT_OK if all(rec["valid"] for _, _, rec in rows) else EXIT_VIOLATIONS
 
 
 def _cmd_gibbs_table(args, settings) -> int:
@@ -197,7 +171,10 @@ def _cmd_gibbs_table(args, settings) -> int:
 
 
 def _cmd_coupling_demo(args, settings) -> int:
-    d = settings.get("dims", (3,))[0]
+    dims = settings.get("dims", (3,))
+    if len(dims) != 1:
+        raise ConfigError(f"coupling-demo takes one --dims value, got {len(dims)}")
+    d = dims[0]
     seed = settings.get("seed", 0)
     tol = settings.get("tol", CampaignConfig.tolerance)
     rng = np.random.default_rng(seed)

@@ -35,8 +35,6 @@ class CouplingConsistencyError(RuntimeError):
 @dataclass(frozen=True)
 class ClassicalCoupling:
     joint: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
 
     @property
     def mismatch_probability(self) -> float:
@@ -101,7 +99,7 @@ def maximal_classical_coupling(p, q) -> ClassicalCoupling:
     joint = np.diag(m)
     if eps > _DEGENERATE_EPS:
         joint = joint + np.outer(pv - m, qv - m) / eps
-    return ClassicalCoupling(joint=joint, p=pv, q=qv)
+    return ClassicalCoupling(joint=joint)
 
 
 def _unit_trace(op: HermitianOperator) -> DensityOperator:
@@ -216,7 +214,7 @@ def diagonal_coupling(rho: DensityOperator, sigma: DensityOperator) -> DiagonalC
         d2 = (sigma.mat - marg2) / eps
         omega_mat = np.outer(phi_vec, phi_vec.conj()) + eps * np.kron(d1, d2)
     else:
-        omega_mat = np.outer(phi_vec, phi_vec.conj()) / max(overlap, 1e-300)
+        omega_mat = np.outer(phi_vec, phi_vec.conj()) / overlap
         eps = 0.0
     return DiagonalCoupling(
         omega=BipartiteState(omega_mat, (d, d)),

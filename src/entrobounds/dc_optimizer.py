@@ -39,7 +39,7 @@ import numpy as np
 
 from .entropies import von_neumann_entropy
 from .linalg import OUTSIDE_SUPPORT_ATOL, PSD_ATOL, as_operator, support_mask
-from .states import DensityOperator, sample_pure_state, _as_rng
+from .states import DensityOperator, sample_pure_state
 
 # The line search stops once |f'(t)| <= _SLOPE_RTOL |f'(0)|, or once its
 # bracket is narrower than _STEP_RTOL t_max, or after _LINE_SEARCH_ITERS
@@ -518,7 +518,7 @@ def estimate_kappa(model: ConvexSetModel, rng=None, n_probes: int = 200,
     (up to ``tol``): an underestimate, not a certificate; callers flag it
     as such.  ``kappa_bracket`` certifies kappa from both sides.
     """
-    rng = _as_rng(rng if rng is not None else 0)
+    rng = np.random.default_rng(rng if rng is not None else 0)
     d = model.dim
     probes = [sample_pure_state(d, rng) for _ in range(n_probes)]
     probes += [DensityOperator.pure(e) for e in np.eye(d)]

@@ -25,7 +25,6 @@ from .entropies import LOG2_E, binary_entropy, clipped_binary, shannon_entropy
 from .states import (
     BipartiteState,
     DensityOperator,
-    _as_rng,
     partial_trace,
     pretty_good_purification,
     sample_state,
@@ -55,14 +54,16 @@ class HamiltonianSpec:
             lv = np.asarray(levels, dtype=float)
             if lv.ndim != 1 or len(lv) < 1:
                 raise ValueError("need a 1-D level list")
+            if not np.isfinite(lv).all():
+                raise ValueError("levels must be finite")
             if abs(lv[0]) > 0:
                 raise ValueError("ground state energy must be exactly 0")
             if (np.diff(lv) < 0).any():
                 raise ValueError("levels must be ascending")
         else:
             w = np.asarray(hbar_omegas, dtype=float)
-            if (w <= 0).any():
-                raise ValueError("mode energies must be positive")
+            if not (np.isfinite(w) & (w > 0)).all():
+                raise ValueError("mode energies must be positive and finite")
             self.hbar_omegas, self.n_max = w, int(n_max)
             # product-basis energies, last mode minor index
             lv = np.zeros(1)
@@ -355,7 +356,7 @@ def sample_energy_constrained(hamiltonian: HamiltonianSpec, energy: float,
     """Random state supported on levels with E_n <= E (hence mean energy
     <= E), optionally extended by an unconstrained, entangled B factor
     under the global Hamiltonian H (x) 1."""
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     levels = hamiltonian.levels
     idx = np.where(levels <= energy)[0]
     if len(idx) == 0:
@@ -393,8 +394,8 @@ def oscillator_tightness_witness(energy: float, epsilon: float,
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon {epsilon!r} outside (0, 1]")
-    if energy <= 0:
-        raise EnergyDomainError(f"energy must be positive, got {energy!r}")
+    if not 0.0 < energy < math.inf:
+        raise EnergyDomainError(f"energy must be positive and finite, got {energy!r}")
     if not conditional:
         cut = n_max if n_max is not None else _single_mode_truncation(energy, 1e-13)
         h = HamiltonianSpec.oscillators([1.0], n_max=cut)

@@ -20,7 +20,7 @@ import numpy as np
 from . import bounds as bnd
 from . import couplings as cpl
 from . import gibbs as gb
-from .entropies import von_neumann_entropy
+from .entropies import shannon_entropy, von_neumann_entropy
 from .linalg import fidelity, trace_distance
 from .states import BipartiteState, sample_pure_bipartite, sample_qc_state, sample_state
 
@@ -59,7 +59,6 @@ class CampaignConfig:
 
 @dataclass
 class CampaignReport:
-    config: CampaignConfig
     records: list
 
     @property
@@ -167,14 +166,21 @@ def _case_energy_bounds(rng, h, e):
 
 
 def _grid_tightness(cfg: CampaignConfig):
-    return [(d, eps, witness) for d in cfg.dims for eps in cfg.epsilons
+    return [(witness, d, eps) for d in cfg.dims for eps in cfg.epsilons
             if 0.0 < eps <= 1.0 - 1.0 / d for witness in ("fannes", "af")]
 
 
-def _case_tightness(rng, d, eps, witness):
+def _case_witness(rng, witness, x, eps):
+    """The ``witness`` pair at dimension (for the oscillator, energy) ``x``."""
     if witness == "fannes":
-        return [bnd.check_fannes(*bnd.tightness_witness_fannes(d, eps))]
-    return [bnd.check_af(*bnd.tightness_witness_af(d, eps))]
+        return [bnd.check_fannes(*bnd.tightness_witness_fannes(x, eps))]
+    if witness == "af":
+        return [bnd.check_af(*bnd.tightness_witness_af(x, eps))]
+    p, q = gb.oscillator_tightness_witness(x, eps)
+    lhs = abs(shannon_entropy(p) - shannon_entropy(q))
+    h = gb.HamiltonianSpec.oscillators([1.0], n_max=len(p) - 1)
+    return [bnd.BoundReport(variant="oscillator_lemma4", dim=len(p), lhs=lhs,
+                            rhs=gb.lemma4_bound(h, x, eps), epsilon=eps, energy=x)]
 
 
 _SUITE_TABLE = {
@@ -185,27 +191,41 @@ _SUITE_TABLE = {
     "cor_pure": (_dims_by_samples, _case_cor_pure),
     "gibbs": (_grid_gibbs, _case_gibbs),
     "energy_bounds": (_grid_energy_bounds, _case_energy_bounds),
-    "tightness": (_grid_tightness, _case_tightness),
+    "tightness": (_grid_tightness, _case_witness),
 }
 
 SUITES = tuple(_SUITE_TABLE)
 
 
-def run_campaign(config: CampaignConfig) -> CampaignReport:
-    grid_fn, case_fn = _SUITE_TABLE[config.suite]
-    grid = grid_fn(config)
+def _check(suite: str, grid, case_fn, seed: int, tolerance: float) -> list:
+    """The rows of ``case_fn`` over ``grid``; the one place a row gets its verdict."""
     if not grid:
-        raise ConfigError(f"the {config.suite} grid has no cases")
+        raise ConfigError(f"the {suite} grid has no cases")
     records = []
     for case, params in enumerate(grid):
-        for rep in case_fn(_rng(config.seed, case), *params):
-            row = {**vars(rep), "suite": config.suite, "case": case, "slack": rep.slack,
-                   "valid": bool(rep.slack >= -config.tolerance)}
+        for rep in case_fn(_rng(seed, case), *params):
+            row = {**vars(rep), "suite": suite, "case": case, "slack": rep.slack,
+                   "valid": bool(rep.slack >= -tolerance)}
             records.append({c: row[c] for c in REPORT_COLUMNS})
-    report = CampaignReport(config=config, records=records)
+    return records
+
+
+def run_campaign(config: CampaignConfig) -> CampaignReport:
+    grid_fn, case_fn = _SUITE_TABLE[config.suite]
+    report = CampaignReport(_check(config.suite, grid_fn(config), case_fn,
+                                   config.seed, config.tolerance))
     if config.output:
         write_report(report, config.output, config.format)
     return report
+
+
+def check_witnesses(name: str, xs, epsilons, tolerance: float) -> list:
+    """``(x, eps, record)`` of the ``name`` witness over ``xs`` x ``epsilons``;
+    the Fannes pair is checked only where 0 < eps <= 1 - 1/d."""
+    grid = [(name, x, eps) for x in xs for eps in epsilons
+            if name != "fannes" or 0.0 < eps <= 1.0 - 1.0 / x]
+    records = _check(f"witness {name}", grid, _case_witness, 0, tolerance)
+    return [(x, eps, rec) for (_, x, eps), rec in zip(grid, records)]
 
 
 # -- serialization -------------------------------------------------------------

@@ -134,10 +134,6 @@ def pretty_good_purification(rho: DensityOperator) -> BipartiteState:
 # -- sampling ----------------------------------------------------------------
 
 
-def _as_rng(rng) -> np.random.Generator:
-    return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-
-
 def _ginibre(rng, n, m):
     return (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2)
 
@@ -147,28 +143,25 @@ def sample_state(dim: int, rank: int, rng) -> DensityOperator:
     (partial trace of a Haar pure state on dim x rank)."""
     if not 1 <= rank <= dim:
         raise ValueError(f"rank must be in [1, {dim}], got {rank}")
-    rng = _as_rng(rng)
-    g = _ginibre(rng, dim, rank)
+    g = _ginibre(np.random.default_rng(rng), dim, rank)
     m = g @ g.conj().T
     return DensityOperator(m / np.real(np.trace(m)))
 
 
 def sample_pure_state(dim: int, rng) -> DensityOperator:
-    rng = _as_rng(rng)
-    v = _ginibre(rng, dim, 1)[:, 0]
+    v = _ginibre(np.random.default_rng(rng), dim, 1)[:, 0]
     return DensityOperator.pure(v)
 
 
 def sample_pure_bipartite(d_a: int, d_b: int, rng) -> BipartiteState:
-    rng = _as_rng(rng)
-    v = _ginibre(rng, d_a * d_b, 1)[:, 0]
+    v = _ginibre(np.random.default_rng(rng), d_a * d_b, 1)[:, 0]
     return BipartiteState.pure(v, (d_a, d_b))
 
 
 def sample_qc_state(d_a: int, d_x: int, rng) -> BipartiteState:
     """Random qc-state sum_x p_x rho_x^A (x) |x><x|^B with Dirichlet(1,..,1)
     weights and independent full-rank blocks."""
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     p = rng.dirichlet(np.ones(d_x))
     out = np.zeros((d_a * d_x, d_a * d_x), dtype=complex)
     for x in range(d_x):

@@ -22,7 +22,7 @@ from entrobounds.bounds import (
 )
 from entrobounds import dc_optimizer
 from entrobounds.dc_optimizer import dc_minimize, kappa_bracket
-from entrobounds.entropies import conditional_entropy, von_neumann_entropy
+from entrobounds.entropies import binary_entropy, conditional_entropy, von_neumann_entropy
 from entrobounds.linalg import trace_distance
 from entrobounds.states import BipartiteState, DensityOperator, sample_pure_bipartite, sample_state
 
@@ -85,6 +85,24 @@ class TestFormulas:
 
     def test_cor2_value(self):
         assert cor2_bound(0.1, 3) == pytest.approx(COR2_01_3, abs=1e-13)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 16])
+    @pytest.mark.parametrize("eps", [0.0, 1e-12, 0.05, 0.25, 0.5, 1.0])
+    def test_af_shaped_bounds_keep_their_bits(self, eps, d):
+        """Each bound of the shape eps c + (1+eps) h(eps/(1+eps)) equals,
+        bit for bit, the expression it was written as before the shape
+        had one evaluator."""
+        def term(e):
+            return (1.0 + e) * binary_entropy(e / (1.0 + e))
+        log_d = math.log2(d)
+        delta = cor1_delta(eps)
+        assert af_bound(eps, d) == 2.0 * eps * log_d + term(eps)
+        assert af_bound(eps, d, classical_b=True) == 1.0 * eps * log_d + term(eps)
+        for kappa in (log_d, 2.0 * log_d, 0.0):
+            assert dc_bound(eps, kappa) == eps * kappa + term(eps)
+        assert cor1_bounds(eps, d) == (delta * log_d + term(delta),
+                                       2.0 * delta * log_d + term(delta))
+        assert cor2_bound(eps, d) == eps * log_d + term(eps)
 
     def test_monotone_in_epsilon(self):
         grid = np.linspace(1e-3, 1.0, 400)

@@ -55,6 +55,16 @@ class TestHamiltonianSpec:
         with pytest.raises(ValueError, match="ascending"):
             HamiltonianSpec.explicit([0.0, 2.0, 1.0])
 
+    @pytest.mark.parametrize("levels", [[0.0, math.nan], [0.0, math.inf], [math.nan, 1.0]])
+    def test_explicit_requires_finite_levels(self, levels):
+        with pytest.raises(ValueError, match="finite"):
+            HamiltonianSpec.explicit(levels)
+
+    @pytest.mark.parametrize("modes", [[math.nan], [math.inf], [1.0, math.nan], [0.0], [-1.0]])
+    def test_oscillator_requires_positive_finite_modes(self, modes):
+        with pytest.raises(ValueError, match="positive and finite"):
+            HamiltonianSpec.oscillators(modes, n_max=2)
+
     def test_oscillator_product_levels(self):
         h = HamiltonianSpec.oscillators([1.0, 2.0], n_max=1)
         np.testing.assert_allclose(sorted(h.levels), [0.0, 1.0, 2.0, 3.0])
@@ -378,3 +388,9 @@ class TestWitnesses:
             for conditional in (False, True):
                 with pytest.raises(EnergyDomainError, match="energy must be positive"):
                     oscillator_tightness_witness(energy, 0.25, conditional=conditional)
+
+    @pytest.mark.parametrize("energy", [math.nan, math.inf])
+    def test_witness_energy_must_be_finite(self, energy):
+        for conditional in (False, True):
+            with pytest.raises(EnergyDomainError, match="positive and finite"):
+                oscillator_tightness_witness(energy, 0.25, conditional=conditional)

@@ -305,6 +305,56 @@ class TestCli:
         assert rc == cli.EXIT_CONFIG
         assert "energy must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("energy", ["nan", "inf"])
+    def test_witness_oscillator_non_finite_energy_exits_2(self, energy, capsys):
+        rc = cli.main(["witness", "oscillator", "--energies", energy])
+        assert rc == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "energy must be positive and finite" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        "gibbs-table --modes nan --energies 1",
+        "gibbs-table --modes inf --energies 1",
+        "gibbs-table --levels 0,nan --energies 0.2",
+        "gibbs-table --levels 0,inf --energies 0.2",
+    ])
+    def test_gibbs_table_non_finite_energies_exit_2(self, argv, capsys):
+        assert cli.main(argv.split()) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "finite" in captured.err
+        assert captured.out == ""
+
+    def test_coupling_demo_takes_one_dimension(self, capsys):
+        assert cli.main(["coupling-demo", "--dims", "3,4"]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "one --dims value" in captured.err
+        assert captured.out == ""
+
+    def test_witness_lines_match_the_tightness_records(self, capsys):
+        report = run_campaign(CampaignConfig(suite="tightness", dims=(2, 4),
+                                             epsilons=(0.25, 0.5)))
+        # every (d, eps) of this grid admits both witnesses, in case order
+        keys = [(w, d, eps) for d in (2, 4) for eps in (0.25, 0.5) for w in ("fannes", "af")]
+        records = dict(zip(keys, report.records, strict=True))
+        for name in ("fannes", "af"):
+            assert cli.main(["witness", name, "--dims", "2,4", "--eps", "0.25,0.5"]) == cli.EXIT_OK
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 4
+            for line, (d, eps) in zip(lines, [(2, 0.25), (2, 0.5), (4, 0.25), (4, 0.5)]):
+                rec = records[(name, d, eps)]
+                assert rec["variant"].startswith(name)
+                assert line == (f"{name} d={d} eps={eps}: lhs={rec['lhs']:.6f} "
+                                f"rhs={rec['rhs']:.6f} slack={rec['slack']:.3e} "
+                                f"valid={rec['valid']}")
+
+    def test_witness_that_fails_partway_prints_no_line(self, capsys):
+        rc = cli.main(["witness", "af", "--dims", "2", "--eps", "0.5,1.5"])
+        assert rc == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "outside (0, 1]" in captured.err
+        assert captured.out == ""
+
     def test_grid_too_large_to_allocate_exits_2(self, monkeypatch, capsys):
         def refuse(*args):
             raise MemoryError("Unable to allocate 11.9 GiB")

@@ -16,7 +16,7 @@ from entrobounds.linalg import (
 from entrobounds.bounds import tightness_witness_af, tightness_witness_fannes
 from entrobounds.entropies import von_neumann_entropy
 from entrobounds.gibbs import HamiltonianSpec, solve_beta
-from entrobounds.harness import _case_cor_pure, _case_tightness
+from entrobounds.harness import _case_cor_pure, _case_witness
 from entrobounds.states import (
     BipartiteState,
     DensityOperator,
@@ -218,7 +218,7 @@ class TestLazySpectrum:
 
     def test_pure_pair_and_af_witness_make_no_full_size_call(self, eigh_dims):
         _case_cor_pure(np.random.default_rng(25), 16)
-        _case_tightness(None, 16, 0.25, "af")
+        _case_witness(None, "af", 16, 0.25)
         assert 256 not in eigh_dims
         assert 16 in eigh_dims  # the marginals are decomposed as before
 
