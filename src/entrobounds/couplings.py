@@ -146,7 +146,7 @@ def quantum_coupling(rho: DensityOperator, sigma: DensityOperator) -> QuantumCou
 
     dec = build_decomposition(rho, sigma)
     eps = dec.epsilon
-    omega_isq = dec.omega.inv_sqrt_support().mat
+    omega_isq = dec.omega.apply_function(lambda x: 1.0 / np.sqrt(x), support_only=True).mat
     scale = 1.0 / np.sqrt(1.0 + eps)
     x_op = scale * (sqrt_rho @ omega_isq)
     y_op = scale * (sqrt_sigma.T @ omega_isq.T)  # (sigma^T)^{1/2} (omega^T)^{-1/2}
@@ -157,7 +157,7 @@ def quantum_coupling(rho: DensityOperator, sigma: DensityOperator) -> QuantumCou
     res1 = HermitianOperator(rho.mat - marg1)
     res2 = HermitianOperator(sigma.mat.T - marg2)
     slack = 1.0 - norm_sq
-    if slack > 1e-12:
+    if slack > _DEGENERATE_EPS:
         for res in (res1, res2):
             if res.eigenvalues[-1] < -1e-8:
                 raise CouplingConsistencyError(
@@ -183,8 +183,7 @@ def _phase_fixed_eigenbasis(op: HermitianOperator):
     for k in range(op.dim):
         j = int(np.argmax(np.abs(vecs[:, k])))
         ph = vecs[j, k]
-        if abs(ph) > 0:
-            vecs[:, k] *= np.conj(ph) / abs(ph)
+        vecs[:, k] *= np.conj(ph) / abs(ph)
     return lam, vecs
 
 
@@ -200,8 +199,6 @@ def diagonal_coupling(rho: DensityOperator, sigma: DensityOperator) -> DiagonalC
     d = rho.dim
     r, e = _phase_fixed_eigenbasis(rho)
     s, f = _phase_fixed_eigenbasis(sigma)
-    r = np.clip(r, 0.0, None)
-    s = np.clip(s, 0.0, None)
     c = np.sqrt(np.minimum(r, s))
     # V = sum_i c_i e_i f_i^T  ->  flat vector in the A-major convention
     v_mat = (e * c) @ f.T

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropies import LOG2_E, binary_entropy, clipped_binary, shannon_entropy
+from .linalg import DENSE_DIM_LIMIT, check_dense_dim
 from .states import (
     BipartiteState,
     DensityOperator,
@@ -65,6 +66,7 @@ class HamiltonianSpec:
             if not (np.isfinite(w) & (w > 0)).all():
                 raise ValueError("mode energies must be positive and finite")
             self.hbar_omegas, self.n_max = w, int(n_max)
+            check_dense_dim((self.n_max + 1) ** len(w), DENSE_DIM_LIMIT ** 2)
             # product-basis energies, last mode minor index
             lv = np.zeros(1)
             for hw in w:
@@ -364,6 +366,7 @@ def sample_energy_constrained(hamiltonian: HamiltonianSpec, energy: float,
     k = len(idx)
     dim = len(levels)
     d = 1 if d_b is None else d_b
+    check_dense_dim(dim * d)
     small = sample_state(k * d, k * d, rng).mat
     flat = (idx[:, None] * d + np.arange(d)).ravel()
     full = np.zeros((dim * d, dim * d), dtype=complex)

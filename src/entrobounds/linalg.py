@@ -15,9 +15,9 @@ Conventions
   a projector, and a diagonal operator know their spectrum and never call
   ``eigh``.  The difference of two factored operators is factored again
   from a 2k x 2k eigenproblem, in O(d k^2) instead of O(d^3).
-* Eigenvalues below ``ZERO_EIGENVALUE_RTOL * lambda_max`` are treated as
-  exact zeros for support-restricted inverses; ``support_mask`` is the
-  support of gamma in D(rho || gamma).
+* ``support_mask`` is the one support cut (eigenvalues at or below
+  ``ZERO_EIGENVALUE_RTOL * max(|lambda_max|, 1)`` are exact zeros), for
+  support-restricted functions such as ``sqrt`` and for D(rho || gamma).
 * All values are immutable after construction; operations are pure.
 """
 
@@ -29,16 +29,25 @@ import numpy as np
 # checks run at 1e-9 tolerances, leaving three orders of headroom.
 ZERO_EIGENVALUE_RTOL = 1e-12
 
-HERMITICITY_ATOL = 1e-12
+HERMITICITY_ATOL = 1e-11
 
 # Eigenvalues down to -PSD_ATOL are rounding noise of a PSD operator.
 PSD_ATOL = 1e-10
 # Weight of rho outside supp(gamma) above which D(rho || gamma) = +inf.
 OUTSIDE_SUPPORT_ATOL = 1e-10
+# Largest dimension of a dense operator: a 256 MiB complex matrix.
+DENSE_DIM_LIMIT = 4096
 
 
 class MatrixFunctionDomainError(ValueError):
     """Scalar function undefined at a retained eigenvalue."""
+
+
+def check_dense_dim(dim, limit=DENSE_DIM_LIMIT):
+    """Raise ``ValueError`` before a dense allocation of dimension ``dim``
+    above ``limit``."""
+    if dim > limit:
+        raise ValueError(f"dimension {dim} is above the dense limit {limit}")
 
 
 def _frozen(a):
@@ -74,16 +83,16 @@ class HermitianOperator:
 
     def __init__(self, mat):
         mat = np.asarray(mat, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-        largest = np.abs(mat).max() if mat.size else 0.0
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+            raise ValueError(f"expected a non-empty square matrix, got shape {mat.shape}")
+        largest = np.abs(mat).max()
         # NaN or inf anywhere makes the largest magnitude non-finite
         if not largest < np.inf:
             bad = np.argwhere(~np.isfinite(mat))
             raise ValueError(f"matrix has {len(bad)} non-finite entries, "
                              f"the first at {tuple(int(i) for i in bad[0])}")
-        dev = np.abs(mat - mat.conj().T).max() if mat.size else 0.0
-        if dev > HERMITICITY_ATOL * max(1.0, largest) * 10:
+        dev = np.abs(mat - mat.conj().T).max()
+        if dev > HERMITICITY_ATOL * max(1.0, largest):
             raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
         mat = (mat + mat.conj().T) / 2
         mat.setflags(write=False)
@@ -98,6 +107,7 @@ class HermitianOperator:
         non-increasing order, the matching identity columns as
         eigenvectors."""
         values = np.asarray(values, dtype=float)
+        check_dense_dim(len(values))
         op = HermitianOperator(np.diag(values))
         order = np.argsort(-values, kind="stable")
         op._eigenvalues = _frozen(values[order])
@@ -112,6 +122,7 @@ class HermitianOperator:
         lam = _frozen(np.array(lam, dtype=float))
         # outer products, not a BLAS product: a projector is exactly
         # np.outer(v, v^*), whatever the BLAS build or thread count
+        check_dense_dim(len(vecs))
         mat = np.diag(np.full(len(vecs), c, dtype=complex))
         for a, b in zip((vecs * (lam - c)).T, vecs.conj().T):
             mat += np.outer(a, b)
@@ -176,22 +187,18 @@ class HermitianOperator:
     def trace(self) -> float:
         return float(np.real(np.trace(self.mat)))
 
-    def zero_threshold(self) -> float:
-        lam_max = self.eigenvalues[0] if self.dim else 0.0
-        return ZERO_EIGENVALUE_RTOL * max(lam_max, 0.0)
-
     def apply_function(self, f, support_only: bool = False) -> "HermitianOperator":
         """Return ``U f(Lambda) U^dagger``.
 
         ``f`` is called once, on the array of retained eigenvalues, and
-        acts elementwise.  With ``support_only``, only eigenvalues above the
-        zero threshold are retained; the rest map to 0 (support-restricted
-        inverse convention, e.g. ``omega^{-1/2}``).
+        acts elementwise.  With ``support_only``, only the eigenvalues in
+        ``support_mask`` are retained; the rest map to 0 (support-restricted
+        convention, e.g. ``omega^{-1/2}``).
         """
         lam = self.eigenvalues
         out = np.zeros_like(lam)
         if support_only:
-            keep = lam > self.zero_threshold()
+            keep = support_mask(lam)
         else:
             keep = np.ones(self.dim, dtype=bool)
         with np.errstate(all="ignore"):
@@ -205,16 +212,13 @@ class HermitianOperator:
         return HermitianOperator((u * out) @ u.conj().T)
 
     def sqrt(self) -> "HermitianOperator":
-        # clip tiny negative noise; genuinely negative eigenvalues raise
-        thr = -10 * max(self.zero_threshold(), ZERO_EIGENVALUE_RTOL)
-        if self.eigenvalues[-1] < thr - PSD_ATOL:
+        """The square root of the support; an eigenvalue below ``-PSD_ATOL``
+        raises, and rounding noise on either side of 0 maps to 0."""
+        if self.eigenvalues[-1] < -PSD_ATOL:
             raise MatrixFunctionDomainError(
                 f"square root of operator with eigenvalue {self.eigenvalues[-1]!r}"
             )
-        return self.apply_function(lambda lam: np.sqrt(np.maximum(lam, 0.0)))
-
-    def inv_sqrt_support(self) -> "HermitianOperator":
-        return self.apply_function(lambda x: 1.0 / np.sqrt(x), support_only=True)
+        return self.apply_function(np.sqrt, support_only=True)
 
 
 def as_operator(x) -> HermitianOperator:

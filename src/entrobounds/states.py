@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import PSD_ATOL, HermitianOperator, _frozen
+from .linalg import PSD_ATOL, HermitianOperator, _frozen, check_dense_dim
 
 
 class StateValidationError(ValueError):
@@ -135,6 +135,7 @@ def pretty_good_purification(rho: DensityOperator) -> BipartiteState:
 
 
 def _ginibre(rng, n, m):
+    check_dense_dim(n)
     return (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2)
 
 

@@ -64,6 +64,11 @@ class TestEigHermitian:
             assert np.abs(u.conj().T @ u - np.eye(d)).max() <= 1e-10
             assert (np.diff(lam) <= 1e-12).all()
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (0, 0)])
+    def test_non_square_or_empty_rejected(self, shape):
+        with pytest.raises(ValueError, match="expected a non-empty square matrix"):
+            HermitianOperator(np.zeros(shape))
+
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
             HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -317,6 +322,21 @@ class TestMatrixFunction:
         op = HermitianOperator.diagonal([4.0, 0.0])
         out = op.apply_function(lambda x: 1.0 / np.sqrt(x), support_only=True)
         np.testing.assert_allclose(out.mat, np.diag([0.5, 0.0]), atol=1e-12)
+        # the support cut is 1e-12 max(lambda_max, 1): 7e-13 is outside it
+        op = HermitianOperator.diagonal([0.5, 7e-13])
+        out = op.apply_function(lambda x: 1.0 / np.sqrt(x), support_only=True)
+        np.testing.assert_allclose(out.mat, np.diag([1 / np.sqrt(0.5), 0.0]), atol=1e-12)
+
+    def test_sqrt_maps_rounding_noise_to_zero(self):
+        out = HermitianOperator.diagonal([1.0, 5e-13]).sqrt()
+        np.testing.assert_array_equal(out.mat, np.diag([1.0, 0.0]))
+
+    def test_sqrt_domain_is_the_psd_rule(self):
+        # PSD_ATOL = 1e-10: -5e-11 is rounding noise of a PSD operator, -2e-10 is not
+        out = HermitianOperator.diagonal([1.0, -5e-11]).sqrt()
+        np.testing.assert_array_equal(out.mat, np.diag([1.0, 0.0]))
+        with pytest.raises(MatrixFunctionDomainError, match="-2e-10"):
+            HermitianOperator.diagonal([1.0, -2e-10]).sqrt()
 
     def test_log_identity_is_zero(self):
         out = HermitianOperator(np.eye(3)).apply_function(np.log)
@@ -419,6 +439,17 @@ class TestFidelity:
         fast = [fidelity(a, b) for a, b in pairs]
         assert calls == []
         np.testing.assert_allclose(fast, dense, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [4, 16])
+    def test_dense_pure_operand_matches_closed_form(self, d):
+        # a pure state without its factor takes the dense path, where
+        # rounding-level eigenvalues of u must not enter sqrt(u)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            u, sigma = sample_pure_state(d, rng), sample_state(d, d, rng)
+            v = u.factor[0][:, 0]
+            exact = math.sqrt(np.real(np.vdot(v, sigma.mat @ v)))
+            assert fidelity(HermitianOperator(u.mat), sigma) == pytest.approx(exact, abs=1e-12)
 
     def test_fuchs_van_de_graaf(self):
         rng = np.random.default_rng(3)
