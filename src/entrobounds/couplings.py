@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianOperator, positive_part, rank_one_factor, trace_norm
+from .linalg import HermitianOperator, _operator_pair, positive_part, rank_one_factor, trace_norm
 from .states import BipartiteState, DensityOperator, vector_marginals
 
 _DEGENERATE_EPS = 1e-12
@@ -110,8 +110,7 @@ def _unit_trace(op: HermitianOperator) -> DensityOperator:
 def build_decomposition(rho: DensityOperator, sigma: DensityOperator) -> CouplingDecomposition:
     """The eps/Delta/Delta'/omega bundle with eps Delta = (rho - sigma)_+
     and eps Delta' = (sigma - rho)_+."""
-    if rho.dim != sigma.dim:
-        raise ValueError("dimension mismatch")
+    _operator_pair(rho, sigma)
     diff = rho - sigma
     eps = 0.5 * trace_norm(diff)
     if eps < _DEGENERATE_EPS:
@@ -135,8 +134,7 @@ def quantum_coupling(rho: DensityOperator, sigma: DensityOperator) -> QuantumCou
     |<psi|vartheta>|, |<phi|vartheta>| >= 1 - eps and Theta marginals
     (rho, sigma^T).
     """
-    if rho.dim != sigma.dim:
-        raise ValueError("dimension mismatch")
+    _operator_pair(rho, sigma)
     d = rho.dim
     # sqrt(rho), flattened row-major, is the pretty good purification of rho
     sqrt_rho = rho.sqrt().mat
@@ -194,8 +192,7 @@ def diagonal_coupling(rho: DensityOperator, sigma: DensityOperator) -> DiagonalC
     The largest eigenvalue of omega is at least 1 - trace distance, and
     eps equals half the l1 distance of the sorted spectra (Mirsky).
     """
-    if rho.dim != sigma.dim:
-        raise ValueError("dimension mismatch")
+    _operator_pair(rho, sigma)
     d = rho.dim
     r, e = _phase_fixed_eigenbasis(rho)
     s, f = _phase_fixed_eigenbasis(sigma)

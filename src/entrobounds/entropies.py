@@ -1,8 +1,9 @@
 """Entropy functionals, all in bits (base-2 logarithms).
 
 Natural-log constants appearing in closed-form bounds are carried as
-explicit ``LOG2_E`` factors.  Eigenvalues below 1e-12 are treated as
-exact zeros inside entropy sums (0 log 0 = 0).
+explicit ``LOG2_E`` factors.  Entropy sums keep every positive weight:
+0 log 0 = 0 is a definition, not a tolerance, and ``linalg.support_mask``
+is the one rule that cuts small eigenvalues to zero.
 """
 
 from __future__ import annotations
@@ -16,18 +17,21 @@ from .states import BipartiteState, DensityOperator, partial_trace
 
 LOG2_E = math.log2(math.e)
 
-_EIG_FLOOR = 1e-12
-
 
 def _h_terms(p: np.ndarray) -> float:
     p = np.asarray(p, dtype=float)
-    p = p[p > _EIG_FLOOR]
+    p = p[p > 0.0]
     return float(-(p * np.log2(p)).sum())
 
 
+def _state(rho) -> DensityOperator:
+    """``rho`` as a validated state; a :class:`DensityOperator` as it is."""
+    return rho if isinstance(rho, DensityOperator) else DensityOperator(rho)
+
+
 def von_neumann_entropy(rho) -> float:
-    """S(rho) = -tr rho log2 rho."""
-    return _h_terms(as_operator(rho).eigenvalues)
+    """S(rho) = -tr rho log2 rho; ``rho`` must be a state."""
+    return _h_terms(_state(rho).eigenvalues)
 
 
 def shannon_entropy(p) -> float:
@@ -62,7 +66,7 @@ def relative_entropy(rho: DensityOperator, gamma) -> float:
     support violations).
     """
     gamma_op = as_operator(gamma)
-    rho_op = as_operator(rho)
+    rho_op = _state(rho)
     lam = gamma_op.eigenvalues
     u = gamma_op.eigenvectors
     if lam[-1] < -PSD_ATOL:

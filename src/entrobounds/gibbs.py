@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _af_form
 from .entropies import LOG2_E, binary_entropy, clipped_binary, shannon_entropy
 from .linalg import DENSE_DIM_LIMIT, check_dense_dim
 from .states import (
@@ -189,11 +190,28 @@ def solve_beta(hamiltonian: HamiltonianSpec, energy: float) -> GibbsSolution:
                          energy=energy, entropy=entropy)
 
 
+def _mode_entropy(q: float, n_max: int) -> float:
+    """Entropy of the geometric weights (1-q) q^n: their Shannon sum to
+    n_max plus the exact entropy of the tail n > n_max."""
+    body = shannon_entropy((1.0 - q) * q ** np.arange(n_max + 1))
+    tail = q ** (n_max + 1)
+    if tail == 0.0:  # q = 0 included, where log2 q is undefined
+        return body
+    return body - tail * (math.log2(1.0 - q) + (n_max + 1 + q / (1.0 - q)) * math.log2(q))
+
+
 def entropy_check(sol: GibbsSolution) -> tuple[float, float]:
-    """(S_direct, |S_formula - S_direct|): the Shannon entropy of the Gibbs
-    weights on the (truncated) level basis, and its distance from the
-    closed-form entropy ``sol.entropy``."""
-    direct = shannon_entropy(sol.diagonal_probabilities())
+    """(S_direct, |S_formula - S_direct|): the entropy of the Gibbs weights
+    summed directly, and its distance from the closed-form entropy
+    ``sol.entropy``.  Explicit levels sum their weights; oscillator modes
+    are independent, so their entropies add, each summed to its cutoff
+    with its geometric tail added exactly."""
+    h = sol.hamiltonian
+    if h.hbar_omegas is None:
+        direct = shannon_entropy(sol.diagonal_probabilities())
+    else:
+        direct = sum(_mode_entropy(math.exp(-sol.beta * hw), h.n_max)
+                     for hw in h.hbar_omegas)
     return direct, abs(sol.entropy - direct)
 
 
@@ -248,7 +266,7 @@ def meta6_bound(hamiltonian: HamiltonianSpec, energy: float,
     (2 eps' + 4 delta) S(gamma(E/delta)) + (1+eps') h(eps'/(1+eps')) + 2 h(delta)."""
     d = meta_delta(epsilon, epsilon_prime)
     return ((2.0 * epsilon_prime + 4.0 * d) * gibbs_entropy(hamiltonian, energy / d)
-            + (1.0 + epsilon_prime) * binary_entropy(epsilon_prime / (1.0 + epsilon_prime))
+            + _af_form(epsilon_prime, 0.0)
             + 2.0 * binary_entropy(d))
 
 

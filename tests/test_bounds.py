@@ -23,6 +23,7 @@ from entrobounds.bounds import (
 from entrobounds import dc_optimizer
 from entrobounds.dc_optimizer import dc_minimize, kappa_bracket
 from entrobounds.entropies import binary_entropy, conditional_entropy, von_neumann_entropy
+from entrobounds.gibbs import HamiltonianSpec, gibbs_entropy, meta6_bound, meta_delta
 from entrobounds.linalg import trace_distance
 from entrobounds.states import BipartiteState, DensityOperator, sample_pure_bipartite, sample_state
 
@@ -103,6 +104,12 @@ class TestFormulas:
         assert cor1_bounds(eps, d) == (delta * log_d + term(delta),
                                        2.0 * delta * log_d + term(delta))
         assert cor2_bound(eps, d) == eps * log_d + term(eps)
+        if eps > 0.0:
+            h = HamiltonianSpec.oscillators([1.0], n_max=d)
+            meta_d = meta_delta(0.0, eps)
+            assert meta6_bound(h, 1.0, 0.0, eps) == (
+                (2.0 * eps + 4.0 * meta_d) * gibbs_entropy(h, 1.0 / meta_d)
+                + term(eps) + 2.0 * binary_entropy(meta_d))
 
     def test_monotone_in_epsilon(self):
         grid = np.linspace(1e-3, 1.0, 400)

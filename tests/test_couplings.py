@@ -133,6 +133,12 @@ class TestDecomposition:
                 assert dom.eigenvalues[-1] >= -1e-10
 
 
+@pytest.mark.parametrize("construct", [build_decomposition, quantum_coupling, diagonal_coupling])
+def test_couplings_reject_a_dimension_mismatch(construct):
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+        construct(DensityOperator.maximally_mixed(2), DensityOperator.maximally_mixed(3))
+
+
 class TestQuantumCoupling:
     def test_identical_pair(self):
         # eps = 0 takes the general construction with omega = rho

@@ -17,6 +17,7 @@ from entrobounds.linalg import HermitianOperator
 from entrobounds.states import (
     BipartiteState,
     DensityOperator,
+    StateValidationError,
     maximally_entangled_state,
     partial_trace,
     sample_pure_bipartite,
@@ -51,6 +52,12 @@ class TestVonNeumann:
         assert von_neumann_entropy(rotated) == pytest.approx(
             von_neumann_entropy(rho), abs=1e-10)
 
+    def test_keeps_a_weight_below_1e12(self):
+        """0 log 0 = 0 is the only cut: a weight of 5e-13 counts in full."""
+        x = 5e-13
+        exact = -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
+        assert von_neumann_entropy(np.diag([1.0 - x, x])) == pytest.approx(exact, rel=1e-12)
+
     def test_additive_under_tensor(self):
         rng = np.random.default_rng(1)
         a = sample_state(2, 2, rng)
@@ -58,6 +65,14 @@ class TestVonNeumann:
         joint = DensityOperator(np.kron(a.mat, b.mat))
         assert von_neumann_entropy(joint) == pytest.approx(
             von_neumann_entropy(a) + von_neumann_entropy(b), abs=1e-10)
+
+
+class TestNonState:
+    def test_entropies_reject_an_operator_that_is_not_a_state(self):
+        with pytest.raises(StateValidationError):
+            von_neumann_entropy(np.diag([2.0, -0.5]))
+        with pytest.raises(StateValidationError):
+            relative_entropy(np.diag([3.0, 0.0]), np.eye(2) / 2)
 
 
 class TestShannonAndBinary:

@@ -17,6 +17,7 @@ from entrobounds.gibbs import (
     EnergyDomainError,
     HamiltonianSpec,
     cutoff_decompose,
+    entropy_check,
     gibbs_entropy,
     lemma4_bound,
     lemma7_bounds,
@@ -143,6 +144,21 @@ class TestSolveBeta:
             sol = solve_beta(h, e)
             direct = shannon_entropy(sol.diagonal_probabilities())
             assert sol.entropy == pytest.approx(direct, abs=1e-9)
+
+    def test_direct_entropy_adds_the_exact_tail(self):
+        """At n_max=256 the cutoff sum plus its closed-form tail matches a
+        plain Shannon sum of the geometric weights to n = 20,000."""
+        h = HamiltonianSpec.oscillators([1.0], n_max=256)
+        for e in (1.0, 11.0, 20.0):
+            sol = solve_beta(h, e)
+            q = math.exp(-sol.beta)
+            plain = shannon_entropy((1.0 - q) * q ** np.arange(20001))
+            direct, _ = entropy_check(sol)
+            assert abs(direct - plain) <= 1e-12
+        # at E = 1e-300 the second mode's q = exp(-2 beta) underflows to 0
+        sol = solve_beta(HamiltonianSpec.oscillators([1.0, 2.0], n_max=512), 1e-300)
+        assert math.exp(-2.0 * sol.beta) == 0.0
+        assert entropy_check(sol)[1] <= 1e-9 * sol.entropy
 
     def test_single_mode_entropy_is_g(self):
         # at hbar omega = 1 the mean occupation equals the energy

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from entrobounds import cli
+from entrobounds import cli, gibbs
 from entrobounds.gibbs import HamiltonianSpec
 from entrobounds.harness import (
     SCHEMA_LINE,
@@ -158,11 +158,20 @@ class TestCli:
         with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
             assert a.read() == b.read()
 
-    def test_verify_gibbs_applies_the_tolerance_once(self, capsys):
+    def test_verify_gibbs_applies_the_tolerance_once(self, capsys, monkeypatch):
         # formula-vs-direct gaps: 8.95e-10 at E=10, 2.80e-9 at E=10.5 (< 2 tol)
+        gaps = {10.0: 8.95e-10, 10.5: 2.80e-9}
+        monkeypatch.setattr(gibbs, "entropy_check", lambda sol: (sol.entropy, gaps[sol.energy]))
         rc = cli.main(["verify", "gibbs", "--energies", "10,10.5", "--tol", "1.5e-9"])
         assert rc == cli.EXIT_VIOLATIONS
         assert "violations=1" in capsys.readouterr().out
+
+    def test_gibbs_checks_pass_where_the_truncated_sum_fell_short(self):
+        """The single-mode tail at E >= 10.5 and the two-mode weights below
+        1e-12 are in the direct entropy, so both checks pass the default --tol."""
+        assert cli.main(["verify", "gibbs", "--energies", "10.5,11,20"]) == cli.EXIT_OK
+        assert cli.main(["gibbs-table", "--modes", "1.0,2.0",
+                         "--energies", "2,3,4,8"]) == cli.EXIT_OK
 
     def test_reports_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         """The d=16 tightness and cor_pure suites (256-dim witness and pure
