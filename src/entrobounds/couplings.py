@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianOperator, _operator_pair, positive_part, rank_one_factor, trace_norm
+from .linalg import (PSD_ATOL, HermitianOperator, _operator_pair, positive_part, rank_one_factor,
+                     trace_norm)
 from .states import BipartiteState, DensityOperator, vector_marginals
 
 _DEGENERATE_EPS = 1e-12
@@ -157,7 +158,7 @@ def quantum_coupling(rho: DensityOperator, sigma: DensityOperator) -> QuantumCou
     slack = 1.0 - norm_sq
     if slack > _DEGENERATE_EPS:
         for res in (res1, res2):
-            if res.eigenvalues[-1] < -1e-8:
+            if res.eigenvalues[-1] < -PSD_ATOL:
                 raise CouplingConsistencyError(
                     f"marginal residual has eigenvalue {res.eigenvalues[-1]:.3e}"
                 )

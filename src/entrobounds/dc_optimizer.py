@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropies import von_neumann_entropy
-from .linalg import OUTSIDE_SUPPORT_ATOL, PSD_ATOL, as_operator, support_mask
+from .entropies import relative_entropies, relative_entropy, von_neumann_entropy
+from .linalg import OUTSIDE_SUPPORT_ATOL, PSD_ATOL, as_operator, descending_eigh, support_mask
 from .states import DensityOperator, sample_pure_state
 
 # The line search stops once |f'(t)| <= _SLOPE_RTOL |f'(0)|, or once its
@@ -81,10 +81,9 @@ class ConvexSetModel:
             raise ValueError("generator list must be non-empty")
         gens = [as_operator(g) for g in self.generators]
         object.__setattr__(self, "generators", gens)
-        for g in gens:
-            if g.eigenvalues[-1] < -PSD_ATOL:
-                raise ValueError("generators must be PSD")
-        if not any(g.eigenvalues[-1] > 1e-10 for g in gens):
+        if any(g.eigenvalues[-1] < -PSD_ATOL for g in gens):
+            raise ValueError("generators must be PSD")
+        if not any(support_mask(g.eigenvalues).all() for g in gens):
             raise ValueError("need at least one full-rank generator")
 
     @property
@@ -130,24 +129,14 @@ def _spectra(rho: np.ndarray, mix: np.ndarray):
     """Eigen-data of a stack of mixtures, as ``HermitianOperator`` takes it.
 
     Returns ``(lam, u, rho_tilde, q)``: eigenvalues in non-increasing
-    order, the eigenvectors, rho in that eigenbasis and its diagonal.
+    order, the eigenvectors, rho in that eigenbasis and its diagonal.  A
+    mixture needs no symmetrising: a real-weighted sum of symmetrised
+    generators is exactly Hermitian, and eigh reads one triangle anyway.
     """
-    lam, u = np.linalg.eigh((mix + _adjoint(mix)) / 2)
-    lam, u = lam[:, ::-1], u[:, :, ::-1]
+    lam, u = descending_eigh(mix)
     left = _adjoint(u) @ rho
     q = np.real(np.einsum("kij,kji->ki", left, u))
     return lam, u, left @ u, q
-
-
-def _values(neg_s: np.ndarray, lam: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """D(rho || mixture) in bits from ``_spectra``; +inf outside the support."""
-    if (lam[:, -1] < -PSD_ATOL).any():
-        raise ValueError("gamma is not positive semidefinite")
-    keep = support_mask(lam)
-    log_terms = np.where(keep, q * np.log2(np.where(keep, lam, 1.0)), 0.0)
-    values = neg_s - log_terms.sum(axis=1)
-    values[np.where(keep, 0.0, q).sum(axis=1) > OUTSIDE_SUPPORT_ATOL] = math.inf
-    return values
 
 
 def _log2_divided_differences(lam: np.ndarray, q: np.ndarray):
@@ -270,7 +259,7 @@ def dc_minimize_stack(rhos, model: ConvexSetModel, tol: float = 1e-6,
     neg_s = np.array([-von_neumann_entropy(r) for r in rhos])
     mix = _mixtures(gens, w)
     lam, u, rho_tilde, q = _spectra(rho, mix)
-    value = _values(neg_s, lam, q)
+    value = relative_entropies(neg_s, lam, q)
     gap = np.full(n, math.inf)
     iterations = np.zeros(n, dtype=int)
     stalled = np.zeros(n, dtype=int)
@@ -314,7 +303,7 @@ def dc_minimize_stack(rhos, model: ConvexSetModel, tol: float = 1e-6,
         # the eigen-data of an accepted point also serve its next gradient
         mix_new = _mixtures(gens, w_new)
         lam_new, u_new, rho_tilde_new, q_new = _spectra(rho[live], mix_new)
-        value_new = _values(neg_s[live], lam_new, q_new)
+        value_new = relative_entropies(neg_s[live], lam_new, q_new)
         better = value_new < value[live]
         acc = live[better]
         w[acc], value[acc], mix[acc] = w_new[better], value_new[better], mix_new[better]
@@ -331,9 +320,8 @@ def dc_minimize_stack(rhos, model: ConvexSetModel, tol: float = 1e-6,
 
 def dc_objective(rho: DensityOperator, model: ConvexSetModel, w) -> float:
     """D(rho || gamma(w)) in bits; +inf outside the support."""
-    mix = _mixtures(_generators(model), np.asarray(w, dtype=float)[None])
-    lam, _, _, q = _spectra(rho.mat[None], mix)
-    return float(_values(np.array([-von_neumann_entropy(rho)]), lam, q)[0])
+    mix = _mixtures(_generators(model), np.asarray(w, dtype=float)[None])[0]
+    return relative_entropy(rho, mix)
 
 
 def dc_gradient(rho: DensityOperator, weights, model: ConvexSetModel) -> np.ndarray:

@@ -58,34 +58,39 @@ def conditional_entropy(state: BipartiteState) -> float:
     return von_neumann_entropy(state) - von_neumann_entropy(partial_trace(state, "B"))
 
 
+def relative_entropies(neg_s: np.ndarray, lam: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """D(rho_k || gamma_k) in bits for a stack: ``neg_s`` holds -S(rho_k),
+    ``lam`` the non-increasing spectra of the gamma_k and ``q`` the
+    diagonals of rho_k in their eigenbases; +inf outside the support."""
+    if (lam[:, -1] < -PSD_ATOL).any():
+        raise ValueError("gamma is not positive semidefinite")
+    keep = support_mask(lam)
+    log_terms = np.where(keep, q * np.log2(np.where(keep, lam, 1.0)), 0.0)
+    values = neg_s - log_terms.sum(axis=1)
+    values[np.where(keep, 0.0, q).sum(axis=1) > OUTSIDE_SUPPORT_ATOL] = math.inf
+    return values
+
+
 def relative_entropy(rho: DensityOperator, gamma) -> float:
     """D(rho || gamma) = tr rho (log2 rho - log2 gamma), gamma PSD.
 
     gamma need not be normalized.  Returns ``math.inf`` when the support
     of rho is not contained in the support of gamma (never raises for
-    support violations).
+    support violations).  The stack of one of ``relative_entropies``.
     """
-    gamma_op = as_operator(gamma)
-    rho_op = _state(rho)
-    lam = gamma_op.eigenvalues
+    gamma_op, rho_op = as_operator(gamma), _state(rho)
     u = gamma_op.eigenvectors
-    if lam[-1] < -PSD_ATOL:
-        raise ValueError("gamma is not positive semidefinite")
-    keep = support_mask(lam)
-    # weight of rho outside supp(gamma) decides finiteness
-    rho_diag = np.real(np.einsum("ij,ji->i", u.conj().T @ rho_op.mat, u))
-    outside = rho_diag[~keep].sum()
-    if outside > OUTSIDE_SUPPORT_ATOL:
-        return math.inf
-    log_gamma_term = float((rho_diag[keep] * np.log2(lam[keep])).sum())
-    return -von_neumann_entropy(rho_op) - log_gamma_term
+    q = np.real(np.einsum("ij,ji->i", u.conj().T @ rho_op.mat, u))
+    neg_s = np.array([-von_neumann_entropy(rho_op)])
+    return float(relative_entropies(neg_s, gamma_op.eigenvalues[None], q[None])[0])
 
 
 def gibbs_entropy_g(n: float) -> float:
     """g(N) = (N+1) log2(N+1) - N log2 N, the single-mode thermal entropy
-    at mean occupation N."""
+    at mean occupation N, evaluated as log2(N+1) + N log1p(1/N) log2 e so
+    that nothing cancels at large N."""
     if n < 0:
         raise ValueError(f"mean occupation must be nonnegative, got {n!r}")
     if n < 1e-300:
         return 0.0
-    return (n + 1) * math.log2(n + 1) - n * math.log2(n)
+    return math.log2(n + 1) + n * math.log1p(1.0 / n) * LOG2_E

@@ -109,7 +109,7 @@ def partition_function(hamiltonian: HamiltonianSpec, beta: float) -> float:
         raise EnergyDomainError(f"beta must be positive, got {beta!r}")
     if hamiltonian.hbar_omegas is None:
         return float(np.exp(-beta * hamiltonian.levels).sum())
-    return float(np.prod(1.0 / (1.0 - np.exp(-beta * hamiltonian.hbar_omegas))))
+    return float(np.prod(1.0 / -np.expm1(-beta * hamiltonian.hbar_omegas)))
 
 
 def truncation_tail(hamiltonian: HamiltonianSpec, beta: float) -> float:
@@ -190,14 +190,17 @@ def solve_beta(hamiltonian: HamiltonianSpec, energy: float) -> GibbsSolution:
                          energy=energy, entropy=entropy)
 
 
-def _mode_entropy(q: float, n_max: int) -> float:
-    """Entropy of the geometric weights (1-q) q^n: their Shannon sum to
-    n_max plus the exact entropy of the tail n > n_max."""
-    body = shannon_entropy((1.0 - q) * q ** np.arange(n_max + 1))
+def _mode_entropy(x: float, n_max: int) -> float:
+    """Entropy of the geometric weights (1-q) q^n, q = e^{-x}: their
+    Shannon sum to n_max plus the exact entropy of the tail n > n_max.
+    1 - q is expm1(-x) and log2 q is -x log2 e, so no digit is lost to
+    1 - q at small x."""
+    q, one_minus_q = math.exp(-x), -math.expm1(-x)
+    body = shannon_entropy(one_minus_q * q ** np.arange(n_max + 1))
     tail = q ** (n_max + 1)
-    if tail == 0.0:  # q = 0 included, where log2 q is undefined
+    if tail == 0.0:  # x = inf included, where the bracket is infinite
         return body
-    return body - tail * (math.log2(1.0 - q) + (n_max + 1 + q / (1.0 - q)) * math.log2(q))
+    return body - tail * (math.log2(one_minus_q) - (n_max + 1 + q / one_minus_q) * x * LOG2_E)
 
 
 def entropy_check(sol: GibbsSolution) -> tuple[float, float]:
@@ -210,8 +213,7 @@ def entropy_check(sol: GibbsSolution) -> tuple[float, float]:
     if h.hbar_omegas is None:
         direct = shannon_entropy(sol.diagonal_probabilities())
     else:
-        direct = sum(_mode_entropy(math.exp(-sol.beta * hw), h.n_max)
-                     for hw in h.hbar_omegas)
+        direct = sum(_mode_entropy(float(sol.beta * hw), h.n_max) for hw in h.hbar_omegas)
     return direct, abs(sol.entropy - direct)
 
 

@@ -236,8 +236,8 @@ def _format_value(v):
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, float):  # np.float64 included, whose repr names its type
+        return repr(float(v))
     return str(v)
 
 

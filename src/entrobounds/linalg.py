@@ -7,8 +7,8 @@ states are subclasses of it.
 
 Conventions
 -----------
-* Eigenvalues are stored in non-increasing order.
-* The decomposition is lazy: one ``np.linalg.eigh`` on the first read of
+* Eigenvalues are stored in non-increasing order, fixed by ``descending_eigh``.
+* The decomposition is lazy: one ``descending_eigh`` on the first read of
   ``eigenvalues`` or ``eigenvectors``, cached from then on.  Operators
   whose spectrum is never read are never decomposed.
 * An operator with a thin factor (``HermitianOperator.factor``), such as
@@ -153,10 +153,9 @@ class HermitianOperator:
 
     def _decompose(self, vectors=False):
         if self.factor is None:
-            evals, evecs = np.linalg.eigh(self.mat)
-            # eigh returns ascending order; flip to the non-increasing convention
-            self._eigenvalues = _frozen(np.ascontiguousarray(evals[::-1]))
-            self._eigenvectors = _frozen(np.ascontiguousarray(evecs[:, ::-1]))
+            evals, evecs = descending_eigh(self.mat)
+            self._eigenvalues = _frozen(np.ascontiguousarray(evals))
+            self._eigenvectors = _frozen(np.ascontiguousarray(evecs))
             return
         # one stable sort of [lam, c, ..., c]; the completion of V follows it
         vecs, lam, c = self.factor
@@ -219,6 +218,13 @@ class HermitianOperator:
                 f"square root of operator with eigenvalue {self.eigenvalues[-1]!r}"
             )
         return self.apply_function(np.sqrt, support_only=True)
+
+
+def descending_eigh(mats):
+    """``np.linalg.eigh`` of a matrix or a stack (last two axes), as views
+    flipped to non-increasing order; it reads the lower triangle only."""
+    lam, u = np.linalg.eigh(mats)
+    return lam[..., ::-1], u[..., ::-1]
 
 
 def as_operator(x) -> HermitianOperator:

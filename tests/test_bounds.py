@@ -214,6 +214,13 @@ class TestConvexSetModel:
         with pytest.raises(ValueError, match="full-rank"):
             ConvexSetModel(generators=[np.diag([1.0, 0.0])])
 
+    def test_full_rank_is_judged_by_the_support_cut(self):
+        # 5e-11 is inside the support (above 1e-12 max(lambda_max, 1)),
+        # 5e-13 is a zero eigenvalue
+        assert ConvexSetModel(generators=[np.diag([1.0, 5e-11])]).dim == 2
+        with pytest.raises(ValueError, match="full-rank"):
+            ConvexSetModel(generators=[np.diag([1.0, 5e-13])])
+
     def test_rejects_non_psd(self):
         with pytest.raises(ValueError, match="PSD"):
             ConvexSetModel(generators=[np.diag([1.0, -0.5])])

@@ -4,7 +4,9 @@ import itertools
 import numpy as np
 import pytest
 
+from entrobounds import couplings
 from entrobounds.couplings import (
+    CouplingConsistencyError,
     build_decomposition,
     diagonal_coupling,
     maximal_classical_coupling,
@@ -12,6 +14,7 @@ from entrobounds.couplings import (
 )
 from entrobounds.entropies import binary_entropy, shannon_entropy
 from entrobounds.linalg import (
+    PSD_ATOL,
     HermitianOperator,
     fidelity,
     operator_norm,
@@ -154,6 +157,21 @@ class TestQuantumCoupling:
             np.testing.assert_allclose(partial_trace(theta, "B").mat, rho.mat.T, atol=1e-9)
             for op in (qc.x_op, qc.y_op):
                 assert np.linalg.norm(op, 2) <= 1.0 + 1e-9
+
+    def test_marginal_residual_is_judged_by_the_psd_rule(self, monkeypatch):
+        """A residual eigenvalue of -2 PSD_ATOL is not rounding noise."""
+        rng = np.random.default_rng(3)
+        rho, sigma = sample_state(3, 3, rng), sample_state(3, 3, rng)
+
+        def pushed(vec, d_a, d_b):
+            marg1, marg2 = vector_marginals(vec, d_a, d_b)
+            lam_min = np.linalg.eigvalsh(rho.mat - marg1)[0]
+            return marg1 + (lam_min + 2 * PSD_ATOL) * np.eye(d_a), marg2
+
+        quantum_coupling(rho, sigma)
+        monkeypatch.setattr(couplings, "vector_marginals", pushed)
+        with pytest.raises(CouplingConsistencyError, match="marginal residual"):
+            quantum_coupling(rho, sigma)
 
     def test_overlaps_read_a_renormalised_factor(self):
         # DensityOperator divides a factor's eigenvalue by a trace that is

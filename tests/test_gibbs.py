@@ -160,6 +160,15 @@ class TestSolveBeta:
         assert math.exp(-2.0 * sol.beta) == 0.0
         assert entropy_check(sol)[1] <= 1e-9 * sol.entropy
 
+    def test_closed_forms_keep_their_digits_at_large_energy(self):
+        """S(gamma(E)) of one mode and g(N) match log2(E+1) + E log1p(1/E) log2 e,
+        where 1 - e^{-beta hbar omega} and (N+1) log2(N+1) - N log2 N cancel."""
+        h = HamiltonianSpec.oscillators([1.0])
+        for e in (1e6, 1e8, 1e10, 1e12, 1e14):
+            exact = math.log2(e + 1.0) + e * math.log1p(1.0 / e) / math.log(2.0)
+            assert solve_beta(h, e).entropy == pytest.approx(exact, rel=1e-12, abs=0.0)
+            assert gibbs_entropy_g(e) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
     def test_single_mode_entropy_is_g(self):
         # at hbar omega = 1 the mean occupation equals the energy
         h = HamiltonianSpec.oscillators([1.0])

@@ -13,6 +13,7 @@ from entrobounds.harness import (
     SCHEMA_LINE,
     SUITES,
     CampaignConfig,
+    CampaignReport,
     ConfigError,
     emit_gibbs_table,
     render_report,
@@ -110,6 +111,15 @@ class TestCampaigns:
         with open(path) as fh:
             assert fh.readline().startswith("# entrobounds-report v2")
 
+    def test_numpy_floats_render_as_python_floats(self):
+        """A np.float64 field (whose repr names its type under numpy 2)
+        writes the same CSV cell as the Python float."""
+        report = run_campaign(CampaignConfig(suite="fannes", **SMALL))
+        as_numpy = CampaignReport([{k: np.float64(v) if type(v) is float else v
+                                    for k, v in r.items()} for r in report.records])
+        assert type(as_numpy.records[0]["lhs"]) is np.float64
+        assert render_report(as_numpy, "csv") == render_report(report, "csv")
+
     def test_dc_suite_records_no_estimated_kappa(self):
         # kappa comes only from the certified bracket, so no column labels it
         cfg = CampaignConfig(suite="dc", dims=(2,), samples=2, seed=0)
@@ -172,6 +182,13 @@ class TestCli:
         assert cli.main(["verify", "gibbs", "--energies", "10.5,11,20"]) == cli.EXIT_OK
         assert cli.main(["gibbs-table", "--modes", "1.0,2.0",
                          "--energies", "2,3,4,8"]) == cli.EXIT_OK
+
+    def test_gibbs_checks_keep_their_digits_at_large_energies(self):
+        """At E = 1e17, e^{-beta hbar omega} rounds to 1; 1 - q comes from
+        expm1, so the check and the table row are finite and pass."""
+        assert cli.main(["verify", "gibbs", "--energies", "1e10,1e17"]) == cli.EXIT_OK
+        rows = emit_gibbs_table(HamiltonianSpec.oscillators([1.0]), [1e17])
+        assert rows[0]["error"] == "" and rows[0]["abs_diff"] <= 1e-9
 
     def test_reports_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         """The d=16 tightness and cor_pure suites (256-dim witness and pure
