@@ -13,6 +13,12 @@ Four devices:
 The quantum coupling is one construction for every pair; only the
 decomposition special-cases eps < 1e-12, where Delta is 0/0 and
 omega = rho.
+
+Theta and the diagonal coupling's omega are dense d^2 x d^2 states, but
+each is a rank-one term plus a nonnegative multiple of Delta1 (x) Delta2
+for two validated d x d states, so each is PSD by construction: it is
+held to the trace rule only, and never decomposed.  Omega's largest
+eigenvalue is read off its structure.
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (PSD_ATOL, HermitianOperator, _operator_pair, positive_part, rank_one_factor,
-                     trace_norm)
+from .linalg import (PSD_ATOL, HermitianOperator, _operator_pair, check_dense_dim, positive_part,
+                     rank_one_factor, trace_norm)
 from .states import BipartiteState, DensityOperator, vector_marginals
 
 _DEGENERATE_EPS = 1e-12
@@ -73,13 +79,14 @@ class QuantumCoupling:
 
 @dataclass(frozen=True)
 class DiagonalCoupling:
+    """omega = |phi><phi| + eps Delta1 (x) Delta2 and its largest eigenvalue,
+    known from the construction (see ``diagonal_coupling``), not from a
+    decomposition of omega."""
+
     omega: BipartiteState
     phi_vector: np.ndarray
     epsilon_mirsky: float
-
-    @property
-    def largest_eigenvalue(self) -> float:
-        return float(self.omega.eigenvalues[0])
+    largest_eigenvalue: float
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +144,7 @@ def quantum_coupling(rho: DensityOperator, sigma: DensityOperator) -> QuantumCou
     """
     _operator_pair(rho, sigma)
     d = rho.dim
+    check_dense_dim(d * d)
     # sqrt(rho), flattened row-major, is the pretty good purification of rho
     sqrt_rho = rho.sqrt().mat
     sqrt_sigma = sigma.sqrt().mat
@@ -166,7 +174,7 @@ def quantum_coupling(rho: DensityOperator, sigma: DensityOperator) -> QuantumCou
         theta_mat = np.outer(vartheta, vartheta.conj()) + slack * np.kron(d1.mat, d2.mat)
     else:
         theta_mat = np.outer(vartheta, vartheta.conj()) / norm_sq
-    theta = DensityOperator(theta_mat)
+    theta = DensityOperator._built(theta_mat)
     return QuantumCoupling(
         phi=phi, psi=psi, vartheta=vartheta, x_op=x_op, y_op=y_op,
         theta=theta, epsilon=eps,
@@ -190,11 +198,20 @@ def diagonal_coupling(rho: DensityOperator, sigma: DensityOperator) -> DiagonalC
     """Coupling from sorted spectra: |phi> = sum_i sqrt(min(r_i, s_i)) |e_i>|f_i>,
     omega = |phi><phi| + eps Delta1 (x) Delta2 with eps = 1 - <phi|phi>.
 
-    The largest eigenvalue of omega is at least 1 - trace distance, and
-    eps equals half the l1 distance of the sorted spectra (Mirsky).
+    Delta1 and Delta2 normalize the residuals ``rho - tr_B |phi><phi|`` and
+    ``sigma - tr_A |phi><phi|``, which are diagonal in the same bases:
+    Delta1 has eigenvalues proportional to ``(r_i - s_i)_+`` on ``e_i``
+    and Delta2 to ``(s_i - r_i)_+`` on ``f_i``.  Their product vanishes at
+    every ``i``, so in the basis ``e_k (x) f_l`` phi lives on the pairs
+    ``(i, i)``, where ``eps Delta1 (x) Delta2`` is exactly 0: the secular
+    equation of this rank-one update is fully deflated, and the spectrum
+    of omega is ``<phi|phi>`` beside ``eps m1_k m2_l``.  Its largest
+    eigenvalue is at least 1 - trace distance, and eps equals half the l1
+    distance of the sorted spectra (Mirsky).
     """
     _operator_pair(rho, sigma)
     d = rho.dim
+    check_dense_dim(d * d)
     r, e = _phase_fixed_eigenbasis(rho)
     s, f = _phase_fixed_eigenbasis(sigma)
     c = np.sqrt(np.minimum(r, s))
@@ -202,17 +219,23 @@ def diagonal_coupling(rho: DensityOperator, sigma: DensityOperator) -> DiagonalC
     v_mat = (e * c) @ f.T
     phi_vec = v_mat.reshape(-1)
     eps = float(0.5 * np.abs(r - s).sum())
-    overlap = float(np.minimum(r, s).sum())  # = 1 - eps
-    marg1, marg2 = vector_marginals(phi_vec, d, d)
     if eps > _DEGENERATE_EPS:
-        d1 = (rho.mat - marg1) / eps
-        d2 = (sigma.mat - marg2) / eps
-        omega_mat = np.outer(phi_vec, phi_vec.conj()) + eps * np.kron(d1, d2)
+        # each residual over its own sum: dividing by eps would scale the
+        # rounding of that sum by 1/eps
+        m1, m2 = np.maximum(r - s, 0.0), np.maximum(s - r, 0.0)
+        d1 = DensityOperator.factored(e, m1 / m1.sum())
+        d2 = DensityOperator.factored(f, m2 / m2.sum())
+        omega = BipartiteState._built(
+            np.outer(phi_vec, phi_vec.conj()) + eps * np.kron(d1.mat, d2.mat), (d, d))
+        largest = float(max(np.vdot(phi_vec, phi_vec).real,
+                            eps * d1.eigenvalues[0] * d2.eigenvalues[0]))
     else:
-        omega_mat = np.outer(phi_vec, phi_vec.conj()) / overlap
+        omega = BipartiteState.pure(phi_vec, (d, d))
+        largest = float(omega.eigenvalues[0])
         eps = 0.0
     return DiagonalCoupling(
-        omega=BipartiteState(omega_mat, (d, d)),
+        omega=omega,
         phi_vector=phi_vec,
         epsilon_mirsky=eps,
+        largest_eigenvalue=largest,
     )

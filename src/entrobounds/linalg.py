@@ -50,6 +50,14 @@ def check_dense_dim(dim, limit=DENSE_DIM_LIMIT):
         raise ValueError(f"dimension {dim} is above the dense limit {limit}")
 
 
+def _check_finite(*parts):
+    """Raise ``ValueError`` when any of the arrays or scalars ``parts`` has a
+    non-finite entry."""
+    for part in parts:
+        if not np.isfinite(part).all():
+            raise ValueError("operator parts have non-finite entries")
+
+
 def _frozen(a):
     a.setflags(write=False)
     return a
@@ -61,7 +69,11 @@ class HermitianOperator:
 
     The input is symmetrized on construction; a non-finite entry, or a
     deviation from Hermiticity larger than ``HERMITICITY_ATOL`` (relative
-    to the largest entry), raises.
+    to the largest entry), raises.  Operators the library builds from
+    validated parts (``diagonal``, ``factored``, ``a - b`` and
+    ``apply_function``) go through ``_built``, which symmetrizes alike but
+    skips both O(d^2) scans; ``diagonal`` and ``factored`` check their
+    parts for non-finite entries instead.
 
     Attributes
     ----------
@@ -94,11 +106,25 @@ class HermitianOperator:
         dev = np.abs(mat - mat.conj().T).max()
         if dev > HERMITICITY_ATOL * max(1.0, largest):
             raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
+        self._set_matrix(mat)
+
+    def _set_matrix(self, mat):
+        """Store ``(mat + mat^dagger) / 2``, frozen, with no factor or spectrum."""
         mat = (mat + mat.conj().T) / 2
         mat.setflags(write=False)
         self.mat = mat
         self.dim = mat.shape[0]
         self.factor = self._eigenvalues = self._eigenvectors = None
+
+    @classmethod
+    def _built(cls, mat) -> "HermitianOperator":
+        """An operator the library built from validated parts: symmetrized
+        as on construction, with no scan for non-finite entries or for
+        deviation from Hermiticity.  ``mat`` must be a complex square array.
+        ``DensityOperator._built`` is the state form."""
+        op = HermitianOperator.__new__(HermitianOperator)
+        op._set_matrix(mat)
+        return op
 
     # each structured constructor passes further arguments (``dims``) on to cls
     @classmethod
@@ -107,8 +133,9 @@ class HermitianOperator:
         non-increasing order, the matching identity columns as
         eigenvectors."""
         values = np.asarray(values, dtype=float)
+        _check_finite(values)
         check_dense_dim(len(values))
-        op = HermitianOperator(np.diag(values))
+        op = HermitianOperator._built(np.diag(values.astype(complex)))
         order = np.argsort(-values, kind="stable")
         op._eigenvalues = _frozen(values[order])
         op._eigenvectors = _frozen(np.eye(op.dim, dtype=complex)[:, order])
@@ -120,13 +147,14 @@ class HermitianOperator:
         factor.  The columns of ``vecs`` must be orthonormal (unchecked)."""
         vecs = _frozen(np.array(vecs, dtype=complex))
         lam = _frozen(np.array(lam, dtype=float))
+        _check_finite(vecs, lam, c)
         # outer products, not a BLAS product: a projector is exactly
         # np.outer(v, v^*), whatever the BLAS build or thread count
         check_dense_dim(len(vecs))
         mat = np.diag(np.full(len(vecs), c, dtype=complex))
         for a, b in zip((vecs * (lam - c)).T, vecs.conj().T):
             mat += np.outer(a, b)
-        op = HermitianOperator(mat)
+        op = HermitianOperator._built(mat)
         op.factor = (vecs, lam, float(c))
         return op if cls is HermitianOperator else cls(op, *args)
 
@@ -170,7 +198,7 @@ class HermitianOperator:
         """``self - other``, factored if both are: with ``Q R = [V_a V_b]`` it
         is ``(c_a - c_b) 1 + Q R diag(lam_a - c_a, c_b - lam_b) R^dagger Q^dagger``,
         one small eigh.  Coinciding columns (a singular ``R``) stay exact."""
-        diff = HermitianOperator(self.mat - other.mat)
+        diff = HermitianOperator._built(self.mat - other.mat)
         if self.factor is not None and other.factor is not None:
             (va, la, ca), (vb, lb, cb) = self.factor, other.factor
             q, r = np.linalg.qr(np.hstack([va, vb]))
@@ -208,7 +236,7 @@ class HermitianOperator:
                 f"function undefined at retained eigenvalue {lam[bad][0]!r}"
             )
         u = self.eigenvectors
-        return HermitianOperator((u * out) @ u.conj().T)
+        return HermitianOperator._built((u * out) @ u.conj().T)
 
     def sqrt(self) -> "HermitianOperator":
         """The square root of the support; an eigenvalue below ``-PSD_ATOL``

@@ -36,6 +36,9 @@ class DensityOperator(HermitianOperator):
     are kept, and a repaired state keeps the eigenpairs its validation
     read, so no state is decomposed twice.  A ``DensityOperator`` passed
     in is already valid and is taken over with no second validation.
+    ``_built`` takes a matrix that is PSD by construction (nonnegative
+    weights of validated states) and checks only its trace, with no
+    ``eigh``.
     """
 
     __slots__ = ()
@@ -51,21 +54,37 @@ class DensityOperator(HermitianOperator):
         lam = self.eigenvalues
         if lam[-1] < -PSD_ATOL:
             raise StateValidationError(f"negative eigenvalue {lam[-1]:.3e} beyond tolerance")
-        tr = self.trace()
-        if abs(tr - 1.0) > 1e-8:
-            raise StateValidationError(f"trace {tr!r} is not 1")
+        tr = self._checked_trace()
         if lam[-1] < 0.0:
             lam = np.clip(lam, 0.0, None)
             scale, u = lam.sum(), self.eigenvectors
-            super().__init__((u * (lam / scale)) @ u.conj().T)
+            self._set_matrix((u * (lam / scale)) @ u.conj().T)
         elif abs(tr - 1.0) > 1e-14:
             scale, u, factor = tr, self._eigenvectors, self.factor
-            super().__init__(self.mat / tr)
+            self._set_matrix(self.mat / tr)
             if factor is not None:
                 self.factor = (factor[0], _frozen(factor[1] / tr), factor[2] / tr)
         else:
             return
         self._eigenvalues, self._eigenvectors = _frozen(lam / scale), u
+
+    def _checked_trace(self) -> float:
+        tr = self.trace()
+        if abs(tr - 1.0) > 1e-8:
+            raise StateValidationError(f"trace {tr!r} is not 1")
+        return tr
+
+    @classmethod
+    def _built(cls, mat, *args) -> "DensityOperator":
+        """A state that is PSD by construction, such as a nonnegative
+        combination of validated states: symmetrized, held to the trace
+        rule and renormalized like any input, but never decomposed."""
+        state = DensityOperator.__new__(DensityOperator)
+        state._set_matrix(mat)
+        tr = state._checked_trace()
+        if abs(tr - 1.0) > 1e-14:
+            state._set_matrix(state.mat / tr)
+        return state if cls is DensityOperator else cls(state, *args)
 
     @classmethod
     def maximally_mixed(cls, dim: int, *args) -> "DensityOperator":

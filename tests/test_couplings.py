@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,7 +143,44 @@ def test_couplings_reject_a_dimension_mismatch(construct):
         construct(DensityOperator.maximally_mixed(2), DensityOperator.maximally_mixed(3))
 
 
+@pytest.mark.parametrize("construct", [quantum_coupling, diagonal_coupling])
+def test_couplings_check_the_dense_limit_before_allocating(construct):
+    """d = 65 makes d^2 = 4225 > DENSE_DIM_LIMIT: a d^2 x d^2 complex array
+    would take 285 MB, and nothing of that size may be allocated."""
+    rho = DensityOperator.maximally_mixed(65)
+    sigma = DensityOperator.diagonal(np.arange(1.0, 66.0) / np.arange(1.0, 66.0).sum())
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="dense limit"):
+            construct(rho, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def _coupling_pairs():
+    """Random pairs of full and lower rank at d <= 8, the commuting pair
+    with a degenerate spectrum, and rho = sigma."""
+    rng = np.random.default_rng(21)
+    pairs = []
+    for _ in range(40):
+        d = int(rng.integers(2, 9))
+        pairs.append((sample_state(d, int(rng.integers(1, d + 1)), rng),
+                      sample_state(d, int(rng.integers(1, d + 1)), rng)))
+    pairs.append((DensityOperator.maximally_mixed(3), DensityOperator.diagonal([0.5, 0.25, 0.25])))
+    rho = sample_state(4, 2, rng)
+    return pairs + [(rho, rho)]
+
+
 class TestQuantumCoupling:
+    def test_theta_is_a_state_by_construction(self):
+        for rho, sigma in _coupling_pairs():
+            theta = quantum_coupling(rho, sigma).theta
+            assert theta._eigenvalues is None  # validated without a decomposition
+            assert np.linalg.eigvalsh(theta.mat)[0] >= -PSD_ATOL
+            assert abs(np.trace(theta.mat).real - 1.0) <= 1e-12
+
     def test_identical_pair(self):
         # eps = 0 takes the general construction with omega = rho
         for rank in (1, 2, 3):
@@ -265,6 +303,14 @@ class TestQuantumCoupling:
 
 
 class TestDiagonalCoupling:
+    def test_largest_eigenvalue_matches_a_dense_decomposition(self):
+        for rho, sigma in _coupling_pairs():
+            dc = diagonal_coupling(rho, sigma)
+            assert dc.omega._eigenvalues is None or dc.omega.factor is not None
+            dense = np.linalg.eigvalsh(dc.omega.mat)
+            assert abs(dc.largest_eigenvalue - dense[-1]) <= 1e-12
+            assert dense[0] >= -PSD_ATOL
+
     def test_identical_pure_pair(self):
         rho = sample_pure_state(3, np.random.default_rng(8))
         dc = diagonal_coupling(rho, rho)

@@ -191,11 +191,13 @@ class TestCli:
         assert rows[0]["error"] == "" and rows[0]["abs_diff"] <= 1e-9
 
     def test_reports_do_not_depend_on_the_blas_thread_count(self, tmp_path):
-        """The d=16 tightness and cor_pure suites (256-dim witness and pure
-        pairs) give the same bytes with 1 and with 2 BLAS threads."""
+        """The d=16 tightness, cor_pure and couplings suites (256-dim witness
+        and pure pairs, and coupling states that are never decomposed) give
+        the same bytes with 1 and with 2 BLAS threads."""
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         calls = [["verify", "tightness", "--dims", "16", "--eps", "0.05,0.25,0.5"],
-                 ["verify", "cor_pure", "--dims", "16", "--samples", "8", "--seed", "1"]]
+                 ["verify", "cor_pure", "--dims", "16", "--samples", "8", "--seed", "1"],
+                 ["verify", "couplings", "--dims", "16", "--samples", "2", "--seed", "1"]]
         reports = {}
         for threads in ("1", "2"):
             outs = [str(tmp_path / f"{threads}-{k}.csv") for k in range(len(calls))]
@@ -287,6 +289,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert "quantum coupling" in out
         assert "diagonal coupling" in out
+
+    def test_coupling_demo_verdict_includes_the_fidelity(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "fidelity", lambda rho, sigma: 0.0)
+        assert cli.main(["coupling-demo", "--dims", "3", "--seed", "2"]) == cli.EXIT_VIOLATIONS
+        assert "F(psi, Theta)=0.000000 (need >= " in capsys.readouterr().out
+
+    def test_couplings_decompose_no_matrix_above_d(self, monkeypatch, tmp_path):
+        """At d = 16 the couplings are 256 x 256 states, and none is decomposed."""
+        sizes = []
+        for name in ("eigh", "eigvalsh", "svd", "qr"):
+            original = getattr(np.linalg, name)
+
+            def counted(a, *args, _original=original, **kwargs):
+                sizes.append(np.shape(a)[-1])
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        argv = ["verify", "couplings", "--dims", "16", "--samples", "2", "--seed", "1",
+                "--out", str(tmp_path / "c.csv")]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert sizes and max(sizes) <= 16
 
     @pytest.mark.parametrize("argv", [
         "witness fannes --out {out}",

@@ -82,6 +82,23 @@ class TestEigHermitian:
         with pytest.raises(ValueError, match="1 non-finite entries, the first at " + where):
             HermitianOperator(mat)
 
+    @pytest.mark.parametrize("build", [
+        lambda: HermitianOperator.diagonal([1.0, np.nan]),
+        lambda: HermitianOperator.factored([[1.0], [0.0]], [np.nan]),
+        lambda: HermitianOperator.factored([[np.inf], [0.0]], [1.0]),
+        lambda: HermitianOperator.factored([[1.0], [0.0]], [1.0], np.nan),
+        lambda: HermitianOperator(np.full((2, 2), np.nan)),
+    ])
+    def test_non_finite_parts_rejected(self, build):
+        with pytest.raises(ValueError, match="non-finite"):
+            build()
+
+    def test_built_operators_keep_the_bits_of_a_checked_one(self):
+        rng = np.random.default_rng(41)
+        g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        mat = g + g.conj().T + 1e-13j * rng.standard_normal((5, 5))
+        assert np.array_equal(HermitianOperator._built(mat).mat, HermitianOperator(mat).mat)
+
 
 @pytest.fixture
 def eigh_calls(monkeypatch):

@@ -41,6 +41,17 @@ class TestDensityOperator:
         with pytest.raises(ValueError, match="non-finite"):
             DensityOperator(np.diag([np.inf, 0.0]))
 
+    def test_built_state_is_held_to_the_trace_rule_only(self, monkeypatch):
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: pytest.fail("decomposed"))
+        rho = BipartiteState._built(np.diag([0.5, 0.25, 0.25, 1e-12]).astype(complex), (2, 2))
+        assert type(rho) is BipartiteState and rho.dims == (2, 2)
+        assert np.trace(rho.mat).real == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(StateValidationError, match="trace"):
+            DensityOperator._built(np.diag([0.5, 0.4]).astype(complex))
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        assert rho.eigenvalues[-1] == pytest.approx(1e-12, abs=1e-15)
+
     def test_pure_normalizes(self):
         rho = DensityOperator.pure([2.0, 0.0])
         np.testing.assert_allclose(rho.mat, np.diag([1.0, 0.0]), atol=1e-14)
