@@ -26,7 +26,8 @@ import numpy as np
 from .entropies import binary_entropy, conditional_entropy, von_neumann_entropy
 from .dc_optimizer import ConvexSetModel, kappa_bracket
 from .linalg import trace_distance
-from .states import BipartiteState, DensityOperator, maximally_entangled_state, partial_trace
+from .states import (BipartiteState, DensityOperator, maximally_entangled_state, partial_trace,
+                     state_pair)
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -109,6 +110,7 @@ def cor2_bound(epsilon: float, d: int) -> float:
 
 
 def check_fannes(rho: DensityOperator, sigma: DensityOperator) -> BoundReport:
+    rho, sigma = state_pair(rho, sigma)
     eps = trace_distance(rho, sigma)
     lhs = abs(von_neumann_entropy(rho) - von_neumann_entropy(sigma))
     rhs = fannes_audenaert_bound(min(eps, 1.0), rho.dim)
@@ -138,6 +140,7 @@ def check_dc(rho: DensityOperator, sigma: DensityOperator,
     ``dc_optimizer.kappa_bracket``, whose witness state is solved in one
     stack with rho and sigma; an empty bracket raises ``ArithmeticError``.
     """
+    rho, sigma = state_pair(rho, sigma)
     eps = trace_distance(rho, sigma)
     _, kappa, (res_rho, res_sigma) = kappa_bracket(model, [rho, sigma])
     lhs = abs(res_rho.value - res_sigma.value) + res_rho.gap + res_sigma.gap

@@ -14,11 +14,14 @@ The quantum coupling is one construction for every pair; only the
 decomposition special-cases eps < 1e-12, where Delta is 0/0 and
 omega = rho.
 
-Theta and the diagonal coupling's omega are dense d^2 x d^2 states, but
-each is a rank-one term plus a nonnegative multiple of Delta1 (x) Delta2
-for two validated d x d states, so each is PSD by construction: it is
-held to the trace rule only, and never decomposed.  Omega's largest
-eigenvalue is read off its structure.
+Each constructor takes its pair through ``states.state_pair``.  Every
+Delta is a normalised positive part, a state by construction, and is
+held to the trace rule only, never decomposed.  Theta and the diagonal
+coupling's omega are dense d^2 x d^2 states, but each is a rank-one term
+plus a nonnegative multiple of Delta1 (x) Delta2, so each is PSD by
+construction and built the same way.  Omega's largest eigenvalue is read
+off its structure.  The decomposition's omega is validated, because
+omega^{-1/2} reads its spectrum and the validation reuses it.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (PSD_ATOL, HermitianOperator, _operator_pair, check_dense_dim, positive_part,
-                     rank_one_factor, trace_norm)
-from .states import BipartiteState, DensityOperator, vector_marginals
+from .linalg import (PSD_ATOL, HermitianOperator, check_dense_dim, positive_part, rank_one_factor,
+                     trace_norm)
+from .states import BipartiteState, DensityOperator, state_pair, vector_marginals
 
 _DEGENERATE_EPS = 1e-12
 
@@ -111,14 +114,15 @@ def maximal_classical_coupling(p, q) -> ClassicalCoupling:
 
 
 def _unit_trace(op: HermitianOperator) -> DensityOperator:
-    """``op / tr op``: dividing by eps would scale rounding by 1/eps."""
-    return DensityOperator(op.mat / op.trace())
+    """``op / tr op`` for a positive part ``op``, a state by construction;
+    dividing by eps would scale rounding by 1/eps."""
+    return DensityOperator._built(op.mat / op.trace())
 
 
 def build_decomposition(rho: DensityOperator, sigma: DensityOperator) -> CouplingDecomposition:
     """The eps/Delta/Delta'/omega bundle with eps Delta = (rho - sigma)_+
     and eps Delta' = (sigma - rho)_+."""
-    _operator_pair(rho, sigma)
+    rho, sigma = state_pair(rho, sigma)
     diff = rho - sigma
     eps = 0.5 * trace_norm(diff)
     if eps < _DEGENERATE_EPS:
@@ -142,7 +146,7 @@ def quantum_coupling(rho: DensityOperator, sigma: DensityOperator) -> QuantumCou
     |<psi|vartheta>|, |<phi|vartheta>| >= 1 - eps and Theta marginals
     (rho, sigma^T).
     """
-    _operator_pair(rho, sigma)
+    rho, sigma = state_pair(rho, sigma)
     d = rho.dim
     check_dense_dim(d * d)
     # sqrt(rho), flattened row-major, is the pretty good purification of rho
@@ -161,8 +165,8 @@ def quantum_coupling(rho: DensityOperator, sigma: DensityOperator) -> QuantumCou
 
     norm_sq = float(np.real(np.vdot(vartheta, vartheta)))
     marg1, marg2 = vector_marginals(vartheta, d, d)
-    res1 = HermitianOperator(rho.mat - marg1)
-    res2 = HermitianOperator(sigma.mat.T - marg2)
+    res1 = HermitianOperator._built(rho.mat - marg1)
+    res2 = HermitianOperator._built(sigma.mat.T - marg2)
     slack = 1.0 - norm_sq
     if slack > _DEGENERATE_EPS:
         for res in (res1, res2):
@@ -209,7 +213,7 @@ def diagonal_coupling(rho: DensityOperator, sigma: DensityOperator) -> DiagonalC
     eigenvalue is at least 1 - trace distance, and eps equals half the l1
     distance of the sorted spectra (Mirsky).
     """
-    _operator_pair(rho, sigma)
+    rho, sigma = state_pair(rho, sigma)
     d = rho.dim
     check_dense_dim(d * d)
     r, e = _phase_fixed_eigenbasis(rho)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .entropies import relative_entropies, relative_entropy, von_neumann_entropy
 from .linalg import OUTSIDE_SUPPORT_ATOL, PSD_ATOL, as_operator, descending_eigh, support_mask
-from .states import DensityOperator, sample_pure_state
+from .states import DensityOperator, as_state, sample_pure_state
 
 # The line search stops once |f'(t)| <= _SLOPE_RTOL |f'(0)|, or once its
 # bracket is narrower than _STEP_RTOL t_max, or after _LINE_SEARCH_ITERS
@@ -80,6 +80,9 @@ class ConvexSetModel:
         if not self.generators:
             raise ValueError("generator list must be non-empty")
         gens = [as_operator(g) for g in self.generators]
+        dims = sorted({g.dim for g in gens})
+        if len(dims) > 1:
+            raise ValueError(f"generators of mixed dimension {dims}")
         object.__setattr__(self, "generators", gens)
         if any(g.eigenvalues[-1] < -PSD_ATOL for g in gens):
             raise ValueError("generators must be PSD")
@@ -114,6 +117,14 @@ class OptimizerResult:
 
 def _generators(model: ConvexSetModel) -> np.ndarray:
     return np.stack([g.mat for g in model.generators])
+
+
+def _model_state(rho, model: ConvexSetModel) -> DensityOperator:
+    """``rho`` as a state on the model's space."""
+    rho = as_state(rho)
+    if rho.dim != model.dim:
+        raise ValueError(f"dimension mismatch: {rho.dim} vs {model.dim}")
+    return rho
 
 
 def _mixtures(gens: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -247,6 +258,7 @@ def dc_minimize_stack(rhos, model: ConvexSetModel, tol: float = 1e-6,
     the stack only shares the eigendecompositions of each round.
     ``starts``, if given, holds one simplex point per state.
     """
+    rhos = [_model_state(r, model) for r in rhos]
     gens = _generators(model)
     n, m = len(rhos), len(gens)
     if starts is None:
@@ -326,6 +338,7 @@ def dc_objective(rho: DensityOperator, model: ConvexSetModel, w) -> float:
 
 def dc_gradient(rho: DensityOperator, weights, model: ConvexSetModel) -> np.ndarray:
     """Gradient of w -> D(rho || gamma(w)) via divided differences of log2."""
+    rho = _model_state(rho, model)
     gens = _generators(model)
     mix = _mixtures(gens, np.asarray(weights, dtype=float)[None])
     return _gradients(gens, *_spectra(rho.mat[None], mix))[0]
@@ -480,6 +493,7 @@ def kappa_bracket(model: ConvexSetModel,
     back in order.  An empty bracket (lo > hi) means a rounding error
     beyond the allowance of hi and raises ``ArithmeticError``.
     """
+    states = [_model_state(s, model) for s in states]
     gens = _generators(model)
     m, d = gens.shape[:2]
     scale = max(g.eigenvalues[0] for g in model.generators)

@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .linalg import OUTSIDE_SUPPORT_ATOL, PSD_ATOL, as_operator, support_mask
-from .states import BipartiteState, DensityOperator, partial_trace
+from .linalg import OUTSIDE_SUPPORT_ATOL, PSD_ATOL, _operator_pair, support_mask
+from .states import BipartiteState, DensityOperator, as_state, partial_trace
 
 LOG2_E = math.log2(math.e)
 
@@ -24,14 +24,9 @@ def _h_terms(p: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def _state(rho) -> DensityOperator:
-    """``rho`` as a validated state; a :class:`DensityOperator` as it is."""
-    return rho if isinstance(rho, DensityOperator) else DensityOperator(rho)
-
-
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -tr rho log2 rho; ``rho`` must be a state."""
-    return _h_terms(_state(rho).eigenvalues)
+    return _h_terms(as_state(rho).eigenvalues)
 
 
 def shannon_entropy(p) -> float:
@@ -78,7 +73,7 @@ def relative_entropy(rho: DensityOperator, gamma) -> float:
     of rho is not contained in the support of gamma (never raises for
     support violations).  The stack of one of ``relative_entropies``.
     """
-    gamma_op, rho_op = as_operator(gamma), _state(rho)
+    rho_op, gamma_op = _operator_pair(as_state(rho), gamma)
     u = gamma_op.eigenvectors
     q = np.real(np.einsum("ij,ji->i", u.conj().T @ rho_op.mat, u))
     neg_s = np.array([-von_neumann_entropy(rho_op)])

@@ -27,6 +27,7 @@ from .linalg import DENSE_DIM_LIMIT, check_dense_dim
 from .states import (
     BipartiteState,
     DensityOperator,
+    as_state,
     partial_trace,
     pretty_good_purification,
     sample_state,
@@ -46,12 +47,17 @@ class TruncationError(ValueError):
 
 class HamiltonianSpec:
     """Discrete-spectrum Hamiltonian with ground energy 0: oscillator
-    modes when ``hbar_omegas`` is given, explicit ``levels`` otherwise."""
+    modes when ``hbar_omegas`` is given (with the per-mode cutoff
+    ``n_max``), explicit ``levels`` otherwise.  The product levels of
+    oscillator modes are enumerated on the first read of ``levels``; the
+    closed forms never read them."""
 
-    __slots__ = ("levels", "hbar_omegas", "n_max")
+    __slots__ = ("_levels", "hbar_omegas", "n_max")
 
     def __init__(self, levels=None, hbar_omegas=None, n_max=None):
-        self.hbar_omegas = self.n_max = None
+        if (levels is None) == (hbar_omegas is None):
+            raise ValueError("give either levels or hbar_omegas, not both or neither")
+        self._levels = self.hbar_omegas = self.n_max = None
         if hbar_omegas is None:
             lv = np.asarray(levels, dtype=float)
             if lv.ndim != 1 or len(lv) < 1:
@@ -62,17 +68,26 @@ class HamiltonianSpec:
                 raise ValueError("ground state energy must be exactly 0")
             if (np.diff(lv) < 0).any():
                 raise ValueError("levels must be ascending")
+            self._levels = lv
         else:
             w = np.asarray(hbar_omegas, dtype=float)
             if not (np.isfinite(w) & (w > 0)).all():
                 raise ValueError("mode energies must be positive and finite")
+            if n_max is None:
+                raise ValueError("oscillator modes need a Fock cutoff n_max")
             self.hbar_omegas, self.n_max = w, int(n_max)
-            check_dense_dim((self.n_max + 1) ** len(w), DENSE_DIM_LIMIT ** 2)
-            # product-basis energies, last mode minor index
+
+    @property
+    def levels(self) -> np.ndarray:
+        """The level energies; for oscillator modes the product-basis
+        energies, last mode minor index."""
+        if self._levels is None:
+            check_dense_dim(self.dim, DENSE_DIM_LIMIT ** 2)
             lv = np.zeros(1)
-            for hw in w:
+            for hw in self.hbar_omegas:
                 lv = (lv[:, None] + hw * np.arange(self.n_max + 1)[None, :]).reshape(-1)
-        self.levels = lv
+            self._levels = lv
+        return self._levels
 
     @classmethod
     def explicit(cls, levels) -> "HamiltonianSpec":
@@ -84,7 +99,9 @@ class HamiltonianSpec:
 
     @property
     def dim(self) -> int:
-        return len(self.levels)
+        if self.hbar_omegas is None:
+            return len(self._levels)
+        return (self.n_max + 1) ** len(self.hbar_omegas)
 
     @property
     def n_modes(self) -> int:
@@ -332,11 +349,12 @@ def cutoff_decompose(state, hamiltonian: HamiltonianSpec, energy: float,
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta {delta!r} outside (0, 1]")
+    state = as_state(state)
     levels = hamiltonian.levels
     bipartite = isinstance(state, BipartiteState)
-    d_b = state.dims[1] if bipartite else 1
-    if (bipartite and state.dims[0] != len(levels)) or (not bipartite and state.dim != len(levels)):
-        raise ValueError("state dimension does not match the Hamiltonian")
+    d_a, d_b = state.dims if bipartite else (state.dim, 1)
+    if d_a != len(levels):
+        raise ValueError(f"dimension mismatch: {d_a} vs {len(levels)} levels")
     e_state = _energy_of(state.mat, levels, d_b)
     if e_state > energy + 1e-9 * max(energy, 1.0):
         raise EnergyDomainError(
@@ -348,7 +366,8 @@ def cutoff_decompose(state, hamiltonian: HamiltonianSpec, energy: float,
     low = np.where(np.outer(below, below), state.mat, 0.0)
     high = np.where(np.outer(~below, ~below), state.mat, 0.0)
     lam = min(max(float(np.real(np.trace(high))), 0.0), 1.0)
-    make = (lambda m: BipartiteState(m, state.dims)) if bipartite else DensityOperator
+    # each part is P rho P or Q rho Q, PSD by construction
+    make = (lambda m: BipartiteState._built(m, state.dims)) if bipartite else DensityOperator._built
     state_le = make(low / (1.0 - lam)) if lam < 1.0 - 1e-12 else None
     state_gt = make(high / lam) if lam > 1e-12 else None
     if state_le is None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import PSD_ATOL, HermitianOperator, _frozen, check_dense_dim
+from .linalg import PSD_ATOL, HermitianOperator, _frozen, _operator_pair, check_dense_dim
 
 
 class StateValidationError(ValueError):
@@ -112,6 +112,20 @@ class BipartiteState(DensityOperator):
         return f"BipartiteState(dims={self.dims})"
 
 
+def as_state(x) -> DensityOperator:
+    """``x`` as a validated state; a :class:`DensityOperator` as it is.
+
+    The one way a public function takes a state argument: it validates
+    where the state enters the library, and nothing inside validates it
+    again."""
+    return x if isinstance(x, DensityOperator) else DensityOperator(x)
+
+
+def state_pair(rho, sigma):
+    """``(as_state(rho), as_state(sigma))``, of equal dimension."""
+    return _operator_pair(as_state(rho), as_state(sigma))
+
+
 # -- structural operations -------------------------------------------------
 
 
@@ -141,11 +155,12 @@ def maximally_entangled_state(dim: int) -> BipartiteState:
     return BipartiteState.pure(maximally_entangled_vector(dim), (dim, dim))
 
 
-def pretty_good_purification(rho: DensityOperator) -> BipartiteState:
+def pretty_good_purification(rho) -> BipartiteState:
     """|phi> = (sqrt(rho) (x) 1)|Phi> on A (x) A.
 
     The A1 marginal is rho; the A2 marginal is rho^T.
     """
+    rho = as_state(rho)
     vec = rho.sqrt().mat.reshape(-1)  # row-major flatten == (sqrt(rho) (x) 1)|Phi>
     return BipartiteState.pure(vec, (rho.dim, rho.dim))
 

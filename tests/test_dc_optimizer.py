@@ -137,6 +137,18 @@ class TestSimplexPoint:
         assert (p.weights >= 0.0).all()
 
 
+class TestModelDimension:
+    def test_generators_of_mixed_dimension_are_rejected(self):
+        with pytest.raises(ValueError, match=r"mixed dimension \[2, 3\]"):
+            ConvexSetModel([np.eye(2) / 2, np.eye(3) / 3])
+
+    def test_a_state_of_another_dimension_is_rejected_at_the_entry(self):
+        model = ConvexSetModel([np.eye(3) / 3])
+        rhos = [DensityOperator.maximally_mixed(3), DensityOperator.maximally_mixed(2)]
+        with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+            dc_minimize_stack(rhos, model)
+
+
 class TestObjectiveAndGradient:
     def test_member_state_gives_zero(self):
         rng = np.random.default_rng(0)

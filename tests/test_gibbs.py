@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,24 @@ class TestHamiltonianSpec:
         np.testing.assert_allclose(sorted(h.levels), [0.0, 1.0, 2.0, 3.0])
         assert h.dim == 4
         assert h.n_modes == 2
+
+    def test_product_levels_above_the_dense_limit_raise_before_allocating(self):
+        h = HamiltonianSpec.oscillators([1.0] * 4, n_max=512)
+        assert h.dim == 513 ** 4
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="dense limit"):
+                h.levels
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"levels": [0.0, 1.0], "hbar_omegas": [1.0], "n_max": 2}, {"hbar_omegas": [1.0]}])
+    def test_constructor_takes_levels_or_modes_with_a_cutoff(self, kwargs):
+        with pytest.raises(ValueError, match="levels or hbar_omegas|n_max"):
+            HamiltonianSpec(**kwargs)
 
     def test_max_mean_energy(self):
         assert HamiltonianSpec.explicit([0.0, 1.0]).max_mean_energy() == 0.5

@@ -415,15 +415,11 @@ class TestCli:
         assert "error: Unable to allocate 11.9 GiB" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("argv", [
-        "verify af --dims 200 --samples 1",  # 40000-dim states, 11.9 GiB each
-        "verify couplings --dims 150 --samples 1",  # 22500-dim couplings, 7.54 GiB
-        "witness af --dims 300",  # a 90000-dim witness, 121 GiB
-        "gibbs-table --modes 1,1,1,1 --energies 1",  # 513^4 levels
-    ])
-    def test_operator_above_the_dense_limit_exits_2_before_allocating(self, argv):
-        # in a child under a 3 GB address-space cap, so that a missing size
-        # check is refused an allocation instead of exhausting the host
+    @staticmethod
+    def _run_capped(argv):
+        """``main(argv)`` in a child under a 3 GB address-space cap, so that
+        a missing size check is refused an allocation instead of exhausting
+        the host.  Returns the process and its tracemalloc peak in bytes."""
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         script = ("import sys, tracemalloc\nfrom entrobounds.cli import main\n"
                   "tracemalloc.start()\nrc = main(sys.argv[1:])\n"
@@ -435,11 +431,27 @@ class TestCli:
         proc = subprocess.run(
             [sys.executable, "-c", script, *argv.split()], env=env, capture_output=True,
             text=True, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        *err, peak = proc.stderr.splitlines()
+        return proc, err, int(peak)
+
+    @pytest.mark.parametrize("argv", [
+        "verify af --dims 200 --samples 1",  # 40000-dim states, 11.9 GiB each
+        "verify couplings --dims 150 --samples 1",  # 22500-dim couplings, 7.54 GiB
+        "witness af --dims 300",  # a 90000-dim witness, 121 GiB
+    ])
+    def test_operator_above_the_dense_limit_exits_2_before_allocating(self, argv):
+        proc, err, peak = self._run_capped(argv)
         assert proc.returncode == cli.EXIT_CONFIG
         assert proc.stdout == ""
-        *err, peak = proc.stderr.splitlines()
         assert "dense limit" in err[-1]
-        assert int(peak) < 64 * 2**20
+        assert peak < 64 * 2**20
+
+    def test_four_mode_gibbs_table_enumerates_no_levels(self):
+        # 513^4 product levels: the closed forms never read them
+        proc, err, peak = self._run_capped("gibbs-table --modes 1,1,1,1 --energies 1")
+        assert proc.returncode == cli.EXIT_OK
+        assert proc.stdout.startswith("E=1 beta=")
+        assert peak < 2**20
 
     def test_config_key_the_subcommand_does_not_read_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

@@ -1,12 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from entrobounds.entropies import von_neumann_entropy
+from entrobounds.bounds import check_dc, check_fannes
+from entrobounds.couplings import build_decomposition, diagonal_coupling, quantum_coupling
+from entrobounds.dc_optimizer import (ConvexSetModel, dc_gradient, dc_minimize, dc_minimize_stack,
+                                      kappa_bracket)
+from entrobounds.entropies import relative_entropy, von_neumann_entropy
+from entrobounds.gibbs import HamiltonianSpec, cutoff_decompose
 from entrobounds.linalg import HermitianOperator
 from entrobounds.states import (
     BipartiteState,
     DensityOperator,
     StateValidationError,
+    as_state,
     maximally_entangled_state,
     partial_trace,
     pretty_good_purification,
@@ -162,3 +170,63 @@ class TestSampling:
         state = sample_qc_state(3, 2, np.random.default_rng(3))
         b = partial_trace(state, "B").mat
         assert np.abs(b - np.diag(np.diag(b))).max() < 1e-12
+
+
+class TestEntryRule:
+    """Every public function that takes a state takes it through
+    ``as_state`` or ``state_pair``: an array is validated into the state
+    it stands for, an operator that is no state raises at the entry, and
+    a state of the wrong dimension raises ``dimension mismatch``."""
+
+    MODEL = ConvexSetModel([np.eye(3) / 3, np.diag([0.5, 0.3, 0.2])])
+    GAMMA = DensityOperator.diagonal([0.5, 0.3, 0.2])
+    LEVELS = HamiltonianSpec.explicit([0.0, 1.0, 10.0])
+
+    # name: (call on (rho, sigma), number of state arguments, has a dimension to match)
+    ENTRIES = {
+        "von_neumann_entropy": (lambda r, s: von_neumann_entropy(r), 1, False),
+        "pretty_good_purification": (lambda r, s: pretty_good_purification(r), 1, False),
+        "relative_entropy": (lambda r, s: relative_entropy(r, TestEntryRule.GAMMA), 1, True),
+        "build_decomposition": (build_decomposition, 2, True),
+        "quantum_coupling": (quantum_coupling, 2, True),
+        "diagonal_coupling": (diagonal_coupling, 2, True),
+        "check_fannes": (check_fannes, 2, True),
+        "check_dc": (lambda r, s: check_dc(r, s, TestEntryRule.MODEL), 2, True),
+        "dc_minimize": (lambda r, s: dc_minimize(r, TestEntryRule.MODEL), 1, True),
+        "dc_minimize_stack": (lambda r, s: dc_minimize_stack([r], TestEntryRule.MODEL), 1, True),
+        "kappa_bracket": (lambda r, s: kappa_bracket(TestEntryRule.MODEL, [r]), 1, True),
+        "dc_gradient": (lambda r, s: dc_gradient(r, [0.5, 0.5], TestEntryRule.MODEL), 1, True),
+        "cutoff_decompose": (lambda r, s: cutoff_decompose(r, TestEntryRule.LEVELS, 5.0, 0.9),
+                             1, True),
+    }
+
+    @staticmethod
+    def _plain(x):
+        """A result as nested tuples of bytes and numbers, comparable by ``==``."""
+        if isinstance(x, (HermitianOperator, np.ndarray)):
+            return (type(x).__name__, np.asarray(getattr(x, "mat", x)).tobytes())
+        if dataclasses.is_dataclass(x):
+            return tuple(TestEntryRule._plain(getattr(x, f.name)) for f in dataclasses.fields(x))
+        if isinstance(x, (list, tuple)):
+            return tuple(TestEntryRule._plain(v) for v in x)
+        return x
+
+    @pytest.mark.parametrize("name", ENTRIES)
+    def test_entry_takes_a_state_through_as_state(self, name):
+        call, n_states, matched = self.ENTRIES[name]
+        rng = np.random.default_rng(8)
+        rho, sigma = (np.array(sample_state(3, 3, rng).mat) for _ in range(2))
+        expected = call(DensityOperator(rho), DensityOperator(sigma))
+        assert self._plain(call(rho, sigma)) == self._plain(expected)
+        for slot in range(n_states):
+            args = [rho, sigma]
+            args[slot] = np.diag([0.6, 0.4, 0.2])  # PSD, of trace 1.2
+            with pytest.raises(StateValidationError, match=r"trace 1\.2"):
+                call(*args)
+        if matched:
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                call(DensityOperator.maximally_mixed(2), DensityOperator(sigma))
+
+    def test_as_state_takes_a_state_as_it_is(self):
+        rho = sample_state(3, 3, np.random.default_rng(1))
+        assert as_state(rho) is rho
