@@ -9,14 +9,16 @@ A Hamiltonian is one of:
   matrix-form work and exact geometric closed forms (Z, mean energy)
   for the untruncated model.
 
-The inverse temperature beta(E) solves tr e^{-beta H}(H - E) = 0 by
-bisection (the mean energy is strictly decreasing in beta).  Entropies
-are in bits: S(gamma(E)) = log2 Z + beta E log2(e).
+The inverse temperature beta(E) solves tr e^{-beta H}(H - E) = 0 by a
+safeguarded Newton iteration in log U against log beta (the mean energy
+U is strictly decreasing in beta).  Entropies are in bits:
+S(gamma(E)) = log2 Z + beta E log2(e).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +35,7 @@ from .states import (
     sample_state,
 )
 
-_BETA_BRACKET = (1e-6, 1e3)
-_ENERGY_RTOL = 1e-10
+_MAX_EVALUATIONS = 100
 
 
 class EnergyDomainError(ValueError):
@@ -137,15 +138,29 @@ def truncation_tail(hamiltonian: HamiltonianSpec, beta: float) -> float:
     return float(1.0 - np.prod(1.0 - q ** (hamiltonian.n_max + 1)))
 
 
+def _energy_and_slope(hamiltonian: HamiltonianSpec, beta: float) -> tuple[float, float]:
+    """(U(beta), beta dU/dbeta).  Explicit levels: the Gibbs mean of the
+    levels and -beta times their Gibbs variance.  Oscillator modes:
+    U = sum_i n_i with n_i = hbar omega_i / expm1(x_i), x_i = beta hbar
+    omega_i, and beta dU/dbeta = -beta sum_i n_i (n_i + hbar omega_i),
+    taken as -sum_i n_i x_i / (1 - e^{-x_i}) so that no term overflows."""
+    if hamiltonian.hbar_omegas is None:
+        lv = hamiltonian.levels
+        w = np.exp(-beta * lv)
+        z = w.sum()
+        u = float((lv * w).sum() / z)
+        return u, -beta * float((w * (lv - u) ** 2).sum() / z)
+    hw = hamiltonian.hbar_omegas
+    x = beta * hw
+    with np.errstate(over="ignore"):
+        n = hw / np.expm1(x)
+    return float(n.sum()), float((n * x / np.expm1(-x)).sum())
+
+
 def mean_energy(hamiltonian: HamiltonianSpec, beta: float) -> float:
     if beta <= 0:
         raise EnergyDomainError(f"beta must be positive, got {beta!r}")
-    if hamiltonian.hbar_omegas is None:
-        w = np.exp(-beta * hamiltonian.levels)
-        return float((hamiltonian.levels * w).sum() / w.sum())
-    hw = hamiltonian.hbar_omegas
-    with np.errstate(over="ignore"):
-        return float((hw / np.expm1(beta * hw)).sum())
+    return _energy_and_slope(hamiltonian, beta)[0]
 
 
 @dataclass(frozen=True)
@@ -155,6 +170,7 @@ class GibbsSolution:
     partition: float
     energy: float
     entropy: float  # bits
+    residual: float  # U(beta) - energy, as the solver left it
 
     def diagonal_probabilities(self) -> np.ndarray:
         """Gibbs weights on the (truncated) level basis, normalized by the
@@ -169,42 +185,77 @@ class GibbsSolution:
         return DensityOperator.diagonal(p / p.sum())
 
 
-def solve_beta(hamiltonian: HamiltonianSpec, energy: float) -> GibbsSolution:
-    """Solve tr e^{-beta H}(H - E) = 0 by bisection.
+def _start_beta(hamiltonian: HamiltonianSpec, energy: float) -> float:
+    """A first beta from the closed-form inverse of one mode of the lowest
+    gap g, beta = log1p(ell g / E)/g: exact for ell identical oscillator
+    modes.  For explicit levels the argument ell g / E is scaled by
+    e_max (e_max - E) / Var_0 instead, with e_max and Var_0 the mean and
+    variance of the levels (the beta -> 0 limit), so that the start also
+    meets beta ~ (e_max - E)/Var_0 as E -> e_max; it is exact for two
+    levels.  The argument is capped at the largest float, where a
+    subnormal E would overflow it."""
+    if hamiltonian.hbar_omegas is not None:
+        g = float(hamiltonian.hbar_omegas.min())
+        ratio = hamiltonian.n_modes * g / energy
+    else:
+        lv = hamiltonian.levels
+        g = float(lv[lv > 0][0])
+        e_max = float(lv.mean())
+        ratio = g * e_max * (e_max - energy) / float(lv.var()) / energy
+    return math.log1p(min(ratio, sys.float_info.max)) / g
 
-    The mean Gibbs energy is strictly decreasing in beta, so the bracket
-    is expanded geometrically and then bisected to relative residual
-    <= 1e-10.
+
+def solve_beta(hamiltonian: HamiltonianSpec, energy: float) -> GibbsSolution:
+    """Solve tr e^{-beta H}(H - E) = 0 by safeguarded Newton.
+
+    Newton runs on log U against log beta, from ``_start_beta``.  The sign
+    of U - E keeps a bracket on beta; a Newton step that leaves it (or is
+    not finite) is replaced by the bracket's geometric midpoint, or by a
+    factor e while the bracket is open on that side.  The iteration stops
+    when |U(beta) - E| is within 8 ulp(E) times the condition number
+    max(1, |d log U / d log beta|), the rounding that U itself carries,
+    or when the bracket or the step collapses.  The beta of the smallest
+    residual seen is returned with that residual U(beta) - E.
     """
     e_max = hamiltonian.max_mean_energy()
     if not 0.0 < energy < e_max:
         raise EnergyDomainError(
             f"energy {energy!r} outside the attainable open interval (0, {e_max!r})"
         )
-    lo, hi = _BETA_BRACKET
-    while mean_energy(hamiltonian, lo) < energy:
-        lo /= 10.0
-        if lo < 1e-300:
-            raise EnergyDomainError(f"energy {energy!r} not attainable (beta -> 0)")
-    while mean_energy(hamiltonian, hi) > energy:
-        hi *= 10.0
-        if hi > 1e300:
-            raise EnergyDomainError(f"energy {energy!r} not attainable (beta -> inf)")
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        u = mean_energy(hamiltonian, mid)
-        if abs(u - energy) <= _ENERGY_RTOL * max(abs(energy), 1e-300):
-            lo = hi = mid
+    ulp = math.ulp(energy)
+    lo, hi = 0.0, math.inf  # beta where U > E, where U < E
+    b = _start_beta(hamiltonian, energy)
+    beta, residual = math.nan, math.inf
+    for _ in range(_MAX_EVALUATIONS):
+        u, slope = _energy_and_slope(hamiltonian, b)
+        r = u - energy
+        if abs(r) < abs(residual):
+            beta, residual = b, r
+        dlog = slope / u if u > 0 else 0.0  # d log U / d log beta
+        if abs(r) <= 8.0 * ulp * max(1.0, -dlog):
             break
-        if u > energy:
-            lo = mid
+        if r > 0:
+            lo = b
         else:
-            hi = mid
-    beta = 0.5 * (lo + hi)
+            hi = b
+        nxt = b * math.exp(min(-math.log1p(r / energy) / dlog, 709.0)) if dlog < 0 else math.nan
+        if nxt == b:
+            break
+        if not lo < nxt < hi:
+            if lo > 0.0 and hi < math.inf:
+                nxt = lo * math.sqrt(hi / lo)
+                if nxt in (lo, hi):
+                    break
+            else:
+                nxt = b * math.e if r > 0 else b / math.e
+        b = nxt
+    if not 0.0 < beta < math.inf:
+        raise EnergyDomainError(
+            f"energy {energy!r} not attainable (beta -> {'0' if beta == 0.0 else 'inf'})")
     z = partition_function(hamiltonian, beta)
     entropy = math.log2(z) + beta * energy * LOG2_E
     return GibbsSolution(hamiltonian=hamiltonian, beta=beta, partition=z,
-                         energy=energy, entropy=entropy)
+                         energy=energy, entropy=entropy, residual=residual)
 
 
 def _mode_entropy(x: float, n_max: int) -> float:
@@ -221,17 +272,19 @@ def _mode_entropy(x: float, n_max: int) -> float:
 
 
 def entropy_check(sol: GibbsSolution) -> tuple[float, float]:
-    """(S_direct, |S_formula - S_direct|): the entropy of the Gibbs weights
-    summed directly, and its distance from the closed-form entropy
-    ``sol.entropy``.  Explicit levels sum their weights; oscillator modes
-    are independent, so their entropies add, each summed to its cutoff
-    with its geometric tail added exactly."""
+    """(S_direct, gap): the entropy of the Gibbs weights summed directly,
+    and its distance |S_formula - S_direct| from the closed-form entropy
+    ``sol.entropy`` plus the solver's share beta |U(beta) - E| log2 e (the
+    formula takes E where the weights have mean energy U(beta)).  Explicit
+    levels sum their weights; oscillator modes are independent, so their
+    entropies add, each summed to its cutoff with its geometric tail added
+    exactly."""
     h = sol.hamiltonian
     if h.hbar_omegas is None:
         direct = shannon_entropy(sol.diagonal_probabilities())
     else:
         direct = sum(_mode_entropy(float(sol.beta * hw), h.n_max) for hw in h.hbar_omegas)
-    return direct, abs(sol.entropy - direct)
+    return direct, abs(sol.entropy - direct) + sol.beta * abs(sol.residual) * LOG2_E
 
 
 def gibbs_entropy(hamiltonian: HamiltonianSpec, energy: float) -> float:
@@ -416,8 +469,8 @@ def sample_energy_constrained(hamiltonian: HamiltonianSpec, energy: float,
 def _single_mode_truncation(energy: float, tail: float) -> int:
     """Smallest Fock cutoff with geometric tail below ``tail`` for the
     single-mode (hbar omega = 1) thermal state of mean occupation E."""
-    q = energy / (energy + 1.0)
-    return max(2, int(math.ceil(math.log(tail) / math.log(q))))
+    # log q = log(E/(E+1)), taken as -log1p(1/E): E/(E+1) rounds to 1 from E ~ 1e16
+    return max(2, int(math.ceil(math.log(tail) / -math.log1p(1.0 / energy))))
 
 
 def oscillator_tightness_witness(energy: float, epsilon: float,

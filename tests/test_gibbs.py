@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from entrobounds import gibbs
 from entrobounds.entropies import (
     binary_entropy,
     conditional_entropy,
@@ -150,6 +152,12 @@ class TestSolveBeta:
             solve_beta(h, 0.6)  # above the beta -> 0 limit of 0.5
         with pytest.raises(EnergyDomainError, match="attainable|interval"):
             solve_beta(h, 0.0)
+        modes = HamiltonianSpec.oscillators([1.0, 2.0])
+        levels = HamiltonianSpec.explicit([0.0, 1.0, 3.0])  # e_max = 4/3
+        for h, e in [*[(modes, e) for e in (-1.0, math.nan, math.inf)],
+                     *[(levels, e) for e in (-1.0, math.nan, math.inf, 4.0 / 3.0, 2.0)]]:
+            with pytest.raises(EnergyDomainError, match="outside the attainable open interval"):
+                solve_beta(h, e)
 
     def test_mean_energy_roundtrip(self):
         h = HamiltonianSpec.oscillators([1.0, 2.0])
@@ -187,6 +195,65 @@ class TestSolveBeta:
             exact = math.log2(e + 1.0) + e * math.log1p(1.0 / e) / math.log(2.0)
             assert solve_beta(h, e).entropy == pytest.approx(exact, rel=1e-12, abs=0.0)
             assert gibbs_entropy_g(e) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    @staticmethod
+    def _log_slope(h, beta):
+        """|d log U / d log beta| = beta Var_beta(H) / U, from the plain
+        sums: the factor by which a rounding of beta moves U."""
+        if h.hbar_omegas is None:
+            w = np.exp(-beta * h.levels)
+            p = w / w.sum()
+            u = (p * h.levels).sum()
+            return beta * (p * (h.levels - u) ** 2).sum() / u
+        hw = h.hbar_omegas
+        with np.errstate(over="ignore"):
+            n = hw / np.expm1(beta * hw)
+        return beta * (n * (n + hw)).sum() / n.sum()
+
+    @staticmethod
+    def _energies(h):
+        e_max = h.max_mean_energy()
+        if e_max == math.inf:
+            return [10.0 ** k for k in range(-300, 18)] + [0.5 * k for k in range(1, 41)]
+        return ([e_max * 10.0 ** k for k in range(-300, 0)]
+                + [e_max * k / 20 for k in range(1, 20)]
+                + [e_max - 1e-12, math.nextafter(e_max, 0.0)])
+
+    @pytest.mark.parametrize("h", [
+        HamiltonianSpec.oscillators([1.0]),
+        HamiltonianSpec.oscillators([1.0, 2.0]),
+        HamiltonianSpec.explicit([0.0, 1.0]),
+        HamiltonianSpec.explicit([0.0, 1.0, 3.0]),
+    ], ids=["one-mode", "modes-1-2", "levels-0-1", "levels-0-1-3"])
+    def test_residual_is_rounding(self, h, monkeypatch):
+        """|U(beta) - E| <= 8 ulp(E) max(1, kappa), kappa = |d log U / d log
+        beta|: a rounding of beta alone moves U by kappa/2 ulp, and kappa
+        reaches log(1/E) ~ 690 at E = 1e-300 (near e_max it tends to 0, so
+        there the bound is 8 ulp(E) itself).  At most 1 evaluation for one
+        mode (the start is its closed-form inverse), 30 for any solve."""
+        evals = []
+        evaluate = gibbs._energy_and_slope
+        monkeypatch.setattr(gibbs, "_energy_and_slope",
+                            lambda *a: evals.append(1) or evaluate(*a))
+        for e in self._energies(h):
+            evals.clear()
+            sol = solve_beta(h, e)
+            assert len(evals) <= (1 if h.n_modes == 1 else 30), e
+            u = mean_energy(h, sol.beta)
+            assert sol.residual == u - e
+            kappa = max(1.0, self._log_slope(h, sol.beta))
+            assert abs(u - e) <= 8 * math.ulp(e) * kappa, e
+            if h.n_modes == 1:
+                assert abs(sol.beta - math.log1p(1.0 / e)) <= 2 * math.ulp(sol.beta), e
+
+    def test_entropy_check_charges_the_residual(self):
+        """The formula takes E, the weights have mean U(beta): entropy_check
+        adds beta |U(beta) - E| log2 e to the gap."""
+        sol = solve_beta(HamiltonianSpec.oscillators([1.0], n_max=256), 3.0)
+        off = dataclasses.replace(sol, residual=1e-6)
+        assert entropy_check(off)[0] == entropy_check(sol)[0]
+        assert entropy_check(off)[1] - entropy_check(sol)[1] == pytest.approx(
+            sol.beta * (1e-6 - abs(sol.residual)) / LN2, rel=1e-6)
 
     def test_single_mode_entropy_is_g(self):
         # at hbar omega = 1 the mean occupation equals the energy

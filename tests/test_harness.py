@@ -261,6 +261,15 @@ class TestCli:
                        "--energies", "10"])
         assert rc == cli.EXIT_OK
 
+    def test_witness_oscillator_at_a_huge_energy_exits_2(self, capsys):
+        """At E = 1e16, E/(E+1) rounds to 1; the cutoff comes from
+        log q = -log1p(1/E) and is refused by the dense limit."""
+        rc = cli.main(["witness", "oscillator", "--energies", "1e16", "--eps", "0.25"])
+        assert rc == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "dense limit" in captured.err
+        assert captured.out == ""
+
     def test_witness_oscillator_loops_over_energies(self, capsys):
         # --dims has no meaning for the oscillator and must not multiply lines
         rc = cli.main(["witness", "oscillator", "--dims", "2,8",
