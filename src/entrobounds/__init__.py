@@ -66,11 +66,11 @@ from .gibbs import (
     gibbs_entropy,
     lemma4_bound,
     lemma7_bounds,
+    log2_partition_function,
     meta5_bound,
     meta6_bound,
     oscillator_entropy_upper,
     oscillator_tightness_witness,
-    partition_function,
     sample_energy_constrained,
     solve_beta,
 )

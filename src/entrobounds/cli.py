@@ -163,7 +163,7 @@ def _cmd_gibbs_table(args, settings) -> int:
         if row["error"]:
             print(f"E={row['E']}: {row['error']}")
             continue
-        print(f"E={row['E']:g} beta={row['beta']:.10g} Z={row['Z']:.10g} "
+        print(f"E={row['E']:g} beta={row['beta']:.10g} log2_Z={row['log2_Z']:.10g} "
               f"S={row['S_formula']:.10g} |diff|={row['abs_diff']:.3e}")
         if row["abs_diff"] > tol:
             bad += 1

@@ -12,7 +12,8 @@ A Hamiltonian is one of:
 The inverse temperature beta(E) solves tr e^{-beta H}(H - E) = 0 by a
 safeguarded Newton iteration in log U against log beta (the mean energy
 U is strictly decreasing in beta).  Entropies are in bits:
-S(gamma(E)) = log2 Z + beta E log2(e).
+S(gamma(E)) = log2 Z + beta E log2(e), with log2 Z summed in log space
+so that it stays finite at any E.
 """
 
 from __future__ import annotations
@@ -120,22 +121,29 @@ class HamiltonianSpec:
         return f"HamiltonianSpec(oscillators={list(self.hbar_omegas)}, n_max={self.n_max})"
 
 
-def partition_function(hamiltonian: HamiltonianSpec, beta: float) -> float:
-    """Z(beta) = tr e^{-beta H}: explicit sum, or the exact geometric
-    product for (untruncated) oscillator modes."""
+def log2_partition_function(hamiltonian: HamiltonianSpec, beta: float) -> float:
+    """log2 Z(beta), Z = tr e^{-beta H}: the log of the explicit sum
+    (at least 1 and at most the level count, as the ground level is 0),
+    or for (untruncated) oscillator modes the exact geometric form
+    -sum_i log2(1 - e^{-x_i}), x_i = beta hbar omega_i, with 1 - e^{-x}
+    from expm1.  It is finite wherever beta is, where Z itself would
+    overflow past 1.8e308."""
     if beta <= 0:
         raise EnergyDomainError(f"beta must be positive, got {beta!r}")
     if hamiltonian.hbar_omegas is None:
-        return float(np.exp(-beta * hamiltonian.levels).sum())
-    return float(np.prod(1.0 / -np.expm1(-beta * hamiltonian.hbar_omegas)))
+        return math.log2(float(np.exp(-beta * hamiltonian.levels).sum()))
+    # 0.0 - s, not -s: no -0.0 where every 1 - e^{-x_i} rounds to 1
+    return 0.0 - float(np.log2(-np.expm1(-beta * hamiltonian.hbar_omegas)).sum())
 
 
 def truncation_tail(hamiltonian: HamiltonianSpec, beta: float) -> float:
-    """Relative Gibbs mass lost to the per-mode Fock cutoff."""
+    """Relative Gibbs mass lost to the per-mode Fock cutoff,
+    1 - prod_i (1 - q_i^{N+1}), taken as -expm1(sum_i log1p(-q_i^{N+1}))
+    so that a tail far below 1 ulp of 1 keeps its digits."""
     if hamiltonian.hbar_omegas is None:
         return 0.0
     q = np.exp(-beta * hamiltonian.hbar_omegas)
-    return float(1.0 - np.prod(1.0 - q ** (hamiltonian.n_max + 1)))
+    return float(-np.expm1(np.log1p(-q ** (hamiltonian.n_max + 1)).sum()))
 
 
 def _energy_and_slope(hamiltonian: HamiltonianSpec, beta: float) -> tuple[float, float]:
@@ -167,15 +175,16 @@ def mean_energy(hamiltonian: HamiltonianSpec, beta: float) -> float:
 class GibbsSolution:
     hamiltonian: HamiltonianSpec
     beta: float
-    partition: float
+    log2_partition: float  # log2 Z(beta)
     energy: float
     entropy: float  # bits
     residual: float  # U(beta) - energy, as the solver left it
 
     def diagonal_probabilities(self) -> np.ndarray:
         """Gibbs weights on the (truncated) level basis, normalized by the
-        exact partition function; sums to 1 minus the truncation tail."""
-        return np.exp(-self.beta * self.hamiltonian.levels) / self.partition
+        exact partition function: exp(-beta E_n - ln Z), ln Z = log2 Z /
+        log2 e.  They sum to 1 minus the truncation tail."""
+        return np.exp(-self.beta * self.hamiltonian.levels - self.log2_partition / LOG2_E)
 
     def state(self) -> DensityOperator:
         p = self.diagonal_probabilities()
@@ -252,9 +261,9 @@ def solve_beta(hamiltonian: HamiltonianSpec, energy: float) -> GibbsSolution:
     if not 0.0 < beta < math.inf:
         raise EnergyDomainError(
             f"energy {energy!r} not attainable (beta -> {'0' if beta == 0.0 else 'inf'})")
-    z = partition_function(hamiltonian, beta)
-    entropy = math.log2(z) + beta * energy * LOG2_E
-    return GibbsSolution(hamiltonian=hamiltonian, beta=beta, partition=z,
+    log2_z = log2_partition_function(hamiltonian, beta)
+    entropy = log2_z + beta * energy * LOG2_E
+    return GibbsSolution(hamiltonian=hamiltonian, beta=beta, log2_partition=log2_z,
                          energy=energy, entropy=entropy, residual=residual)
 
 
@@ -449,7 +458,13 @@ def sample_energy_constrained(hamiltonian: HamiltonianSpec, energy: float,
                               d_b: int | None = None, rng=None):
     """Random state supported on levels with E_n <= E (hence mean energy
     <= E), optionally extended by an unconstrained, entangled B factor
-    under the global Hamiltonian H (x) 1."""
+    under the global Hamiltonian H (x) 1.
+
+    A full-rank state is sampled on the k d_b rows of the k levels at or
+    below E and zero-padded to the level space.  The padded state carries
+    that sampled state as its ``block``, so its spectrum, and the trace
+    distance between two such states at the same E, come from k d_b x
+    k d_b eigenproblems; the padded space is never decomposed."""
     rng = np.random.default_rng(rng)
     levels = hamiltonian.levels
     idx = np.where(levels <= energy)[0]
@@ -459,11 +474,11 @@ def sample_energy_constrained(hamiltonian: HamiltonianSpec, energy: float,
     dim = len(levels)
     d = 1 if d_b is None else d_b
     check_dense_dim(dim * d)
-    small = sample_state(k * d, k * d, rng).mat
+    small = sample_state(k * d, k * d, rng)
     flat = (idx[:, None] * d + np.arange(d)).ravel()
-    full = np.zeros((dim * d, dim * d), dtype=complex)
-    full[np.ix_(flat, flat)] = small
-    return DensityOperator(full) if d_b is None else BipartiteState(full, (dim, d_b))
+    if d_b is None:
+        return DensityOperator.embedded(flat, small, dim)
+    return BipartiteState.embedded(flat, small, dim * d, (dim, d_b))
 
 
 def _single_mode_truncation(energy: float, tail: float) -> int:

@@ -264,7 +264,7 @@ def write_report(report: CampaignReport, path: str, fmt: str) -> None:
 
 
 def emit_gibbs_table(hamiltonian: gb.HamiltonianSpec, energies, path=None):
-    """Tabulate (E, beta, Z, S_formula, S_direct, |diff|) over an E-grid.
+    """Tabulate (E, beta, log2 Z, S_formula, S_direct, |diff|) over an E-grid.
 
     Unsolvable rows are marked with an ``error`` column instead of
     being dropped.
@@ -274,14 +274,14 @@ def emit_gibbs_table(hamiltonian: gb.HamiltonianSpec, energies, path=None):
         try:
             sol = gb.solve_beta(hamiltonian, e)
             direct, gap = gb.entropy_check(sol)
-            rows.append({"E": e, "beta": sol.beta, "Z": sol.partition,
+            rows.append({"E": e, "beta": sol.beta, "log2_Z": sol.log2_partition,
                          "S_formula": sol.entropy, "S_direct": direct,
                          "abs_diff": gap, "error": ""})
         except gb.EnergyDomainError as exc:
-            rows.append({"E": e, "beta": None, "Z": None, "S_formula": None,
+            rows.append({"E": e, "beta": None, "log2_Z": None, "S_formula": None,
                          "S_direct": None, "abs_diff": None, "error": str(exc)})
     if path:
-        cols = ("E", "beta", "Z", "S_formula", "S_direct", "abs_diff", "error")
+        cols = ("E", "beta", "log2_Z", "S_formula", "S_direct", "abs_diff", "error")
         with open(path, "w", newline="") as fh:
-            _write_csv(fh, "# entrobounds-gibbs-table v1: " + ",".join(cols), cols, rows)
+            _write_csv(fh, "# entrobounds-gibbs-table v2: " + ",".join(cols), cols, rows)
     return rows

@@ -15,6 +15,11 @@ Conventions
   a projector, and a diagonal operator know their spectrum and never call
   ``eigh``.  The difference of two factored operators is factored again
   from a 2k x 2k eigenproblem, in O(d k^2) instead of O(d^3).
+* An operator with a block (``HermitianOperator.block``) is a k x k
+  operator on a set of rows and columns and zero elsewhere, such as an
+  energy-constrained state padded to its level space.  Its spectrum is
+  the block's plus zeros, and the difference of two blocks on the same
+  index set is a block again, so only k x k matrices are decomposed.
 * ``support_mask`` is the one support cut (eigenvalues at or below
   ``ZERO_EIGENVALUE_RTOL * max(|lambda_max|, 1)`` are exact zeros), for
   support-restricted functions such as ``sqrt`` and for D(rho || gamma).
@@ -65,15 +70,17 @@ def _frozen(a):
 
 class HermitianOperator:
     """A dense complex Hermitian matrix with a lazily cached spectral
-    decomposition, and optionally a thin factor that fixes its spectrum.
+    decomposition, and optionally a thin factor or a block that fixes its
+    spectrum.
 
     The input is symmetrized on construction; a non-finite entry, or a
     deviation from Hermiticity larger than ``HERMITICITY_ATOL`` (relative
     to the largest entry), raises.  Operators the library builds from
-    validated parts (``diagonal``, ``factored``, ``a - b`` and
-    ``apply_function``) go through ``_built``, which symmetrizes alike but
-    skips both O(d^2) scans; ``diagonal`` and ``factored`` check their
-    parts for non-finite entries instead.
+    validated parts (``diagonal``, ``factored``, ``embedded``, ``a - b``
+    and ``apply_function``) go through ``_built``, which symmetrizes alike
+    but skips both O(d^2) scans; ``diagonal`` and ``factored`` check their
+    parts for non-finite entries instead, and ``embedded`` takes a
+    validated operator as its block.
 
     Attributes
     ----------
@@ -84,6 +91,12 @@ class HermitianOperator:
         ``mat = c 1 + V diag(lam - c) V^dagger``: ``V`` (d, k) has
         orthonormal columns with eigenvalues ``lam``, and ``c`` is the
         eigenvalue on their complement.  A projector is ``(v, [1], 0)``.
+    block : tuple ``(index, B)`` or None
+        ``mat`` is the validated k x k operator ``B`` on the rows and
+        columns ``index`` (an int array) and zero elsewhere.  The
+        eigenvalues are ``B``'s and ``dim - k`` zeros; the eigenvectors
+        are ``B``'s embedded at ``index`` and identity columns on the
+        complement.
     eigenvalues : (d,) real ndarray, non-increasing
         Computed on first read.
     eigenvectors : (d, d) complex ndarray
@@ -91,7 +104,7 @@ class HermitianOperator:
         on first read; for a factor, ``V`` completed to a unitary.
     """
 
-    __slots__ = ("mat", "dim", "factor", "_eigenvalues", "_eigenvectors")
+    __slots__ = ("mat", "dim", "factor", "block", "_eigenvalues", "_eigenvectors")
 
     def __init__(self, mat):
         mat = np.asarray(mat, dtype=complex)
@@ -109,12 +122,13 @@ class HermitianOperator:
         self._set_matrix(mat)
 
     def _set_matrix(self, mat):
-        """Store ``(mat + mat^dagger) / 2``, frozen, with no factor or spectrum."""
+        """Store ``(mat + mat^dagger) / 2``, frozen, with no factor, block
+        or spectrum."""
         mat = (mat + mat.conj().T) / 2
         mat.setflags(write=False)
         self.mat = mat
         self.dim = mat.shape[0]
-        self.factor = self._eigenvalues = self._eigenvectors = None
+        self.factor = self.block = self._eigenvalues = self._eigenvectors = None
 
     @classmethod
     def _built(cls, mat) -> "HermitianOperator":
@@ -159,6 +173,24 @@ class HermitianOperator:
         return op if cls is HermitianOperator else cls(op, *args)
 
     @classmethod
+    def embedded(cls, index, block, dim, *args) -> "HermitianOperator":
+        """The k x k operator ``block`` on the rows and columns ``index`` of
+        a ``dim``-dimensional space and zero elsewhere, carrying
+        ``(index, block)`` as its block.  ``index`` holds k distinct
+        indices below ``dim``."""
+        block = as_operator(block)
+        index = _frozen(np.array(index, dtype=int))
+        if (index.shape != (block.dim,) or len(set(index.tolist())) != block.dim
+                or index.min() < 0 or index.max() >= dim):
+            raise ValueError(f"index must hold {block.dim} distinct indices below {dim}")
+        check_dense_dim(dim)
+        mat = np.zeros((dim, dim), dtype=complex)
+        mat[np.ix_(index, index)] = block.mat
+        op = HermitianOperator._built(mat)
+        op.block = (index, block)
+        return op if cls is HermitianOperator else cls(op, *args)
+
+    @classmethod
     def pure(cls, vec, *args) -> "HermitianOperator":
         """``|v><v|`` for ``v = vec / ||vec||``: the factor ``(v, [1], 0)``."""
         v = np.asarray(vec, dtype=complex)
@@ -180,26 +212,44 @@ class HermitianOperator:
         return self._eigenvectors
 
     def _decompose(self, vectors=False):
-        if self.factor is None:
+        if self.factor is None and self.block is None:
             evals, evecs = descending_eigh(self.mat)
             self._eigenvalues = _frozen(np.ascontiguousarray(evals))
             self._eigenvectors = _frozen(np.ascontiguousarray(evecs))
             return
-        # one stable sort of [lam, c, ..., c]; the completion of V follows it
-        vecs, lam, c = self.factor
-        values = np.concatenate([lam, np.full(self.dim - len(lam), c)])
+        # one stable sort of [lam, c, ..., c]; the basis of V (or of the
+        # block) and of its complement follows it
+        if self.factor is not None:
+            vecs, lam, c = self.factor
+        else:
+            index, b = self.block
+            lam, c = b.eigenvalues, 0.0
+        k = len(lam)
+        values = np.concatenate([lam, np.full(self.dim - k, c)])
         order = np.argsort(-values, kind="stable")
         self._eigenvalues = _frozen(values[order])
-        if vectors:
-            complement = np.linalg.qr(vecs, mode="complete")[0][:, len(lam):]
-            self._eigenvectors = _frozen(np.hstack([vecs, complement])[:, order])
+        if not vectors:
+            return
+        if self.factor is not None:
+            basis = np.hstack([vecs, np.linalg.qr(vecs, mode="complete")[0][:, k:]])
+        else:
+            basis = np.zeros((self.dim, self.dim), dtype=complex)
+            basis[index, :k] = b.eigenvectors
+            rest = np.ones(self.dim, dtype=bool)
+            rest[index] = False
+            basis[np.flatnonzero(rest), np.arange(k, self.dim)] = 1.0
+        self._eigenvectors = _frozen(basis[:, order])
 
     def __sub__(self, other: "HermitianOperator") -> "HermitianOperator":
         """``self - other``, factored if both are: with ``Q R = [V_a V_b]`` it
         is ``(c_a - c_b) 1 + Q R diag(lam_a - c_a, c_b - lam_b) R^dagger Q^dagger``,
-        one small eigh.  Coinciding columns (a singular ``R``) stay exact."""
+        one small eigh.  Coinciding columns (a singular ``R``) stay exact.
+        Two blocks on the same index set give the block ``B_a - B_b``."""
         diff = HermitianOperator._built(self.mat - other.mat)
-        if self.factor is not None and other.factor is not None:
+        if (self.block is not None and other.block is not None
+                and np.array_equal(self.block[0], other.block[0])):
+            diff.block = (self.block[0], self.block[1] - other.block[1])
+        elif self.factor is not None and other.factor is not None:
             (va, la, ca), (vb, lb, cb) = self.factor, other.factor
             q, r = np.linalg.qr(np.hstack([va, vb]))
             mu, w = np.linalg.eigh((r * np.concatenate([la - ca, cb - lb])) @ r.conj().T)

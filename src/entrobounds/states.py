@@ -32,9 +32,10 @@ class DensityOperator(HermitianOperator):
     is validated.  Eigenvalues are clamped at 0 (sampling and arithmetic
     produce -1e-14-scale noise) and the trace renormalized.  Eigenvalues
     below ``-PSD_ATOL``, or a trace off from 1 by more than 1e-8, are rejected
-    as genuinely invalid input.  An operator's factor and known spectrum
-    are kept, and a repaired state keeps the eigenpairs its validation
-    read, so no state is decomposed twice.  A ``DensityOperator`` passed
+    as genuinely invalid input.  An operator's factor, block and known
+    spectrum are kept (a renormalized trace scales them alike), and a
+    repaired state keeps the eigenpairs its validation read, so no state
+    is decomposed twice.  A ``DensityOperator`` passed
     in is already valid and is taken over with no second validation.
     ``_built`` takes a matrix that is PSD by construction (nonnegative
     weights of validated states) and checks only its trace, with no
@@ -60,10 +61,12 @@ class DensityOperator(HermitianOperator):
             scale, u = lam.sum(), self.eigenvectors
             self._set_matrix((u * (lam / scale)) @ u.conj().T)
         elif abs(tr - 1.0) > 1e-14:
-            scale, u, factor = tr, self._eigenvectors, self.factor
+            scale, u, factor, block = tr, self._eigenvectors, self.factor, self.block
             self._set_matrix(self.mat / tr)
             if factor is not None:
                 self.factor = (factor[0], _frozen(factor[1] / tr), factor[2] / tr)
+            if block is not None:
+                self.block = (block[0], HermitianOperator._built(block[1].mat / tr))
         else:
             return
         self._eigenvalues, self._eigenvectors = _frozen(lam / scale), u

@@ -13,7 +13,8 @@ from entrobounds.entropies import (
     shannon_entropy,
     von_neumann_entropy,
 )
-from entrobounds.linalg import trace_distance
+from entrobounds.harness import _case_energy_bounds
+from entrobounds.linalg import HermitianOperator, trace_distance
 from entrobounds.states import BipartiteState, DensityOperator, sample_state
 from entrobounds.gibbs import (
     CutoffDecomposition,
@@ -24,13 +25,13 @@ from entrobounds.gibbs import (
     gibbs_entropy,
     lemma4_bound,
     lemma7_bounds,
+    log2_partition_function,
     mean_energy,
     meta5_bound,
     meta6_bound,
     meta_delta,
     oscillator_entropy_upper,
     oscillator_tightness_witness,
-    partition_function,
     sample_energy_constrained,
     solve_beta,
     truncated_trace_distance_bound,
@@ -101,29 +102,43 @@ class TestHamiltonianSpec:
 class TestPartitionFunction:
     def test_single_mode_at_ln2(self):
         h = HamiltonianSpec.oscillators([1.0])
-        assert partition_function(h, LN2) == pytest.approx(2.0, abs=1e-12)
+        assert 2.0 ** log2_partition_function(h, LN2) == pytest.approx(2.0, abs=1e-12)
 
     def test_trivial_level(self):
-        assert partition_function(HamiltonianSpec.explicit([0.0]), 1.0) == 1.0
+        assert log2_partition_function(HamiltonianSpec.explicit([0.0]), 1.0) == 0.0
 
     def test_two_modes(self):
         h = HamiltonianSpec.oscillators([1.0, 2.0])
-        assert partition_function(h, 0.7) == pytest.approx(Z_TWO_MODES, abs=1e-12)
+        assert 2.0 ** log2_partition_function(h, 0.7) == pytest.approx(Z_TWO_MODES, abs=1e-12)
 
     def test_geometric_product_matches_truncated_sum(self):
         h = HamiltonianSpec.oscillators([1.0, 2.0], n_max=300)
         beta = 0.7
         direct = np.exp(-beta * h.levels).sum()
-        assert partition_function(h, beta) == pytest.approx(direct, rel=1e-12)
+        assert 2.0 ** log2_partition_function(h, beta) == pytest.approx(direct, rel=1e-12)
 
     def test_beta_domain(self):
         with pytest.raises(EnergyDomainError, match="beta"):
-            partition_function(HamiltonianSpec.oscillators([1.0]), 0.0)
+            log2_partition_function(HamiltonianSpec.oscillators([1.0]), 0.0)
 
     def test_truncation_tail_decreases_with_cutoff(self):
         t_small = truncation_tail(HamiltonianSpec.oscillators([1.0], n_max=5), 0.5)
         t_large = truncation_tail(HamiltonianSpec.oscillators([1.0], n_max=50), 0.5)
         assert 0 < t_large < t_small < 1
+
+    def test_truncation_tail_keeps_its_digits(self):
+        """1 - (1 - q^41) rounds to 0 where the tail q^41 is 6.2e-55."""
+        h = HamiltonianSpec.oscillators([1.0], n_max=40)
+        beta = solve_beta(h, 0.05).beta
+        tail = np.exp(-beta) ** 41
+        assert tail == pytest.approx(6.2e-55, rel=1e-2)
+        assert truncation_tail(h, beta) == pytest.approx(tail, rel=1e-15)
+
+    def test_log2_partition_function_is_finite_where_z_overflows(self):
+        h = HamiltonianSpec.oscillators([1.0, 2.0])
+        beta = 2e-200  # Z = 1/(beta^2 * 2), about 2^1325
+        expected = -math.log2(beta) - math.log2(2.0 * beta)
+        assert log2_partition_function(h, beta) == pytest.approx(expected, rel=1e-15)
 
 
 class TestSolveBeta:
@@ -131,7 +146,7 @@ class TestSolveBeta:
         h = HamiltonianSpec.oscillators([1.0])
         sol = solve_beta(h, 1.0)
         assert sol.beta == pytest.approx(LN2, abs=1e-10)
-        assert sol.partition == pytest.approx(2.0, abs=1e-9)
+        assert 2.0 ** sol.log2_partition == pytest.approx(2.0, abs=1e-9)
         assert sol.entropy == pytest.approx(2.0, abs=1e-10)
 
     def test_two_level_quarter(self):
@@ -455,6 +470,39 @@ class TestSampler:
         h = HamiltonianSpec.explicit([0.0, 1.0])
         with pytest.raises(EnergyDomainError, match="no levels"):
             sample_energy_constrained(h, -1.0, rng=0)
+
+    @pytest.mark.parametrize("energy", [1.0, 8.0])
+    def test_energy_bounds_decompose_no_padded_state(self, energy, monkeypatch):
+        """The states live on the k <= 9 levels at or below E of 41: only
+        k d_b x k d_b matrices are decomposed, and the entropies and trace
+        distances are those of the unpadded blocks."""
+        shapes = []
+        original = np.linalg.eigh
+
+        def recorded(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        h = HamiltonianSpec.oscillators([1.0], n_max=40)
+        idx = np.flatnonzero(h.levels <= energy)
+        k = len(idx)
+        lemma4, _ = _case_energy_bounds(np.random.default_rng(9), h, energy)
+        assert max(s[-1] for s in shapes) <= k
+        for d_b in (None, 2):
+            d = 1 if d_b is None else d_b
+            rows = (idx[:, None] * d + np.arange(d)).ravel()
+            rng = np.random.default_rng(9)
+            rho, sigma = (sample_energy_constrained(h, energy, d_b, rng) for _ in range(2))
+            s_rho, s_sigma = von_neumann_entropy(rho), von_neumann_entropy(sigma)
+            eps = trace_distance(rho, sigma)
+            assert max(s[-1] for s in shapes) <= k * d
+            small = [HermitianOperator(x.mat[np.ix_(rows, rows)]) for x in (rho, sigma)]
+            for s_full, op in zip((s_rho, s_sigma), small):
+                assert s_full == pytest.approx(shannon_entropy(np.linalg.eigvalsh(op.mat)), abs=1e-14)
+            assert eps == trace_distance(*small)
+            if d_b is None:
+                assert lemma4.epsilon == eps and lemma4.lhs == abs(s_rho - s_sigma)
 
     def test_bipartite_extension(self):
         h = HamiltonianSpec.oscillators([1.0], n_max=8)

@@ -143,7 +143,7 @@ class TestGibbsTable:
         emit_gibbs_table(h, [1.0], path=path)
         with open(path) as fh:
             first = fh.readline()
-        assert first.startswith("# entrobounds-gibbs-table v1")
+        assert first.startswith("# entrobounds-gibbs-table v2: E,beta,log2_Z,")
 
 
 class TestCli:
@@ -189,6 +189,13 @@ class TestCli:
         assert cli.main(["verify", "gibbs", "--energies", "1e10,1e17"]) == cli.EXIT_OK
         rows = emit_gibbs_table(HamiltonianSpec.oscillators([1.0]), [1e17])
         assert rows[0]["error"] == "" and rows[0]["abs_diff"] <= 1e-9
+
+    def test_gibbs_table_beyond_the_largest_float_partition_function(self, capsys):
+        """Z of modes (1, 2) at E = 1e200 is about 2^1326; log2 Z is summed
+        in log space, so the row is finite, with no overflow warning."""
+        assert cli.main(["gibbs-table", "--modes", "1,2", "--energies", "1e200"]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert "log2_Z=1325.77" in out and "inf" not in out
 
     def test_reports_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         """The d=16 tightness, cor_pure and couplings suites (256-dim witness

@@ -7,6 +7,7 @@ from entrobounds.linalg import (
     HermitianOperator,
     MatrixFunctionDomainError,
     as_operator,
+    descending_eigh,
     fidelity,
     operator_norm,
     positive_part,
@@ -328,6 +329,83 @@ class TestFactoredOperator:
             assert diff.factor is None
             assert type(diff) is HermitianOperator
         np.testing.assert_array_equal((rho - sigma).mat, HermitianOperator(rho.mat - sigma.mat).mat)
+
+
+def _assert_matches_dense(op):
+    """The eigenvalues of ``op``, and the projectors onto its eigenspaces
+    (runs of eigenvalues closer than 1e-9), match ``descending_eigh`` of
+    its ``mat`` within 1e-13."""
+    lam, u = descending_eigh(op.mat)
+    np.testing.assert_allclose(op.eigenvalues, lam, rtol=0, atol=1e-13)
+    for group in np.split(np.arange(op.dim), np.flatnonzero(np.diff(lam) < -1e-9) + 1):
+        v, w = op.eigenvectors[:, group], u[:, group]
+        assert np.abs(v @ v.conj().T - w @ w.conj().T).max() <= 1e-13
+
+
+def _block_state(rng, index, d):
+    return DensityOperator.embedded(index, sample_state(len(index), len(index), rng), d)
+
+
+class TestBlockOperator:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("d", [1, 2, 5, 8])
+    def test_spectrum_matches_dense(self, d, seed, eigh_dims):
+        rng = np.random.default_rng([d, seed])
+        k = int(rng.integers(1, d + 1))
+        index = rng.choice(d, size=k, replace=False)
+        b = random_hermitian(rng, k)
+        op = HermitianOperator.embedded(index, b, d)
+        assert np.array_equal(op.mat[np.ix_(index, index)], b.mat)
+        assert np.count_nonzero(op.mat) == np.count_nonzero(b.mat)
+        op.eigenvectors
+        assert eigh_dims == [k]
+        _assert_matches_dense(op)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("d", [3, 5, 8])
+    def test_difference_on_one_index_set_is_a_block(self, d, seed, eigh_dims):
+        rng = np.random.default_rng([d, seed])
+        index = rng.choice(d, size=int(rng.integers(2, d)), replace=False)
+        rho, sigma = _block_state(rng, index, d), _block_state(rng, index, d)
+        diff = rho - sigma
+        assert np.array_equal(diff.block[0], index)
+        lam = diff.eigenvalues
+        # the d - k zeros of the padding sit between the two signs
+        assert lam[0] > 0 > lam[-1] and (lam == 0.0).sum() == d - len(index)
+        diff.eigenvectors
+        assert max(eigh_dims) == len(index)
+        _assert_matches_dense(diff)
+        dense = 0.5 * np.abs(np.linalg.eigvalsh(rho.mat - sigma.mat)).sum()
+        assert trace_distance(rho, sigma) == pytest.approx(dense, abs=1e-14)
+
+    def test_difference_on_other_index_sets_is_dense(self):
+        rng = np.random.default_rng(27)
+        a = _block_state(rng, [0, 2, 3], 6)
+        # another set, the same set in another order, a subset, and no block
+        for b in (_block_state(rng, [0, 2, 4], 6), _block_state(rng, [3, 2, 0], 6),
+                  _block_state(rng, [0, 2], 6), sample_state(6, 6, rng)):
+            for diff in (a - b, b - a):
+                assert diff.block is None
+                _assert_matches_dense(diff)
+            np.testing.assert_array_equal((a - b).mat, HermitianOperator(a.mat - b.mat).mat)
+            dense = 0.5 * np.abs(np.linalg.eigvalsh(a.mat - b.mat)).sum()
+            assert trace_distance(a, b) == pytest.approx(dense, abs=1e-14)
+
+    def test_renormalised_trace_keeps_the_block(self):
+        rng = np.random.default_rng(28)
+        index = [4, 1, 2]
+        small = sample_state(3, 3, rng)
+        state = DensityOperator.embedded(index, HermitianOperator(small.mat * (1 + 1e-10)), 6)
+        assert np.array_equal(state.block[0], index)
+        assert np.array_equal(state.block[1].mat, state.mat[np.ix_(index, index)])
+        assert state.trace() == pytest.approx(1.0, abs=1e-15)
+        _assert_matches_dense(state)
+        assert (state - DensityOperator.embedded(index, small, 6)).block is not None
+
+    @pytest.mark.parametrize("index", [[0, 0], [0, 3], [-1, 0], [0]])
+    def test_index_must_be_distinct_and_in_range(self, index):
+        with pytest.raises(ValueError, match="distinct indices"):
+            HermitianOperator.embedded(index, np.eye(2), 3)
 
 
 class TestMatrixFunction:
