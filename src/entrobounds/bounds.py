@@ -174,11 +174,16 @@ def check_cor_pure(phi: BipartiteState, psi: BipartiteState, which: str = "ef") 
 # -- extremal witnesses ------------------------------------------------------
 
 
+def fannes_admissible(d: int, epsilon: float) -> bool:
+    """Whether the Fannes-Audenaert witness exists at (d, eps): 0 < eps <= 1 - 1/d."""
+    return 0.0 < epsilon <= 1.0 - 1.0 / d
+
+
 def tightness_witness_fannes(d: int, epsilon: float):
     """(rho, sigma) saturating the Fannes-Audenaert bound:
     sigma = |0><0|, rho = (1-eps)|0><0| + eps/(d-1) (1 - |0><0|)."""
     _dimension(d)
-    if not 0.0 < epsilon <= 1.0 - 1.0 / d:
+    if not fannes_admissible(d, epsilon):
         raise ValueError(f"epsilon {epsilon!r} outside (0, 1 - 1/d]")
     probs = np.full(d, epsilon / (d - 1))
     probs[0] = 1.0 - epsilon

@@ -7,9 +7,10 @@ Subcommands:
 * ``gibbs-table``        -- tabulate the Gibbs solver over an energy grid
 * ``coupling-demo``      -- build every coupling for one sampled pair
 
-``verify`` and ``witness`` check through the one campaign loop of
-``harness``.  Exit codes: 0 = all checks valid, 1 = violations found,
-2 = configuration or domain error (a ``witness`` run then prints no line).
+Every subcommand checks through ``harness._check``, the one campaign loop
+(``coupling-demo`` is case 0 of ``verify couplings --samples 1``).  Exit
+codes: 0 = all checks valid, 1 = a ``_check`` record is not valid, 2 =
+configuration or domain error (a ``witness`` run then prints no line).
 
 Each subcommand takes the flags of the settings it reads (``_COMMANDS``)
 and no others.  A flat key=value config file can be passed with
@@ -22,20 +23,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import couplings as cpl
 from . import gibbs as gb
-from .harness import (
-    CampaignConfig,
-    ConfigError,
-    SUITES,
-    check_witnesses,
-    emit_gibbs_table,
-    run_campaign,
-)
-from .linalg import fidelity
-from .states import sample_state
+from .harness import (SUITES, CampaignConfig, ConfigError, _rng, check_witnesses,
+                      emit_gibbs_table, run_campaign, sample_pair)
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -125,16 +116,28 @@ def _settings(args):
     return settings
 
 
+def _campaign(suite, settings, **fixed) -> CampaignConfig:
+    return CampaignConfig(suite, **fixed, **{_SETTINGS[k][1]: v for k, v in settings.items()})
+
+
+def _verdict(rec) -> str:
+    return (f"lhs={rec['lhs']:.6f} rhs={rec['rhs']:.6f} slack={rec['slack']:.3e} "
+            f"valid={rec['valid']}")
+
+
+def _exit_code(records) -> int:
+    return EXIT_OK if all(rec["valid"] for rec in records) else EXIT_VIOLATIONS
+
+
 def _cmd_verify(args, settings) -> int:
-    cfg = CampaignConfig(suite=args.suite,
-                         **{_SETTINGS[key][1]: val for key, val in settings.items()})
+    cfg = _campaign(args.suite, settings)
     report = run_campaign(cfg)
     print(f"suite={cfg.suite} cases={len(report.records)} "
           f"min_slack={report.min_slack:.3e} max_slack={report.max_slack:.3e} "
           f"violations={report.violations}")
     if cfg.output:
         print(f"report written to {cfg.output}")
-    return EXIT_VIOLATIONS if report.violations else EXIT_OK
+    return _exit_code(report.records)
 
 
 def _cmd_witness(args, settings) -> int:
@@ -145,9 +148,8 @@ def _cmd_witness(args, settings) -> int:
     rows = check_witnesses(args.name, xs, settings.get("eps", (0.25,)),
                            settings.get("tol", CampaignConfig.tolerance))
     for x, eps, rec in rows:
-        print(f"{args.name} {axis}={x} eps={eps}: lhs={rec['lhs']:.6f} "
-              f"rhs={rec['rhs']:.6f} slack={rec['slack']:.3e} valid={rec['valid']}")
-    return EXIT_OK if all(rec["valid"] for _, _, rec in rows) else EXIT_VIOLATIONS
+        print(f"{args.name} {axis}={x} eps={eps}: {_verdict(rec)}")
+    return _exit_code(rec for _, _, rec in rows)
 
 
 def _cmd_gibbs_table(args, settings) -> int:
@@ -156,51 +158,34 @@ def _cmd_gibbs_table(args, settings) -> int:
         h = gb.HamiltonianSpec.explicit(args.levels)
     else:
         h = gb.HamiltonianSpec.oscillators(args.modes, n_max=512)
-    rows = emit_gibbs_table(h, energies, path=settings.get("out"))
-    tol = settings.get("tol", CampaignConfig.tolerance)
-    bad = 0
+    rows, records = emit_gibbs_table(h, energies, settings.get("out"),
+                                     settings.get("tol", CampaignConfig.tolerance))
     for row in rows:
         if row["error"]:
             print(f"E={row['E']}: {row['error']}")
             continue
         print(f"E={row['E']:g} beta={row['beta']:.10g} log2_Z={row['log2_Z']:.10g} "
               f"S={row['S_formula']:.10g} |diff|={row['abs_diff']:.3e}")
-        if row["abs_diff"] > tol:
-            bad += 1
-    return EXIT_VIOLATIONS if bad else EXIT_OK
+    return _exit_code(records)
 
 
 def _cmd_coupling_demo(args, settings) -> int:
-    dims = settings.get("dims", (3,))
-    if len(dims) != 1:
-        raise ConfigError(f"coupling-demo takes one --dims value, got {len(dims)}")
-    d = dims[0]
-    seed = settings.get("seed", 0)
-    tol = settings.get("tol", CampaignConfig.tolerance)
-    rng = np.random.default_rng(seed)
-    rho = sample_state(d, d, rng)
-    sigma = sample_state(d, d, rng)
+    """Case 0 of ``verify couplings --samples 1``: its pair's diagnostics, then its records."""
+    settings = {"dims": (3,), "seed": 0, **settings}
+    if len(settings["dims"]) != 1:
+        raise ConfigError(f"coupling-demo takes one --dims value, got {len(settings['dims'])}")
+    report = run_campaign(_campaign("couplings", settings, samples=1))
+    d, seed = settings["dims"][0], settings["seed"]
+    rho, sigma = sample_pair(_rng(seed, 0), d)
     dec = cpl.build_decomposition(rho, sigma)
-    eps = dec.epsilon
-    print(f"sampled pair: d={d} seed={seed} trace distance eps={eps:.6f}")
-
     recon = (sigma.mat + dec.epsilon * dec.delta.mat) / (1.0 + dec.epsilon)
-    print(f"decomposition: eps={dec.epsilon:.6f} "
-          f"max|omega - (sigma + eps Delta)/(1+eps)| = "
+    print(f"sampled pair: d={d} seed={seed} case=0 trace distance eps={dec.epsilon:.6f}")
+    print(f"decomposition: max|omega - (sigma + eps Delta)/(1+eps)| = "
           f"{abs(dec.omega.mat - recon).max():.3e}")
-
-    qc = cpl.quantum_coupling(rho, sigma)
-    print(f"quantum coupling: |<psi|theta>|={qc.overlap_psi:.6f} "
-          f"|<phi|theta>|={qc.overlap_phi:.6f} (need >= {1 - eps:.6f})")
-    f_theta = fidelity(qc.psi, qc.theta)
-    print(f"                  F(psi, Theta)={f_theta:.6f} (need >= {1 - eps:.6f})")
-
-    diag = cpl.diagonal_coupling(rho, sigma)
-    print(f"diagonal coupling: ||omega||_inf={diag.largest_eigenvalue:.6f} "
-          f"(need >= {1 - eps:.6f}), spectral eps={diag.epsilon_mirsky:.6f}")
-
-    ok = min(qc.overlap_psi, qc.overlap_phi, f_theta, diag.largest_eigenvalue) >= 1 - eps - tol
-    return EXIT_OK if ok else EXIT_VIOLATIONS
+    print(f"diagonal coupling: spectral eps={cpl.diagonal_coupling(rho, sigma).epsilon_mirsky:.6f}")
+    for rec in report.records:
+        print(f"{rec['variant']}: {_verdict(rec)}")
+    return _exit_code(report.records)
 
 
 # Each subcommand: its handler, the settings it reads and its help text.

@@ -29,6 +29,8 @@ REPORT_COLUMNS = ("suite", "case", "variant", "dim", "energy", "epsilon",
 
 SCHEMA_LINE = "# entrobounds-report v2: " + ",".join(REPORT_COLUMNS)
 
+GIBBS_TABLE_COLUMNS = ("E", "beta", "log2_Z", "S_formula", "S_direct", "abs_diff", "error")
+
 
 class ConfigError(ValueError):
     pass
@@ -89,10 +91,13 @@ def _dims_by_samples(cfg: CampaignConfig):
     return [(d,) for d in cfg.dims for _ in range(cfg.samples)]
 
 
+def sample_pair(rng, d):
+    """The (rho, sigma) pair of a ``fannes``, ``dc`` or ``couplings`` case."""
+    return sample_state(d, d, rng), sample_state(d, d, rng)
+
+
 def _case_fannes(rng, d):
-    rho = sample_state(d, d, rng)
-    sigma = sample_state(d, d, rng)
-    return [bnd.check_fannes(rho, sigma)]
+    return [bnd.check_fannes(*sample_pair(rng, d))]
 
 
 def _grid_af(cfg: CampaignConfig):
@@ -113,17 +118,15 @@ def _case_af(rng, d, classical_b):
 def _case_dc(rng, d):
     gens = [sample_state(d, d, rng) for _ in range(3)]
     model = bnd.ConvexSetModel(generators=gens)
-    rho = sample_state(d, d, rng)
-    sigma = sample_state(d, d, rng)
-    return [bnd.check_dc(rho, sigma, model)]
+    return [bnd.check_dc(*sample_pair(rng, d), model)]
 
 
 def _case_couplings(rng, d):
-    rho = sample_state(d, d, rng)
-    sigma = sample_state(d, d, rng)
+    rho, sigma = sample_pair(rng, d)
     qc = cpl.quantum_coupling(rho, sigma)
     eps = qc.epsilon
     rhs = {"quantum_overlap_psi": qc.overlap_psi,
+           "quantum_overlap_phi": qc.overlap_phi,
            "quantum_fidelity_theta": fidelity(qc.psi, qc.theta),
            "diagonal_largest_eigenvalue": cpl.diagonal_coupling(rho, sigma).largest_eigenvalue}
     return [bnd.BoundReport(variant=v, dim=d, lhs=1.0 - eps, rhs=r, epsilon=eps)
@@ -141,10 +144,18 @@ def _grid_gibbs(cfg: CampaignConfig):
     return [(h, e) for e in cfg.energies]
 
 
+def _gibbs_identity(h, e):
+    """The Gibbs table row at ``e`` and the record of its formula-versus-direct
+    gap (the campaign tolerance is applied once, by _check)."""
+    sol = gb.solve_beta(h, e)
+    direct, gap = gb.entropy_check(sol)
+    return ({"E": e, "beta": sol.beta, "log2_Z": sol.log2_partition, "S_formula": sol.entropy,
+             "S_direct": direct, "abs_diff": gap, "error": ""},
+            bnd.BoundReport(variant="formula_vs_direct", dim=h.dim, lhs=gap, rhs=0.0, energy=e))
+
+
 def _case_gibbs(rng, h, e):
-    # the campaign tolerance is applied once, by run_campaign
-    _, gap = gb.entropy_check(gb.solve_beta(h, e))
-    return [bnd.BoundReport(variant="formula_vs_direct", dim=h.dim, lhs=gap, rhs=0.0, energy=e)]
+    return [_gibbs_identity(h, e)[1]]
 
 
 def _grid_energy_bounds(cfg: CampaignConfig):
@@ -167,7 +178,7 @@ def _case_energy_bounds(rng, h, e):
 
 def _grid_tightness(cfg: CampaignConfig):
     return [(witness, d, eps) for d in cfg.dims for eps in cfg.epsilons
-            if 0.0 < eps <= 1.0 - 1.0 / d for witness in ("fannes", "af")]
+            if bnd.fannes_admissible(d, eps) for witness in ("fannes", "af")]
 
 
 def _case_witness(rng, witness, x, eps):
@@ -197,13 +208,14 @@ _SUITE_TABLE = {
 SUITES = tuple(_SUITE_TABLE)
 
 
-def _check(suite: str, grid, case_fn, seed: int, tolerance: float) -> list:
-    """The rows of ``case_fn`` over ``grid``; the one place a row gets its verdict."""
+def _check(suite: str, grid, case_fn, seed, tolerance: float) -> list:
+    """The rows of ``case_fn`` over ``grid``; the one place a row gets its
+    verdict.  With ``seed`` None the cases draw nothing and get no generator."""
     if not grid:
         raise ConfigError(f"the {suite} grid has no cases")
     records = []
     for case, params in enumerate(grid):
-        for rep in case_fn(_rng(seed, case), *params):
+        for rep in case_fn(None if seed is None else _rng(seed, case), *params):
             row = {**vars(rep), "suite": suite, "case": case, "slack": rep.slack,
                    "valid": bool(rep.slack >= -tolerance)}
             records.append({c: row[c] for c in REPORT_COLUMNS})
@@ -223,8 +235,8 @@ def check_witnesses(name: str, xs, epsilons, tolerance: float) -> list:
     """``(x, eps, record)`` of the ``name`` witness over ``xs`` x ``epsilons``;
     the Fannes pair is checked only where 0 < eps <= 1 - 1/d."""
     grid = [(name, x, eps) for x in xs for eps in epsilons
-            if name != "fannes" or 0.0 < eps <= 1.0 - 1.0 / x]
-    records = _check(f"witness {name}", grid, _case_witness, 0, tolerance)
+            if name != "fannes" or bnd.fannes_admissible(x, eps)]
+    records = _check(f"witness {name}", grid, _case_witness, None, tolerance)
     return [(x, eps, rec) for (_, x, eps), rec in zip(grid, records)]
 
 
@@ -263,25 +275,27 @@ def write_report(report: CampaignReport, path: str, fmt: str) -> None:
         fh.write(render_report(report, fmt))
 
 
-def emit_gibbs_table(hamiltonian: gb.HamiltonianSpec, energies, path=None):
+def emit_gibbs_table(hamiltonian: gb.HamiltonianSpec, energies, path=None,
+                     tolerance: float = CampaignConfig.tolerance):
     """Tabulate (E, beta, log2 Z, S_formula, S_direct, |diff|) over an E-grid.
 
-    Unsolvable rows are marked with an ``error`` column instead of
-    being dropped.
+    Returns the rows and the ``_check`` records of the Gibbs identity; an
+    unsolvable energy keeps an ``error`` row and yields no record.
     """
     rows = []
-    for e in energies:
+
+    def case(rng, e):
         try:
-            sol = gb.solve_beta(hamiltonian, e)
-            direct, gap = gb.entropy_check(sol)
-            rows.append({"E": e, "beta": sol.beta, "log2_Z": sol.log2_partition,
-                         "S_formula": sol.entropy, "S_direct": direct,
-                         "abs_diff": gap, "error": ""})
+            row, rep = _gibbs_identity(hamiltonian, e)
         except gb.EnergyDomainError as exc:
-            rows.append({"E": e, "beta": None, "log2_Z": None, "S_formula": None,
-                         "S_direct": None, "abs_diff": None, "error": str(exc)})
+            rows.append({**dict.fromkeys(GIBBS_TABLE_COLUMNS), "E": e, "error": str(exc)})
+            return []
+        rows.append(row)
+        return [rep]
+
+    records = _check("gibbs-table", [(e,) for e in energies], case, None, tolerance)
     if path:
-        cols = ("E", "beta", "log2_Z", "S_formula", "S_direct", "abs_diff", "error")
         with open(path, "w", newline="") as fh:
-            _write_csv(fh, "# entrobounds-gibbs-table v2: " + ",".join(cols), cols, rows)
-    return rows
+            _write_csv(fh, "# entrobounds-gibbs-table v2: " + ",".join(GIBBS_TABLE_COLUMNS),
+                       GIBBS_TABLE_COLUMNS, rows)
+    return rows, records

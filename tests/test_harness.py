@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from entrobounds import cli, gibbs
+from entrobounds import cli, gibbs, harness
 from entrobounds.gibbs import HamiltonianSpec
 from entrobounds.harness import (
     SCHEMA_LINE,
@@ -57,8 +57,8 @@ CASE_LAYOUT = {
            for k in range(12)],
     "dc": [(k, "dc_generic", _dim(k, 3), None) for k in range(6)],
     "couplings": [(k, v, _dim(k, 3), None) for k in range(6)
-                  for v in ("quantum_overlap_psi", "quantum_fidelity_theta",
-                            "diagonal_largest_eigenvalue")],
+                  for v in ("quantum_overlap_psi", "quantum_overlap_phi",
+                            "quantum_fidelity_theta", "diagonal_largest_eigenvalue")],
     "cor_pure": [(k, "ef_cor1", _dim(k, 3), None) for k in range(6)],
     "gibbs": [(0, "formula_vs_direct", 257, 1.0), (1, "formula_vs_direct", 257, 2.0)],
     "energy_bounds": [(k, v, 41, 1.0 if k < 3 else 2.0) for k in range(6)
@@ -132,10 +132,13 @@ class TestCampaigns:
 class TestGibbsTable:
     def test_rows_and_error_marking(self):
         h = HamiltonianSpec.explicit([0.0, 1.0])
-        rows = emit_gibbs_table(h, [0.25, 0.9])  # 0.9 > max mean energy 0.5
+        rows, records = emit_gibbs_table(h, [0.25, 0.9])  # 0.9 > max mean energy 0.5
         assert rows[0]["error"] == ""
         assert rows[0]["abs_diff"] < 1e-9
         assert "attainable" in rows[1]["error"] or "interval" in rows[1]["error"]
+        # the unsolvable energy is a row but no record
+        assert [(r["case"], r["lhs"], r["valid"]) for r in records] == [
+            (0, rows[0]["abs_diff"], True)]
 
     def test_file_output(self, tmp_path):
         path = str(tmp_path / "table.csv")
@@ -187,7 +190,7 @@ class TestCli:
         """At E = 1e17, e^{-beta hbar omega} rounds to 1; 1 - q comes from
         expm1, so the check and the table row are finite and pass."""
         assert cli.main(["verify", "gibbs", "--energies", "1e10,1e17"]) == cli.EXIT_OK
-        rows = emit_gibbs_table(HamiltonianSpec.oscillators([1.0]), [1e17])
+        rows, _ = emit_gibbs_table(HamiltonianSpec.oscillators([1.0]), [1e17])
         assert rows[0]["error"] == "" and rows[0]["abs_diff"] <= 1e-9
 
     def test_gibbs_table_beyond_the_largest_float_partition_function(self, capsys):
@@ -303,13 +306,45 @@ class TestCli:
         rc = cli.main(["coupling-demo", "--dims", "3", "--seed", "2"])
         assert rc == cli.EXIT_OK
         out = capsys.readouterr().out
-        assert "quantum coupling" in out
-        assert "diagonal coupling" in out
+        assert "decomposition: max|omega - (sigma + eps Delta)/(1+eps)| = " in out
+        assert "diagonal coupling: spectral eps=" in out
+        assert [line.split(":")[0] for line in out.splitlines() if " valid=" in line] == [
+            "quantum_overlap_psi", "quantum_overlap_phi", "quantum_fidelity_theta",
+            "diagonal_largest_eigenvalue"]
 
     def test_coupling_demo_verdict_includes_the_fidelity(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "fidelity", lambda rho, sigma: 0.0)
+        monkeypatch.setattr(harness, "fidelity", lambda rho, sigma: 0.0)
         assert cli.main(["coupling-demo", "--dims", "3", "--seed", "2"]) == cli.EXIT_VIOLATIONS
-        assert "F(psi, Theta)=0.000000 (need >= " in capsys.readouterr().out
+        assert "quantum_fidelity_theta: lhs=0.235107 rhs=0.000000 " in capsys.readouterr().out
+
+    def test_coupling_demo_with_a_nan_fidelity_exits_1(self, monkeypatch, capsys):
+        """A NaN is no valid overlap, wherever it falls among the records."""
+        monkeypatch.setattr(harness, "fidelity", lambda rho, sigma: float("nan"))
+        assert cli.main(["coupling-demo", "--dims", "3", "--seed", "2"]) == cli.EXIT_VIOLATIONS
+        out = capsys.readouterr().out
+        assert "quantum_fidelity_theta: lhs=0.235107 rhs=nan slack=nan valid=False" in out
+
+    def test_gibbs_table_with_a_nan_gap_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(gibbs, "entropy_check", lambda sol: (sol.entropy, float("nan")))
+        assert cli.main(["gibbs-table", "--energies", "1"]) == cli.EXIT_VIOLATIONS
+        assert cli.main(["verify", "gibbs", "--energies", "1"]) == cli.EXIT_VIOLATIONS
+        assert "|diff|=nan" in capsys.readouterr().out
+
+    def test_coupling_demo_replays_case_0_of_the_couplings_suite(self, tmp_path, capsys):
+        """The demo's records are those of ``verify couplings --samples 1``
+        under the same seed, so every demo replays from (seed, case 0)."""
+        out = tmp_path / "c.json"
+        assert cli.main(["verify", "couplings", "--dims", "3", "--samples", "1", "--seed", "2",
+                         "--format", "json", "--out", str(out)]) == cli.EXIT_OK
+        records = json.loads(out.read_text())
+        capsys.readouterr()
+        assert cli.main(["coupling-demo", "--dims", "3", "--seed", "2"]) == cli.EXIT_OK
+        lines = [line for line in capsys.readouterr().out.splitlines() if " valid=" in line]
+        assert len(lines) == len(records) == 4
+        for line, rec in zip(lines, records):
+            assert rec["case"] == 0
+            assert line == (f"{rec['variant']}: lhs={rec['lhs']:.6f} rhs={rec['rhs']:.6f} "
+                            f"slack={rec['slack']:.3e} valid={rec['valid']}")
 
     def test_couplings_decompose_no_matrix_above_d(self, monkeypatch, tmp_path):
         """At d = 16 the couplings are 256 x 256 states, and none is decomposed."""
