@@ -96,6 +96,7 @@ def cor1_bounds(epsilon: float, d: int):
     """(E_F rhs, E_C rhs) at delta = sqrt(eps(2-eps)); d is the smaller of
     the two local dimensions."""
     _unit_interval(epsilon)
+    _dimension(d)
     delta = cor1_delta(epsilon)
     return _af_form(delta, math.log2(d)), _af_form(delta, 2.0 * math.log2(d))
 
@@ -103,6 +104,7 @@ def cor1_bounds(epsilon: float, d: int):
 def cor2_bound(epsilon: float, d: int) -> float:
     """E_R (and regularized E_R) continuity bound."""
     _unit_interval(epsilon)
+    _dimension(d)
     return _af_form(epsilon, math.log2(d))
 
 

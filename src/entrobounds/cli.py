@@ -12,10 +12,11 @@ Every subcommand checks through ``harness._check``, the one campaign loop
 codes: 0 = all checks valid, 1 = a ``_check`` record is not valid, 2 =
 configuration or domain error (a ``witness`` run then prints no line).
 
-Each subcommand takes the flags of the settings it reads (``_COMMANDS``)
-and no others.  A flat key=value config file can be passed with
-``--config``; it may set the same keys, and explicit flags override its
-entries.
+A subcommand reads its fixed settings (``_COMMANDS``), ``verify`` and
+``witness`` also those ``harness`` names for their suite or witness, and
+``verify`` reads ``--format`` only with ``--out``.  A flat key=value config
+file can be passed with ``--config``; it may set the same keys, and flags
+override its entries.  Any other flag or key exits 2 before a case runs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import sys
 
 from . import couplings as cpl
 from . import gibbs as gb
-from .harness import (SUITES, CampaignConfig, ConfigError, _rng, check_witnesses,
+from .harness import (SUITES, WITNESSES, CampaignConfig, ConfigError, _rng, check_witnesses,
                       emit_gibbs_table, run_campaign, sample_pair)
 
 EXIT_OK = 0
@@ -63,8 +64,8 @@ def _load_config_file(path):
     return values
 
 
-# Every setting a subcommand may read: its flag's ``add_argument`` keywords
-# (``type`` also parses the config-file value) and its CampaignConfig field.
+# Every setting: its flag's ``add_argument`` keywords (``type`` also parses
+# the config-file value) and its CampaignConfig field.
 _SETTINGS = {
     "dims": (dict(type=_parse_ints, help="comma-separated dimension grid"), "dims"),
     "energies": (dict(type=_parse_floats, help="comma-separated energy grid"), "energies"),
@@ -84,40 +85,41 @@ def _build_parser():
         description="Numerical verification of entropy continuity bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, keys, help_text) in _COMMANDS.items():
+    for name, (_, fixed, target, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for key in keys:
-            p.add_argument(f"--{key}", **_SETTINGS[key][0])
+        fields = set(fixed)
+        if target:
+            p.add_argument(target[0], choices=target[1])
+            fields.update(f for reads in target[1].values() for f in reads)
+        for key, (kwargs, field) in _SETTINGS.items():
+            if field in fields:
+                p.add_argument(f"--{key}", **kwargs)
         p.add_argument("--config", help="flat key=value config file")
 
-    sub.choices["verify"].add_argument("suite", choices=SUITES)
-    sub.choices["witness"].add_argument("name", choices=("fannes", "af", "oscillator"))
     p_table = sub.choices["gibbs-table"]
-    p_table.add_argument("--modes", type=_parse_floats, default=(1.0,),
-                         help="oscillator mode energies (hbar omega)")
-    p_table.add_argument("--levels", type=_parse_floats, default=None,
-                         help="explicit level list (overrides --modes)")
+    p_table.add_argument("--modes", type=_parse_floats,
+                         help="oscillator mode energies (hbar omega); default 1.0")
+    p_table.add_argument("--levels", type=_parse_floats, help="explicit level list")
     return parser, sub.choices
 
 
 def _settings(args):
-    """The settings ``args.command`` reads: the config file's entries,
-    overridden by the flags given."""
-    keys = _COMMANDS[args.command][1]
-    settings = {}
-    if args.config:
-        for key, val in _load_config_file(args.config).items():
-            if key not in keys:
-                raise ConfigError(f"{args.command} reads no config key {key!r}")
-            settings[key] = _SETTINGS[key][0]["type"](val)
-    for key in keys:
-        if getattr(args, key) is not None:
-            settings[key] = getattr(args, key)
-    return settings
-
-
-def _campaign(suite, settings, **fixed) -> CampaignConfig:
-    return CampaignConfig(suite, **fixed, **{_SETTINGS[k][1]: v for k, v in settings.items()})
+    """The settings given, by CampaignConfig field: the config file's entries,
+    overridden by the flags given; a ConfigError names one the command does not read."""
+    _, fixed, target, _ = _COMMANDS[args.command]
+    name, reads = args.command, set(fixed)
+    if target:
+        choice = getattr(args, target[0])
+        name, reads = f"{name} {choice}", reads | set(target[1][choice])
+    raw = _load_config_file(args.config) if args.config else {}
+    flags = {k: getattr(args, k) for k in _SETTINGS if getattr(args, k, None) is not None}
+    if "out" not in raw and "out" not in flags:
+        reads.discard("format")
+    for key in [*raw, *flags]:
+        if _SETTINGS.get(key, (None, None))[1] not in reads:
+            raise ConfigError(f"{name} reads no setting {key!r}")
+    settings = {**{k: _SETTINGS[k][0]["type"](v) for k, v in raw.items()}, **flags}
+    return {_SETTINGS[k][1]: v for k, v in settings.items()}
 
 
 def _verdict(rec) -> str:
@@ -130,7 +132,7 @@ def _exit_code(records) -> int:
 
 
 def _cmd_verify(args, settings) -> int:
-    cfg = _campaign(args.suite, settings)
+    cfg = CampaignConfig(args.suite, **settings)
     report = run_campaign(cfg)
     print(f"suite={cfg.suite} cases={len(report.records)} "
           f"min_slack={report.min_slack:.3e} max_slack={report.max_slack:.3e} "
@@ -141,25 +143,21 @@ def _cmd_verify(args, settings) -> int:
 
 
 def _cmd_witness(args, settings) -> int:
-    if args.name == "oscillator":
-        axis, xs = "E", settings.get("energies", (100.0,))
-    else:
-        axis, xs = "d", settings.get("dims", (4,))
-    rows = check_witnesses(args.name, xs, settings.get("eps", (0.25,)),
-                           settings.get("tol", CampaignConfig.tolerance))
+    axis, _ = WITNESSES[args.name]
+    grids = {"dims": (4,), "energies": (100.0,), "epsilons": (0.25,), **settings}
+    rows = check_witnesses(args.name, grids[axis], grids["epsilons"],
+                           settings.get("tolerance", CampaignConfig.tolerance))
     for x, eps, rec in rows:
-        print(f"{args.name} {axis}={x} eps={eps}: {_verdict(rec)}")
+        print(f"{args.name} {'d' if axis == 'dims' else 'E'}={x} eps={eps}: {_verdict(rec)}")
     return _exit_code(rec for _, _, rec in rows)
 
 
 def _cmd_gibbs_table(args, settings) -> int:
     energies = settings.get("energies", (0.25, 0.5, 1.0, 2.0, 4.0))
-    if args.levels is not None:
-        h = gb.HamiltonianSpec.explicit(args.levels)
-    else:
-        h = gb.HamiltonianSpec.oscillators(args.modes, n_max=512)
-    rows, records = emit_gibbs_table(h, energies, settings.get("out"),
-                                     settings.get("tol", CampaignConfig.tolerance))
+    modes = (1.0,) if args.modes is None and args.levels is None else args.modes
+    h = gb.HamiltonianSpec(levels=args.levels, hbar_omegas=modes, n_max=512)
+    rows, records = emit_gibbs_table(h, energies, settings.get("output"),
+                                     settings.get("tolerance", CampaignConfig.tolerance))
     for row in rows:
         if row["error"]:
             print(f"E={row['E']}: {row['error']}")
@@ -174,7 +172,7 @@ def _cmd_coupling_demo(args, settings) -> int:
     settings = {"dims": (3,), "seed": 0, **settings}
     if len(settings["dims"]) != 1:
         raise ConfigError(f"coupling-demo takes one --dims value, got {len(settings['dims'])}")
-    report = run_campaign(_campaign("couplings", settings, samples=1))
+    report = run_campaign(CampaignConfig("couplings", samples=1, **settings))
     d, seed = settings["dims"][0], settings["seed"]
     rho, sigma = sample_pair(_rng(seed, 0), d)
     dec = cpl.build_decomposition(rho, sigma)
@@ -188,14 +186,16 @@ def _cmd_coupling_demo(args, settings) -> int:
     return _exit_code(report.records)
 
 
-# Each subcommand: its handler, the settings it reads and its help text.
+# Each subcommand: its handler, the CampaignConfig fields it reads whatever its
+# target, its target argument and the fields each target reads, and its help text.
 _COMMANDS = {
-    "verify": (_cmd_verify, tuple(_SETTINGS), "run a verification campaign"),
-    "witness": (_cmd_witness, ("dims", "energies", "eps", "tol"),
+    "verify": (_cmd_verify, ("tolerance", "output", "format"), ("suite", SUITES),
+               "run a verification campaign"),
+    "witness": (_cmd_witness, ("tolerance",), ("name", WITNESSES),
                 "evaluate a tightness witness"),
-    "gibbs-table": (_cmd_gibbs_table, ("energies", "tol", "out"),
+    "gibbs-table": (_cmd_gibbs_table, ("energies", "tolerance", "output"), None,
                     "tabulate the Gibbs solver"),
-    "coupling-demo": (_cmd_coupling_demo, ("dims", "seed", "tol"),
+    "coupling-demo": (_cmd_coupling_demo, ("dims", "seed", "tolerance"), None,
                       "construct and check couplings for a sampled pair"),
 }
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _af_form
+from .bounds import _af_form, _unit_interval
 from .entropies import LOG2_E, binary_entropy, clipped_binary, shannon_entropy
 from .linalg import DENSE_DIM_LIMIT, check_dense_dim
 from .states import (
@@ -110,9 +110,11 @@ class HamiltonianSpec:
         return 0 if self.hbar_omegas is None else len(self.hbar_omegas)
 
     def max_mean_energy(self) -> float:
-        """Supremum of attainable Gibbs mean energies (beta -> 0 limit)."""
+        """Supremum of attainable Gibbs mean energies (beta -> 0 limit), the
+        mean of the scaled levels scaled back, as their sum may overflow."""
         if self.hbar_omegas is None:
-            return float(self.levels.mean())
+            lv, k = _scaled_levels(self)
+            return math.ldexp(float(lv.mean()), k)
         return math.inf
 
     def __repr__(self):
@@ -146,18 +148,29 @@ def truncation_tail(hamiltonian: HamiltonianSpec, beta: float) -> float:
     return float(-np.expm1(np.log1p(-q ** (hamiltonian.n_max + 1)).sum()))
 
 
+def _scaled_levels(hamiltonian: HamiltonianSpec) -> tuple[np.ndarray, int]:
+    """(levels 2^-k, k) with the largest scaled level in [1/2, 1): a power of
+    two, so exact, and the squares of the scaled levels neither overflow nor
+    underflow where those of levels near 1e300 or 1e-300 would."""
+    k = math.frexp(hamiltonian.levels[-1])[1]
+    return np.ldexp(hamiltonian.levels, -k), k
+
+
 def _energy_and_slope(hamiltonian: HamiltonianSpec, beta: float) -> tuple[float, float]:
     """(U(beta), beta dU/dbeta).  Explicit levels: the Gibbs mean of the
-    levels and -beta times their Gibbs variance.  Oscillator modes:
+    levels and -beta times their Gibbs variance, both summed over the
+    scaled levels.  Oscillator modes:
     U = sum_i n_i with n_i = hbar omega_i / expm1(x_i), x_i = beta hbar
     omega_i, and beta dU/dbeta = -beta sum_i n_i (n_i + hbar omega_i),
     taken as -sum_i n_i x_i / (1 - e^{-x_i}) so that no term overflows."""
     if hamiltonian.hbar_omegas is None:
-        lv = hamiltonian.levels
-        w = np.exp(-beta * lv)
+        lv, k = _scaled_levels(hamiltonian)
+        w = np.exp(-beta * hamiltonian.levels)
         z = w.sum()
         u = float((lv * w).sum() / z)
-        return u, -beta * float((w * (lv - u) ** 2).sum() / z)
+        var = float((w * (lv - u) ** 2).sum() / z)  # the variance times 2^-2k
+        # 2^2k as 2^k on either side of beta, so that no product leaves the floats
+        return math.ldexp(u, k), math.ldexp(-beta * math.ldexp(var, k), k)
     hw = hamiltonian.hbar_omegas
     x = beta * hw
     with np.errstate(over="ignore"):
@@ -201,17 +214,17 @@ def _start_beta(hamiltonian: HamiltonianSpec, energy: float) -> float:
     e_max (e_max - E) / Var_0 instead, with e_max and Var_0 the mean and
     variance of the levels (the beta -> 0 limit), so that the start also
     meets beta ~ (e_max - E)/Var_0 as E -> e_max; it is exact for two
-    levels.  The argument is capped at the largest float, where a
-    subnormal E would overflow it."""
+    levels.  e_max and Var_0 are taken of the scaled levels.  The argument
+    is capped at the largest float, where a subnormal E would overflow it."""
     if hamiltonian.hbar_omegas is not None:
         g = float(hamiltonian.hbar_omegas.min())
         ratio = hamiltonian.n_modes * g / energy
     else:
-        lv = hamiltonian.levels
-        g = float(lv[lv > 0][0])
+        lv, k = _scaled_levels(hamiltonian)
+        g = float(hamiltonian.levels[lv > 0][0])
         e_max = float(lv.mean())
-        ratio = g * e_max * (e_max - energy) / float(lv.var()) / energy
-    return math.log1p(min(ratio, sys.float_info.max)) / g
+        ratio = g * e_max * (e_max - math.ldexp(energy, -k)) / float(lv.var()) / energy
+    return min(math.log1p(min(ratio, sys.float_info.max)) / g, sys.float_info.max)
 
 
 def solve_beta(hamiltonian: HamiltonianSpec, energy: float) -> GibbsSolution:
@@ -219,12 +232,14 @@ def solve_beta(hamiltonian: HamiltonianSpec, energy: float) -> GibbsSolution:
 
     Newton runs on log U against log beta, from ``_start_beta``.  The sign
     of U - E keeps a bracket on beta; a Newton step that leaves it (or is
-    not finite) is replaced by the bracket's geometric midpoint, or by a
-    factor e while the bracket is open on that side.  The iteration stops
-    when |U(beta) - E| is within 8 ulp(E) times the condition number
-    max(1, |d log U / d log beta|), the rounding that U itself carries,
-    or when the bracket or the step collapses.  The beta of the smallest
-    residual seen is returned with that residual U(beta) - E.
+    not finite) is replaced by the bracket's geometric midpoint, or, while
+    the bracket is open on that side, by a factor e^j, j = 1, 2, 4, ...
+    The iteration stops when |U(beta) - E| is within 8 ulp(E) times the
+    condition number max(1, |d log U / d log beta|), the rounding that U
+    itself carries, or when the bracket or the step collapses; the beta of
+    the smallest residual seen is returned with that residual U(beta) - E.
+    A solve that stops in none of these ways within ``_MAX_EVALUATIONS``
+    raises ``EnergyDomainError``.
     """
     e_max = hamiltonian.max_mean_energy()
     if not 0.0 < energy < e_max:
@@ -233,7 +248,7 @@ def solve_beta(hamiltonian: HamiltonianSpec, energy: float) -> GibbsSolution:
         )
     ulp = math.ulp(energy)
     lo, hi = 0.0, math.inf  # beta where U > E, where U < E
-    b = _start_beta(hamiltonian, energy)
+    b, jump = _start_beta(hamiltonian, energy), 1.0
     beta, residual = math.nan, math.inf
     for _ in range(_MAX_EVALUATIONS):
         u, slope = _energy_and_slope(hamiltonian, b)
@@ -247,7 +262,9 @@ def solve_beta(hamiltonian: HamiltonianSpec, energy: float) -> GibbsSolution:
             lo = b
         else:
             hi = b
-        nxt = b * math.exp(min(-math.log1p(r / energy) / dlog, 709.0)) if dlog < 0 else math.nan
+        # Newton on log U, where U has not rounded to 0 against E
+        step = -math.log1p(r / energy) / dlog if dlog < 0 and r > -energy else math.nan
+        nxt = b * math.exp(min(step, 709.0))
         if nxt == b:
             break
         if not lo < nxt < hi:
@@ -256,8 +273,13 @@ def solve_beta(hamiltonian: HamiltonianSpec, energy: float) -> GibbsSolution:
                 if nxt in (lo, hi):
                     break
             else:
-                nxt = b * math.e if r > 0 else b / math.e
+                # a factor e^jump, the jump doubling, clamped to the positive floats
+                nxt = b * math.exp(jump) if r > 0 else b / math.exp(jump)
+                nxt, jump = min(max(nxt, math.ulp(0.0)), sys.float_info.max), min(2.0 * jump, 709.0)
         b = nxt
+    else:
+        raise EnergyDomainError(f"energy {energy!r}: beta not found in {_MAX_EVALUATIONS} "
+                                f"evaluations (U - E = {residual!r} at beta = {beta!r})")
     if not 0.0 < beta < math.inf:
         raise EnergyDomainError(
             f"energy {energy!r} not attainable (beta -> {'0' if beta == 0.0 else 'inf'})")
@@ -325,8 +347,7 @@ def meta_delta(epsilon: float, epsilon_prime: float) -> float:
 
 def lemma4_bound(hamiltonian: HamiltonianSpec, energy: float, epsilon: float) -> float:
     """Entropy continuity: 2 eps S(gamma(E/eps)) + h(eps)."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon {epsilon!r} outside [0, 1]")
+    _unit_interval(epsilon)
     if epsilon == 0.0:
         return 0.0
     return 2.0 * epsilon * gibbs_entropy(hamiltonian, energy / epsilon) + binary_entropy(epsilon)

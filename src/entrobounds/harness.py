@@ -50,10 +50,11 @@ class CampaignConfig:
 
     def __post_init__(self):
         if self.suite not in SUITES:
-            raise ConfigError(f"unknown suite {self.suite!r}; choose from {SUITES}")
-        if self.samples < 1:
+            raise ConfigError(f"unknown suite {self.suite!r}; choose from {tuple(SUITES)}")
+        reads = SUITES[self.suite]
+        if "samples" in reads and self.samples < 1:
             raise ConfigError("samples must be >= 1")
-        if not self.dims or not self.energies or not self.epsilons:
+        if not all(getattr(self, f) for f in ("dims", "energies", "epsilons") if f in reads):
             raise ConfigError("grids must be non-empty")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
@@ -82,13 +83,16 @@ def _rng(seed: int, case: int) -> np.random.Generator:
 
 # -- suites -------------------------------------------------------------------
 #
-# A suite is a grid function, CampaignConfig -> list of parameter tuples
-# (one per case), and a case function, (rng, *params) -> list of
-# ``BoundReport``s.  Fields a case leaves at None are blank in the report.
+# A suite is a grid function, a case function, (rng, *params) -> list of
+# ``BoundReport``s, and the CampaignConfig fields it reads (``_SUITE_TABLE``).
+# The grid function takes those fields but ``seed`` as its arguments and
+# returns one parameter tuple per case; the cases of a suite that reads no
+# ``seed`` draw nothing and get no generator.  Fields a case leaves at None
+# are blank in the report.
 
 
-def _dims_by_samples(cfg: CampaignConfig):
-    return [(d,) for d in cfg.dims for _ in range(cfg.samples)]
+def _dims_by_samples(dims, samples):
+    return [(d,) for d in dims for _ in range(samples)]
 
 
 def sample_pair(rng, d):
@@ -100,8 +104,8 @@ def _case_fannes(rng, d):
     return [bnd.check_fannes(*sample_pair(rng, d))]
 
 
-def _grid_af(cfg: CampaignConfig):
-    return [(d, classical_b) for d in cfg.dims for _ in range(cfg.samples)
+def _grid_af(dims, samples):
+    return [(d, classical_b) for d in dims for _ in range(samples)
             for classical_b in (False, True)]
 
 
@@ -139,9 +143,9 @@ def _case_cor_pure(rng, d):
     return [bnd.check_cor_pure(phi, psi, which="ef")]
 
 
-def _grid_gibbs(cfg: CampaignConfig):
+def _grid_gibbs(energies):
     h = gb.HamiltonianSpec.oscillators([1.0], n_max=256)
-    return [(h, e) for e in cfg.energies]
+    return [(h, e) for e in energies]
 
 
 def _gibbs_identity(h, e):
@@ -158,9 +162,9 @@ def _case_gibbs(rng, h, e):
     return [_gibbs_identity(h, e)[1]]
 
 
-def _grid_energy_bounds(cfg: CampaignConfig):
+def _grid_energy_bounds(energies, samples):
     h = gb.HamiltonianSpec.oscillators([1.0], n_max=40)
-    return [(h, e) for e in cfg.energies for _ in range(cfg.samples)]
+    return [(h, e) for e in energies for _ in range(samples)]
 
 
 def _case_energy_bounds(rng, h, e):
@@ -176,8 +180,8 @@ def _case_energy_bounds(rng, h, e):
                             epsilon_prime=ep)]
 
 
-def _grid_tightness(cfg: CampaignConfig):
-    return [(witness, d, eps) for d in cfg.dims for eps in cfg.epsilons
+def _grid_tightness(dims, epsilons):
+    return [(witness, d, eps) for d in dims for eps in epsilons
             if bnd.fannes_admissible(d, eps) for witness in ("fannes", "af")]
 
 
@@ -194,18 +198,22 @@ def _case_witness(rng, witness, x, eps):
                             rhs=gb.lemma4_bound(h, x, eps), epsilon=eps, energy=x)]
 
 
+_SAMPLED = ("dims", "samples", "seed")
 _SUITE_TABLE = {
-    "fannes": (_dims_by_samples, _case_fannes),
-    "af": (_grid_af, _case_af),
-    "dc": (_dims_by_samples, _case_dc),
-    "couplings": (_dims_by_samples, _case_couplings),
-    "cor_pure": (_dims_by_samples, _case_cor_pure),
-    "gibbs": (_grid_gibbs, _case_gibbs),
-    "energy_bounds": (_grid_energy_bounds, _case_energy_bounds),
-    "tightness": (_grid_tightness, _case_witness),
+    "fannes": (_dims_by_samples, _case_fannes, _SAMPLED),
+    "af": (_grid_af, _case_af, _SAMPLED),
+    "dc": (_dims_by_samples, _case_dc, _SAMPLED),
+    "couplings": (_dims_by_samples, _case_couplings, _SAMPLED),
+    "cor_pure": (_dims_by_samples, _case_cor_pure, _SAMPLED),
+    "gibbs": (_grid_gibbs, _case_gibbs, ("energies",)),
+    "energy_bounds": (_grid_energy_bounds, _case_energy_bounds, ("energies", "samples", "seed")),
+    "tightness": (_grid_tightness, _case_witness, ("dims", "epsilons")),
 }
 
-SUITES = tuple(_SUITE_TABLE)
+# Each suite and witness with the CampaignConfig fields it reads, a witness's axis first
+SUITES = {suite: reads for suite, (_, _, reads) in _SUITE_TABLE.items()}
+WITNESSES = {"fannes": ("dims", "epsilons"), "af": ("dims", "epsilons"),
+             "oscillator": ("energies", "epsilons")}
 
 
 def _check(suite: str, grid, case_fn, seed, tolerance: float) -> list:
@@ -223,9 +231,10 @@ def _check(suite: str, grid, case_fn, seed, tolerance: float) -> list:
 
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:
-    grid_fn, case_fn = _SUITE_TABLE[config.suite]
-    report = CampaignReport(_check(config.suite, grid_fn(config), case_fn,
-                                   config.seed, config.tolerance))
+    grid_fn, case_fn, reads = _SUITE_TABLE[config.suite]
+    grid = grid_fn(**{f: getattr(config, f) for f in reads if f != "seed"})
+    seed = config.seed if "seed" in reads else None
+    report = CampaignReport(_check(config.suite, grid, case_fn, seed, config.tolerance))
     if config.output:
         write_report(report, config.output, config.format)
     return report

@@ -61,6 +61,15 @@ class TestFormulas:
         with pytest.raises(ValueError, match="dimension"):
             fannes_audenaert_bound(0.1, 1)
 
+    def test_corollary_domain(self):
+        # a 1x1 marginal is no dimension the corollaries speak of
+        for bound in (cor1_bounds, cor2_bound):
+            with pytest.raises(ValueError, match="dimension must be >= 2, got 1"):
+                bound(0.1, 1)
+        phi = BipartiteState.pure([1.0], (1, 1))
+        with pytest.raises(ValueError, match="dimension"):
+            check_cor_pure(phi, phi)
+
     def test_af_values(self):
         assert af_bound(0.1, 2) == pytest.approx(AF_01_2, abs=1e-13)
         assert af_bound(0.1, 2, classical_b=True) == pytest.approx(AF_CQ_01_2, abs=1e-13)

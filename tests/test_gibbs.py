@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,53 @@ class TestSolveBeta:
             with pytest.raises(EnergyDomainError, match="outside the attainable open interval"):
                 solve_beta(h, e)
 
+    @staticmethod
+    def _unscaled(levels, beta, energy):
+        """The explicit-level (U, beta dU/dbeta) and start beta, summed over
+        the levels as given: the reference for levels whose squares are normal."""
+        lv = np.asarray(levels, dtype=float)
+        w = np.exp(-beta * lv)
+        z = w.sum()
+        u = float((lv * w).sum() / z)
+        g, e_max = float(lv[lv > 0][0]), float(lv.mean())
+        ratio = g * e_max * (e_max - energy) / float(lv.var()) / energy
+        return (u, -beta * float((w * (lv - u) ** 2).sum() / z)), math.log1p(ratio) / g
+
+    @pytest.mark.parametrize("levels", [[0, 1], [0, 1, 3], list(range(11)), [0, 0.3, 0.3, 7.5]])
+    def test_scaled_levels_keep_every_bit(self, levels):
+        """Scaling the levels by a power of two changes no bit where their
+        squares neither overflow nor underflow."""
+        h = HamiltonianSpec.explicit(levels)
+        for beta in (1e-3, 0.25, 1.0, 7.0):
+            energy = 0.3 * h.max_mean_energy()
+            slope, start = self._unscaled(levels, beta, energy)
+            assert gibbs._energy_and_slope(h, beta) == slope
+            assert gibbs._start_beta(h, energy) == start
+
+    @pytest.mark.parametrize("levels, energy, beta", [
+        ([0.0, 1e-300], 1e-301, math.log(9.0) / 1e-300),  # Var_0 underflowed to 0
+        ([0.0, 1e-160], 1e-161, math.log(9.0) / 1e-160),  # Var_0 underflowed
+        ([0.0, 1.0, 1e300], 1.0, 300 * math.log(10.0) / 1e300),  # (1e300)^2 overflowed
+        # the level sum of the mean overflowed
+        ([0.0, 1.7e308, 1.7e308], 1.0, (math.log(2.0) + math.log(1.7e308)) / 1.7e308),
+    ])
+    def test_explicit_levels_at_any_scale(self, levels, energy, beta):
+        h = HamiltonianSpec.explicit(levels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_beta(h, energy)
+            _, gap = entropy_check(sol)
+        assert sol.beta == pytest.approx(beta, rel=1e-12)
+        assert abs(sol.residual) <= 1e-12 * energy
+        assert gap <= 1e-12
+
+    def test_a_solve_that_spends_its_evaluations_raises(self, monkeypatch):
+        # from beta = 0.41 the [0, 1, 1e300] solve needs 26 evaluations at E = 1
+        h = HamiltonianSpec.explicit([0.0, 1.0, 1e300])
+        monkeypatch.setattr(gibbs, "_MAX_EVALUATIONS", 10)
+        with pytest.raises(EnergyDomainError, match="beta not found in 10 evaluations"):
+            solve_beta(h, 1.0)
+
     def test_mean_energy_roundtrip(self):
         h = HamiltonianSpec.oscillators([1.0, 2.0])
         for e in (0.3, 1.0, 5.0):
@@ -319,6 +367,9 @@ class TestEnergyBounds:
         h = HamiltonianSpec.oscillators([1.0])
         assert lemma4_bound(h, 1.0, 0.2) == pytest.approx(LEMMA4_E1_02, abs=1e-9)
         assert lemma4_bound(h, 1.0, 0.0) == 0.0
+        for eps in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                lemma4_bound(h, 1.0, eps)
 
     def test_meta5_meta6_values(self):
         h = HamiltonianSpec.oscillators([1.0])

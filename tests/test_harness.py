@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,27 @@ from entrobounds.harness import (
 
 
 SMALL = dict(dims=(2, 3), samples=5, seed=7)
+
+# The grid settings each ``verify`` suite and each ``witness`` reads, by flag;
+# every target also reads --tol, and ``verify`` --out, and --format with --out.
+GRID_READS = {
+    **{f"verify {s}": ("dims", "samples", "seed")
+       for s in ("fannes", "af", "dc", "couplings", "cor_pure")},
+    "verify energy_bounds": ("energies", "samples", "seed"),
+    "verify gibbs": ("energies",),
+    "verify tightness": ("dims", "eps"),
+    "witness fannes": ("dims", "eps"),
+    "witness af": ("dims", "eps"),
+    "witness oscillator": ("energies", "eps"),
+}
+GRID_FLAGS = {"dims": "3", "energies": "2", "eps": "0.5", "samples": "2", "seed": "3"}
+# the settings that keep a run to a case or two
+SMALL_ARGS = {"dims": "2", "samples": "1", "energies": "1", "eps": "0.25"}
+# witness takes no --samples or --seed flag at all (a usage error)
+UNREAD = [(target, key) for target, reads in GRID_READS.items() for key in GRID_FLAGS
+          if key not in reads and (target.startswith("verify") or key not in ("samples", "seed"))]
+READ = [(target, key) for target, reads in GRID_READS.items()
+        for key in (*reads, "tol", *(("out", "format") if target.startswith("verify") else ()))]
 
 
 class TestConfig:
@@ -281,9 +303,7 @@ class TestCli:
         assert captured.out == ""
 
     def test_witness_oscillator_loops_over_energies(self, capsys):
-        # --dims has no meaning for the oscillator and must not multiply lines
-        rc = cli.main(["witness", "oscillator", "--dims", "2,8",
-                       "--energies", "10,20,40", "--eps", "0.1,0.2"])
+        rc = cli.main(["witness", "oscillator", "--energies", "10,20,40", "--eps", "0.1,0.2"])
         assert rc == cli.EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(":")[0] for line in lines] == [
@@ -513,11 +533,100 @@ class TestCli:
         assert "samples" in captured.err
         assert captured.out == ""
 
+    def test_every_target_names_its_settings_in_harness(self):
+        assert len(UNREAD) == 19 + 3 and len(READ) == 45 + 9
+        named = {**{f"verify {s}": reads for s, reads in SUITES.items()},
+                 **{f"witness {w}": reads for w, reads in harness.WITNESSES.items()}}
+        assert {target: tuple(f.replace("epsilons", "eps") for f in reads)
+                for target, reads in named.items()} == GRID_READS
+
+    @staticmethod
+    def _argv(target, settings, as_config, tmp_path):
+        argv = target.split()
+        if as_config:
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+            return argv + ["--config", str(cfg)]
+        return argv + [arg for k, v in settings.items() for arg in (f"--{k}", v)]
+
+    @pytest.mark.parametrize("as_config", [False, True], ids=["flag", "config"])
+    @pytest.mark.parametrize("target, key", UNREAD)
+    def test_a_setting_the_target_does_not_read_exits_2(self, target, key, as_config,
+                                                         tmp_path, monkeypatch, capsys):
+        def no_case(*args):
+            raise AssertionError("a case ran")
+        monkeypatch.setattr(harness, "_check", no_case)
+        out = tmp_path / "r.csv"
+        settings = {key: GRID_FLAGS[key]}
+        if target.startswith("verify"):
+            settings["out"] = str(out)
+        assert cli.main(self._argv(target, settings, as_config, tmp_path)) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"error: {target} reads no setting '{key}'" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("as_config", [False, True], ids=["flag", "config"])
+    @pytest.mark.parametrize("target, key", READ)
+    def test_every_setting_the_target_reads_is_taken(self, target, key, as_config,
+                                                     tmp_path, capsys):
+        reads = GRID_READS[target]
+        settings = {k: v for k, v in SMALL_ARGS.items() if k in reads}
+        out = tmp_path / "r.csv"
+        settings[key] = {"tol": "1e-6", "out": str(out), **GRID_FLAGS}.get(key, "json")
+        if key == "format":
+            settings["out"] = str(out)
+        assert cli.main(self._argv(target, settings, as_config, tmp_path)) == cli.EXIT_OK
+        assert capsys.readouterr().out
+        assert out.exists() == (key in ("out", "format"))
+
+    @pytest.mark.parametrize("as_config", [False, True], ids=["flag", "config"])
+    def test_format_without_out_exits_2(self, as_config, tmp_path, capsys):
+        argv = self._argv("verify fannes", {"dims": "2", "format": "json"}, as_config, tmp_path)
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "error: verify fannes reads no setting 'format'" in captured.err
+        assert captured.out == ""
+
+    def test_gibbs_table_takes_modes_or_levels(self, capsys):
+        assert cli.main(["gibbs-table", "--modes", "1,2", "--levels", "0,1"]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "either levels or hbar_omegas" in captured.err
+        assert captured.out == ""
+        assert cli.main(["gibbs-table", "--energies", "1"]) == cli.EXIT_OK
+        default = capsys.readouterr().out
+        assert cli.main(["gibbs-table", "--modes", "1.0", "--energies", "1"]) == cli.EXIT_OK
+        assert capsys.readouterr().out == default
+
+    def test_gibbs_table_at_levels_of_any_scale(self, capsys):
+        """Levels whose squares under- or overflow solve without a warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["gibbs-table", "--levels", "0,1e-300",
+                             "--energies", "1e-301"]) == cli.EXIT_OK
+            assert "beta=2.197224577e+300 " in capsys.readouterr().out
+            assert cli.main(["gibbs-table", "--levels", "0,1,1e300",
+                             "--energies", "1,0.5"]) == cli.EXIT_OK
+            assert "attainable" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("suite", ["gibbs", "tightness"])
+    def test_a_suite_that_reads_no_seed_draws_no_generator(self, suite, monkeypatch, capsys):
+        def no_generator(seed, case):
+            raise AssertionError("a generator was drawn")
+        monkeypatch.setattr(harness, "_rng", no_generator)
+        assert cli.main(["verify", suite]) == cli.EXIT_OK
+        assert "violations=0" in capsys.readouterr().out
+
+    def test_corollaries_of_a_one_dimensional_marginal_exit_2(self, capsys):
+        argv = ["verify", "cor_pure", "--dims", "1", "--samples", "5", "--tol", "0"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "dimension must be >= 2, got 1" in capsys.readouterr().err
+
     def test_verify_reads_every_config_key(self, tmp_path, capsys):
+        # every key that fannes reads; energies and eps it does not
         out = tmp_path / "r.json"
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("dims=2\nenergies=1\neps=0.1\nsamples=2\nseed=5\ntol=1e-9\n"
-                       f"out={out}\nformat=json\n")
+        cfg.write_text(f"dims=2\nsamples=2\nseed=5\ntol=1e-9\nout={out}\nformat=json\n")
         rc = cli.main(["verify", "fannes", "--config", str(cfg), "--samples", "3"])
         assert rc == cli.EXIT_OK
         assert "cases=3" in capsys.readouterr().out
