@@ -13,7 +13,9 @@ Bound formulas (all in bits):
   E_R (and its regularization): eps log2 d + (1+eps) h(eps/(1+eps)).
 
 Every checker recomputes eps from the states via the trace norm;
-caller-supplied eps is never trusted.
+caller-supplied eps is never trusted.  ``check_fannes_stack`` and
+``check_af_stack`` are ``check_fannes`` and ``check_af`` over stacks of
+dense states (``states.StateStack``), with the same reports bit for bit.
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropies import binary_entropy, conditional_entropy, von_neumann_entropy
+from .entropies import (binary_entropy, conditional_entropies, conditional_entropy,
+                        von_neumann_entropies, von_neumann_entropy)
 from .dc_optimizer import ConvexSetModel, kappa_bracket
-from .linalg import trace_distance
-from .states import (BipartiteState, DensityOperator, maximally_entangled_state, partial_trace,
-                     state_pair)
+from .linalg import trace_distance, trace_distances
+from .states import (BipartiteState, DensityOperator, StateStack, maximally_entangled_state,
+                     partial_trace, state_pair)
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -128,6 +131,28 @@ def check_af(rho: BipartiteState, sigma: BipartiteState, classical_b: bool = Fal
     rhs = af_bound(min(eps, 1.0), d_a, classical_b=classical_b)
     variant = "af_classical_B" if classical_b else "af_general"
     return BoundReport(variant=variant, dim=d_a, lhs=lhs, rhs=rhs, epsilon=eps)
+
+
+def check_fannes_stack(rho: StateStack, sigma: StateStack) -> list:
+    """``check_fannes`` of each pair of two stacks of dense states."""
+    eps = trace_distances(rho.mats, sigma.mats)
+    lhs = np.abs(von_neumann_entropies(rho) - von_neumann_entropies(sigma))
+    d = rho.mats.shape[-1]
+    return [BoundReport(variant="fannes_exact", dim=d, lhs=lh,
+                        rhs=fannes_audenaert_bound(min(e, 1.0), d), epsilon=e)
+            for e, lh in zip(eps.tolist(), lhs.tolist())]
+
+
+def check_af_stack(rho: StateStack, sigma: StateStack, dims, classical_b: bool = False) -> list:
+    """``check_af`` of each pair of two stacks of dense states on ``A (x) B``
+    of dimensions ``dims``."""
+    eps = trace_distances(rho.mats, sigma.mats)
+    lhs = np.abs(conditional_entropies(rho, dims) - conditional_entropies(sigma, dims))
+    d_a = dims[0]
+    variant = "af_classical_B" if classical_b else "af_general"
+    return [BoundReport(variant=variant, dim=d_a, lhs=lh,
+                        rhs=af_bound(min(e, 1.0), d_a, classical_b=classical_b), epsilon=e)
+            for e, lh in zip(eps.tolist(), lhs.tolist())]
 
 
 def check_dc(rho: DensityOperator, sigma: DensityOperator,

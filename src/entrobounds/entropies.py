@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from .linalg import OUTSIDE_SUPPORT_ATOL, PSD_ATOL, _operator_pair, support_mask
-from .states import BipartiteState, DensityOperator, as_state, partial_trace
+from .states import (BipartiteState, DensityOperator, StateStack, as_state, density_stack,
+                     partial_trace, partial_traces)
 
 LOG2_E = math.log2(math.e)
 
@@ -22,6 +23,34 @@ def _h_terms(p: np.ndarray) -> float:
     p = np.asarray(p, dtype=float)
     p = p[p > 0.0]
     return float(-(p * np.log2(p)).sum())
+
+
+def _h_terms_stack(p: np.ndarray) -> np.ndarray:
+    """``_h_terms`` of each row of ``p``, bit for bit.  The rows with the
+    same number k of positive entries are compacted to one (m, k) stack and
+    summed along its rows, so each row's terms are grouped as in the sum of
+    that row alone; a row summed with zeros in place of its nonpositive
+    entries would be grouped differently."""
+    pos = p > 0.0
+    counts = pos.sum(axis=1)
+    out = np.empty(len(p))
+    for k in set(counts.tolist()):
+        rows = counts == k
+        q = p[rows][pos[rows]].reshape(int(rows.sum()), k)
+        out[rows] = -(q * np.log2(q)).sum(axis=1)
+    return out
+
+
+def von_neumann_entropies(states: StateStack) -> np.ndarray:
+    """``von_neumann_entropy`` of each state of a stack."""
+    return _h_terms_stack(states.eigenvalues)
+
+
+def conditional_entropies(states: StateStack, dims) -> np.ndarray:
+    """``conditional_entropy`` of each state of a stack on ``A (x) B`` of
+    dimensions ``dims``, its B marginals validated as one stack."""
+    marginals = density_stack(partial_traces(states.mats, dims, "B"))
+    return von_neumann_entropies(states) - von_neumann_entropies(marginals)
 
 
 def von_neumann_entropy(rho) -> float:

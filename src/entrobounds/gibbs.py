@@ -31,12 +31,13 @@ from .states import (
     BipartiteState,
     DensityOperator,
     as_state,
+    draw_state_matrices,
     partial_trace,
     pretty_good_purification,
-    sample_state,
 )
 
 _MAX_EVALUATIONS = 100
+_TINY = float(np.finfo(float).tiny)
 
 
 class EnergyDomainError(ValueError):
@@ -70,6 +71,11 @@ class HamiltonianSpec:
                 raise ValueError("ground state energy must be exactly 0")
             if (np.diff(lv) < 0).any():
                 raise ValueError("levels must be ascending")
+            # beta would be ~1/level, past the largest float
+            subnormal = lv[(lv > 0) & (lv < _TINY)]
+            if subnormal.size:
+                raise ValueError(f"level {float(subnormal[0])!r} is positive but below the "
+                                 f"smallest normal float {_TINY!r}")
             self._levels = lv
         else:
             w = np.asarray(hbar_omegas, dtype=float)
@@ -475,6 +481,22 @@ def truncated_trace_distance_bound(epsilon: float, delta: float) -> float:
 # -- sampling and witnesses ----------------------------------------------------
 
 
+def draw_energy_block(hamiltonian: HamiltonianSpec, energy: float, rngs,
+                      d_b: int | None = None):
+    """The draw of ``sample_energy_constrained``, one from each generator of
+    ``rngs`` in turn: ``(rows, dim, blocks)``, the k d_b rows of the k levels
+    at or below E in the padded space, that space's dimension and the
+    unvalidated full-rank states on those rows (len(rngs), k d_b, k d_b)."""
+    levels = hamiltonian.levels
+    idx = np.where(levels <= energy)[0]
+    if len(idx) == 0:
+        raise EnergyDomainError(f"no levels at or below energy {energy!r}")
+    d = 1 if d_b is None else d_b
+    check_dense_dim(len(levels) * d)
+    rows = (idx[:, None] * d + np.arange(d)).ravel()
+    return rows, len(levels) * d, draw_state_matrices(len(rows), len(rows), rngs)
+
+
 def sample_energy_constrained(hamiltonian: HamiltonianSpec, energy: float,
                               d_b: int | None = None, rng=None):
     """Random state supported on levels with E_n <= E (hence mean energy
@@ -482,24 +504,16 @@ def sample_energy_constrained(hamiltonian: HamiltonianSpec, energy: float,
     under the global Hamiltonian H (x) 1.
 
     A full-rank state is sampled on the k d_b rows of the k levels at or
-    below E and zero-padded to the level space.  The padded state carries
-    that sampled state as its ``block``, so its spectrum, and the trace
-    distance between two such states at the same E, come from k d_b x
-    k d_b eigenproblems; the padded space is never decomposed."""
-    rng = np.random.default_rng(rng)
-    levels = hamiltonian.levels
-    idx = np.where(levels <= energy)[0]
-    if len(idx) == 0:
-        raise EnergyDomainError(f"no levels at or below energy {energy!r}")
-    k = len(idx)
-    dim = len(levels)
-    d = 1 if d_b is None else d_b
-    check_dense_dim(dim * d)
-    small = sample_state(k * d, k * d, rng)
-    flat = (idx[:, None] * d + np.arange(d)).ravel()
+    below E (``draw_energy_block``) and zero-padded to the level space.
+    The padded state carries that sampled state as its ``block``, so its
+    spectrum, and the trace distance between two such states at the same
+    E, come from k d_b x k d_b eigenproblems; the padded space is never
+    decomposed."""
+    rows, dim, blocks = draw_energy_block(hamiltonian, energy, [rng], d_b)
+    small = DensityOperator(blocks[0])
     if d_b is None:
-        return DensityOperator.embedded(flat, small, dim)
-    return BipartiteState.embedded(flat, small, dim * d, (dim, d_b))
+        return DensityOperator.embedded(rows, small, dim)
+    return BipartiteState.embedded(rows, small, dim, (dim // d_b, d_b))
 
 
 def _single_mode_truncation(energy: float, tail: float) -> int:

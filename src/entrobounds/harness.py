@@ -5,6 +5,16 @@ determine every sampled state.  Case ``k`` of a campaign with seed ``s``
 uses ``numpy.random.default_rng([s, k])``, so reports are reproducible
 bit-for-bit under the same config (wall-clock runtime is therefore kept
 out of the report payload).
+
+Chunks: ``_check`` hands a case function the cases of equal parameters
+together, one generator per case, and puts their records back in case
+order.  The ``fannes``, ``af`` and ``energy_bounds`` suites draw each case
+from its own generator as the scalar samplers do, validate and decompose
+the whole chunk as one stack (``states.density_stack``) and score it with
+the stacked checks, with the same report bytes.  A chunk draws at most
+``_CHUNK_BYTES`` (256 KiB) of dense matrices, one case at least, so that
+large states are never stacked beyond one case; every other suite takes
+chunks of one case.
 """
 
 from __future__ import annotations
@@ -20,9 +30,10 @@ import numpy as np
 from . import bounds as bnd
 from . import couplings as cpl
 from . import gibbs as gb
-from .entropies import shannon_entropy, von_neumann_entropy
-from .linalg import fidelity, trace_distance
-from .states import BipartiteState, sample_pure_bipartite, sample_qc_state, sample_state
+from .entropies import shannon_entropy, von_neumann_entropies
+from .linalg import fidelity, trace_distances
+from .states import (density_stack, draw_qc, draw_state_matrices, embedded_stack,
+                     qc_matrices, sample_pure_bipartite, sample_state)
 
 REPORT_COLUMNS = ("suite", "case", "variant", "dim", "energy", "epsilon",
                   "epsilon_prime", "lhs", "rhs", "slack", "valid")
@@ -83,12 +94,27 @@ def _rng(seed: int, case: int) -> np.random.Generator:
 
 # -- suites -------------------------------------------------------------------
 #
-# A suite is a grid function, a case function, (rng, *params) -> list of
-# ``BoundReport``s, and the CampaignConfig fields it reads (``_SUITE_TABLE``).
-# The grid function takes those fields but ``seed`` as its arguments and
-# returns one parameter tuple per case; the cases of a suite that reads no
-# ``seed`` draw nothing and get no generator.  Fields a case leaves at None
-# are blank in the report.
+# A suite is a grid function, a case function, the CampaignConfig fields it
+# reads and, for a stacked suite, the bytes of dense matrices one case draws
+# (``_SUITE_TABLE``).  The grid function takes those fields but ``seed`` as its
+# arguments and returns one parameter tuple per case.  The case function takes
+# a chunk, a list of per-case generators, and the parameters the chunk's cases
+# share, and returns one list of ``BoundReport``s per case; the cases of a
+# suite that reads no ``seed`` draw nothing and get None for a generator.
+# Fields a case leaves at None are blank in the report.
+
+# The largest stack of dense matrices one chunk of a stacked suite draws.
+_CHUNK_BYTES = 2**18
+
+
+def _pair_bytes(d):
+    """The bytes of a pair of complex d x d matrices."""
+    return 2 * 16 * d * d
+
+
+def _per_case(case):
+    """The case function of chunks of ``case(rng, *params)``, one case at a time."""
+    return lambda rngs, *params: [case(rng, *params) for rng in rngs]
 
 
 def _dims_by_samples(dims, samples):
@@ -100,8 +126,15 @@ def sample_pair(rng, d):
     return sample_state(d, d, rng), sample_state(d, d, rng)
 
 
-def _case_fannes(rng, d):
-    return [bnd.check_fannes(*sample_pair(rng, d))]
+def _twice(rngs):
+    """Each case's generator twice: a pair draws rho before sigma, as
+    ``sample_pair`` does."""
+    return [rng for rng in rngs for _ in range(2)]
+
+
+def _case_fannes(rngs, d):
+    rho, sigma = density_stack(draw_state_matrices(d, d, _twice(rngs))).split()
+    return [[rep] for rep in bnd.check_fannes_stack(rho, sigma)]
 
 
 def _grid_af(dims, samples):
@@ -109,22 +142,27 @@ def _grid_af(dims, samples):
             for classical_b in (False, True)]
 
 
-def _case_af(rng, d, classical_b):
+def _case_af(rngs, d, classical_b):
+    """A chunk of ``sample_qc_state`` pairs (with ``classical_b``) or of
+    ``sample_state`` pairs on d x d, checked by ``check_af``."""
     if classical_b:
-        rho = sample_qc_state(d, d, rng)
-        sigma = sample_qc_state(d, d, rng)
+        draws = [draw_qc(d, d, rng) for rng in _twice(rngs)]
+        blocks = density_stack(np.concatenate([b for _, b in draws])).mats
+        mats = qc_matrices(np.stack([p for p, _ in draws]), blocks.reshape(-1, d, d, d))
     else:
-        rho = BipartiteState(sample_state(d * d, d * d, rng), (d, d))
-        sigma = BipartiteState(sample_state(d * d, d * d, rng), (d, d))
-    return [bnd.check_af(rho, sigma, classical_b=classical_b)]
+        mats = draw_state_matrices(d * d, d * d, _twice(rngs))
+    rho, sigma = density_stack(mats).split()
+    return [[rep] for rep in bnd.check_af_stack(rho, sigma, (d, d), classical_b)]
 
 
+@_per_case
 def _case_dc(rng, d):
     gens = [sample_state(d, d, rng) for _ in range(3)]
     model = bnd.ConvexSetModel(generators=gens)
     return [bnd.check_dc(*sample_pair(rng, d), model)]
 
 
+@_per_case
 def _case_couplings(rng, d):
     rho, sigma = sample_pair(rng, d)
     qc = cpl.quantum_coupling(rho, sigma)
@@ -137,6 +175,7 @@ def _case_couplings(rng, d):
             for v, r in rhs.items()]
 
 
+@_per_case
 def _case_cor_pure(rng, d):
     phi = sample_pure_bipartite(d, d, rng)
     psi = sample_pure_bipartite(d, d, rng)
@@ -158,6 +197,7 @@ def _gibbs_identity(h, e):
             bnd.BoundReport(variant="formula_vs_direct", dim=h.dim, lhs=gap, rhs=0.0, energy=e))
 
 
+@_per_case
 def _case_gibbs(rng, h, e):
     return [_gibbs_identity(h, e)[1]]
 
@@ -167,17 +207,27 @@ def _grid_energy_bounds(energies, samples):
     return [(h, e) for e in energies for _ in range(samples)]
 
 
-def _case_energy_bounds(rng, h, e):
-    rho = gb.sample_energy_constrained(h, e, rng=rng)
-    sigma = gb.sample_energy_constrained(h, e, rng=rng)
-    eps = trace_distance(rho, sigma)
-    lhs = abs(von_neumann_entropy(rho) - von_neumann_entropy(sigma))
-    ep = min(1.0, eps + 0.1)
-    return [bnd.BoundReport(variant="lemma4", dim=h.dim, lhs=lhs,
+def _energy_bounds_bytes(h, e):
+    return _pair_bytes(np.count_nonzero(h.levels <= e))
+
+
+def _case_energy_bounds(rngs, h, e):
+    """A chunk of ``sample_energy_constrained`` pairs at ``e``, checked on
+    their k x k blocks: Lemma 4 and Meta 5 at their trace distance."""
+    rows, dim, blocks = gb.draw_energy_block(h, e, _twice(rngs))
+    rho, sigma = embedded_stack(rows, density_stack(blocks), dim).split()
+    epsilons = trace_distances(rho.mats, sigma.mats, dim)
+    gaps = np.abs(von_neumann_entropies(rho) - von_neumann_entropies(sigma))
+    reports = []
+    for eps, lhs in zip(epsilons.tolist(), gaps.tolist()):
+        ep = min(1.0, eps + 0.1)
+        reports.append([
+            bnd.BoundReport(variant="lemma4", dim=h.dim, lhs=lhs,
                             rhs=gb.lemma4_bound(h, e, max(eps, 1e-12)), epsilon=eps, energy=e),
             bnd.BoundReport(variant="meta5", dim=h.dim, lhs=lhs,
                             rhs=gb.meta5_bound(h, e, eps, ep), epsilon=eps, energy=e,
-                            epsilon_prime=ep)]
+                            epsilon_prime=ep)])
+    return reports
 
 
 def _grid_tightness(dims, epsilons):
@@ -185,6 +235,7 @@ def _grid_tightness(dims, epsilons):
             if bnd.fannes_admissible(d, eps) for witness in ("fannes", "af")]
 
 
+@_per_case
 def _case_witness(rng, witness, x, eps):
     """The ``witness`` pair at dimension (for the oscillator, energy) ``x``."""
     if witness == "fannes":
@@ -200,30 +251,51 @@ def _case_witness(rng, witness, x, eps):
 
 _SAMPLED = ("dims", "samples", "seed")
 _SUITE_TABLE = {
-    "fannes": (_dims_by_samples, _case_fannes, _SAMPLED),
-    "af": (_grid_af, _case_af, _SAMPLED),
-    "dc": (_dims_by_samples, _case_dc, _SAMPLED),
-    "couplings": (_dims_by_samples, _case_couplings, _SAMPLED),
-    "cor_pure": (_dims_by_samples, _case_cor_pure, _SAMPLED),
-    "gibbs": (_grid_gibbs, _case_gibbs, ("energies",)),
-    "energy_bounds": (_grid_energy_bounds, _case_energy_bounds, ("energies", "samples", "seed")),
-    "tightness": (_grid_tightness, _case_witness, ("dims", "epsilons")),
+    "fannes": (_dims_by_samples, _case_fannes, _SAMPLED, _pair_bytes),
+    "af": (_grid_af, _case_af, _SAMPLED, lambda d, classical_b: _pair_bytes(d * d)),
+    "dc": (_dims_by_samples, _case_dc, _SAMPLED, None),
+    "couplings": (_dims_by_samples, _case_couplings, _SAMPLED, None),
+    "cor_pure": (_dims_by_samples, _case_cor_pure, _SAMPLED, None),
+    "gibbs": (_grid_gibbs, _case_gibbs, ("energies",), None),
+    "energy_bounds": (_grid_energy_bounds, _case_energy_bounds, ("energies", "samples", "seed"),
+                      _energy_bounds_bytes),
+    "tightness": (_grid_tightness, _case_witness, ("dims", "epsilons"), None),
 }
 
 # Each suite and witness with the CampaignConfig fields it reads, a witness's axis first
-SUITES = {suite: reads for suite, (_, _, reads) in _SUITE_TABLE.items()}
+SUITES = {suite: reads for suite, (_, _, reads, _) in _SUITE_TABLE.items()}
 WITNESSES = {"fannes": ("dims", "epsilons"), "af": ("dims", "epsilons"),
              "oscillator": ("energies", "epsilons")}
 
 
-def _check(suite: str, grid, case_fn, seed, tolerance: float) -> list:
-    """The rows of ``case_fn`` over ``grid``; the one place a row gets its
-    verdict.  With ``seed`` None the cases draw nothing and get no generator."""
+def _chunks(grid, case_bytes):
+    """``(cases, params)`` of each chunk, in the order of its first case: the
+    cases of equal ``params``, as many at a time as ``_CHUNK_BYTES`` holds
+    of ``case_bytes(*params)`` (one at a time without ``case_bytes``)."""
+    groups = {}
+    for case, params in enumerate(grid):
+        groups.setdefault(params, []).append(case)
+    chunks = []
+    for params, cases in groups.items():
+        size = 1 if case_bytes is None else max(1, _CHUNK_BYTES // max(case_bytes(*params), 1))
+        chunks += [(cases[i:i + size], params) for i in range(0, len(cases), size)]
+    return sorted(chunks, key=lambda chunk: chunk[0][0])
+
+
+def _check(suite: str, grid, case_fn, seed, tolerance: float, case_bytes=None) -> list:
+    """The rows of ``case_fn`` over ``grid``, in case order; the one place a
+    row gets its verdict.  The cases run in the chunks of ``_chunks``; with
+    ``seed`` None they draw nothing and get no generator."""
     if not grid:
         raise ConfigError(f"the {suite} grid has no cases")
+    reports = [None] * len(grid)
+    for cases, params in _chunks(grid, case_bytes):
+        rngs = [None if seed is None else _rng(seed, case) for case in cases]
+        for case, reps in zip(cases, case_fn(rngs, *params)):
+            reports[case] = reps
     records = []
-    for case, params in enumerate(grid):
-        for rep in case_fn(None if seed is None else _rng(seed, case), *params):
+    for case, reps in enumerate(reports):
+        for rep in reps:
             row = {**vars(rep), "suite": suite, "case": case, "slack": rep.slack,
                    "valid": bool(rep.slack >= -tolerance)}
             records.append({c: row[c] for c in REPORT_COLUMNS})
@@ -231,10 +303,11 @@ def _check(suite: str, grid, case_fn, seed, tolerance: float) -> list:
 
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:
-    grid_fn, case_fn, reads = _SUITE_TABLE[config.suite]
+    grid_fn, case_fn, reads, case_bytes = _SUITE_TABLE[config.suite]
     grid = grid_fn(**{f: getattr(config, f) for f in reads if f != "seed"})
     seed = config.seed if "seed" in reads else None
-    report = CampaignReport(_check(config.suite, grid, case_fn, seed, config.tolerance))
+    report = CampaignReport(_check(config.suite, grid, case_fn, seed, config.tolerance,
+                                   case_bytes))
     if config.output:
         write_report(report, config.output, config.format)
     return report
@@ -293,6 +366,7 @@ def emit_gibbs_table(hamiltonian: gb.HamiltonianSpec, energies, path=None,
     """
     rows = []
 
+    @_per_case
     def case(rng, e):
         try:
             row, rep = _gibbs_identity(hamiltonian, e)

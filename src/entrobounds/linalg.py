@@ -24,6 +24,16 @@ Conventions
   ``ZERO_EIGENVALUE_RTOL * max(|lambda_max|, 1)`` are exact zeros), for
   support-restricted functions such as ``sqrt`` and for D(rho || gamma).
 * All values are immutable after construction; operations are pure.
+
+Stacks
+------
+``hermitian_stack`` is ``HermitianOperator`` for an (n, d, d) stack of
+matrices in one pass: the same scans, judged by the same rules
+(``_check_hermitian``), the same symmetrization (``_symmetrized``) and
+one batched ``descending_eigh``, whose every matrix is decomposed bit for
+bit as it would be alone.
+``trace_distances`` is ``trace_distance`` over two such stacks.  No
+operator object is built; ``states.density_stack`` adds the state rules.
 """
 
 from __future__ import annotations
@@ -66,6 +76,25 @@ def _check_finite(*parts):
 def _frozen(a):
     a.setflags(write=False)
     return a
+
+
+def _symmetrized(mats):
+    """``(m + m^dagger) / 2`` of a matrix or of each matrix of a stack."""
+    return (mats + mats.conj().swapaxes(-1, -2)) / 2
+
+
+def _check_hermitian(mat, largest, dev):
+    """The two rules of a matrix ``mat`` with largest entry magnitude
+    ``largest`` and deviation from Hermiticity ``dev``: raise ``ValueError``
+    for a non-finite entry, or for ``dev`` above ``HERMITICITY_ATOL`` times
+    ``max(1, largest)``."""
+    # NaN or inf anywhere makes the largest magnitude non-finite
+    if not largest < np.inf:
+        bad = np.argwhere(~np.isfinite(mat))
+        raise ValueError(f"matrix has {len(bad)} non-finite entries, "
+                         f"the first at {tuple(int(i) for i in bad[0])}")
+    if dev > HERMITICITY_ATOL * max(1.0, largest):
+        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
 
 
 class HermitianOperator:
@@ -111,20 +140,15 @@ class HermitianOperator:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
             raise ValueError(f"expected a non-empty square matrix, got shape {mat.shape}")
         largest = np.abs(mat).max()
-        # NaN or inf anywhere makes the largest magnitude non-finite
-        if not largest < np.inf:
-            bad = np.argwhere(~np.isfinite(mat))
-            raise ValueError(f"matrix has {len(bad)} non-finite entries, "
-                             f"the first at {tuple(int(i) for i in bad[0])}")
-        dev = np.abs(mat - mat.conj().T).max()
-        if dev > HERMITICITY_ATOL * max(1.0, largest):
-            raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
+        # the deviation of a matrix with a non-finite entry is never read
+        dev = np.abs(mat - mat.conj().T).max() if largest < np.inf else np.nan
+        _check_hermitian(mat, largest, dev)
         self._set_matrix(mat)
 
     def _set_matrix(self, mat):
         """Store ``(mat + mat^dagger) / 2``, frozen, with no factor, block
         or spectrum."""
-        mat = (mat + mat.conj().T) / 2
+        mat = _symmetrized(mat)
         mat.setflags(write=False)
         self.mat = mat
         self.dim = mat.shape[0]
@@ -305,6 +329,23 @@ def descending_eigh(mats):
     return lam[..., ::-1], u[..., ::-1]
 
 
+def hermitian_stack(mats):
+    """``HermitianOperator(m)`` and its decomposition for each matrix ``m``
+    of an (n, d, d) stack, in one pass: ``(mats, lam, u)``, the symmetrized
+    matrices, their non-increasing spectra (contiguous) and eigenvectors
+    (views).  The first matrix that the constructor rejects raises its
+    error."""
+    mats = np.asarray(mats, dtype=complex)
+    largest = np.abs(mats).max(axis=(1, 2))
+    with np.errstate(invalid="ignore"):
+        dev = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    for mat, top, skew in zip(mats, largest.tolist(), dev.tolist()):
+        _check_hermitian(mat, top, skew)
+    mats = _symmetrized(mats)
+    lam, u = descending_eigh(mats)
+    return mats, np.ascontiguousarray(lam), u
+
+
 def as_operator(x) -> HermitianOperator:
     """A square array as a :class:`HermitianOperator`; an operator,
     states included (a state is its operator), is returned as it is."""
@@ -372,3 +413,17 @@ def trace_distance(rho, sigma) -> float:
     """Half the trace norm of the difference."""
     rho_op, sigma_op = _operator_pair(rho, sigma)
     return 0.5 * trace_norm(rho_op - sigma_op)
+
+
+def trace_distances(a, b, dim=None) -> np.ndarray:
+    """``trace_distance`` of each pair of two (n, k, k) stacks of symmetrized
+    matrices, as for dense operators.  With ``dim``, each pair are the blocks
+    of two ``dim``-dimensional operators on one index set
+    (``HermitianOperator.block``): their difference has the block's spectrum
+    and ``dim - k`` zeros, summed in the order that operator sorts them."""
+    lam = descending_eigh(_symmetrized(a - b))[0]
+    if dim is not None:
+        padded = np.zeros((len(lam), dim))
+        padded[:, :lam.shape[1]] = lam
+        lam = np.sort(padded, axis=1)[:, ::-1]
+    return 0.5 * np.abs(lam).sum(axis=1)

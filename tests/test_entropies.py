@@ -5,6 +5,8 @@ import pytest
 
 from entrobounds.entropies import (
     LOG2_E,
+    _h_terms,
+    _h_terms_stack,
     binary_entropy,
     clipped_binary,
     conditional_entropy,
@@ -235,3 +237,25 @@ class TestPurePairEntropyMatch:
         s_a = von_neumann_entropy(partial_trace(psi, "A"))
         s_b = von_neumann_entropy(partial_trace(psi, "B"))
         assert s_a == pytest.approx(s_b, abs=1e-10)
+
+
+def test_stacked_entropy_sums_match_the_filtered_sums_bit_for_bit():
+    """Rank-deficient spectra at d >= 9, with exact zeros and rounding noise
+    on either side of 0: each row of the stack sums its positive terms as
+    the filtered sum of that row alone does, where a row summed with zeros
+    in place is grouped differently."""
+    rng = np.random.default_rng(33)
+    rows = []
+    for d in (9, 12, 16, 27):
+        for _ in range(250):
+            p = rng.random(d) ** 3
+            p[rng.random(d) < 0.4] = 0.0
+            p[rng.random(d) < 0.1] = -1e-17
+            p[0] = 1.0
+            rows.append(np.sort(p / p[p > 0].sum())[::-1])
+        stack = np.array(rows[-250:])
+        out = _h_terms_stack(stack)
+        assert [x.tobytes() for x in out] == [np.float64(_h_terms(p)).tobytes() for p in stack]
+    zero_filled = [-(np.where(p > 0, p, 1.0) * np.log2(np.where(p > 0, p, 1.0))).sum()
+                   for p in rows]
+    assert any(z != _h_terms(p) for z, p in zip(zero_filled, rows))

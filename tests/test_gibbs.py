@@ -66,6 +66,16 @@ class TestHamiltonianSpec:
         with pytest.raises(ValueError, match="finite"):
             HamiltonianSpec.explicit(levels)
 
+    @pytest.mark.parametrize("levels, named", [([0.0, 1e-320, 1e-320], "1e-320"),
+                                               ([0.0, 5e-324, 1.0], "5e-324")])
+    def test_explicit_rejects_a_subnormal_level(self, levels, named):
+        with pytest.raises(ValueError, match=f"level {named} is positive but below"):
+            HamiltonianSpec.explicit(levels)
+
+    def test_explicit_takes_the_smallest_normal_level(self):
+        tiny = float(np.finfo(float).tiny)
+        assert HamiltonianSpec.explicit([0.0, 0.0, tiny, 1e300]).levels[2] == tiny
+
     @pytest.mark.parametrize("modes", [[math.nan], [math.inf], [1.0, math.nan], [0.0], [-1.0]])
     def test_oscillator_requires_positive_finite_modes(self, modes):
         with pytest.raises(ValueError, match="positive and finite"):
@@ -538,7 +548,7 @@ class TestSampler:
         h = HamiltonianSpec.oscillators([1.0], n_max=40)
         idx = np.flatnonzero(h.levels <= energy)
         k = len(idx)
-        lemma4, _ = _case_energy_bounds(np.random.default_rng(9), h, energy)
+        (lemma4, _), = _case_energy_bounds([np.random.default_rng(9)], h, energy)
         assert max(s[-1] for s in shapes) <= k
         for d_b in (None, 2):
             d = 1 if d_b is None else d_b

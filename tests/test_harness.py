@@ -9,7 +9,11 @@ import numpy as np
 import pytest
 
 from entrobounds import cli, gibbs, harness
-from entrobounds.gibbs import HamiltonianSpec
+from entrobounds.bounds import BoundReport, check_af, check_fannes
+from entrobounds.entropies import von_neumann_entropy
+from entrobounds.gibbs import HamiltonianSpec, lemma4_bound, meta5_bound, sample_energy_constrained
+from entrobounds.linalg import trace_distance
+from entrobounds.states import BipartiteState, DensityOperator, draw_qc, qc_matrices, sample_state
 from entrobounds.harness import (
     SCHEMA_LINE,
     SUITES,
@@ -90,7 +94,70 @@ CASE_LAYOUT = {
 }
 
 
+def _fannes_case(rng, d):
+    return [check_fannes(sample_state(d, d, rng), sample_state(d, d, rng))]
+
+
+def _qc_state(rng, d):
+    """``sample_qc_state(d, d, rng)`` with each block validated on its own."""
+    p, blocks = draw_qc(d, d, rng)
+    return BipartiteState(qc_matrices(p, np.stack([DensityOperator(b).mat for b in blocks])),
+                          (d, d))
+
+
+def _af_case(rng, d, classical_b):
+    if classical_b:
+        rho, sigma = _qc_state(rng, d), _qc_state(rng, d)
+    else:
+        rho = BipartiteState(sample_state(d * d, d * d, rng), (d, d))
+        sigma = BipartiteState(sample_state(d * d, d * d, rng), (d, d))
+    return [check_af(rho, sigma, classical_b=classical_b)]
+
+
+def _energy_bounds_case(rng, h, e):
+    rho = sample_energy_constrained(h, e, rng=rng)
+    sigma = sample_energy_constrained(h, e, rng=rng)
+    eps = trace_distance(rho, sigma)
+    lhs = abs(von_neumann_entropy(rho) - von_neumann_entropy(sigma))
+    ep = min(1.0, eps + 0.1)
+    return [BoundReport(variant="lemma4", dim=h.dim, lhs=lhs,
+                        rhs=lemma4_bound(h, e, max(eps, 1e-12)), epsilon=eps, energy=e),
+            BoundReport(variant="meta5", dim=h.dim, lhs=lhs, rhs=meta5_bound(h, e, eps, ep),
+                        epsilon=eps, energy=e, epsilon_prime=ep)]
+
+
+# each stacked suite's case, one state object at a time
+PER_CASE = {"fannes": _fannes_case, "af": _af_case, "energy_bounds": _energy_bounds_case}
+
+
 class TestCampaigns:
+    @pytest.mark.parametrize("seed", [1, 3, 12])
+    @pytest.mark.parametrize("suite, settings", [
+        ("fannes", dict(dims=(2, 3, 9, 16, 64), samples=5)),
+        ("af", dict(dims=(2, 3, 4), samples=6)),
+        ("energy_bounds", dict(energies=(0.5, 1.0, 3.0, 8.0, 40.0), samples=6)),
+    ])
+    def test_stacked_suites_give_the_bytes_of_the_per_case_checks(self, suite, settings, seed):
+        grid_fn, _, _, _ = harness._SUITE_TABLE[suite]
+        per_case = harness._check(suite, grid_fn(**settings), harness._per_case(PER_CASE[suite]),
+                                  seed, CampaignConfig.tolerance)
+        stacked = run_campaign(CampaignConfig(suite, seed=seed, **settings))
+        for fmt in ("csv", "json"):
+            assert render_report(stacked, fmt) == render_report(CampaignReport(per_case), fmt)
+
+    def test_chunks_hold_equal_parameters_within_the_byte_budget(self):
+        grid = harness._dims_by_samples((2, 128, 2), 3)
+        assert harness._chunks(grid, harness._pair_bytes) == [
+            ([0, 1, 2, 6, 7, 8], (2,)), ([3], (128,)), ([4], (128,)), ([5], (128,))]
+        assert harness._chunks(grid, None) == [([k], grid[k]) for k in range(9)]
+
+    def test_af_records_come_out_in_case_order(self):
+        # the grid alternates classical_b, so a chunk is every other case
+        records = run_campaign(CampaignConfig("af", dims=(2, 3), samples=4, seed=5)).records
+        assert [r["case"] for r in records] == list(range(16))
+        assert [r["variant"] for r in records] == ["af_general", "af_classical_B"] * 8
+        assert [r["dim"] for r in records] == [2] * 8 + [3] * 8
+
     @pytest.mark.parametrize("suite", SUITES)
     def test_every_suite_runs_clean(self, suite):
         cfg = CampaignConfig(suite=suite, dims=(2, 3), samples=3, seed=1,
@@ -162,6 +229,18 @@ class TestGibbsTable:
         assert [(r["case"], r["lhs"], r["valid"]) for r in records] == [
             (0, rows[0]["abs_diff"], True)]
 
+    def test_rows_and_records_come_out_in_case_order(self, capsys):
+        h = HamiltonianSpec.explicit([0.0, 1.0])
+        rows, records = emit_gibbs_table(h, [0.25, 0.9, 0.25])
+        assert [(r["E"], bool(r["error"])) for r in rows] == [(0.25, False), (0.9, True),
+                                                               (0.25, False)]
+        assert [(r["case"], r["energy"]) for r in records] == [(0, 0.25), (2, 0.25)]
+        argv = ["gibbs-table", "--levels", "0,1", "--energies", "0.25,0.9,0.25"]
+        assert cli.main(argv) == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0].rstrip(":") for line in lines] == ["E=0.25", "E=0.9", "E=0.25"]
+        assert lines[0] == lines[2]
+
     def test_file_output(self, tmp_path):
         path = str(tmp_path / "table.csv")
         h = HamiltonianSpec.oscillators([1.0], n_max=128)
@@ -224,12 +303,17 @@ class TestCli:
 
     def test_reports_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         """The d=16 tightness, cor_pure and couplings suites (256-dim witness
-        and pure pairs, and coupling states that are never decomposed) give
-        the same bytes with 1 and with 2 BLAS threads."""
+        and pure pairs, and coupling states that are never decomposed) and
+        the stacked fannes, af and energy_bounds suites (batched
+        decompositions of 64-dim states, of 64-dim bipartite states and of
+        energy blocks) give the same bytes with 1 and with 2 BLAS threads."""
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         calls = [["verify", "tightness", "--dims", "16", "--eps", "0.05,0.25,0.5"],
                  ["verify", "cor_pure", "--dims", "16", "--samples", "8", "--seed", "1"],
-                 ["verify", "couplings", "--dims", "16", "--samples", "2", "--seed", "1"]]
+                 ["verify", "couplings", "--dims", "16", "--samples", "2", "--seed", "1"],
+                 ["verify", "fannes", "--dims", "64", "--samples", "4"],
+                 ["verify", "af", "--dims", "8", "--samples", "4"],
+                 ["verify", "energy_bounds", "--energies", "1,8", "--samples", "4"]]
         reports = {}
         for threads in ("1", "2"):
             outs = [str(tmp_path / f"{threads}-{k}.csv") for k in range(len(calls))]
@@ -479,7 +563,7 @@ class TestCli:
     def test_grid_too_large_to_allocate_exits_2(self, monkeypatch, capsys):
         def refuse(*args):
             raise MemoryError("Unable to allocate 11.9 GiB")
-        monkeypatch.setattr("entrobounds.harness.sample_state", refuse)
+        monkeypatch.setattr("entrobounds.harness.draw_state_matrices", refuse)
         rc = cli.main(["verify", "af", "--dims", "200", "--samples", "1"])
         assert rc == cli.EXIT_CONFIG
         captured = capsys.readouterr()
@@ -516,6 +600,12 @@ class TestCli:
         assert proc.stdout == ""
         assert "dense limit" in err[-1]
         assert peak < 64 * 2**20
+
+    def test_a_chunk_of_large_states_peaks_no_higher_than_one_case_at_a_time(self):
+        # one state object at a time, the campaign peaked at 3,051,754 bytes
+        proc, _, peak = self._run_capped("verify fannes --dims 128 --samples 4")
+        assert proc.returncode == cli.EXIT_OK
+        assert peak <= 1.1 * 3_051_754
 
     def test_four_mode_gibbs_table_enumerates_no_levels(self):
         # 513^4 product levels: the closed forms never read them
@@ -608,6 +698,24 @@ class TestCli:
             assert cli.main(["gibbs-table", "--levels", "0,1,1e300",
                              "--energies", "1,0.5"]) == cli.EXIT_OK
             assert "attainable" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, error", [
+        ("verify fannes --dims 0 --samples 2", "rank must be in [1, 0], got 0"),
+        ("verify energy_bounds --energies -1 --samples 2", "no levels at or below energy -1.0"),
+    ])
+    def test_a_stacked_case_that_draws_nothing_exits_2(self, argv, error, capsys):
+        assert cli.main(argv.split()) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {error}\n"
+        assert captured.out == ""
+
+    def test_gibbs_table_rejects_a_subnormal_level(self, capsys):
+        """beta would be about 1/level, past the largest float."""
+        argv = ["gibbs-table", "--levels", "0,1e-320,1e-320", "--energies", "3e-321"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "error: level 1e-320 is positive but below the smallest normal float" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("suite", ["gibbs", "tightness"])
     def test_a_suite_that_reads_no_seed_draws_no_generator(self, suite, monkeypatch, capsys):

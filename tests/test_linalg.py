@@ -240,8 +240,8 @@ class TestLazySpectrum:
         assert abs(f - math.sqrt(w * np.vdot(v, sigma.mat @ v).real)) <= 1e-15
 
     def test_pure_pair_and_af_witness_make_no_full_size_call(self, eigh_dims):
-        _case_cor_pure(np.random.default_rng(25), 16)
-        _case_witness(None, "af", 16, 0.25)
+        _case_cor_pure([np.random.default_rng(25)], 16)
+        _case_witness([None], "af", 16, 0.25)
         assert 256 not in eigh_dims
         assert 16 in eigh_dims  # the marginals are decomposed as before
 

@@ -9,12 +9,16 @@ from entrobounds.dc_optimizer import (ConvexSetModel, dc_gradient, dc_minimize, 
                                       kappa_bracket)
 from entrobounds.entropies import relative_entropy, von_neumann_entropy
 from entrobounds.gibbs import HamiltonianSpec, cutoff_decompose
-from entrobounds.linalg import HermitianOperator
+from entrobounds.linalg import HermitianOperator, hermitian_stack, trace_distance, trace_distances
 from entrobounds.states import (
     BipartiteState,
     DensityOperator,
     StateValidationError,
     as_state,
+    StateStack,
+    density_stack,
+    draw_state_matrices,
+    embedded_stack,
     maximally_entangled_state,
     partial_trace,
     pretty_good_purification,
@@ -230,3 +234,86 @@ class TestEntryRule:
     def test_as_state_takes_a_state_as_it_is(self):
         rho = sample_state(3, 3, np.random.default_rng(1))
         assert as_state(rho) is rho
+
+
+def _with_spectrum(rng, lam):
+    """A matrix of spectrum ``lam`` in a random unitary basis."""
+    d = len(lam)
+    q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    return (q * lam) @ q.conj().T
+
+
+class TestDensityStack:
+    """``density_stack`` is ``DensityOperator`` element by element: the same
+    bits on every path, and the same error for the first rejected matrix."""
+
+    D = 16
+
+    def _paths(self):
+        rng = np.random.default_rng(31)
+        clean = draw_state_matrices(self.D, self.D, [rng])[0]
+        lam = rng.random(self.D)
+        lam[-1] = 0.0
+        lam /= lam.sum()
+        lam[-1] = -5e-11
+        clamped = _with_spectrum(rng, lam)
+        renormalized = draw_state_matrices(self.D, self.D, [rng])[0] * (1.0 + 1e-12)
+        rank_deficient = draw_state_matrices(self.D, 3, [rng])[0]
+        return clean, clamped, renormalized, rank_deficient
+
+    def test_every_path_matches_the_constructor_bit_for_bit(self):
+        clean, clamped, renormalized, rank_deficient = mats = self._paths()
+        assert -1e-10 < np.linalg.eigvalsh(clamped).min() < 0.0
+        assert np.linalg.eigvalsh(renormalized).min() > 0.0
+        assert abs(np.trace(renormalized).real - 1.0) > 1e-14
+        stack = density_stack(np.stack(mats))
+        for j, m in enumerate(mats):
+            rho = DensityOperator(m)
+            assert stack.mats[j].tobytes() == rho.mat.tobytes()
+            assert stack.eigenvalues[j].tobytes() == rho.eigenvalues.tobytes()
+        assert stack.eigenvalues[1, -1] == 0.0  # clamped
+        assert stack.eigenvalues[2].sum() == pytest.approx(1.0, abs=1e-15)  # renormalized
+
+    @pytest.mark.parametrize("defect", ["non-finite", "non-Hermitian", "negative", "trace"])
+    def test_the_first_rejected_matrix_raises_its_constructor_error(self, defect):
+        clean = self._paths()[0]
+        rng = np.random.default_rng(32)
+        bad = clean.copy()
+        if defect == "non-finite":
+            bad[3, 5] = np.nan
+        elif defect == "non-Hermitian":
+            bad[0, 1] += 1e-6
+        elif defect == "negative":
+            lam = rng.random(self.D)
+            lam /= lam.sum()
+            lam[0] += 1e-9
+            lam[-1] = -1e-9
+            bad = _with_spectrum(rng, lam)
+        else:
+            bad *= 1.0 + 1e-7
+        with pytest.raises(ValueError) as scalar:
+            DensityOperator(bad)
+        # a later rejected matrix of another kind does not mask the first
+        later = clean * 2.0
+        with pytest.raises(ValueError) as stacked:
+            density_stack(np.stack([clean, bad, later]))
+        assert type(stacked.value) is type(scalar.value)
+        assert str(stacked.value) == str(scalar.value)
+
+    def test_embedded_blocks_match_the_padded_constructor(self):
+        """A block whose padded state has trace 1 + 1e-12 is renormalized
+        as ``DensityOperator.embedded`` renormalizes it: the same block
+        matrix, the same nonzero spectrum and the same trace distance."""
+        rng = np.random.default_rng(34)
+        index, dim = np.array([0, 2, 3]), 7
+        blocks = draw_state_matrices(3, 3, [rng, rng])
+        blocks[1] *= 1.0 + 1e-12
+        mats, lam, _ = hermitian_stack(blocks)
+        stack = embedded_stack(index, StateStack(mats, lam), dim)
+        padded = [DensityOperator.embedded(index, b, dim) for b in blocks]
+        for j, rho in enumerate(padded):
+            assert stack.mats[j].tobytes() == rho.block[1].mat.tobytes()
+            assert stack.eigenvalues[j].tobytes() == rho.eigenvalues[:3].tobytes()
+        assert abs(padded[1].trace() - 1.0) < 1e-15  # renormalized
+        eps = trace_distances(stack.mats[:1], stack.mats[1:], dim)
+        assert eps[0] == trace_distance(*padded)
