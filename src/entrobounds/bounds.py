@@ -16,6 +16,8 @@ Every checker recomputes eps from the states via the trace norm;
 caller-supplied eps is never trusted.  ``check_fannes_stack`` and
 ``check_af_stack`` are ``check_fannes`` and ``check_af`` over stacks of
 dense states (``states.StateStack``), with the same reports bit for bit.
+``check_cor_pure`` is the stack of one of ``check_cor_pure_stack``, over
+stacks of pure states (``states.PureStack``).
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ import numpy as np
 from .entropies import (binary_entropy, conditional_entropies, conditional_entropy,
                         von_neumann_entropies, von_neumann_entropy)
 from .dc_optimizer import ConvexSetModel, kappa_bracket
-from .linalg import trace_distance, trace_distances
-from .states import (BipartiteState, DensityOperator, StateStack, maximally_entangled_state,
-                     partial_trace, state_pair)
+from .linalg import pure_trace_distances, rank_one_factor, trace_distance, trace_distances
+from .states import (BipartiteState, DensityOperator, PureStack, StateStack, density_stack,
+                     maximally_entangled_state, pure_marginals, state_pair)
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -175,27 +177,42 @@ def check_dc(rho: DensityOperator, sigma: DensityOperator,
     return BoundReport(variant="dc_generic", dim=model.dim, lhs=lhs, rhs=rhs, epsilon=eps)
 
 
+# which: (variant, rhs at (eps, d))
+_COROLLARIES = {"ef": ("ef_cor1", lambda e, d: cor1_bounds(e, d)[0]),
+                "ec": ("ec_cor1", lambda e, d: cor1_bounds(e, d)[1]),
+                "er": ("er_cor2", cor2_bound)}
+
+
+def check_cor_pure_stack(phi: PureStack, psi: PureStack, dims, which: str = "ef") -> list:
+    """``check_cor_pure`` of each pair of two stacks of pure states on
+    ``A (x) B`` of dimensions ``dims``, with no d_a d_b x d_a d_b matrix
+    built: eps from ``linalg.pure_trace_distances``, the A marginals from
+    the vectors (``states.pure_marginals``), validated as one stack."""
+    if which not in _COROLLARIES:
+        raise ValueError(f"unknown corollary bound {which!r}")
+    variant, bound = _COROLLARIES[which]
+    eps = np.minimum(pure_trace_distances(phi.vectors, phi.weights, psi.vectors, psi.weights), 1.0)
+    marginals = np.stack([pure_marginals(phi, dims), pure_marginals(psi, dims)], axis=1)
+    s_phi, s_psi = density_stack(marginals.reshape(-1, dims[0], dims[0])).split()
+    lhs = np.abs(von_neumann_entropies(s_phi) - von_neumann_entropies(s_psi))
+    d = min(dims)
+    return [BoundReport(variant=variant, dim=d, lhs=lh, rhs=bound(e, d), epsilon=e)
+            for e, lh in zip(eps.tolist(), lhs.tolist())]
+
+
 def check_cor_pure(phi: BipartiteState, psi: BipartiteState, which: str = "ef") -> BoundReport:
     """Entanglement-measure continuity on pure states, where
-    E_F = E_R = S(tr_B .) in closed form."""
+    E_F = E_R = S(tr_B .) in closed form; the stack of one of
+    ``check_cor_pure_stack``.  A state that is not pure (no rank-one
+    factor) raises ``ValueError``: for a mixed state S(tr_B .) is not E_F."""
     if phi.dims != psi.dims:
         raise ValueError("bipartite dimension mismatch")
-    eps = min(trace_distance(phi, psi), 1.0)
-    lhs = abs(von_neumann_entropy(partial_trace(phi, "A"))
-              - von_neumann_entropy(partial_trace(psi, "A")))
-    d = min(phi.dims)
-    if which == "ef":
-        rhs = cor1_bounds(eps, d)[0]
-        variant = "ef_cor1"
-    elif which == "ec":
-        rhs = cor1_bounds(eps, d)[1]
-        variant = "ec_cor1"
-    elif which == "er":
-        rhs = cor2_bound(eps, d)
-        variant = "er_cor2"
-    else:
-        raise ValueError(f"unknown corollary bound {which!r}")
-    return BoundReport(variant=variant, dim=d, lhs=lhs, rhs=rhs, epsilon=eps)
+    pure = [rank_one_factor(state) for state in (phi, psi)]
+    if any(p is None for p in pure):
+        raise ValueError("check_cor_pure takes pure states (a rank-one factor)")
+    (va, wa), (vb, wb) = pure
+    return check_cor_pure_stack(PureStack(va[None], np.array([wa])),
+                                PureStack(vb[None], np.array([wb])), phi.dims, which)[0]
 
 
 # -- extremal witnesses ------------------------------------------------------

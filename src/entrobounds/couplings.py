@@ -14,25 +14,39 @@ The quantum coupling is one construction for every pair; only the
 decomposition special-cases eps < 1e-12, where Delta is 0/0 and
 omega = rho.
 
-Each constructor takes its pair through ``states.state_pair``.  Every
-Delta is a normalised positive part, a state by construction, and is
-held to the trace rule only, never decomposed.  Theta and the diagonal
-coupling's omega are dense d^2 x d^2 states, but each is a rank-one term
-plus a nonnegative multiple of Delta1 (x) Delta2, so each is PSD by
-construction and built the same way.  Omega's largest eigenvalue is read
-off its structure.  The decomposition's omega is validated, because
-omega^{-1/2} reads its spectrum and the validation reuses it.
+Stacks: ``quantum_couplings`` and ``diagonal_couplings`` build the
+couplings of every pair of two ``states.StateStack``s in one batched pass
+and return what the ``couplings`` records read (eps, the overlaps, the
+fidelity of psi and Theta, the largest eigenvalue of the diagonal
+omega).  They read the eigenpairs each validated state carries, so no
+state is decomposed twice.  Each matrix is formed as the scalar
+construction forms it, so every value is the one it would have alone.
+``build_decomposition``, ``quantum_coupling`` and ``diagonal_coupling``
+are their stacks of one: they take a pair through ``states.state_pair``
+and add the objects no record reads (Delta and Delta', X and Y, the
+states phi and psi, the diagonal omega).
+
+Every Delta is a normalised positive part, a state by construction, and
+is held to the trace rule only, never decomposed.  Theta and the
+diagonal coupling's omega are d^2 x d^2 states, each a rank-one term plus
+a nonnegative multiple of Delta1 (x) Delta2, so each is PSD by
+construction.  Omega's largest eigenvalue is read off its structure, and
+the fidelity of the pure psi with Theta is ``sqrt(<psi|Theta|psi>)``.
+The decomposition's omega is validated, because omega^{-1/2} reads its
+spectrum and the validation reuses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (PSD_ATOL, HermitianOperator, check_dense_dim, positive_part, rank_one_factor,
-                     trace_norm)
-from .states import BipartiteState, DensityOperator, state_pair, vector_marginals
+from .linalg import (PSD_ATOL, _symmetrized, check_dense_dim, eigenpairs, function_stack,
+                     pure_fidelities, rank_one_factor)
+from .states import (RENORM_ATOL, BipartiteState, DensityOperator, StateStack, _check_state,
+                     built_stack, density_stack, pure_stack, state_pair, vector_marginals)
 
 _DEGENERATE_EPS = 1e-12
 
@@ -92,6 +106,43 @@ class DiagonalCoupling:
     largest_eigenvalue: float
 
 
+class Decompositions(NamedTuple):
+    """The decomposition of each pair of two state stacks: eps, the positive
+    parts ``eps Delta = (rho - sigma)_+`` (symmetrized), the eigenpairs of
+    ``rho - sigma`` and the validated omegas (rho where eps < 1e-12)."""
+
+    epsilon: np.ndarray  # (n,)
+    eps_delta: np.ndarray  # (n, d, d)
+    diff: tuple  # (lam, u) of rho - sigma
+    omega: StateStack
+
+
+class QuantumCouplings(NamedTuple):
+    """The quantum coupling of each pair of two state stacks: what the
+    records read, and the parts ``quantum_coupling`` assembles."""
+
+    epsilon: np.ndarray  # (n,)
+    overlap_psi: np.ndarray  # (n,) |<psi|vartheta>|
+    overlap_phi: np.ndarray  # (n,) |<phi|vartheta>|
+    fidelity_theta: np.ndarray  # (n,) F(psi, Theta)
+    sqrt_rho: np.ndarray  # (n, d, d)
+    sqrt_sigma: np.ndarray  # (n, d, d)
+    omega_isq: np.ndarray  # (n, d, d) omega^{-1/2} on its support
+    scale: np.ndarray  # (n,) 1 / sqrt(1 + eps)
+    vartheta: np.ndarray  # (n, d^2)
+    theta: np.ndarray  # (n, d^2, d^2) validated
+
+
+class DiagonalCouplings(NamedTuple):
+    """The diagonal coupling of each pair of two state stacks."""
+
+    largest_eigenvalue: np.ndarray  # (n,)
+    epsilon_mirsky: np.ndarray  # (n,), 0 where below 1e-12
+    phi_vectors: np.ndarray  # (n, d^2)
+    bases: tuple  # the phase-fixed eigenbases (e, f), (n, d, d) each
+    residuals: tuple  # (m1, m2), the spectra (r - s)_+ and (s - r)_+ of the residuals
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -113,28 +164,96 @@ def maximal_classical_coupling(p, q) -> ClassicalCoupling:
     return ClassicalCoupling(joint=joint)
 
 
-def _unit_trace(op: HermitianOperator) -> DensityOperator:
-    """``op / tr op`` for a positive part ``op``, a state by construction;
-    dividing by eps would scale rounding by 1/eps."""
-    return DensityOperator._built(op.mat / op.trace())
+def _stack_pair(rho, sigma):
+    """A pair of states as two stacks of one."""
+    rho, sigma = state_pair(rho, sigma)
+    return StateStack.of(rho), StateStack.of(sigma)
+
+
+def _positive(lam):
+    return np.where(lam > 0, lam, 0.0)
+
+
+def _overlaps(a, b) -> np.ndarray:
+    """|<a|b>| of each pair of rows of two (n, D) stacks, as ``abs(np.vdot)``."""
+    z = (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
+    return np.hypot(z.real, z.imag)
+
+
+def _unit_trace(mats) -> np.ndarray:
+    """``op / tr op`` of each of a stack of positive parts, states by
+    construction; dividing by eps would scale rounding by 1/eps."""
+    return built_stack(mats / np.trace(mats, axis1=1, axis2=2).real[:, None, None])
+
+
+def decompositions(rho: StateStack, sigma: StateStack) -> Decompositions:
+    """The eps/(rho - sigma)_+/omega of each pair of two stacks of states."""
+    diff = eigenpairs(_symmetrized(rho.mats - sigma.mats))
+    eps = 0.5 * np.abs(diff[0]).sum(axis=1)
+    apart = eps >= _DEGENERATE_EPS
+    eps[~apart] = 0.0
+    eps_delta = _symmetrized(function_stack(*diff, _positive))
+    omega = StateStack(*(a.copy() for a in rho))
+    if apart.any():
+        mats = (sigma.mats[apart] + eps_delta[apart]) / (1.0 + eps[apart, None, None])
+        for part, validated in zip(omega, density_stack(mats, vectors=True)):
+            part[apart] = validated
+    return Decompositions(eps, eps_delta, diff, omega)
 
 
 def build_decomposition(rho: DensityOperator, sigma: DensityOperator) -> CouplingDecomposition:
     """The eps/Delta/Delta'/omega bundle with eps Delta = (rho - sigma)_+
-    and eps Delta' = (sigma - rho)_+."""
-    rho, sigma = state_pair(rho, sigma)
-    diff = rho - sigma
-    eps = 0.5 * trace_norm(diff)
-    if eps < _DEGENERATE_EPS:
-        mm = DensityOperator.maximally_mixed(rho.dim)
-        return CouplingDecomposition(epsilon=0.0, delta=mm, delta_prime=mm, omega=rho)
-    eps_delta = positive_part(diff)
-    omega = DensityOperator((sigma.mat + eps_delta.mat) / (1.0 + eps))
-    delta = _unit_trace(eps_delta)
-    delta_prime = _unit_trace(diff.apply_function(lambda lam: np.where(lam < 0, -lam, 0.0)))
-    return CouplingDecomposition(
-        epsilon=eps, delta=delta, delta_prime=delta_prime, omega=omega
-    )
+    and eps Delta' = (sigma - rho)_+; the stack of one of ``decompositions``."""
+    dec = decompositions(*_stack_pair(rho, sigma))
+    eps, omega = float(dec.epsilon[0]), DensityOperator._trusted(*(a[0] for a in dec.omega))
+    if eps == 0.0:
+        mm = DensityOperator.maximally_mixed(omega.dim)
+        return CouplingDecomposition(epsilon=0.0, delta=mm, delta_prime=mm, omega=omega)
+    negative = function_stack(*dec.diff, lambda lam: np.where(lam < 0, -lam, 0.0))
+    delta, delta_prime = _unit_trace(np.concatenate([dec.eps_delta, _symmetrized(negative)]))
+    return CouplingDecomposition(epsilon=eps, delta=DensityOperator._trusted(delta),
+                                 delta_prime=DensityOperator._trusted(delta_prime), omega=omega)
+
+
+def quantum_couplings(rho: StateStack, sigma: StateStack) -> QuantumCouplings:
+    """The quantum coupling of each pair of two stacks of states (see
+    ``quantum_coupling``), with the matrix Theta but none of phi, psi, X, Y
+    or Delta' built."""
+    n, d = rho.eigenvalues.shape
+    check_dense_dim(d * d)
+    sqrt_rho, sqrt_sigma = (_symmetrized(function_stack(s.eigenvalues, s.eigenvectors, np.sqrt,
+                                                         support_only=True))
+                            for s in (rho, sigma))
+    dec = decompositions(rho, sigma)
+    omega_isq = _symmetrized(function_stack(dec.omega.eigenvalues, dec.omega.eigenvectors,
+                                            lambda x: 1.0 / np.sqrt(x), support_only=True))
+    scale = 1.0 / np.sqrt(1.0 + dec.epsilon)
+    vartheta = (scale[:, None, None] * (sqrt_rho @ omega_isq @ sqrt_sigma)).reshape(n, d * d)
+    norm_sq = (vartheta.conj()[:, None, :] @ vartheta[:, :, None])[:, 0, 0].real
+    marg1, marg2 = vector_marginals(vartheta, d, d)
+    slack = 1.0 - norm_sq
+    full = slack > _DEGENERATE_EPS
+    theta = vartheta[:, :, None] * vartheta.conj()[:, None, :]
+    if full.any():
+        res = np.stack([rho.mats[full] - marg1[full],
+                        sigma.mats[full].swapaxes(1, 2) - marg2[full]], axis=1)
+        lam, u = eigenpairs(_symmetrized(res.reshape(-1, d, d)))
+        for lam_min in lam[:, -1].tolist():
+            if lam_min < -PSD_ATOL:
+                raise CouplingConsistencyError(f"marginal residual has eigenvalue {lam_min:.3e}")
+        d1, d2 = _unit_trace(_symmetrized(function_stack(lam, u, _positive))
+                             ).reshape(-1, 2, d, d).swapaxes(0, 1)
+        kron = (d1[:, :, None, :, None] * d2[:, None, :, None, :]).reshape(-1, d * d, d * d)
+        theta[full] += slack[full, None, None] * kron
+    theta[~full] /= norm_sq[~full, None, None]
+    theta = built_stack(theta)
+    psi, phi = (pure_stack(s.reshape(n, d * d)) for s in (sqrt_sigma, sqrt_rho))
+    return QuantumCouplings(
+        epsilon=dec.epsilon, overlap_psi=_overlaps(psi.vectors, vartheta),
+        overlap_phi=_overlaps(phi.vectors, vartheta),
+        fidelity_theta=pure_fidelities(psi.vectors, psi.weights, theta),
+        sqrt_rho=sqrt_rho, sqrt_sigma=sqrt_sigma, omega_isq=omega_isq, scale=scale,
+        vartheta=vartheta, theta=theta)
 
 
 def quantum_coupling(rho: DensityOperator, sigma: DensityOperator) -> QuantumCoupling:
@@ -144,58 +263,70 @@ def quantum_coupling(rho: DensityOperator, sigma: DensityOperator) -> QuantumCou
     Theta = |vartheta><vartheta| + (1 - <vartheta|vartheta>) Delta1 (x) Delta2,
     where Delta1, Delta2 normalize the marginal residuals.  Guarantees
     |<psi|vartheta>|, |<phi|vartheta>| >= 1 - eps and Theta marginals
-    (rho, sigma^T).
+    (rho, sigma^T).  The stack of one of ``quantum_couplings``.
     """
-    rho, sigma = state_pair(rho, sigma)
-    d = rho.dim
-    check_dense_dim(d * d)
+    qc = quantum_couplings(*_stack_pair(rho, sigma))
+    sqrt_rho, sqrt_sigma, omega_isq, scale = (qc.sqrt_rho[0], qc.sqrt_sigma[0],
+                                              qc.omega_isq[0], qc.scale[0])
+    d = len(sqrt_rho)
     # sqrt(rho), flattened row-major, is the pretty good purification of rho
-    sqrt_rho = rho.sqrt().mat
-    sqrt_sigma = sigma.sqrt().mat
-    phi = BipartiteState.pure(sqrt_rho.reshape(-1), (d, d))
-    psi = BipartiteState.pure(sqrt_sigma.reshape(-1), (d, d))
-
-    dec = build_decomposition(rho, sigma)
-    eps = dec.epsilon
-    omega_isq = dec.omega.apply_function(lambda x: 1.0 / np.sqrt(x), support_only=True).mat
-    scale = 1.0 / np.sqrt(1.0 + eps)
-    x_op = scale * (sqrt_rho @ omega_isq)
-    y_op = scale * (sqrt_sigma.T @ omega_isq.T)  # (sigma^T)^{1/2} (omega^T)^{-1/2}
-    vartheta = (scale * (sqrt_rho @ omega_isq @ sqrt_sigma)).reshape(-1)
-
-    norm_sq = float(np.real(np.vdot(vartheta, vartheta)))
-    marg1, marg2 = vector_marginals(vartheta, d, d)
-    res1 = HermitianOperator._built(rho.mat - marg1)
-    res2 = HermitianOperator._built(sigma.mat.T - marg2)
-    slack = 1.0 - norm_sq
-    if slack > _DEGENERATE_EPS:
-        for res in (res1, res2):
-            if res.eigenvalues[-1] < -PSD_ATOL:
-                raise CouplingConsistencyError(
-                    f"marginal residual has eigenvalue {res.eigenvalues[-1]:.3e}"
-                )
-        d1, d2 = _unit_trace(positive_part(res1)), _unit_trace(positive_part(res2))
-        theta_mat = np.outer(vartheta, vartheta.conj()) + slack * np.kron(d1.mat, d2.mat)
-    else:
-        theta_mat = np.outer(vartheta, vartheta.conj()) / norm_sq
-    theta = DensityOperator._built(theta_mat)
+    phi, psi = (BipartiteState.pure(m.reshape(-1), (d, d)) for m in (sqrt_rho, sqrt_sigma))
     return QuantumCoupling(
-        phi=phi, psi=psi, vartheta=vartheta, x_op=x_op, y_op=y_op,
-        theta=theta, epsilon=eps,
+        phi=phi, psi=psi, vartheta=qc.vartheta[0], x_op=scale * (sqrt_rho @ omega_isq),
+        # (sigma^T)^{1/2} (omega^T)^{-1/2}
+        y_op=scale * (sqrt_sigma.T @ omega_isq.T),
+        theta=DensityOperator._trusted(qc.theta[0]), epsilon=float(qc.epsilon[0]),
     )
 
 
-def _phase_fixed_eigenbasis(op: HermitianOperator):
-    """Eigenpairs in non-increasing order with each eigenvector's
-    largest-magnitude component made real positive.  Determinism aid for
-    degenerate spectra; the coupling bounds hold for any tie-breaking."""
-    lam = op.eigenvalues
-    vecs = op.eigenvectors.copy()
-    for k in range(op.dim):
-        j = int(np.argmax(np.abs(vecs[:, k])))
-        ph = vecs[j, k]
-        vecs[:, k] *= np.conj(ph) / abs(ph)
-    return lam, vecs
+def _phase_fixed(u) -> np.ndarray:
+    """Each stack of eigenvectors with each column's largest-magnitude
+    component made real positive.  Determinism aid for degenerate spectra;
+    the coupling bounds hold for any tie-breaking."""
+    top = np.take_along_axis(u, np.argmax(np.abs(u), axis=1)[:, None, :], axis=1)
+    return u * (np.conj(top) / np.hypot(top.real, top.imag))
+
+
+def _factored_weights(vecs, lam) -> np.ndarray:
+    """The eigenvalues ``DensityOperator.factored(v, lam)`` keeps for each of
+    a stack of bases ``vecs`` and weights ``lam`` summing to 1: ``lam``, over
+    the trace of its matrix where that is off from 1 by more than
+    ``RENORM_ATOL``.  The diagonal is summed term by term as that
+    constructor sums its outer products."""
+    diag = 0.0
+    for k in range(lam.shape[1]):
+        diag = diag + (vecs[:, :, k] * lam[:, k, None]) * vecs[:, :, k].conj()
+    tr = diag.sum(axis=1).real
+    for t in tr.tolist():
+        _check_state(0.0, t)
+    return np.where(np.abs(tr - 1.0)[:, None] > RENORM_ATOL, lam / tr[:, None], lam)
+
+
+def diagonal_couplings(rho: StateStack, sigma: StateStack) -> DiagonalCouplings:
+    """The diagonal coupling of each pair of two stacks of states (see
+    ``diagonal_coupling``), with no omega built."""
+    n, d = rho.eigenvalues.shape
+    check_dense_dim(d * d)
+    (r, e), (s, f) = ((x.eigenvalues, _phase_fixed(x.eigenvectors)) for x in (rho, sigma))
+    c = np.sqrt(np.minimum(r, s))
+    # V = sum_i c_i e_i f_i^T  ->  flat vector in the A-major convention
+    phi = ((e * c[:, None, :]) @ f.swapaxes(1, 2)).reshape(n, d * d)
+    eps = 0.5 * np.abs(r - s).sum(axis=1)
+    apart = eps > _DEGENERATE_EPS
+    eps[~apart] = 0.0
+    # each residual over its own sum: dividing by eps would scale the
+    # rounding of that sum by 1/eps
+    m1, m2 = np.maximum(r - s, 0.0), np.maximum(s - r, 0.0)
+    largest = np.ones(n)
+    if apart.any():
+        w1, w2 = (_factored_weights(b[apart], m[apart] / m[apart].sum(axis=1)[:, None])
+                  for b, m in ((e, m1), (f, m2)))
+        norm_sq = (phi[apart].conj()[:, None, :] @ phi[apart][:, :, None])[:, 0, 0].real
+        product = eps[apart] * w1.max(axis=1) * w2.max(axis=1)
+        largest[apart] = np.where(product > norm_sq, product, norm_sq)
+    if not apart.all():
+        largest[~apart] = pure_stack(phi[~apart]).weights
+    return DiagonalCouplings(largest, eps, phi, (e, f), (m1, m2))
 
 
 def diagonal_coupling(rho: DensityOperator, sigma: DensityOperator) -> DiagonalCoupling:
@@ -211,35 +342,18 @@ def diagonal_coupling(rho: DensityOperator, sigma: DensityOperator) -> DiagonalC
     equation of this rank-one update is fully deflated, and the spectrum
     of omega is ``<phi|phi>`` beside ``eps m1_k m2_l``.  Its largest
     eigenvalue is at least 1 - trace distance, and eps equals half the l1
-    distance of the sorted spectra (Mirsky).
+    distance of the sorted spectra (Mirsky).  The stack of one of
+    ``diagonal_couplings``.
     """
-    rho, sigma = state_pair(rho, sigma)
-    d = rho.dim
-    check_dense_dim(d * d)
-    r, e = _phase_fixed_eigenbasis(rho)
-    s, f = _phase_fixed_eigenbasis(sigma)
-    c = np.sqrt(np.minimum(r, s))
-    # V = sum_i c_i e_i f_i^T  ->  flat vector in the A-major convention
-    v_mat = (e * c) @ f.T
-    phi_vec = v_mat.reshape(-1)
-    eps = float(0.5 * np.abs(r - s).sum())
-    if eps > _DEGENERATE_EPS:
-        # each residual over its own sum: dividing by eps would scale the
-        # rounding of that sum by 1/eps
-        m1, m2 = np.maximum(r - s, 0.0), np.maximum(s - r, 0.0)
-        d1 = DensityOperator.factored(e, m1 / m1.sum())
-        d2 = DensityOperator.factored(f, m2 / m2.sum())
+    dc = diagonal_couplings(*_stack_pair(rho, sigma))
+    phi_vec, eps = dc.phi_vectors[0], float(dc.epsilon_mirsky[0])
+    d = dc.bases[0].shape[-1]
+    if eps > 0.0:
+        d1, d2 = (DensityOperator.factored(b[0], m[0] / m[0].sum())
+                  for b, m in zip(dc.bases, dc.residuals))
         omega = BipartiteState._built(
             np.outer(phi_vec, phi_vec.conj()) + eps * np.kron(d1.mat, d2.mat), (d, d))
-        largest = float(max(np.vdot(phi_vec, phi_vec).real,
-                            eps * d1.eigenvalues[0] * d2.eigenvalues[0]))
     else:
         omega = BipartiteState.pure(phi_vec, (d, d))
-        largest = float(omega.eigenvalues[0])
-        eps = 0.0
-    return DiagonalCoupling(
-        omega=omega,
-        phi_vector=phi_vec,
-        epsilon_mirsky=eps,
-        largest_eigenvalue=largest,
-    )
+    return DiagonalCoupling(omega=omega, phi_vector=phi_vec, epsilon_mirsky=eps,
+                            largest_eigenvalue=float(dc.largest_eigenvalue[0]))

@@ -8,13 +8,15 @@ out of the report payload).
 
 Chunks: ``_check`` hands a case function the cases of equal parameters
 together, one generator per case, and puts their records back in case
-order.  The ``fannes``, ``af`` and ``energy_bounds`` suites draw each case
-from its own generator as the scalar samplers do, validate and decompose
-the whole chunk as one stack (``states.density_stack``) and score it with
-the stacked checks, with the same report bytes.  A chunk draws at most
-``_CHUNK_BYTES`` (256 KiB) of dense matrices, one case at least, so that
-large states are never stacked beyond one case; every other suite takes
-chunks of one case.
+order.  The ``fannes``, ``af``, ``energy_bounds``, ``couplings`` and
+``cor_pure`` suites draw each case from its own generator as the scalar
+samplers do, validate and decompose the whole chunk as one stack
+(``states.density_stack``; ``cor_pure`` keeps its pure states as vectors,
+``states.pure_stack``) and score it with the stacked checks and couplings,
+with the same report bytes.  A chunk holds at most ``_CHUNK_BYTES``
+(256 KiB) of dense matrices, one case at least, so that large states are
+never stacked beyond one case (a ``couplings`` case counts its d^2 x d^2
+Theta); every other suite takes chunks of one case.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from . import bounds as bnd
 from . import couplings as cpl
 from . import gibbs as gb
 from .entropies import shannon_entropy, von_neumann_entropies
-from .linalg import fidelity, trace_distances
-from .states import (density_stack, draw_qc, draw_state_matrices, embedded_stack,
-                     qc_matrices, sample_pure_bipartite, sample_state)
+from .linalg import trace_distances
+from .states import (density_stack, draw_pure_vectors, draw_qc, draw_state_matrices,
+                     embedded_stack, pure_stack, qc_matrices, sample_state)
 
 REPORT_COLUMNS = ("suite", "case", "variant", "dim", "energy", "epsilon",
                   "epsilon_prime", "lhs", "rhs", "slack", "valid")
@@ -146,9 +148,8 @@ def _case_af(rngs, d, classical_b):
     """A chunk of ``sample_qc_state`` pairs (with ``classical_b``) or of
     ``sample_state`` pairs on d x d, checked by ``check_af``."""
     if classical_b:
-        draws = [draw_qc(d, d, rng) for rng in _twice(rngs)]
-        blocks = density_stack(np.concatenate([b for _, b in draws])).mats
-        mats = qc_matrices(np.stack([p for p, _ in draws]), blocks.reshape(-1, d, d, d))
+        p, blocks = draw_qc(d, d, _twice(rngs))
+        mats = qc_matrices(p, density_stack(blocks.reshape(-1, d, d)).mats.reshape(-1, d, d, d))
     else:
         mats = draw_state_matrices(d * d, d * d, _twice(rngs))
     rho, sigma = density_stack(mats).split()
@@ -162,24 +163,31 @@ def _case_dc(rng, d):
     return [bnd.check_dc(*sample_pair(rng, d), model)]
 
 
-@_per_case
-def _case_couplings(rng, d):
-    rho, sigma = sample_pair(rng, d)
-    qc = cpl.quantum_coupling(rho, sigma)
-    eps = qc.epsilon
+def _case_couplings(rngs, d):
+    """A chunk of ``sample_pair`` pairs, coupled as one stack: the overlaps of
+    vartheta with psi and phi, F(psi, Theta) and the diagonal coupling's
+    largest eigenvalue, each against 1 - eps."""
+    rho, sigma = density_stack(draw_state_matrices(d, d, _twice(rngs)), vectors=True).split()
+    qc = cpl.quantum_couplings(rho, sigma)
     rhs = {"quantum_overlap_psi": qc.overlap_psi,
            "quantum_overlap_phi": qc.overlap_phi,
-           "quantum_fidelity_theta": fidelity(qc.psi, qc.theta),
-           "diagonal_largest_eigenvalue": cpl.diagonal_coupling(rho, sigma).largest_eigenvalue}
-    return [bnd.BoundReport(variant=v, dim=d, lhs=1.0 - eps, rhs=r, epsilon=eps)
-            for v, r in rhs.items()]
+           "quantum_fidelity_theta": qc.fidelity_theta,
+           "diagonal_largest_eigenvalue": cpl.diagonal_couplings(rho, sigma).largest_eigenvalue}
+    rhs = {v: r.tolist() for v, r in rhs.items()}
+    return [[bnd.BoundReport(variant=v, dim=d, lhs=1.0 - eps, rhs=r[k], epsilon=eps)
+             for v, r in rhs.items()] for k, eps in enumerate(qc.epsilon.tolist())]
 
 
-@_per_case
-def _case_cor_pure(rng, d):
-    phi = sample_pure_bipartite(d, d, rng)
-    psi = sample_pure_bipartite(d, d, rng)
-    return [bnd.check_cor_pure(phi, psi, which="ef")]
+def _couplings_bytes(d):
+    """The bytes of one couplings case's Theta, a complex d^2 x d^2 matrix."""
+    return 16 * d**4
+
+
+def _case_cor_pure(rngs, d):
+    """A chunk of ``sample_pure_bipartite`` pairs on d x d, checked by
+    ``check_cor_pure`` as one stack."""
+    phi, psi = pure_stack(draw_pure_vectors(d * d, _twice(rngs))).split()
+    return [[rep] for rep in bnd.check_cor_pure_stack(phi, psi, (d, d), which="ef")]
 
 
 def _grid_gibbs(energies):
@@ -254,8 +262,8 @@ _SUITE_TABLE = {
     "fannes": (_dims_by_samples, _case_fannes, _SAMPLED, _pair_bytes),
     "af": (_grid_af, _case_af, _SAMPLED, lambda d, classical_b: _pair_bytes(d * d)),
     "dc": (_dims_by_samples, _case_dc, _SAMPLED, None),
-    "couplings": (_dims_by_samples, _case_couplings, _SAMPLED, None),
-    "cor_pure": (_dims_by_samples, _case_cor_pure, _SAMPLED, None),
+    "couplings": (_dims_by_samples, _case_couplings, _SAMPLED, _couplings_bytes),
+    "cor_pure": (_dims_by_samples, _case_cor_pure, _SAMPLED, _pair_bytes),
     "gibbs": (_grid_gibbs, _case_gibbs, ("energies",), None),
     "energy_bounds": (_grid_energy_bounds, _case_energy_bounds, ("energies", "samples", "seed"),
                       _energy_bounds_bytes),

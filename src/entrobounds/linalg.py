@@ -32,8 +32,11 @@ matrices in one pass: the same scans, judged by the same rules
 (``_check_hermitian``), the same symmetrization (``_symmetrized``) and
 one batched ``descending_eigh``, whose every matrix is decomposed bit for
 bit as it would be alone.
-``trace_distances`` is ``trace_distance`` over two such stacks.  No
-operator object is built; ``states.density_stack`` adds the state rules.
+``trace_distances`` is ``trace_distance`` over two such stacks,
+``function_stack`` is ``apply_function`` over a stack of eigenpairs,
+``unit_vectors`` is the normalization of ``pure`` and ``pure_fidelities``
+the rank-one branch of ``fidelity``, each over a stack.  No operator
+object is built; ``states.density_stack`` adds the state rules.
 """
 
 from __future__ import annotations
@@ -217,11 +220,8 @@ class HermitianOperator:
     @classmethod
     def pure(cls, vec, *args) -> "HermitianOperator":
         """``|v><v|`` for ``v = vec / ||vec||``: the factor ``(v, [1], 0)``."""
-        v = np.asarray(vec, dtype=complex)
-        norm = np.linalg.norm(v)
-        if not 0.0 < norm < np.inf:
-            raise ValueError(f"cannot normalize a vector of norm {norm:g}")
-        return cls.factored((v / norm)[:, None], [1.0], 0.0, *args)
+        v = unit_vectors(np.asarray(vec, dtype=complex)[None])[0]
+        return cls.factored(v[:, None], [1.0], 0.0, *args)
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -237,9 +237,9 @@ class HermitianOperator:
 
     def _decompose(self, vectors=False):
         if self.factor is None and self.block is None:
-            evals, evecs = descending_eigh(self.mat)
-            self._eigenvalues = _frozen(np.ascontiguousarray(evals))
-            self._eigenvectors = _frozen(np.ascontiguousarray(evecs))
+            evals, evecs = eigenpairs(self.mat)
+            self._eigenvalues = _frozen(evals)
+            self._eigenvectors = _frozen(evecs)
             return
         # one stable sort of [lam, c, ..., c]; the basis of V (or of the
         # block) and of its complement follows it
@@ -296,21 +296,8 @@ class HermitianOperator:
         ``support_mask`` are retained; the rest map to 0 (support-restricted
         convention, e.g. ``omega^{-1/2}``).
         """
-        lam = self.eigenvalues
-        out = np.zeros_like(lam)
-        if support_only:
-            keep = support_mask(lam)
-        else:
-            keep = np.ones(self.dim, dtype=bool)
-        with np.errstate(all="ignore"):
-            out[keep] = f(lam[keep])
-        bad = ~np.isfinite(out)
-        if bad.any():
-            raise MatrixFunctionDomainError(
-                f"function undefined at retained eigenvalue {lam[bad][0]!r}"
-            )
-        u = self.eigenvectors
-        return HermitianOperator._built((u * out) @ u.conj().T)
+        return HermitianOperator._built(
+            function_stack(self.eigenvalues[None], self.eigenvectors[None], f, support_only)[0])
 
     def sqrt(self) -> "HermitianOperator":
         """The square root of the support; an eigenvalue below ``-PSD_ATOL``
@@ -327,6 +314,55 @@ def descending_eigh(mats):
     flipped to non-increasing order; it reads the lower triangle only."""
     lam, u = np.linalg.eigh(mats)
     return lam[..., ::-1], u[..., ::-1]
+
+
+def eigenpairs(mats):
+    """``descending_eigh`` of a matrix or a stack, both parts contiguous, as
+    an operator caches them (a matrix product of a flipped view would not
+    go through BLAS)."""
+    lam, u = descending_eigh(mats)
+    return np.ascontiguousarray(lam), np.ascontiguousarray(u)
+
+
+def function_stack(lam, u, f, support_only: bool = False):
+    """``U f(Lambda) U^dagger`` of each of a stack of eigenpairs ``(lam, u)``
+    (non-increasing), unsymmetrized: ``apply_function`` of each operator,
+    bit for bit, since ``u`` is multiplied in the contiguous layout an
+    operator caches.  ``f`` acts elementwise on the retained
+    eigenvalues, all of them or, with ``support_only``, those in
+    ``support_mask`` (the rest map to 0); a non-finite value raises."""
+    keep = support_mask(lam) if support_only else np.ones(lam.shape, dtype=bool)
+    out = np.zeros_like(lam)
+    with np.errstate(all="ignore"):
+        out[keep] = f(lam[keep])
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise MatrixFunctionDomainError(
+            f"function undefined at retained eigenvalue {lam[bad][0]!r}"
+        )
+    u = np.ascontiguousarray(u)
+    return (u * out[:, None, :]) @ u.conj().swapaxes(1, 2)
+
+
+def unit_vectors(vecs):
+    """Each row of an (n, D) complex stack over its Euclidean norm, the norm
+    summed as ``np.linalg.norm`` sums it; a norm that is 0 or not finite
+    raises ``ValueError``."""
+    re, im = vecs.real, vecs.imag
+    norms = np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0]
+    for norm in norms.tolist():
+        if not 0.0 < norm < np.inf:
+            raise ValueError(f"cannot normalize a vector of norm {norm:g}")
+    return vecs / norms[:, None]
+
+
+def pure_fidelities(vecs, weights, mats) -> np.ndarray:
+    """``fidelity(w |v><v|, M)`` of each unit vector ``v`` of an (n, D) stack
+    with its weight ``w`` and the matrix ``M`` of an (n, D, D) stack:
+    ``sqrt(w <v|M|v>)``, clipped to [0, 1]."""
+    mv = mats @ vecs[:, :, None]
+    overlap = (vecs.conj()[:, None, :] @ mv)[:, 0, 0].real
+    return np.minimum(np.sqrt(np.maximum(weights * overlap, 0.0)), 1.0)
 
 
 def hermitian_stack(mats):
@@ -402,8 +438,7 @@ def fidelity(rho, sigma) -> float:
         pair = rank_one_factor(pure)
         if pair is not None:
             v, w = pair
-            f = np.sqrt(max(w * np.real(np.vdot(v, other.mat @ v)), 0.0))
-            return float(min(f, 1.0))
+            return float(pure_fidelities(v[None], np.array([w]), other.mat[None])[0])
     prod = rho_op.sqrt().mat @ sigma_op.sqrt().mat
     f = trace_norm(prod)
     return float(min(max(f, 0.0), 1.0))
@@ -413,6 +448,17 @@ def trace_distance(rho, sigma) -> float:
     """Half the trace norm of the difference."""
     rho_op, sigma_op = _operator_pair(rho, sigma)
     return 0.5 * trace_norm(rho_op - sigma_op)
+
+
+def pure_trace_distances(a, wa, b, wb) -> np.ndarray:
+    """``trace_distance(wa |a><a|, wb |b><b|)`` of each pair of unit vectors
+    of two (n, D) stacks with their weights, as ``__sub__`` factors the
+    difference: the eigenvalues of ``R diag(wa, -wb) R^dagger`` for the R of
+    the QR of ``[a b]``, with no D x D matrix built."""
+    r = np.linalg.qr(np.stack([a, b], axis=2), mode="r")
+    mu = np.linalg.eigh((r * np.stack([wa, -wb], axis=1)[:, None, :]) @ r.conj().swapaxes(1, 2))[0]
+    # the D - 2 zero eigenvalues of the difference add nothing to its trace norm
+    return 0.5 * np.abs(mu).sum(axis=1)
 
 
 def trace_distances(a, b, dim=None) -> np.ndarray:

@@ -15,11 +15,18 @@ Stacks
 matrices: ``linalg.hermitian_stack`` followed by the state rules
 (``_check_state``) and repairs (``_clamped``, the renormalisation by
 ``RENORM_ATOL``) that the constructor applies, element by element and
-bit for bit, with no object built.  It returns a :class:`StateStack`.
-The sampling functions draw their unvalidated matrices through
-``draw_state_matrices`` and ``draw_qc``, so a stacked campaign draws each
-case from its generator exactly as ``sample_state`` and
-``sample_qc_state`` do.
+bit for bit, with no object built.  It returns a :class:`StateStack`,
+with the eigenvectors on request, so that the couplings decompose no
+state twice.  ``built_stack`` is ``DensityOperator._built`` for a stack.
+``pure_stack`` is ``DensityOperator.pure`` for an (n, D) stack of
+vectors: a :class:`PureStack` of unit vectors and the weights the trace
+rule leaves, with no D x D matrix built; ``pure_marginals`` gives their
+marginals as ``partial_traces`` of those matrices would.  The sampling
+functions draw through ``draw_state_matrices``, ``draw_pure_vectors`` and
+``draw_qc``, one case per generator in turn; ``sample_state``,
+``sample_pure_state``, ``sample_pure_bipartite`` and ``sample_qc_state``
+are their stacks of one, so a stacked campaign draws each case exactly
+as the scalar samplers do.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (PSD_ATOL, HermitianOperator, _frozen, _operator_pair, _symmetrized,
-                     check_dense_dim, hermitian_stack)
+                     check_dense_dim, hermitian_stack, unit_vectors)
 
 # A state's trace may be off from 1 by TRACE_ATOL, and is renormalized when
 # it is off by more than RENORM_ATOL.
@@ -124,6 +131,18 @@ class DensityOperator(HermitianOperator):
         return state if cls is DensityOperator else cls(state, *args)
 
     @classmethod
+    def _trusted(cls, mat, eigenvalues=None, eigenvectors=None) -> "DensityOperator":
+        """A state whose matrix the stacked rules (``density_stack``,
+        ``built_stack``) have already symmetrized, validated and repaired,
+        with its eigenpairs if known: no rule is applied again."""
+        state = DensityOperator.__new__(DensityOperator)
+        state._set_matrix(mat)  # symmetrizing a symmetrized matrix changes no bit
+        if eigenvalues is not None:
+            state._eigenvalues = _frozen(np.array(eigenvalues))
+            state._eigenvectors = _frozen(np.array(eigenvectors))
+        return state
+
+    @classmethod
     def maximally_mixed(cls, dim: int, *args) -> "DensityOperator":
         return cls.diagonal(np.full(dim, 1.0 / dim), *args)
 
@@ -151,25 +170,34 @@ class BipartiteState(DensityOperator):
 
 class StateStack(NamedTuple):
     """n validated states of one dimension d, as ``density_stack`` leaves
-    them: their symmetrized (and repaired) matrices and their non-increasing
-    spectra."""
+    them: their symmetrized (and repaired) matrices, their non-increasing
+    spectra and, if kept, their eigenvectors: the eigenpairs a
+    ``DensityOperator`` keeps."""
 
     mats: np.ndarray  # (n, d, d) complex
     eigenvalues: np.ndarray  # (n, d) real
+    eigenvectors: np.ndarray | None = None  # (n, d, d) complex
+
+    @classmethod
+    def of(cls, *states) -> "StateStack":
+        """The stack of validated states of one dimension."""
+        return cls(*(np.stack([getattr(s, f) for s in states])
+                     for f in ("mat", "eigenvalues", "eigenvectors")))
 
     def split(self):
         """The stacks of the even and of the odd states: the rho and the
         sigma of each pair drawn rho first."""
-        return (StateStack(self.mats[0::2], self.eigenvalues[0::2]),
-                StateStack(self.mats[1::2], self.eigenvalues[1::2]))
+        return tuple(StateStack(*(None if a is None else a[k::2] for a in self)) for k in (0, 1))
 
 
-def density_stack(mats) -> StateStack:
+def density_stack(mats, vectors: bool = False) -> StateStack:
     """``DensityOperator(m)`` for each matrix ``m`` of an (n, d, d) stack, in
     one pass and bit for bit: the scans, symmetrization and decomposition of
     ``linalg.hermitian_stack``, then the state rules and the clamp or
     renormalization, element by element.  The first matrix (in stack
-    order) that the constructor rejects raises its error."""
+    order) that the constructor rejects raises its error.  The stack keeps
+    the eigenvectors with ``vectors`` only, so that a check that reads
+    spectra alone holds no d x d basis per state."""
     mats, lam, u = hermitian_stack(mats)
     tr = np.trace(mats, axis1=1, axis2=2).real
     for lam_min, t in zip(lam[:, -1].tolist(), tr.tolist()):
@@ -179,16 +207,71 @@ def density_stack(mats) -> StateStack:
         mat, lam[j] = _clamped(lam[j], np.ascontiguousarray(u[j]))
         mats[j] = _symmetrized(mat)
     _renormalize(mats, lam, tr, ~clamp)
-    return StateStack(mats, lam)
+    return StateStack(mats, lam, u if vectors else None)
+
+
+def built_stack(mats) -> np.ndarray:
+    """The matrix of ``DensityOperator._built(m)`` for each matrix ``m`` of
+    an (n, d, d) stack that is PSD by construction: symmetrized, held to
+    the trace rule and renormalized, never decomposed."""
+    mats = _symmetrized(mats)
+    tr = np.trace(mats, axis1=1, axis2=2).real
+    for t in tr.tolist():
+        _check_state(0.0, t)
+    _renormalize(mats, None, tr, True)
+    return mats
 
 
 def _renormalize(mats, lam, tr, among):
-    """Divide, in place, the matrices (symmetrized again) and spectra of the
-    states ``among`` whose traces ``tr`` are off from 1 by more than
-    ``RENORM_ATOL``, as the constructor renormalizes a state."""
+    """Divide, in place, the matrices (symmetrized again) and spectra (if
+    any) of the states ``among`` whose traces ``tr`` are off from 1 by more
+    than ``RENORM_ATOL``, as the constructor renormalizes a state."""
     rows = np.flatnonzero(among & (np.abs(tr - 1.0) > RENORM_ATOL))
     mats[rows] = _symmetrized(mats[rows] / tr[rows, None, None])
-    lam[rows] /= tr[rows, None]
+    if lam is not None:
+        lam[rows] /= tr[rows, None]
+
+
+class PureStack(NamedTuple):
+    """n pure states ``w |v><v|`` of one dimension D, as ``DensityOperator.pure``
+    leaves each: its unit vector and its weight, 1 or, where the trace of
+    ``|v><v|`` is off from 1 by more than ``RENORM_ATOL``, 1 over it."""
+
+    vectors: np.ndarray  # (n, D) complex
+    weights: np.ndarray  # (n,) real
+
+    def split(self):
+        """The stacks of the even and of the odd states (``StateStack.split``)."""
+        return PureStack(*(a[0::2] for a in self)), PureStack(*(a[1::2] for a in self))
+
+
+def pure_stack(vecs) -> PureStack:
+    """``DensityOperator.pure(v)`` for each row ``v`` of an (n, D) stack, with
+    no D x D matrix built: the unit vectors of ``linalg.unit_vectors`` and
+    the weights the constructor's trace rule leaves.  That trace sums the
+    diagonal ``|v_i|^2`` of the matrix as a complex array, as ``np.trace`` does."""
+    v = unit_vectors(np.asarray(vecs, dtype=complex))
+    tr = (v * v.conj()).sum(axis=1).real
+    for t in tr.tolist():
+        _check_state(0.0, t)
+    return PureStack(v, np.where(np.abs(tr - 1.0) > RENORM_ATOL, 1.0 / tr, 1.0))
+
+
+def pure_marginals(pure: PureStack, dims) -> np.ndarray:
+    """``partial_traces(m, dims, "A")`` of the matrix ``m`` of each state of a
+    pure stack on ``A (x) B``, bit for bit and with no D x D matrix built.
+    The entries of ``m`` it sums, ``w v_ij v_kj^*`` symmetrized, are formed
+    for one index j of B at a time and added in the order of j, the order
+    of that einsum."""
+    d_a, d_b = dims
+    v = pure.vectors.reshape(-1, d_a, d_b)
+    renorm = pure.weights != 1.0
+    out = 0.0
+    for j in range(d_b):
+        m = _symmetrized(v[:, :, j, None] * v.conj()[:, None, :, j])
+        m[renorm] *= pure.weights[renorm, None, None]
+        out = out + m
+    return out
 
 
 def embedded_stack(index, blocks: StateStack, dim: int) -> StateStack:
@@ -248,9 +331,12 @@ def partial_traces(mats, dims, keep: str) -> np.ndarray:
 
 
 def vector_marginals(vec, d_a: int, d_b: int):
-    """Marginal matrices (unnormalized) of a possibly sub-normalized vector."""
-    v = np.asarray(vec, dtype=complex).reshape(d_a, d_b)
-    return v @ v.conj().T, (v.conj().T @ v).T
+    """Marginal matrices (unnormalized) of a possibly sub-normalized vector,
+    or of each of a stack of them (last axis)."""
+    v = np.asarray(vec, dtype=complex)
+    v = v.reshape(*v.shape[:-1], d_a, d_b)
+    vh = v.conj().swapaxes(-1, -2)
+    return v @ vh, (vh @ v).swapaxes(-1, -2)
 
 
 def maximally_entangled_vector(dim: int) -> np.ndarray:
@@ -275,16 +361,32 @@ def pretty_good_purification(rho) -> BipartiteState:
 # -- sampling ----------------------------------------------------------------
 
 
+def _normals(rng, part) -> None:
+    """Fill the (2, n, m) buffer ``part`` from ``rng``: its real parts, then
+    its imaginary parts."""
+    rng.standard_normal(out=part[0])
+    rng.standard_normal(out=part[1])
+
+
 def _ginibre(rngs, n, m) -> np.ndarray:
     """One n x m complex Ginibre matrix from each generator of ``rngs`` in
     turn (real parts, then imaginary parts), as an (len(rngs), n, m) stack."""
     check_dense_dim(n)
     parts = np.empty((len(rngs), 2, n, m))
     for part, rng in zip(parts, rngs):
-        rng = np.random.default_rng(rng)
-        rng.standard_normal(out=part[0])
-        rng.standard_normal(out=part[1])
+        _normals(np.random.default_rng(rng), part)
+    return _complex(parts)
+
+
+def _complex(parts) -> np.ndarray:
+    """The complex matrices of the normals ``parts`` (n, 2, dim, rank)."""
     return (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2)
+
+
+def _hs_matrices(g) -> np.ndarray:
+    """``g g^dagger / tr(g g^dagger)`` of each matrix of an (n, dim, rank) stack."""
+    m = g @ g.conj().swapaxes(1, 2)
+    return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
 
 
 def draw_state_matrices(dim: int, rank: int, rngs) -> np.ndarray:
@@ -292,9 +394,7 @@ def draw_state_matrices(dim: int, rank: int, rngs) -> np.ndarray:
     generator of ``rngs`` in turn, as an (len(rngs), dim, dim) stack."""
     if not 1 <= rank <= dim:
         raise ValueError(f"rank must be in [1, {dim}], got {rank}")
-    g = _ginibre(rngs, dim, rank)
-    m = g @ g.conj().swapaxes(1, 2)
-    return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+    return _hs_matrices(_ginibre(rngs, dim, rank))
 
 
 def sample_state(dim: int, rank: int, rng) -> DensityOperator:
@@ -303,22 +403,35 @@ def sample_state(dim: int, rank: int, rng) -> DensityOperator:
     return DensityOperator(draw_state_matrices(dim, rank, [rng])[0])
 
 
+def draw_pure_vectors(dim: int, rngs) -> np.ndarray:
+    """The unnormalized vectors of ``sample_pure_state``, one drawn from each
+    generator of ``rngs`` in turn, as an (len(rngs), dim) stack."""
+    return _ginibre(rngs, dim, 1)[:, :, 0]
+
+
 def sample_pure_state(dim: int, rng) -> DensityOperator:
-    v = _ginibre([rng], dim, 1)[0, :, 0]
-    return DensityOperator.pure(v)
+    return DensityOperator.pure(draw_pure_vectors(dim, [rng])[0])
 
 
 def sample_pure_bipartite(d_a: int, d_b: int, rng) -> BipartiteState:
-    v = _ginibre([rng], d_a * d_b, 1)[0, :, 0]
-    return BipartiteState.pure(v, (d_a, d_b))
+    return BipartiteState.pure(draw_pure_vectors(d_a * d_b, [rng])[0], (d_a, d_b))
 
 
-def draw_qc(d_a: int, d_x: int, rng):
-    """The draw of ``sample_qc_state``: the Dirichlet(1,..,1) weights (d_x,)
-    and then the unvalidated full-rank blocks (d_x, d_a, d_a)."""
-    rng = np.random.default_rng(rng)
-    p = rng.dirichlet(np.ones(d_x))
-    return p, draw_state_matrices(d_a, d_a, [rng] * d_x)
+def draw_qc(d_a: int, d_x: int, rngs):
+    """The draws of ``sample_qc_state``, one from each generator of ``rngs``
+    in turn: its Dirichlet(1,..,1) weights and then the normals of its
+    full-rank blocks.  Returns the weights (n, d_x) and the unvalidated
+    blocks (n, d_x, d_a, d_a), all formed in one batched product."""
+    check_dense_dim(d_a)
+    weights = np.empty((len(rngs), d_x))
+    parts = np.empty((len(rngs), d_x, 2, d_a, d_a))
+    for p, part, rng in zip(weights, parts, rngs):
+        rng = np.random.default_rng(rng)
+        p[:] = rng.dirichlet(np.ones(d_x))
+        for block in part:
+            _normals(rng, block)
+    blocks = _hs_matrices(_complex(parts.reshape(-1, 2, d_a, d_a)))
+    return weights, blocks.reshape(len(rngs), d_x, d_a, d_a)
 
 
 def qc_matrices(p, blocks) -> np.ndarray:
@@ -335,5 +448,5 @@ def qc_matrices(p, blocks) -> np.ndarray:
 def sample_qc_state(d_a: int, d_x: int, rng) -> BipartiteState:
     """Random qc-state sum_x p_x rho_x^A (x) |x><x|^B with Dirichlet(1,..,1)
     weights and independent full-rank blocks."""
-    p, blocks = draw_qc(d_a, d_x, rng)
-    return BipartiteState(qc_matrices(p, density_stack(blocks).mats), (d_a, d_x))
+    p, blocks = draw_qc(d_a, d_x, [rng])
+    return BipartiteState(qc_matrices(p[0], density_stack(blocks[0]).mats), (d_a, d_x))

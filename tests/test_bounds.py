@@ -10,6 +10,7 @@ from entrobounds.bounds import (
     af_witness_gap,
     check_af,
     check_cor_pure,
+    check_cor_pure_stack,
     check_dc,
     check_fannes,
     cor1_bounds,
@@ -24,8 +25,9 @@ from entrobounds import dc_optimizer
 from entrobounds.dc_optimizer import dc_minimize, kappa_bracket
 from entrobounds.entropies import binary_entropy, conditional_entropy, von_neumann_entropy
 from entrobounds.gibbs import HamiltonianSpec, gibbs_entropy, meta6_bound, meta_delta
-from entrobounds.linalg import trace_distance
-from entrobounds.states import BipartiteState, DensityOperator, sample_pure_bipartite, sample_state
+from entrobounds.linalg import HermitianOperator, rank_one_factor, trace_distance
+from entrobounds.states import (BipartiteState, DensityOperator, PureStack, partial_trace,
+                                sample_pure_bipartite, sample_state)
 
 # independently computed reference values (40-digit arithmetic)
 FANNES_01_4 = 0.62749184366139684
@@ -172,6 +174,43 @@ class TestCheckers:
             assert rep.variant == variant
         with pytest.raises(ValueError, match="unknown"):
             check_cor_pure(phi, psi, which="xx")
+
+    def test_cor_pure_rejects_mixed_states(self):
+        """For a mixed state S(tr_B .) is not E_F: two mixed 9 x 9 states
+        used to get an ef_cor1 record (lhs 0.0748 at seed 1)."""
+        rng = np.random.default_rng(1)
+        rho = BipartiteState(sample_state(9, 9, rng), (3, 3))
+        sigma = BipartiteState(sample_state(9, 9, rng), (3, 3))
+        pure = sample_pure_bipartite(3, 3, rng)
+        for phi, psi in ((rho, sigma), (pure, sigma), (rho, pure)):
+            with pytest.raises(ValueError, match="pure states"):
+                check_cor_pure(phi, psi)
+
+    def test_cor_pure_chunk_matches_each_pair_alone(self):
+        """One chunk of a sampled pair, an identical pair (eps ~ 0) and a pure
+        state whose weight the trace rule renormalized: each record of the
+        stack is the record of its pair alone, bit for bit, and agrees with
+        the dense partial traces."""
+        rng = np.random.default_rng(5)
+        a, b, c = (sample_pure_bipartite(3, 3, rng) for _ in range(3))
+        v = rank_one_factor(c)[0]
+        renormalized = BipartiteState(HermitianOperator.factored(v[:, None], [1.0 + 3e-14]), (3, 3))
+        assert rank_one_factor(renormalized)[1] != 1.0
+        pairs = [(a, b), (c, c), (renormalized, a)]
+
+        def stack(states):
+            factors = [rank_one_factor(s) for s in states]
+            return PureStack(np.stack([v for v, _ in factors]), np.array([w for _, w in factors]))
+
+        reports = check_cor_pure_stack(stack([p for p, _ in pairs]), stack([q for _, q in pairs]),
+                                       (3, 3), which="er")
+        assert reports == [check_cor_pure(p, q, which="er") for p, q in pairs]
+        assert reports[1].epsilon < 1e-15 and reports[1].lhs == 0.0
+        for rep, (p, q) in zip(reports, pairs):
+            dense = abs(von_neumann_entropy(partial_trace(BipartiteState(p.mat, (3, 3)), "A"))
+                        - von_neumann_entropy(partial_trace(BipartiteState(q.mat, (3, 3)), "A")))
+            assert rep.lhs == pytest.approx(dense, abs=1e-13)
+            assert rep.epsilon == pytest.approx(trace_distance(p, q), abs=1e-13)
 
     def test_dc_lhs_carries_the_gaps(self):
         # both states are members of the set, so D_C = 0 for each and the

@@ -10,8 +10,10 @@ from entrobounds.couplings import (
     CouplingConsistencyError,
     build_decomposition,
     diagonal_coupling,
+    diagonal_couplings,
     maximal_classical_coupling,
     quantum_coupling,
+    quantum_couplings,
 )
 from entrobounds.entropies import binary_entropy, shannon_entropy
 from entrobounds.linalg import (
@@ -24,6 +26,7 @@ from entrobounds.linalg import (
 from entrobounds.states import (
     BipartiteState,
     DensityOperator,
+    StateStack,
     partial_trace,
     sample_pure_state,
     sample_state,
@@ -161,9 +164,9 @@ def test_couplings_check_the_dense_limit_before_allocating(construct):
 
 def test_couplings_decompose_only_what_they_read(monkeypatch):
     """With the spectra of rho and sigma known, a couplings case makes four
-    eigendecompositions: rho - sigma, omega and the two marginal residuals.
-    Every Delta is a positive part normalised, a state by construction,
-    and is never decomposed again."""
+    eigendecompositions: rho - sigma, omega and the two marginal residuals
+    (the residuals in one stack).  Every Delta is a positive part
+    normalised, a state by construction, and is never decomposed again."""
     rng = np.random.default_rng(2)
     u, v = (np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
             for _ in range(2))
@@ -179,7 +182,33 @@ def test_couplings_decompose_only_what_they_read(monkeypatch):
     qc = quantum_coupling(rho, sigma)
     fidelity(qc.psi, qc.theta)
     diagonal_coupling(rho, sigma)
-    assert calls == [(3, 3)] * 4
+    assert calls == [(1, 3, 3), (1, 3, 3), (2, 3, 3)]
+
+
+def test_a_chunk_gives_each_pair_the_coupling_it_has_alone():
+    """One chunk of a sampled pair, rho = sigma (eps < 1e-12, omega = rho),
+    a state whose eigenvalues the validation clamped and a pure state whose
+    weight the trace rule renormalized: every value the records read is,
+    bit for bit, that of the pair's stack of one."""
+    rng = np.random.default_rng(11)
+    u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    clamped = DensityOperator((u * [0.7, 0.3 + 1e-13, -1e-13]) @ u.conj().T)
+    assert clamped.eigenvalues[-1] == 0.0
+    pure = DensityOperator(HermitianOperator.factored(u[:, :1], [1.0 + 3e-14]))
+    assert pure.factor[1][0] != 1.0
+    a, b, c = (sample_state(3, 3, rng) for _ in range(3))
+    pairs = [(a, b), (c, c), (clamped, a), (pure, b)]
+    rho, sigma = (StateStack.of(*states) for states in zip(*pairs))
+    qc, dc = quantum_couplings(rho, sigma), diagonal_couplings(rho, sigma)
+    assert qc.epsilon[1] == 0.0
+    for k, (r, s) in enumerate(pairs):
+        alone = quantum_coupling(r, s)
+        assert qc.epsilon[k] == alone.epsilon
+        assert qc.overlap_psi[k] == alone.overlap_psi
+        assert qc.overlap_phi[k] == alone.overlap_phi
+        assert qc.fidelity_theta[k] == fidelity(alone.psi, alone.theta)
+        assert qc.theta[k].tobytes() == alone.theta.mat.tobytes()
+        assert dc.largest_eigenvalue[k] == diagonal_coupling(r, s).largest_eigenvalue
 
 
 def _coupling_pairs():
@@ -226,7 +255,7 @@ class TestQuantumCoupling:
 
         def pushed(vec, d_a, d_b):
             marg1, marg2 = vector_marginals(vec, d_a, d_b)
-            lam_min = np.linalg.eigvalsh(rho.mat - marg1)[0]
+            lam_min = np.linalg.eigvalsh(rho.mat - marg1)[..., :1, None]
             return marg1 + (lam_min + 2 * PSD_ATOL) * np.eye(d_a), marg2
 
         quantum_coupling(rho, sigma)

@@ -8,12 +8,13 @@ import warnings
 import numpy as np
 import pytest
 
-from entrobounds import cli, gibbs, harness
-from entrobounds.bounds import BoundReport, check_af, check_fannes
+from entrobounds import cli, couplings, gibbs, harness
+from entrobounds.bounds import BoundReport, check_af, check_cor_pure, check_fannes
+from entrobounds.couplings import diagonal_coupling, quantum_coupling
 from entrobounds.entropies import von_neumann_entropy
 from entrobounds.gibbs import HamiltonianSpec, lemma4_bound, meta5_bound, sample_energy_constrained
-from entrobounds.linalg import trace_distance
-from entrobounds.states import BipartiteState, DensityOperator, draw_qc, qc_matrices, sample_state
+from entrobounds.linalg import fidelity, trace_distance
+from entrobounds.states import BipartiteState, qc_matrices, sample_pure_bipartite, sample_state
 from entrobounds.harness import (
     SCHEMA_LINE,
     SUITES,
@@ -99,9 +100,10 @@ def _fannes_case(rng, d):
 
 
 def _qc_state(rng, d):
-    """``sample_qc_state(d, d, rng)`` with each block validated on its own."""
-    p, blocks = draw_qc(d, d, rng)
-    return BipartiteState(qc_matrices(p, np.stack([DensityOperator(b).mat for b in blocks])),
+    """``sample_qc_state(d, d, rng)`` one block at a time: the Dirichlet
+    weights, then each block drawn and validated on its own."""
+    p = rng.dirichlet(np.ones(d))
+    return BipartiteState(qc_matrices(p, np.stack([sample_state(d, d, rng).mat for _ in range(d)])),
                           (d, d))
 
 
@@ -126,8 +128,27 @@ def _energy_bounds_case(rng, h, e):
                         epsilon=eps, energy=e, epsilon_prime=ep)]
 
 
+def _couplings_case(rng, d):
+    rho, sigma = sample_state(d, d, rng), sample_state(d, d, rng)
+    qc = quantum_coupling(rho, sigma)
+    eps = qc.epsilon
+    rhs = {"quantum_overlap_psi": qc.overlap_psi,
+           "quantum_overlap_phi": qc.overlap_phi,
+           "quantum_fidelity_theta": fidelity(qc.psi, qc.theta),
+           "diagonal_largest_eigenvalue": diagonal_coupling(rho, sigma).largest_eigenvalue}
+    return [BoundReport(variant=v, dim=d, lhs=1.0 - eps, rhs=r, epsilon=eps)
+            for v, r in rhs.items()]
+
+
+def _cor_pure_case(rng, d):
+    phi = sample_pure_bipartite(d, d, rng)
+    psi = sample_pure_bipartite(d, d, rng)
+    return [check_cor_pure(phi, psi, which="ef")]
+
+
 # each stacked suite's case, one state object at a time
-PER_CASE = {"fannes": _fannes_case, "af": _af_case, "energy_bounds": _energy_bounds_case}
+PER_CASE = {"fannes": _fannes_case, "af": _af_case, "energy_bounds": _energy_bounds_case,
+            "couplings": _couplings_case, "cor_pure": _cor_pure_case}
 
 
 class TestCampaigns:
@@ -136,6 +157,8 @@ class TestCampaigns:
         ("fannes", dict(dims=(2, 3, 9, 16, 64), samples=5)),
         ("af", dict(dims=(2, 3, 4), samples=6)),
         ("energy_bounds", dict(energies=(0.5, 1.0, 3.0, 8.0, 40.0), samples=6)),
+        ("couplings", dict(dims=(2, 3, 4, 9, 16), samples=3)),
+        ("cor_pure", dict(dims=(2, 3, 4, 9, 16), samples=6)),
     ])
     def test_stacked_suites_give_the_bytes_of_the_per_case_checks(self, suite, settings, seed):
         grid_fn, _, _, _ = harness._SUITE_TABLE[suite]
@@ -303,17 +326,20 @@ class TestCli:
 
     def test_reports_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         """The d=16 tightness, cor_pure and couplings suites (256-dim witness
-        and pure pairs, and coupling states that are never decomposed) and
-        the stacked fannes, af and energy_bounds suites (batched
-        decompositions of 64-dim states, of 64-dim bipartite states and of
-        energy blocks) give the same bytes with 1 and with 2 BLAS threads."""
+        and pure pairs, and coupling states that are never decomposed), the
+        stacked fannes, af and energy_bounds suites (batched decompositions
+        of 64-dim states, of 64-dim bipartite states and of energy blocks)
+        and chunks of 25 d=4 couplings and cor_pure cases give the same
+        bytes with 1 and with 2 BLAS threads."""
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         calls = [["verify", "tightness", "--dims", "16", "--eps", "0.05,0.25,0.5"],
                  ["verify", "cor_pure", "--dims", "16", "--samples", "8", "--seed", "1"],
                  ["verify", "couplings", "--dims", "16", "--samples", "2", "--seed", "1"],
                  ["verify", "fannes", "--dims", "64", "--samples", "4"],
                  ["verify", "af", "--dims", "8", "--samples", "4"],
-                 ["verify", "energy_bounds", "--energies", "1,8", "--samples", "4"]]
+                 ["verify", "energy_bounds", "--energies", "1,8", "--samples", "4"],
+                 ["verify", "couplings", "--dims", "4", "--samples", "25", "--seed", "1"],
+                 ["verify", "cor_pure", "--dims", "4", "--samples", "25", "--seed", "1"]]
         reports = {}
         for threads in ("1", "2"):
             outs = [str(tmp_path / f"{threads}-{k}.csv") for k in range(len(calls))]
@@ -417,13 +443,14 @@ class TestCli:
             "diagonal_largest_eigenvalue"]
 
     def test_coupling_demo_verdict_includes_the_fidelity(self, monkeypatch, capsys):
-        monkeypatch.setattr(harness, "fidelity", lambda rho, sigma: 0.0)
+        monkeypatch.setattr(couplings, "pure_fidelities", lambda vecs, w, mats: np.zeros(len(w)))
         assert cli.main(["coupling-demo", "--dims", "3", "--seed", "2"]) == cli.EXIT_VIOLATIONS
         assert "quantum_fidelity_theta: lhs=0.235107 rhs=0.000000 " in capsys.readouterr().out
 
     def test_coupling_demo_with_a_nan_fidelity_exits_1(self, monkeypatch, capsys):
         """A NaN is no valid overlap, wherever it falls among the records."""
-        monkeypatch.setattr(harness, "fidelity", lambda rho, sigma: float("nan"))
+        monkeypatch.setattr(couplings, "pure_fidelities",
+                            lambda vecs, w, mats: np.full(len(w), np.nan))
         assert cli.main(["coupling-demo", "--dims", "3", "--seed", "2"]) == cli.EXIT_VIOLATIONS
         out = capsys.readouterr().out
         assert "quantum_fidelity_theta: lhs=0.235107 rhs=nan slack=nan valid=False" in out
@@ -606,6 +633,18 @@ class TestCli:
         proc, _, peak = self._run_capped("verify fannes --dims 128 --samples 4")
         assert proc.returncode == cli.EXIT_OK
         assert peak <= 1.1 * 3_051_754
+
+    @pytest.mark.parametrize("argv, parent_peak", [
+        # one coupling and one pure pair at a time, the campaigns peaked at
+        # 7,456,787 and 6,341,307 bytes
+        ("verify couplings --dims 16 --samples 4", 7_456_787),
+        ("verify cor_pure --dims 16 --samples 8", 6_341_307),
+    ])
+    def test_stacked_couplings_and_corollaries_peak_no_higher_than_one_case_at_a_time(
+            self, argv, parent_peak):
+        proc, _, peak = self._run_capped(argv)
+        assert proc.returncode == cli.EXIT_OK
+        assert peak <= parent_peak
 
     def test_four_mode_gibbs_table_enumerates_no_levels(self):
         # 513^4 product levels: the closed forms never read them
