@@ -16,8 +16,9 @@ Every checker recomputes eps from the states via the trace norm;
 caller-supplied eps is never trusted.  ``check_fannes_stack`` and
 ``check_af_stack`` are ``check_fannes`` and ``check_af`` over stacks of
 dense states (``states.StateStack``), with the same reports bit for bit.
-``check_cor_pure`` is the stack of one of ``check_cor_pure_stack``, over
-stacks of pure states (``states.PureStack``).
+``check_cor_pure_stack`` scores stacks of pure states
+(``states.PureStack``), and ``check_cor_pure`` is the stack of one of its
+kernel: a state object brings the marginal of the matrix it holds.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .entropies import (binary_entropy, conditional_entropies, conditional_entro
 from .dc_optimizer import ConvexSetModel, kappa_bracket
 from .linalg import pure_trace_distances, rank_one_factor, trace_distance, trace_distances
 from .states import (BipartiteState, DensityOperator, PureStack, StateStack, density_stack,
-                     maximally_entangled_state, pure_marginals, state_pair)
+                     maximally_entangled_state, partial_traces, pure_marginals, state_pair)
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -186,13 +187,21 @@ _COROLLARIES = {"ef": ("ef_cor1", lambda e, d: cor1_bounds(e, d)[0]),
 def check_cor_pure_stack(phi: PureStack, psi: PureStack, dims, which: str = "ef") -> list:
     """``check_cor_pure`` of each pair of two stacks of pure states on
     ``A (x) B`` of dimensions ``dims``, with no d_a d_b x d_a d_b matrix
-    built: eps from ``linalg.pure_trace_distances``, the A marginals from
-    the vectors (``states.pure_marginals``), validated as one stack."""
+    built: the A marginals come from the vectors (``states.pure_marginals``)."""
+    marginals = np.stack([pure_marginals(phi, dims), pure_marginals(psi, dims)], axis=1)
+    return _cor_pure_reports(phi.vectors, phi.weights, psi.vectors, psi.weights, marginals,
+                             dims, which)
+
+
+def _cor_pure_reports(a, wa, b, wb, marginals, dims, which) -> list:
+    """The reports of the pure pairs ``(wa |a><a|, wb |b><b|)`` of two (n, D)
+    stacks of unit vectors and weights, with their A marginals (n, 2,
+    d_a, d_a): eps from ``linalg.pure_trace_distances``, the entropies of
+    the marginals validated as one stack."""
     if which not in _COROLLARIES:
         raise ValueError(f"unknown corollary bound {which!r}")
     variant, bound = _COROLLARIES[which]
-    eps = np.minimum(pure_trace_distances(phi.vectors, phi.weights, psi.vectors, psi.weights), 1.0)
-    marginals = np.stack([pure_marginals(phi, dims), pure_marginals(psi, dims)], axis=1)
+    eps = np.minimum(pure_trace_distances(a, wa, b, wb), 1.0)
     s_phi, s_psi = density_stack(marginals.reshape(-1, dims[0], dims[0])).split()
     lhs = np.abs(von_neumann_entropies(s_phi) - von_neumann_entropies(s_psi))
     d = min(dims)
@@ -202,17 +211,20 @@ def check_cor_pure_stack(phi: PureStack, psi: PureStack, dims, which: str = "ef"
 
 def check_cor_pure(phi: BipartiteState, psi: BipartiteState, which: str = "ef") -> BoundReport:
     """Entanglement-measure continuity on pure states, where
-    E_F = E_R = S(tr_B .) in closed form; the stack of one of
-    ``check_cor_pure_stack``.  A state that is not pure (no rank-one
-    factor) raises ``ValueError``: for a mixed state S(tr_B .) is not E_F."""
+    E_F = E_R = S(tr_B .) in closed form; the stack of one of the kernel of
+    ``check_cor_pure_stack``, with eps from the states' rank-one factors
+    and the marginals from the matrices the states hold.  A state that is
+    not pure (no rank-one factor) raises ``ValueError``: for a mixed state
+    S(tr_B .) is not E_F."""
     if phi.dims != psi.dims:
         raise ValueError("bipartite dimension mismatch")
     pure = [rank_one_factor(state) for state in (phi, psi)]
     if any(p is None for p in pure):
         raise ValueError("check_cor_pure takes pure states (a rank-one factor)")
     (va, wa), (vb, wb) = pure
-    return check_cor_pure_stack(PureStack(va[None], np.array([wa])),
-                                PureStack(vb[None], np.array([wb])), phi.dims, which)[0]
+    marginals = np.stack([partial_traces(s.mat, s.dims, "A") for s in (phi, psi)])
+    return _cor_pure_reports(va[None], np.array([wa]), vb[None], np.array([wb]), marginals[None],
+                             phi.dims, which)[0]
 
 
 # -- extremal witnesses ------------------------------------------------------

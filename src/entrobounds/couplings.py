@@ -45,8 +45,8 @@ import numpy as np
 
 from .linalg import (PSD_ATOL, _symmetrized, check_dense_dim, eigenpairs, function_stack,
                      pure_fidelities, rank_one_factor)
-from .states import (RENORM_ATOL, BipartiteState, DensityOperator, StateStack, _check_state,
-                     built_stack, density_stack, pure_stack, state_pair, vector_marginals)
+from .states import (BipartiteState, DensityOperator, StateStack, built_stack, density_stack,
+                     factored_traces, pure_stack, state_pair, vector_marginals)
 
 _DEGENERATE_EPS = 1e-12
 
@@ -287,21 +287,6 @@ def _phase_fixed(u) -> np.ndarray:
     return u * (np.conj(top) / np.hypot(top.real, top.imag))
 
 
-def _factored_weights(vecs, lam) -> np.ndarray:
-    """The eigenvalues ``DensityOperator.factored(v, lam)`` keeps for each of
-    a stack of bases ``vecs`` and weights ``lam`` summing to 1: ``lam``, over
-    the trace of its matrix where that is off from 1 by more than
-    ``RENORM_ATOL``.  The diagonal is summed term by term as that
-    constructor sums its outer products."""
-    diag = 0.0
-    for k in range(lam.shape[1]):
-        diag = diag + (vecs[:, :, k] * lam[:, k, None]) * vecs[:, :, k].conj()
-    tr = diag.sum(axis=1).real
-    for t in tr.tolist():
-        _check_state(0.0, t)
-    return np.where(np.abs(tr - 1.0)[:, None] > RENORM_ATOL, lam / tr[:, None], lam)
-
-
 def diagonal_couplings(rho: StateStack, sigma: StateStack) -> DiagonalCouplings:
     """The diagonal coupling of each pair of two stacks of states (see
     ``diagonal_coupling``), with no omega built."""
@@ -319,8 +304,10 @@ def diagonal_couplings(rho: StateStack, sigma: StateStack) -> DiagonalCouplings:
     m1, m2 = np.maximum(r - s, 0.0), np.maximum(s - r, 0.0)
     largest = np.ones(n)
     if apart.any():
-        w1, w2 = (_factored_weights(b[apart], m[apart] / m[apart].sum(axis=1)[:, None])
-                  for b, m in ((e, m1), (f, m2)))
+        deltas = [(b[apart], m[apart] / m[apart].sum(axis=1)[:, None])
+                  for b, m in ((e, m1), (f, m2))]
+        # the eigenvalues of Delta1 and Delta2, as DensityOperator.factored keeps them
+        w1, w2 = (lam / factored_traces(b, lam)[:, None] for b, lam in deltas)
         norm_sq = (phi[apart].conj()[:, None, :] @ phi[apart][:, :, None])[:, 0, 0].real
         product = eps[apart] * w1.max(axis=1) * w2.max(axis=1)
         largest[apart] = np.where(product > norm_sq, product, norm_sq)

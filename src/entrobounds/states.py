@@ -13,17 +13,20 @@ Stacks
 ------
 ``density_stack`` is ``DensityOperator`` for an (n, d, d) stack of
 matrices: ``linalg.hermitian_stack`` followed by the state rules
-(``_check_state``) and repairs (``_clamped``, the renormalisation by
-``RENORM_ATOL``) that the constructor applies, element by element and
-bit for bit, with no object built.  It returns a :class:`StateStack`,
-with the eigenvectors on request, so that the couplings decompose no
-state twice.  ``built_stack`` is ``DensityOperator._built`` for a stack.
-``pure_stack`` is ``DensityOperator.pure`` for an (n, D) stack of
-vectors: a :class:`PureStack` of unit vectors and the weights the trace
-rule leaves, with no D x D matrix built; ``pure_marginals`` gives their
-marginals as ``partial_traces`` of those matrices would.  The sampling
-functions draw through ``draw_state_matrices``, ``draw_pure_vectors`` and
-``draw_qc``, one case per generator in turn; ``sample_state``,
+(``_state_rule``, through which every state goes, alone or stacked) and
+the repairs (``_clamped``, the renormalisation by ``RENORM_ATOL``) that
+the constructor applies, element by element and bit for bit, with no
+object built.  It returns a :class:`StateStack`, with the eigenvectors
+on request, so that the couplings decompose no state twice.
+``DensityOperator._built`` is the stack of one of ``built_stack``.
+``factored_traces`` is the trace rule of ``DensityOperator.factored``
+for a stack of bases, with no D x D matrix built, and ``pure_stack`` is
+``DensityOperator.pure`` for an (n, D) stack of vectors: a
+:class:`PureStack` of unit vectors and the traces their matrices are
+divided by.  ``pure_marginals`` gives their marginals as
+``partial_traces`` of those matrices would.  The sampling functions draw
+through ``draw_state_matrices``, ``draw_pure_vectors`` and ``draw_qc``,
+one case per generator in turn; ``sample_state``,
 ``sample_pure_state``, ``sample_pure_bipartite`` and ``sample_qc_state``
 are their stacks of one, so a stacked campaign draws each case exactly
 as the scalar samplers do.
@@ -48,14 +51,26 @@ class StateValidationError(ValueError):
     pass
 
 
-def _check_state(lam_min: float, tr: float) -> None:
-    """The two rules of a state with smallest eigenvalue ``lam_min`` and
-    trace ``tr``: raise ``StateValidationError`` below ``-PSD_ATOL`` or off
-    from 1 by more than ``TRACE_ATOL``."""
+def _state_rule(lam_min: float, tr: float) -> bool:
+    """The rules of a state of smallest eigenvalue ``lam_min`` (0 for a
+    state PSD by construction) and trace ``tr``: raise
+    ``StateValidationError`` below ``-PSD_ATOL`` or off from 1 by more than
+    ``TRACE_ATOL``.  Returns whether the state is renormalized: whether its
+    trace is off from 1 by more than ``RENORM_ATOL``.  Every state, built
+    alone or in a stack (``_state_rules``), goes through it."""
     if lam_min < -PSD_ATOL:
         raise StateValidationError(f"negative eigenvalue {lam_min:.3e} beyond tolerance")
     if abs(tr - 1.0) > TRACE_ATOL:
         raise StateValidationError(f"trace {tr!r} is not 1")
+    return abs(tr - 1.0) > RENORM_ATOL
+
+
+def _state_rules(lam_min, tr) -> np.ndarray:
+    """``_state_rule`` of each state of a stack, in turn: its smallest
+    eigenvalue (one for all, if a scalar) and its trace."""
+    lam_min = np.broadcast_to(lam_min, tr.shape)
+    return np.array([_state_rule(m, t) for m, t in zip(lam_min.tolist(), tr.tolist())],
+                    dtype=bool)
 
 
 def _clamped(lam, u):
@@ -77,9 +92,9 @@ class DensityOperator(HermitianOperator):
     is validated.  Eigenvalues are clamped at 0 (sampling and arithmetic
     produce -1e-14-scale noise) and the trace renormalized beyond
     ``RENORM_ATOL``.  Eigenvalues below ``-PSD_ATOL``, or a trace off from 1
-    by more than ``TRACE_ATOL`` (``_check_state``), are rejected as genuinely
-    invalid input; ``density_stack`` applies the same rules and repairs to a
-    stack of arrays.  An operator's factor, block and known
+    by more than ``TRACE_ATOL``, are rejected as genuinely invalid input
+    (``_state_rule``); ``density_stack`` applies the same rules and
+    repairs to a stack of arrays.  An operator's factor, block and known
     spectrum are kept (a renormalized trace scales them alike), and a
     repaired state keeps the eigenpairs its validation read, so no state
     is decomposed twice.  A ``DensityOperator`` passed
@@ -100,12 +115,12 @@ class DensityOperator(HermitianOperator):
             if isinstance(mat_or_op, DensityOperator):
                 return
         lam, tr = self.eigenvalues, self.trace()
-        _check_state(lam[-1], tr)
+        renormalized = _state_rule(lam[-1], tr)
         if lam[-1] < 0.0:
             u = self.eigenvectors
             mat, lam = _clamped(lam, u)
             self._set_matrix(mat)
-        elif abs(tr - 1.0) > RENORM_ATOL:
+        elif renormalized:
             u, factor, block = self._eigenvectors, self.factor, self.block
             self._set_matrix(self.mat / tr)
             lam = lam / tr
@@ -121,13 +136,9 @@ class DensityOperator(HermitianOperator):
     def _built(cls, mat, *args) -> "DensityOperator":
         """A state that is PSD by construction, such as a nonnegative
         combination of validated states: symmetrized, held to the trace
-        rule and renormalized like any input, but never decomposed."""
-        state = DensityOperator.__new__(DensityOperator)
-        state._set_matrix(mat)
-        tr = state.trace()
-        _check_state(0.0, tr)  # PSD by construction: only the trace rule applies
-        if abs(tr - 1.0) > RENORM_ATOL:
-            state._set_matrix(state.mat / tr)
+        rule and renormalized like any input, but never decomposed.  The
+        stack of one of ``built_stack``."""
+        state = DensityOperator._trusted(built_stack(np.asarray(mat)[None])[0])
         return state if cls is DensityOperator else cls(state, *args)
 
     @classmethod
@@ -200,13 +211,12 @@ def density_stack(mats, vectors: bool = False) -> StateStack:
     spectra alone holds no d x d basis per state."""
     mats, lam, u = hermitian_stack(mats)
     tr = np.trace(mats, axis1=1, axis2=2).real
-    for lam_min, t in zip(lam[:, -1].tolist(), tr.tolist()):
-        _check_state(lam_min, t)
+    renormalized = _state_rules(lam[:, -1], tr)
     clamp = lam[:, -1] < 0.0
     for j in np.flatnonzero(clamp):
         mat, lam[j] = _clamped(lam[j], np.ascontiguousarray(u[j]))
         mats[j] = _symmetrized(mat)
-    _renormalize(mats, lam, tr, ~clamp)
+    _renormalize(mats, lam, tr, renormalized & ~clamp)
     return StateStack(mats, lam, u if vectors else None)
 
 
@@ -216,29 +226,47 @@ def built_stack(mats) -> np.ndarray:
     the trace rule and renormalized, never decomposed."""
     mats = _symmetrized(mats)
     tr = np.trace(mats, axis1=1, axis2=2).real
-    for t in tr.tolist():
-        _check_state(0.0, t)
-    _renormalize(mats, None, tr, True)
+    _renormalize(mats, None, tr, _state_rules(0.0, tr))
     return mats
 
 
-def _renormalize(mats, lam, tr, among):
+def _renormalize(mats, lam, tr, which):
     """Divide, in place, the matrices (symmetrized again) and spectra (if
-    any) of the states ``among`` whose traces ``tr`` are off from 1 by more
-    than ``RENORM_ATOL``, as the constructor renormalizes a state."""
-    rows = np.flatnonzero(among & (np.abs(tr - 1.0) > RENORM_ATOL))
+    any) of the states ``which`` by their traces ``tr``, as the constructor
+    renormalizes a state."""
+    rows = np.flatnonzero(which)
     mats[rows] = _symmetrized(mats[rows] / tr[rows, None, None])
     if lam is not None:
         lam[rows] /= tr[rows, None]
 
 
+def factored_traces(vecs, lam) -> np.ndarray:
+    """The trace by which ``DensityOperator.factored(v, l)`` divides its
+    matrix, for each basis ``v`` of an (n, D, k) stack with its weights
+    ``l`` (n, k): the matrix's trace where ``_state_rules`` renormalizes
+    it, else 1, so that ``l`` over it are the eigenvalues the state keeps.
+    No D x D matrix is built: the diagonal is summed term by term as that
+    constructor sums its outer products, and as a complex array, as
+    ``np.trace`` sums it."""
+    diag = 0.0
+    for k in range(lam.shape[1]):
+        diag = diag + (vecs[:, :, k] * lam[:, k, None]) * vecs[:, :, k].conj()
+    tr = diag.sum(axis=1).real
+    return np.where(_state_rules(0.0, tr), tr, 1.0)
+
+
 class PureStack(NamedTuple):
-    """n pure states ``w |v><v|`` of one dimension D, as ``DensityOperator.pure``
-    leaves each: its unit vector and its weight, 1 or, where the trace of
-    ``|v><v|`` is off from 1 by more than ``RENORM_ATOL``, 1 over it."""
+    """n pure states of one dimension D, as ``DensityOperator.pure`` leaves
+    each: its unit vector ``v`` and the trace its matrix ``|v><v|`` was
+    divided by (``factored_traces``; 1 where the trace rule left it)."""
 
     vectors: np.ndarray  # (n, D) complex
-    weights: np.ndarray  # (n,) real
+    traces: np.ndarray  # (n,) real
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The weight ``w`` of each state ``w |v><v|``, as its factor holds it."""
+        return 1.0 / self.traces
 
     def split(self):
         """The stacks of the even and of the odd states (``StateStack.split``)."""
@@ -248,28 +276,25 @@ class PureStack(NamedTuple):
 def pure_stack(vecs) -> PureStack:
     """``DensityOperator.pure(v)`` for each row ``v`` of an (n, D) stack, with
     no D x D matrix built: the unit vectors of ``linalg.unit_vectors`` and
-    the weights the constructor's trace rule leaves.  That trace sums the
-    diagonal ``|v_i|^2`` of the matrix as a complex array, as ``np.trace`` does."""
+    the traces of the trace rule."""
     v = unit_vectors(np.asarray(vecs, dtype=complex))
-    tr = (v * v.conj()).sum(axis=1).real
-    for t in tr.tolist():
-        _check_state(0.0, t)
-    return PureStack(v, np.where(np.abs(tr - 1.0) > RENORM_ATOL, 1.0 / tr, 1.0))
+    return PureStack(v, factored_traces(v[:, :, None], np.ones((len(v), 1))))
 
 
 def pure_marginals(pure: PureStack, dims) -> np.ndarray:
     """``partial_traces(m, dims, "A")`` of the matrix ``m`` of each state of a
     pure stack on ``A (x) B``, bit for bit and with no D x D matrix built.
-    The entries of ``m`` it sums, ``w v_ij v_kj^*`` symmetrized, are formed
-    for one index j of B at a time and added in the order of j, the order
-    of that einsum."""
+    The entries of ``m`` it sums, ``v_ij v_kj^*`` symmetrized and divided
+    by the trace as the constructor divides them, are formed for one index
+    j of B at a time and added in the order of j, the order of that
+    einsum."""
     d_a, d_b = dims
     v = pure.vectors.reshape(-1, d_a, d_b)
-    renorm = pure.weights != 1.0
+    renormalized = pure.traces != 1.0
     out = 0.0
     for j in range(d_b):
         m = _symmetrized(v[:, :, j, None] * v.conj()[:, None, :, j])
-        m[renorm] *= pure.weights[renorm, None, None]
+        m[renormalized] /= pure.traces[renormalized, None, None]
         out = out + m
     return out
 
@@ -289,10 +314,9 @@ def embedded_stack(index, blocks: StateStack, dim: int) -> StateStack:
     lam_min = blocks.eigenvalues[:, -1]
     if len(index) < dim:
         lam_min = np.minimum(lam_min, 0.0)
-    for m, t in zip(lam_min.tolist(), tr.tolist()):
-        _check_state(m, t)
+    renormalized = _state_rules(lam_min, tr)
     mats, lam = blocks.mats.copy(), blocks.eigenvalues.copy()
-    _renormalize(mats, lam, tr, True)
+    _renormalize(mats, lam, tr, renormalized)
     return StateStack(mats, lam)
 
 

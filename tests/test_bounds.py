@@ -26,8 +26,8 @@ from entrobounds.dc_optimizer import dc_minimize, kappa_bracket
 from entrobounds.entropies import binary_entropy, conditional_entropy, von_neumann_entropy
 from entrobounds.gibbs import HamiltonianSpec, gibbs_entropy, meta6_bound, meta_delta
 from entrobounds.linalg import HermitianOperator, rank_one_factor, trace_distance
-from entrobounds.states import (BipartiteState, DensityOperator, PureStack, partial_trace,
-                                sample_pure_bipartite, sample_state)
+from entrobounds.states import (BipartiteState, DensityOperator, PureStack, factored_traces,
+                                partial_trace, sample_pure_bipartite, sample_state)
 
 # independently computed reference values (40-digit arithmetic)
 FANNES_01_4 = 0.62749184366139684
@@ -188,29 +188,40 @@ class TestCheckers:
 
     def test_cor_pure_chunk_matches_each_pair_alone(self):
         """One chunk of a sampled pair, an identical pair (eps ~ 0) and a pure
-        state whose weight the trace rule renormalized: each record of the
-        stack is the record of its pair alone, bit for bit, and agrees with
-        the dense partial traces."""
+        state whose trace the trace rule renormalized: each record of the
+        stack, marginals taken from the vectors, is the record of its pair
+        alone, marginals taken from the matrices, bit for bit."""
         rng = np.random.default_rng(5)
         a, b, c = (sample_pure_bipartite(3, 3, rng) for _ in range(3))
-        v = rank_one_factor(c)[0]
-        renormalized = BipartiteState(HermitianOperator.factored(v[:, None], [1.0 + 3e-14]), (3, 3))
+        long = rank_one_factor(c)[0] * np.sqrt(1.0 + 3e-14)
+        renormalized = BipartiteState.factored(long[:, None], [1.0], 0.0, (3, 3))
         assert rank_one_factor(renormalized)[1] != 1.0
         pairs = [(a, b), (c, c), (renormalized, a)]
 
         def stack(states):
-            factors = [rank_one_factor(s) for s in states]
-            return PureStack(np.stack([v for v, _ in factors]), np.array([w for _, w in factors]))
+            # each state is the |v><v| of its factor's vector, divided by its trace
+            vecs = np.stack([rank_one_factor(s)[0] for s in states])
+            pure = PureStack(vecs, factored_traces(vecs[:, :, None], np.ones((len(vecs), 1))))
+            assert pure.weights.tolist() == [rank_one_factor(s)[1] for s in states]
+            return pure
 
         reports = check_cor_pure_stack(stack([p for p, _ in pairs]), stack([q for _, q in pairs]),
                                        (3, 3), which="er")
         assert reports == [check_cor_pure(p, q, which="er") for p, q in pairs]
         assert reports[1].epsilon < 1e-15 and reports[1].lhs == 0.0
-        for rep, (p, q) in zip(reports, pairs):
-            dense = abs(von_neumann_entropy(partial_trace(BipartiteState(p.mat, (3, 3)), "A"))
-                        - von_neumann_entropy(partial_trace(BipartiteState(q.mat, (3, 3)), "A")))
-            assert rep.lhs == pytest.approx(dense, abs=1e-13)
-            assert rep.epsilon == pytest.approx(trace_distance(p, q), abs=1e-13)
+
+    def test_cor_pure_of_a_renormalized_factor_is_the_dense_record(self):
+        """A pure state built from a weight the trace rule renormalizes gets,
+        bit for bit, the record of its dense marginals and trace distance."""
+        rng = np.random.default_rng(6)
+        a, c = sample_pure_bipartite(3, 3, rng), sample_pure_bipartite(3, 3, rng)
+        v = rank_one_factor(c)[0]
+        phi = BipartiteState(HermitianOperator.factored(v[:, None], [1.0 + 3e-14]), (3, 3))
+        assert rank_one_factor(phi)[1] != 1.0 + 3e-14
+        rep = check_cor_pure(phi, a, which="er")
+        assert rep.lhs == abs(von_neumann_entropy(partial_trace(phi, "A"))
+                              - von_neumann_entropy(partial_trace(a, "A")))
+        assert rep.epsilon == min(trace_distance(phi, a), 1.0)
 
     def test_dc_lhs_carries_the_gaps(self):
         # both states are members of the set, so D_C = 0 for each and the

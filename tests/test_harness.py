@@ -168,6 +168,47 @@ class TestCampaigns:
         for fmt in ("csv", "json"):
             assert render_report(stacked, fmt) == render_report(CampaignReport(per_case), fmt)
 
+    # (suite, variant, dim, eps, lhs, rhs) of `verify couplings --dims 2,16`
+    # and `verify cor_pure --dims 2,3,16`, `--samples 1 --seed 12`, as the
+    # one-object-at-a-time couplings and corollary code computed them before
+    # the stacked kernels replaced it (one BLAS thread)
+    ONE_AT_A_TIME = [
+        ("couplings", "quantum_overlap_psi", 2,
+         "0x1.b6b01ef1fff8dp-2", "0x1.24a7f0870003ap-1", "0x1.7c25679a3f360p-1"),
+        ("couplings", "quantum_overlap_phi", 2,
+         "0x1.b6b01ef1fff8dp-2", "0x1.24a7f0870003ap-1", "0x1.762e332c33380p-1"),
+        ("couplings", "quantum_fidelity_theta", 2,
+         "0x1.b6b01ef1fff8dp-2", "0x1.24a7f0870003ap-1", "0x1.8a141ed6492a3p-1"),
+        ("couplings", "diagonal_largest_eigenvalue", 2,
+         "0x1.b6b01ef1fff8dp-2", "0x1.24a7f0870003ap-1", "0x1.e132403c3898bp-1"),
+        ("couplings", "quantum_overlap_psi", 16,
+         "0x1.306159336a9cap-1", "0x1.9f3d4d992ac6cp-2", "0x1.1bb41392ff636p-1"),
+        ("couplings", "quantum_overlap_phi", 16,
+         "0x1.306159336a9cap-1", "0x1.9f3d4d992ac6cp-2", "0x1.1b2a666a9a590p-1"),
+        ("couplings", "quantum_fidelity_theta", 16,
+         "0x1.306159336a9cap-1", "0x1.9f3d4d992ac6cp-2", "0x1.1c362956039d7p-1"),
+        ("couplings", "diagonal_largest_eigenvalue", 16,
+         "0x1.306159336a9cap-1", "0x1.9f3d4d992ac6cp-2", "0x1.ee8388e07504ap-1"),
+        ("cor_pure", "ef_cor1", 2,
+         "0x1.b11c607668b4ep-1", "0x1.065327be0d988p-3", "0x1.7cefb1c08b0b6p+1"),
+        ("cor_pure", "ef_cor1", 3,
+         "0x1.d8da5eb2ac8d7p-1", "0x1.c8213e8dc0250p-2", "0x1.c9e7ff801ff2ep+1"),
+        ("cor_pure", "ef_cor1", 16,
+         "0x1.ffef2dbe2f4dcp-1", "0x1.ffbe9ac629a00p-5", "0x1.7fffffd3c9bb6p+2"),
+    ]
+
+    @pytest.mark.parametrize("suite, dims", [("couplings", (2, 16)), ("cor_pure", (2, 3, 16))])
+    def test_stacked_kernels_give_the_records_of_the_replaced_code(self, suite, dims):
+        """``PER_CASE`` runs the stacks of one of the kernels it checks; these
+        values tie the kernels to the code they replaced.  The tolerance
+        admits the last-bit differences of other LAPACK builds only."""
+        records = run_campaign(CampaignConfig(suite, dims=dims, samples=1, seed=12)).records
+        expected = [row[1:] for row in self.ONE_AT_A_TIME if row[0] == suite]
+        assert [(r["variant"], r["dim"]) for r in records] == [row[:2] for row in expected]
+        for r, (_, _, *values) in zip(records, expected):
+            got = [r["epsilon"], r["lhs"], r["rhs"]]
+            assert got == pytest.approx([float.fromhex(x) for x in values], rel=0, abs=1e-13)
+
     def test_chunks_hold_equal_parameters_within_the_byte_budget(self):
         grid = harness._dims_by_samples((2, 128, 2), 3)
         assert harness._chunks(grid, harness._pair_bytes) == [

@@ -15,13 +15,19 @@ from entrobounds.states import (
     DensityOperator,
     StateValidationError,
     as_state,
+    PureStack,
     StateStack,
+    built_stack,
     density_stack,
     draw_state_matrices,
     embedded_stack,
+    factored_traces,
     maximally_entangled_state,
     partial_trace,
+    partial_traces,
     pretty_good_purification,
+    pure_marginals,
+    pure_stack,
     sample_pure_bipartite,
     sample_pure_state,
     sample_qc_state,
@@ -299,6 +305,44 @@ class TestDensityStack:
             density_stack(np.stack([clean, bad, later]))
         assert type(stacked.value) is type(scalar.value)
         assert str(stacked.value) == str(scalar.value)
+
+    def test_built_states_are_built_stack_element_by_element(self):
+        """``DensityOperator._built`` of each matrix of a stack, one of them
+        renormalized, has the bits of its row of ``built_stack``; a trace
+        off from 1 raises the same error."""
+        rng = np.random.default_rng(35)
+        mats = draw_state_matrices(4, 2, [rng, rng])
+        mats[1] *= 1.0 + 1e-12
+        stack = built_stack(mats)
+        for j, m in enumerate(mats):
+            assert stack[j].tobytes() == DensityOperator._built(m).mat.tobytes()
+        assert np.trace(stack[1]).real == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(StateValidationError, match="trace") as scalar:
+            DensityOperator._built(mats[0] * 1.5)
+        with pytest.raises(StateValidationError) as stacked:
+            built_stack(np.stack([mats[0], mats[0] * 1.5]))
+        assert str(stacked.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("dims", [(3, 3), (2, 5)])
+    def test_pure_marginals_are_the_partial_traces_of_the_constructed_states(self, dims):
+        """``pure_marginals`` of a unit vector and of one whose trace the
+        trace rule renormalizes (``factored_traces``) are, byte for byte,
+        the partial traces of the states ``factored`` builds, with the
+        weights of their factors; ``pure_stack`` is ``DensityOperator.pure``."""
+        rng = np.random.default_rng(36)
+        shape = (2, dims[0] * dims[1])
+        raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        unit = pure_stack(raw)
+        vecs = unit.vectors * np.array([[1.0], [np.sqrt(1.0 + 3e-14)]])
+        pure = PureStack(vecs, factored_traces(vecs[:, :, None], np.ones((2, 1))))
+        assert pure.traces[0] == 1.0 and pure.traces[1] != 1.0
+        states = [BipartiteState.factored(v[:, None], [1.0], 0.0, dims) for v in vecs]
+        assert pure_marginals(pure, dims).tobytes() == np.stack(
+            [partial_traces(s.mat, dims, "A") for s in states]).tobytes()
+        assert pure.weights.tolist() == [s.factor[1][0] for s in states]
+        for v, w, r in zip(unit.vectors, unit.weights, raw):
+            alone = DensityOperator.pure(r)
+            assert v.tobytes() == alone.factor[0][:, 0].tobytes() and w == alone.factor[1][0]
 
     def test_embedded_blocks_match_the_padded_constructor(self):
         """A block whose padded state has trace 1 + 1e-12 is renormalized
