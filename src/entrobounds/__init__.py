@@ -16,7 +16,6 @@ from .linalg import (
     HermitianOperator,
     fidelity,
     operator_norm,
-    positive_part,
     trace_distance,
     trace_norm,
 )

@@ -31,7 +31,7 @@ import numpy as np
 from .entropies import (binary_entropy, conditional_entropies, conditional_entropy,
                         von_neumann_entropies, von_neumann_entropy)
 from .dc_optimizer import ConvexSetModel, kappa_bracket
-from .linalg import pure_trace_distances, rank_one_factor, trace_distance, trace_distances
+from .linalg import factored_trace_distances, rank_one_factor, trace_distance, trace_distances
 from .states import (BipartiteState, DensityOperator, PureStack, StateStack, density_stack,
                      maximally_entangled_state, partial_traces, pure_marginals, state_pair)
 
@@ -196,12 +196,15 @@ def check_cor_pure_stack(phi: PureStack, psi: PureStack, dims, which: str = "ef"
 def _cor_pure_reports(a, wa, b, wb, marginals, dims, which) -> list:
     """The reports of the pure pairs ``(wa |a><a|, wb |b><b|)`` of two (n, D)
     stacks of unit vectors and weights, with their A marginals (n, 2,
-    d_a, d_a): eps from ``linalg.pure_trace_distances``, the entropies of
-    the marginals validated as one stack."""
+    d_a, d_a): eps from ``linalg.factored_trace_distances`` of the rank-one
+    factors ``(a, [wa], 0)`` and ``(b, [wb], 0)``, the entropies of the
+    marginals validated as one stack."""
     if which not in _COROLLARIES:
         raise ValueError(f"unknown corollary bound {which!r}")
     variant, bound = _COROLLARIES[which]
-    eps = np.minimum(pure_trace_distances(a, wa, b, wb), 1.0)
+    zero = np.zeros(len(a))
+    eps = np.minimum(factored_trace_distances(a[:, :, None], wa[:, None], zero,
+                                              b[:, :, None], wb[:, None], zero), 1.0)
     s_phi, s_psi = density_stack(marginals.reshape(-1, dims[0], dims[0])).split()
     lhs = np.abs(von_neumann_entropies(s_phi) - von_neumann_entropies(s_psi))
     d = min(dims)

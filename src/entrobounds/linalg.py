@@ -13,13 +13,13 @@ Conventions
   whose spectrum is never read are never decomposed.
 * An operator with a thin factor (``HermitianOperator.factor``), such as
   a projector, and a diagonal operator know their spectrum and never call
-  ``eigh``.  The difference of two factored operators is factored again
-  from a 2k x 2k eigenproblem, in O(d k^2) instead of O(d^3).
+  ``eigh``.  The trace distance of two factored operators comes from a
+  2k x 2k eigenproblem, in O(d k^2) instead of O(d^3).
 * An operator with a block (``HermitianOperator.block``) is a k x k
   operator on a set of rows and columns and zero elsewhere, such as an
   energy-constrained state padded to its level space.  Its spectrum is
-  the block's plus zeros, and the difference of two blocks on the same
-  index set is a block again, so only k x k matrices are decomposed.
+  the block's plus zeros, and the trace distance of two blocks on the
+  same index set decomposes only their k x k difference.
 * ``support_mask`` is the one support cut (eigenvalues at or below
   ``ZERO_EIGENVALUE_RTOL * max(|lambda_max|, 1)`` are exact zeros), for
   support-restricted functions such as ``sqrt`` and for D(rho || gamma).
@@ -32,7 +32,8 @@ matrices in one pass: the same scans, judged by the same rules
 (``_check_hermitian``), the same symmetrization (``_symmetrized``) and
 one batched ``descending_eigh``, whose every matrix is decomposed bit for
 bit as it would be alone.
-``trace_distances`` is ``trace_distance`` over two such stacks,
+``trace_distance`` is the stack of one of ``trace_distances`` (of
+matrices, or of blocks on one index set) or ``factored_trace_distances``,
 ``function_stack`` is ``apply_function`` over a stack of eigenpairs,
 ``unit_vectors`` is the normalization of ``pure`` and ``pure_fidelities``
 the rank-one branch of ``fidelity``, each over a stack.  No operator
@@ -108,8 +109,8 @@ class HermitianOperator:
     The input is symmetrized on construction; a non-finite entry, or a
     deviation from Hermiticity larger than ``HERMITICITY_ATOL`` (relative
     to the largest entry), raises.  Operators the library builds from
-    validated parts (``diagonal``, ``factored``, ``embedded``, ``a - b``
-    and ``apply_function``) go through ``_built``, which symmetrizes alike
+    validated parts (``diagonal``, ``factored``, ``embedded`` and
+    ``apply_function``) go through ``_built``, which symmetrizes alike
     but skips both O(d^2) scans; ``diagonal`` and ``factored`` check their
     parts for non-finite entries instead, and ``embedded`` takes a
     validated operator as its block.
@@ -264,22 +265,6 @@ class HermitianOperator:
             basis[np.flatnonzero(rest), np.arange(k, self.dim)] = 1.0
         self._eigenvectors = _frozen(basis[:, order])
 
-    def __sub__(self, other: "HermitianOperator") -> "HermitianOperator":
-        """``self - other``, factored if both are: with ``Q R = [V_a V_b]`` it
-        is ``(c_a - c_b) 1 + Q R diag(lam_a - c_a, c_b - lam_b) R^dagger Q^dagger``,
-        one small eigh.  Coinciding columns (a singular ``R``) stay exact.
-        Two blocks on the same index set give the block ``B_a - B_b``."""
-        diff = HermitianOperator._built(self.mat - other.mat)
-        if (self.block is not None and other.block is not None
-                and np.array_equal(self.block[0], other.block[0])):
-            diff.block = (self.block[0], self.block[1] - other.block[1])
-        elif self.factor is not None and other.factor is not None:
-            (va, la, ca), (vb, lb, cb) = self.factor, other.factor
-            q, r = np.linalg.qr(np.hstack([va, vb]))
-            mu, w = np.linalg.eigh((r * np.concatenate([la - ca, cb - lb])) @ r.conj().T)
-            diff.factor = (_frozen(q @ w), _frozen(mu + (ca - cb)), ca - cb)
-        return diff
-
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim})"
 
@@ -400,11 +385,6 @@ def operator_norm(op: HermitianOperator) -> float:
     return float(np.abs(op.eigenvalues).max())
 
 
-def positive_part(op: HermitianOperator) -> HermitianOperator:
-    """(A)_+ = sum of positive-eigenvalue spectral components."""
-    return op.apply_function(lambda lam: np.where(lam > 0, lam, 0.0))
-
-
 def support_mask(lam: np.ndarray) -> np.ndarray:
     """Which eigenvalues of non-increasing spectra (last axis) are inside
     the support: those above ``ZERO_EIGENVALUE_RTOL max(|lambda_max|, 1)``."""
@@ -445,20 +425,37 @@ def fidelity(rho, sigma) -> float:
 
 
 def trace_distance(rho, sigma) -> float:
-    """Half the trace norm of the difference."""
-    rho_op, sigma_op = _operator_pair(rho, sigma)
-    return 0.5 * trace_norm(rho_op - sigma_op)
+    """Half the trace norm of ``rho - sigma``: the stack of one of
+    ``trace_distances`` of two blocks on one index set, of
+    ``factored_trace_distances`` of two factors, else of the matrices."""
+    a, b = _operator_pair(rho, sigma)
+    if a.block is not None and b.block is not None and np.array_equal(a.block[0], b.block[0]):
+        return float(trace_distances(a.block[1].mat[None], b.block[1].mat[None], a.dim)[0])
+    if a.factor is not None and b.factor is not None:
+        return float(factored_trace_distances(*(np.array([x]) for x in a.factor + b.factor))[0])
+    return float(trace_distances(a.mat[None], b.mat[None])[0])
 
 
-def pure_trace_distances(a, wa, b, wb) -> np.ndarray:
-    """``trace_distance(wa |a><a|, wb |b><b|)`` of each pair of unit vectors
-    of two (n, D) stacks with their weights, as ``__sub__`` factors the
-    difference: the eigenvalues of ``R diag(wa, -wb) R^dagger`` for the R of
-    the QR of ``[a b]``, with no D x D matrix built."""
-    r = np.linalg.qr(np.stack([a, b], axis=2), mode="r")
-    mu = np.linalg.eigh((r * np.stack([wa, -wb], axis=1)[:, None, :]) @ r.conj().swapaxes(1, 2))[0]
-    # the D - 2 zero eigenvalues of the difference add nothing to its trace norm
-    return 0.5 * np.abs(mu).sum(axis=1)
+def _half_trace_norms(lam, fill, dim):
+    """Half the trace norm of each spectrum made of a row of ``lam`` (n, k) and
+    ``dim - k`` copies of its ``fill`` (n,), summed in non-increasing order
+    as ``HermitianOperator`` sorts a factored or block spectrum."""
+    padded = np.concatenate([lam, np.repeat(fill[:, None], dim - lam.shape[1], axis=1)], axis=1)
+    return 0.5 * np.abs(np.sort(padded, axis=1)[:, ::-1]).sum(axis=1)
+
+
+def factored_trace_distances(va, la, ca, vb, lb, cb) -> np.ndarray:
+    """``trace_distance`` of each pair of factored operators ``c 1 + V
+    diag(lam - c) V^dagger`` of two stacks (``V`` (n, D, k) with orthonormal
+    columns, ``lam`` (n, k), ``c`` (n,)), with no D x D matrix built.  With
+    ``Q R = [V_a V_b]`` the difference is ``(c_a - c_b) 1 + Q R diag(lam_a -
+    c_a, c_b - lam_b) R^dagger Q^dagger``: the eigenvalues of one small eigh
+    plus ``c_a - c_b``, and ``c_a - c_b`` on the rest of the D dimensions.
+    Coinciding columns (a singular ``R``) stay exact."""
+    r = np.linalg.qr(np.concatenate([va, vb], axis=2), mode="r")
+    weights = np.concatenate([la - ca[:, None], cb[:, None] - lb], axis=1)
+    mu = np.linalg.eigh((r * weights[:, None, :]) @ r.conj().swapaxes(1, 2))[0]
+    return _half_trace_norms(mu + (ca - cb)[:, None], ca - cb, va.shape[1])
 
 
 def trace_distances(a, b, dim=None) -> np.ndarray:
@@ -466,10 +463,6 @@ def trace_distances(a, b, dim=None) -> np.ndarray:
     matrices, as for dense operators.  With ``dim``, each pair are the blocks
     of two ``dim``-dimensional operators on one index set
     (``HermitianOperator.block``): their difference has the block's spectrum
-    and ``dim - k`` zeros, summed in the order that operator sorts them."""
+    and ``dim - k`` zeros."""
     lam = descending_eigh(_symmetrized(a - b))[0]
-    if dim is not None:
-        padded = np.zeros((len(lam), dim))
-        padded[:, :lam.shape[1]] = lam
-        lam = np.sort(padded, axis=1)[:, ::-1]
-    return 0.5 * np.abs(lam).sum(axis=1)
+    return _half_trace_norms(lam, np.zeros(len(lam)), dim or lam.shape[1])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from entrobounds.linalg import (
     MatrixFunctionDomainError,
     as_operator,
     descending_eigh,
+    factored_trace_distances,
     fidelity,
     operator_norm,
-    positive_part,
     trace_distance,
     trace_norm,
 )
@@ -266,9 +267,21 @@ def _assert_factored_eigenpairs(op):
     assert np.abs((u * lam) @ u.conj().T - op.mat).max() <= 1e-14
 
 
+def _distance_and_eigh_dims(a, b, eigh_dims, atol):
+    """``trace_distance(a, b)`` and the dimensions of the ``eigh`` calls it
+    made, after checking it against the dense spectrum of ``a.mat - b.mat``
+    within ``atol``."""
+    eigh_dims.clear()
+    td = trace_distance(a, b)
+    made = list(eigh_dims)
+    assert td == pytest.approx(0.5 * np.abs(np.linalg.eigvalsh(a.mat - b.mat)).sum(),
+                               rel=0, abs=atol)
+    return td, made
+
+
 class TestFactoredOperator:
     @pytest.mark.parametrize("d", [2, 16, 256])
-    def test_pure_pair_difference_matches_dense(self, d):
+    def test_pure_pair_difference_matches_dense(self, d, eigh_dims):
         rng = np.random.default_rng(d)
         u = _unit(rng, d)
         w = _unit(rng, d)
@@ -277,37 +290,35 @@ class TestFactoredOperator:
         pairs = {"random": _unit(rng, d), "near": u + 1e-6 * w, "orthogonal": w,
                  "equal": u, "phase": -1j * u}
         for name, v in pairs.items():
-            diff = HermitianOperator.pure(u) - HermitianOperator.pure(v)
-            assert diff.factor is not None
-            np.testing.assert_allclose(diff.eigenvalues, _dense_spectrum(diff), rtol=0, atol=1e-13,
-                                       err_msg=name)
+            td, made = _distance_and_eigh_dims(DensityOperator.pure(u), DensityOperator.pure(v),
+                                               eigh_dims, 1e-13)
+            assert made == [2], name  # the 2 x 2 eigenproblem of [u v] only
             vn = v / np.linalg.norm(v)
             gap = np.linalg.norm(vn - np.vdot(u, vn) * u)  # sqrt(1 - |<u|v>|^2), no cancellation
-            assert trace_distance(DensityOperator.pure(u), DensityOperator.pure(v)) \
-                == pytest.approx(gap, rel=1e-6, abs=1e-13)
-            _assert_factored_eigenpairs(diff)
-        near = HermitianOperator.pure(u) - HermitianOperator.pure(pairs["near"])
-        assert near.eigenvalues[0] == pytest.approx(1e-6 / math.sqrt(1 + 1e-12), rel=1e-9)
+            assert td == pytest.approx(gap, rel=1e-6, abs=1e-13), name
+        near = trace_distance(HermitianOperator.pure(u), HermitianOperator.pure(pairs["near"]))
+        assert near == pytest.approx(1e-6 / math.sqrt(1 + 1e-12), rel=1e-9)
 
     @pytest.mark.parametrize("d", [2, 16])
     @pytest.mark.parametrize("eps", [0.05, 0.5, 1.0])
-    def test_af_witness_pair(self, d, eps):
+    def test_af_witness_pair(self, d, eps, eigh_dims):
         rho, sigma = tightness_witness_af(d, eps)
         assert isinstance(rho, BipartiteState) and rho.factor is not None
-        diff = rho - sigma
-        for op in (rho, sigma, diff):
+        td, made = _distance_and_eigh_dims(rho, sigma, eigh_dims, 1e-13)
+        assert made == [2]
+        assert td == pytest.approx(eps, abs=1e-14)
+        for op in (rho, sigma):
             np.testing.assert_allclose(op.eigenvalues, _dense_spectrum(op), rtol=0, atol=1e-13)
             _assert_factored_eigenpairs(op)
         c = eps / (d * d - 1)
         np.testing.assert_allclose(rho.eigenvalues, sorted([1 - eps] + [c] * (d * d - 1))[::-1],
                                    rtol=0, atol=1e-16)
-        assert trace_distance(rho, sigma) == pytest.approx(eps, abs=1e-14)
         if eps == 1.0:  # c > lam: the witness vector comes last
             assert rho.eigenvalues[-1] == 0.0
             assert abs(abs(np.vdot(rho.eigenvectors[:, -1], sigma.factor[0][:, 0])) - 1) <= 1e-14
 
     @pytest.mark.parametrize("d", [3, 16, 64])
-    def test_rank_two_minus_rank_three(self, d):
+    def test_rank_two_minus_rank_three(self, d, eigh_dims):
         rng = np.random.default_rng(d)
         if d > 3:  # one column shared exactly, one in part
             w = _orthonormal(rng, d, 4)
@@ -317,18 +328,57 @@ class TestFactoredOperator:
             va, vb = _orthonormal(rng, d, 2), _orthonormal(rng, d, 3)
         a = HermitianOperator.factored(va, [0.5, -0.2], 0.1)
         b = HermitianOperator.factored(vb, [0.3, 0.2, 0.7], -0.05)
-        for op in (a, b, a - b, b - a):
+        for first, second in ((a, b), (b, a)):
+            _, made = _distance_and_eigh_dims(first, second, eigh_dims, 1e-13)
+            # the eigenproblem of the R of [V_a V_b], at most d x d
+            assert made == [min(d, 5)]
+        for op in (a, b):
             np.testing.assert_allclose(op.eigenvalues, _dense_spectrum(op), rtol=0, atol=1e-13)
             _assert_factored_eigenpairs(op)
-        assert (a - b).factor[2] == pytest.approx(0.15)
 
-    def test_difference_without_a_factor_is_dense(self):
+    def test_difference_without_a_factor_is_dense(self, eigh_dims):
         rng = np.random.default_rng(26)
         rho, sigma = sample_state(4, 4, rng), DensityOperator.pure(_unit(rng, 4))
-        for diff in (rho - sigma, sigma - rho, rho - rho):
-            assert diff.factor is None
-            assert type(diff) is HermitianOperator
-        np.testing.assert_array_equal((rho - sigma).mat, HermitianOperator(rho.mat - sigma.mat).mat)
+        for a, b in ((rho, sigma), (sigma, rho), (rho, rho)):
+            td, made = _distance_and_eigh_dims(a, b, eigh_dims, 1e-14)
+            assert made == [4]
+            # bit for bit the trace norm of the dense operator a.mat - b.mat
+            assert td == 0.5 * trace_norm(HermitianOperator(a.mat - b.mat))
+
+    @pytest.mark.parametrize("ka, kb, d", [(1, 1, 9), (1, 3, 9), (2, 3, 16), (4, 4, 6)])
+    def test_stack_matches_each_pair_alone(self, ka, kb, d):
+        rng = np.random.default_rng([ka, kb, d])
+        n = 5
+        va = np.stack([_orthonormal(rng, d, ka) for _ in range(n)])
+        vb = np.stack([_orthonormal(rng, d, kb) for _ in range(n)])
+        w = _orthonormal(rng, d, max(ka, kb))
+        va[1], vb[1] = w[:, :ka], w[:, -kb:]  # columns shared exactly
+        la, lb = rng.standard_normal((n, ka)), rng.standard_normal((n, kb))
+        ca, cb = rng.standard_normal(n), rng.standard_normal(n)
+        cb[2] = ca[2]
+        stacked = factored_trace_distances(va, la, ca, vb, lb, cb)
+        for i in range(n):
+            one = slice(i, i + 1)
+            alone = factored_trace_distances(va[one], la[one], ca[one], vb[one], lb[one], cb[one])
+            assert stacked[i] == alone[0]
+            a = HermitianOperator.factored(va[i], la[i], ca[i])
+            b = HermitianOperator.factored(vb[i], lb[i], cb[i])
+            assert trace_distance(a, b) == stacked[i]
+            dense = 0.5 * np.abs(np.linalg.eigvalsh(a.mat - b.mat)).sum()
+            assert stacked[i] == pytest.approx(dense, rel=0, abs=1e-13)
+
+    def test_af_witness_distance_builds_no_full_size_matrix(self):
+        """One d^2 x d^2 complex matrix at d = 16 takes 1 MiB; the distance
+        of the witness pair stays below 1/16 of it."""
+        rho, sigma = tightness_witness_af(16, 0.25)
+        tracemalloc.start()
+        try:
+            td = trace_distance(rho, sigma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert td == pytest.approx(0.25, abs=1e-14)
+        assert peak < 65536
 
 
 def _assert_matches_dense(op):
@@ -362,36 +412,29 @@ class TestBlockOperator:
         _assert_matches_dense(op)
 
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("d", [3, 5, 8])
+    @pytest.mark.parametrize("d", [3, 5, 8, 16])
     def test_difference_on_one_index_set_is_a_block(self, d, seed, eigh_dims):
         rng = np.random.default_rng([d, seed])
         index = rng.choice(d, size=int(rng.integers(2, d)), replace=False)
         rho, sigma = _block_state(rng, index, d), _block_state(rng, index, d)
-        diff = rho - sigma
-        assert np.array_equal(diff.block[0], index)
-        lam = diff.eigenvalues
-        # the d - k zeros of the padding sit between the two signs
-        assert lam[0] > 0 > lam[-1] and (lam == 0.0).sum() == d - len(index)
-        diff.eigenvectors
-        assert max(eigh_dims) == len(index)
-        _assert_matches_dense(diff)
-        dense = 0.5 * np.abs(np.linalg.eigvalsh(rho.mat - sigma.mat)).sum()
-        assert trace_distance(rho, sigma) == pytest.approx(dense, abs=1e-14)
+        td, made = _distance_and_eigh_dims(rho, sigma, eigh_dims, 1e-14)
+        assert made == [len(index)]
+        # the k x k spectrum and d - k zeros, summed as the block operator sorts them
+        block = HermitianOperator(rho.block[1].mat - sigma.block[1].mat)
+        assert td == 0.5 * trace_norm(HermitianOperator.embedded(index, block, d))
 
-    def test_difference_on_other_index_sets_is_dense(self):
+    def test_difference_on_other_index_sets_is_dense(self, eigh_dims):
         rng = np.random.default_rng(27)
         a = _block_state(rng, [0, 2, 3], 6)
         # another set, the same set in another order, a subset, and no block
         for b in (_block_state(rng, [0, 2, 4], 6), _block_state(rng, [3, 2, 0], 6),
                   _block_state(rng, [0, 2], 6), sample_state(6, 6, rng)):
-            for diff in (a - b, b - a):
-                assert diff.block is None
-                _assert_matches_dense(diff)
-            np.testing.assert_array_equal((a - b).mat, HermitianOperator(a.mat - b.mat).mat)
-            dense = 0.5 * np.abs(np.linalg.eigvalsh(a.mat - b.mat)).sum()
-            assert trace_distance(a, b) == pytest.approx(dense, abs=1e-14)
+            for first, second in ((a, b), (b, a)):
+                td, made = _distance_and_eigh_dims(first, second, eigh_dims, 1e-14)
+                assert made == [6]
+                assert td == 0.5 * trace_norm(HermitianOperator(first.mat - second.mat))
 
-    def test_renormalised_trace_keeps_the_block(self):
+    def test_renormalised_trace_keeps_the_block(self, eigh_dims):
         rng = np.random.default_rng(28)
         index = [4, 1, 2]
         small = sample_state(3, 3, rng)
@@ -400,7 +443,9 @@ class TestBlockOperator:
         assert np.array_equal(state.block[1].mat, state.mat[np.ix_(index, index)])
         assert state.trace() == pytest.approx(1.0, abs=1e-15)
         _assert_matches_dense(state)
-        assert (state - DensityOperator.embedded(index, small, 6)).block is not None
+        other = DensityOperator.embedded(index, small, 6)
+        _, made = _distance_and_eigh_dims(state, other, eigh_dims, 1e-14)
+        assert made == [3]
 
     @pytest.mark.parametrize("index", [[0, 0], [0, 3], [-1, 0], [0]])
     def test_index_must_be_distinct_and_in_range(self, index):
@@ -461,10 +506,6 @@ class TestAsOperator:
 class TestNorms:
     def test_trace_norm_diag(self):
         assert trace_norm(HermitianOperator.diagonal([1.0, -1.0])) == pytest.approx(2.0)
-
-    def test_positive_part(self):
-        out = positive_part(HermitianOperator.diagonal([0.3, -0.3]))
-        np.testing.assert_allclose(out.mat, np.diag([0.3, 0.0]), atol=1e-12)
 
     def test_operator_norm_pauli_z(self):
         assert operator_norm(HermitianOperator(PAULI_Z)) == pytest.approx(1.0)
