@@ -244,7 +244,12 @@ def quantum_couplings(rho: StateStack, sigma: StateStack) -> QuantumCouplings:
         d1, d2 = _unit_trace(_symmetrized(function_stack(lam, u, _positive))
                              ).reshape(-1, 2, d, d).swapaxes(0, 1)
         kron = (d1[:, :, None, :, None] * d2[:, None, :, None, :]).reshape(-1, d * d, d * d)
-        theta[full] += slack[full, None, None] * kron
+        kron *= slack[full, None, None]
+        if full.all():  # no copy of theta[full]
+            theta += kron
+        else:
+            theta[full] += kron
+        del kron  # not alive beside the symmetrization of theta
     theta[~full] /= norm_sq[~full, None, None]
     theta = built_stack(theta)
     psi, phi = (pure_stack(s.reshape(n, d * d)) for s in (sqrt_sigma, sqrt_rho))

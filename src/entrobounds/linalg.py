@@ -7,13 +7,17 @@ states are subclasses of it.
 
 Conventions
 -----------
-* Eigenvalues are stored in non-increasing order, fixed by ``descending_eigh``.
-* The decomposition is lazy: one ``descending_eigh`` on the first read of
-  ``eigenvalues`` or ``eigenvectors``, cached from then on.  Operators
-  whose spectrum is never read are never decomposed.
+* Eigenvalues are stored in non-increasing order.
+* Each spectral question has one solver.  Eigenvalues, of an operator or
+  of a stack, always come from ``descending_eigvalsh``.  ``descending_eigh``
+  runs only where eigenvectors are read, and its own eigenvalues are
+  discarded.  The decomposition is lazy: ``eigenvalues`` and
+  ``eigenvectors`` are each computed on their first read and cached, so
+  the eigenvalues have the same bits whichever is read first, and an
+  operator whose spectrum is never read is never decomposed.
 * An operator with a thin factor (``HermitianOperator.factor``), such as
   a projector, and a diagonal operator know their spectrum and never call
-  ``eigh``.  The trace distance of two factored operators comes from a
+  a solver.  The trace distance of two factored operators comes from a
   2k x 2k eigenproblem, in O(d k^2) instead of O(d^3).
 * An operator with a block (``HermitianOperator.block``) is a k x k
   operator on a set of rows and columns and zero elsewhere, such as an
@@ -30,8 +34,9 @@ Stacks
 ``hermitian_stack`` is ``HermitianOperator`` for an (n, d, d) stack of
 matrices in one pass: the same scans, judged by the same rules
 (``_check_hermitian``), the same symmetrization (``_symmetrized``) and
-one batched ``descending_eigh``, whose every matrix is decomposed bit for
-bit as it would be alone.
+one batched ``descending_eigvalsh``, plus one batched ``descending_eigh``
+only when the eigenvectors are asked for; every matrix gets the bits it
+would get alone.
 ``trace_distance`` is the stack of one of ``trace_distances`` (of
 matrices, or of blocks on one index set) or ``factored_trace_distances``,
 ``function_stack`` is ``apply_function`` over a stack of eigenpairs,
@@ -131,10 +136,13 @@ class HermitianOperator:
         are ``B``'s embedded at ``index`` and identity columns on the
         complement.
     eigenvalues : (d,) real ndarray, non-increasing
-        Computed on first read.
+        Computed on first read, by ``descending_eigvalsh`` for a dense
+        operator.
     eigenvectors : (d, d) complex ndarray
         Columns are the eigenvectors matching ``eigenvalues``.  Computed
-        on first read; for a factor, ``V`` completed to a unitary.
+        on first read, by ``descending_eigh`` for a dense operator (its
+        eigenvalues are discarded); for a factor, ``V`` completed to a
+        unitary.
     """
 
     __slots__ = ("mat", "dim", "factor", "block", "_eigenvalues", "_eigenvectors")
@@ -238,9 +246,11 @@ class HermitianOperator:
 
     def _decompose(self, vectors=False):
         if self.factor is None and self.block is None:
-            evals, evecs = eigenpairs(self.mat)
-            self._eigenvalues = _frozen(evals)
-            self._eigenvectors = _frozen(evecs)
+            # eigh's own values are discarded: the values have one source
+            if vectors:
+                self._eigenvectors = _frozen(eigenpairs(self.mat)[1])
+            else:
+                self._eigenvalues = _frozen(descending_eigvalsh(self.mat))
             return
         # one stable sort of [lam, c, ..., c]; the basis of V (or of the
         # block) and of its complement follows it
@@ -301,6 +311,13 @@ def descending_eigh(mats):
     return lam[..., ::-1], u[..., ::-1]
 
 
+def descending_eigvalsh(mats):
+    """The eigenvalues alone of a matrix or a stack (last two axes), by
+    ``np.linalg.eigvalsh``, in non-increasing order and contiguous; it
+    reads the lower triangle only."""
+    return np.ascontiguousarray(np.linalg.eigvalsh(mats)[..., ::-1])
+
+
 def eigenpairs(mats):
     """``descending_eigh`` of a matrix or a stack, both parts contiguous, as
     an operator caches them (a matrix product of a flipped view would not
@@ -350,12 +367,13 @@ def pure_fidelities(vecs, weights, mats) -> np.ndarray:
     return np.minimum(np.sqrt(np.maximum(weights * overlap, 0.0)), 1.0)
 
 
-def hermitian_stack(mats):
-    """``HermitianOperator(m)`` and its decomposition for each matrix ``m``
-    of an (n, d, d) stack, in one pass: ``(mats, lam, u)``, the symmetrized
-    matrices, their non-increasing spectra (contiguous) and eigenvectors
-    (views).  The first matrix that the constructor rejects raises its
-    error."""
+def hermitian_stack(mats, vectors: bool = False):
+    """``HermitianOperator(m)`` and its spectrum for each matrix ``m`` of an
+    (n, d, d) stack, in one pass: ``(mats, lam, u)``, the symmetrized
+    matrices, their non-increasing spectra (``descending_eigvalsh``,
+    contiguous) and, with ``vectors``, the eigenvectors of one batched
+    ``descending_eigh`` (views), else None.  The first matrix that the
+    constructor rejects raises its error."""
     mats = np.asarray(mats, dtype=complex)
     largest = np.abs(mats).max(axis=(1, 2))
     with np.errstate(invalid="ignore"):
@@ -363,8 +381,7 @@ def hermitian_stack(mats):
     for mat, top, skew in zip(mats, largest.tolist(), dev.tolist()):
         _check_hermitian(mat, top, skew)
     mats = _symmetrized(mats)
-    lam, u = descending_eigh(mats)
-    return mats, np.ascontiguousarray(lam), u
+    return mats, descending_eigvalsh(mats), descending_eigh(mats)[1] if vectors else None
 
 
 def as_operator(x) -> HermitianOperator:
@@ -449,12 +466,12 @@ def factored_trace_distances(va, la, ca, vb, lb, cb) -> np.ndarray:
     diag(lam - c) V^dagger`` of two stacks (``V`` (n, D, k) with orthonormal
     columns, ``lam`` (n, k), ``c`` (n,)), with no D x D matrix built.  With
     ``Q R = [V_a V_b]`` the difference is ``(c_a - c_b) 1 + Q R diag(lam_a -
-    c_a, c_b - lam_b) R^dagger Q^dagger``: the eigenvalues of one small eigh
+    c_a, c_b - lam_b) R^dagger Q^dagger``: the eigenvalues of one small eigvalsh
     plus ``c_a - c_b``, and ``c_a - c_b`` on the rest of the D dimensions.
     Coinciding columns (a singular ``R``) stay exact."""
     r = np.linalg.qr(np.concatenate([va, vb], axis=2), mode="r")
     weights = np.concatenate([la - ca[:, None], cb[:, None] - lb], axis=1)
-    mu = np.linalg.eigh((r * weights[:, None, :]) @ r.conj().swapaxes(1, 2))[0]
+    mu = np.linalg.eigvalsh((r * weights[:, None, :]) @ r.conj().swapaxes(1, 2))
     return _half_trace_norms(mu + (ca - cb)[:, None], ca - cb, va.shape[1])
 
 
@@ -464,5 +481,5 @@ def trace_distances(a, b, dim=None) -> np.ndarray:
     of two ``dim``-dimensional operators on one index set
     (``HermitianOperator.block``): their difference has the block's spectrum
     and ``dim - k`` zeros."""
-    lam = descending_eigh(_symmetrized(a - b))[0]
+    lam = descending_eigvalsh(_symmetrized(a - b))
     return _half_trace_norms(lam, np.zeros(len(lam)), dim or lam.shape[1])

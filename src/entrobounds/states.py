@@ -16,8 +16,10 @@ matrices: ``linalg.hermitian_stack`` followed by the state rules
 (``_state_rule``, through which every state goes, alone or stacked) and
 the repairs (``_clamped``, the renormalisation by ``RENORM_ATOL``) that
 the constructor applies, element by element and bit for bit, with no
-object built.  It returns a :class:`StateStack`, with the eigenvectors
-on request, so that the couplings decompose no state twice.
+object built.  It returns a :class:`StateStack` of the ``eigvalsh``
+spectra, with the ``eigh`` eigenvectors on request, so that the
+couplings decompose no state twice and a check that reads spectra alone
+runs no vector solver.
 ``DensityOperator._built`` is the stack of one of ``built_stack``.
 ``factored_traces`` is the trace rule of ``DensityOperator.factored``
 for a stack of bases, with no D x D matrix built, and ``pure_stack`` is
@@ -39,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (PSD_ATOL, HermitianOperator, _frozen, _operator_pair, _symmetrized,
-                     check_dense_dim, hermitian_stack, unit_vectors)
+                     check_dense_dim, eigenpairs, hermitian_stack, unit_vectors)
 
 # A state's trace may be off from 1 by TRACE_ATOL, and is renormalized when
 # it is off by more than RENORM_ATOL.
@@ -94,14 +96,15 @@ class DensityOperator(HermitianOperator):
     ``RENORM_ATOL``.  Eigenvalues below ``-PSD_ATOL``, or a trace off from 1
     by more than ``TRACE_ATOL``, are rejected as genuinely invalid input
     (``_state_rule``); ``density_stack`` applies the same rules and
-    repairs to a stack of arrays.  An operator's factor, block and known
-    spectrum are kept (a renormalized trace scales them alike), and a
-    repaired state keeps the eigenpairs its validation read, so no state
-    is decomposed twice.  A ``DensityOperator`` passed
+    repairs to a stack of arrays.  Validation reads the eigenvalues
+    alone; the clamp also reads the eigenvectors.  An operator's factor,
+    block and known spectrum are kept (a renormalized trace scales them
+    alike), and a repaired state keeps what its validation read, so no
+    state is decomposed twice.  A ``DensityOperator`` passed
     in is already valid and is taken over with no second validation.
     ``_built`` takes a matrix that is PSD by construction (nonnegative
     weights of validated states) and checks only its trace, with no
-    ``eigh``.
+    decomposition.
     """
 
     __slots__ = ()
@@ -182,8 +185,8 @@ class BipartiteState(DensityOperator):
 class StateStack(NamedTuple):
     """n validated states of one dimension d, as ``density_stack`` leaves
     them: their symmetrized (and repaired) matrices, their non-increasing
-    spectra and, if kept, their eigenvectors: the eigenpairs a
-    ``DensityOperator`` keeps."""
+    spectra (``eigvalsh``) and, if kept, their eigenvectors (``eigh``):
+    the eigenpairs a ``DensityOperator`` keeps."""
 
     mats: np.ndarray  # (n, d, d) complex
     eigenvalues: np.ndarray  # (n, d) real
@@ -203,21 +206,26 @@ class StateStack(NamedTuple):
 
 def density_stack(mats, vectors: bool = False) -> StateStack:
     """``DensityOperator(m)`` for each matrix ``m`` of an (n, d, d) stack, in
-    one pass and bit for bit: the scans, symmetrization and decomposition of
+    one pass and bit for bit: the scans, symmetrization and spectra of
     ``linalg.hermitian_stack``, then the state rules and the clamp or
     renormalization, element by element.  The first matrix (in stack
-    order) that the constructor rejects raises its error.  The stack keeps
-    the eigenvectors with ``vectors`` only, so that a check that reads
-    spectra alone holds no d x d basis per state."""
-    mats, lam, u = hermitian_stack(mats)
+    order) that the constructor rejects raises its error.  Only with
+    ``vectors`` does the stack run ``eigh`` and keep the eigenvectors, so
+    that a check that reads spectra alone computes and holds no d x d
+    basis per state.  Without them, a clamped state alone is decomposed
+    with ``eigh``, as the constructor decomposes it, and its ``eigvalsh``
+    spectrum is clamped with those vectors."""
+    mats, lam, u = hermitian_stack(mats, vectors)
     tr = np.trace(mats, axis1=1, axis2=2).real
     renormalized = _state_rules(lam[:, -1], tr)
     clamp = lam[:, -1] < 0.0
     for j in np.flatnonzero(clamp):
-        mat, lam[j] = _clamped(lam[j], np.ascontiguousarray(u[j]))
+        # without the stack's vectors, those of this state alone, as the constructor
+        vecs = eigenpairs(mats[j])[1] if u is None else np.ascontiguousarray(u[j])
+        mat, lam[j] = _clamped(lam[j], vecs)
         mats[j] = _symmetrized(mat)
     _renormalize(mats, lam, tr, renormalized & ~clamp)
-    return StateStack(mats, lam, u if vectors else None)
+    return StateStack(mats, lam, u)
 
 
 def built_stack(mats) -> np.ndarray:

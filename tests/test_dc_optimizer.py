@@ -255,17 +255,14 @@ class TestMinimizer:
         ([0.7, 0.7, 0.7], "simplex"),
         ([np.nan, 0.5, 0.5], "simplex"),
     ])
-    def test_invalid_start_raises_before_any_eigendecomposition(self, monkeypatch, start, match):
+    def test_invalid_start_raises_before_any_eigendecomposition(self, solver_calls, start, match):
         rng = np.random.default_rng(9)
         model = ConvexSetModel(generators=[sample_state(3, 3, rng).mat for _ in range(3)])
         rho = sample_state(3, 3, rng)
-
-        def no_eigh(*args, **kwargs):
-            raise AssertionError("eigendecomposition before the start was checked")
-
-        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        solver_calls.clear()
         with pytest.raises(ValueError, match=match):
             dc_minimize(rho, model, start=start)
+        assert solver_calls == [], "eigendecomposition before the start was checked"
 
     def test_gap_bounds_suboptimality(self):
         rng = np.random.default_rng(6)

@@ -518,6 +518,13 @@ class TestCli:
             assert line == (f"{rec['variant']}: lhs={rec['lhs']:.6f} rhs={rec['rhs']:.6f} "
                             f"slack={rec['slack']:.3e} valid={rec['valid']}")
 
+    def test_fannes_campaign_calls_no_vector_solver(self, solver_calls, tmp_path):
+        """The fannes records read spectra and trace distances alone."""
+        argv = ["verify", "fannes", "--dims", "64", "--samples", "2",
+                "--out", str(tmp_path / "f.csv")]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert solver_calls and {name for name, _ in solver_calls} == {"eigvalsh"}
+
     def test_couplings_decompose_no_matrix_above_d(self, monkeypatch, tmp_path):
         """At d = 16 the couplings are 256 x 256 states, and none is decomposed."""
         sizes = []
@@ -686,6 +693,13 @@ class TestCli:
         proc, _, peak = self._run_capped(argv)
         assert proc.returncode == cli.EXIT_OK
         assert peak <= parent_peak
+
+    def test_small_couplings_chunks_hold_no_spare_theta(self):
+        # with the slack product and its copy of theta[full] alive, the
+        # campaign peaked at 1,676,845 bytes
+        proc, _, peak = self._run_capped("verify couplings --dims 2,3,4 --samples 25")
+        assert proc.returncode == cli.EXIT_OK
+        assert peak < 1_650_000
 
     def test_four_mode_gibbs_table_enumerates_no_levels(self):
         # 513^4 product levels: the closed forms never read them

@@ -102,46 +102,39 @@ class TestEigHermitian:
         assert np.array_equal(HermitianOperator._built(mat).mat, HermitianOperator(mat).mat)
 
 
-@pytest.fixture
-def eigh_calls(monkeypatch):
-    """Count calls of ``np.linalg.eigh``; read ``eigh_calls[0]``."""
-    count = [0]
-    original = np.linalg.eigh
-
-    def counted(*args, **kwargs):
-        count[0] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    return count
-
-
-@pytest.fixture
-def eigh_dims(monkeypatch):
-    """Record the matrix dimension of every ``np.linalg.eigh`` call."""
-    dims = []
-    original = np.linalg.eigh
-
-    def recorded(a, *args, **kwargs):
-        dims.append(np.shape(a)[-1])
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", recorded)
-    return dims
+def _names(calls):
+    """The solver of each call that ``solver_calls`` recorded, in order."""
+    return [name for name, _ in calls]
 
 
 class TestLazySpectrum:
-    def test_unread_spectrum_is_never_decomposed(self, eigh_calls):
+    def test_unread_spectrum_is_never_decomposed(self, solver_calls):
         rng = np.random.default_rng(21)
         op = random_hermitian(rng, 6)
-        assert eigh_calls[0] == 0
+        assert solver_calls == []
         op.apply_function(np.exp)
-        assert eigh_calls[0] == 1  # only op itself; the result is not read
+        # only op itself, its values and its vectors; the result is not read
+        assert _names(solver_calls) == ["eigvalsh", "eigh"]
         lam, u = op.eigenvalues, op.eigenvectors
-        assert eigh_calls[0] == 1
+        assert _names(solver_calls) == ["eigvalsh", "eigh"]
         np.testing.assert_allclose((u * lam) @ u.conj().T, op.mat, atol=1e-12)
 
-    def test_pure_states_make_no_call(self, eigh_calls):
+    @pytest.mark.parametrize("d", [2, 3, 8, 64])
+    def test_vectors_read_first_keep_the_values_bits(self, d, solver_calls):
+        """A dense operator's eigenvalues come from ``eigvalsh`` whichever of
+        the two is read first; ``eigh`` gives the eigenvectors alone."""
+        rng = np.random.default_rng([29, d])
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        mat = (g + g.conj().T) / (2 * np.linalg.norm(g, 2))
+        first, alone = HermitianOperator(mat), HermitianOperator(mat)
+        u = first.eigenvectors
+        assert solver_calls == [("eigh", (d, d))]
+        lam = first.eigenvalues
+        assert lam.tobytes() == alone.eigenvalues.tobytes()
+        assert _names(solver_calls) == ["eigh", "eigvalsh", "eigvalsh"]
+        assert np.abs((u * lam) @ u.conj().T - first.mat).max() <= 1e-13
+
+    def test_pure_states_make_no_call(self, solver_calls):
         rng = np.random.default_rng(22)
         rho = DensityOperator.pure(rng.standard_normal(5) + 1j * rng.standard_normal(5))
         psi = sample_pure_bipartite(4, 4, rng)
@@ -151,22 +144,24 @@ class TestLazySpectrum:
             assert state.eigenvalues[0] == 1.0
             assert (state.eigenvalues[1:] == 0.0).all()
             assert von_neumann_entropy(state) == 0.0
-        assert eigh_calls[0] == 0
+        assert solver_calls == []
 
-    def test_fidelity_of_full_rank_states_makes_two_calls(self, eigh_calls):
+    def test_fidelity_of_full_rank_states_makes_two_calls(self, solver_calls):
         rng = np.random.default_rng(23)
         rho, sigma = sample_state(4, 4, rng), sample_state(4, 4, rng)
-        before = eigh_calls[0]
+        before = len(solver_calls)
         fidelity(rho.mat, sigma.mat)
-        assert eigh_calls[0] - before == 2
-        # states decompose once, on validation, and fidelity reuses that
-        eigh_calls[0] = 0
+        # each operator: its values, then the vectors of its square root
+        assert _names(solver_calls[before:]) == ["eigvalsh", "eigh"] * 2
+        # states read their values once, on validation, and fidelity reuses
+        # them; the square roots add the vectors
+        solver_calls.clear()
         f = fidelity(DensityOperator(rho.mat), DensityOperator(sigma.mat))
-        assert eigh_calls[0] == 2
+        assert _names(solver_calls) == ["eigvalsh"] * 2 + ["eigh"] * 2
         assert f == pytest.approx(fidelity(rho, sigma), abs=1e-15)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 16, 256])
-    def test_projector_eigenvectors(self, d, eigh_calls):
+    def test_projector_eigenvectors(self, d, solver_calls):
         rng = np.random.default_rng(d)
         g = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         lead_zeros = g.copy()
@@ -181,9 +176,9 @@ class TestLazySpectrum:
             np.testing.assert_allclose(op.eigenvalues, np.eye(d)[0], atol=0)
             recon = (u * op.eigenvalues) @ u.conj().T
             assert np.abs(recon - op.mat).max() <= 1e-14
-        assert eigh_calls[0] == 0
+        assert solver_calls == []
 
-    def test_constructors_with_a_known_spectrum_make_no_call(self, eigh_calls):
+    def test_constructors_with_a_known_spectrum_make_no_call(self, solver_calls):
         gibbs = solve_beta(HamiltonianSpec.oscillators([1.0], n_max=64), 1.0).state()
         states = [DensityOperator.pure([1, 1j]), DensityOperator.diagonal([0.2, 0.5, 0.3]),
                   *tightness_witness_fannes(16, 0.25), gibbs, DensityOperator.maximally_mixed(3)]
@@ -206,27 +201,30 @@ class TestLazySpectrum:
             lam, u = state.eigenvalues, state.eigenvectors
             assert (np.diff(lam) <= 0).all()
             assert np.abs((u * lam) @ u.conj().T - state.mat).max() <= 1e-15
-        assert eigh_calls[0] == 0
+        assert solver_calls == []
 
-    @pytest.mark.parametrize("lam", [
-        [0.6, 0.4 + 2e-13, 0.0, -2e-13],  # clamped at 0
-        [0.6, 0.3, 0.1 + 3e-12, 0.0],  # trace renormalized
+    @pytest.mark.parametrize("lam, validation", [
+        # clamped at 0: the clamp reads the vectors
+        ([0.6, 0.4 + 2e-13, 0.0, -2e-13], ["eigvalsh", "eigh"]),
+        ([0.6, 0.3, 0.1 + 3e-12, 0.0], ["eigvalsh"]),  # trace renormalized
     ], ids=["clamped", "renormalized"])
-    def test_repaired_state_is_decomposed_once(self, lam, eigh_calls):
+    def test_repaired_state_is_decomposed_once(self, lam, validation, solver_calls):
         rng = np.random.default_rng(24)
         u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
         rho = DensityOperator((u * lam) @ u.conj().T)
-        assert eigh_calls[0] == 1
+        assert _names(solver_calls) == validation
         assert rho.eigenvalues[-1] >= 0.0
         assert abs(rho.eigenvalues.sum() - 1.0) <= 1e-15
         assert abs(rho.trace() - 1.0) <= 1e-15
         v = rho.eigenvectors
+        assert _names(solver_calls) == ["eigvalsh", "eigh"]  # each solver once
         assert np.abs((v * rho.eigenvalues) @ v.conj().T - rho.mat).max() <= 1e-15
         von_neumann_entropy(rho)
         fidelity(rho, rho.sqrt().mat @ rho.sqrt().mat)
-        assert eigh_calls[0] == 2  # only the product, which is a new operator
+        # only the product, which is a new operator
+        assert _names(solver_calls) == ["eigvalsh", "eigh"] * 2
 
-    def test_fidelity_of_a_renormalised_pure_state_makes_no_call(self, eigh_calls):
+    def test_fidelity_of_a_renormalised_pure_state_makes_no_call(self, solver_calls):
         # DensityOperator divides a factor's weight by a trace that is off 1
         # by more than 1e-14; the state is still w |v><v| by its factor
         rng = np.random.default_rng(26)
@@ -237,14 +235,15 @@ class TestLazySpectrum:
         g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
         sigma = HermitianOperator(g @ g.conj().T / np.trace(g @ g.conj().T).real)
         f = fidelity(psi, sigma)
-        assert eigh_calls[0] == 0
+        assert solver_calls == []
         assert abs(f - math.sqrt(w * np.vdot(v, sigma.mat @ v).real)) <= 1e-15
 
-    def test_pure_pair_and_af_witness_make_no_full_size_call(self, eigh_dims):
+    def test_pure_pair_and_af_witness_make_no_full_size_call(self, solver_calls):
         _case_cor_pure([np.random.default_rng(25)], 16)
         _case_witness([None], "af", 16, 0.25)
-        assert 256 not in eigh_dims
-        assert 16 in eigh_dims  # the marginals are decomposed as before
+        dims = [shape[-1] for _, shape in solver_calls]
+        assert 256 not in dims
+        assert 16 in dims  # the marginals are decomposed as before
 
 
 def _unit(rng, d):
@@ -267,13 +266,13 @@ def _assert_factored_eigenpairs(op):
     assert np.abs((u * lam) @ u.conj().T - op.mat).max() <= 1e-14
 
 
-def _distance_and_eigh_dims(a, b, eigh_dims, atol):
-    """``trace_distance(a, b)`` and the dimensions of the ``eigh`` calls it
-    made, after checking it against the dense spectrum of ``a.mat - b.mat``
-    within ``atol``."""
-    eigh_dims.clear()
+def _distance_and_solver_dims(a, b, solver_calls, atol):
+    """``trace_distance(a, b)`` and the ``(solver, dimension)`` of each
+    eigensolver call it made, after checking it against the dense spectrum
+    of ``a.mat - b.mat`` within ``atol``."""
+    solver_calls.clear()
     td = trace_distance(a, b)
-    made = list(eigh_dims)
+    made = [(name, shape[-1]) for name, shape in solver_calls]
     assert td == pytest.approx(0.5 * np.abs(np.linalg.eigvalsh(a.mat - b.mat)).sum(),
                                rel=0, abs=atol)
     return td, made
@@ -281,7 +280,7 @@ def _distance_and_eigh_dims(a, b, eigh_dims, atol):
 
 class TestFactoredOperator:
     @pytest.mark.parametrize("d", [2, 16, 256])
-    def test_pure_pair_difference_matches_dense(self, d, eigh_dims):
+    def test_pure_pair_difference_matches_dense(self, d, solver_calls):
         rng = np.random.default_rng(d)
         u = _unit(rng, d)
         w = _unit(rng, d)
@@ -290,9 +289,9 @@ class TestFactoredOperator:
         pairs = {"random": _unit(rng, d), "near": u + 1e-6 * w, "orthogonal": w,
                  "equal": u, "phase": -1j * u}
         for name, v in pairs.items():
-            td, made = _distance_and_eigh_dims(DensityOperator.pure(u), DensityOperator.pure(v),
-                                               eigh_dims, 1e-13)
-            assert made == [2], name  # the 2 x 2 eigenproblem of [u v] only
+            td, made = _distance_and_solver_dims(DensityOperator.pure(u), DensityOperator.pure(v),
+                                               solver_calls, 1e-13)
+            assert made == [("eigvalsh", 2)], name  # the 2 x 2 eigenproblem of [u v] only
             vn = v / np.linalg.norm(v)
             gap = np.linalg.norm(vn - np.vdot(u, vn) * u)  # sqrt(1 - |<u|v>|^2), no cancellation
             assert td == pytest.approx(gap, rel=1e-6, abs=1e-13), name
@@ -301,11 +300,11 @@ class TestFactoredOperator:
 
     @pytest.mark.parametrize("d", [2, 16])
     @pytest.mark.parametrize("eps", [0.05, 0.5, 1.0])
-    def test_af_witness_pair(self, d, eps, eigh_dims):
+    def test_af_witness_pair(self, d, eps, solver_calls):
         rho, sigma = tightness_witness_af(d, eps)
         assert isinstance(rho, BipartiteState) and rho.factor is not None
-        td, made = _distance_and_eigh_dims(rho, sigma, eigh_dims, 1e-13)
-        assert made == [2]
+        td, made = _distance_and_solver_dims(rho, sigma, solver_calls, 1e-13)
+        assert made == [("eigvalsh", 2)]
         assert td == pytest.approx(eps, abs=1e-14)
         for op in (rho, sigma):
             np.testing.assert_allclose(op.eigenvalues, _dense_spectrum(op), rtol=0, atol=1e-13)
@@ -318,7 +317,7 @@ class TestFactoredOperator:
             assert abs(abs(np.vdot(rho.eigenvectors[:, -1], sigma.factor[0][:, 0])) - 1) <= 1e-14
 
     @pytest.mark.parametrize("d", [3, 16, 64])
-    def test_rank_two_minus_rank_three(self, d, eigh_dims):
+    def test_rank_two_minus_rank_three(self, d, solver_calls):
         rng = np.random.default_rng(d)
         if d > 3:  # one column shared exactly, one in part
             w = _orthonormal(rng, d, 4)
@@ -329,19 +328,19 @@ class TestFactoredOperator:
         a = HermitianOperator.factored(va, [0.5, -0.2], 0.1)
         b = HermitianOperator.factored(vb, [0.3, 0.2, 0.7], -0.05)
         for first, second in ((a, b), (b, a)):
-            _, made = _distance_and_eigh_dims(first, second, eigh_dims, 1e-13)
+            _, made = _distance_and_solver_dims(first, second, solver_calls, 1e-13)
             # the eigenproblem of the R of [V_a V_b], at most d x d
-            assert made == [min(d, 5)]
+            assert made == [("eigvalsh", min(d, 5))]
         for op in (a, b):
             np.testing.assert_allclose(op.eigenvalues, _dense_spectrum(op), rtol=0, atol=1e-13)
             _assert_factored_eigenpairs(op)
 
-    def test_difference_without_a_factor_is_dense(self, eigh_dims):
+    def test_difference_without_a_factor_is_dense(self, solver_calls):
         rng = np.random.default_rng(26)
         rho, sigma = sample_state(4, 4, rng), DensityOperator.pure(_unit(rng, 4))
         for a, b in ((rho, sigma), (sigma, rho), (rho, rho)):
-            td, made = _distance_and_eigh_dims(a, b, eigh_dims, 1e-14)
-            assert made == [4]
+            td, made = _distance_and_solver_dims(a, b, solver_calls, 1e-14)
+            assert made == [("eigvalsh", 4)]
             # bit for bit the trace norm of the dense operator a.mat - b.mat
             assert td == 0.5 * trace_norm(HermitianOperator(a.mat - b.mat))
 
@@ -399,7 +398,7 @@ def _block_state(rng, index, d):
 class TestBlockOperator:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("d", [1, 2, 5, 8])
-    def test_spectrum_matches_dense(self, d, seed, eigh_dims):
+    def test_spectrum_matches_dense(self, d, seed, solver_calls):
         rng = np.random.default_rng([d, seed])
         k = int(rng.integers(1, d + 1))
         index = rng.choice(d, size=k, replace=False)
@@ -408,33 +407,34 @@ class TestBlockOperator:
         assert np.array_equal(op.mat[np.ix_(index, index)], b.mat)
         assert np.count_nonzero(op.mat) == np.count_nonzero(b.mat)
         op.eigenvectors
-        assert eigh_dims == [k]
+        # the block's values order its vectors
+        assert solver_calls == [("eigvalsh", (k, k)), ("eigh", (k, k))]
         _assert_matches_dense(op)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("d", [3, 5, 8, 16])
-    def test_difference_on_one_index_set_is_a_block(self, d, seed, eigh_dims):
+    def test_difference_on_one_index_set_is_a_block(self, d, seed, solver_calls):
         rng = np.random.default_rng([d, seed])
         index = rng.choice(d, size=int(rng.integers(2, d)), replace=False)
         rho, sigma = _block_state(rng, index, d), _block_state(rng, index, d)
-        td, made = _distance_and_eigh_dims(rho, sigma, eigh_dims, 1e-14)
-        assert made == [len(index)]
+        td, made = _distance_and_solver_dims(rho, sigma, solver_calls, 1e-14)
+        assert made == [("eigvalsh", len(index))]
         # the k x k spectrum and d - k zeros, summed as the block operator sorts them
         block = HermitianOperator(rho.block[1].mat - sigma.block[1].mat)
         assert td == 0.5 * trace_norm(HermitianOperator.embedded(index, block, d))
 
-    def test_difference_on_other_index_sets_is_dense(self, eigh_dims):
+    def test_difference_on_other_index_sets_is_dense(self, solver_calls):
         rng = np.random.default_rng(27)
         a = _block_state(rng, [0, 2, 3], 6)
         # another set, the same set in another order, a subset, and no block
         for b in (_block_state(rng, [0, 2, 4], 6), _block_state(rng, [3, 2, 0], 6),
                   _block_state(rng, [0, 2], 6), sample_state(6, 6, rng)):
             for first, second in ((a, b), (b, a)):
-                td, made = _distance_and_eigh_dims(first, second, eigh_dims, 1e-14)
-                assert made == [6]
+                td, made = _distance_and_solver_dims(first, second, solver_calls, 1e-14)
+                assert made == [("eigvalsh", 6)]
                 assert td == 0.5 * trace_norm(HermitianOperator(first.mat - second.mat))
 
-    def test_renormalised_trace_keeps_the_block(self, eigh_dims):
+    def test_renormalised_trace_keeps_the_block(self, solver_calls):
         rng = np.random.default_rng(28)
         index = [4, 1, 2]
         small = sample_state(3, 3, rng)
@@ -444,8 +444,8 @@ class TestBlockOperator:
         assert state.trace() == pytest.approx(1.0, abs=1e-15)
         _assert_matches_dense(state)
         other = DensityOperator.embedded(index, small, 6)
-        _, made = _distance_and_eigh_dims(state, other, eigh_dims, 1e-14)
-        assert made == [3]
+        _, made = _distance_and_solver_dims(state, other, solver_calls, 1e-14)
+        assert made == [("eigvalsh", 3)]
 
     @pytest.mark.parametrize("index", [[0, 0], [0, 3], [-1, 0], [0]])
     def test_index_must_be_distinct_and_in_range(self, index):
@@ -568,7 +568,7 @@ class TestFidelity:
         pairs = [(u, mixed), (mixed, u), (u, v)]
         dense = [trace_norm(a.sqrt().mat @ b.sqrt().mat) for a, b in pairs]
         calls = []
-        for name in ("eigh", "svd", "qr"):
+        for name in ("eigh", "eigvalsh", "svd", "qr"):
             original = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name,
                                 lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))

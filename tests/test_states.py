@@ -59,15 +59,13 @@ class TestDensityOperator:
         with pytest.raises(ValueError, match="non-finite"):
             DensityOperator(np.diag([np.inf, 0.0]))
 
-    def test_built_state_is_held_to_the_trace_rule_only(self, monkeypatch):
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: pytest.fail("decomposed"))
+    def test_built_state_is_held_to_the_trace_rule_only(self, solver_calls):
         rho = BipartiteState._built(np.diag([0.5, 0.25, 0.25, 1e-12]).astype(complex), (2, 2))
         assert type(rho) is BipartiteState and rho.dims == (2, 2)
         assert np.trace(rho.mat).real == pytest.approx(1.0, abs=1e-15)
         with pytest.raises(StateValidationError, match="trace"):
             DensityOperator._built(np.diag([0.5, 0.4]).astype(complex))
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        assert solver_calls == [], "decomposed"
         assert rho.eigenvalues[-1] == pytest.approx(1e-12, abs=1e-15)
 
     def test_pure_normalizes(self):
@@ -76,20 +74,18 @@ class TestDensityOperator:
 
 
 class TestBipartiteState:
-    def test_takes_over_a_validated_state(self, monkeypatch):
+    def test_takes_over_a_validated_state(self, solver_calls):
         rng = np.random.default_rng(31)
         states = [rho for _ in range(10)
                   for rho in (sample_state(16, 3, rng), sample_pure_state(16, rng))]
         spectra = [rho.eigenvalues for rho in states]
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(a) or eigh(*a, **k))
+        solver_calls.clear()
         for rho, lam in zip(states, spectra):
             bs = BipartiteState(rho, (4, 4))
             assert isinstance(bs, DensityOperator) and isinstance(bs, HermitianOperator)
             assert np.array_equal(bs.mat, rho.mat)
             assert bs.eigenvalues is lam
-        assert calls == []
+        assert solver_calls == []
 
 
 class TestPartialTrace:
@@ -279,6 +275,34 @@ class TestDensityStack:
             assert stack.eigenvalues[j].tobytes() == rho.eigenvalues.tobytes()
         assert stack.eigenvalues[1, -1] == 0.0  # clamped
         assert stack.eigenvalues[2].sum() == pytest.approx(1.0, abs=1e-15)  # renormalized
+
+    def test_full_rank_states_call_no_vector_solver(self, solver_calls):
+        """Validating states reads their spectra alone: one ``eigvalsh`` of
+        the stack, and ``eigh`` only when the eigenvectors are kept."""
+        clean, _, renormalized, _ = self._paths()
+        mats = np.stack([clean, renormalized, clean[::-1, ::-1]])
+        solver_calls.clear()
+        density_stack(mats)
+        assert solver_calls == [("eigvalsh", mats.shape)]
+        solver_calls.clear()
+        density_stack(mats, vectors=True)
+        assert solver_calls == [("eigvalsh", mats.shape), ("eigh", mats.shape)]
+
+    def test_a_clamped_state_alone_is_decomposed_with_vectors(self, solver_calls):
+        """The clamp reads the eigenvectors of its one state, as the
+        constructor does, and clamps the ``eigvalsh`` spectrum with them:
+        every state keeps the constructor's bits."""
+        clean, clamped, renormalized, _ = self._paths()
+        mats = np.stack([clean, clamped, renormalized])
+        solver_calls.clear()
+        stack = density_stack(mats)
+        assert solver_calls == [("eigvalsh", mats.shape), ("eigh", (self.D, self.D))]
+        assert stack.eigenvectors is None
+        for j, m in enumerate(mats):
+            rho = DensityOperator(m)
+            assert stack.mats[j].tobytes() == rho.mat.tobytes()
+            assert stack.eigenvalues[j].tobytes() == rho.eigenvalues.tobytes()
+        assert stack.eigenvalues[1, -1] == 0.0  # clamped
 
     @pytest.mark.parametrize("defect", ["non-finite", "non-Hermitian", "negative", "trace"])
     def test_the_first_rejected_matrix_raises_its_constructor_error(self, defect):
