@@ -47,9 +47,12 @@ def main():
     print(f"  |<psi|vartheta>| = {qc.overlap_psi:.6f}  (>= 1 - eps = {1 - eps:.6f})")
     print(f"  |<phi|vartheta>| = {qc.overlap_phi:.6f}")
     print(f"  F(psi, Theta)    = {fidelity(qc.psi, qc.theta):.6f}")
-    print(f"  marginal errors: "
-          f"A {np.abs(partial_trace(theta, 'A').mat - rho.mat).max():.2e}, "
-          f"B {np.abs(partial_trace(theta, 'B').mat - sigma.mat.T).max():.2e}")
+    # the errors are rounding noise near 1e-16; print them against a bound
+    errors = (np.abs(partial_trace(theta, "A").mat - rho.mat).max(),
+              np.abs(partial_trace(theta, "B").mat - sigma.mat.T).max())
+    print("  marginals (rho, sigma^T): "
+          + ", ".join(f"{side} {'below 1e-14' if err < 1e-14 else f'error {err:.2e}'}"
+                      for side, err in zip("AB", errors)))
 
     dg = diagonal_coupling(rho, sigma)
     print("diagonal coupling:")

@@ -22,6 +22,7 @@ override its entries.  Any other flag or key exits 2 before a case runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import couplings as cpl
@@ -78,8 +79,10 @@ _SETTINGS = {
 }
 
 
+@functools.cache
 def _build_parser():
-    """The top-level parser and its subcommand parsers by name."""
+    """The top-level parser and its subcommand parsers by name, built once
+    per process: parsing keeps no state in them between calls."""
     parser = argparse.ArgumentParser(
         prog="entrobounds",
         description="Numerical verification of entropy continuity bounds.",

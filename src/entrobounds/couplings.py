@@ -18,9 +18,10 @@ Stacks: ``quantum_couplings`` and ``diagonal_couplings`` build the
 couplings of every pair of two ``states.StateStack``s in one batched pass
 and return what the ``couplings`` records read (eps, the overlaps, the
 fidelity of psi and Theta, the largest eigenvalue of the diagonal
-omega).  They read the eigenpairs each validated state carries, so no
-state is decomposed twice.  Each matrix is formed as the scalar
-construction forms it, so every value is the one it would have alone.
+omega), and the parts of Theta.  They read the eigenpairs each
+validated state carries, so no state is decomposed twice.  Each matrix
+is formed as the scalar construction forms it, so every value is the one
+it would have alone.
 ``build_decomposition``, ``quantum_coupling`` and ``diagonal_coupling``
 are their stacks of one: they take a pair through ``states.state_pair``
 and add the objects no record reads (Delta and Delta', X and Y, the
@@ -30,10 +31,16 @@ Every Delta is a normalised positive part, a state by construction, and
 is held to the trace rule only, never decomposed.  Theta and the
 diagonal coupling's omega are d^2 x d^2 states, each a rank-one term plus
 a nonnegative multiple of Delta1 (x) Delta2, so each is PSD by
-construction.  Omega's largest eigenvalue is read off its structure, and
-the fidelity of the pure psi with Theta is ``sqrt(<psi|Theta|psi>)``.
-The decomposition's omega is validated, because omega^{-1/2} reads its
-spectrum and the validation reuses it.
+construction.  Each is held as those parts
+(``HermitianOperator.rank_one_kron``): no d^2 x d^2 matrix is built
+unless its ``mat`` is read.  Omega's largest eigenvalue is read off its
+structure, and the fidelity of the pure psi with Theta is
+``sqrt(w <psi|Theta|psi>)``, from the parts in O(d^3):
+``<psi|Theta|psi> = (|<psi|vartheta>|^2 + s tr(Psi^dagger Delta1 Psi
+Delta2^T)) / t`` for the d x d reshape Psi of psi and the trace t Theta
+is divided by (1 if the trace rule leaves it).  The decomposition's
+omega is validated, because omega^{-1/2} reads its spectrum and the
+validation reuses it.
 """
 
 from __future__ import annotations
@@ -43,10 +50,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (PSD_ATOL, _symmetrized, check_dense_dim, eigenpairs, function_stack,
-                     pure_fidelities, rank_one_factor)
+from .linalg import (PSD_ATOL, HermitianOperator, _symmetrized, eigenpairs, function_stack,
+                     kron_diagonals, kron_expectations, pure_fidelities, rank_one_factor)
 from .states import (BipartiteState, DensityOperator, StateStack, built_stack, density_stack,
-                     factored_traces, pure_stack, state_pair, vector_marginals)
+                     divisors, factored_traces, pure_stack, state_pair, vector_marginals)
 
 _DEGENERATE_EPS = 1e-12
 
@@ -130,7 +137,9 @@ class QuantumCouplings(NamedTuple):
     omega_isq: np.ndarray  # (n, d, d) omega^{-1/2} on its support
     scale: np.ndarray  # (n,) 1 / sqrt(1 + eps)
     vartheta: np.ndarray  # (n, d^2)
-    theta: np.ndarray  # (n, d^2, d^2) validated
+    slack: np.ndarray  # (n,) 1 - <vartheta|vartheta>, 0 where the Kronecker term is dropped
+    deltas: np.ndarray  # (2, n, d, d) Delta1 and Delta2, 0 where dropped
+    theta_traces: np.ndarray  # (n,) the trace each Theta is divided by (1 if none)
 
 
 class DiagonalCouplings(NamedTuple):
@@ -217,10 +226,9 @@ def build_decomposition(rho: DensityOperator, sigma: DensityOperator) -> Couplin
 
 def quantum_couplings(rho: StateStack, sigma: StateStack) -> QuantumCouplings:
     """The quantum coupling of each pair of two stacks of states (see
-    ``quantum_coupling``), with the matrix Theta but none of phi, psi, X, Y
-    or Delta' built."""
+    ``quantum_coupling``), with Theta held as its parts and none of phi,
+    psi, X, Y or Delta' built."""
     n, d = rho.eigenvalues.shape
-    check_dense_dim(d * d)
     sqrt_rho, sqrt_sigma = (_symmetrized(function_stack(s.eigenvalues, s.eigenvectors, np.sqrt,
                                                          support_only=True))
                             for s in (rho, sigma))
@@ -233,7 +241,8 @@ def quantum_couplings(rho: StateStack, sigma: StateStack) -> QuantumCouplings:
     marg1, marg2 = vector_marginals(vartheta, d, d)
     slack = 1.0 - norm_sq
     full = slack > _DEGENERATE_EPS
-    theta = vartheta[:, :, None] * vartheta.conj()[:, None, :]
+    slack[~full] = 0.0
+    deltas = np.zeros((2, n, d, d), dtype=complex)
     if full.any():
         res = np.stack([rho.mats[full] - marg1[full],
                         sigma.mats[full].swapaxes(1, 2) - marg2[full]], axis=1)
@@ -241,24 +250,17 @@ def quantum_couplings(rho: StateStack, sigma: StateStack) -> QuantumCouplings:
         for lam_min in lam[:, -1].tolist():
             if lam_min < -PSD_ATOL:
                 raise CouplingConsistencyError(f"marginal residual has eigenvalue {lam_min:.3e}")
-        d1, d2 = _unit_trace(_symmetrized(function_stack(lam, u, _positive))
-                             ).reshape(-1, 2, d, d).swapaxes(0, 1)
-        kron = (d1[:, :, None, :, None] * d2[:, None, :, None, :]).reshape(-1, d * d, d * d)
-        kron *= slack[full, None, None]
-        if full.all():  # no copy of theta[full]
-            theta += kron
-        else:
-            theta[full] += kron
-        del kron  # not alive beside the symmetrization of theta
-    theta[~full] /= norm_sq[~full, None, None]
-    theta = built_stack(theta)
+        deltas[:, full] = _unit_trace(_symmetrized(function_stack(lam, u, _positive))
+                                      ).reshape(-1, 2, d, d).swapaxes(0, 1)
+    traces = divisors(kron_diagonals(vartheta, slack, *deltas))
     psi, phi = (pure_stack(s.reshape(n, d * d)) for s in (sqrt_sigma, sqrt_rho))
+    overlaps = kron_expectations(psi.vectors, vartheta, slack, *deltas) / traces
     return QuantumCouplings(
         epsilon=dec.epsilon, overlap_psi=_overlaps(psi.vectors, vartheta),
         overlap_phi=_overlaps(phi.vectors, vartheta),
-        fidelity_theta=pure_fidelities(psi.vectors, psi.weights, theta),
+        fidelity_theta=pure_fidelities(psi.weights, overlaps),
         sqrt_rho=sqrt_rho, sqrt_sigma=sqrt_sigma, omega_isq=omega_isq, scale=scale,
-        vartheta=vartheta, theta=theta)
+        vartheta=vartheta, slack=slack, deltas=deltas, theta_traces=traces)
 
 
 def quantum_coupling(rho: DensityOperator, sigma: DensityOperator) -> QuantumCoupling:
@@ -266,9 +268,12 @@ def quantum_coupling(rho: DensityOperator, sigma: DensityOperator) -> QuantumCou
 
     vartheta = (rho^{1/2} omega^{-1/2} sigma^{1/2} / sqrt(1+eps) (x) 1)|Phi>,
     Theta = |vartheta><vartheta| + (1 - <vartheta|vartheta>) Delta1 (x) Delta2,
-    where Delta1, Delta2 normalize the marginal residuals.  Guarantees
-    |<psi|vartheta>|, |<phi|vartheta>| >= 1 - eps and Theta marginals
-    (rho, sigma^T).  The stack of one of ``quantum_couplings``.
+    where Delta1, Delta2 normalize the marginal residuals; at a slack of
+    at most 1e-12 the Kronecker term is dropped and Theta is held to the
+    trace rule alone.  Guarantees |<psi|vartheta>|, |<phi|vartheta>| >=
+    1 - eps and Theta marginals (rho, sigma^T).  Theta is a
+    ``rank_one_kron`` state: no d^2 x d^2 matrix is built unless its
+    ``mat`` is read.  The stack of one of ``quantum_couplings``.
     """
     qc = quantum_couplings(*_stack_pair(rho, sigma))
     sqrt_rho, sqrt_sigma, omega_isq, scale = (qc.sqrt_rho[0], qc.sqrt_sigma[0],
@@ -276,11 +281,13 @@ def quantum_coupling(rho: DensityOperator, sigma: DensityOperator) -> QuantumCou
     d = len(sqrt_rho)
     # sqrt(rho), flattened row-major, is the pretty good purification of rho
     phi, psi = (BipartiteState.pure(m.reshape(-1), (d, d)) for m in (sqrt_rho, sqrt_sigma))
+    theta = DensityOperator._built(HermitianOperator.rank_one_kron(
+        qc.vartheta[0], qc.slack[0], qc.deltas[0, 0], qc.deltas[1, 0]))
     return QuantumCoupling(
         phi=phi, psi=psi, vartheta=qc.vartheta[0], x_op=scale * (sqrt_rho @ omega_isq),
         # (sigma^T)^{1/2} (omega^T)^{-1/2}
         y_op=scale * (sqrt_sigma.T @ omega_isq.T),
-        theta=DensityOperator._trusted(qc.theta[0]), epsilon=float(qc.epsilon[0]),
+        theta=theta, epsilon=float(qc.epsilon[0]),
     )
 
 
@@ -296,7 +303,6 @@ def diagonal_couplings(rho: StateStack, sigma: StateStack) -> DiagonalCouplings:
     """The diagonal coupling of each pair of two stacks of states (see
     ``diagonal_coupling``), with no omega built."""
     n, d = rho.eigenvalues.shape
-    check_dense_dim(d * d)
     (r, e), (s, f) = ((x.eigenvalues, _phase_fixed(x.eigenvectors)) for x in (rho, sigma))
     c = np.sqrt(np.minimum(r, s))
     # V = sum_i c_i e_i f_i^T  ->  flat vector in the A-major convention
@@ -344,7 +350,7 @@ def diagonal_coupling(rho: DensityOperator, sigma: DensityOperator) -> DiagonalC
         d1, d2 = (DensityOperator.factored(b[0], m[0] / m[0].sum())
                   for b, m in zip(dc.bases, dc.residuals))
         omega = BipartiteState._built(
-            np.outer(phi_vec, phi_vec.conj()) + eps * np.kron(d1.mat, d2.mat), (d, d))
+            HermitianOperator.rank_one_kron(phi_vec, eps, d1.mat, d2.mat), (d, d))
     else:
         omega = BipartiteState.pure(phi_vec, (d, d))
     return DiagonalCoupling(omega=omega, phi_vector=phi_vec, epsilon_mirsky=eps,

@@ -15,8 +15,9 @@ samplers do, validate and decompose the whole chunk as one stack
 ``states.pure_stack``) and score it with the stacked checks and couplings,
 with the same report bytes.  A chunk holds at most ``_CHUNK_BYTES``
 (256 KiB) of dense matrices, one case at least, so that large states are
-never stacked beyond one case (a ``couplings`` case counts its d^2 x d^2
-Theta); every other suite takes chunks of one case.
+never stacked beyond one case (a ``couplings`` case counts its d x d
+matrices: its Theta is held as parts); every other suite takes chunks of
+one case.
 """
 
 from __future__ import annotations
@@ -179,8 +180,11 @@ def _case_couplings(rngs, d):
 
 
 def _couplings_bytes(d):
-    """The bytes of one couplings case's Theta, a complex d^2 x d^2 matrix."""
-    return 16 * d**4
+    """The bytes a couplings case holds at once: sixteen complex d x d
+    matrices (its states, their eigenvectors and square roots, the
+    decomposition, vartheta, the marginal residuals and the Deltas).
+    Theta is held as its parts, so no d^2 x d^2 matrix counts."""
+    return 8 * _pair_bytes(d)
 
 
 def _case_cor_pure(rngs, d):

@@ -1,4 +1,4 @@
-"""Dense complex Hermitian linear algebra.
+"""Complex Hermitian linear algebra, dense or held as structured parts.
 
 Spectral decompositions, matrix functions, Schatten norms and fidelity.
 Everything downstream (states, entropies, couplings, Gibbs machinery)
@@ -15,15 +15,27 @@ Conventions
   ``eigenvectors`` are each computed on their first read and cached, so
   the eigenvalues have the same bits whichever is read first, and an
   operator whose spectrum is never read is never decomposed.
+* A structured operator keeps its parts and builds no matrix: ``mat`` is
+  a property, built on its first read (from the parts, by the operations
+  of the dense construction, so with its bits) and cached, and the dense
+  limit (``check_dense_dim``) is checked there.  The trace comes from the
+  parts' diagonal (``diagonal_traces``), so a state built from parts is
+  validated, and renormalized by a recorded trace, with no matrix.
 * An operator with a thin factor (``HermitianOperator.factor``), such as
   a projector, and a diagonal operator know their spectrum and never call
   a solver.  The trace distance of two factored operators comes from a
-  2k x 2k eigenproblem, in O(d k^2) instead of O(d^3).
+  2k x 2k eigenproblem, in O(d k^2) instead of O(d^3), and the B marginal
+  of a factored state from its diagonal blocks
+  (``HermitianOperator.diagonal_blocks``), one at a time.
 * An operator with a block (``HermitianOperator.block``) is a k x k
   operator on a set of rows and columns and zero elsewhere, such as an
   energy-constrained state padded to its level space.  Its spectrum is
   the block's plus zeros, and the trace distance of two blocks on the
   same index set decomposes only their k x k difference.
+* A rank-one-plus-Kronecker operator (``HermitianOperator.kron``),
+  ``|v><v| + s A (x) B``, is the form of the couplings' Theta and omega.
+  Its overlap with a pure state, and so ``fidelity`` with one, comes from
+  the parts in O(d^3) (``kron_expectations``).
 * ``support_mask`` is the one support cut (eigenvalues at or below
   ``ZERO_EIGENVALUE_RTOL * max(|lambda_max|, 1)`` are exact zeros), for
   support-restricted functions such as ``sqrt`` and for D(rho || gamma).
@@ -40,9 +52,12 @@ would get alone.
 ``trace_distance`` is the stack of one of ``trace_distances`` (of
 matrices, or of blocks on one index set) or ``factored_trace_distances``,
 ``function_stack`` is ``apply_function`` over a stack of eigenpairs,
-``unit_vectors`` is the normalization of ``pure`` and ``pure_fidelities``
-the rank-one branch of ``fidelity``, each over a stack.  No operator
-object is built; ``states.density_stack`` adds the state rules.
+``unit_vectors`` is the normalization of ``pure``, ``pure_fidelities`` the
+rank-one branch of ``fidelity`` (with ``expectations`` of dense operands
+and ``kron_expectations`` of Kronecker parts), and ``factored_diagonals``
+and ``kron_diagonals`` the diagonals the trace rule sums, each over a
+stack.  No operator object is built; ``states.density_stack`` adds the
+state rules.
 """
 
 from __future__ import annotations
@@ -107,23 +122,38 @@ def _check_hermitian(mat, largest, dev):
 
 
 class HermitianOperator:
-    """A dense complex Hermitian matrix with a lazily cached spectral
-    decomposition, and optionally a thin factor or a block that fixes its
-    spectrum.
+    """A complex Hermitian matrix with a lazily cached spectral
+    decomposition, given densely or by a structure that fixes its parts.
 
     The input is symmetrized on construction; a non-finite entry, or a
     deviation from Hermiticity larger than ``HERMITICITY_ATOL`` (relative
     to the largest entry), raises.  Operators the library builds from
-    validated parts (``diagonal``, ``factored``, ``embedded`` and
-    ``apply_function``) go through ``_built``, which symmetrizes alike
-    but skips both O(d^2) scans; ``diagonal`` and ``factored`` check their
-    parts for non-finite entries instead, and ``embedded`` takes a
-    validated operator as its block.
+    validated parts go through ``_built`` (a dense matrix, as
+    ``apply_function`` gives) or through a structured constructor, which
+    skip both O(d^2) scans; ``diagonal``, ``factored`` and
+    ``rank_one_kron`` check their parts for non-finite entries instead,
+    and ``embedded`` takes a validated operator as its block.
+
+    A structured operator (``diagonal``, ``factored``, ``pure``,
+    ``embedded``, ``rank_one_kron``) keeps its parts and builds no
+    matrix: ``mat`` is built from them on its first read, by the
+    operations and in the order the dense construction uses, and
+    ``check_dense_dim`` runs there.  A state renormalized before that read
+    records its trace, and ``mat`` is then ``sym(sym(M) / tr)``, as a
+    dense state's.  What each structure answers from its parts:
+
+    * ``diagonal`` and ``factored``: the spectrum and the trace
+      (``diagonal_traces``); a factor also the trace distance to another
+      factor and, through ``diagonal_blocks``, the marginal on B;
+    * ``embedded``: the spectrum, the trace and the trace distance to a
+      block on the same index set;
+    * ``rank_one_kron``: the trace and the overlap ``<v|op|v>`` with a pure
+      state (``kron_expectations``), so ``fidelity`` with a pure state.
 
     Attributes
     ----------
     mat : (d, d) complex ndarray
-        The (symmetrized) matrix.  Do not mutate.
+        The (symmetrized) matrix, built on first read.  Do not mutate.
     dim : int
     factor : tuple ``(V, lam, c)`` or None
         ``mat = c 1 + V diag(lam - c) V^dagger``: ``V`` (d, k) has
@@ -135,9 +165,12 @@ class HermitianOperator:
         eigenvalues are ``B``'s and ``dim - k`` zeros; the eigenvectors
         are ``B``'s embedded at ``index`` and identity columns on the
         complement.
+    kron : tuple ``(v, s, A, B)`` or None
+        ``mat = |v><v| + s A (x) B`` for a vector ``v`` of ``A (x) B``,
+        divided by the trace its state renormalization recorded, if any.
     eigenvalues : (d,) real ndarray, non-increasing
         Computed on first read, by ``descending_eigvalsh`` for a dense
-        operator.
+        or ``kron`` operator.
     eigenvectors : (d, d) complex ndarray
         Columns are the eigenvectors matching ``eigenvalues``.  Computed
         on first read, by ``descending_eigh`` for a dense operator (its
@@ -145,7 +178,8 @@ class HermitianOperator:
         unitary.
     """
 
-    __slots__ = ("mat", "dim", "factor", "block", "_eigenvalues", "_eigenvectors")
+    __slots__ = ("_mat", "dim", "factor", "block", "kron", "_parts", "_divisor",
+                 "_eigenvalues", "_eigenvectors")
 
     def __init__(self, mat):
         mat = np.asarray(mat, dtype=complex)
@@ -158,13 +192,12 @@ class HermitianOperator:
         self._set_matrix(mat)
 
     def _set_matrix(self, mat):
-        """Store ``(mat + mat^dagger) / 2``, frozen, with no factor, block
-        or spectrum."""
-        mat = _symmetrized(mat)
-        mat.setflags(write=False)
-        self.mat = mat
+        """Store ``(mat + mat^dagger) / 2``, frozen, with no structure or
+        spectrum."""
+        self._mat = _frozen(_symmetrized(mat))
         self.dim = mat.shape[0]
-        self.factor = self.block = self._eigenvalues = self._eigenvectors = None
+        self.factor = self.block = self.kron = self._parts = self._divisor = None
+        self._eigenvalues = self._eigenvectors = None
 
     @classmethod
     def _built(cls, mat) -> "HermitianOperator":
@@ -176,19 +209,25 @@ class HermitianOperator:
         op._set_matrix(mat)
         return op
 
+    @classmethod
+    def _structured(cls, dim, *parts) -> "HermitianOperator":
+        """An operator of dimension ``dim`` held as ``parts``, its kind and
+        what ``_dense`` builds it from, with no matrix built."""
+        op = HermitianOperator.__new__(HermitianOperator)
+        op._mat = op.factor = op.block = op.kron = op._divisor = None
+        op._eigenvalues = op._eigenvectors = None
+        op.dim, op._parts = dim, parts
+        return op
+
     # each structured constructor passes further arguments (``dims``) on to cls
     @classmethod
     def diagonal(cls, values, *args) -> "HermitianOperator":
         """``diag(values)`` with its spectrum known: the values in
         non-increasing order, the matching identity columns as
         eigenvectors."""
-        values = np.asarray(values, dtype=float)
+        values = _frozen(np.array(values, dtype=float))
         _check_finite(values)
-        check_dense_dim(len(values))
-        op = HermitianOperator._built(np.diag(values.astype(complex)))
-        order = np.argsort(-values, kind="stable")
-        op._eigenvalues = _frozen(values[order])
-        op._eigenvectors = _frozen(np.eye(op.dim, dtype=complex)[:, order])
+        op = HermitianOperator._structured(len(values), "diagonal", values)
         return op if cls is HermitianOperator else cls(op, *args)
 
     @classmethod
@@ -198,14 +237,8 @@ class HermitianOperator:
         vecs = _frozen(np.array(vecs, dtype=complex))
         lam = _frozen(np.array(lam, dtype=float))
         _check_finite(vecs, lam, c)
-        # outer products, not a BLAS product: a projector is exactly
-        # np.outer(v, v^*), whatever the BLAS build or thread count
-        check_dense_dim(len(vecs))
-        mat = np.diag(np.full(len(vecs), c, dtype=complex))
-        for a, b in zip((vecs * (lam - c)).T, vecs.conj().T):
-            mat += np.outer(a, b)
-        op = HermitianOperator._built(mat)
-        op.factor = (vecs, lam, float(c))
+        op = HermitianOperator._structured(len(vecs), "factored", vecs, lam, float(c))
+        op.factor = op._parts[1:]
         return op if cls is HermitianOperator else cls(op, *args)
 
     @classmethod
@@ -219,11 +252,8 @@ class HermitianOperator:
         if (index.shape != (block.dim,) or len(set(index.tolist())) != block.dim
                 or index.min() < 0 or index.max() >= dim):
             raise ValueError(f"index must hold {block.dim} distinct indices below {dim}")
-        check_dense_dim(dim)
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[np.ix_(index, index)] = block.mat
-        op = HermitianOperator._built(mat)
-        op.block = (index, block)
+        op = HermitianOperator._structured(dim, "embedded", index, block)
+        op.block = op._parts[1:]
         return op if cls is HermitianOperator else cls(op, *args)
 
     @classmethod
@@ -231,6 +261,73 @@ class HermitianOperator:
         """``|v><v|`` for ``v = vec / ||vec||``: the factor ``(v, [1], 0)``."""
         v = unit_vectors(np.asarray(vec, dtype=complex)[None])[0]
         return cls.factored(v[:, None], [1.0], 0.0, *args)
+
+    @classmethod
+    def rank_one_kron(cls, vec, s, a, b, *args) -> "HermitianOperator":
+        """``|v><v| + s A (x) B`` for a vector ``v`` of length ``d_A d_B``, a
+        real ``s`` and square ``A`` (d_A) and ``B`` (d_B), Hermitian
+        (unchecked), carrying ``(v, s, A, B)`` as its kron."""
+        vec, a, b = (_frozen(np.array(x, dtype=complex)) for x in (vec, a, b))
+        _check_finite(vec, s, a, b)
+        if len(vec) != len(a) * len(b):
+            raise ValueError(f"vector of length {len(vec)} is not on {len(a)} x {len(b)}")
+        op = HermitianOperator._structured(len(vec), "kron", vec, float(s), a, b)
+        op.kron = op._parts[1:]
+        return op if cls is HermitianOperator else cls(op, *args)
+
+    @property
+    def mat(self) -> np.ndarray:
+        if self._mat is None:
+            check_dense_dim(self.dim)
+            self._mat = _frozen(self._symmetrized_part(self._dense()))
+        return self._mat
+
+    def _symmetrized_part(self, mat) -> np.ndarray:
+        """``mat`` (all or part of ``_dense()``) symmetrized, and divided by
+        the recorded trace and symmetrized again, as a renormalized state."""
+        mat = _symmetrized(mat)
+        return mat if self._divisor is None else _symmetrized(mat / self._divisor)
+
+    def _dense(self) -> np.ndarray:
+        """The unsymmetrized matrix of a structured operator, as its dense
+        construction forms it."""
+        kind, *parts = self._parts
+        if kind == "diagonal":
+            return np.diag(parts[0].astype(complex))
+        if kind == "factored":
+            return _factored_rows(*parts)
+        if kind == "embedded":
+            index, block = parts
+            mat = np.zeros((self.dim, self.dim), dtype=complex)
+            mat[np.ix_(index, index)] = block.mat
+            return mat
+        vec, s, a, b = parts
+        mat = np.kron(a, b)
+        mat *= s
+        mat += np.outer(vec, vec.conj())
+        return mat
+
+    def _diagonal(self) -> np.ndarray:
+        """The diagonal of ``_dense()``, entry by entry as it forms it."""
+        kind, *parts = self._parts
+        if kind == "diagonal":
+            return parts[0].astype(complex)
+        if kind == "factored":
+            return factored_diagonals(*(np.array([x]) for x in parts))[0]
+        if kind == "embedded":
+            index, block = parts
+            diag = np.zeros(self.dim, dtype=complex)
+            diag[index] = np.diagonal(block.mat)
+            return diag
+        return kron_diagonals(*(np.array([x]) for x in parts))[0]
+
+    def diagonal_blocks(self, size):
+        """The diagonal ``size`` x ``size`` blocks of the ``mat`` of a
+        factored operator, in order, each built from the parts by the
+        operations of ``mat`` on its rows, one block at a time."""
+        vecs, lam, c = self._parts[1:]
+        for i in range(0, self.dim, size):
+            yield self._symmetrized_part(_factored_rows(vecs[i:i + size], lam, c))
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -245,29 +342,41 @@ class HermitianOperator:
         return self._eigenvectors
 
     def _decompose(self, vectors=False):
-        if self.factor is None and self.block is None:
+        kind = self._parts[0] if self._parts else None
+        if kind in (None, "kron"):
             # eigh's own values are discarded: the values have one source
             if vectors:
                 self._eigenvectors = _frozen(eigenpairs(self.mat)[1])
             else:
                 self._eigenvalues = _frozen(descending_eigvalsh(self.mat))
             return
-        # one stable sort of [lam, c, ..., c]; the basis of V (or of the
-        # block) and of its complement follows it
-        if self.factor is not None:
+        # one stable sort of the diagonal, or of [lam, c, ..., c]; the basis
+        # (identity columns, V or the block's) and its complement follow it
+        if kind == "diagonal":
+            values = self._parts[1]
+        elif kind == "factored":
             vecs, lam, c = self.factor
+            values = np.concatenate([lam, np.full(self.dim - len(lam), c)])
         else:
             index, b = self.block
-            lam, c = b.eigenvalues, 0.0
-        k = len(lam)
-        values = np.concatenate([lam, np.full(self.dim - k, c)])
+            values = np.concatenate([b.eigenvalues, np.zeros(self.dim - len(index))])
         order = np.argsort(-values, kind="stable")
-        self._eigenvalues = _frozen(values[order])
+        if self._eigenvalues is None:
+            lam = values[order]
+            # a factor or block is renormalized with its state; a diagonal's sorted values
+            # are divided as the state rule divides them
+            if kind == "diagonal" and self._divisor is not None:
+                lam = lam / self._divisor
+            self._eigenvalues = _frozen(lam)
         if not vectors:
             return
-        if self.factor is not None:
-            basis = np.hstack([vecs, np.linalg.qr(vecs, mode="complete")[0][:, k:]])
+        check_dense_dim(self.dim)
+        if kind == "diagonal":
+            basis = np.eye(self.dim, dtype=complex)
+        elif kind == "factored":
+            basis = np.hstack([vecs, np.linalg.qr(vecs, mode="complete")[0][:, vecs.shape[1]:]])
         else:
+            k = len(index)
             basis = np.zeros((self.dim, self.dim), dtype=complex)
             basis[index, :k] = b.eigenvectors
             rest = np.ones(self.dim, dtype=bool)
@@ -281,7 +390,14 @@ class HermitianOperator:
     # -- derived quantities ------------------------------------------------
 
     def trace(self) -> float:
-        return float(np.real(np.trace(self.mat)))
+        """``np.trace`` of ``mat``, read from the diagonal of a structured
+        operator's parts (``diagonal_traces``) with no matrix built."""
+        if self._parts is None:
+            return float(np.real(np.trace(self._mat)))
+        diag = self._diagonal()
+        if self._divisor is not None:  # the diagonal of sym(M) / tr, as mat holds it
+            diag = (diag + diag.conj()) / 2 / self._divisor
+        return float(diagonal_traces(diag[None])[0])
 
     def apply_function(self, f, support_only: bool = False) -> "HermitianOperator":
         """Return ``U f(Lambda) U^dagger``.
@@ -302,6 +418,17 @@ class HermitianOperator:
                 f"square root of operator with eigenvalue {self.eigenvalues[-1]!r}"
             )
         return self.apply_function(np.sqrt, support_only=True)
+
+
+def _factored_rows(vecs, lam, c) -> np.ndarray:
+    """The diagonal block on the rows of ``vecs`` (all of ``V``, or some of
+    its rows) of the unsymmetrized ``c 1 + V diag(lam - c) V^dagger``."""
+    # outer products, not a BLAS product: a projector is exactly
+    # np.outer(v, v^*), whatever the BLAS build or thread count
+    mat = np.diag(np.full(len(vecs), c, dtype=complex))
+    for a, b in zip((vecs * (lam - c)).T, vecs.conj().T):
+        mat += np.outer(a, b)
+    return mat
 
 
 def descending_eigh(mats):
@@ -358,13 +485,56 @@ def unit_vectors(vecs):
     return vecs / norms[:, None]
 
 
-def pure_fidelities(vecs, weights, mats) -> np.ndarray:
-    """``fidelity(w |v><v|, M)`` of each unit vector ``v`` of an (n, D) stack
-    with its weight ``w`` and the matrix ``M`` of an (n, D, D) stack:
-    ``sqrt(w <v|M|v>)``, clipped to [0, 1]."""
+def pure_fidelities(weights, overlaps) -> np.ndarray:
+    """``fidelity(w |v><v|, M)`` from each weight ``w`` and overlap ``<v|M|v>``
+    of two (n,) stacks: ``sqrt(w <v|M|v>)``, clipped to [0, 1]."""
+    return np.minimum(np.sqrt(np.maximum(weights * overlaps, 0.0)), 1.0)
+
+
+def expectations(vecs, mats) -> np.ndarray:
+    """``<v|M|v>`` (real part) of each vector ``v`` of an (n, D) stack with
+    the matrix ``M`` of an (n, D, D) stack."""
     mv = mats @ vecs[:, :, None]
-    overlap = (vecs.conj()[:, None, :] @ mv)[:, 0, 0].real
-    return np.minimum(np.sqrt(np.maximum(weights * overlap, 0.0)), 1.0)
+    return (vecs.conj()[:, None, :] @ mv)[:, 0, 0].real
+
+
+def kron_expectations(vecs, v, s, a, b) -> np.ndarray:
+    """``<x|(|v><v| + s A (x) B)|x>`` of each vector ``x`` of an (n, D) stack
+    with the parts of ``HermitianOperator.rank_one_kron`` (stacks ``v`` (n,
+    D), ``s`` (n,), ``A`` (n, d_A, d_A) and ``B`` (n, d_B, d_B)), in
+    O(d_A d_B (d_A + d_B)): ``|<x|v>|^2 + s tr(X^dagger A X B^T)`` for the
+    d_A x d_B reshape ``X`` of ``x``."""
+    z = (vecs.conj()[:, None, :] @ v[:, :, None])[:, 0, 0]
+    x = vecs.reshape(len(vecs), a.shape[-1], b.shape[-1])
+    q = (x.conj() * (a @ x @ b.swapaxes(1, 2))).sum(axis=(1, 2)).real
+    return (z.real * z.real + z.imag * z.imag) + s * q
+
+
+def factored_diagonals(vecs, lam, c) -> np.ndarray:
+    """The diagonal of the unsymmetrized matrix of ``HermitianOperator.
+    factored(V, lam, c)`` for each of stacks ``V`` (n, D, k), ``lam`` (n, k)
+    and ``c`` (n,), term by term as that matrix sums its outer products."""
+    diag = np.repeat(c.astype(complex)[:, None], vecs.shape[1], axis=1)
+    for k in range(lam.shape[1]):
+        diag = diag + (vecs[:, :, k] * (lam[:, k, None] - c[:, None])) * vecs[:, :, k].conj()
+    return diag
+
+
+def kron_diagonals(v, s, a, b) -> np.ndarray:
+    """The diagonal of the unsymmetrized matrix of ``HermitianOperator.
+    rank_one_kron(v, s, A, B)`` for each of the stacks of
+    ``kron_expectations``, entry by entry as that matrix forms it."""
+    ab = np.diagonal(a, axis1=1, axis2=2)[:, :, None] * np.diagonal(b, axis1=1, axis2=2)[:, None, :]
+    return ab.reshape(len(v), -1) * s[:, None] + v * v.conj()
+
+
+def diagonal_traces(diags) -> np.ndarray:
+    """The trace rule of a structured operator: ``np.trace(m).real`` of the
+    symmetrized matrix ``m`` of each unsymmetrized diagonal of an (n, D)
+    stack, with no matrix built.  Symmetrizing changes no real part of a
+    diagonal entry, and the complex entries are summed as ``np.trace`` sums
+    them."""
+    return diags.sum(axis=-1).real
 
 
 def hermitian_stack(mats, vectors: bool = False):
@@ -428,14 +598,20 @@ def fidelity(rho, sigma) -> float:
     """F(rho, sigma) = || sqrt(rho) sqrt(sigma) ||_1, in [0, 1].
 
     When either operand is ``w |v><v|`` by its factor (``rank_one_factor``),
-    F = sqrt(w <v|other|v>), with no decomposition.
+    F = sqrt(w <v|other|v>), with no decomposition, and with no matrix
+    built when the other is ``rank_one_kron`` (``kron_expectations``).
     """
     rho_op, sigma_op = _operator_pair(rho, sigma)
     for pure, other in ((rho_op, sigma_op), (sigma_op, rho_op)):
         pair = rank_one_factor(pure)
         if pair is not None:
             v, w = pair
-            return float(pure_fidelities(v[None], np.array([w]), other.mat[None])[0])
+            if other.kron is None:
+                overlap = expectations(v[None], other.mat[None])
+            else:  # from the parts, over the trace a renormalization recorded
+                overlap = (kron_expectations(v[None], *(np.array([x]) for x in other.kron))
+                           / (other._divisor or 1.0))
+            return float(pure_fidelities(np.array([w]), overlap)[0])
     prod = rho_op.sqrt().mat @ sigma_op.sqrt().mat
     f = trace_norm(prod)
     return float(min(max(f, 0.0), 1.0))
@@ -480,6 +656,9 @@ def trace_distances(a, b, dim=None) -> np.ndarray:
     matrices, as for dense operators.  With ``dim``, each pair are the blocks
     of two ``dim``-dimensional operators on one index set
     (``HermitianOperator.block``): their difference has the block's spectrum
-    and ``dim - k`` zeros."""
-    lam = descending_eigvalsh(_symmetrized(a - b))
+    and ``dim - k`` zeros.  ``a`` and ``b`` must be symmetrized (as every
+    operator and state stack holds them): then ``a - b`` equals its
+    conjugate transpose exactly, and symmetrizing it would change no value
+    (at most the sign of an exactly zero part off the diagonal)."""
+    lam = descending_eigvalsh(a - b)
     return _half_trace_norms(lam, np.zeros(len(lam)), dim or lam.shape[1])

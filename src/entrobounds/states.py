@@ -20,9 +20,11 @@ object built.  It returns a :class:`StateStack` of the ``eigvalsh``
 spectra, with the ``eigh`` eigenvectors on request, so that the
 couplings decompose no state twice and a check that reads spectra alone
 runs no vector solver.
-``DensityOperator._built`` is the stack of one of ``built_stack``.
-``factored_traces`` is the trace rule of ``DensityOperator.factored``
-for a stack of bases, with no D x D matrix built, and ``pure_stack`` is
+``DensityOperator._built`` of a matrix is the stack of one of
+``built_stack``.  ``divisors`` is the trace rule of structured states
+(PSD by construction) for a stack of their diagonals, and
+``factored_traces`` that of ``DensityOperator.factored`` for a stack of
+bases, with no D x D matrix built, and ``pure_stack`` is
 ``DensityOperator.pure`` for an (n, D) stack of vectors: a
 :class:`PureStack` of unit vectors and the traces their matrices are
 divided by.  ``pure_marginals`` gives their marginals as
@@ -41,7 +43,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (PSD_ATOL, HermitianOperator, _frozen, _operator_pair, _symmetrized,
-                     check_dense_dim, eigenpairs, hermitian_stack, unit_vectors)
+                     check_dense_dim, diagonal_traces, eigenpairs, factored_diagonals,
+                     hermitian_stack, unit_vectors)
 
 # A state's trace may be off from 1 by TRACE_ATOL, and is renormalized when
 # it is off by more than RENORM_ATOL.
@@ -97,14 +100,16 @@ class DensityOperator(HermitianOperator):
     by more than ``TRACE_ATOL``, are rejected as genuinely invalid input
     (``_state_rule``); ``density_stack`` applies the same rules and
     repairs to a stack of arrays.  Validation reads the eigenvalues
-    alone; the clamp also reads the eigenvectors.  An operator's factor,
-    block and known spectrum are kept (a renormalized trace scales them
-    alike), and a repaired state keeps what its validation read, so no
-    state is decomposed twice.  A ``DensityOperator`` passed
+    alone; the clamp also reads the eigenvectors.  An operator's
+    structure and known spectrum are kept (a renormalized trace scales
+    them alike, and a structured state whose ``mat`` is not built yet
+    records the trace, by which ``mat`` is divided on its first read), and
+    a repaired state keeps what its validation read, so no state is
+    decomposed twice.  A ``DensityOperator`` passed
     in is already valid and is taken over with no second validation.
-    ``_built`` takes a matrix that is PSD by construction (nonnegative
-    weights of validated states) and checks only its trace, with no
-    decomposition.
+    ``_built`` takes a matrix or a structured operator that is PSD by
+    construction (nonnegative weights of validated states) and checks
+    only its trace, with no decomposition.
     """
 
     __slots__ = ()
@@ -113,8 +118,7 @@ class DensityOperator(HermitianOperator):
         if not isinstance(mat_or_op, HermitianOperator):
             super().__init__(mat_or_op)
         else:
-            for name in HermitianOperator.__slots__:
-                setattr(self, name, getattr(mat_or_op, name))
+            self._take(mat_or_op)
             if isinstance(mat_or_op, DensityOperator):
                 return
         lam, tr = self.eigenvalues, self.trace()
@@ -123,25 +127,45 @@ class DensityOperator(HermitianOperator):
             u = self.eigenvectors
             mat, lam = _clamped(lam, u)
             self._set_matrix(mat)
+            self._eigenvalues, self._eigenvectors = _frozen(lam), u
         elif renormalized:
-            u, factor, block = self._eigenvectors, self.factor, self.block
-            self._set_matrix(self.mat / tr)
-            lam = lam / tr
-            if factor is not None:
-                self.factor = (factor[0], _frozen(factor[1] / tr), factor[2] / tr)
-            if block is not None:
-                self.block = (block[0], HermitianOperator._built(block[1].mat / tr))
-        else:
-            return
-        self._eigenvalues, self._eigenvectors = _frozen(lam), u
+            self._renormalize(tr)
+
+    def _take(self, op):
+        for name in HermitianOperator.__slots__:
+            setattr(self, name, getattr(op, name))
+
+    def _renormalize(self, tr):
+        """Divide the state by its trace ``tr``, as the state rule does: its
+        matrix, if built, else a record of ``tr`` that ``mat`` divides by on
+        its first read; the factor, block and known spectrum alike."""
+        if self._parts is None or self._mat is not None:
+            self._mat = _frozen(_symmetrized(self.mat / tr))
+        if self._parts is not None:
+            self._divisor = tr
+        if self.factor is not None:
+            self.factor = (self.factor[0], _frozen(self.factor[1] / tr), self.factor[2] / tr)
+        if self.block is not None:
+            self.block = (self.block[0], HermitianOperator._built(self.block[1].mat / tr))
+        if self._eigenvalues is not None:
+            self._eigenvalues = _frozen(self._eigenvalues / tr)
 
     @classmethod
     def _built(cls, mat, *args) -> "DensityOperator":
         """A state that is PSD by construction, such as a nonnegative
         combination of validated states: symmetrized, held to the trace
-        rule and renormalized like any input, but never decomposed.  The
-        stack of one of ``built_stack``."""
-        state = DensityOperator._trusted(built_stack(np.asarray(mat)[None])[0])
+        rule and renormalized like any input, but never decomposed.  For a
+        matrix, the stack of one of ``built_stack``; a structured operator
+        is held to the rule through its trace from the parts, with no
+        matrix built."""
+        if isinstance(mat, HermitianOperator):
+            state = DensityOperator.__new__(DensityOperator)
+            state._take(mat)
+            tr = state.trace()
+            if _state_rule(0.0, tr):
+                state._renormalize(tr)
+        else:
+            state = DensityOperator._trusted(built_stack(np.asarray(mat)[None])[0])
         return state if cls is DensityOperator else cls(state, *args)
 
     @classmethod
@@ -248,19 +272,21 @@ def _renormalize(mats, lam, tr, which):
         lam[rows] /= tr[rows, None]
 
 
+def divisors(diags) -> np.ndarray:
+    """The trace by which the state rule divides each structured state,
+    PSD by construction, of the unsymmetrized diagonals ``diags`` (n, D):
+    its trace (``linalg.diagonal_traces``) where ``_state_rules``
+    renormalizes it, else 1.  No D x D matrix is built."""
+    tr = diagonal_traces(diags)
+    return np.where(_state_rules(0.0, tr), tr, 1.0)
+
+
 def factored_traces(vecs, lam) -> np.ndarray:
     """The trace by which ``DensityOperator.factored(v, l)`` divides its
     matrix, for each basis ``v`` of an (n, D, k) stack with its weights
-    ``l`` (n, k): the matrix's trace where ``_state_rules`` renormalizes
-    it, else 1, so that ``l`` over it are the eigenvalues the state keeps.
-    No D x D matrix is built: the diagonal is summed term by term as that
-    constructor sums its outer products, and as a complex array, as
-    ``np.trace`` sums it."""
-    diag = 0.0
-    for k in range(lam.shape[1]):
-        diag = diag + (vecs[:, :, k] * lam[:, k, None]) * vecs[:, :, k].conj()
-    tr = diag.sum(axis=1).real
-    return np.where(_state_rules(0.0, tr), tr, 1.0)
+    ``l`` (n, k), so that ``l`` over it are the eigenvalues the state keeps:
+    ``divisors`` of ``linalg.factored_diagonals``."""
+    return divisors(factored_diagonals(vecs, lam, np.zeros(len(lam))))
 
 
 class PureStack(NamedTuple):
@@ -346,8 +372,16 @@ def state_pair(rho, sigma):
 
 
 def partial_trace(state: BipartiteState, keep: str) -> DensityOperator:
-    """Marginal on subsystem ``keep`` ('A' or 'B')."""
-    return DensityOperator(partial_traces(state.mat, state.dims, keep))
+    """Marginal on subsystem ``keep`` ('A' or 'B').  The B marginal of a
+    factored state adds its d_A diagonal d_B x d_B blocks
+    (``HermitianOperator.diagonal_blocks``) in order, as ``partial_traces``
+    sums them, with no matrix built."""
+    if keep != "B" or state.factor is None:
+        return DensityOperator(partial_traces(state.mat, state.dims, keep))
+    marginal = np.zeros((state.dims[1], state.dims[1]), dtype=complex)
+    for block in state.diagonal_blocks(state.dims[1]):
+        marginal += block
+    return DensityOperator(marginal)
 
 
 def partial_traces(mats, dims, keep: str) -> np.ndarray:

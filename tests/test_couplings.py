@@ -146,20 +146,30 @@ def test_couplings_reject_a_dimension_mismatch(construct):
         construct(DensityOperator.maximally_mixed(2), DensityOperator.maximally_mixed(3))
 
 
-@pytest.mark.parametrize("construct", [quantum_coupling, diagonal_coupling])
-def test_couplings_check_the_dense_limit_before_allocating(construct):
+@pytest.mark.parametrize("construct, name", [(quantum_coupling, "theta"),
+                                             (diagonal_coupling, "omega")])
+def test_couplings_above_the_dense_limit_build_no_coupling_state(construct, name):
     """d = 65 makes d^2 = 4225 > DENSE_DIM_LIMIT: a d^2 x d^2 complex array
-    would take 285 MB, and nothing of that size may be allocated."""
+    would take 285 MB.  The coupling state is held as its parts, and only a
+    read of its ``mat`` meets the limit, before allocating."""
     rho = DensityOperator.maximally_mixed(65)
     sigma = DensityOperator.diagonal(np.arange(1.0, 66.0) / np.arange(1.0, 66.0).sum())
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="dense limit"):
-            construct(rho, sigma)
-        peak = tracemalloc.get_traced_memory()[1]
+        state = getattr(construct(rho, sigma), name)
+        built = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(ValueError, match="dimension 4225 is above the dense limit"):
+            state.mat
+        read = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert peak < 2**20
+    assert built < 2**22
+    assert read < 2**20
+    if name == "theta":
+        qc = construct(rho, sigma)
+        assert fidelity(qc.psi, qc.theta) >= 1.0 - qc.epsilon - 1e-9
 
 
 def test_couplings_decompose_only_what_they_read(solver_calls):
@@ -183,8 +193,8 @@ def test_couplings_decompose_only_what_they_read(solver_calls):
 def test_a_chunk_gives_each_pair_the_coupling_it_has_alone():
     """One chunk of a sampled pair, rho = sigma (eps < 1e-12, omega = rho),
     a state whose eigenvalues the validation clamped and a pure state whose
-    weight the trace rule renormalized: every value the records read is,
-    bit for bit, that of the pair's stack of one."""
+    weight the trace rule renormalized: every value the records read, and
+    each part of Theta, is bit for bit that of the pair's stack of one."""
     rng = np.random.default_rng(11)
     u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
     clamped = DensityOperator((u * [0.7, 0.3 + 1e-13, -1e-13]) @ u.conj().T)
@@ -202,7 +212,11 @@ def test_a_chunk_gives_each_pair_the_coupling_it_has_alone():
         assert qc.overlap_psi[k] == alone.overlap_psi
         assert qc.overlap_phi[k] == alone.overlap_phi
         assert qc.fidelity_theta[k] == fidelity(alone.psi, alone.theta)
-        assert qc.theta[k].tobytes() == alone.theta.mat.tobytes()
+        vartheta, slack, delta1, delta2 = alone.theta.kron
+        assert vartheta.tobytes() == qc.vartheta[k].tobytes() and slack == qc.slack[k]
+        assert delta1.tobytes() == qc.deltas[0, k].tobytes()
+        assert delta2.tobytes() == qc.deltas[1, k].tobytes()
+        assert (alone.theta._divisor or 1.0) == qc.theta_traces[k]
         assert dc.largest_eigenvalue[k] == diagonal_coupling(r, s).largest_eigenvalue
 
 

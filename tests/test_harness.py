@@ -13,7 +13,7 @@ from entrobounds.bounds import BoundReport, check_af, check_cor_pure, check_fann
 from entrobounds.couplings import diagonal_coupling, quantum_coupling
 from entrobounds.entropies import von_neumann_entropy
 from entrobounds.gibbs import HamiltonianSpec, lemma4_bound, meta5_bound, sample_energy_constrained
-from entrobounds.linalg import fidelity, trace_distance
+from entrobounds.linalg import HermitianOperator, fidelity, trace_distance
 from entrobounds.states import BipartiteState, qc_matrices, sample_pure_bipartite, sample_state
 from entrobounds.harness import (
     SCHEMA_LINE,
@@ -473,6 +473,49 @@ class TestCli:
         # the unattainable row is reported, not a violation of the identity
         assert rc == cli.EXIT_OK
 
+    def test_the_cached_parser_gives_each_call_what_a_fresh_process_gives(self, tmp_path,
+                                                                           capsys):
+        """The parser is built once per process.  An unread setting (exit 2),
+        a usage error (``SystemExit``) and valid calls of three subcommands,
+        made in turn in one process, each give the exit code, output and
+        report of the same call in a new process; no flag of one call, such
+        as ``--levels``, reaches the next."""
+        calls = [["verify", "gibbs", "--energies", "1", "--samples", "3"],
+                 ["witness", "fannes", "--out", "x.csv"],
+                 ["gibbs-table", "--levels", "0,1", "--energies", "0.25,0.9", "--out", "t1.csv"],
+                 ["gibbs-table", "--energies", "0.5,1", "--out", "t2.csv"],
+                 ["verify", "fannes", "--dims", "2", "--samples", "2", "--out", "f.csv"],
+                 ["witness", "af", "--dims", "2", "--eps", "0.5"]]
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        script = "import sys\nfrom entrobounds.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+        def report(argv):
+            out = tmp_path / argv[argv.index("--out") + 1] if "--out" in argv else None
+            return out.read_bytes() if out and out.exists() else None
+
+        fresh = []
+        for argv in calls:
+            proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, cwd=tmp_path,
+                                  capture_output=True, text=True)
+            fresh.append((proc.returncode, proc.stdout, proc.stderr, report(argv)))
+        for f in tmp_path.iterdir():
+            f.unlink()
+        assert cli._build_parser() is cli._build_parser()
+        cwd = os.getcwd()
+        os.chdir(tmp_path)
+        try:
+            for argv, expected in zip(calls, fresh):
+                try:
+                    rc = cli.main(argv)
+                except SystemExit as exc:
+                    rc = exc.code
+                out, err = capsys.readouterr()
+                assert (rc, out, err, report(argv)) == expected
+        finally:
+            os.chdir(cwd)
+        assert [f[0] for f in fresh] == [2, 2, 0, 0, 0, 0]
+
     def test_coupling_demo(self, capsys):
         rc = cli.main(["coupling-demo", "--dims", "3", "--seed", "2"])
         assert rc == cli.EXIT_OK
@@ -484,14 +527,14 @@ class TestCli:
             "diagonal_largest_eigenvalue"]
 
     def test_coupling_demo_verdict_includes_the_fidelity(self, monkeypatch, capsys):
-        monkeypatch.setattr(couplings, "pure_fidelities", lambda vecs, w, mats: np.zeros(len(w)))
+        monkeypatch.setattr(couplings, "pure_fidelities", lambda w, overlaps: np.zeros(len(w)))
         assert cli.main(["coupling-demo", "--dims", "3", "--seed", "2"]) == cli.EXIT_VIOLATIONS
         assert "quantum_fidelity_theta: lhs=0.235107 rhs=0.000000 " in capsys.readouterr().out
 
     def test_coupling_demo_with_a_nan_fidelity_exits_1(self, monkeypatch, capsys):
         """A NaN is no valid overlap, wherever it falls among the records."""
         monkeypatch.setattr(couplings, "pure_fidelities",
-                            lambda vecs, w, mats: np.full(len(w), np.nan))
+                            lambda w, overlaps: np.full(len(w), np.nan))
         assert cli.main(["coupling-demo", "--dims", "3", "--seed", "2"]) == cli.EXIT_VIOLATIONS
         out = capsys.readouterr().out
         assert "quantum_fidelity_theta: lhs=0.235107 rhs=nan slack=nan valid=False" in out
@@ -666,14 +709,27 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         "verify af --dims 200 --samples 1",  # 40000-dim states, 11.9 GiB each
-        "verify couplings --dims 150 --samples 1",  # 22500-dim couplings, 7.54 GiB
-        "witness af --dims 300",  # a 90000-dim witness, 121 GiB
     ])
     def test_operator_above_the_dense_limit_exits_2_before_allocating(self, argv):
         proc, err, peak = self._run_capped(argv)
         assert proc.returncode == cli.EXIT_CONFIG
         assert proc.stdout == ""
         assert "dense limit" in err[-1]
+        assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize("argv, lines", [
+        # 22500-dim couplings, 7.54 GiB each as a dense matrix
+        ("verify couplings --dims 150 --samples 1", "suite=couplings cases=4 "),
+        # a 90000-dim witness, 121 GiB as a dense matrix
+        ("witness af --dims 300", "af d=300 eps=0.25: "),
+    ])
+    def test_structured_operators_above_the_dense_limit_build_no_matrix(self, argv, lines):
+        """The coupling states and the AF witness are held as their parts, so
+        these runs succeed under the cap, every record valid."""
+        proc, err, peak = self._run_capped(argv)
+        assert proc.returncode == cli.EXIT_OK, err
+        assert proc.stdout.startswith(lines)
+        assert "violations=0" in proc.stdout or proc.stdout.rstrip().endswith("valid=True")
         assert peak < 64 * 2**20
 
     def test_a_chunk_of_large_states_peaks_no_higher_than_one_case_at_a_time(self):
@@ -693,6 +749,27 @@ class TestCli:
         proc, _, peak = self._run_capped(argv)
         assert proc.returncode == cli.EXIT_OK
         assert peak <= parent_peak
+
+    def test_no_witness_or_coupling_case_reads_a_product_space_matrix(self, monkeypatch, capsys):
+        """A spy on the ``mat`` getter: the ``tightness``, ``witness af``,
+        ``couplings`` and ``cor_pure`` cases at d = 3 and 16 read d x d
+        matrices only, never a d^2 x d^2 one (the AF witness, Theta, the
+        diagonal omega or a pure pair)."""
+        getter = HermitianOperator.mat.fget
+        read = set()
+
+        def spy(op):
+            read.add(op.dim)
+            return getter(op)
+
+        monkeypatch.setattr(HermitianOperator, "mat", property(spy))
+        for argv in (["verify", "tightness", "--dims", "3,16", "--eps", "0.05,0.25,0.5"],
+                     ["witness", "af", "--dims", "3,16", "--eps", "0.25,1"],
+                     ["verify", "couplings", "--dims", "3,16", "--samples", "3"],
+                     ["verify", "cor_pure", "--dims", "3,16", "--samples", "3"],
+                     ["coupling-demo", "--dims", "16"]):
+            assert cli.main(argv) == cli.EXIT_OK
+        assert read and read <= {3, 16}
 
     def test_small_couplings_chunks_hold_no_spare_theta(self):
         # with the slack product and its copy of theta[full] alive, the

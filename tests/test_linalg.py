@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from entrobounds.linalg import (
+    DENSE_DIM_LIMIT,
     HermitianOperator,
     MatrixFunctionDomainError,
+    _symmetrized,
     as_operator,
     descending_eigh,
     factored_trace_distances,
@@ -451,6 +453,151 @@ class TestBlockOperator:
     def test_index_must_be_distinct_and_in_range(self, index):
         with pytest.raises(ValueError, match="distinct indices"):
             HermitianOperator.embedded(index, np.eye(2), 3)
+
+
+def _eager(kind, parts):
+    """The unsymmetrized matrix of each structured constructor, as it was
+    built on construction before ``mat`` became lazy."""
+    if kind == "diagonal":
+        return np.diag(np.asarray(parts[0], dtype=float).astype(complex))
+    if kind == "factored":
+        vecs, lam, c = parts
+        mat = np.diag(np.full(len(vecs), c, dtype=complex))
+        for a, b in zip((vecs * (lam - c)).T, vecs.conj().T):
+            mat += np.outer(a, b)
+        return mat
+    if kind == "embedded":
+        index, block, dim = parts
+        mat = np.zeros((dim, dim), dtype=complex)
+        mat[np.ix_(index, index)] = block.mat
+        return mat
+    v, s, a, b = parts
+    # the diagonal coupling's omega as it was formed densely
+    return np.outer(v, v.conj()) + s * np.kron(a, b)
+
+
+def _structures(rng, d, scale=1.0):
+    """(kind, parts, operator) of each structured constructor at dimension
+    d (d^2 for the kron), its parts scaled by ``scale``."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    vecs = np.linalg.qr(g)[0][:, :max(1, d // 2)]
+    lam = rng.random(vecs.shape[1])
+    lam = lam / lam.sum() / 2 if d > vecs.shape[1] else lam / lam.sum()
+    c = 0.5 / (d - vecs.shape[1]) * scale if d > vecs.shape[1] else 0.0
+    p = rng.random(d)
+    index = rng.choice(d + 2, size=d, replace=False)
+    block = sample_state(d, d, rng)
+    v = _unit(rng, d * d) * np.sqrt(0.6)
+    a, b = sample_state(d, d, rng).mat, sample_state(d, d, rng).mat
+    structures = [("diagonal", (p / p.sum() * scale,)), ("factored", (vecs, lam * scale, c)),
+                  ("embedded", (index, HermitianOperator(block.mat * scale), d + 2)),
+                  ("kron", (v * np.sqrt(scale), 0.4 * scale, a, b))]
+    build = {"diagonal": HermitianOperator.diagonal, "factored": HermitianOperator.factored,
+             "embedded": HermitianOperator.embedded, "kron": HermitianOperator.rank_one_kron}
+    return [(kind, parts, build[kind](*parts)) for kind, parts in structures]
+
+
+class TestLazyMatrix:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_mat_has_the_bits_of_the_dense_construction(self, d, seed):
+        """Each structure builds no matrix until ``mat`` is read, and then the
+        bits of its dense construction; its trace, read from the parts
+        first, is ``np.trace`` of that matrix."""
+        for kind, parts, op in _structures(np.random.default_rng([d, seed]), d):
+            if d == 1 and kind == "factored":
+                continue
+            assert op._mat is None
+            tr = op.trace()
+            assert op._mat is None
+            assert op.mat.tobytes() == _symmetrized(_eager(kind, parts)).tobytes()
+            assert tr == float(np.real(np.trace(op.mat)))
+
+    @pytest.mark.parametrize("scale", [1.0 + 3e-13, 1.0 - 2e-12, 1.0 + 5e-9])
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_a_renormalized_state_reads_the_bits_of_the_dense_rule(self, d, scale):
+        """A structured state off trace 1 by more than ``RENORM_ATOL`` records
+        its trace; its ``mat`` is then ``sym(sym(M) / tr)`` and its trace
+        that of the dense state, whether ``mat`` was read before or after."""
+        for first in ("parts", "mat"):
+            for kind, parts, op in _structures(np.random.default_rng(d), d, scale):
+                dense = _symmetrized(_eager(kind, parts))
+                tr = np.trace(dense).real
+                assert op.trace() == tr and abs(tr - 1.0) > 1e-14
+                if first == "mat":
+                    op.mat
+                state = DensityOperator._built(op) if kind == "kron" else DensityOperator(op)
+                assert (state._mat is None) == (first == "parts")
+                assert state.trace() == float(np.trace(state.mat).real)
+                assert state.mat.tobytes() == _symmetrized(dense / tr).tobytes()
+                if kind != "kron":
+                    assert state.eigenvalues.tobytes() == (op.eigenvalues / tr).tobytes()
+
+    @pytest.mark.parametrize("kind", ["diagonal", "factored", "embedded", "kron", "pure"])
+    def test_reading_mat_above_the_dense_limit_raises_before_allocating(self, kind):
+        """A structured operator of dimension 4100 holds its parts (a few
+        vectors); a 4100 x 4100 complex matrix would take 269 MB.  Reading
+        ``mat`` or the eigenvectors raises in the getter, with less than
+        1 MiB allocated."""
+        dim = DENSE_DIM_LIMIT + 4
+        rng = np.random.default_rng(9)
+        op = {"diagonal": lambda: HermitianOperator.diagonal(rng.random(dim)),
+              "factored": lambda: HermitianOperator.factored(_orthonormal(rng, dim, 2), [0.5, 0.3]),
+              "embedded": lambda: HermitianOperator.embedded([3, 7], np.eye(2), dim),
+              "kron": lambda: HermitianOperator.rank_one_kron(_unit(rng, dim), 0.5, np.eye(4),
+                                                              np.eye(dim // 4)),
+              "pure": lambda: HermitianOperator.pure(_unit(rng, dim))}[kind]()
+        assert op.trace() > 0.0
+        tracemalloc.start()
+        try:
+            for read in ("mat", "eigenvectors"):
+                with pytest.raises(ValueError, match=f"dimension {dim} is above the dense limit"):
+                    getattr(op, read)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_fidelity_with_a_kron_operand_reads_its_parts(self):
+        """F(w |x><x|, |v><v| + s A (x) B) from ``<x|v>`` and ``tr(X^dagger A X
+        B^T)``, renormalized or not, matches the dense overlap, with no
+        d^2 x d^2 matrix built."""
+        rng = np.random.default_rng(31)
+        for d_a, d_b in [(2, 2), (2, 3), (4, 3), (5, 5)]:
+            v = _unit(rng, d_a * d_b) * np.sqrt(0.7)
+            a, b = sample_state(d_a, d_a, rng), sample_state(d_b, d_b, rng)
+            for s in (0.3, 0.3 + 4e-13):
+                theta = DensityOperator._built(HermitianOperator.rank_one_kron(v, s, a.mat, b.mat))
+                x = sample_pure_state(d_a * d_b, rng)
+                f = fidelity(x, theta)
+                assert theta._mat is None
+                u, w = x.factor[0][:, 0], x.factor[1][0]
+                assert f == pytest.approx(math.sqrt(w * np.vdot(u, theta.mat @ u).real),
+                                          rel=0, abs=1e-15)
+                assert fidelity(theta, x) == f
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_the_difference_of_symmetrized_stacks_is_exactly_hermitian(self, seed):
+        """``trace_distances`` takes ``a - b`` as it is: symmetrizing the
+        difference of two symmetrized stacks changes no bit, the signed zeros
+        of equal entries, of real matrices and on the diagonal included."""
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 9))
+        g = rng.standard_normal((2, 4, d, d)) + 1j * rng.standard_normal((2, 4, d, d))
+        g[1, 0] = g[0, 0]  # a pair of equal matrices
+        g[:, 1] = g[:, 1].real  # real matrices: every imaginary part a zero
+        g[1, 2] = np.diag(np.diagonal(g[0, 2]))  # equal diagonals, zeros off them
+        a, b = (_symmetrized(m) for m in g)
+        assert _symmetrized(a - b).tobytes() == (a - b).tobytes()
+        # zeros of either sign placed before the symmetrization can move the
+        # sign of a zero part off the diagonal, never a value or the diagonal
+        for part in (g.real, g.imag):
+            zeros = rng.random(g.shape) < 0.3
+            part[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+        a, b = (_symmetrized(m) for m in g)
+        assert np.array_equal(_symmetrized(a - b), a - b)
+        assert (np.diagonal(_symmetrized(a - b), axis1=1, axis2=2).tobytes()
+                == np.diagonal(a - b, axis1=1, axis2=2).tobytes())
 
 
 class TestMatrixFunction:

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from entrobounds.bounds import check_dc, check_fannes
+from entrobounds.bounds import check_dc, check_fannes, tightness_witness_af
 from entrobounds.couplings import build_decomposition, diagonal_coupling, quantum_coupling
 from entrobounds.dc_optimizer import (ConvexSetModel, dc_gradient, dc_minimize, dc_minimize_stack,
                                       kappa_bracket)
@@ -105,6 +105,37 @@ class TestPartialTrace:
     def test_bad_keep(self):
         with pytest.raises(ValueError, match="keep"):
             partial_trace(maximally_entangled_state(2), "C")
+
+    @pytest.mark.parametrize("eps", [0.05, 0.25, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    def test_b_marginal_of_the_af_witness_builds_no_matrix(self, d, eps):
+        """The B marginal of a factored state adds its diagonal blocks, built
+        from the factor one at a time, with the bits ``partial_traces``
+        gives over the dense matrix."""
+        for state in tightness_witness_af(d, eps):
+            marginal = partial_trace(state, "B")
+            assert state._mat is None
+            dense = partial_traces(state.mat, state.dims, "B")
+            assert marginal.mat.tobytes() == DensityOperator(dense).mat.tobytes()
+
+    @pytest.mark.parametrize("dims", [(1, 4), (2, 3), (3, 2), (4, 1), (5, 5)])
+    def test_b_marginal_of_a_factor_matches_the_dense_bits(self, dims):
+        """Ranks 1 to 3, a complement eigenvalue and a renormalized trace:
+        the blockwise B marginal is, bit for bit, the einsum over ``mat``."""
+        rng = np.random.default_rng(dims)
+        d = dims[0] * dims[1]
+        for k in range(1, min(d, 3) + 1):
+            v = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+            lam = rng.random(k)
+            lam = lam / lam.sum()
+            parts = [(lam, 0.0), (lam * (1.0 + 4e-13), 0.0)]
+            if k < d:
+                parts.append((lam / 2, 0.5 / (d - k)))
+            for w, c in parts:
+                state = BipartiteState.factored(v[:, :k], w, c, dims)
+                marginal = partial_trace(state, "B").mat
+                assert marginal.tobytes() == DensityOperator(
+                    partial_traces(state.mat, dims, "B")).mat.tobytes()
 
     def test_vector_marginals_match_partial_trace(self):
         rng = np.random.default_rng(7)
