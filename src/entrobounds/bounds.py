@@ -13,12 +13,12 @@ Bound formulas (all in bits):
   E_R (and its regularization): eps log2 d + (1+eps) h(eps/(1+eps)).
 
 Every checker recomputes eps from the states via the trace norm;
-caller-supplied eps is never trusted.  ``check_fannes_stack`` and
-``check_af_stack`` are ``check_fannes`` and ``check_af`` over stacks of
-dense states (``states.StateStack``), with the same reports bit for bit.
-``check_cor_pure_stack`` scores stacks of pure states
-(``states.PureStack``), and ``check_cor_pure`` is the stack of one of its
-kernel: a state object brings the marginal of the matrix it holds.
+caller-supplied eps is never trusted.  Each bound has one kernel over a
+stack of pairs (``check_fannes_stack`` and ``check_af_stack`` take the
+spectra and B marginals of rho and sigma interleaved as drawn,
+``check_cor_pure_stack`` pure states), and ``_reports`` builds every
+report list.  ``check_fannes``, ``check_af`` and ``check_cor_pure`` are
+stacks of one: a state brings the spectrum and marginals it holds.
 """
 
 from __future__ import annotations
@@ -28,11 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropies import (binary_entropy, conditional_entropies, conditional_entropy,
-                        von_neumann_entropies, von_neumann_entropy)
+from .entropies import binary_entropy, conditional_entropies, von_neumann_entropies
 from .dc_optimizer import ConvexSetModel, kappa_bracket
-from .linalg import factored_trace_distances, rank_one_factor, trace_distance, trace_distances
-from .states import (BipartiteState, DensityOperator, PureStack, StateStack, density_stack,
+from .linalg import factored_trace_distances, rank_one_factor, trace_distance
+from .states import (BipartiteState, DensityOperator, PureStack, b_marginal, density_stack,
                      maximally_entangled_state, partial_traces, pure_marginals, state_pair)
 
 @dataclass(frozen=True)
@@ -117,45 +116,45 @@ def cor2_bound(epsilon: float, d: int) -> float:
 # -- checkers ----------------------------------------------------------------
 
 
+def _reports(variant: str, dim: int, eps, values, rhs_at) -> list:
+    """The reports of n pairs: their trace distances ``eps`` (n,), the gaps
+    |x_rho - x_sigma| of ``values`` (2n,), rho and sigma interleaved as
+    drawn, and the rhs ``rhs_at(min(eps, 1))``."""
+    lhs = np.abs(values[0::2] - values[1::2])
+    return [BoundReport(variant=variant, dim=dim, lhs=lh, rhs=rhs_at(min(e, 1.0)), epsilon=e)
+            for e, lh in zip(eps.tolist(), lhs.tolist())]
+
+
+def check_fannes_stack(eps, spectra) -> list:
+    """The Fannes-Audenaert check of n pairs from their trace distances (n,)
+    and the spectra (2n, d) of rho and sigma interleaved as drawn."""
+    d = spectra.shape[-1]
+    return _reports("fannes_exact", d, eps, von_neumann_entropies(spectra),
+                    lambda e: fannes_audenaert_bound(e, d))
+
+
+def check_af_stack(eps, spectra, b_marginals, d_a: int, classical_b: bool = False) -> list:
+    """The Alicki-Fannes check of n pairs on ``A (x) B`` from their trace
+    distances (n,), and the spectra (2n, D) and unvalidated B marginals
+    (2n, d_B, d_B) of rho and sigma interleaved as drawn."""
+    variant = "af_classical_B" if classical_b else "af_general"
+    return _reports(variant, d_a, eps, conditional_entropies(spectra, b_marginals),
+                    lambda e: af_bound(e, d_a, classical_b=classical_b))
+
+
 def check_fannes(rho: DensityOperator, sigma: DensityOperator) -> BoundReport:
     rho, sigma = state_pair(rho, sigma)
-    eps = trace_distance(rho, sigma)
-    lhs = abs(von_neumann_entropy(rho) - von_neumann_entropy(sigma))
-    rhs = fannes_audenaert_bound(min(eps, 1.0), rho.dim)
-    return BoundReport(variant="fannes_exact", dim=rho.dim, lhs=lhs, rhs=rhs, epsilon=eps)
+    eps = np.array([trace_distance(rho, sigma)])
+    return check_fannes_stack(eps, np.stack([rho.eigenvalues, sigma.eigenvalues]))[0]
 
 
 def check_af(rho: BipartiteState, sigma: BipartiteState, classical_b: bool = False) -> BoundReport:
     if rho.dims != sigma.dims:
         raise ValueError("bipartite dimension mismatch")
-    eps = trace_distance(rho, sigma)
-    lhs = abs(conditional_entropy(rho) - conditional_entropy(sigma))
-    d_a = rho.dims[0]
-    rhs = af_bound(min(eps, 1.0), d_a, classical_b=classical_b)
-    variant = "af_classical_B" if classical_b else "af_general"
-    return BoundReport(variant=variant, dim=d_a, lhs=lhs, rhs=rhs, epsilon=eps)
-
-
-def check_fannes_stack(rho: StateStack, sigma: StateStack) -> list:
-    """``check_fannes`` of each pair of two stacks of dense states."""
-    eps = trace_distances(rho.mats, sigma.mats)
-    lhs = np.abs(von_neumann_entropies(rho) - von_neumann_entropies(sigma))
-    d = rho.mats.shape[-1]
-    return [BoundReport(variant="fannes_exact", dim=d, lhs=lh,
-                        rhs=fannes_audenaert_bound(min(e, 1.0), d), epsilon=e)
-            for e, lh in zip(eps.tolist(), lhs.tolist())]
-
-
-def check_af_stack(rho: StateStack, sigma: StateStack, dims, classical_b: bool = False) -> list:
-    """``check_af`` of each pair of two stacks of dense states on ``A (x) B``
-    of dimensions ``dims``."""
-    eps = trace_distances(rho.mats, sigma.mats)
-    lhs = np.abs(conditional_entropies(rho, dims) - conditional_entropies(sigma, dims))
-    d_a = dims[0]
-    variant = "af_classical_B" if classical_b else "af_general"
-    return [BoundReport(variant=variant, dim=d_a, lhs=lh,
-                        rhs=af_bound(min(e, 1.0), d_a, classical_b=classical_b), epsilon=e)
-            for e, lh in zip(eps.tolist(), lhs.tolist())]
+    eps = np.array([trace_distance(rho, sigma)])
+    spectra = np.stack([rho.eigenvalues, sigma.eigenvalues])
+    marginals = np.stack([b_marginal(rho), b_marginal(sigma)])
+    return check_af_stack(eps, spectra, marginals, rho.dims[0], classical_b)[0]
 
 
 def check_dc(rho: DensityOperator, sigma: DensityOperator,
@@ -186,30 +185,26 @@ _COROLLARIES = {"ef": ("ef_cor1", lambda e, d: cor1_bounds(e, d)[0]),
 
 def check_cor_pure_stack(phi: PureStack, psi: PureStack, dims, which: str = "ef") -> list:
     """``check_cor_pure`` of each pair of two stacks of pure states on
-    ``A (x) B`` of dimensions ``dims``, with no d_a d_b x d_a d_b matrix
-    built: the A marginals come from the vectors (``states.pure_marginals``)."""
+    ``A (x) B`` of dimensions ``dims``, with no D x D matrix built: eps from
+    the rank-one factors ``(v, [w], 0)``, the A marginals from the vectors
+    (``states.pure_marginals``)."""
+    zero = np.zeros(len(phi.vectors))
+    eps = factored_trace_distances(*(x for s in (phi, psi)
+                                     for x in (s.vectors[:, :, None], s.weights[:, None], zero)))
     marginals = np.stack([pure_marginals(phi, dims), pure_marginals(psi, dims)], axis=1)
-    return _cor_pure_reports(phi.vectors, phi.weights, psi.vectors, psi.weights, marginals,
-                             dims, which)
+    return _cor_pure_reports(eps, marginals, dims, which)
 
 
-def _cor_pure_reports(a, wa, b, wb, marginals, dims, which) -> list:
-    """The reports of the pure pairs ``(wa |a><a|, wb |b><b|)`` of two (n, D)
-    stacks of unit vectors and weights, with their A marginals (n, 2,
-    d_a, d_a): eps from ``linalg.factored_trace_distances`` of the rank-one
-    factors ``(a, [wa], 0)`` and ``(b, [wb], 0)``, the entropies of the
-    marginals validated as one stack."""
+def _cor_pure_reports(eps, marginals, dims, which) -> list:
+    """The reports of n pure pairs from their trace distances (n,), clipped
+    to 1, and their A marginals (n, 2, d_a, d_a), validated as one stack."""
     if which not in _COROLLARIES:
         raise ValueError(f"unknown corollary bound {which!r}")
     variant, bound = _COROLLARIES[which]
-    zero = np.zeros(len(a))
-    eps = np.minimum(factored_trace_distances(a[:, :, None], wa[:, None], zero,
-                                              b[:, :, None], wb[:, None], zero), 1.0)
-    s_phi, s_psi = density_stack(marginals.reshape(-1, dims[0], dims[0])).split()
-    lhs = np.abs(von_neumann_entropies(s_phi) - von_neumann_entropies(s_psi))
+    spectra = density_stack(marginals.reshape(-1, dims[0], dims[0])).eigenvalues
     d = min(dims)
-    return [BoundReport(variant=variant, dim=d, lhs=lh, rhs=bound(e, d), epsilon=e)
-            for e, lh in zip(eps.tolist(), lhs.tolist())]
+    return _reports(variant, d, np.minimum(eps, 1.0), von_neumann_entropies(spectra),
+                    lambda e: bound(e, d))
 
 
 def check_cor_pure(phi: BipartiteState, psi: BipartiteState, which: str = "ef") -> BoundReport:
@@ -221,13 +216,11 @@ def check_cor_pure(phi: BipartiteState, psi: BipartiteState, which: str = "ef") 
     S(tr_B .) is not E_F."""
     if phi.dims != psi.dims:
         raise ValueError("bipartite dimension mismatch")
-    pure = [rank_one_factor(state) for state in (phi, psi)]
-    if any(p is None for p in pure):
+    if any(rank_one_factor(state) is None for state in (phi, psi)):
         raise ValueError("check_cor_pure takes pure states (a rank-one factor)")
-    (va, wa), (vb, wb) = pure
+    eps = np.array([trace_distance(phi, psi)])
     marginals = np.stack([partial_traces(s.mat, s.dims, "A") for s in (phi, psi)])
-    return _cor_pure_reports(va[None], np.array([wa]), vb[None], np.array([wb]), marginals[None],
-                             phi.dims, which)[0]
+    return _cor_pure_reports(eps, marginals[None], phi.dims, which)[0]
 
 
 # -- extremal witnesses ------------------------------------------------------

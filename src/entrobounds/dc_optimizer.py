@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropies import relative_entropies, relative_entropy, von_neumann_entropy
+from .entropies import relative_entropies, relative_entropy, von_neumann_entropies
 from .linalg import OUTSIDE_SUPPORT_ATOL, PSD_ATOL, as_operator, descending_eigh, support_mask
 from .states import DensityOperator, as_state, sample_pure_state
 
@@ -268,7 +268,7 @@ def dc_minimize_stack(rhos, model: ConvexSetModel, tol: float = 1e-6,
             raise ValueError(f"{len(starts)} starts for {n} states")
         w = np.array([_start_weights(s, m) for s in starts])
     rho = np.stack([r.mat for r in rhos])
-    neg_s = np.array([-von_neumann_entropy(r) for r in rhos])
+    neg_s = -von_neumann_entropies(np.stack([r.eigenvalues for r in rhos]))
     mix = _mixtures(gens, w)
     lam, u, rho_tilde, q = _spectra(rho, mix)
     value = relative_entropies(neg_s, lam, q)

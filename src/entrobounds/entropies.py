@@ -13,8 +13,7 @@ import math
 import numpy as np
 
 from .linalg import OUTSIDE_SUPPORT_ATOL, PSD_ATOL, _operator_pair, support_mask
-from .states import (BipartiteState, DensityOperator, StateStack, as_state, density_stack,
-                     partial_trace, partial_traces)
+from .states import BipartiteState, DensityOperator, as_state, b_marginal, density_stack
 
 LOG2_E = math.log2(math.e)
 
@@ -25,37 +24,34 @@ def _h_terms(p: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def _h_terms_stack(p: np.ndarray) -> np.ndarray:
-    """``_h_terms`` of each row of ``p``, bit for bit.  The rows with the
-    same number k of positive entries are compacted to one (m, k) stack and
-    summed along its rows, so each row's terms are grouped as in the sum of
-    that row alone; a row summed with zeros in place of its nonpositive
-    entries would be grouped differently."""
-    pos = p > 0.0
-    counts = pos.sum(axis=1)
-    out = np.empty(len(p))
+def von_neumann_entropies(spectra: np.ndarray) -> np.ndarray:
+    """S(rho) = -tr rho log2 rho of each state of a stack from its spectrum
+    (a row of the (n, d) ``spectra``): ``_h_terms`` of each row, bit for
+    bit.  The rows with the same number k of positive entries are compacted
+    to one (m, k) stack and summed along its rows, so each row's terms are
+    grouped as in the sum of that row alone; a row summed with zeros in
+    place of its nonpositive entries would be grouped differently."""
+    pos = spectra > 0.0
+    counts = np.count_nonzero(pos, axis=1)
+    out = np.empty(len(spectra))
     for k in set(counts.tolist()):
         rows = counts == k
-        q = p[rows][pos[rows]].reshape(int(rows.sum()), k)
+        q = spectra[pos & rows[:, None]].reshape(np.count_nonzero(rows), k)
         out[rows] = -(q * np.log2(q)).sum(axis=1)
     return out
 
 
-def von_neumann_entropies(states: StateStack) -> np.ndarray:
-    """``von_neumann_entropy`` of each state of a stack."""
-    return _h_terms_stack(states.eigenvalues)
-
-
-def conditional_entropies(states: StateStack, dims) -> np.ndarray:
-    """``conditional_entropy`` of each state of a stack on ``A (x) B`` of
-    dimensions ``dims``, its B marginals validated as one stack."""
-    marginals = density_stack(partial_traces(states.mats, dims, "B"))
-    return von_neumann_entropies(states) - von_neumann_entropies(marginals)
+def conditional_entropies(spectra: np.ndarray, marginals: np.ndarray) -> np.ndarray:
+    """S(A|B) = S(AB) - S(B) of each state of a stack on ``A (x) B`` from its
+    spectrum (of the (n, D) ``spectra``) and unvalidated B marginal (of the
+    (n, d_B, d_B) ``marginals``), the marginals validated as one stack."""
+    s_b = von_neumann_entropies(density_stack(marginals).eigenvalues)
+    return von_neumann_entropies(spectra) - s_b
 
 
 def von_neumann_entropy(rho) -> float:
-    """S(rho) = -tr rho log2 rho; ``rho`` must be a state."""
-    return _h_terms(as_state(rho).eigenvalues)
+    """S(rho) of a state, the stack of one of ``von_neumann_entropies``."""
+    return float(von_neumann_entropies(as_state(rho).eigenvalues[None])[0])
 
 
 def shannon_entropy(p) -> float:
@@ -78,8 +74,8 @@ def clipped_binary(x: float) -> float:
 
 
 def conditional_entropy(state: BipartiteState) -> float:
-    """S(A|B) = S(AB) - S(B)."""
-    return von_neumann_entropy(state) - von_neumann_entropy(partial_trace(state, "B"))
+    """S(A|B) of a bipartite state, the stack of one of ``conditional_entropies``."""
+    return float(conditional_entropies(state.eigenvalues[None], b_marginal(state)[None])[0])
 
 
 def relative_entropies(neg_s: np.ndarray, lam: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -105,7 +101,7 @@ def relative_entropy(rho: DensityOperator, gamma) -> float:
     rho_op, gamma_op = _operator_pair(as_state(rho), gamma)
     u = gamma_op.eigenvectors
     q = np.real(np.einsum("ij,ji->i", u.conj().T @ rho_op.mat, u))
-    neg_s = np.array([-von_neumann_entropy(rho_op)])
+    neg_s = -von_neumann_entropies(rho_op.eigenvalues[None])
     return float(relative_entropies(neg_s, gamma_op.eigenvalues[None], q[None])[0])
 
 

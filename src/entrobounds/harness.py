@@ -13,7 +13,7 @@ order.  The ``fannes``, ``af``, ``energy_bounds``, ``couplings`` and
 samplers do, validate and decompose the whole chunk as one stack
 (``states.density_stack``; ``cor_pure`` keeps its pure states as vectors,
 ``states.pure_stack``) and score it with the stacked checks and couplings,
-with the same report bytes.  A chunk holds at most ``_CHUNK_BYTES``
+with the same report bytes.  A chunk holds at most ``states.CHUNK_BYTES``
 (256 KiB) of dense matrices, one case at least, so that large states are
 never stacked beyond one case (a ``couplings`` case counts its d x d
 matrices: its Theta is held as parts); every other suite takes chunks of
@@ -35,8 +35,8 @@ from . import couplings as cpl
 from . import gibbs as gb
 from .entropies import shannon_entropy, von_neumann_entropies
 from .linalg import trace_distances
-from .states import (density_stack, draw_pure_vectors, draw_qc, draw_state_matrices,
-                     embedded_stack, pure_stack, qc_matrices, sample_state)
+from .states import (CHUNK_BYTES, density_stack, draw_pure_vectors, draw_qc, draw_state_matrices,
+                     embedded_stack, partial_traces, pure_stack, qc_matrices, sample_state)
 
 REPORT_COLUMNS = ("suite", "case", "variant", "dim", "energy", "epsilon",
                   "epsilon_prime", "lhs", "rhs", "slack", "valid")
@@ -106,9 +106,6 @@ def _rng(seed: int, case: int) -> np.random.Generator:
 # suite that reads no ``seed`` draw nothing and get None for a generator.
 # Fields a case leaves at None are blank in the report.
 
-# The largest stack of dense matrices one chunk of a stacked suite draws.
-_CHUNK_BYTES = 2**18
-
 
 def _pair_bytes(d):
     """The bytes of a pair of complex d x d matrices."""
@@ -136,8 +133,9 @@ def _twice(rngs):
 
 
 def _case_fannes(rngs, d):
-    rho, sigma = density_stack(draw_state_matrices(d, d, _twice(rngs))).split()
-    return [[rep] for rep in bnd.check_fannes_stack(rho, sigma)]
+    states = density_stack(draw_state_matrices(d, d, _twice(rngs)))
+    eps = trace_distances(states.mats[0::2], states.mats[1::2])
+    return [[rep] for rep in bnd.check_fannes_stack(eps, states.eigenvalues)]
 
 
 def _grid_af(dims, samples):
@@ -153,8 +151,10 @@ def _case_af(rngs, d, classical_b):
         mats = qc_matrices(p, density_stack(blocks.reshape(-1, d, d)).mats.reshape(-1, d, d, d))
     else:
         mats = draw_state_matrices(d * d, d * d, _twice(rngs))
-    rho, sigma = density_stack(mats).split()
-    return [[rep] for rep in bnd.check_af_stack(rho, sigma, (d, d), classical_b)]
+    states = density_stack(mats)
+    eps = trace_distances(states.mats[0::2], states.mats[1::2])
+    marginals = partial_traces(states.mats, (d, d), "B")
+    return [[rep] for rep in bnd.check_af_stack(eps, states.eigenvalues, marginals, d, classical_b)]
 
 
 @_per_case
@@ -229,7 +229,7 @@ def _case_energy_bounds(rngs, h, e):
     rows, dim, blocks = gb.draw_energy_block(h, e, _twice(rngs))
     rho, sigma = embedded_stack(rows, density_stack(blocks), dim).split()
     epsilons = trace_distances(rho.mats, sigma.mats, dim)
-    gaps = np.abs(von_neumann_entropies(rho) - von_neumann_entropies(sigma))
+    gaps = np.abs(von_neumann_entropies(rho.eigenvalues) - von_neumann_entropies(sigma.eigenvalues))
     reports = []
     for eps, lhs in zip(epsilons.tolist(), gaps.tolist()):
         ep = min(1.0, eps + 0.1)
@@ -282,14 +282,14 @@ WITNESSES = {"fannes": ("dims", "epsilons"), "af": ("dims", "epsilons"),
 
 def _chunks(grid, case_bytes):
     """``(cases, params)`` of each chunk, in the order of its first case: the
-    cases of equal ``params``, as many at a time as ``_CHUNK_BYTES`` holds
+    cases of equal ``params``, as many at a time as ``CHUNK_BYTES`` holds
     of ``case_bytes(*params)`` (one at a time without ``case_bytes``)."""
     groups = {}
     for case, params in enumerate(grid):
         groups.setdefault(params, []).append(case)
     chunks = []
     for params, cases in groups.items():
-        size = 1 if case_bytes is None else max(1, _CHUNK_BYTES // max(case_bytes(*params), 1))
+        size = 1 if case_bytes is None else max(1, CHUNK_BYTES // max(case_bytes(*params), 1))
         chunks += [(cases[i:i + size], params) for i in range(0, len(cases), size)]
     return sorted(chunks, key=lambda chunk: chunk[0][0])
 

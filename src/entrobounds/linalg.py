@@ -25,8 +25,7 @@ Conventions
   a projector, and a diagonal operator know their spectrum and never call
   a solver.  The trace distance of two factored operators comes from a
   2k x 2k eigenproblem, in O(d k^2) instead of O(d^3), and the B marginal
-  of a factored state from its diagonal blocks
-  (``HermitianOperator.diagonal_blocks``), one at a time.
+  of a factored state from its diagonal blocks (``states.b_marginal``).
 * An operator with a block (``HermitianOperator.block``) is a k x k
   operator on a set of rows and columns and zero elsewhere, such as an
   energy-constrained state padded to its level space.  Its spectrum is
@@ -144,7 +143,7 @@ class HermitianOperator:
 
     * ``diagonal`` and ``factored``: the spectrum and the trace
       (``diagonal_traces``); a factor also the trace distance to another
-      factor and, through ``diagonal_blocks``, the marginal on B;
+      factor and, through ``states.b_marginal``, the marginal on B;
     * ``embedded``: the spectrum, the trace and the trace distance to a
       block on the same index set;
     * ``rank_one_kron``: the trace and the overlap ``<v|op|v>`` with a pure
@@ -321,14 +320,6 @@ class HermitianOperator:
             return diag
         return kron_diagonals(*(np.array([x]) for x in parts))[0]
 
-    def diagonal_blocks(self, size):
-        """The diagonal ``size`` x ``size`` blocks of the ``mat`` of a
-        factored operator, in order, each built from the parts by the
-        operations of ``mat`` on its rows, one block at a time."""
-        vecs, lam, c = self._parts[1:]
-        for i in range(0, self.dim, size):
-            yield self._symmetrized_part(_factored_rows(vecs[i:i + size], lam, c))
-
     @property
     def eigenvalues(self) -> np.ndarray:
         if self._eigenvalues is None:
@@ -422,12 +413,15 @@ class HermitianOperator:
 
 def _factored_rows(vecs, lam, c) -> np.ndarray:
     """The diagonal block on the rows of ``vecs`` (all of ``V``, or some of
-    its rows) of the unsymmetrized ``c 1 + V diag(lam - c) V^dagger``."""
-    # outer products, not a BLAS product: a projector is exactly
-    # np.outer(v, v^*), whatever the BLAS build or thread count
-    mat = np.diag(np.full(len(vecs), c, dtype=complex))
-    for a, b in zip((vecs * (lam - c)).T, vecs.conj().T):
-        mat += np.outer(a, b)
+    its rows) of the unsymmetrized ``c 1 + V diag(lam - c) V^dagger``, or
+    the block of each row set of an (m, r, k) stack of them."""
+    # outer products of contiguous columns, as np.outer takes them, not a BLAS
+    # product: a projector is exactly np.outer(v, v^*) on any BLAS build
+    mat = np.tile(np.diag(np.full(vecs.shape[-2], c, dtype=complex)), (*vecs.shape[:-2], 1, 1))
+    left, right = vecs * (lam - c), vecs.conj()
+    for j in range(len(lam)):
+        a, b = np.ascontiguousarray(left[..., j]), np.ascontiguousarray(right[..., j])
+        mat += a[..., :, None] * b[..., None, :]
     return mat
 
 

@@ -42,14 +42,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (PSD_ATOL, HermitianOperator, _frozen, _operator_pair, _symmetrized,
-                     check_dense_dim, diagonal_traces, eigenpairs, factored_diagonals,
-                     hermitian_stack, unit_vectors)
+from .linalg import (PSD_ATOL, HermitianOperator, _factored_rows, _frozen, _operator_pair,
+                     _symmetrized, check_dense_dim, diagonal_traces, eigenpairs,
+                     factored_diagonals, hermitian_stack, unit_vectors)
 
 # A state's trace may be off from 1 by TRACE_ATOL, and is renormalized when
 # it is off by more than RENORM_ATOL.
 TRACE_ATOL = 1e-8
 RENORM_ATOL = 1e-14
+# The most bytes of dense matrices a stack holds: a chunk of blocks or of cases
+CHUNK_BYTES = 2**18
 
 
 class StateValidationError(ValueError):
@@ -174,7 +176,9 @@ class DensityOperator(HermitianOperator):
         ``built_stack``) have already symmetrized, validated and repaired,
         with its eigenpairs if known: no rule is applied again."""
         state = DensityOperator.__new__(DensityOperator)
-        state._set_matrix(mat)  # symmetrizing a symmetrized matrix changes no bit
+        # symmetrizing again changes no value, at most the sign of an exactly
+        # zero part off the diagonal, which no sampled state has
+        state._set_matrix(mat)
         if eigenvalues is not None:
             state._eigenvalues = _frozen(np.array(eigenvalues))
             state._eigenvectors = _frozen(np.array(eigenvectors))
@@ -372,16 +376,27 @@ def state_pair(rho, sigma):
 
 
 def partial_trace(state: BipartiteState, keep: str) -> DensityOperator:
-    """Marginal on subsystem ``keep`` ('A' or 'B').  The B marginal of a
-    factored state adds its d_A diagonal d_B x d_B blocks
-    (``HermitianOperator.diagonal_blocks``) in order, as ``partial_traces``
-    sums them, with no matrix built."""
-    if keep != "B" or state.factor is None:
-        return DensityOperator(partial_traces(state.mat, state.dims, keep))
-    marginal = np.zeros((state.dims[1], state.dims[1]), dtype=complex)
-    for block in state.diagonal_blocks(state.dims[1]):
-        marginal += block
+    """Marginal on subsystem ``keep`` ('A' or 'B'), validated."""
+    marginal = b_marginal(state) if keep == "B" else partial_traces(state.mat, state.dims, keep)
     return DensityOperator(marginal)
+
+
+def b_marginal(state: BipartiteState) -> np.ndarray:
+    """The unvalidated B marginal ``partial_traces(state.mat, state.dims, "B")``,
+    bit for bit.  A factored state builds no matrix: its d_A diagonal d_B x
+    d_B blocks are formed from the factor by the operations ``mat`` applies
+    to their rows, as many at a time as ``CHUNK_BYTES`` holds (one at
+    least), and added in order, as the einsum adds them."""
+    if state.factor is None:
+        return partial_traces(state.mat, state.dims, "B")
+    d_a, d_b = state.dims
+    vecs, lam, c = state._parts[1:]
+    size = max(1, CHUNK_BYTES // (16 * d_b * d_b))
+    marginal = np.zeros((d_b, d_b), dtype=complex)
+    for rows in np.split(vecs.reshape(d_a, d_b, -1), range(size, d_a, size)):
+        for block in state._symmetrized_part(_factored_rows(rows, lam, c)):
+            marginal += block
+    return marginal
 
 
 def partial_traces(mats, dims, keep: str) -> np.ndarray:

@@ -6,13 +6,13 @@ import pytest
 from entrobounds.entropies import (
     LOG2_E,
     _h_terms,
-    _h_terms_stack,
     binary_entropy,
     clipped_binary,
     conditional_entropy,
     gibbs_entropy_g,
     relative_entropy,
     shannon_entropy,
+    von_neumann_entropies,
     von_neumann_entropy,
 )
 from entrobounds.linalg import HermitianOperator
@@ -254,7 +254,7 @@ def test_stacked_entropy_sums_match_the_filtered_sums_bit_for_bit():
             p[0] = 1.0
             rows.append(np.sort(p / p[p > 0].sum())[::-1])
         stack = np.array(rows[-250:])
-        out = _h_terms_stack(stack)
+        out = von_neumann_entropies(stack)
         assert [x.tobytes() for x in out] == [np.float64(_h_terms(p)).tobytes() for p in stack]
     zero_filled = [-(np.where(p > 0, p, 1.0) * np.log2(np.where(p > 0, p, 1.0))).sum()
                    for p in rows]

@@ -209,6 +209,74 @@ class TestCampaigns:
             got = [r["epsilon"], r["lhs"], r["rhs"]]
             assert got == pytest.approx([float.fromhex(x) for x in values], rel=0, abs=1e-13)
 
+    # (variant, dim, eps, lhs, rhs) of each run, as the scalar Fannes and
+    # Alicki-Fannes checks (their own entropy sums and B marginals) computed
+    # them before they became stacks of one of the stacked kernels (one BLAS
+    # thread); the sampled suites at `--samples 1 --seed 12`
+    SCALAR_CHECKS = {
+        "verify fannes --dims 2,16": [
+            ("fannes_exact", 2,
+             "0x1.b6b01ef1fff8dp-2", "0x1.065327be0d97cp-3", "0x1.f866d315c5168p-1"),
+            ("fannes_exact", 16,
+             "0x1.306159336a9ccp-1", "0x1.b8eef49e9cd80p-6", "0x1.a5fa3c7d777bdp+1"),
+        ],
+        "verify af --dims 2,3": [
+            ("af_general", 2,
+             "0x1.13e7259ad2381p-1", "0x1.6372b29a42f40p-5", "0x1.41f882831229cp+1"),
+            ("af_classical_B", 2,
+             "0x1.6c3618c3d0a30p-1", "0x1.b8fddaad7f298p-2", "0x1.3196bbd2d58bbp+1"),
+            ("af_general", 3,
+             "0x1.1c3621c4c8dc1p-1", "0x1.2a14947679b40p-4", "0x1.9c5df93c86e9ep+1"),
+            ("af_classical_B", 3,
+             "0x1.71df7948f1defp-1", "0x1.db5730e449fc8p-3", "0x1.6ae0c9589e534p+1"),
+        ],
+        "verify tightness --dims 2,16 --eps 0.05,0.5": [
+            ("fannes_exact", 2,
+             "0x1.999999999999dp-5", "0x1.25453e71f2a22p-2", "0x1.25453e71f2a22p-2"),
+            ("af_general", 2,
+             "0x1.9999999999971p-5", "0x1.766baa1725002p-2", "0x1.8f5d85dc6bc83p-2"),
+            ("fannes_exact", 2,
+             "0x1.0000000000000p-1", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+            ("af_general", 2,
+             "0x1.ffffffffffffdp-2", "0x1.cae00d1cfdeb2p+0", "0x1.305013ab7ce0dp+1"),
+            ("fannes_exact", 16,
+             "0x1.999999999999dp-5", "0x1.ed4da3ed62affp-2", "0x1.ed4da3ed62b00p-2"),
+            ("af_general", 16,
+             "0x1.99999999999cep-5", "0x1.5f4a6aa95f0d0p-1", "0x1.61485c87cf815p-1"),
+            ("fannes_exact", 16,
+             "0x1.0000000000000p-1", "0x1.7a0a7eda4c114p+1", "0x1.7a0a7eda4c113p+1"),
+            ("af_general", 16,
+             "0x1.0000000000002p-1", "0x1.3fd1be4c7f2aep+2", "0x1.582809d5be70ap+2"),
+        ],
+        "witness af --dims 64 --eps 0.5": [
+            ("af_general", 64,
+             "0x1.ffffffffffff9p-2", "0x1.bffd1d3ffd1d2p+2", "0x1.d82809d5be702p+2"),
+        ],
+    }
+
+    @pytest.mark.parametrize("run", SCALAR_CHECKS)
+    def test_fannes_and_af_kernels_give_the_records_of_the_scalar_checks(self, run):
+        """``check_fannes`` and ``check_af`` (and so ``PER_CASE``, the
+        witnesses and ``tightness``) are stacks of one of the kernels the
+        suites run; these values tie the kernels to the scalar code they
+        replaced.  The tolerance admits the last-bit differences of other
+        LAPACK builds only."""
+        target, name, *flags = run.split()
+        settings = dict(zip(flags[0::2], flags[1::2]))
+        dims = tuple(int(d) for d in settings["--dims"].split(","))
+        eps = tuple(float(e) for e in settings.get("--eps", "0.1").split(","))
+        if target == "witness":
+            records = [rec for *_, rec in harness.check_witnesses(name, dims, eps,
+                                                                  CampaignConfig.tolerance)]
+        else:
+            records = run_campaign(CampaignConfig(name, dims=dims, epsilons=eps, samples=1,
+                                                  seed=12)).records
+        expected = self.SCALAR_CHECKS[run]
+        assert [(r["variant"], r["dim"]) for r in records] == [row[:2] for row in expected]
+        for r, (_, _, *values) in zip(records, expected):
+            got = [r["epsilon"], r["lhs"], r["rhs"]]
+            assert got == pytest.approx([float.fromhex(x) for x in values], rel=0, abs=1e-13)
+
     def test_chunks_hold_equal_parameters_within_the_byte_budget(self):
         grid = harness._dims_by_samples((2, 128, 2), 3)
         assert harness._chunks(grid, harness._pair_bytes) == [
@@ -567,6 +635,15 @@ class TestCli:
                 "--out", str(tmp_path / "f.csv")]
         assert cli.main(argv) == cli.EXIT_OK
         assert solver_calls and {name for name, _ in solver_calls} == {"eigvalsh"}
+
+    def test_tightness_suite_calls_no_vector_solver(self, solver_calls, tmp_path):
+        """The witnesses bring their spectra; a case calls one eigvalsh for its
+        trace distance and an AF case one more for its two B marginals,
+        validated as one stack: 36 calls for the 24 cases."""
+        argv = ["verify", "tightness", "--dims", "2,4,8,16", "--eps", "0.05,0.25,0.5",
+                "--out", str(tmp_path / "t.csv")]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert [name for name, _ in solver_calls] == ["eigvalsh"] * 36
 
     def test_couplings_decompose_no_matrix_above_d(self, monkeypatch, tmp_path):
         """At d = 16 the couplings are 256 x 256 states, and none is decomposed."""

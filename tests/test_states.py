@@ -17,6 +17,7 @@ from entrobounds.states import (
     as_state,
     PureStack,
     StateStack,
+    b_marginal,
     built_stack,
     density_stack,
     draw_state_matrices,
@@ -110,18 +111,20 @@ class TestPartialTrace:
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
     def test_b_marginal_of_the_af_witness_builds_no_matrix(self, d, eps):
         """The B marginal of a factored state adds its diagonal blocks, built
-        from the factor one at a time, with the bits ``partial_traces``
-        gives over the dense matrix."""
+        from the factor, with the bits ``partial_traces`` gives over the
+        dense matrix."""
         for state in tightness_witness_af(d, eps):
             marginal = partial_trace(state, "B")
             assert state._mat is None
             dense = partial_traces(state.mat, state.dims, "B")
             assert marginal.mat.tobytes() == DensityOperator(dense).mat.tobytes()
 
-    @pytest.mark.parametrize("dims", [(1, 4), (2, 3), (3, 2), (4, 1), (5, 5)])
+    # (10, 48): 36 KiB blocks, formed seven to a chunk, then three
+    @pytest.mark.parametrize("dims", [(1, 4), (2, 3), (3, 2), (4, 1), (5, 5), (10, 48)])
     def test_b_marginal_of_a_factor_matches_the_dense_bits(self, dims):
         """Ranks 1 to 3, a complement eigenvalue and a renormalized trace:
-        the blockwise B marginal is, bit for bit, the einsum over ``mat``."""
+        ``b_marginal`` of a factored state, formed in chunks of blocks with
+        no matrix built, is bit for bit the einsum over ``mat``."""
         rng = np.random.default_rng(dims)
         d = dims[0] * dims[1]
         for k in range(1, min(d, 3) + 1):
@@ -130,12 +133,12 @@ class TestPartialTrace:
             lam = lam / lam.sum()
             parts = [(lam, 0.0), (lam * (1.0 + 4e-13), 0.0)]
             if k < d:
-                parts.append((lam / 2, 0.5 / (d - k)))
+                parts += [(lam / 2, 0.5 / (d - k)), (lam / 2 * (1.0 + 4e-13), 0.5 / (d - k))]
             for w, c in parts:
                 state = BipartiteState.factored(v[:, :k], w, c, dims)
-                marginal = partial_trace(state, "B").mat
-                assert marginal.tobytes() == DensityOperator(
-                    partial_traces(state.mat, dims, "B")).mat.tobytes()
+                marginal = b_marginal(state)
+                assert state._mat is None
+                assert marginal.tobytes() == partial_traces(state.mat, dims, "B").tobytes()
 
     def test_vector_marginals_match_partial_trace(self):
         rng = np.random.default_rng(7)
