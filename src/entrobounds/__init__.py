@@ -24,7 +24,6 @@ from .states import (
     DensityOperator,
     maximally_entangled_state,
     partial_trace,
-    pretty_good_purification,
     sample_pure_bipartite,
     sample_qc_state,
     sample_state,

@@ -32,7 +32,7 @@ from .entropies import binary_entropy, conditional_entropies, von_neumann_entrop
 from .dc_optimizer import ConvexSetModel, kappa_bracket
 from .linalg import factored_trace_distances, rank_one_factor, trace_distance
 from .states import (BipartiteState, DensityOperator, PureStack, b_marginal, density_stack,
-                     maximally_entangled_state, partial_traces, pure_marginals, state_pair)
+                     maximally_entangled_state, pure_marginals, state_pair)
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -186,21 +186,16 @@ _COROLLARIES = {"ef": ("ef_cor1", lambda e, d: cor1_bounds(e, d)[0]),
 def check_cor_pure_stack(phi: PureStack, psi: PureStack, dims, which: str = "ef") -> list:
     """``check_cor_pure`` of each pair of two stacks of pure states on
     ``A (x) B`` of dimensions ``dims``, with no D x D matrix built: eps from
-    the rank-one factors ``(v, [w], 0)``, the A marginals from the vectors
-    (``states.pure_marginals``)."""
+    the rank-one factors ``(v, [w], 0)``, clipped to 1, and the A marginals
+    from the vectors (``states.pure_marginals``), validated as one
+    stack."""
+    if which not in _COROLLARIES:
+        raise ValueError(f"unknown corollary bound {which!r}")
+    variant, bound = _COROLLARIES[which]
     zero = np.zeros(len(phi.vectors))
     eps = factored_trace_distances(*(x for s in (phi, psi)
                                      for x in (s.vectors[:, :, None], s.weights[:, None], zero)))
     marginals = np.stack([pure_marginals(phi, dims), pure_marginals(psi, dims)], axis=1)
-    return _cor_pure_reports(eps, marginals, dims, which)
-
-
-def _cor_pure_reports(eps, marginals, dims, which) -> list:
-    """The reports of n pure pairs from their trace distances (n,), clipped
-    to 1, and their A marginals (n, 2, d_a, d_a), validated as one stack."""
-    if which not in _COROLLARIES:
-        raise ValueError(f"unknown corollary bound {which!r}")
-    variant, bound = _COROLLARIES[which]
     spectra = density_stack(marginals.reshape(-1, dims[0], dims[0])).eigenvalues
     d = min(dims)
     return _reports(variant, d, np.minimum(eps, 1.0), von_neumann_entropies(spectra),
@@ -209,18 +204,18 @@ def _cor_pure_reports(eps, marginals, dims, which) -> list:
 
 def check_cor_pure(phi: BipartiteState, psi: BipartiteState, which: str = "ef") -> BoundReport:
     """Entanglement-measure continuity on pure states, where
-    E_F = E_R = S(tr_B .) in closed form; the stack of one of the kernel of
-    ``check_cor_pure_stack``, with eps from the states' rank-one factors
-    and the marginals from the matrices the states hold.  A state that is
-    not pure (no rank-one factor) raises ``ValueError``: for a mixed state
+    E_F = E_R = S(tr_B .) in closed form; the stack of one of
+    ``check_cor_pure_stack``, of the rank-one factors ``(v, [l], 0)`` as
+    the states were built, with no D x D matrix read.  A state that is not
+    pure (no rank-one factor) raises ``ValueError``: for a mixed state
     S(tr_B .) is not E_F."""
     if phi.dims != psi.dims:
         raise ValueError("bipartite dimension mismatch")
     if any(rank_one_factor(state) is None for state in (phi, psi)):
         raise ValueError("check_cor_pure takes pure states (a rank-one factor)")
-    eps = np.array([trace_distance(phi, psi)])
-    marginals = np.stack([partial_traces(s.mat, s.dims, "A") for s in (phi, psi)])
-    return _cor_pure_reports(eps, marginals[None], phi.dims, which)[0]
+    stacks = [PureStack(s.factor[0][None, :, 0], np.array([s._divisor or 1.0]), s._parts[2][:1])
+              for s in (phi, psi)]
+    return check_cor_pure_stack(*stacks, phi.dims, which)[0]
 
 
 # -- extremal witnesses ------------------------------------------------------

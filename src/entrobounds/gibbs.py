@@ -33,7 +33,6 @@ from .states import (
     as_state,
     draw_state_matrices,
     partial_trace,
-    pretty_good_purification,
 )
 
 _MAX_EVALUATIONS = 100
@@ -504,11 +503,8 @@ def sample_energy_constrained(hamiltonian: HamiltonianSpec, energy: float,
     under the global Hamiltonian H (x) 1.
 
     A full-rank state is sampled on the k d_b rows of the k levels at or
-    below E (``draw_energy_block``) and zero-padded to the level space.
-    The padded state carries that sampled state as its ``block``, so its
-    spectrum, and the trace distance between two such states at the same
-    E, come from k d_b x k d_b eigenproblems; the padded space is never
-    decomposed."""
+    below E (``draw_energy_block``) and held as the one block of the level
+    space (``HermitianOperator.embedded``), which is never decomposed."""
     rows, dim, blocks = draw_energy_block(hamiltonian, energy, [rng], d_b)
     small = DensityOperator(blocks[0])
     if d_b is None:
@@ -558,7 +554,7 @@ def oscillator_tightness_witness(energy: float, epsilon: float,
     sol = solve_beta(h, energy)
     gamma = sol.state()
     d = gamma.dim
-    rho = pretty_good_purification(gamma)
+    rho = BipartiteState.pure(gamma.sqrt().mat.reshape(-1), (d, d))  # (sqrt(gamma) (x) 1)|Phi>
     tau = partial_trace(rho, "B")
     sigma = BipartiteState(
         (1.0 - epsilon) * rho.mat + epsilon * np.kron(gamma.mat, tau.mat), (d, d)

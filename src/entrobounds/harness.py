@@ -11,13 +11,13 @@ together, one generator per case, and puts their records back in case
 order.  The ``fannes``, ``af``, ``energy_bounds``, ``couplings`` and
 ``cor_pure`` suites draw each case from its own generator as the scalar
 samplers do, validate and decompose the whole chunk as one stack
-(``states.density_stack``; ``cor_pure`` keeps its pure states as vectors,
-``states.pure_stack``) and score it with the stacked checks and couplings,
-with the same report bytes.  A chunk holds at most ``states.CHUNK_BYTES``
-(256 KiB) of dense matrices, one case at least, so that large states are
-never stacked beyond one case (a ``couplings`` case counts its d x d
-matrices: its Theta is held as parts); every other suite takes chunks of
-one case.
+(``states.density_stack``; ``states.pure_stack`` keeps pure states as
+vectors and ``states.embedded_stack`` block states as their blocks) and
+score it with the stacked checks and couplings, with the same report
+bytes.  A chunk holds at most ``states.CHUNK_BYTES`` (256 KiB) of dense
+matrices, one case at least, so that large states are never stacked
+beyond one case (a ``couplings`` case counts its d x d matrices: its
+Theta is held as parts); every other suite takes chunks of one case.
 """
 
 from __future__ import annotations
@@ -34,9 +34,10 @@ from . import bounds as bnd
 from . import couplings as cpl
 from . import gibbs as gb
 from .entropies import shannon_entropy, von_neumann_entropies
-from .linalg import trace_distances
-from .states import (CHUNK_BYTES, density_stack, draw_pure_vectors, draw_qc, draw_state_matrices,
-                     embedded_stack, partial_traces, pure_stack, qc_matrices, sample_state)
+from .linalg import block_spectra, trace_distances
+from .states import (CHUNK_BYTES, StateStack, block_marginals, density_stack, draw_pure_vectors,
+                     draw_qc, draw_state_matrices, embedded_stack, partial_traces, pure_stack,
+                     qc_blocks, sample_state)
 
 REPORT_COLUMNS = ("suite", "case", "variant", "dim", "energy", "epsilon",
                   "epsilon_prime", "lhs", "rhs", "slack", "valid")
@@ -144,17 +145,20 @@ def _grid_af(dims, samples):
 
 
 def _case_af(rngs, d, classical_b):
-    """A chunk of ``sample_qc_state`` pairs (with ``classical_b``) or of
-    ``sample_state`` pairs on d x d, checked by ``check_af``."""
+    """A chunk of ``sample_qc_state`` pairs (with ``classical_b``), held as
+    their d blocks of d x d, or of ``sample_state`` pairs on d x d, checked
+    by ``check_af``."""
     if classical_b:
         p, blocks = draw_qc(d, d, _twice(rngs))
-        mats = qc_matrices(p, density_stack(blocks.reshape(-1, d, d)).mats.reshape(-1, d, d, d))
+        index, blocks = qc_blocks(p, density_stack(blocks.reshape(-1, d, d)))
+        states = embedded_stack(index, blocks, d * d)
+        spectra = block_spectra(states.eigenvalues, d * d)[0]
+        marginals = block_marginals(index, states.mats, (d, d))
     else:
-        mats = draw_state_matrices(d * d, d * d, _twice(rngs))
-    states = density_stack(mats)
-    eps = trace_distances(states.mats[0::2], states.mats[1::2])
-    marginals = partial_traces(states.mats, (d, d), "B")
-    return [[rep] for rep in bnd.check_af_stack(eps, states.eigenvalues, marginals, d, classical_b)]
+        states = density_stack(draw_state_matrices(d * d, d * d, _twice(rngs)))
+        spectra, marginals = states.eigenvalues, partial_traces(states.mats, (d, d), "B")
+    eps = trace_distances(states.mats[0::2], states.mats[1::2], d * d)
+    return [[rep] for rep in bnd.check_af_stack(eps, spectra, marginals, d, classical_b)]
 
 
 @_per_case
@@ -227,9 +231,11 @@ def _case_energy_bounds(rngs, h, e):
     """A chunk of ``sample_energy_constrained`` pairs at ``e``, checked on
     their k x k blocks: Lemma 4 and Meta 5 at their trace distance."""
     rows, dim, blocks = gb.draw_energy_block(h, e, _twice(rngs))
-    rho, sigma = embedded_stack(rows, density_stack(blocks), dim).split()
-    epsilons = trace_distances(rho.mats, sigma.mats, dim)
-    gaps = np.abs(von_neumann_entropies(rho.eigenvalues) - von_neumann_entropies(sigma.eigenvalues))
+    blocks = density_stack(blocks)
+    states = embedded_stack(rows[None], StateStack(*(a[:, None] for a in blocks[:2])), dim)
+    entropies = von_neumann_entropies(block_spectra(states.eigenvalues, dim)[0])
+    epsilons = trace_distances(states.mats[0::2], states.mats[1::2], dim)
+    gaps = np.abs(entropies[0::2] - entropies[1::2])
     reports = []
     for eps, lhs in zip(epsilons.tolist(), gaps.tolist()):
         ep = min(1.0, eps + 0.1)
@@ -264,7 +270,7 @@ def _case_witness(rng, witness, x, eps):
 _SAMPLED = ("dims", "samples", "seed")
 _SUITE_TABLE = {
     "fannes": (_dims_by_samples, _case_fannes, _SAMPLED, _pair_bytes),
-    "af": (_grid_af, _case_af, _SAMPLED, lambda d, classical_b: _pair_bytes(d * d)),
+    "af": (_grid_af, _case_af, _SAMPLED, lambda d, qc: _pair_bytes(d) * (d if qc else d * d)),
     "dc": (_dims_by_samples, _case_dc, _SAMPLED, None),
     "couplings": (_dims_by_samples, _case_couplings, _SAMPLED, _couplings_bytes),
     "cor_pure": (_dims_by_samples, _case_cor_pure, _SAMPLED, _pair_bytes),

@@ -16,25 +16,23 @@ Conventions
   the eigenvalues have the same bits whichever is read first, and an
   operator whose spectrum is never read is never decomposed.
 * A structured operator keeps its parts and builds no matrix: ``mat`` is
-  a property, built on its first read (from the parts, by the operations
-  of the dense construction, so with its bits) and cached, and the dense
-  limit (``check_dense_dim``) is checked there.  The trace comes from the
+  a property, built on its first read (by the operations of the dense
+  construction, so with its bits) and cached, and the dense limit
+  (``check_dense_dim``) is checked there.  The trace comes from the
   parts' diagonal (``diagonal_traces``), so a state built from parts is
-  validated, and renormalized by a recorded trace, with no matrix.
-* An operator with a thin factor (``HermitianOperator.factor``), such as
-  a projector, and a diagonal operator know their spectrum and never call
-  a solver.  The trace distance of two factored operators comes from a
-  2k x 2k eigenproblem, in O(d k^2) instead of O(d^3), and the B marginal
-  of a factored state from its diagonal blocks (``states.b_marginal``).
-* An operator with a block (``HermitianOperator.block``) is a k x k
-  operator on a set of rows and columns and zero elsewhere, such as an
-  energy-constrained state padded to its level space.  Its spectrum is
-  the block's plus zeros, and the trace distance of two blocks on the
-  same index set decomposes only their k x k difference.
-* A rank-one-plus-Kronecker operator (``HermitianOperator.kron``),
-  ``|v><v| + s A (x) B``, is the form of the couplings' Theta and omega.
-  Its overlap with a pure state, and so ``fidelity`` with one, comes from
-  the parts in O(d^3) (``kron_expectations``).
+  validated and renormalized with no matrix.  There are three kinds:
+  - a thin factor (``HermitianOperator.factor``), such as a projector,
+    with a known spectrum and the trace distance of two factors from a
+    2k x 2k eigenproblem, in O(d k^2) instead of O(d^3);
+  - m k x k blocks on disjoint index sets (``HermitianOperator.block``):
+    a diagonal (k = 1), an energy-constrained state padded to its level
+    space (m = 1) or a qc state ``sum_x p_x rho_x (x) |x><x|``.  The
+    spectrum is the blocks' and zeros (``block_spectra``), and the trace
+    distance of two of them on the same index sets decomposes only the
+    k x k differences; a 1 x 1 block calls no solver;
+  - ``|v><v| + s A (x) B`` (``HermitianOperator.kron``), the couplings'
+    Theta and omega, whose overlap with a pure state, and so
+    ``fidelity`` with one, comes from the parts in O(d^3).
 * ``support_mask`` is the one support cut (eigenvalues at or below
   ``ZERO_EIGENVALUE_RTOL * max(|lambda_max|, 1)`` are exact zeros), for
   support-restricted functions such as ``sqrt`` and for D(rho || gamma).
@@ -49,7 +47,7 @@ one batched ``descending_eigvalsh``, plus one batched ``descending_eigh``
 only when the eigenvectors are asked for; every matrix gets the bits it
 would get alone.
 ``trace_distance`` is the stack of one of ``trace_distances`` (of
-matrices, or of blocks on one index set) or ``factored_trace_distances``,
+matrices, or of blocks) or ``factored_trace_distances``,
 ``function_stack`` is ``apply_function`` over a stack of eigenpairs,
 ``unit_vectors`` is the normalization of ``pure``, ``pure_fidelities`` the
 rank-one branch of ``fidelity`` (with ``expectations`` of dense operands
@@ -131,23 +129,16 @@ class HermitianOperator:
     ``apply_function`` gives) or through a structured constructor, which
     skip both O(d^2) scans; ``diagonal``, ``factored`` and
     ``rank_one_kron`` check their parts for non-finite entries instead,
-    and ``embedded`` takes a validated operator as its block.
+    ``embedded`` takes validated operators as its blocks and
+    ``_block_diagonal`` validated blocks with their spectra.
 
-    A structured operator (``diagonal``, ``factored``, ``pure``,
-    ``embedded``, ``rank_one_kron``) keeps its parts and builds no
-    matrix: ``mat`` is built from them on its first read, by the
-    operations and in the order the dense construction uses, and
-    ``check_dense_dim`` runs there.  A state renormalized before that read
-    records its trace, and ``mat`` is then ``sym(sym(M) / tr)``, as a
-    dense state's.  What each structure answers from its parts:
-
-    * ``diagonal`` and ``factored``: the spectrum and the trace
-      (``diagonal_traces``); a factor also the trace distance to another
-      factor and, through ``states.b_marginal``, the marginal on B;
-    * ``embedded``: the spectrum, the trace and the trace distance to a
-      block on the same index set;
-    * ``rank_one_kron``: the trace and the overlap ``<v|op|v>`` with a pure
-      state (``kron_expectations``), so ``fidelity`` with a pure state.
+    A structured operator keeps its parts, of one of three kinds, and
+    builds ``mat`` from them on its first read, by the operations and in
+    the order of the dense construction; ``check_dense_dim`` runs there.
+    A renormalized block state holds its blocks divided by the trace; any
+    other structured state records its trace, and ``mat`` is then
+    ``sym(sym(M) / tr)``, as a dense state's.  The module's conventions
+    list what each kind answers from its parts.
 
     Attributes
     ----------
@@ -158,18 +149,17 @@ class HermitianOperator:
         ``mat = c 1 + V diag(lam - c) V^dagger``: ``V`` (d, k) has
         orthonormal columns with eigenvalues ``lam``, and ``c`` is the
         eigenvalue on their complement.  A projector is ``(v, [1], 0)``.
-    block : tuple ``(index, B)`` or None
-        ``mat`` is the validated k x k operator ``B`` on the rows and
-        columns ``index`` (an int array) and zero elsewhere.  The
-        eigenvalues are ``B``'s and ``dim - k`` zeros; the eigenvectors
-        are ``B``'s embedded at ``index`` and identity columns on the
-        complement.
+    block : tuple ``(index, B, lam)`` or None
+        The symmetrized k x k blocks ``B`` (m, k, k) on the disjoint index
+        sets ``index`` (m, k), zero elsewhere, and their spectra ``lam``
+        (m, k).  The eigenvectors are the blocks' on their index sets and
+        identity columns on the complement.
     kron : tuple ``(v, s, A, B)`` or None
         ``mat = |v><v| + s A (x) B`` for a vector ``v`` of ``A (x) B``,
         divided by the trace its state renormalization recorded, if any.
     eigenvalues : (d,) real ndarray, non-increasing
         Computed on first read, by ``descending_eigvalsh`` for a dense
-        or ``kron`` operator.
+        or ``kron`` operator, and sorted from the parts for the others.
     eigenvectors : (d, d) complex ndarray
         Columns are the eigenvectors matching ``eigenvalues``.  Computed
         on first read, by ``descending_eigh`` for a dense operator (its
@@ -208,26 +198,26 @@ class HermitianOperator:
         op._set_matrix(mat)
         return op
 
+    # each structured constructor passes further arguments (``dims``) on to cls
     @classmethod
-    def _structured(cls, dim, *parts) -> "HermitianOperator":
-        """An operator of dimension ``dim`` held as ``parts``, its kind and
-        what ``_dense`` builds it from, with no matrix built."""
+    def _structured(cls, dim, kind, parts, args) -> "HermitianOperator":
+        """The operator of dimension ``dim`` held as the ``parts`` that
+        ``_dense`` builds it from, in the attribute ``kind`` (``factor``,
+        ``block`` or ``kron``), with no matrix built; ``cls(op, *args)``."""
         op = HermitianOperator.__new__(HermitianOperator)
         op._mat = op.factor = op.block = op.kron = op._divisor = None
         op._eigenvalues = op._eigenvectors = None
-        op.dim, op._parts = dim, parts
-        return op
+        op.dim, op._parts = dim, (kind, *parts)
+        setattr(op, kind, op._parts[1:])
+        return op if cls is HermitianOperator else cls(op, *args)
 
-    # each structured constructor passes further arguments (``dims``) on to cls
     @classmethod
     def diagonal(cls, values, *args) -> "HermitianOperator":
-        """``diag(values)`` with its spectrum known: the values in
-        non-increasing order, the matching identity columns as
-        eigenvectors."""
-        values = _frozen(np.array(values, dtype=float))
+        """``diag(values)``, the block operator of its 1 x 1 blocks."""
+        values = np.array(values, dtype=float)
         _check_finite(values)
-        op = HermitianOperator._structured(len(values), "diagonal", values)
-        return op if cls is HermitianOperator else cls(op, *args)
+        return cls._block_diagonal(len(values), np.arange(len(values))[:, None],
+                                   values.astype(complex)[:, None, None], values[:, None], *args)
 
     @classmethod
     def factored(cls, vecs, lam, c=0.0, *args) -> "HermitianOperator":
@@ -236,24 +226,28 @@ class HermitianOperator:
         vecs = _frozen(np.array(vecs, dtype=complex))
         lam = _frozen(np.array(lam, dtype=float))
         _check_finite(vecs, lam, c)
-        op = HermitianOperator._structured(len(vecs), "factored", vecs, lam, float(c))
-        op.factor = op._parts[1:]
-        return op if cls is HermitianOperator else cls(op, *args)
+        return cls._structured(len(vecs), "factor", (vecs, lam, float(c)), args)
 
     @classmethod
-    def embedded(cls, index, block, dim, *args) -> "HermitianOperator":
-        """The k x k operator ``block`` on the rows and columns ``index`` of
-        a ``dim``-dimensional space and zero elsewhere, carrying
-        ``(index, block)`` as its block.  ``index`` holds k distinct
-        indices below ``dim``."""
-        block = as_operator(block)
-        index = _frozen(np.array(index, dtype=int))
-        if (index.shape != (block.dim,) or len(set(index.tolist())) != block.dim
-                or index.min() < 0 or index.max() >= dim):
-            raise ValueError(f"index must hold {block.dim} distinct indices below {dim}")
-        op = HermitianOperator._structured(dim, "embedded", index, block)
-        op.block = op._parts[1:]
-        return op if cls is HermitianOperator else cls(op, *args)
+    def embedded(cls, index, blocks, dim, *args) -> "HermitianOperator":
+        """The block operator of the k x k operators ``blocks`` (one, or a
+        list of m) on the index sets ``index`` ((k,), or (m, k)) of m k
+        distinct indices below ``dim``, and zero elsewhere."""
+        ops = [as_operator(b) for b in (blocks if isinstance(blocks, list) else [blocks])]
+        index = np.array(index, dtype=int).reshape(len(ops), -1)
+        flat = index.ravel().tolist()  # a set: np.unique would import numpy.ma
+        if ({op.dim for op in ops} != {index.shape[1]} or len(set(flat)) != len(flat)
+                or min(flat) < 0 or max(flat) >= dim):
+            raise ValueError(f"index must hold sets of {ops[0].dim} distinct indices below {dim}")
+        return cls._block_diagonal(dim, index, np.stack([op.mat for op in ops]),
+                                   np.stack([op.eigenvalues for op in ops]), *args)
+
+    @classmethod
+    def _block_diagonal(cls, dim, index, mats, spectra, *args) -> "HermitianOperator":
+        """The block operator of the index sets, blocks and spectra of
+        ``block``, validated and taken as they are."""
+        parts = [_frozen(np.array(x)) for x in (index, mats, spectra)]
+        return cls._structured(dim, "block", parts, args)
 
     @classmethod
     def pure(cls, vec, *args) -> "HermitianOperator":
@@ -270,9 +264,7 @@ class HermitianOperator:
         _check_finite(vec, s, a, b)
         if len(vec) != len(a) * len(b):
             raise ValueError(f"vector of length {len(vec)} is not on {len(a)} x {len(b)}")
-        op = HermitianOperator._structured(len(vec), "kron", vec, float(s), a, b)
-        op.kron = op._parts[1:]
-        return op if cls is HermitianOperator else cls(op, *args)
+        return cls._structured(len(vec), "kron", (vec, float(s), a, b), args)
 
     @property
     def mat(self) -> np.ndarray:
@@ -291,14 +283,12 @@ class HermitianOperator:
         """The unsymmetrized matrix of a structured operator, as its dense
         construction forms it."""
         kind, *parts = self._parts
-        if kind == "diagonal":
-            return np.diag(parts[0].astype(complex))
-        if kind == "factored":
+        if kind == "factor":
             return _factored_rows(*parts)
-        if kind == "embedded":
-            index, block = parts
+        if kind == "block":
+            index, mats = parts[:2]
             mat = np.zeros((self.dim, self.dim), dtype=complex)
-            mat[np.ix_(index, index)] = block.mat
+            mat[index[:, :, None], index[:, None, :]] = mats
             return mat
         vec, s, a, b = parts
         mat = np.kron(a, b)
@@ -309,14 +299,12 @@ class HermitianOperator:
     def _diagonal(self) -> np.ndarray:
         """The diagonal of ``_dense()``, entry by entry as it forms it."""
         kind, *parts = self._parts
-        if kind == "diagonal":
-            return parts[0].astype(complex)
-        if kind == "factored":
+        if kind == "factor":
             return factored_diagonals(*(np.array([x]) for x in parts))[0]
-        if kind == "embedded":
-            index, block = parts
+        if kind == "block":
+            index, mats = parts[:2]
             diag = np.zeros(self.dim, dtype=complex)
-            diag[index] = np.diagonal(block.mat)
+            diag[index] = np.diagonal(mats, axis1=1, axis2=2)
             return diag
         return kron_diagonals(*(np.array([x]) for x in parts))[0]
 
@@ -341,38 +329,29 @@ class HermitianOperator:
             else:
                 self._eigenvalues = _frozen(descending_eigvalsh(self.mat))
             return
-        # one stable sort of the diagonal, or of [lam, c, ..., c]; the basis
-        # (identity columns, V or the block's) and its complement follow it
-        if kind == "diagonal":
-            values = self._parts[1]
-        elif kind == "factored":
+        # one stable sort of [lam, c, ..., c] or of the blocks' spectra and
+        # zeros; the basis (V, or the blocks') and its complement follow it
+        if kind == "factor":
             vecs, lam, c = self.factor
-            values = np.concatenate([lam, np.full(self.dim - len(lam), c)])
+            spectra = np.concatenate([lam, np.full(self.dim - len(lam), c)])
         else:
-            index, b = self.block
-            values = np.concatenate([b.eigenvalues, np.zeros(self.dim - len(index))])
-        order = np.argsort(-values, kind="stable")
+            index, mats, spectra = self.block
+        values, order = (x[0] for x in block_spectra(spectra[None], self.dim))
         if self._eigenvalues is None:
-            lam = values[order]
-            # a factor or block is renormalized with its state; a diagonal's sorted values
-            # are divided as the state rule divides them
-            if kind == "diagonal" and self._divisor is not None:
-                lam = lam / self._divisor
-            self._eigenvalues = _frozen(lam)
+            self._eigenvalues = _frozen(values)
         if not vectors:
             return
         check_dense_dim(self.dim)
-        if kind == "diagonal":
-            basis = np.eye(self.dim, dtype=complex)
-        elif kind == "factored":
+        if kind == "factor":
             basis = np.hstack([vecs, np.linalg.qr(vecs, mode="complete")[0][:, vecs.shape[1]:]])
         else:
-            k = len(index)
+            m, k = index.shape
             basis = np.zeros((self.dim, self.dim), dtype=complex)
-            basis[index, :k] = b.eigenvectors
+            vecs = 1.0 if k == 1 else eigenpairs(mats)[1]  # a 1 x 1 block's is 1
+            basis[index[:, :, None], np.arange(m * k).reshape(m, 1, k)] = vecs
             rest = np.ones(self.dim, dtype=bool)
-            rest[index] = False
-            basis[np.flatnonzero(rest), np.arange(k, self.dim)] = 1.0
+            rest[index.ravel()] = False
+            basis[np.flatnonzero(rest), np.arange(m * k, self.dim)] = 1.0
         self._eigenvectors = _frozen(basis[:, order])
 
     def __repr__(self):
@@ -423,6 +402,16 @@ def _factored_rows(vecs, lam, c) -> np.ndarray:
         a, b = np.ascontiguousarray(left[..., j]), np.ascontiguousarray(right[..., j])
         mat += a[..., :, None] * b[..., None, :]
     return mat
+
+
+def block_spectra(spectra, dim):
+    """The spectrum of each block operator of dimension ``dim`` of a stack
+    from its blocks' spectra (n, m, k): those and ``dim - m k`` zeros, sorted
+    stably to non-increasing, and the order, which the eigenvectors follow."""
+    flat = spectra.reshape(len(spectra), -1)
+    values = np.concatenate([flat, np.zeros((len(flat), dim - flat.shape[1]))], axis=1)
+    order = np.argsort(-values, axis=1, kind="stable")
+    return np.take_along_axis(values, order, axis=1), order
 
 
 def descending_eigh(mats):
@@ -613,11 +602,11 @@ def fidelity(rho, sigma) -> float:
 
 def trace_distance(rho, sigma) -> float:
     """Half the trace norm of ``rho - sigma``: the stack of one of
-    ``trace_distances`` of two blocks on one index set, of
+    ``trace_distances`` of two block operators on the same index sets, of
     ``factored_trace_distances`` of two factors, else of the matrices."""
     a, b = _operator_pair(rho, sigma)
     if a.block is not None and b.block is not None and np.array_equal(a.block[0], b.block[0]):
-        return float(trace_distances(a.block[1].mat[None], b.block[1].mat[None], a.dim)[0])
+        return float(trace_distances(a.block[1][None], b.block[1][None], a.dim)[0])
     if a.factor is not None and b.factor is not None:
         return float(factored_trace_distances(*(np.array([x]) for x in a.factor + b.factor))[0])
     return float(trace_distances(a.mat[None], b.mat[None])[0])
@@ -647,12 +636,13 @@ def factored_trace_distances(va, la, ca, vb, lb, cb) -> np.ndarray:
 
 def trace_distances(a, b, dim=None) -> np.ndarray:
     """``trace_distance`` of each pair of two (n, k, k) stacks of symmetrized
-    matrices, as for dense operators.  With ``dim``, each pair are the blocks
-    of two ``dim``-dimensional operators on one index set
-    (``HermitianOperator.block``): their difference has the block's spectrum
-    and ``dim - k`` zeros.  ``a`` and ``b`` must be symmetrized (as every
-    operator and state stack holds them): then ``a - b`` equals its
-    conjugate transpose exactly, and symmetrizing it would change no value
-    (at most the sign of an exactly zero part off the diagonal)."""
-    lam = descending_eigvalsh(a - b)
+    matrices.  With ``dim``, each pair are the blocks (n, m, k, k) of two
+    ``dim``-dimensional block operators on the same index sets: their
+    difference has the spectra of the blocks' differences (1 x 1 ones are
+    their own, with no solver call) and ``dim - m k`` zeros.  Symmetrized
+    (as every stack holds them), ``a - b`` equals its conjugate transpose
+    exactly, so symmetrizing it would change no value."""
+    diff = a - b
+    lam = diff[..., 0, 0].real if diff.shape[-1] == 1 else descending_eigvalsh(diff)
+    lam = lam.reshape(len(diff), -1)
     return _half_trace_norms(lam, np.zeros(len(lam)), dim or lam.shape[1])

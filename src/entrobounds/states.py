@@ -6,7 +6,7 @@ A state is its operator: :class:`DensityOperator` subclasses
 
 Index convention: the product basis vector ``|i>_A |j>_B`` maps to the
 flat index ``i * d_B + j`` (A-major, row-major).  Every partial trace,
-purification and maximally-entangled-vector construction below uses it.
+block index set and maximally-entangled vector below uses it.
 Transposes are always taken in this fixed computational basis.
 
 Stacks
@@ -28,12 +28,15 @@ bases, with no D x D matrix built, and ``pure_stack`` is
 ``DensityOperator.pure`` for an (n, D) stack of vectors: a
 :class:`PureStack` of unit vectors and the traces their matrices are
 divided by.  ``pure_marginals`` gives their marginals as
-``partial_traces`` of those matrices would.  The sampling functions draw
-through ``draw_state_matrices``, ``draw_pure_vectors`` and ``draw_qc``,
-one case per generator in turn; ``sample_state``,
-``sample_pure_state``, ``sample_pure_bipartite`` and ``sample_qc_state``
-are their stacks of one, so a stacked campaign draws each case exactly
-as the scalar samplers do.
+``partial_traces`` of those matrices would.  ``embedded_stack`` is the
+state rule of block states (energy-constrained states, and qc states of
+``qc_blocks``) for a stack of their blocks, and ``block_marginals`` gives
+their B marginals.  The sampling functions draw through
+``draw_state_matrices``, ``draw_pure_vectors`` and ``draw_qc``, one case
+per generator in turn; ``sample_state``, ``sample_pure_state``,
+``sample_pure_bipartite`` and ``sample_qc_state`` are their stacks of
+one, so a stacked campaign draws each case exactly as the scalar
+samplers do.
 """
 
 from __future__ import annotations
@@ -104,11 +107,9 @@ class DensityOperator(HermitianOperator):
     repairs to a stack of arrays.  Validation reads the eigenvalues
     alone; the clamp also reads the eigenvectors.  An operator's
     structure and known spectrum are kept (a renormalized trace scales
-    them alike, and a structured state whose ``mat`` is not built yet
-    records the trace, by which ``mat`` is divided on its first read), and
-    a repaired state keeps what its validation read, so no state is
-    decomposed twice.  A ``DensityOperator`` passed
-    in is already valid and is taken over with no second validation.
+    them alike: ``_renormalize``), and a repaired state keeps what its
+    validation read, so no state is decomposed twice.  A
+    ``DensityOperator`` passed in is taken over with no second validation.
     ``_built`` takes a matrix or a structured operator that is PSD by
     construction (nonnegative weights of validated states) and checks
     only its trace, with no decomposition.
@@ -139,16 +140,18 @@ class DensityOperator(HermitianOperator):
 
     def _renormalize(self, tr):
         """Divide the state by its trace ``tr``, as the state rule does: its
-        matrix, if built, else a record of ``tr`` that ``mat`` divides by on
-        its first read; the factor, block and known spectrum alike."""
+        matrix, if built, and its blocks (as ``embedded_stack``), or else a
+        record of ``tr`` that ``mat`` divides by; the factor and spectrum."""
         if self._parts is None or self._mat is not None:
             self._mat = _frozen(_symmetrized(self.mat / tr))
-        if self._parts is not None:
+        if self.block is not None:
+            index, mats, spectra = self.block
+            self._parts = ("block", index, _frozen(_symmetrized(mats / tr)), _frozen(spectra / tr))
+            self.block = self._parts[1:]
+        elif self._parts is not None:
             self._divisor = tr
         if self.factor is not None:
             self.factor = (self.factor[0], _frozen(self.factor[1] / tr), self.factor[2] / tr)
-        if self.block is not None:
-            self.block = (self.block[0], HermitianOperator._built(self.block[1].mat / tr))
         if self._eigenvalues is not None:
             self._eigenvalues = _frozen(self._eigenvalues / tr)
 
@@ -267,13 +270,13 @@ def built_stack(mats) -> np.ndarray:
 
 
 def _renormalize(mats, lam, tr, which):
-    """Divide, in place, the matrices (symmetrized again) and spectra (if
-    any) of the states ``which`` by their traces ``tr``, as the constructor
-    renormalizes a state."""
+    """Divide, in place, the matrices or blocks (symmetrized again) and
+    spectra (if any) of the states ``which`` by their traces ``tr``, as the
+    constructor renormalizes a state."""
     rows = np.flatnonzero(which)
-    mats[rows] = _symmetrized(mats[rows] / tr[rows, None, None])
+    mats[rows] = _symmetrized(mats[rows] / tr[rows].reshape(-1, *(1,) * (mats.ndim - 1)))
     if lam is not None:
-        lam[rows] /= tr[rows, None]
+        lam[rows] /= tr[rows].reshape(-1, *(1,) * (lam.ndim - 1))
 
 
 def divisors(diags) -> np.ndarray:
@@ -294,17 +297,19 @@ def factored_traces(vecs, lam) -> np.ndarray:
 
 
 class PureStack(NamedTuple):
-    """n pure states of one dimension D, as ``DensityOperator.pure`` leaves
-    each: its unit vector ``v`` and the trace its matrix ``|v><v|`` was
-    divided by (``factored_traces``; 1 where the trace rule left it)."""
+    """n pure states of one dimension D, as a factor ``(v, [l], 0)`` leaves
+    each: its vector ``v``, the trace its matrix ``l |v><v|`` was divided by
+    (``factored_traces``; 1 where the trace rule left it) and ``l`` (1 for
+    ``DensityOperator.pure``)."""
 
     vectors: np.ndarray  # (n, D) complex
     traces: np.ndarray  # (n,) real
+    scales: np.ndarray  # (n,) real
 
     @property
     def weights(self) -> np.ndarray:
         """The weight ``w`` of each state ``w |v><v|``, as its factor holds it."""
-        return 1.0 / self.traces
+        return self.scales / self.traces
 
     def split(self):
         """The stacks of the even and of the odd states (``StateStack.split``)."""
@@ -316,46 +321,56 @@ def pure_stack(vecs) -> PureStack:
     no D x D matrix built: the unit vectors of ``linalg.unit_vectors`` and
     the traces of the trace rule."""
     v = unit_vectors(np.asarray(vecs, dtype=complex))
-    return PureStack(v, factored_traces(v[:, :, None], np.ones((len(v), 1))))
+    return PureStack(v, factored_traces(v[:, :, None], np.ones((len(v), 1))), np.ones(len(v)))
 
 
 def pure_marginals(pure: PureStack, dims) -> np.ndarray:
     """``partial_traces(m, dims, "A")`` of the matrix ``m`` of each state of a
     pure stack on ``A (x) B``, bit for bit and with no D x D matrix built.
-    The entries of ``m`` it sums, ``v_ij v_kj^*`` symmetrized and divided
+    The entries of ``m`` it sums, ``(l v_ij) v_kj^*`` symmetrized and divided
     by the trace as the constructor divides them, are formed for one index
     j of B at a time and added in the order of j, the order of that
     einsum."""
     d_a, d_b = dims
     v = pure.vectors.reshape(-1, d_a, d_b)
+    left = v * pure.scales[:, None, None]
     renormalized = pure.traces != 1.0
     out = 0.0
     for j in range(d_b):
-        m = _symmetrized(v[:, :, j, None] * v.conj()[:, None, :, j])
+        m = _symmetrized(left[:, :, j, None] * v.conj()[:, None, :, j])
         m[renormalized] /= pure.traces[renormalized, None, None]
         out = out + m
     return out
 
 
 def embedded_stack(index, blocks: StateStack, dim: int) -> StateStack:
-    """The blocks of ``DensityOperator.embedded(index, b, dim)`` for each
-    validated block ``b`` of ``blocks``, with no ``dim x dim`` matrix built.
-
-    The padded state is validated again, as the constructor does: its trace
-    sums all ``dim`` diagonal entries, and one off from 1 by more than
-    ``RENORM_ATOL`` renormalizes the block's matrix and spectrum.  A padded
-    spectrum is the block's and ``dim - k`` zeros; a validated block has no
-    negative eigenvalue, so no padded state is clamped."""
+    """The blocks and their spectra, as ``DensityOperator._block_diagonal(
+    dim, index, b, lam)`` holds them, of each PSD stack ``b`` (n, m, k, k) of
+    blocks on the index sets ``index`` (m, k) with spectra ``lam`` (n, m,
+    k): held to the state rule by their trace, all ``dim`` diagonal
+    entries summed in index order, and smallest eigenvalue (0 if
+    ``m k < dim``), and renormalized alike.  No state is clamped."""
     diag = np.zeros((len(blocks.mats), dim), dtype=complex)
-    diag[:, index] = np.diagonal(blocks.mats, axis1=1, axis2=2)
+    diag[:, index] = np.diagonal(blocks.mats, axis1=2, axis2=3)
     tr = diag.sum(axis=1).real
-    lam_min = blocks.eigenvalues[:, -1]
-    if len(index) < dim:
+    lam_min = blocks.eigenvalues[:, :, -1].min(axis=1)
+    if index.size < dim:
         lam_min = np.minimum(lam_min, 0.0)
     renormalized = _state_rules(lam_min, tr)
     mats, lam = blocks.mats.copy(), blocks.eigenvalues.copy()
     _renormalize(mats, lam, tr, renormalized)
     return StateStack(mats, lam)
+
+
+def qc_blocks(p, states: StateStack):
+    """The index sets (d_x, d_a) of ``sum_x p_x rho_x (x) |x><x|``, the rows
+    ``i d_x + x`` of each x, and the blocks ``p_x rho_x`` with their spectra
+    ``p_x spec(rho_x)`` of n such states from the weights ``p`` (n, d_x) and
+    the validated ``rho_x`` (n d_x of d_a x d_a, in the order of p)."""
+    (n, d_x), d_a = p.shape, states.mats.shape[-1]
+    return np.arange(d_a * d_x).reshape(d_a, d_x).T, StateStack(
+        p[:, :, None, None] * states.mats.reshape(n, d_x, d_a, d_a),
+        p[:, :, None] * states.eigenvalues.reshape(n, d_x, d_a))
 
 
 def as_state(x) -> DensityOperator:
@@ -383,10 +398,12 @@ def partial_trace(state: BipartiteState, keep: str) -> DensityOperator:
 
 def b_marginal(state: BipartiteState) -> np.ndarray:
     """The unvalidated B marginal ``partial_traces(state.mat, state.dims, "B")``,
-    bit for bit.  A factored state builds no matrix: its d_A diagonal d_B x
-    d_B blocks are formed from the factor by the operations ``mat`` applies
-    to their rows, as many at a time as ``CHUNK_BYTES`` holds (one at
-    least), and added in order, as the einsum adds them."""
+    bit for bit.  A block (``block_marginals``) or factored state builds no
+    matrix: the d_A diagonal d_B x d_B blocks of a factor are formed by
+    the operations ``mat`` applies to their rows, as many at a time as
+    ``CHUNK_BYTES`` holds, and added in order, as the einsum adds them."""
+    if state.block is not None:
+        return block_marginals(state.block[0], state.block[1][None], state.dims)[0]
     if state.factor is None:
         return partial_traces(state.mat, state.dims, "B")
     d_a, d_b = state.dims
@@ -397,6 +414,21 @@ def b_marginal(state: BipartiteState) -> np.ndarray:
         for block in state._symmetrized_part(_factored_rows(rows, lam, c)):
             marginal += block
     return marginal
+
+
+def block_marginals(index, mats, dims) -> np.ndarray:
+    """``partial_traces(m, dims, "B")``, bit for bit, of the matrix ``m`` of
+    each block operator of an (n, m, k, k) stack of blocks on the index sets
+    ``index`` (m, k), with no D x D matrix built: the block entries whose
+    row and column share their A index i, added in the order of i."""
+    d_b = dims[1]
+    a, b = np.divmod(index, d_b)
+    blk, r, c = np.nonzero(a[:, :, None] == a[:, None, :])
+    order = np.argsort(a[blk, r], kind="stable")
+    blk, r, c = blk[order], r[order], c[order]
+    out = np.zeros((len(mats), d_b, d_b), dtype=complex)
+    np.add.at(out, (slice(None), b[blk, r], b[blk, c]), mats[:, blk, r, c])
+    return out
 
 
 def partial_traces(mats, dims, keep: str) -> np.ndarray:
@@ -427,16 +459,6 @@ def maximally_entangled_vector(dim: int) -> np.ndarray:
 
 def maximally_entangled_state(dim: int) -> BipartiteState:
     return BipartiteState.pure(maximally_entangled_vector(dim), (dim, dim))
-
-
-def pretty_good_purification(rho) -> BipartiteState:
-    """|phi> = (sqrt(rho) (x) 1)|Phi> on A (x) A.
-
-    The A1 marginal is rho; the A2 marginal is rho^T.
-    """
-    rho = as_state(rho)
-    vec = rho.sqrt().mat.reshape(-1)  # row-major flatten == (sqrt(rho) (x) 1)|Phi>
-    return BipartiteState.pure(vec, (rho.dim, rho.dim))
 
 
 # -- sampling ----------------------------------------------------------------
@@ -515,19 +537,10 @@ def draw_qc(d_a: int, d_x: int, rngs):
     return weights, blocks.reshape(len(rngs), d_x, d_a, d_a)
 
 
-def qc_matrices(p, blocks) -> np.ndarray:
-    """sum_x p_x rho_x (x) |x><x| for the weights ``p`` (..., d_x) and the
-    validated blocks ``blocks`` (..., d_x, d_a, d_a) of one qc-state or a
-    stack of them."""
-    *lead, d_x, d_a, _ = blocks.shape
-    out = np.zeros((*lead, d_a * d_x, d_a * d_x), dtype=complex)
-    for x in range(d_x):
-        out[..., x::d_x, x::d_x] = p[..., x, None, None] * blocks[..., x, :, :]
-    return out
-
-
 def sample_qc_state(d_a: int, d_x: int, rng) -> BipartiteState:
     """Random qc-state sum_x p_x rho_x^A (x) |x><x|^B with Dirichlet(1,..,1)
-    weights and independent full-rank blocks."""
+    weights and independent full-rank blocks, held as its blocks."""
     p, blocks = draw_qc(d_a, d_x, [rng])
-    return BipartiteState(qc_matrices(p[0], density_stack(blocks[0]).mats), (d_a, d_x))
+    index, blocks = qc_blocks(p, density_stack(blocks[0]))
+    return BipartiteState._block_diagonal(d_a * d_x, index, blocks.mats[0],
+                                          blocks.eigenvalues[0], (d_a, d_x))

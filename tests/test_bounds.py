@@ -201,7 +201,8 @@ class TestCheckers:
         def stack(states):
             # each state is the |v><v| of its factor's vector, divided by its trace
             vecs = np.stack([rank_one_factor(s)[0] for s in states])
-            pure = PureStack(vecs, factored_traces(vecs[:, :, None], np.ones((len(vecs), 1))))
+            ones = np.ones(len(vecs))
+            pure = PureStack(vecs, factored_traces(vecs[:, :, None], ones[:, None]), ones)
             assert pure.weights.tolist() == [rank_one_factor(s)[1] for s in states]
             return pure
 
@@ -210,14 +211,26 @@ class TestCheckers:
         assert reports == [check_cor_pure(p, q, which="er") for p, q in pairs]
         assert reports[1].epsilon < 1e-15 and reports[1].lhs == 0.0
 
-    def test_cor_pure_of_a_renormalized_factor_is_the_dense_record(self):
-        """A pure state built from a weight the trace rule renormalizes gets,
-        bit for bit, the record of its dense marginals and trace distance."""
+    def test_cor_pure_reads_no_dense_matrix(self, solver_calls):
+        """The scalar check is the stack of one of the vector kernel: at
+        d = 16 neither 256 x 256 matrix is built, and the only solvers run on
+        the 2 x 2 eigenproblem of eps and the 16 x 16 marginals."""
+        rng = np.random.default_rng(7)
+        phi, psi = sample_pure_bipartite(16, 16, rng), sample_pure_bipartite(16, 16, rng)
+        check_cor_pure(phi, psi)
+        assert phi._mat is None and psi._mat is None
+        assert solver_calls == [("eigvalsh", (1, 2, 2)), ("eigvalsh", (2, 16, 16))]
+
+    @pytest.mark.parametrize("weight", [1.0 + 3e-14, 1.0 + 4e-15])
+    def test_cor_pure_of_a_hand_built_factor_is_the_dense_record(self, weight):
+        """A pure state built from a weight that is not 1 / trace, which the
+        trace rule renormalizes (1 + 3e-14) or keeps (1 + 4e-15), gets, bit
+        for bit, the record of its dense marginals and trace distance."""
         rng = np.random.default_rng(6)
         a, c = sample_pure_bipartite(3, 3, rng), sample_pure_bipartite(3, 3, rng)
         v = rank_one_factor(c)[0]
-        phi = BipartiteState(HermitianOperator.factored(v[:, None], [1.0 + 3e-14]), (3, 3))
-        assert rank_one_factor(phi)[1] != 1.0 + 3e-14
+        phi = BipartiteState(HermitianOperator.factored(v[:, None], [weight]), (3, 3))
+        assert (rank_one_factor(phi)[1] == weight) == (weight < 1.0 + 1e-14)
         rep = check_cor_pure(phi, a, which="er")
         assert rep.lhs == abs(von_neumann_entropy(partial_trace(phi, "A"))
                               - von_neumann_entropy(partial_trace(a, "A")))

@@ -16,7 +16,7 @@ from entrobounds.entropies import (
 )
 from entrobounds.harness import _case_energy_bounds
 from entrobounds.linalg import HermitianOperator, trace_distance
-from entrobounds.states import BipartiteState, DensityOperator, sample_state
+from entrobounds.states import BipartiteState, DensityOperator, partial_trace, sample_state
 from entrobounds.gibbs import (
     CutoffDecomposition,
     EnergyDomainError,
@@ -592,6 +592,17 @@ class TestWitnesses:
         assert gap <= meta6_bound(h, e, eps_actual, ep) + 1e-9
         # the purification makes the gap large (order of 2 eps S(gamma))
         assert gap >= eps_actual * gibbs_entropy_g(e)
+
+    @pytest.mark.parametrize("e", [0.5, 1.0])
+    def test_conditional_witness_purifies_gamma(self, e):
+        """rho is the pure state (sqrt(gamma) (x) 1)|Phi>: its A marginal is
+        the Gibbs state and its B marginal gamma^T = gamma, up to the
+        weights below the support cut of the square root."""
+        rho, _ = oscillator_tightness_witness(e, 0.2, conditional=True, n_max=30)
+        gamma = solve_beta(HamiltonianSpec.oscillators([1.0], n_max=30), e).state()
+        assert rho.eigenvalues[0] == 1.0
+        for keep in ("A", "B"):
+            np.testing.assert_allclose(partial_trace(rho, keep).mat, gamma.mat, rtol=0, atol=1e-10)
 
     def test_witness_domain(self):
         with pytest.raises(ValueError, match="epsilon"):

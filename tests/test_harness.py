@@ -14,7 +14,8 @@ from entrobounds.couplings import diagonal_coupling, quantum_coupling
 from entrobounds.entropies import von_neumann_entropy
 from entrobounds.gibbs import HamiltonianSpec, lemma4_bound, meta5_bound, sample_energy_constrained
 from entrobounds.linalg import HermitianOperator, fidelity, trace_distance
-from entrobounds.states import BipartiteState, qc_matrices, sample_pure_bipartite, sample_state
+from entrobounds.states import (BipartiteState, StateStack, qc_blocks, sample_pure_bipartite,
+                                sample_state)
 from entrobounds.harness import (
     SCHEMA_LINE,
     SUITES,
@@ -101,10 +102,14 @@ def _fannes_case(rng, d):
 
 def _qc_state(rng, d):
     """``sample_qc_state(d, d, rng)`` one block at a time: the Dirichlet
-    weights, then each block drawn and validated on its own."""
+    weights, then each block drawn and validated on its own, and the block
+    state of the weighted blocks."""
     p = rng.dirichlet(np.ones(d))
-    return BipartiteState(qc_matrices(p, np.stack([sample_state(d, d, rng).mat for _ in range(d)])),
-                          (d, d))
+    rhos = [sample_state(d, d, rng) for _ in range(d)]
+    index, blocks = qc_blocks(p[None], StateStack(*(np.stack([getattr(r, f) for r in rhos])
+                                                    for f in ("mat", "eigenvalues"))))
+    return BipartiteState._block_diagonal(d * d, index, blocks.mats[0], blocks.eigenvalues[0],
+                                          (d, d))
 
 
 def _af_case(rng, d, classical_b):
@@ -637,13 +642,33 @@ class TestCli:
         assert solver_calls and {name for name, _ in solver_calls} == {"eigvalsh"}
 
     def test_tightness_suite_calls_no_vector_solver(self, solver_calls, tmp_path):
-        """The witnesses bring their spectra; a case calls one eigvalsh for its
-        trace distance and an AF case one more for its two B marginals,
-        validated as one stack: 36 calls for the 24 cases."""
+        """The witnesses bring their spectra; an AF case calls one eigvalsh for
+        its trace distance and one more for its two B marginals, validated as
+        one stack, and a Fannes case, whose diagonal states are block
+        operators of 1 x 1 blocks, none: 24 calls for the 24 cases."""
         argv = ["verify", "tightness", "--dims", "2,4,8,16", "--eps", "0.05,0.25,0.5",
                 "--out", str(tmp_path / "t.csv")]
         assert cli.main(argv) == cli.EXIT_OK
-        assert [name for name, _ in solver_calls] == ["eigvalsh"] * 36
+        assert [name for name, _ in solver_calls] == ["eigvalsh"] * 24
+
+    def test_classical_b_cases_decompose_no_qc_matrix(self, solver_calls, monkeypatch, tmp_path):
+        """The classical_B states of ``verify af --dims 3`` are held as their
+        3 blocks of 3 x 3, so no solver sees a 9 x 9 matrix there; the
+        general cases decompose their 9 x 9 states."""
+        grid_fn, case_fn, reads, case_bytes = harness._SUITE_TABLE["af"]
+        seen = {False: [], True: []}
+
+        def recorded(rngs, d, classical_b):
+            solver_calls.clear()
+            reports = case_fn(rngs, d, classical_b)
+            seen[classical_b] += solver_calls
+            return reports
+
+        monkeypatch.setitem(harness._SUITE_TABLE, "af", (grid_fn, recorded, reads, case_bytes))
+        argv = ["verify", "af", "--dims", "3", "--samples", "2", "--out", str(tmp_path / "a.csv")]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert seen[True] and all(shape[-1] == 3 for _, shape in seen[True])
+        assert ("eigvalsh", (4, 9, 9)) in seen[False]
 
     def test_couplings_decompose_no_matrix_above_d(self, monkeypatch, tmp_path):
         """At d = 16 the couplings are 256 x 256 states, and none is decomposed."""

@@ -409,9 +409,41 @@ class TestBlockOperator:
         assert np.array_equal(op.mat[np.ix_(index, index)], b.mat)
         assert np.count_nonzero(op.mat) == np.count_nonzero(b.mat)
         op.eigenvectors
-        # the block's values order its vectors
-        assert solver_calls == [("eigvalsh", (k, k)), ("eigh", (k, k))]
+        # the block's values order its vectors; a 1 x 1 block's vector is 1
+        assert solver_calls == [("eigvalsh", (k, k))] + [("eigh", (1, k, k))] * (k > 1)
         _assert_matches_dense(op)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("m, k, d", [(2, 1, 3), (2, 3, 6), (3, 2, 9), (4, 4, 16)])
+    def test_several_blocks_match_dense(self, m, k, d, seed, solver_calls):
+        """m blocks on disjoint index sets: the spectrum and eigenvectors
+        come from one batched k x k solve each, and the trace distance of two
+        such operators on the same index sets from their k x k differences."""
+        rng = np.random.default_rng([m, k, d, seed])
+        index = rng.permutation(d)[:m * k].reshape(m, k)
+        blocks = [random_hermitian(rng, k) for _ in range(m)]
+        op = HermitianOperator.embedded(index, blocks, d)
+        for j, b in enumerate(blocks):
+            assert np.array_equal(op.mat[np.ix_(index[j], index[j])], b.mat)
+        assert np.count_nonzero(op.mat) == sum(np.count_nonzero(b.mat) for b in blocks)
+        solver_calls.clear()
+        _assert_matches_dense(op)
+        # the dense reference, then one batched solve of the blocks (none for 1 x 1)
+        assert solver_calls == [("eigh", (d, d))] + [("eigh", (m, k, k))] * (k > 1)
+        other = HermitianOperator.embedded(index, [random_hermitian(rng, k) for _ in range(m)], d)
+        td, made = _distance_and_solver_dims(op, other, solver_calls, 1e-13)
+        assert made == ([("eigvalsh", k)] if k > 1 else [])
+
+    def test_diagonal_trace_distance_calls_no_solver(self, solver_calls):
+        """Two diagonal operators are block operators of 1 x 1 blocks on the
+        same index sets: their trace distance sums the sorted differences
+        of their entries, as a dense eigvalsh of the difference gives them."""
+        rng = np.random.default_rng(29)
+        for d in (2, 5, 64):
+            p, q = rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d))
+            td = trace_distance(DensityOperator.diagonal(p), DensityOperator.diagonal(q))
+            assert td == 0.5 * np.abs(np.sort(p - q)[::-1]).sum()
+        assert solver_calls == []
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("d", [3, 5, 8, 16])
@@ -422,7 +454,7 @@ class TestBlockOperator:
         td, made = _distance_and_solver_dims(rho, sigma, solver_calls, 1e-14)
         assert made == [("eigvalsh", len(index))]
         # the k x k spectrum and d - k zeros, summed as the block operator sorts them
-        block = HermitianOperator(rho.block[1].mat - sigma.block[1].mat)
+        block = HermitianOperator(rho.block[1][0] - sigma.block[1][0])
         assert td == 0.5 * trace_norm(HermitianOperator.embedded(index, block, d))
 
     def test_difference_on_other_index_sets_is_dense(self, solver_calls):
@@ -441,18 +473,19 @@ class TestBlockOperator:
         index = [4, 1, 2]
         small = sample_state(3, 3, rng)
         state = DensityOperator.embedded(index, HermitianOperator(small.mat * (1 + 1e-10)), 6)
-        assert np.array_equal(state.block[0], index)
-        assert np.array_equal(state.block[1].mat, state.mat[np.ix_(index, index)])
+        assert np.array_equal(state.block[0], [index])
+        assert np.array_equal(state.block[1][0], state.mat[np.ix_(index, index)])
         assert state.trace() == pytest.approx(1.0, abs=1e-15)
         _assert_matches_dense(state)
         other = DensityOperator.embedded(index, small, 6)
         _, made = _distance_and_solver_dims(state, other, solver_calls, 1e-14)
         assert made == [("eigvalsh", 3)]
 
-    @pytest.mark.parametrize("index", [[0, 0], [0, 3], [-1, 0], [0]])
+    @pytest.mark.parametrize("index", [[0, 0], [0, 3], [-1, 0], [0], [[0, 1], [1, 2]]])
     def test_index_must_be_distinct_and_in_range(self, index):
+        blocks = [np.eye(2)] * len(index) if isinstance(index[0], list) else np.eye(2)
         with pytest.raises(ValueError, match="distinct indices"):
-            HermitianOperator.embedded(index, np.eye(2), 3)
+            HermitianOperator.embedded(index, blocks, 3)
 
 
 def _eager(kind, parts):
@@ -466,10 +499,13 @@ def _eager(kind, parts):
         for a, b in zip((vecs * (lam - c)).T, vecs.conj().T):
             mat += np.outer(a, b)
         return mat
-    if kind == "embedded":
-        index, block, dim = parts
+    if kind in ("embedded", "blocks"):
+        index, blocks, dim = parts
         mat = np.zeros((dim, dim), dtype=complex)
-        mat[np.ix_(index, index)] = block.mat
+        for ix, block in zip(np.reshape(index, (-1, blocks[0].dim if kind == "blocks"
+                                                    else blocks.dim)),
+                             blocks if kind == "blocks" else [blocks]):
+            mat[np.ix_(ix, ix)] = block.mat
         return mat
     v, s, a, b = parts
     # the diagonal coupling's omega as it was formed densely
@@ -489,11 +525,16 @@ def _structures(rng, d, scale=1.0):
     block = sample_state(d, d, rng)
     v = _unit(rng, d * d) * np.sqrt(0.6)
     a, b = sample_state(d, d, rng).mat, sample_state(d, d, rng).mat
+    # a qc-like state: blocks w_x rho_x on the index sets x::2 of 2 d
+    w = rng.dirichlet(np.ones(2)) * scale
+    qc = [HermitianOperator(w[x] * sample_state(d, d, rng).mat) for x in range(2)]
     structures = [("diagonal", (p / p.sum() * scale,)), ("factored", (vecs, lam * scale, c)),
                   ("embedded", (index, HermitianOperator(block.mat * scale), d + 2)),
+                  ("blocks", ([np.arange(x, 2 * d, 2) for x in range(2)], qc, 2 * d)),
                   ("kron", (v * np.sqrt(scale), 0.4 * scale, a, b))]
     build = {"diagonal": HermitianOperator.diagonal, "factored": HermitianOperator.factored,
-             "embedded": HermitianOperator.embedded, "kron": HermitianOperator.rank_one_kron}
+             "embedded": HermitianOperator.embedded, "blocks": HermitianOperator.embedded,
+             "kron": HermitianOperator.rank_one_kron}
     return [(kind, parts, build[kind](*parts)) for kind, parts in structures]
 
 

@@ -8,7 +8,7 @@ from entrobounds.couplings import build_decomposition, diagonal_coupling, quantu
 from entrobounds.dc_optimizer import (ConvexSetModel, dc_gradient, dc_minimize, dc_minimize_stack,
                                       kappa_bracket)
 from entrobounds.entropies import relative_entropy, von_neumann_entropy
-from entrobounds.gibbs import HamiltonianSpec, cutoff_decompose
+from entrobounds.gibbs import HamiltonianSpec, cutoff_decompose, sample_energy_constrained
 from entrobounds.linalg import HermitianOperator, hermitian_stack, trace_distance, trace_distances
 from entrobounds.states import (
     BipartiteState,
@@ -18,6 +18,7 @@ from entrobounds.states import (
     PureStack,
     StateStack,
     b_marginal,
+    block_marginals,
     built_stack,
     density_stack,
     draw_state_matrices,
@@ -26,7 +27,6 @@ from entrobounds.states import (
     maximally_entangled_state,
     partial_trace,
     partial_traces,
-    pretty_good_purification,
     pure_marginals,
     pure_stack,
     sample_pure_bipartite,
@@ -149,25 +149,6 @@ class TestPartialTrace:
         np.testing.assert_allclose(m_b, partial_trace(psi, "B").mat, atol=1e-10)
 
 
-class TestPurification:
-    def test_pure_input(self):
-        psi = pretty_good_purification(DensityOperator.pure([1.0, 0.0]))
-        expected = np.zeros((4, 4))
-        expected[0, 0] = 1.0  # |00><00|
-        np.testing.assert_allclose(psi.mat, expected, atol=1e-14)
-
-    def test_maximally_mixed_gives_maximally_entangled(self):
-        psi = pretty_good_purification(DensityOperator.maximally_mixed(2))
-        np.testing.assert_allclose(psi.mat, maximally_entangled_state(2).mat, atol=1e-14)
-
-    def test_marginals_are_rho_and_rho_transpose(self):
-        rng = np.random.default_rng(1)
-        rho = sample_state(3, 2, rng)
-        psi = pretty_good_purification(rho)
-        np.testing.assert_allclose(partial_trace(psi, "A").mat, rho.mat, atol=1e-10)
-        np.testing.assert_allclose(partial_trace(psi, "B").mat, rho.mat.T, atol=1e-10)
-
-
 class TestSampling:
     def test_rank_one_is_pure(self):
         rho = sample_state(4, 1, np.random.default_rng(0))
@@ -211,6 +192,46 @@ class TestSampling:
         b = partial_trace(state, "B").mat
         assert np.abs(b - np.diag(np.diag(b))).max() < 1e-12
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("d_a, d_x", [(2, 2), (3, 2), (2, 5), (8, 8)])
+    def test_qc_state_is_held_as_its_blocks(self, d_a, d_x, seed, solver_calls):
+        """A qc state holds its d_x blocks ``p_x rho_x`` and their spectra
+        ``p_x spec(rho_x)``: validating it runs only the blocks' eigvalsh, and
+        its lazy ``mat`` is, bit for bit, the kron sum of the weighted
+        blocks."""
+        rng = np.random.default_rng([d_a, d_x, seed])
+        state = sample_qc_state(d_a, d_x, rng)
+        assert solver_calls == [("eigvalsh", (d_x, d_a, d_a))]
+        assert state._mat is None and state.block[0].shape == (d_x, d_a)
+        dense = sum(np.kron(block, np.diag(np.eye(d_x)[x]).astype(complex))
+                    for x, block in enumerate(state.block[1]))
+        assert state.mat.tobytes() == dense.tobytes()
+        assert state.trace() == np.trace(dense).real
+        np.testing.assert_allclose(state.eigenvalues, np.linalg.eigvalsh(dense)[::-1],
+                                   rtol=0, atol=1e-15)
+        assert solver_calls[1:] == [("eigvalsh", dense.shape)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_block_marginals_are_the_dense_partial_traces(self, seed):
+        """``b_marginal`` of a block state (qc, energy-padded and blocks on
+        index sets that mix A indices, in any order) builds no matrix and is
+        bit for bit the einsum over ``mat``; ``block_marginals`` of the stack
+        of their blocks is each state's."""
+        rng = np.random.default_rng(seed)
+        states = [sample_qc_state(4, 3, rng), sample_qc_state(3, 4, rng)]
+        h = HamiltonianSpec.oscillators([1.0], n_max=9)
+        states.append(sample_energy_constrained(h, 4.0, d_b=3, rng=rng))
+        index = rng.permutation(12)[:9].reshape(3, 3)
+        blocks = [sample_state(3, 3, rng).mat / 3 for _ in range(3)]
+        states.append(BipartiteState.embedded(index, blocks, 12, (4, 3)))
+        for state in states:
+            marginal = b_marginal(state)
+            assert state._mat is None
+            assert marginal.tobytes() == partial_traces(state.mat, state.dims, "B").tobytes()
+            index, mats = state.block[:2]
+            stacked = block_marginals(index, np.stack([mats, mats]), state.dims)
+            assert stacked.tobytes() == np.stack([marginal, marginal]).tobytes()
+
 
 class TestEntryRule:
     """Every public function that takes a state takes it through
@@ -225,7 +246,6 @@ class TestEntryRule:
     # name: (call on (rho, sigma), number of state arguments, has a dimension to match)
     ENTRIES = {
         "von_neumann_entropy": (lambda r, s: von_neumann_entropy(r), 1, False),
-        "pretty_good_purification": (lambda r, s: pretty_good_purification(r), 1, False),
         "relative_entropy": (lambda r, s: relative_entropy(r, TestEntryRule.GAMMA), 1, True),
         "build_decomposition": (build_decomposition, 2, True),
         "quantum_coupling": (quantum_coupling, 2, True),
@@ -392,12 +412,21 @@ class TestDensityStack:
         raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         unit = pure_stack(raw)
         vecs = unit.vectors * np.array([[1.0], [np.sqrt(1.0 + 3e-14)]])
-        pure = PureStack(vecs, factored_traces(vecs[:, :, None], np.ones((2, 1))))
+        pure = PureStack(vecs, factored_traces(vecs[:, :, None], np.ones((2, 1))), np.ones(2))
         assert pure.traces[0] == 1.0 and pure.traces[1] != 1.0
         states = [BipartiteState.factored(v[:, None], [1.0], 0.0, dims) for v in vecs]
         assert pure_marginals(pure, dims).tobytes() == np.stack(
             [partial_traces(s.mat, dims, "A") for s in states]).tobytes()
         assert pure.weights.tolist() == [s.factor[1][0] for s in states]
+        # hand-built weights l that are not 1 / trace: kept (1 + 4e-15) or renormalized
+        weights = np.array([1.0 + 4e-15, 1.0 + 3e-14])
+        states = [BipartiteState.factored(unit.vectors[j, :, None], [w], 0.0, dims)
+                  for j, w in enumerate(weights)]
+        assert states[0]._divisor is None and states[1]._divisor is not None
+        held = PureStack(unit.vectors, np.array([1.0, states[1]._divisor]), weights)
+        assert held.weights.tolist() == [s.factor[1][0] for s in states]
+        assert pure_marginals(held, dims).tobytes() == np.stack(
+            [partial_traces(s.mat, dims, "A") for s in states]).tobytes()
         for v, w, r in zip(unit.vectors, unit.weights, raw):
             alone = DensityOperator.pure(r)
             assert v.tobytes() == alone.factor[0][:, 0].tobytes() and w == alone.factor[1][0]
@@ -411,11 +440,11 @@ class TestDensityStack:
         blocks = draw_state_matrices(3, 3, [rng, rng])
         blocks[1] *= 1.0 + 1e-12
         mats, lam, _ = hermitian_stack(blocks)
-        stack = embedded_stack(index, StateStack(mats, lam), dim)
+        stack = embedded_stack(index[None], StateStack(mats[:, None], lam[:, None]), dim)
         padded = [DensityOperator.embedded(index, b, dim) for b in blocks]
         for j, rho in enumerate(padded):
-            assert stack.mats[j].tobytes() == rho.block[1].mat.tobytes()
-            assert stack.eigenvalues[j].tobytes() == rho.eigenvalues[:3].tobytes()
+            assert stack.mats[j].tobytes() == rho.block[1].tobytes()
+            assert stack.eigenvalues[j, 0].tobytes() == rho.eigenvalues[:3].tobytes()
         assert abs(padded[1].trace() - 1.0) < 1e-15  # renormalized
         eps = trace_distances(stack.mats[:1], stack.mats[1:], dim)
         assert eps[0] == trace_distance(*padded)
