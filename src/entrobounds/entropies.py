@@ -32,6 +32,8 @@ def von_neumann_entropies(spectra: np.ndarray) -> np.ndarray:
     grouped as in the sum of that row alone; a row summed with zeros in
     place of its nonpositive entries would be grouped differently."""
     pos = spectra > 0.0
+    if pos.all():  # one group: every row as it is
+        return -(spectra * np.log2(spectra)).sum(axis=1)
     counts = np.count_nonzero(pos, axis=1)
     out = np.empty(len(spectra))
     for k in set(counts.tolist()):

@@ -14,6 +14,20 @@ safeguarded Newton iteration in log U against log beta (the mean energy
 U is strictly decreasing in beta).  Entropies are in bits:
 S(gamma(E)) = log2 Z + beta E log2(e), with log2 Z summed in log space
 so that it stays finite at any E.
+
+The layer works on stacks of energies.  ``solve_betas`` runs the
+iteration in lockstep over a vector of energies: one evaluation of
+U(beta) for all live energies at a time, each energy leaving the live set
+when it stops, and each taking exactly the iterates it would take alone
+(``math.log1p``, ``math.exp`` and ``math.ulp`` are applied element by
+element, as the scalar iteration applies them).  An energy without a
+solution keeps its own ``EnergyDomainError`` in the returned
+``GibbsSolutions`` and fails none of the others.  ``gibbs_entropies``,
+``entropy_checks`` (over an (n, n_max+1) weight stack per mode) and
+``lemma4_meta5_bounds`` (whose binary entropies are ``von_neumann_entropies``
+of (n, 2) rows) read those stacks; ``solve_beta``, ``mean_energy``,
+``gibbs_entropy``, ``entropy_check``, ``lemma4_bound`` and ``meta5_bound``
+are their stacks of one, with the same bits.
 """
 
 from __future__ import annotations
@@ -21,12 +35,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import _af_form, _unit_interval
-from .entropies import LOG2_E, binary_entropy, clipped_binary, shannon_entropy
-from .linalg import DENSE_DIM_LIMIT, check_dense_dim
+from .entropies import LOG2_E, binary_entropy, clipped_binary, von_neumann_entropies
+from .linalg import DENSE_DIM_LIMIT, HermitianOperator, check_dense_dim
 from .states import (
     BipartiteState,
     DensityOperator,
@@ -125,7 +140,7 @@ class HamiltonianSpec:
     def __repr__(self):
         if self.hbar_omegas is None:
             return f"HamiltonianSpec(explicit_levels, dim={self.dim})"
-        return f"HamiltonianSpec(oscillators={list(self.hbar_omegas)}, n_max={self.n_max})"
+        return f"HamiltonianSpec(oscillators={self.hbar_omegas.tolist()}, n_max={self.n_max})"
 
 
 def log2_partition_function(hamiltonian: HamiltonianSpec, beta: float) -> float:
@@ -134,13 +149,20 @@ def log2_partition_function(hamiltonian: HamiltonianSpec, beta: float) -> float:
     or for (untruncated) oscillator modes the exact geometric form
     -sum_i log2(1 - e^{-x_i}), x_i = beta hbar omega_i, with 1 - e^{-x}
     from expm1.  It is finite wherever beta is, where Z itself would
-    overflow past 1.8e308."""
+    overflow past 1.8e308.  The stack of one of ``_log2_partitions``."""
     if beta <= 0:
         raise EnergyDomainError(f"beta must be positive, got {beta!r}")
+    return float(_log2_partitions(hamiltonian, np.array([beta]))[0])
+
+
+def _log2_partitions(hamiltonian: HamiltonianSpec, betas: np.ndarray) -> np.ndarray:
+    """log2 Z at each (positive) beta of a stack."""
     if hamiltonian.hbar_omegas is None:
-        return math.log2(float(np.exp(-beta * hamiltonian.levels).sum()))
+        sums = np.exp(-betas[:, None] * hamiltonian.levels).sum(axis=1)
+        return np.array([math.log2(s) for s in sums.tolist()], dtype=float)
     # 0.0 - s, not -s: no -0.0 where every 1 - e^{-x_i} rounds to 1
-    return 0.0 - float(np.log2(-np.expm1(-beta * hamiltonian.hbar_omegas)).sum())
+    x = betas[:, None] * hamiltonian.hbar_omegas
+    return 0.0 - np.log2(-np.expm1(-x)).sum(axis=1)
 
 
 def truncation_tail(hamiltonian: HamiltonianSpec, beta: float) -> float:
@@ -161,32 +183,37 @@ def _scaled_levels(hamiltonian: HamiltonianSpec) -> tuple[np.ndarray, int]:
     return np.ldexp(hamiltonian.levels, -k), k
 
 
-def _energy_and_slope(hamiltonian: HamiltonianSpec, beta: float) -> tuple[float, float]:
-    """(U(beta), beta dU/dbeta).  Explicit levels: the Gibbs mean of the
-    levels and -beta times their Gibbs variance, both summed over the
-    scaled levels.  Oscillator modes:
+def _energies_and_slopes(hamiltonian: HamiltonianSpec,
+                         betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(U(beta), beta dU/dbeta) at each beta of a stack.  Explicit levels:
+    the Gibbs mean of the levels and -beta times their Gibbs variance,
+    both summed over the scaled levels.  Oscillator modes:
     U = sum_i n_i with n_i = hbar omega_i / expm1(x_i), x_i = beta hbar
     omega_i, and beta dU/dbeta = -beta sum_i n_i (n_i + hbar omega_i),
-    taken as -sum_i n_i x_i / (1 - e^{-x_i}) so that no term overflows."""
+    taken as -sum_i n_i x_i / (1 - e^{-x_i}) so that no term overflows.
+    Each beta's row is summed as its own vector would be, so each value
+    has the bits of a stack of one."""
     if hamiltonian.hbar_omegas is None:
         lv, k = _scaled_levels(hamiltonian)
-        w = np.exp(-beta * hamiltonian.levels)
-        z = w.sum()
-        u = float((lv * w).sum() / z)
-        var = float((w * (lv - u) ** 2).sum() / z)  # the variance times 2^-2k
+        w = np.exp(-betas[:, None] * hamiltonian.levels)
+        z = w.sum(axis=1)
+        u = (lv * w).sum(axis=1) / z
+        var = (w * (lv - u[:, None]) ** 2).sum(axis=1) / z  # the variances times 2^-2k
         # 2^2k as 2^k on either side of beta, so that no product leaves the floats
-        return math.ldexp(u, k), math.ldexp(-beta * math.ldexp(var, k), k)
+        scaled = [math.ldexp(-b * math.ldexp(v, k), k)
+                  for b, v in zip(betas.tolist(), var.tolist())]
+        return np.array([math.ldexp(x, k) for x in u.tolist()]), np.array(scaled)
     hw = hamiltonian.hbar_omegas
-    x = beta * hw
+    x = betas[:, None] * hw
     with np.errstate(over="ignore"):
         n = hw / np.expm1(x)
-    return float(n.sum()), float((n * x / np.expm1(-x)).sum())
+    return n.sum(axis=1), (n * x / np.expm1(-x)).sum(axis=1)
 
 
 def mean_energy(hamiltonian: HamiltonianSpec, beta: float) -> float:
     if beta <= 0:
         raise EnergyDomainError(f"beta must be positive, got {beta!r}")
-    return _energy_and_slope(hamiltonian, beta)[0]
+    return float(_energies_and_slopes(hamiltonian, np.array([beta]))[0][0])
 
 
 @dataclass(frozen=True)
@@ -212,120 +239,242 @@ class GibbsSolution:
         return DensityOperator.diagonal(p / p.sum())
 
 
-def _start_beta(hamiltonian: HamiltonianSpec, energy: float) -> float:
-    """A first beta from the closed-form inverse of one mode of the lowest
-    gap g, beta = log1p(ell g / E)/g: exact for ell identical oscillator
-    modes.  For explicit levels the argument ell g / E is scaled by
-    e_max (e_max - E) / Var_0 instead, with e_max and Var_0 the mean and
+def _start_betas(hamiltonian: HamiltonianSpec, energies: np.ndarray) -> np.ndarray:
+    """A first beta for each energy from the closed-form inverse of one mode
+    of the lowest gap g, beta = log1p(ell g / E)/g: exact for ell identical
+    oscillator modes.  For explicit levels the argument ell g / E is scaled
+    by e_max (e_max - E) / Var_0 instead, with e_max and Var_0 the mean and
     variance of the levels (the beta -> 0 limit), so that the start also
     meets beta ~ (e_max - E)/Var_0 as E -> e_max; it is exact for two
     levels.  e_max and Var_0 are taken of the scaled levels.  The argument
     is capped at the largest float, where a subnormal E would overflow it."""
-    if hamiltonian.hbar_omegas is not None:
-        g = float(hamiltonian.hbar_omegas.min())
-        ratio = hamiltonian.n_modes * g / energy
-    else:
-        lv, k = _scaled_levels(hamiltonian)
-        g = float(hamiltonian.levels[lv > 0][0])
-        e_max = float(lv.mean())
-        ratio = g * e_max * (e_max - math.ldexp(energy, -k)) / float(lv.var()) / energy
-    return min(math.log1p(min(ratio, sys.float_info.max)) / g, sys.float_info.max)
+    with np.errstate(over="ignore"):
+        if hamiltonian.hbar_omegas is not None:
+            g = float(hamiltonian.hbar_omegas.min())
+            ratio = hamiltonian.n_modes * g / energies
+        else:
+            lv, k = _scaled_levels(hamiltonian)
+            g = float(hamiltonian.levels[lv > 0][0])
+            e_max = float(lv.mean())
+            ratio = g * e_max * (e_max - np.ldexp(energies, -k)) / float(lv.var()) / energies
+    logs = [math.log1p(r) for r in np.minimum(ratio, sys.float_info.max).tolist()]
+    return np.minimum(np.array(logs) / g, sys.float_info.max)
+
+
+def _beta_iterates(hamiltonian: HamiltonianSpec, energies: np.ndarray):
+    """The safeguarded Newton iteration of ``solve_betas`` over the stack
+    ``energies``, each inside the attainable interval: the beta of each
+    energy's smallest residual seen, that residual, and the positions of
+    the energies that did not stop within ``_MAX_EVALUATIONS``
+    evaluations.  The energies run in lockstep, one evaluation of the live
+    ones at a time, and each leaves the live set when it stops; every
+    element takes the iterates of its own scalar iteration, with
+    ``math.log1p``, ``math.exp`` and ``math.ulp`` applied to it as to a
+    float."""
+    n = len(energies)
+    beta, residual = np.full(n, math.nan), np.full(n, math.inf)
+    live = np.arange(n)  # the positions still iterating
+    if not n:
+        return beta, residual, live
+    # a row each of the live energies' E, ulp(E), bracket on beta (lo where
+    # U > E, hi where U < E), beta and jump
+    state = np.array([energies, [math.ulp(x) for x in energies.tolist()], np.zeros(n),
+                      np.full(n, math.inf), _start_betas(hamiltonian, energies), np.ones(n)])
+    for _ in range(_MAX_EVALUATIONS):
+        e, ulp, lo, hi, b, jump = state
+        u, slope = _energies_and_slopes(hamiltonian, b)
+        with np.errstate(all="ignore"):  # the rest is float arithmetic, which never warns
+            r = u - e
+            better = np.abs(r) < np.abs(residual[live])
+            smallest = live[better]
+            beta[smallest], residual[smallest] = b[better], r[better]
+            dlog = np.where(u > 0, slope / u, 0.0)  # d log U / d log beta
+            # fmax: a NaN -dlog counts as 1, as max(1.0, nan) does
+            going = ~(np.abs(r) <= 8.0 * ulp * np.fmax(1.0, -dlog))
+            if not going.all():
+                live, state, r, dlog = live[going], state[:, going], r[going], dlog[going]
+                if not live.size:
+                    break
+                e, ulp, lo, hi, b, jump = state
+            above = r > 0
+            np.copyto(lo, b, where=above)
+            np.copyto(hi, b, where=~above)
+            # Newton on log U, where U has not rounded to 0 against E
+            newton = (dlog < 0) & (r > -e)
+            step = np.full(len(b), math.nan)
+            step[newton] = -np.array([math.log1p(x) for x in (r[newton] / e[newton]).tolist()],
+                                     dtype=float) / dlog[newton]
+            nxt = b * np.array([math.exp(s) for s in np.minimum(step, 709.0).tolist()])
+            going = nxt != b
+            outside = ~((lo < nxt) & (nxt < hi))
+            if outside.any():
+                closed = outside & (lo > 0.0) & (hi < math.inf)
+                mid = lo * np.sqrt(hi / lo)
+                going &= ~(closed & ((mid == lo) | (mid == hi)))
+                np.copyto(nxt, mid, where=closed)
+                # a factor e^jump, the jump doubling, clamped to the positive floats
+                opened = outside & ~closed
+                factor = np.array([math.exp(j) for j in jump[opened].tolist()], dtype=float)
+                jumped = np.where(above[opened], b[opened] * factor, b[opened] / factor)
+                nxt[opened] = np.minimum(np.maximum(jumped, math.ulp(0.0)), sys.float_info.max)
+                jump[opened] = np.minimum(2.0 * jump[opened], 709.0)
+            b[:] = nxt
+            if not going.all():
+                live, state = live[going], state[:, going]
+        if not live.size:
+            break
+    return beta, residual, live
+
+
+class GibbsSolutions(NamedTuple):
+    """The solutions of ``solve_betas`` at a stack of energies on one
+    Hamiltonian: per energy its beta, log2 Z(beta), entropy (bits) and
+    residual U(beta) - E, NaN where it has none, and its
+    ``EnergyDomainError``, None where it was solved."""
+
+    hamiltonian: HamiltonianSpec
+    energies: list
+    beta: np.ndarray
+    log2_partition: np.ndarray
+    entropy: np.ndarray
+    residual: np.ndarray
+    errors: list
+
+    @classmethod
+    def of(cls, solutions) -> "GibbsSolutions":
+        """The stack of ``GibbsSolution``s on one Hamiltonian."""
+        fields = [np.array([getattr(s, f) for s in solutions], dtype=float)
+                  for f in ("beta", "log2_partition", "entropy", "residual")]
+        return cls(solutions[0].hamiltonian, [s.energy for s in solutions], *fields,
+                   [None] * len(solutions))
+
+    def solution(self, i: int) -> GibbsSolution:
+        """Entry ``i`` as a ``GibbsSolution``; raises its error if it has one."""
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        return GibbsSolution(hamiltonian=self.hamiltonian, beta=float(self.beta[i]),
+                             log2_partition=float(self.log2_partition[i]),
+                             energy=self.energies[i], entropy=float(self.entropy[i]),
+                             residual=float(self.residual[i]))
+
+    def solved(self) -> "GibbsSolutions":
+        """The stack, once every energy is solved; else the first error raised."""
+        for err in self.errors:
+            if err is not None:
+                raise err
+        return self
+
+
+def solve_betas(hamiltonian: HamiltonianSpec, energies) -> GibbsSolutions:
+    """Solve tr e^{-beta H}(H - E) = 0 at each energy of a stack by
+    safeguarded Newton, the energies in lockstep.
+
+    Newton runs on log U against log beta, from ``_start_betas``.  The
+    sign of U - E keeps a bracket on beta; a Newton step that leaves it (or
+    is not finite) is replaced by the bracket's geometric midpoint, or,
+    while the bracket is open on that side, by a factor e^j, j = 1, 2, 4,
+    ...  An energy stops when |U(beta) - E| is within 8 ulp(E) times the
+    condition number max(1, |d log U / d log beta|), the rounding that U
+    itself carries, or when its bracket or step collapses; its solution
+    has the beta of the smallest residual seen, with that residual
+    U(beta) - E.  Each energy takes the iterates it would take alone
+    (``_beta_iterates``), so ``solve_beta`` is the stack of one.
+
+    An energy outside the attainable open interval, a solve that stops in
+    none of these ways within ``_MAX_EVALUATIONS`` evaluations and a beta
+    that ran to 0 or infinity each get their ``EnergyDomainError`` in
+    ``errors``, not raised, so that an energy without a solution does not
+    fail the others."""
+    energies = energies.tolist() if isinstance(energies, np.ndarray) else list(energies)
+    e_max = hamiltonian.max_mean_energy()
+    e = np.array(energies, dtype=float)
+    errors = [None] * len(energies)
+    attainable = (0.0 < e) & (e < e_max)
+    for i in np.flatnonzero(~attainable).tolist():
+        errors[i] = EnergyDomainError(f"energy {energies[i]!r} outside the attainable "
+                                      f"open interval (0, {e_max!r})")
+    inside = np.flatnonzero(attainable)
+    beta, residual, unstopped = _beta_iterates(hamiltonian, e[inside])
+    stopped = np.ones(len(inside), dtype=bool)
+    stopped[unstopped] = False
+    found = stopped & (0.0 < beta) & (beta < math.inf)
+    if not found.all():
+        for i, b, r, ok in zip(inside[~found].tolist(), beta[~found].tolist(),
+                               residual[~found].tolist(), stopped[~found].tolist()):
+            errors[i] = EnergyDomainError(
+                f"energy {energies[i]!r}: beta not found in {_MAX_EVALUATIONS} evaluations "
+                f"(U - E = {r!r} at beta = {b!r})" if not ok else
+                f"energy {energies[i]!r} not attainable (beta -> {'0' if b == 0.0 else 'inf'})")
+    fields = np.full((4, len(energies)), math.nan)
+    solved, beta = inside[found], beta[found]
+    log2_z = _log2_partitions(hamiltonian, beta)
+    fields[:, solved] = beta, log2_z, log2_z + beta * e[solved] * LOG2_E, residual[found]
+    return GibbsSolutions(hamiltonian, energies, *fields, errors)
 
 
 def solve_beta(hamiltonian: HamiltonianSpec, energy: float) -> GibbsSolution:
-    """Solve tr e^{-beta H}(H - E) = 0 by safeguarded Newton.
+    """beta(E) by the safeguarded Newton iteration of ``solve_betas``, of
+    which it is the stack of one; raises its ``EnergyDomainError``."""
+    return solve_betas(hamiltonian, [energy]).solution(0)
 
-    Newton runs on log U against log beta, from ``_start_beta``.  The sign
-    of U - E keeps a bracket on beta; a Newton step that leaves it (or is
-    not finite) is replaced by the bracket's geometric midpoint, or, while
-    the bracket is open on that side, by a factor e^j, j = 1, 2, 4, ...
-    The iteration stops when |U(beta) - E| is within 8 ulp(E) times the
-    condition number max(1, |d log U / d log beta|), the rounding that U
-    itself carries, or when the bracket or the step collapses; the beta of
-    the smallest residual seen is returned with that residual U(beta) - E.
-    A solve that stops in none of these ways within ``_MAX_EVALUATIONS``
-    raises ``EnergyDomainError``.
-    """
-    e_max = hamiltonian.max_mean_energy()
-    if not 0.0 < energy < e_max:
-        raise EnergyDomainError(
-            f"energy {energy!r} outside the attainable open interval (0, {e_max!r})"
-        )
-    ulp = math.ulp(energy)
-    lo, hi = 0.0, math.inf  # beta where U > E, where U < E
-    b, jump = _start_beta(hamiltonian, energy), 1.0
-    beta, residual = math.nan, math.inf
-    for _ in range(_MAX_EVALUATIONS):
-        u, slope = _energy_and_slope(hamiltonian, b)
-        r = u - energy
-        if abs(r) < abs(residual):
-            beta, residual = b, r
-        dlog = slope / u if u > 0 else 0.0  # d log U / d log beta
-        if abs(r) <= 8.0 * ulp * max(1.0, -dlog):
-            break
-        if r > 0:
-            lo = b
-        else:
-            hi = b
-        # Newton on log U, where U has not rounded to 0 against E
-        step = -math.log1p(r / energy) / dlog if dlog < 0 and r > -energy else math.nan
-        nxt = b * math.exp(min(step, 709.0))
-        if nxt == b:
-            break
-        if not lo < nxt < hi:
-            if lo > 0.0 and hi < math.inf:
-                nxt = lo * math.sqrt(hi / lo)
-                if nxt in (lo, hi):
-                    break
-            else:
-                # a factor e^jump, the jump doubling, clamped to the positive floats
-                nxt = b * math.exp(jump) if r > 0 else b / math.exp(jump)
-                nxt, jump = min(max(nxt, math.ulp(0.0)), sys.float_info.max), min(2.0 * jump, 709.0)
-        b = nxt
+
+def _mode_entropies(x: np.ndarray, n_max: int) -> np.ndarray:
+    """Entropy of the geometric weights (1-q) q^n, q = e^{-x}, at each x of
+    a stack: their Shannon sum to n_max (one row of an (n, n_max+1) weight
+    stack each) plus the exact entropy of the tail n > n_max.  1 - q is
+    expm1(-x) and log2 q is -x log2 e, so no digit is lost to 1 - q at
+    small x."""
+    xs = x.tolist()
+    q = np.array([math.exp(-v) for v in xs])
+    one_minus_q = -np.array([math.expm1(-v) for v in xs])
+    body = von_neumann_entropies(one_minus_q[:, None] * q[:, None] ** np.arange(n_max + 1))
+    tail = np.array([v ** (n_max + 1) for v in q.tolist()])
+    t = tail != 0.0  # x = inf included, where the bracket is infinite
+    log2_rest = np.array([math.log2(v) for v in one_minus_q[t].tolist()], dtype=float)
+    body[t] -= tail[t] * (log2_rest - (n_max + 1 + q[t] / one_minus_q[t]) * x[t] * LOG2_E)
+    return body
+
+
+def entropy_checks(solutions: GibbsSolutions) -> tuple[np.ndarray, np.ndarray]:
+    """(S_direct, gap) of each solution of a stack, NaN where it has none:
+    the entropy of the Gibbs weights summed directly, and its distance
+    |S_formula - S_direct| from the closed-form entropy plus the solver's
+    share beta |U(beta) - E| log2 e (the formula takes E where the weights
+    have mean energy U(beta)).  Explicit levels sum their weights, one row
+    of an (n, dim) weight stack each; oscillator modes are independent, so
+    their entropies add, each summed to its cutoff (one (n, n_max+1) weight
+    stack per mode) with its geometric tail added exactly."""
+    h = solutions.hamiltonian
+    ok = np.array([err is None for err in solutions.errors], dtype=bool)
+    beta, log2_z, entropy, residual = (x[ok] for x in (
+        solutions.beta, solutions.log2_partition, solutions.entropy, solutions.residual))
+    if h.hbar_omegas is None:
+        direct = von_neumann_entropies(
+            np.exp(-beta[:, None] * h.levels - (log2_z / LOG2_E)[:, None]))
     else:
-        raise EnergyDomainError(f"energy {energy!r}: beta not found in {_MAX_EVALUATIONS} "
-                                f"evaluations (U - E = {residual!r} at beta = {beta!r})")
-    if not 0.0 < beta < math.inf:
-        raise EnergyDomainError(
-            f"energy {energy!r} not attainable (beta -> {'0' if beta == 0.0 else 'inf'})")
-    log2_z = log2_partition_function(hamiltonian, beta)
-    entropy = log2_z + beta * energy * LOG2_E
-    return GibbsSolution(hamiltonian=hamiltonian, beta=beta, log2_partition=log2_z,
-                         energy=energy, entropy=entropy, residual=residual)
-
-
-def _mode_entropy(x: float, n_max: int) -> float:
-    """Entropy of the geometric weights (1-q) q^n, q = e^{-x}: their
-    Shannon sum to n_max plus the exact entropy of the tail n > n_max.
-    1 - q is expm1(-x) and log2 q is -x log2 e, so no digit is lost to
-    1 - q at small x."""
-    q, one_minus_q = math.exp(-x), -math.expm1(-x)
-    body = shannon_entropy(one_minus_q * q ** np.arange(n_max + 1))
-    tail = q ** (n_max + 1)
-    if tail == 0.0:  # x = inf included, where the bracket is infinite
-        return body
-    return body - tail * (math.log2(one_minus_q) - (n_max + 1 + q / one_minus_q) * x * LOG2_E)
+        direct = np.zeros(len(beta))
+        for hw in h.hbar_omegas:
+            direct += _mode_entropies(beta * hw, h.n_max)
+    out = np.full((2, len(ok)), math.nan)
+    out[:, ok] = direct, np.abs(entropy - direct) + beta * np.abs(residual) * LOG2_E
+    return out[0], out[1]
 
 
 def entropy_check(sol: GibbsSolution) -> tuple[float, float]:
-    """(S_direct, gap): the entropy of the Gibbs weights summed directly,
-    and its distance |S_formula - S_direct| from the closed-form entropy
-    ``sol.entropy`` plus the solver's share beta |U(beta) - E| log2 e (the
-    formula takes E where the weights have mean energy U(beta)).  Explicit
-    levels sum their weights; oscillator modes are independent, so their
-    entropies add, each summed to its cutoff with its geometric tail added
-    exactly."""
-    h = sol.hamiltonian
-    if h.hbar_omegas is None:
-        direct = shannon_entropy(sol.diagonal_probabilities())
-    else:
-        direct = sum(_mode_entropy(float(sol.beta * hw), h.n_max) for hw in h.hbar_omegas)
-    return direct, abs(sol.entropy - direct) + sol.beta * abs(sol.residual) * LOG2_E
+    """(S_direct, gap) of one solution, the stack of one of ``entropy_checks``."""
+    direct, gap = entropy_checks(GibbsSolutions.of([sol]))
+    return float(direct[0]), float(gap[0])
+
+
+def gibbs_entropies(hamiltonian: HamiltonianSpec, energies) -> np.ndarray:
+    """S(gamma(E)) in bits at each energy of a stack, from one
+    ``solve_betas`` call; raises the first energy's error."""
+    return solve_betas(hamiltonian, energies).solved().entropy
 
 
 def gibbs_entropy(hamiltonian: HamiltonianSpec, energy: float) -> float:
-    """S(gamma(E)) in bits."""
-    return solve_beta(hamiltonian, energy).entropy
+    """S(gamma(E)) in bits, the stack of one of ``gibbs_entropies``."""
+    return float(gibbs_entropies(hamiltonian, [energy])[0])
 
 
 def oscillator_entropy_upper(hbar_omegas, energy: float) -> float:
@@ -350,21 +499,82 @@ def meta_delta(epsilon: float, epsilon_prime: float) -> float:
     return (epsilon_prime - epsilon) / (1.0 + epsilon_prime)
 
 
+def _first_failure(*masks) -> tuple[int, int] | None:
+    """(k, i) of the first True of the masks in case order, entry i of every
+    mask before entry i + 1, and mask k before mask k + 1; None if none is."""
+    firsts = [(int(np.argmax(m)), k) for k, m in enumerate(masks) if m.any()]
+    return min(firsts)[::-1] if firsts else None
+
+
+def lemma4_meta5_bounds(hamiltonian: HamiltonianSpec, energy: float, lemma4_epsilons,
+                        epsilons, epsilon_primes) -> tuple[np.ndarray, np.ndarray]:
+    """Lemma 4 at each eps of ``lemma4_epsilons`` and Meta 5 at each
+    (eps, eps') of ``epsilons`` and ``epsilon_primes``, each bit for bit its
+    scalar form, with the Gibbs entropies S(gamma(E/eps)) and
+    S(gamma(E/delta)) of both from one ``solve_betas`` call and the binary
+    entropies as ``von_neumann_entropies`` of the rows (x, 1 - x).  Of
+    several bad arguments, or several energies without a solution, the one
+    a case-by-case evaluation (Lemma 4, then Meta 5, of case i before case
+    i + 1) meets first raises; every argument is checked before the solve."""
+    eps4 = np.asarray(lemma4_epsilons, dtype=float).reshape(-1)
+    eps5 = np.asarray(epsilons, dtype=float).reshape(-1)
+    ep5 = np.asarray(epsilon_primes, dtype=float).reshape(-1)
+    bad = _first_failure(~((0.0 <= eps4) & (eps4 <= 1.0)),
+                         ~((0.0 <= eps5) & (eps5 < ep5) & (ep5 <= 1.0)))
+    if bad is not None:
+        k, i = bad
+        if k == 0:
+            _unit_interval(lemma4_epsilons[i])
+        else:
+            meta_delta(epsilons[i], epsilon_primes[i])
+    d = (ep5 - eps5) / (1.0 + ep5)
+    solve4 = eps4 != 0.0  # Lemma 4 at eps = 0 is 0, with no solve
+    e4 = eps4[solve4]
+    n4 = len(e4)
+    with np.errstate(over="ignore"):  # E / eps past the floats is inf, as for a float
+        sols = solve_betas(hamiltonian, np.concatenate([energy / e4, energy / d]))
+    if any(sols.errors):
+        failed = np.array([err is not None for err in sols.errors], dtype=bool)
+        failed4 = np.zeros(len(eps4), dtype=bool)
+        failed4[solve4] = failed[:n4]
+        k, i = _first_failure(failed4, failed[n4:])
+        raise sols.errors[np.count_nonzero(solve4[:i]) if k == 0 else n4 + i]
+    s = sols.entropy
+    h4, h_ep, h_d = np.split(_binary_entropies(np.concatenate([e4, ep5, d])), [n4, n4 + len(d)])
+    lemma4 = np.zeros(len(eps4))
+    lemma4[solve4] = 2.0 * e4 * s[:n4] + h4
+    return lemma4, (ep5 + 2.0 * d) * s[n4:] + h_ep + h_d
+
+
+def _binary_entropies(x: np.ndarray) -> np.ndarray:
+    """h(x) at each x in [0, 1] of a stack, as the entropies of the rows
+    (x, 1 - x): ``binary_entropy`` bit for bit."""
+    return von_neumann_entropies(np.stack([x, 1.0 - x], axis=1))
+
+
+def lemma4_bounds(hamiltonian: HamiltonianSpec, energy: float, epsilons) -> np.ndarray:
+    """Lemma 4 at each eps of a stack, the Lemma 4 half of ``lemma4_meta5_bounds``."""
+    return lemma4_meta5_bounds(hamiltonian, energy, epsilons, (), ())[0]
+
+
+def meta5_bounds(hamiltonian: HamiltonianSpec, energy: float, epsilons,
+                 epsilon_primes) -> np.ndarray:
+    """Meta 5 at each (eps, eps') of a stack, the Meta 5 half of
+    ``lemma4_meta5_bounds``."""
+    return lemma4_meta5_bounds(hamiltonian, energy, (), epsilons, epsilon_primes)[1]
+
+
 def lemma4_bound(hamiltonian: HamiltonianSpec, energy: float, epsilon: float) -> float:
-    """Entropy continuity: 2 eps S(gamma(E/eps)) + h(eps)."""
-    _unit_interval(epsilon)
-    if epsilon == 0.0:
-        return 0.0
-    return 2.0 * epsilon * gibbs_entropy(hamiltonian, energy / epsilon) + binary_entropy(epsilon)
+    """Entropy continuity: 2 eps S(gamma(E/eps)) + h(eps); the stack of one
+    of ``lemma4_bounds``."""
+    return float(lemma4_bounds(hamiltonian, energy, [epsilon])[0])
 
 
 def meta5_bound(hamiltonian: HamiltonianSpec, energy: float,
                 epsilon: float, epsilon_prime: float) -> float:
     """(eps' + 2 delta) S(gamma(E/delta)) + h(eps') + h(delta),
-    delta = (eps' - eps)/(1 + eps')."""
-    d = meta_delta(epsilon, epsilon_prime)
-    return ((epsilon_prime + 2.0 * d) * gibbs_entropy(hamiltonian, energy / d)
-            + binary_entropy(epsilon_prime) + binary_entropy(d))
+    delta = (eps' - eps)/(1 + eps'); the stack of one of ``meta5_bounds``."""
+    return float(meta5_bounds(hamiltonian, energy, [epsilon], [epsilon_prime])[0])
 
 
 def meta6_bound(hamiltonian: HamiltonianSpec, energy: float,
@@ -531,7 +741,10 @@ def oscillator_tightness_witness(energy: float, epsilon: float,
     Conditional case: rho is the canonical purification of gamma(E) on
     A (x) B and sigma = (1-eps) rho + eps gamma(E)^A (x) tau^B with
     tau the B-marginal of rho; raises TruncationError when the requested
-    cutoff leaves a tail above 1e-9.
+    cutoff leaves a tail above 1e-9.  Both are held by their parts: rho
+    as its vector v, and sigma as |sqrt(1-eps) v><sqrt(1-eps) v| + eps
+    gamma (x) tau (``rank_one_kron``), so no d^2 x d^2 matrix is built
+    or decomposed unless it is read.
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon {epsilon!r} outside (0, 1]")
@@ -556,7 +769,7 @@ def oscillator_tightness_witness(energy: float, epsilon: float,
     d = gamma.dim
     rho = BipartiteState.pure(gamma.sqrt().mat.reshape(-1), (d, d))  # (sqrt(gamma) (x) 1)|Phi>
     tau = partial_trace(rho, "B")
-    sigma = BipartiteState(
-        (1.0 - epsilon) * rho.mat + epsilon * np.kron(gamma.mat, tau.mat), (d, d)
-    )
+    v = rho.factor[0][:, 0]
+    sigma = BipartiteState._built(HermitianOperator.rank_one_kron(
+        math.sqrt(1.0 - epsilon) * v, epsilon, gamma.mat, tau.mat), (d, d))
     return rho, sigma

@@ -17,7 +17,12 @@ score it with the stacked checks and couplings, with the same report
 bytes.  A chunk holds at most ``states.CHUNK_BYTES`` (256 KiB) of dense
 matrices, one case at least, so that large states are never stacked
 beyond one case (a ``couplings`` case counts its d x d matrices: its
-Theta is held as parts); every other suite takes chunks of one case.
+Theta is held as parts).  ``gibbs`` and the ``gibbs-table`` rows give
+each case its energy as an ``Each`` parameter, so that a chunk holds a
+whole energy grid (a case counts its row of Gibbs weights) and solves and
+checks it with one ``gibbs.solve_betas`` and one ``gibbs.entropy_checks``
+call; ``energy_bounds`` solves a chunk's Lemma 4 and Meta 5 energies in
+one stack.  Every other suite takes chunks of one case.
 """
 
 from __future__ import annotations
@@ -96,16 +101,35 @@ def _rng(seed: int, case: int) -> np.random.Generator:
     return np.random.default_rng([seed, case])
 
 
+class Each:
+    """A grid parameter that is each case's own.  Every ``Each`` equals every
+    other, so the cases that differ in its value alone share their chunks,
+    and the case function gets the list of the chunk's values, in case
+    order, in its place."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        return isinstance(other, Each)
+
+    def __hash__(self):
+        return hash(Each)
+
+
 # -- suites -------------------------------------------------------------------
 #
 # A suite is a grid function, a case function, the CampaignConfig fields it
-# reads and, for a stacked suite, the bytes of dense matrices one case draws
-# (``_SUITE_TABLE``).  The grid function takes those fields but ``seed`` as its
-# arguments and returns one parameter tuple per case.  The case function takes
-# a chunk, a list of per-case generators, and the parameters the chunk's cases
-# share, and returns one list of ``BoundReport``s per case; the cases of a
-# suite that reads no ``seed`` draw nothing and get None for a generator.
-# Fields a case leaves at None are blank in the report.
+# reads and, for a stacked suite, the bytes one case holds (``_SUITE_TABLE``).
+# The grid function takes those fields but ``seed`` as its arguments and
+# returns one parameter tuple per case.  The case function takes a chunk, a
+# list of per-case generators, and the parameters the chunk's cases share (an
+# ``Each`` parameter as the list of its values), and returns one list of
+# ``BoundReport``s per case; the cases of a suite that reads no ``seed`` draw
+# nothing and get None for a generator.  Fields a case leaves at None are blank
+# in the report.
 
 
 def _pair_bytes(d):
@@ -200,22 +224,45 @@ def _case_cor_pure(rngs, d):
 
 def _grid_gibbs(energies):
     h = gb.HamiltonianSpec.oscillators([1.0], n_max=256)
-    return [(h, e) for e in energies]
+    return [(h, Each(e)) for e in energies]
 
 
-def _gibbs_identity(h, e):
-    """The Gibbs table row at ``e`` and the record of its formula-versus-direct
-    gap (the campaign tolerance is applied once, by _check)."""
-    sol = gb.solve_beta(h, e)
-    direct, gap = gb.entropy_check(sol)
-    return ({"E": e, "beta": sol.beta, "log2_Z": sol.log2_partition, "S_formula": sol.entropy,
-             "S_direct": direct, "abs_diff": gap, "error": ""},
-            bnd.BoundReport(variant="formula_vs_direct", dim=h.dim, lhs=gap, rhs=0.0, energy=e))
+def _gibbs_bytes(h, _energy):
+    """The bytes of a Gibbs case's row of the weight stack its entropy is
+    summed from: a level's weight each, one mode at a time, whatever its
+    energy."""
+    return 8 * (h.dim if h.hbar_omegas is None else h.n_max + 1)
 
 
-@_per_case
-def _case_gibbs(rng, h, e):
-    return [_gibbs_identity(h, e)[1]]
+def _gibbs_identities(h, energies):
+    """Per energy, the Gibbs table row and the record of its
+    formula-versus-direct gap, or the ``EnergyDomainError`` of an energy
+    with no solution, from one ``solve_betas`` and one ``entropy_checks``
+    call (the campaign tolerance is applied once, by _check)."""
+    sols = gb.solve_betas(h, energies)
+    columns = zip(sols.beta.tolist(), sols.log2_partition.tolist(), sols.entropy.tolist(),
+                  *(x.tolist() for x in gb.entropy_checks(sols)))
+    out = []
+    for e, err, (beta, log2_z, entropy, direct, gap) in zip(energies, sols.errors, columns):
+        if err is not None:
+            out.append(err)
+            continue
+        out.append(({"E": e, "beta": beta, "log2_Z": log2_z, "S_formula": entropy,
+                     "S_direct": direct, "abs_diff": gap, "error": ""},
+                    bnd.BoundReport(variant="formula_vs_direct", dim=h.dim, lhs=gap, rhs=0.0,
+                                    energy=e)))
+    return out
+
+
+def _case_gibbs(rngs, h, energies):
+    """A chunk of Gibbs identities at ``energies``; the first energy with no
+    solution raises its error."""
+    out = []
+    for identity in _gibbs_identities(h, energies):
+        if isinstance(identity, gb.EnergyDomainError):
+            raise identity
+        out.append([identity[1]])
+    return out
 
 
 def _grid_energy_bounds(energies, samples):
@@ -229,23 +276,21 @@ def _energy_bounds_bytes(h, e):
 
 def _case_energy_bounds(rngs, h, e):
     """A chunk of ``sample_energy_constrained`` pairs at ``e``, checked on
-    their k x k blocks: Lemma 4 and Meta 5 at their trace distance."""
+    their k x k blocks: Lemma 4 and Meta 5 at their trace distance, with one
+    stacked solve for the chunk's Gibbs entropies."""
     rows, dim, blocks = gb.draw_energy_block(h, e, _twice(rngs))
     blocks = density_stack(blocks)
     states = embedded_stack(rows[None], StateStack(*(a[:, None] for a in blocks[:2])), dim)
     entropies = von_neumann_entropies(block_spectra(states.eigenvalues, dim)[0])
-    epsilons = trace_distances(states.mats[0::2], states.mats[1::2], dim)
-    gaps = np.abs(entropies[0::2] - entropies[1::2])
-    reports = []
-    for eps, lhs in zip(epsilons.tolist(), gaps.tolist()):
-        ep = min(1.0, eps + 0.1)
-        reports.append([
-            bnd.BoundReport(variant="lemma4", dim=h.dim, lhs=lhs,
-                            rhs=gb.lemma4_bound(h, e, max(eps, 1e-12)), epsilon=eps, energy=e),
-            bnd.BoundReport(variant="meta5", dim=h.dim, lhs=lhs,
-                            rhs=gb.meta5_bound(h, e, eps, ep), epsilon=eps, energy=e,
-                            epsilon_prime=ep)])
-    return reports
+    epsilons = trace_distances(states.mats[0::2], states.mats[1::2], dim).tolist()
+    gaps = np.abs(entropies[0::2] - entropies[1::2]).tolist()
+    primes = [min(1.0, eps + 0.1) for eps in epsilons]
+    lemma4, meta5 = (x.tolist() for x in gb.lemma4_meta5_bounds(
+        h, e, [max(eps, 1e-12) for eps in epsilons], epsilons, primes))
+    return [[bnd.BoundReport(variant="lemma4", dim=h.dim, lhs=lhs, rhs=r4, epsilon=eps, energy=e),
+             bnd.BoundReport(variant="meta5", dim=h.dim, lhs=lhs, rhs=r5, epsilon=eps, energy=e,
+                             epsilon_prime=ep)]
+            for eps, lhs, ep, r4, r5 in zip(epsilons, gaps, primes, lemma4, meta5)]
 
 
 def _grid_tightness(dims, epsilons):
@@ -274,7 +319,7 @@ _SUITE_TABLE = {
     "dc": (_dims_by_samples, _case_dc, _SAMPLED, None),
     "couplings": (_dims_by_samples, _case_couplings, _SAMPLED, _couplings_bytes),
     "cor_pure": (_dims_by_samples, _case_cor_pure, _SAMPLED, _pair_bytes),
-    "gibbs": (_grid_gibbs, _case_gibbs, ("energies",), None),
+    "gibbs": (_grid_gibbs, _case_gibbs, ("energies",), _gibbs_bytes),
     "energy_bounds": (_grid_energy_bounds, _case_energy_bounds, ("energies", "samples", "seed"),
                       _energy_bounds_bytes),
     "tightness": (_grid_tightness, _case_witness, ("dims", "epsilons"), None),
@@ -289,14 +334,20 @@ WITNESSES = {"fannes": ("dims", "epsilons"), "af": ("dims", "epsilons"),
 def _chunks(grid, case_bytes):
     """``(cases, params)`` of each chunk, in the order of its first case: the
     cases of equal ``params``, as many at a time as ``CHUNK_BYTES`` holds
-    of ``case_bytes(*params)`` (one at a time without ``case_bytes``)."""
+    of ``case_bytes(*params)`` (one at a time without ``case_bytes``), an
+    ``Each`` parameter given as the list of the chunk's values."""
     groups = {}
     for case, params in enumerate(grid):
         groups.setdefault(params, []).append(case)
     chunks = []
     for params, cases in groups.items():
         size = 1 if case_bytes is None else max(1, CHUNK_BYTES // max(case_bytes(*params), 1))
-        chunks += [(cases[i:i + size], params) for i in range(0, len(cases), size)]
+        each = [j for j, p in enumerate(params) if isinstance(p, Each)]
+        for i in range(0, len(cases), size):
+            part, shared = cases[i:i + size], list(params)
+            for j in each:
+                shared[j] = [grid[c][j].value for c in part]
+            chunks.append((part, tuple(shared)))
     return sorted(chunks, key=lambda chunk: chunk[0][0])
 
 
@@ -353,18 +404,35 @@ def _format_value(v):
     return str(v)
 
 
+# The cells the csv writer renders as _format_value does: it writes a float by
+# its repr and an int or a str by its str
+_PLAIN = (float, int, str)
+
+
 def _write_csv(fh, schema_line: str, cols, rows) -> None:
-    """The schema line, the header ``cols`` and one line per row."""
+    """The schema line, the header ``cols`` and one line per row, each cell
+    as ``_format_value`` renders it."""
     fh.write(schema_line + "\r\n")
     writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
     writer.writerow(cols)
-    for row in rows:
-        writer.writerow([_format_value(row[c]) for c in cols])
+    writer.writerows([v if type(v) in _PLAIN else _format_value(v)
+                      for v in map(row.__getitem__, cols)] for row in rows)
+
+
+# One record as the C encoder writes it with the item separator of the
+# ``indent=2`` layout of a record in a list: '{"k": v,\n    "k": v}'
+_encode_record = json.JSONEncoder(separators=(",\n    ", ": "), default=_format_value).encode
 
 
 def render_report(report: CampaignReport, fmt: str) -> str:
+    """The report as CSV or as JSON, the text of ``json.dumps(records,
+    indent=2, default=_format_value)`` with its records encoded one at a
+    time by the C encoder."""
     if fmt == "json":
-        return json.dumps(report.records, indent=2, default=_format_value) + "\n"
+        if not report.records:
+            return "[]\n"
+        return "[\n" + ",\n".join("  {\n    " + _encode_record(rec)[1:-1] + "\n  }"
+                                  for rec in report.records) + "\n]\n"
     buf = io.StringIO()
     _write_csv(buf, SCHEMA_LINE, REPORT_COLUMNS, report.records)
     return buf.getvalue()
@@ -384,17 +452,20 @@ def emit_gibbs_table(hamiltonian: gb.HamiltonianSpec, energies, path=None,
     """
     rows = []
 
-    @_per_case
-    def case(rng, e):
-        try:
-            row, rep = _gibbs_identity(hamiltonian, e)
-        except gb.EnergyDomainError as exc:
-            rows.append({**dict.fromkeys(GIBBS_TABLE_COLUMNS), "E": e, "error": str(exc)})
-            return []
-        rows.append(row)
-        return [rep]
+    def case(rngs, h, energies):
+        reports = []
+        for e, identity in zip(energies, _gibbs_identities(h, energies)):
+            if isinstance(identity, gb.EnergyDomainError):
+                rows.append({**dict.fromkeys(GIBBS_TABLE_COLUMNS), "E": e, "error": str(identity)})
+                reports.append([])
+            else:
+                rows.append(identity[0])
+                reports.append([identity[1]])
+        return reports
 
-    records = _check("gibbs-table", [(e,) for e in energies], case, None, tolerance)
+    # the cases share the Hamiltonian, so their chunks come in case order
+    records = _check("gibbs-table", [(hamiltonian, Each(e)) for e in energies], case, None,
+                     tolerance, _gibbs_bytes)
     if path:
         with open(path, "w", newline="") as fh:
             _write_csv(fh, "# entrobounds-gibbs-table v2: " + ",".join(GIBBS_TABLE_COLUMNS),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -205,8 +206,9 @@ class TestSolveBeta:
         for beta in (1e-3, 0.25, 1.0, 7.0):
             energy = 0.3 * h.max_mean_energy()
             slope, start = self._unscaled(levels, beta, energy)
-            assert gibbs._energy_and_slope(h, beta) == slope
-            assert gibbs._start_beta(h, energy) == start
+            u, beta_slope = gibbs._energies_and_slopes(h, np.array([beta]))
+            assert (float(u[0]), float(beta_slope[0])) == slope
+            assert gibbs._start_betas(h, np.array([energy]))[0] == start
 
     @pytest.mark.parametrize("levels, energy, beta", [
         ([0.0, 1e-300], 1e-301, math.log(9.0) / 1e-300),  # Var_0 underflowed to 0
@@ -305,8 +307,8 @@ class TestSolveBeta:
         there the bound is 8 ulp(E) itself).  At most 1 evaluation for one
         mode (the start is its closed-form inverse), 30 for any solve."""
         evals = []
-        evaluate = gibbs._energy_and_slope
-        monkeypatch.setattr(gibbs, "_energy_and_slope",
+        evaluate = gibbs._energies_and_slopes
+        monkeypatch.setattr(gibbs, "_energies_and_slopes",
                             lambda *a: evals.append(1) or evaluate(*a))
         for e in self._energies(h):
             evals.clear()
@@ -617,3 +619,262 @@ class TestWitnesses:
         for conditional in (False, True):
             with pytest.raises(EnergyDomainError, match="positive and finite"):
                 oscillator_tightness_witness(energy, 0.25, conditional=conditional)
+
+
+def _reference_solve(h, energy, branches):
+    """The scalar beta(E) iteration that ``solve_betas`` runs in lockstep,
+    one energy at a time and in Python floats, as ``(beta, residual)`` or
+    the text of its error; ``branches`` counts the safeguard steps taken."""
+    e_max = h.max_mean_energy()
+    if not 0.0 < energy < e_max:
+        return f"energy {energy!r} outside the attainable open interval (0, {e_max!r})"
+    if h.hbar_omegas is not None:
+        hw = h.hbar_omegas
+        g = float(hw.min())
+        ratio = h.n_modes * g / energy
+    else:
+        lv, k = gibbs._scaled_levels(h)
+        g = float(h.levels[lv > 0][0])
+        e_mean = float(lv.mean())
+        ratio = g * e_mean * (e_mean - math.ldexp(energy, -k)) / float(lv.var()) / energy
+    b = min(math.log1p(min(ratio, 1.7976931348623157e308)) / g, 1.7976931348623157e308)
+    lo, hi, jump = 0.0, math.inf, 1.0
+    beta, residual = math.nan, math.inf
+    for _ in range(gibbs._MAX_EVALUATIONS):
+        if h.hbar_omegas is None:
+            w = np.exp(-b * h.levels)
+            z = w.sum()
+            u = float((lv * w).sum() / z)
+            var = float((w * (lv - u) ** 2).sum() / z)
+            u, slope = math.ldexp(u, k), math.ldexp(-b * math.ldexp(var, k), k)
+        else:
+            x = b * hw
+            with np.errstate(over="ignore"):
+                n = hw / np.expm1(x)
+            u, slope = float(n.sum()), float((n * x / np.expm1(-x)).sum())
+        r = u - energy
+        if abs(r) < abs(residual):
+            beta, residual = b, r
+        dlog = slope / u if u > 0 else 0.0
+        if abs(r) <= 8.0 * math.ulp(energy) * max(1.0, -dlog):
+            break
+        if r > 0:
+            lo = b
+        else:
+            hi = b
+        step = -math.log1p(r / energy) / dlog if dlog < 0 and r > -energy else math.nan
+        nxt = b * math.exp(min(step, 709.0))
+        if nxt == b:
+            break
+        if not lo < nxt < hi:
+            if lo > 0.0 and hi < math.inf:
+                branches["midpoint"] += 1
+                nxt = lo * math.sqrt(hi / lo)
+                if nxt in (lo, hi):
+                    break
+            else:
+                branches["jump"] += 1
+                nxt = b * math.exp(jump) if r > 0 else b / math.exp(jump)
+                nxt = min(max(nxt, math.ulp(0.0)), 1.7976931348623157e308)
+                jump = min(2.0 * jump, 709.0)
+        b = nxt
+    else:
+        return (f"energy {energy!r}: beta not found in {gibbs._MAX_EVALUATIONS} "
+                f"evaluations (U - E = {residual!r} at beta = {beta!r})")
+    if not 0.0 < beta < math.inf:
+        return f"energy {energy!r} not attainable (beta -> {'0' if beta == 0.0 else 'inf'})"
+    return beta, residual
+
+
+def _grid(h):
+    """Energies across the scales: tiny, huge, near e_max and outside the
+    attainable interval."""
+    e_max = h.max_mean_energy()
+    grid = [0.0, -1.0, math.nan, math.inf, 1e-301, 3e-321]
+    if e_max == math.inf:
+        return grid + [10.0 ** k for k in range(-300, 308, 11)] + [0.5 * k for k in range(1, 41)]
+    return grid + [e_max * 10.0 ** k for k in range(-300, 0, 7)] + [
+        e_max * k / 20 for k in range(1, 21)] + [
+        e_max - 1e-12 * e_max, math.nextafter(e_max, 0.0), e_max * (1 - 1e-15), 2 * e_max]
+
+
+def _reference_check(sol):
+    """``entropy_check`` of one solution as a scalar sum: the Shannon sum of
+    each mode's geometric weights to the cutoff plus its exact tail."""
+    h = sol.hamiltonian
+    if h.hbar_omegas is None:
+        direct = shannon_entropy(sol.diagonal_probabilities())
+    else:
+        direct = 0
+        for hw in h.hbar_omegas:
+            x = float(sol.beta * hw)
+            q, one_minus_q = math.exp(-x), -math.expm1(-x)
+            body = shannon_entropy(one_minus_q * q ** np.arange(h.n_max + 1))
+            tail = q ** (h.n_max + 1)
+            direct += body if tail == 0.0 else body - tail * (
+                math.log2(one_minus_q) - (h.n_max + 1 + q / one_minus_q) * x * gibbs.LOG2_E)
+    return direct, abs(sol.entropy - direct) + sol.beta * abs(sol.residual) * gibbs.LOG2_E
+
+
+STACK_HAMILTONIANS = {
+    "one-mode": HamiltonianSpec.oscillators([1.0], n_max=256),
+    "modes-1-2": HamiltonianSpec.oscillators([1.0, 2.0], n_max=512),
+    "modes-1-2-3": HamiltonianSpec.oscillators([1.0, 2.0, 3.0], n_max=20),
+    "modes-0.3-7-0.3": HamiltonianSpec.oscillators([0.3, 7.0, 0.3], n_max=64),
+    "levels-0-1": HamiltonianSpec.explicit([0.0, 1.0]),
+    "levels-0-1-3": HamiltonianSpec.explicit([0.0, 1.0, 3.0]),
+    "levels-0-1e-300": HamiltonianSpec.explicit([0.0, 1e-300]),
+    "levels-0-1-1e300": HamiltonianSpec.explicit([0.0, 1.0, 1e300]),
+    "levels-0-10": HamiltonianSpec.explicit(list(range(11))),
+    "levels-0-0.3-0.3-7.5": HamiltonianSpec.explicit([0.0, 0.3, 0.3, 7.5]),
+}
+
+
+class TestSolveBetas:
+    """The lockstep solver against the scalar iteration, element by element."""
+
+    @pytest.mark.parametrize("name", STACK_HAMILTONIANS)
+    def test_each_energy_takes_its_scalar_iterates(self, name):
+        h = STACK_HAMILTONIANS[name]
+        energies = _grid(h)
+        sols = gibbs.solve_betas(h, energies)
+        assert sols.energies == energies
+        for i, e in enumerate(energies):
+            expected = _reference_solve(h, e, {"midpoint": 0, "jump": 0})
+            if isinstance(expected, str):
+                assert str(sols.errors[i]) == expected
+                with pytest.raises(EnergyDomainError) as exc:
+                    solve_beta(h, e)
+                assert str(exc.value) == expected
+                continue
+            assert sols.errors[i] is None
+            one = solve_beta(h, e)
+            assert sols.solution(i) == one
+            assert (one.beta, one.residual) == expected
+            assert one.log2_partition == log2_partition_function(h, one.beta)
+            assert one.entropy == one.log2_partition + one.beta * e * gibbs.LOG2_E
+
+    def test_the_grids_reach_every_safeguard(self):
+        """The grids above run the bracket midpoint and the e^j jump."""
+        branches = {"midpoint": 0, "jump": 0}
+        for h in STACK_HAMILTONIANS.values():
+            for e in _grid(h):
+                _reference_solve(h, e, branches)
+        assert branches["midpoint"] > 0 and branches["jump"] > 0
+
+    def test_a_stack_of_any_order_and_length_is_element_by_element(self):
+        h = STACK_HAMILTONIANS["modes-1-2"]
+        energies = [16.0, 0.25, 1e-300, 3.0, 1e200, 0.5]
+        whole = gibbs.solve_betas(h, np.array(energies))
+        for i, e in enumerate(energies):
+            assert whole.solution(i) == gibbs.solve_betas(h, [e]).solution(0)
+        assert gibbs.solve_betas(h, []).energies == []
+
+    def test_each_energy_keeps_its_own_error(self):
+        h = HamiltonianSpec.explicit([0.0, 1.0, 3.0])
+        energies = [0.25, 4.0 / 3.0, -1.0, 0.5, math.nan, 2.0]
+        sols = gibbs.solve_betas(h, energies)
+        for i, e in enumerate(energies):
+            if sols.errors[i] is None:
+                assert sols.solution(i) == solve_beta(h, e)
+                continue
+            with pytest.raises(EnergyDomainError) as exc:
+                solve_beta(h, e)
+            assert str(sols.errors[i]) == str(exc.value)
+            with pytest.raises(EnergyDomainError, match="outside the attainable"):
+                sols.solution(i)
+        assert [err is None for err in sols.errors] == [True, False, False, True, False, False]
+        with pytest.raises(EnergyDomainError, match=r"energy 1.3333333333333333 outside"):
+            sols.solved()
+
+    def test_the_evaluation_limit_is_read_at_call_time(self, monkeypatch):
+        # E = 1 needs 26 evaluations from its start, E = 0.5 fewer than 10
+        h = HamiltonianSpec.explicit([0.0, 1.0, 1e300])
+        monkeypatch.setattr(gibbs, "_MAX_EVALUATIONS", 10)
+        sols = gibbs.solve_betas(h, [1.0, 0.5])
+        assert str(sols.errors[0]).startswith("energy 1.0: beta not found in 10 evaluations")
+        assert sols.errors[1] is None
+        assert sols.solution(1) == solve_beta(h, 0.5)
+
+    @pytest.mark.parametrize("name", ["one-mode", "modes-1-2", "modes-1-2-3", "levels-0-1-3",
+                                      "levels-0-1e-300"])
+    def test_entropy_checks_are_the_scalar_checks(self, name):
+        h = STACK_HAMILTONIANS[name]
+        energies = [e for e in _grid(h) if e > 1e-200]
+        sols = gibbs.solve_betas(h, energies)
+        direct, gap = gibbs.entropy_checks(sols)
+        for i, e in enumerate(energies):
+            if sols.errors[i] is not None:
+                assert math.isnan(direct[i]) and math.isnan(gap[i])
+                continue
+            one = solve_beta(h, e)
+            assert (float(direct[i]), float(gap[i])) == entropy_check(one) == _reference_check(one)
+
+    def test_stacked_bounds_are_the_scalar_bounds(self):
+        h = HamiltonianSpec.oscillators([1.0], n_max=40)
+        rng = np.random.default_rng(4)
+        eps = [0.0, 1e-12, 1.0, *rng.uniform(0.0, 1.0, 12).tolist()]
+        primes = [min(1.0, x + 0.1) if x < 1.0 else 1.0 for x in eps]
+        pairs = [(x, p) for x, p in zip(eps, primes) if x < p]
+        for energy in (1e-3, 0.5, 2.0, 8.0, 1e6):
+            lemma4 = [lemma4_bound(h, energy, x) for x in eps]
+            assert gibbs.lemma4_bounds(h, energy, eps).tolist() == lemma4
+            assert lemma4 == [0.0 if x == 0.0 else 2.0 * x * gibbs_entropy(h, energy / x)
+                              + binary_entropy(x) for x in eps]
+            meta5 = [meta5_bound(h, energy, x, p) for x, p in pairs]
+            assert gibbs.meta5_bounds(h, energy, *zip(*pairs)).tolist() == meta5
+            deltas = [meta_delta(x, p) for x, p in pairs]
+            assert meta5 == [(p + 2.0 * d) * gibbs_entropy(h, energy / d) + binary_entropy(p)
+                             + binary_entropy(d) for (_, p), d in zip(pairs, deltas)]
+        assert gibbs.gibbs_entropies(h, [0.5, 2.0]).tolist() == [
+            gibbs_entropy(h, 0.5), gibbs_entropy(h, 2.0)]
+
+    def test_stacked_binary_entropies_are_binary_entropy(self):
+        x = np.concatenate([[0.0, 1.0, 0.5, 1e-300, 1 - 1e-16],
+                            np.random.default_rng(5).uniform(0, 1, 200)])
+        assert gibbs._binary_entropies(x).tolist() == [binary_entropy(v) for v in x.tolist()]
+
+    def test_the_first_bad_argument_raises_in_case_order(self):
+        h = HamiltonianSpec.oscillators([1.0], n_max=40)
+        # case 1's Meta 5 pair comes before case 2's Lemma 4 argument
+        with pytest.raises(ValueError, match=r"need 0 <= eps < eps' <= 1, got \(1.0, 1.0\)"):
+            gibbs.lemma4_meta5_bounds(h, 1.0, [0.5, 1.0, 1.5], [0.5, 1.0, 0.2], [0.6, 1.0, 0.3])
+        with pytest.raises(ValueError, match=r"epsilon 1.5 outside \[0, 1\]"):
+            gibbs.lemma4_meta5_bounds(h, 1.0, [0.5, 1.5, 0.5], [0.5, 1.0, 0.2], [0.6, 1.0, 0.3])
+        # at E < 0 every solve fails: case 0's Lemma 4 (eps = 0) solves
+        # nothing, so case 0's Meta 5 energy comes before case 1's Lemma 4 one
+        with pytest.raises(EnergyDomainError) as first:
+            meta5_bound(h, -1.0, 0.0, 0.2)
+        with pytest.raises(EnergyDomainError) as stacked:
+            gibbs.lemma4_meta5_bounds(h, -1.0, [0.0, 0.5], [0.0, 0.5], [0.2, 0.6])
+        assert str(stacked.value) == str(first.value)
+        assert str(first.value).startswith("energy -5.99")
+
+    def test_a_one_mode_stack_takes_one_evaluation(self, monkeypatch):
+        evals = []
+        evaluate = gibbs._energies_and_slopes
+        monkeypatch.setattr(gibbs, "_energies_and_slopes",
+                            lambda h, b: evals.append(len(b)) or evaluate(h, b))
+        gibbs.solve_betas(HamiltonianSpec.oscillators([1.0], n_max=256),
+                          [0.5 * k for k in range(1, 41)])
+        assert evals == [40]
+
+
+def test_hamiltonian_repr_lists_python_floats():
+    assert repr(HamiltonianSpec.oscillators([1.0, 2.0])) == (
+        "HamiltonianSpec(oscillators=[1.0, 2.0], n_max=64)")
+
+
+def test_conditional_witness_builds_no_product_space_matrix(monkeypatch):
+    """At E = 2 the default cutoff is 57, so d^2 = 3,364: sigma is held as
+    rank_one_kron parts, and no matrix of that size is read."""
+    reads = []
+    mat = HermitianOperator.mat
+    monkeypatch.setattr(HermitianOperator, "mat",
+                        property(lambda op: reads.append(op.dim) or mat.fget(op)))
+    start = time.perf_counter()
+    rho, sigma = oscillator_tightness_witness(2.0, 0.25, conditional=True)
+    assert time.perf_counter() - start < 1.0
+    assert rho.dims == sigma.dims == (58, 58)
+    assert max(reads) == 58
+    assert sigma.trace() == pytest.approx(1.0, abs=1e-12)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import resource
@@ -355,6 +357,50 @@ class TestCampaigns:
         assert "kappa_estimated" not in header.split(",")
 
 
+    def test_chunks_gather_each_parameter_in_case_order(self):
+        h = HamiltonianSpec.oscillators([1.0], n_max=256)
+        grid = [(h, harness.Each(e)) for e in (3.0, 1.0, 2.0)] + [(h, 7)]
+        assert harness._chunks(grid, harness._gibbs_bytes) == [
+            ([0, 1, 2], (h, [3.0, 1.0, 2.0])), ([3], (h, 7))]
+        # 127 rows of 257 weights fill a chunk
+        grid = [(h, harness.Each(float(e))) for e in range(200)]
+        assert [len(cases) for cases, _ in harness._chunks(grid, harness._gibbs_bytes)] == [127, 73]
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_records_hold_python_values(self, suite):
+        """Every record field is a Python str, int, float, bool or None, the
+        values the serializers write directly."""
+        cfg = CampaignConfig(suite=suite, dims=(2, 3), samples=2, seed=1,
+                             energies=(1.0, 2.0), epsilons=(0.1, 0.3))
+        for rec in run_campaign(cfg).records:
+            assert {type(v) for v in rec.values()} <= {str, int, float, bool, type(None)}
+
+    # records whose cells reach every branch of _format_value
+    ODD_RECORDS = [
+        {"suite": "s", "case": 0, "variant": "a,b", "dim": 2, "energy": None, "epsilon": 1e-05,
+         "epsilon_prime": 1e+16, "lhs": float("inf"), "rhs": -float("inf"),
+         "slack": float("nan"), "valid": False},
+        {"suite": 's"q', "case": np.int64(1), "variant": "v", "dim": 3, "energy": np.float64(0.1),
+         "epsilon": -0.0, "epsilon_prime": np.float64(1e-05), "lhs": np.float64(1e+16),
+         "rhs": 2.5, "slack": np.float64("nan"), "valid": True},
+    ]
+
+    @pytest.mark.parametrize("records", [[], ODD_RECORDS, ODD_RECORDS[:1]])
+    def test_render_report_is_the_reference_serialization(self, records):
+        """The JSON of ``json.dumps(indent=2)`` and the CSV of one writerow
+        per row of ``_format_value`` cells, byte for byte."""
+        report = CampaignReport(records)
+        assert render_report(report, "json") == json.dumps(
+            records, indent=2, default=harness._format_value) + "\n"
+        buf = io.StringIO()
+        buf.write(SCHEMA_LINE + "\r\n")
+        writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL)
+        writer.writerow(harness.REPORT_COLUMNS)
+        for row in records:
+            writer.writerow([harness._format_value(row[c]) for c in harness.REPORT_COLUMNS])
+        assert render_report(report, "csv") == buf.getvalue()
+
+
 class TestGibbsTable:
     def test_rows_and_error_marking(self):
         h = HamiltonianSpec.explicit([0.0, 1.0])
@@ -387,6 +433,35 @@ class TestGibbsTable:
         assert first.startswith("# entrobounds-gibbs-table v2: E,beta,log2_Z,")
 
 
+    def test_one_stacked_solve_per_grid_and_per_chunk(self, monkeypatch, capsys):
+        """``verify gibbs`` and each ``gibbs-table`` solve their whole grid
+        in one ``solve_betas`` call, ``energy_bounds`` one call per chunk."""
+        calls = []
+        solve = gibbs.solve_betas
+        monkeypatch.setattr(gibbs, "solve_betas",
+                            lambda h, energies: calls.append(len(energies)) or solve(h, energies))
+        grid = ",".join(str(0.5 * k) for k in range(1, 41))
+        assert cli.main(["verify", "gibbs", "--energies", grid]) == cli.EXIT_OK
+        assert calls == [40]
+        for modes in ("1.0", "1.0,2.0"):
+            calls.clear()
+            argv = ["gibbs-table", "--modes", modes, "--energies", "0.25,0.5,1,2,3,4,6,8,12,16"]
+            assert cli.main(argv) == cli.EXIT_OK
+            assert calls == [10]
+        calls.clear()
+        argv = ["verify", "energy_bounds", "--energies", "1,2,4,8", "--samples", "10"]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert calls == [20] * 4  # a chunk's Lemma 4 and Meta 5 energies
+
+    def test_an_energy_outside_the_domain_keeps_its_own_row(self, capsys):
+        assert cli.main(["gibbs-table", "--levels", "0,1,2", "--energies", "0.5,1,5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3 and " beta=" in lines[0]
+        assert lines[1:] == [
+            "E=1.0: energy 1.0 outside the attainable open interval (0, 1.0)",
+            "E=5.0: energy 5.0 outside the attainable open interval (0, 1.0)"]
+
+
 class TestCli:
     def test_verify_ok(self, capsys):
         rc = cli.main(["verify", "fannes", "--dims", "2,3", "--samples", "3",
@@ -412,7 +487,8 @@ class TestCli:
     def test_verify_gibbs_applies_the_tolerance_once(self, capsys, monkeypatch):
         # formula-vs-direct gaps: 8.95e-10 at E=10, 2.80e-9 at E=10.5 (< 2 tol)
         gaps = {10.0: 8.95e-10, 10.5: 2.80e-9}
-        monkeypatch.setattr(gibbs, "entropy_check", lambda sol: (sol.entropy, gaps[sol.energy]))
+        monkeypatch.setattr(gibbs, "entropy_checks", lambda sols: (
+            sols.entropy, np.array([gaps[e] for e in sols.energies])))
         rc = cli.main(["verify", "gibbs", "--energies", "10,10.5", "--tol", "1.5e-9"])
         assert rc == cli.EXIT_VIOLATIONS
         assert "violations=1" in capsys.readouterr().out
@@ -613,7 +689,8 @@ class TestCli:
         assert "quantum_fidelity_theta: lhs=0.235107 rhs=nan slack=nan valid=False" in out
 
     def test_gibbs_table_with_a_nan_gap_exits_1(self, monkeypatch, capsys):
-        monkeypatch.setattr(gibbs, "entropy_check", lambda sol: (sol.entropy, float("nan")))
+        monkeypatch.setattr(gibbs, "entropy_checks", lambda sols: (
+            sols.entropy, np.full(len(sols.energies), np.nan)))
         assert cli.main(["gibbs-table", "--energies", "1"]) == cli.EXIT_VIOLATIONS
         assert cli.main(["verify", "gibbs", "--energies", "1"]) == cli.EXIT_VIOLATIONS
         assert "|diff|=nan" in capsys.readouterr().out
