@@ -22,12 +22,18 @@ when it stops, and each taking exactly the iterates it would take alone
 (``math.log1p``, ``math.exp`` and ``math.ulp`` are applied element by
 element, as the scalar iteration applies them).  An energy without a
 solution keeps its own ``EnergyDomainError`` in the returned
-``GibbsSolutions`` and fails none of the others.  ``gibbs_entropies``,
-``entropy_checks`` (over an (n, n_max+1) weight stack per mode) and
-``lemma4_meta5_bounds`` (whose binary entropies are ``von_neumann_entropies``
-of (n, 2) rows) read those stacks; ``solve_beta``, ``mean_energy``,
-``gibbs_entropy``, ``entropy_check``, ``lemma4_bound`` and ``meta5_bound``
-are their stacks of one, with the same bits.
+``GibbsSolutions`` and fails none of the others.  ``entropy_checks`` (over
+an (n, n_max+1) weight stack per mode) and ``lemma4_meta5_bounds`` (whose
+binary entropies are ``von_neumann_entropies`` of (n, 2) rows) read those
+stacks.  Each kernel has at most one scalar name, which calls it directly
+with a stack of one and keeps its bits: ``solve_beta`` (of which
+``gibbs_entropy`` reads the entropy), ``mean_energy``,
+``log2_partition_function``, ``lemma4_bound`` and ``meta5_bound``.
+
+The oscillator closed forms that split the energy equally among the
+modes (``oscillator_entropy_upper``, ``lemma7_bounds``) and
+``HamiltonianSpec`` read their mode energies through one rule: at least
+one mode, each positive and finite.
 """
 
 from __future__ import annotations
@@ -92,12 +98,13 @@ class HamiltonianSpec:
                                  f"smallest normal float {_TINY!r}")
             self._levels = lv
         else:
-            w = np.asarray(hbar_omegas, dtype=float)
-            if not (np.isfinite(w) & (w > 0)).all():
-                raise ValueError("mode energies must be positive and finite")
+            w = _mode_energies(hbar_omegas)
             if n_max is None:
                 raise ValueError("oscillator modes need a Fock cutoff n_max")
-            self.hbar_omegas, self.n_max = w, int(n_max)
+            n_max = int(n_max)
+            if n_max < 0:
+                raise ValueError(f"Fock cutoff n_max must be >= 0, got {n_max!r}")
+            self.hbar_omegas, self.n_max = w, n_max
 
     @property
     def levels(self) -> np.ndarray:
@@ -141,6 +148,28 @@ class HamiltonianSpec:
         if self.hbar_omegas is None:
             return f"HamiltonianSpec(explicit_levels, dim={self.dim})"
         return f"HamiltonianSpec(oscillators={self.hbar_omegas.tolist()}, n_max={self.n_max})"
+
+
+def _mode_energies(hbar_omegas) -> np.ndarray:
+    """The mode energies hbar omega_i as a float vector: at least one, each
+    positive and finite."""
+    w = np.asarray(hbar_omegas, dtype=float)
+    if w.ndim != 1 or not len(w):
+        raise ValueError(f"need a 1-D list of at least one mode energy, got {hbar_omegas!r}")
+    if not (np.isfinite(w) & (w > 0)).all():
+        raise ValueError(f"mode energies must be positive and finite, got {w.tolist()!r}")
+    return w
+
+
+def _equal_split(hbar_omegas, energy: float) -> tuple[int, float]:
+    """(ell, sum_i log2(E/(ell hbar omega_i) + 1)): the energy E split
+    equally among the ell modes, as the oscillator closed forms take it."""
+    hw = _mode_energies(hbar_omegas)
+    if not 0.0 < energy < math.inf:
+        raise EnergyDomainError(f"energy must be positive and finite, got {energy!r}")
+    n_modes = len(hw)
+    e_bar = energy / n_modes
+    return n_modes, float(np.log2(e_bar / hw + 1.0).sum())
 
 
 def log2_partition_function(hamiltonian: HamiltonianSpec, beta: float) -> float:
@@ -231,11 +260,17 @@ class GibbsSolution:
         log2 e.  They sum to 1 minus the truncation tail."""
         return np.exp(-self.beta * self.hamiltonian.levels - self.log2_partition / LOG2_E)
 
-    def state(self) -> DensityOperator:
+    def checked_probabilities(self) -> np.ndarray:
+        """``diagonal_probabilities``, once their missing mass 1 - sum p is
+        at most 1e-9; a ``TruncationError`` otherwise."""
         p = self.diagonal_probabilities()
         tail = 1.0 - p.sum()
         if tail > 1e-9:
             raise TruncationError(f"truncation tail {tail:.3e} exceeds 1e-9")
+        return p
+
+    def state(self) -> DensityOperator:
+        p = self.checked_probabilities()
         return DensityOperator.diagonal(p / p.sum())
 
 
@@ -340,14 +375,6 @@ class GibbsSolutions(NamedTuple):
     residual: np.ndarray
     errors: list
 
-    @classmethod
-    def of(cls, solutions) -> "GibbsSolutions":
-        """The stack of ``GibbsSolution``s on one Hamiltonian."""
-        fields = [np.array([getattr(s, f) for s in solutions], dtype=float)
-                  for f in ("beta", "log2_partition", "entropy", "residual")]
-        return cls(solutions[0].hamiltonian, [s.energy for s in solutions], *fields,
-                   [None] * len(solutions))
-
     def solution(self, i: int) -> GibbsSolution:
         """Entry ``i`` as a ``GibbsSolution``; raises its error if it has one."""
         if self.errors[i] is not None:
@@ -356,13 +383,6 @@ class GibbsSolutions(NamedTuple):
                              log2_partition=float(self.log2_partition[i]),
                              energy=self.energies[i], entropy=float(self.entropy[i]),
                              residual=float(self.residual[i]))
-
-    def solved(self) -> "GibbsSolutions":
-        """The stack, once every energy is solved; else the first error raised."""
-        for err in self.errors:
-            if err is not None:
-                raise err
-        return self
 
 
 def solve_betas(hamiltonian: HamiltonianSpec, energies) -> GibbsSolutions:
@@ -460,33 +480,17 @@ def entropy_checks(solutions: GibbsSolutions) -> tuple[np.ndarray, np.ndarray]:
     return out[0], out[1]
 
 
-def entropy_check(sol: GibbsSolution) -> tuple[float, float]:
-    """(S_direct, gap) of one solution, the stack of one of ``entropy_checks``."""
-    direct, gap = entropy_checks(GibbsSolutions.of([sol]))
-    return float(direct[0]), float(gap[0])
-
-
-def gibbs_entropies(hamiltonian: HamiltonianSpec, energies) -> np.ndarray:
-    """S(gamma(E)) in bits at each energy of a stack, from one
-    ``solve_betas`` call; raises the first energy's error."""
-    return solve_betas(hamiltonian, energies).solved().entropy
-
-
 def gibbs_entropy(hamiltonian: HamiltonianSpec, energy: float) -> float:
-    """S(gamma(E)) in bits, the stack of one of ``gibbs_entropies``."""
-    return float(gibbs_entropies(hamiltonian, [energy])[0])
+    """S(gamma(E)) in bits, the entropy of ``solve_beta``."""
+    return solve_beta(hamiltonian, energy).entropy
 
 
 def oscillator_entropy_upper(hbar_omegas, energy: float) -> float:
     """Closed-form upper bound on the ell-mode Gibbs entropy at total
     energy E, obtained by splitting the energy equally among the modes:
     ell log2(e) + sum_i log2(E/(ell hbar omega_i) + 1)."""
-    if energy <= 0:
-        raise EnergyDomainError(f"energy must be positive, got {energy!r}")
-    hw = np.asarray(hbar_omegas, dtype=float)
-    n_modes = len(hw)
-    e_bar = energy / n_modes
-    return n_modes * LOG2_E + float(np.log2(e_bar / hw + 1.0).sum())
+    n_modes, split = _equal_split(hbar_omegas, energy)
+    return n_modes * LOG2_E + split
 
 
 # -- energy-constrained continuity bounds ------------------------------------
@@ -552,29 +556,18 @@ def _binary_entropies(x: np.ndarray) -> np.ndarray:
     return von_neumann_entropies(np.stack([x, 1.0 - x], axis=1))
 
 
-def lemma4_bounds(hamiltonian: HamiltonianSpec, energy: float, epsilons) -> np.ndarray:
-    """Lemma 4 at each eps of a stack, the Lemma 4 half of ``lemma4_meta5_bounds``."""
-    return lemma4_meta5_bounds(hamiltonian, energy, epsilons, (), ())[0]
-
-
-def meta5_bounds(hamiltonian: HamiltonianSpec, energy: float, epsilons,
-                 epsilon_primes) -> np.ndarray:
-    """Meta 5 at each (eps, eps') of a stack, the Meta 5 half of
-    ``lemma4_meta5_bounds``."""
-    return lemma4_meta5_bounds(hamiltonian, energy, (), epsilons, epsilon_primes)[1]
-
-
 def lemma4_bound(hamiltonian: HamiltonianSpec, energy: float, epsilon: float) -> float:
-    """Entropy continuity: 2 eps S(gamma(E/eps)) + h(eps); the stack of one
-    of ``lemma4_bounds``."""
-    return float(lemma4_bounds(hamiltonian, energy, [epsilon])[0])
+    """Entropy continuity: 2 eps S(gamma(E/eps)) + h(eps); the Lemma 4
+    stack of one of ``lemma4_meta5_bounds``."""
+    return float(lemma4_meta5_bounds(hamiltonian, energy, [epsilon], (), ())[0][0])
 
 
 def meta5_bound(hamiltonian: HamiltonianSpec, energy: float,
                 epsilon: float, epsilon_prime: float) -> float:
     """(eps' + 2 delta) S(gamma(E/delta)) + h(eps') + h(delta),
-    delta = (eps' - eps)/(1 + eps'); the stack of one of ``meta5_bounds``."""
-    return float(meta5_bounds(hamiltonian, energy, [epsilon], [epsilon_prime])[0])
+    delta = (eps' - eps)/(1 + eps'); the Meta 5 stack of one of
+    ``lemma4_meta5_bounds``."""
+    return float(lemma4_meta5_bounds(hamiltonian, energy, (), [epsilon], [epsilon_prime])[1][0])
 
 
 def meta6_bound(hamiltonian: HamiltonianSpec, energy: float,
@@ -599,14 +592,10 @@ def lemma7_bounds(hbar_omegas, energy: float, epsilon: float, alpha: float):
         raise ValueError(f"alpha {alpha!r} outside (0, 1/2]")
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon {epsilon!r} outside [0, 1)")
-    hw = np.asarray(hbar_omegas, dtype=float)
-    n_modes = len(hw)
+    n_modes, split = _equal_split(hbar_omegas, energy)
     ratio = (1.0 + alpha) / (1.0 - alpha)
     c = ratio + 2.0 * alpha
-    e_bar = energy / n_modes
-    bracket = float(np.log2(e_bar / hw + 1.0).sum()) + n_modes * math.log2(
-        math.e / (alpha * (1.0 - epsilon))
-    )
+    bracket = split + n_modes * math.log2(math.e / (alpha * (1.0 - epsilon)))
     h_term = clipped_binary(ratio * epsilon)
     entropy_rhs = epsilon * c * bracket + (n_modes + 2) * c * h_term
     conditional_rhs = 2.0 * epsilon * c * bracket + (2 * n_modes + 4) * c * h_term
@@ -740,11 +729,13 @@ def oscillator_tightness_witness(energy: float, epsilon: float,
 
     Conditional case: rho is the canonical purification of gamma(E) on
     A (x) B and sigma = (1-eps) rho + eps gamma(E)^A (x) tau^B with
-    tau the B-marginal of rho; raises TruncationError when the requested
-    cutoff leaves a tail above 1e-9.  Both are held by their parts: rho
+    tau the B-marginal of rho.  Both are held by their parts: rho
     as its vector v, and sigma as |sqrt(1-eps) v><sqrt(1-eps) v| + eps
     gamma (x) tau (``rank_one_kron``), so no d^2 x d^2 matrix is built
     or decomposed unless it is read.
+
+    Either case raises ``TruncationError`` when a given cutoff ``n_max``
+    leaves a tail above 1e-9 (``GibbsSolution.checked_probabilities``).
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon {epsilon!r} outside (0, 1]")
@@ -753,10 +744,7 @@ def oscillator_tightness_witness(energy: float, epsilon: float,
     if not conditional:
         cut = n_max if n_max is not None else _single_mode_truncation(energy, 1e-13)
         h = HamiltonianSpec.oscillators([1.0], n_max=cut)
-        sol = solve_beta(h, energy)
-        gamma = sol.diagonal_probabilities()
-        if 1.0 - gamma.sum() > 1e-9:
-            raise TruncationError(f"tail {1.0 - gamma.sum():.3e} exceeds 1e-9")
+        gamma = solve_beta(h, energy).checked_probabilities()
         rho = np.zeros(cut + 1)
         rho[0] = 1.0
         sigma = (1.0 - epsilon) * rho + epsilon * gamma
@@ -764,8 +752,7 @@ def oscillator_tightness_witness(energy: float, epsilon: float,
 
     cut = n_max if n_max is not None else min(_single_mode_truncation(energy, 1e-10), 63)
     h = HamiltonianSpec.oscillators([1.0], n_max=cut)
-    sol = solve_beta(h, energy)
-    gamma = sol.state()
+    gamma = solve_beta(h, energy).state()
     d = gamma.dim
     rho = BipartiteState.pure(gamma.sqrt().mat.reshape(-1), (d, d))  # (sqrt(gamma) (x) 1)|Phi>
     tau = partial_trace(rho, "B")

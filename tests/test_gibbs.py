@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import time
 import tracemalloc
@@ -22,8 +21,8 @@ from entrobounds.gibbs import (
     CutoffDecomposition,
     EnergyDomainError,
     HamiltonianSpec,
+    TruncationError,
     cutoff_decompose,
-    entropy_check,
     gibbs_entropy,
     lemma4_bound,
     lemma7_bounds,
@@ -81,6 +80,16 @@ class TestHamiltonianSpec:
     def test_oscillator_requires_positive_finite_modes(self, modes):
         with pytest.raises(ValueError, match="positive and finite"):
             HamiltonianSpec.oscillators(modes, n_max=2)
+
+    @pytest.mark.parametrize("modes", [[], [[1.0]], 1.0])
+    def test_oscillator_requires_a_list_of_modes(self, modes):
+        with pytest.raises(ValueError, match=r"at least one mode energy, got"):
+            HamiltonianSpec.oscillators(modes, n_max=3)
+
+    def test_oscillator_requires_a_cutoff_of_at_least_0(self):
+        with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
+            HamiltonianSpec.oscillators([1.0], n_max=-1)
+        assert HamiltonianSpec.oscillators([1.0], n_max=0).dim == 1
 
     def test_oscillator_product_levels(self):
         h = HamiltonianSpec.oscillators([1.0, 2.0], n_max=1)
@@ -222,7 +231,7 @@ class TestSolveBeta:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = solve_beta(h, energy)
-            _, gap = entropy_check(sol)
+            _, gap = _entropy_check(gibbs.solve_betas(h, [energy]))
         assert sol.beta == pytest.approx(beta, rel=1e-12)
         assert abs(sol.residual) <= 1e-12 * energy
         assert gap <= 1e-12
@@ -255,12 +264,13 @@ class TestSolveBeta:
             sol = solve_beta(h, e)
             q = math.exp(-sol.beta)
             plain = shannon_entropy((1.0 - q) * q ** np.arange(20001))
-            direct, _ = entropy_check(sol)
+            direct, _ = _entropy_check(gibbs.solve_betas(h, [e]))
             assert abs(direct - plain) <= 1e-12
         # at E = 1e-300 the second mode's q = exp(-2 beta) underflows to 0
-        sol = solve_beta(HamiltonianSpec.oscillators([1.0, 2.0], n_max=512), 1e-300)
+        sols = gibbs.solve_betas(HamiltonianSpec.oscillators([1.0, 2.0], n_max=512), [1e-300])
+        sol = sols.solution(0)
         assert math.exp(-2.0 * sol.beta) == 0.0
-        assert entropy_check(sol)[1] <= 1e-9 * sol.entropy
+        assert _entropy_check(sols)[1] <= 1e-9 * sol.entropy
 
     def test_closed_forms_keep_their_digits_at_large_energy(self):
         """S(gamma(E)) of one mode and g(N) match log2(E+1) + E log1p(1/E) log2 e,
@@ -322,12 +332,13 @@ class TestSolveBeta:
                 assert abs(sol.beta - math.log1p(1.0 / e)) <= 2 * math.ulp(sol.beta), e
 
     def test_entropy_check_charges_the_residual(self):
-        """The formula takes E, the weights have mean U(beta): entropy_check
+        """The formula takes E, the weights have mean U(beta): entropy_checks
         adds beta |U(beta) - E| log2 e to the gap."""
-        sol = solve_beta(HamiltonianSpec.oscillators([1.0], n_max=256), 3.0)
-        off = dataclasses.replace(sol, residual=1e-6)
-        assert entropy_check(off)[0] == entropy_check(sol)[0]
-        assert entropy_check(off)[1] - entropy_check(sol)[1] == pytest.approx(
+        sols = gibbs.solve_betas(HamiltonianSpec.oscillators([1.0], n_max=256), [3.0])
+        sol = sols.solution(0)
+        off = sols._replace(residual=np.array([1e-6]))
+        assert _entropy_check(off)[0] == _entropy_check(sols)[0]
+        assert _entropy_check(off)[1] - _entropy_check(sols)[1] == pytest.approx(
             sol.beta * (1e-6 - abs(sol.residual)) / LN2, rel=1e-6)
 
     def test_single_mode_entropy_is_g(self):
@@ -416,6 +427,34 @@ class TestEnergyBounds:
                     # identical structure with doubled leading terms
                     assert cond >= ent
                     assert cond <= 2.0 * ent + 1e-12
+
+    @pytest.mark.parametrize("modes, energy, match", [
+        ([1.0], -5.0, "energy must be positive and finite, got -5.0"),
+        ([1.0], 0.0, "energy must be positive and finite, got 0.0"),
+        ([1.0], math.nan, "energy must be positive and finite, got nan"),
+        ([1.0], math.inf, "energy must be positive and finite, got inf"),
+        ([0.0], 1.0, r"mode energies must be positive and finite, got \[0.0\]"),
+        ([-1.0], 1.0, r"mode energies must be positive and finite, got \[-1.0\]"),
+        ([1.0, math.nan], 1.0, r"positive and finite, got \[1.0, nan\]"),
+        ([], 1.0, r"at least one mode energy, got \[\]"),
+    ], ids=["E<0", "E=0", "E=nan", "E=inf", "mode-0", "mode<0", "mode-nan", "no-modes"])
+    def test_equal_split_forms_reject_bad_modes_and_energies(self, modes, energy, match):
+        with pytest.raises(ValueError, match=match):
+            oscillator_entropy_upper(modes, energy)
+        with pytest.raises(ValueError, match=match):
+            lemma7_bounds(modes, energy, 0.1, 0.5)
+
+    def test_equal_split_forms_keep_their_bits(self):
+        for modes in ([1.0], [1.0, 2.0], [0.3, 7.0, 0.3]):
+            hw = np.array(modes)
+            for e in (1e-300, 0.25, 1.0, 3.0, 1e200):
+                split = float(np.log2(e / len(hw) / hw + 1.0).sum())
+                assert oscillator_entropy_upper(modes, e) == len(hw) * gibbs.LOG2_E + split
+                ratio = 1.25 / 0.75
+                bracket = split + len(hw) * math.log2(math.e / (0.25 * 0.9))
+                h_term = gibbs.clipped_binary(ratio * 0.1)
+                assert lemma7_bounds(modes, e, 0.1, 0.25)[0] == (
+                    0.1 * (ratio + 0.5) * bracket + (len(hw) + 2) * (ratio + 0.5) * h_term)
 
     def test_lemma7_monotone_in_epsilon(self):
         grid = np.linspace(0.0, 0.6, 100)
@@ -614,6 +653,12 @@ class TestWitnesses:
                 with pytest.raises(EnergyDomainError, match="energy must be positive"):
                     oscillator_tightness_witness(energy, 0.25, conditional=conditional)
 
+    @pytest.mark.parametrize("conditional", [False, True])
+    def test_witness_cutoff_below_the_tail_raises(self, conditional):
+        # at E = 100 the thermal tail beyond n = 10 is (100/101)^11 ~ 0.9
+        with pytest.raises(TruncationError, match=r"^truncation tail 8\.96\de-01 exceeds 1e-9$"):
+            oscillator_tightness_witness(100.0, 0.25, conditional=conditional, n_max=10)
+
     @pytest.mark.parametrize("energy", [math.nan, math.inf])
     def test_witness_energy_must_be_finite(self, energy):
         for conditional in (False, True):
@@ -698,8 +743,15 @@ def _grid(h):
         e_max - 1e-12 * e_max, math.nextafter(e_max, 0.0), e_max * (1 - 1e-15), 2 * e_max]
 
 
+def _entropy_check(sols):
+    """(S_direct, gap) of the one solution of a stack of one, from
+    ``entropy_checks``."""
+    direct, gap = gibbs.entropy_checks(sols)
+    return float(direct[0]), float(gap[0])
+
+
 def _reference_check(sol):
-    """``entropy_check`` of one solution as a scalar sum: the Shannon sum of
+    """``entropy_checks`` of one solution as a scalar sum: the Shannon sum of
     each mode's geometric weights to the cutoff plus its exact tail."""
     h = sol.hamiltonian
     if h.hbar_omegas is None:
@@ -784,8 +836,6 @@ class TestSolveBetas:
             with pytest.raises(EnergyDomainError, match="outside the attainable"):
                 sols.solution(i)
         assert [err is None for err in sols.errors] == [True, False, False, True, False, False]
-        with pytest.raises(EnergyDomainError, match=r"energy 1.3333333333333333 outside"):
-            sols.solved()
 
     def test_the_evaluation_limit_is_read_at_call_time(self, monkeypatch):
         # E = 1 needs 26 evaluations from its start, E = 0.5 fewer than 10
@@ -808,7 +858,8 @@ class TestSolveBetas:
                 assert math.isnan(direct[i]) and math.isnan(gap[i])
                 continue
             one = solve_beta(h, e)
-            assert (float(direct[i]), float(gap[i])) == entropy_check(one) == _reference_check(one)
+            assert ((float(direct[i]), float(gap[i])) == _entropy_check(gibbs.solve_betas(h, [e]))
+                    == _reference_check(one))
 
     def test_stacked_bounds_are_the_scalar_bounds(self):
         h = HamiltonianSpec.oscillators([1.0], n_max=40)
@@ -818,15 +869,15 @@ class TestSolveBetas:
         pairs = [(x, p) for x, p in zip(eps, primes) if x < p]
         for energy in (1e-3, 0.5, 2.0, 8.0, 1e6):
             lemma4 = [lemma4_bound(h, energy, x) for x in eps]
-            assert gibbs.lemma4_bounds(h, energy, eps).tolist() == lemma4
+            assert gibbs.lemma4_meta5_bounds(h, energy, eps, (), ())[0].tolist() == lemma4
             assert lemma4 == [0.0 if x == 0.0 else 2.0 * x * gibbs_entropy(h, energy / x)
                               + binary_entropy(x) for x in eps]
             meta5 = [meta5_bound(h, energy, x, p) for x, p in pairs]
-            assert gibbs.meta5_bounds(h, energy, *zip(*pairs)).tolist() == meta5
+            assert gibbs.lemma4_meta5_bounds(h, energy, (), *zip(*pairs))[1].tolist() == meta5
             deltas = [meta_delta(x, p) for x, p in pairs]
             assert meta5 == [(p + 2.0 * d) * gibbs_entropy(h, energy / d) + binary_entropy(p)
                              + binary_entropy(d) for (_, p), d in zip(pairs, deltas)]
-        assert gibbs.gibbs_entropies(h, [0.5, 2.0]).tolist() == [
+        assert gibbs.solve_betas(h, [0.5, 2.0]).entropy.tolist() == [
             gibbs_entropy(h, 0.5), gibbs_entropy(h, 2.0)]
 
     def test_stacked_binary_entropies_are_binary_entropy(self):
