@@ -213,9 +213,7 @@ def check_cor_pure(phi: BipartiteState, psi: BipartiteState, which: str = "ef") 
         raise ValueError("bipartite dimension mismatch")
     if any(rank_one_factor(state) is None for state in (phi, psi)):
         raise ValueError("check_cor_pure takes pure states (a rank-one factor)")
-    stacks = [PureStack(s.factor[0][None, :, 0], np.array([s._divisor or 1.0]), s._parts[2][:1])
-              for s in (phi, psi)]
-    return check_cor_pure_stack(*stacks, phi.dims, which)[0]
+    return check_cor_pure_stack(PureStack.of(phi), PureStack.of(psi), phi.dims, which)[0]
 
 
 # -- extremal witnesses ------------------------------------------------------

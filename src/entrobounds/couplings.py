@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (PSD_ATOL, HermitianOperator, _symmetrized, eigenpairs, function_stack,
-                     kron_diagonals, kron_expectations, pure_fidelities, rank_one_factor)
+                     kron_diagonals, kron_expectations, pure_fidelities, rank_one_factor, row_dots)
 from .states import (BipartiteState, DensityOperator, StateStack, built_stack, density_stack,
                      divisors, factored_traces, pure_stack, state_pair, vector_marginals)
 
@@ -185,7 +185,7 @@ def _positive(lam):
 
 def _overlaps(a, b) -> np.ndarray:
     """|<a|b>| of each pair of rows of two (n, D) stacks, as ``abs(np.vdot)``."""
-    z = (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
+    z = row_dots(a, b)
     return np.hypot(z.real, z.imag)
 
 
@@ -237,7 +237,7 @@ def quantum_couplings(rho: StateStack, sigma: StateStack) -> QuantumCouplings:
                                             lambda x: 1.0 / np.sqrt(x), support_only=True))
     scale = 1.0 / np.sqrt(1.0 + dec.epsilon)
     vartheta = (scale[:, None, None] * (sqrt_rho @ omega_isq @ sqrt_sigma)).reshape(n, d * d)
-    norm_sq = (vartheta.conj()[:, None, :] @ vartheta[:, :, None])[:, 0, 0].real
+    norm_sq = row_dots(vartheta, vartheta).real
     marg1, marg2 = vector_marginals(vartheta, d, d)
     slack = 1.0 - norm_sq
     full = slack > _DEGENERATE_EPS
@@ -319,7 +319,7 @@ def diagonal_couplings(rho: StateStack, sigma: StateStack) -> DiagonalCouplings:
                   for b, m in ((e, m1), (f, m2))]
         # the eigenvalues of Delta1 and Delta2, as DensityOperator.factored keeps them
         w1, w2 = (lam / factored_traces(b, lam)[:, None] for b, lam in deltas)
-        norm_sq = (phi[apart].conj()[:, None, :] @ phi[apart][:, :, None])[:, 0, 0].real
+        norm_sq = row_dots(phi[apart], phi[apart]).real
         product = eps[apart] * w1.max(axis=1) * w2.max(axis=1)
         largest[apart] = np.where(product > norm_sq, product, norm_sq)
     if not apart.all():

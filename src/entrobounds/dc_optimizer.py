@@ -38,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropies import relative_entropies, relative_entropy, von_neumann_entropies
-from .linalg import OUTSIDE_SUPPORT_ATOL, PSD_ATOL, as_operator, descending_eigh, support_mask
+from .linalg import (OUTSIDE_SUPPORT_ATOL, PSD_ATOL, as_operator, descending_eigh, row_dots,
+                     support_mask)
 from .states import DensityOperator, as_state, sample_pure_state
 
 # The line search stops once |f'(t)| <= _SLOPE_RTOL |f'(0)|, or once its
@@ -137,10 +138,11 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
 
 
 def _spectra(rho: np.ndarray, mix: np.ndarray):
-    """Eigen-data of a stack of mixtures, as ``HermitianOperator`` takes it.
+    """Eigen-data of a stack of mixtures, from one ``descending_eigh``.
 
-    Returns ``(lam, u, rho_tilde, q)``: eigenvalues in non-increasing
-    order, the eigenvectors, rho in that eigenbasis and its diagonal.  A
+    Returns ``(lam, u, rho_tilde, q)``: its eigenvalues (non-increasing)
+    and eigenvectors, which pair in the objective and the divided
+    differences, rho in that eigenbasis and its diagonal.  A
     mixture needs no symmetrising: a real-weighted sum of symmetrised
     generators is exactly Hermitian, and eigh reads one triangle anyway.
     """
@@ -244,12 +246,6 @@ def _start_weights(start, m: int) -> np.ndarray:
     return SimplexPoint(w).weights
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (n, m) stacks, rounded as a 1-D
-    ``a[k] @ b[k]`` is."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
 def dc_minimize_stack(rhos, model: ConvexSetModel, tol: float = 1e-6,
                       starts=None) -> list[OptimizerResult]:
     """``dc_minimize`` for each state of ``rhos``, run in lockstep.
@@ -284,7 +280,7 @@ def dc_minimize_stack(rhos, model: ConvexSetModel, tol: float = 1e-6,
         rows = np.arange(live.size)
         fw_dir = -w[live]
         fw_dir[rows, grad.argmin(axis=1)] += 1.0
-        gap[live] = -_dot(grad, fw_dir)
+        gap[live] = -row_dots(grad, fw_dir)
         searching = gap[live] > tol
         live, grad, fw_dir = live[searching], grad[searching], fw_dir[searching]
         if not live.size:
@@ -296,7 +292,7 @@ def dc_minimize_stack(rhos, model: ConvexSetModel, tol: float = 1e-6,
         away_vertex = np.where(w_live > 1e-12, grad, -math.inf).argmax(axis=1)
         away_dir = w_live.copy()
         away_dir[rows, away_vertex] -= 1.0
-        away_gap = -_dot(grad, away_dir)
+        away_gap = -row_dots(grad, away_dir)
         w_away = w_live[rows, away_vertex]
         away = (away_gap > gap[live]) & (w_away < 1.0 - 1e-15)
         direction = np.where(away[:, None], away_dir, fw_dir)

@@ -39,6 +39,7 @@ one mode, each positive and finite.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -101,7 +102,12 @@ class HamiltonianSpec:
             w = _mode_energies(hbar_omegas)
             if n_max is None:
                 raise ValueError("oscillator modes need a Fock cutoff n_max")
-            n_max = int(n_max)
+            try:
+                if isinstance(n_max, bool):  # True would be the cutoff 1
+                    raise TypeError
+                n_max = operator.index(n_max)  # int() would truncate 2.7 to 2
+            except TypeError:
+                raise ValueError(f"Fock cutoff n_max must be an integer, got {n_max!r}") from None
             if n_max < 0:
                 raise ValueError(f"Fock cutoff n_max must be >= 0, got {n_max!r}")
             self.hbar_omegas, self.n_max = w, n_max

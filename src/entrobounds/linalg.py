@@ -8,13 +8,16 @@ states are subclasses of it.
 Conventions
 -----------
 * Eigenvalues are stored in non-increasing order.
-* Each spectral question has one solver.  Eigenvalues, of an operator or
-  of a stack, always come from ``descending_eigvalsh``.  ``descending_eigh``
-  runs only where eigenvectors are read, and its own eigenvalues are
-  discarded.  The decomposition is lazy: ``eigenvalues`` and
-  ``eigenvectors`` are each computed on their first read and cached, so
-  the eigenvalues have the same bits whichever is read first, and an
-  operator whose spectrum is never read is never decomposed.
+* Each spectral question has one solver.  The eigenvalues an operator or
+  a stack keeps always come from ``descending_eigvalsh``; ``eigh`` runs
+  only where eigenvectors are read.  Its own eigenvalues are read only
+  with its vectors, in functions of matrices no operator holds: eps and
+  ``(rho - sigma)_+`` and the marginal residuals in ``couplings``, the
+  objective, divided differences and lambda_min in ``dc_optimizer``.
+  The decomposition is lazy: ``eigenvalues`` and ``eigenvectors`` are
+  each computed on their first read and cached, so the eigenvalues have
+  the same bits whichever is read first, and an operator whose spectrum
+  is never read is never decomposed.
 * A structured operator keeps its parts and builds no matrix: ``mat`` is
   a property, built on its first read (by the operations of the dense
   construction, so with its bits) and cached, and the dense limit
@@ -41,20 +44,20 @@ Conventions
 Stacks
 ------
 ``hermitian_stack`` is ``HermitianOperator`` for an (n, d, d) stack of
-matrices in one pass: the same scans, judged by the same rules
-(``_check_hermitian``), the same symmetrization (``_symmetrized``) and
-one batched ``descending_eigvalsh``, plus one batched ``descending_eigh``
-only when the eigenvectors are asked for; every matrix gets the bits it
-would get alone.
+matrices in one pass: the same scans (``_check_hermitian``, which the
+constructor runs on its stack of one), the same symmetrization
+(``_symmetrized``) and one batched ``descending_eigvalsh``, plus one
+batched ``descending_eigh`` only when the eigenvectors are asked for;
+every matrix gets the bits it would get alone.
 ``trace_distance`` is the stack of one of ``trace_distances`` (of
 matrices, or of blocks) or ``factored_trace_distances``,
 ``function_stack`` is ``apply_function`` over a stack of eigenpairs,
 ``unit_vectors`` is the normalization of ``pure``, ``pure_fidelities`` the
 rank-one branch of ``fidelity`` (with ``expectations`` of dense operands
-and ``kron_expectations`` of Kronecker parts), and ``factored_diagonals``
-and ``kron_diagonals`` the diagonals the trace rule sums, each over a
-stack.  No operator object is built; ``states.density_stack`` adds the
-state rules.
+and ``kron_expectations`` of Kronecker parts), ``row_dots`` the row-wise
+inner product, and ``factored_diagonals`` and ``kron_diagonals`` the
+diagonals the trace rule sums, each over a stack.  No operator object is
+built; ``states.density_stack`` adds the state rules.
 """
 
 from __future__ import annotations
@@ -104,18 +107,21 @@ def _symmetrized(mats):
     return (mats + mats.conj().swapaxes(-1, -2)) / 2
 
 
-def _check_hermitian(mat, largest, dev):
-    """The two rules of a matrix ``mat`` with largest entry magnitude
-    ``largest`` and deviation from Hermiticity ``dev``: raise ``ValueError``
-    for a non-finite entry, or for ``dev`` above ``HERMITICITY_ATOL`` times
-    ``max(1, largest)``."""
-    # NaN or inf anywhere makes the largest magnitude non-finite
-    if not largest < np.inf:
-        bad = np.argwhere(~np.isfinite(mat))
-        raise ValueError(f"matrix has {len(bad)} non-finite entries, "
-                         f"the first at {tuple(int(i) for i in bad[0])}")
-    if dev > HERMITICITY_ATOL * max(1.0, largest):
-        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
+def _check_hermitian(mats):
+    """Scan each matrix of an (n, d, d) complex stack in turn: raise
+    ``ValueError`` for a non-finite entry, or for a deviation from
+    Hermiticity above ``HERMITICITY_ATOL max(1, largest |entry|)``."""
+    largest = np.abs(mats).max(axis=(1, 2))
+    with np.errstate(invalid="ignore"):  # inf - inf; the deviation is then never read
+        dev = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    for mat, top, skew in zip(mats, largest.tolist(), dev.tolist()):
+        # NaN or inf anywhere makes the largest magnitude non-finite
+        if not top < np.inf:
+            bad = np.argwhere(~np.isfinite(mat))
+            raise ValueError(f"matrix has {len(bad)} non-finite entries, "
+                             f"the first at {tuple(int(i) for i in bad[0])}")
+        if skew > HERMITICITY_ATOL * max(1.0, top):
+            raise ValueError(f"matrix is not Hermitian (max deviation {skew:.3e})")
 
 
 class HermitianOperator:
@@ -125,9 +131,10 @@ class HermitianOperator:
     The input is symmetrized on construction; a non-finite entry, or a
     deviation from Hermiticity larger than ``HERMITICITY_ATOL`` (relative
     to the largest entry), raises.  Operators the library builds from
-    validated parts go through ``_built`` (a dense matrix, as
-    ``apply_function`` gives) or through a structured constructor, which
-    skip both O(d^2) scans; ``diagonal``, ``factored`` and
+    validated parts go through ``_trusted`` (a dense matrix, as
+    ``apply_function`` gives, or a state the stacked rules validated, as
+    ``DensityOperator._trusted``) or through a structured constructor,
+    which skip both O(d^2) scans; ``diagonal``, ``factored`` and
     ``rank_one_kron`` check their parts for non-finite entries instead,
     ``embedded`` takes validated operators as its blocks and
     ``_block_diagonal`` validated blocks with their spectra.
@@ -174,10 +181,7 @@ class HermitianOperator:
         mat = np.asarray(mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
             raise ValueError(f"expected a non-empty square matrix, got shape {mat.shape}")
-        largest = np.abs(mat).max()
-        # the deviation of a matrix with a non-finite entry is never read
-        dev = np.abs(mat - mat.conj().T).max() if largest < np.inf else np.nan
-        _check_hermitian(mat, largest, dev)
+        _check_hermitian(mat[None])
         self._set_matrix(mat)
 
     def _set_matrix(self, mat):
@@ -189,13 +193,17 @@ class HermitianOperator:
         self._eigenvalues = self._eigenvectors = None
 
     @classmethod
-    def _built(cls, mat) -> "HermitianOperator":
-        """An operator the library built from validated parts: symmetrized
-        as on construction, with no scan for non-finite entries or for
-        deviation from Hermiticity.  ``mat`` must be a complex square array.
-        ``DensityOperator._built`` is the state form."""
-        op = HermitianOperator.__new__(HermitianOperator)
+    def _trusted(cls, mat, eigenvalues=None, eigenvectors=None) -> "HermitianOperator":
+        """A ``cls`` of a complex square matrix built from validated parts,
+        or left by the stacked rules (``states.density_stack``), with its
+        eigenpairs if known: symmetrized, and no rule applied again."""
+        op = cls.__new__(cls)
+        # symmetrizing again changes no value, at most the sign of an exactly
+        # zero part off the diagonal, which no sampled state has
         op._set_matrix(mat)
+        if eigenvalues is not None:
+            op._eigenvalues = _frozen(np.array(eigenvalues))
+            op._eigenvectors = _frozen(np.array(eigenvectors))
         return op
 
     # each structured constructor passes further arguments (``dims``) on to cls
@@ -377,7 +385,7 @@ class HermitianOperator:
         ``support_mask`` are retained; the rest map to 0 (support-restricted
         convention, e.g. ``omega^{-1/2}``).
         """
-        return HermitianOperator._built(
+        return HermitianOperator._trusted(
             function_stack(self.eigenvalues[None], self.eigenvectors[None], f, support_only)[0])
 
     def sqrt(self) -> "HermitianOperator":
@@ -474,6 +482,13 @@ def pure_fidelities(weights, overlaps) -> np.ndarray:
     return np.minimum(np.sqrt(np.maximum(weights * overlaps, 0.0)), 1.0)
 
 
+def row_dots(a, b) -> np.ndarray:
+    """``<a_k|b_k>``, the inner product conjugating ``a``, of each pair of
+    rows of two (n, D) stacks, as one batched product; on real stacks the
+    conjugate changes no value."""
+    return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def expectations(vecs, mats) -> np.ndarray:
     """``<v|M|v>`` (real part) of each vector ``v`` of an (n, D) stack with
     the matrix ``M`` of an (n, D, D) stack."""
@@ -487,7 +502,7 @@ def kron_expectations(vecs, v, s, a, b) -> np.ndarray:
     D), ``s`` (n,), ``A`` (n, d_A, d_A) and ``B`` (n, d_B, d_B)), in
     O(d_A d_B (d_A + d_B)): ``|<x|v>|^2 + s tr(X^dagger A X B^T)`` for the
     d_A x d_B reshape ``X`` of ``x``."""
-    z = (vecs.conj()[:, None, :] @ v[:, :, None])[:, 0, 0]
+    z = row_dots(vecs, v)
     x = vecs.reshape(len(vecs), a.shape[-1], b.shape[-1])
     q = (x.conj() * (a @ x @ b.swapaxes(1, 2))).sum(axis=(1, 2)).real
     return (z.real * z.real + z.imag * z.imag) + s * q
@@ -528,11 +543,7 @@ def hermitian_stack(mats, vectors: bool = False):
     ``descending_eigh`` (views), else None.  The first matrix that the
     constructor rejects raises its error."""
     mats = np.asarray(mats, dtype=complex)
-    largest = np.abs(mats).max(axis=(1, 2))
-    with np.errstate(invalid="ignore"):
-        dev = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2))
-    for mat, top, skew in zip(mats, largest.tolist(), dev.tolist()):
-        _check_hermitian(mat, top, skew)
+    _check_hermitian(mats)
     mats = _symmetrized(mats)
     return mats, descending_eigvalsh(mats), descending_eigh(mats)[1] if vectors else None
 

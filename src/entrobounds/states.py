@@ -174,20 +174,6 @@ class DensityOperator(HermitianOperator):
         return state if cls is DensityOperator else cls(state, *args)
 
     @classmethod
-    def _trusted(cls, mat, eigenvalues=None, eigenvectors=None) -> "DensityOperator":
-        """A state whose matrix the stacked rules (``density_stack``,
-        ``built_stack``) have already symmetrized, validated and repaired,
-        with its eigenpairs if known: no rule is applied again."""
-        state = DensityOperator.__new__(DensityOperator)
-        # symmetrizing again changes no value, at most the sign of an exactly
-        # zero part off the diagonal, which no sampled state has
-        state._set_matrix(mat)
-        if eigenvalues is not None:
-            state._eigenvalues = _frozen(np.array(eigenvalues))
-            state._eigenvectors = _frozen(np.array(eigenvectors))
-        return state
-
-    @classmethod
     def maximally_mixed(cls, dim: int, *args) -> "DensityOperator":
         return cls.diagonal(np.full(dim, 1.0 / dim), *args)
 
@@ -232,7 +218,7 @@ class StateStack(NamedTuple):
     def split(self):
         """The stacks of the even and of the odd states: the rho and the
         sigma of each pair drawn rho first."""
-        return tuple(StateStack(*(None if a is None else a[k::2] for a in self)) for k in (0, 1))
+        return tuple(type(self)(*(None if a is None else a[k::2] for a in self)) for k in (0, 1))
 
 
 def density_stack(mats, vectors: bool = False) -> StateStack:
@@ -311,9 +297,15 @@ class PureStack(NamedTuple):
         """The weight ``w`` of each state ``w |v><v|``, as its factor holds it."""
         return self.scales / self.traces
 
-    def split(self):
-        """The stacks of the even and of the odd states (``StateStack.split``)."""
-        return PureStack(*(a[0::2] for a in self)), PureStack(*(a[1::2] for a in self))
+    @classmethod
+    def of(cls, *states) -> "PureStack":
+        """The stack of states held as a rank-one factor ``(v, [l], 0)``, as
+        their construction left each: ``v``, its recorded trace and ``l``."""
+        return cls(np.stack([s.factor[0][:, 0] for s in states]),
+                   np.array([s._divisor or 1.0 for s in states]),
+                   np.array([s._parts[2][0] for s in states]))
+
+    split = StateStack.split
 
 
 def pure_stack(vecs) -> PureStack:
@@ -352,7 +344,7 @@ def embedded_stack(index, blocks: StateStack, dim: int) -> StateStack:
     ``m k < dim``), and renormalized alike.  No state is clamped."""
     diag = np.zeros((len(blocks.mats), dim), dtype=complex)
     diag[:, index] = np.diagonal(blocks.mats, axis1=2, axis2=3)
-    tr = diag.sum(axis=1).real
+    tr = diagonal_traces(diag)
     lam_min = blocks.eigenvalues[:, :, -1].min(axis=1)
     if index.size < dim:
         lam_min = np.minimum(lam_min, 0.0)

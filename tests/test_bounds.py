@@ -164,6 +164,12 @@ class TestCheckers:
         with pytest.raises(ValueError, match="mismatch"):
             check_af(rho, sigma)
 
+    def test_cor_pure_dimension_mismatch(self):
+        rng = np.random.default_rng(3)
+        phi, psi = sample_pure_bipartite(2, 3, rng), sample_pure_bipartite(3, 2, rng)
+        with pytest.raises(ValueError, match="bipartite dimension mismatch"):
+            check_cor_pure(phi, psi)
+
     def test_cor_pure_variants(self):
         rng = np.random.default_rng(4)
         phi = sample_pure_bipartite(3, 3, rng)

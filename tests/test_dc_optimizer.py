@@ -148,6 +148,11 @@ class TestModelDimension:
         with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
             dc_minimize_stack(rhos, model)
 
+    def test_a_start_count_other_than_the_state_count_is_rejected(self):
+        model = ConvexSetModel([np.eye(2) / 2])
+        with pytest.raises(ValueError, match="0 starts for 1 states"):
+            dc_minimize_stack([DensityOperator.maximally_mixed(2)], model, starts=[])
+
 
 class TestObjectiveAndGradient:
     def test_member_state_gives_zero(self):

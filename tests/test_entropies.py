@@ -172,6 +172,10 @@ class TestRelativeEntropy:
         # D(rho || 2*1) = -S(rho) - tr rho log2(2) = -1 - 1
         assert relative_entropy(rho, gamma) == pytest.approx(-2.0, abs=1e-12)
 
+    def test_gamma_not_psd_is_rejected(self):
+        with pytest.raises(ValueError, match="gamma is not positive semidefinite"):
+            relative_entropy(DensityOperator.maximally_mixed(2), -np.eye(2))
+
     def test_nonnegative_on_state_pairs(self):
         rng = np.random.default_rng(6)
         for _ in range(50):

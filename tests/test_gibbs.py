@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 import warnings
@@ -66,6 +67,11 @@ class TestHamiltonianSpec:
         with pytest.raises(ValueError, match="finite"):
             HamiltonianSpec.explicit(levels)
 
+    @pytest.mark.parametrize("levels", [[], [[0.0, 1.0]]])
+    def test_explicit_requires_a_1d_level_list(self, levels):
+        with pytest.raises(ValueError, match="need a 1-D level list"):
+            HamiltonianSpec.explicit(levels)
+
     @pytest.mark.parametrize("levels, named", [([0.0, 1e-320, 1e-320], "1e-320"),
                                                ([0.0, 5e-324, 1.0], "5e-324")])
     def test_explicit_rejects_a_subnormal_level(self, levels, named):
@@ -90,6 +96,18 @@ class TestHamiltonianSpec:
         with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
             HamiltonianSpec.oscillators([1.0], n_max=-1)
         assert HamiltonianSpec.oscillators([1.0], n_max=0).dim == 1
+
+    @pytest.mark.parametrize("n_max", [2.7, 3.0, True, False, "3", np.float64(2.0)])
+    def test_oscillator_cutoff_that_is_not_an_integer_raises(self, n_max):
+        """No cutoff is truncated or coerced: 2.7 would certify the tail of 2."""
+        message = f"n_max must be an integer, got {re.escape(repr(n_max))}"
+        with pytest.raises(ValueError, match=message):
+            HamiltonianSpec.oscillators([1.0], n_max=n_max)
+
+    @pytest.mark.parametrize("n_max", [5, np.int64(5)])
+    def test_oscillator_cutoff_takes_any_integer(self, n_max):
+        h = HamiltonianSpec.oscillators([1.0], n_max=n_max)
+        assert h.n_max == 5 and type(h.n_max) is int and h.dim == 6
 
     def test_oscillator_product_levels(self):
         h = HamiltonianSpec.oscillators([1.0, 2.0], n_max=1)
@@ -141,6 +159,11 @@ class TestPartitionFunction:
     def test_beta_domain(self):
         with pytest.raises(EnergyDomainError, match="beta"):
             log2_partition_function(HamiltonianSpec.oscillators([1.0]), 0.0)
+        with pytest.raises(EnergyDomainError, match="beta must be positive, got 0.0"):
+            mean_energy(HamiltonianSpec.explicit([0.0, 1.0]), 0.0)
+
+    def test_explicit_levels_have_no_truncation_tail(self):
+        assert truncation_tail(HamiltonianSpec.explicit([0, 1]), 1.0) == 0.0
 
     def test_truncation_tail_decreases_with_cutoff(self):
         t_small = truncation_tail(HamiltonianSpec.oscillators([1.0], n_max=5), 0.5)
@@ -418,6 +441,8 @@ class TestEnergyBounds:
         assert cond == pytest.approx(LEMMA7_COND, abs=1e-12)
         with pytest.raises(ValueError, match="alpha"):
             lemma7_bounds([1.0], 1.0, 0.1, 0.8)
+        with pytest.raises(ValueError, match=r"epsilon 1.0 outside \[0, 1\)"):
+            lemma7_bounds([1.0], 1.0, 1.0, 0.5)
 
     def test_lemma7_conditional_is_twice_entropy(self):
         for e in (0.5, 1.0, 4.0):
@@ -521,6 +546,8 @@ class TestCutoff:
         hot = DensityOperator.diagonal([0.0, 0.0, 1.0])
         with pytest.raises(EnergyDomainError, match="exceeds"):
             cutoff_decompose(hot, h, 1.0, 0.5)
+        with pytest.raises(ValueError, match=r"delta 0.0 outside \(0, 1\]"):
+            cutoff_decompose(DensityOperator.maximally_mixed(3), h, 2.0, 0.0)
 
     def test_bipartite_cutoff_keeps_structure(self):
         h = HamiltonianSpec.oscillators([1.0], n_max=10)

@@ -453,6 +453,14 @@ class TestGibbsTable:
         assert cli.main(argv) == cli.EXIT_OK
         assert calls == [20] * 4  # a chunk's Lemma 4 and Meta 5 energies
 
+    def test_a_verify_gibbs_energy_outside_the_domain_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        rc = cli.main(["verify", "gibbs", "--energies", "0.5,-1", "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "energy -1.0 outside the attainable open interval" in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_an_energy_outside_the_domain_keeps_its_own_row(self, capsys):
         assert cli.main(["gibbs-table", "--levels", "0,1,2", "--energies", "0.5,1,5"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -548,7 +556,8 @@ class TestCli:
 
     def test_config_file_and_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("dims=2\nsamples=2\nseed=5\n")
+        # blank and comment lines read as if they were absent
+        cfg.write_text("# a comment\ndims=2\n\nsamples=2\n  # indented\nseed=5\n")
         rc = cli.main(["verify", "fannes", "--config", str(cfg), "--samples", "4"])
         assert rc == cli.EXIT_OK
         assert "cases=4" in capsys.readouterr().out

@@ -97,11 +97,15 @@ class TestEigHermitian:
         with pytest.raises(ValueError, match="non-finite"):
             build()
 
+    def test_kron_vector_off_the_product_space_rejected(self):
+        with pytest.raises(ValueError, match="vector of length 5 is not on 2 x 2"):
+            HermitianOperator.rank_one_kron(np.ones(5), 0.1, np.eye(2), np.eye(2))
+
     def test_built_operators_keep_the_bits_of_a_checked_one(self):
         rng = np.random.default_rng(41)
         g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         mat = g + g.conj().T + 1e-13j * rng.standard_normal((5, 5))
-        assert np.array_equal(HermitianOperator._built(mat).mat, HermitianOperator(mat).mat)
+        assert np.array_equal(HermitianOperator._trusted(mat).mat, HermitianOperator(mat).mat)
 
 
 def _names(calls):

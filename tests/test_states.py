@@ -75,6 +75,10 @@ class TestDensityOperator:
 
 
 class TestBipartiteState:
+    def test_dims_must_factor_the_dimension(self):
+        with pytest.raises(StateValidationError, match="dims 3x2 do not match operator dimension 4"):
+            BipartiteState(DensityOperator.maximally_mixed(4), (3, 2))
+
     def test_takes_over_a_validated_state(self, solver_calls):
         rng = np.random.default_rng(31)
         states = [rho for _ in range(10)
