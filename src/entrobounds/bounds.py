@@ -87,10 +87,12 @@ def af_bound(epsilon: float, d_a: int, classical_b: bool = False) -> float:
 
 
 def dc_bound(epsilon: float, kappa: float) -> float:
-    if kappa < 0:
+    """eps kappa + (1+eps) h(eps/(1+eps)); 0 at eps = 0, also where the
+    certified kappa is +inf."""
+    if not kappa >= 0:
         raise ValueError(f"kappa must be nonnegative, got {kappa!r}")
     _unit_interval(epsilon)
-    return _af_form(epsilon, kappa)
+    return _af_form(epsilon, kappa) if epsilon else 0.0
 
 
 def cor1_delta(epsilon: float) -> float:
@@ -221,13 +223,13 @@ def check_cor_pure(phi: BipartiteState, psi: BipartiteState, which: str = "ef") 
 
 def fannes_admissible(d: int, epsilon: float) -> bool:
     """Whether the Fannes-Audenaert witness exists at (d, eps): 0 < eps <= 1 - 1/d."""
+    _dimension(d)
     return 0.0 < epsilon <= 1.0 - 1.0 / d
 
 
 def tightness_witness_fannes(d: int, epsilon: float):
     """(rho, sigma) saturating the Fannes-Audenaert bound:
     sigma = |0><0|, rho = (1-eps)|0><0| + eps/(d-1) (1 - |0><0|)."""
-    _dimension(d)
     if not fannes_admissible(d, epsilon):
         raise ValueError(f"epsilon {epsilon!r} outside (0, 1 - 1/d]")
     probs = np.full(d, epsilon / (d - 1))

@@ -66,7 +66,8 @@ def _load_config_file(path):
 
 
 # Every setting: its flag's ``add_argument`` keywords (``type`` also parses
-# the config-file value) and its CampaignConfig field.
+# the config-file value) and the field its command reads: a CampaignConfig
+# field, or part of gibbs-table's Hamiltonian (``modes``, ``levels``).
 _SETTINGS = {
     "dims": (dict(type=_parse_ints, help="comma-separated dimension grid"), "dims"),
     "energies": (dict(type=_parse_floats, help="comma-separated energy grid"), "energies"),
@@ -76,6 +77,9 @@ _SETTINGS = {
     "tol": (dict(type=tolerance, help="tolerance of a valid check, finite >= 0"), "tolerance"),
     "out": (dict(type=str, help="report file path"), "output"),
     "format": (dict(type=str, choices=("csv", "json"), help="report format"), "format"),
+    "modes": (dict(type=_parse_floats, help="oscillator mode energies (hbar omega); default 1.0"),
+              "modes"),
+    "levels": (dict(type=_parse_floats, help="explicit level list"), "levels"),
 }
 
 
@@ -98,16 +102,11 @@ def _build_parser():
             if field in fields:
                 p.add_argument(f"--{key}", **kwargs)
         p.add_argument("--config", help="flat key=value config file")
-
-    p_table = sub.choices["gibbs-table"]
-    p_table.add_argument("--modes", type=_parse_floats,
-                         help="oscillator mode energies (hbar omega); default 1.0")
-    p_table.add_argument("--levels", type=_parse_floats, help="explicit level list")
     return parser, sub.choices
 
 
 def _settings(args):
-    """The settings given, by CampaignConfig field: the config file's entries,
+    """The settings given, by the field read: the config file's entries,
     overridden by the flags given; a ConfigError names one the command does not read."""
     _, fixed, target, _ = _COMMANDS[args.command]
     name, reads = args.command, set(fixed)
@@ -157,8 +156,8 @@ def _cmd_witness(args, settings) -> int:
 
 def _cmd_gibbs_table(args, settings) -> int:
     energies = settings.get("energies", (0.25, 0.5, 1.0, 2.0, 4.0))
-    modes = (1.0,) if args.modes is None and args.levels is None else args.modes
-    h = gb.HamiltonianSpec(levels=args.levels, hbar_omegas=modes, n_max=512)
+    modes = settings.get("modes", None if "levels" in settings else (1.0,))
+    h = gb.HamiltonianSpec(levels=settings.get("levels"), hbar_omegas=modes, n_max=512)
     rows, records = emit_gibbs_table(h, energies, settings.get("output"),
                                      settings.get("tolerance", CampaignConfig.tolerance))
     for row in rows:
@@ -189,14 +188,14 @@ def _cmd_coupling_demo(args, settings) -> int:
     return _exit_code(report.records)
 
 
-# Each subcommand: its handler, the CampaignConfig fields it reads whatever its
+# Each subcommand: its handler, the ``_SETTINGS`` fields it reads whatever its
 # target, its target argument and the fields each target reads, and its help text.
 _COMMANDS = {
     "verify": (_cmd_verify, ("tolerance", "output", "format"), ("suite", SUITES),
                "run a verification campaign"),
     "witness": (_cmd_witness, ("tolerance",), ("name", WITNESSES),
                 "evaluate a tightness witness"),
-    "gibbs-table": (_cmd_gibbs_table, ("energies", "tolerance", "output"), None,
+    "gibbs-table": (_cmd_gibbs_table, ("energies", "modes", "levels", "tolerance", "output"), None,
                     "tabulate the Gibbs solver"),
     "coupling-demo": (_cmd_coupling_demo, ("dims", "seed", "tolerance"), None,
                       "construct and check couplings for a sampled pair"),

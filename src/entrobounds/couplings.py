@@ -52,8 +52,9 @@ import numpy as np
 
 from .linalg import (PSD_ATOL, HermitianOperator, _symmetrized, eigenpairs, function_stack,
                      kron_diagonals, kron_expectations, pure_fidelities, rank_one_factor, row_dots)
-from .states import (BipartiteState, DensityOperator, StateStack, built_stack, density_stack,
-                     divisors, factored_traces, pure_stack, state_pair, vector_marginals)
+from .states import (TRACE_ATOL, BipartiteState, DensityOperator, StateStack, built_stack,
+                     density_stack, divisors, factored_traces, pure_stack, state_pair,
+                     vector_marginals)
 
 _DEGENERATE_EPS = 1e-12
 
@@ -155,6 +156,18 @@ class DiagonalCouplings(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
+def _distribution(p) -> np.ndarray:
+    """``p`` as a probability vector: finite entries >= 0 that sum to 1
+    within ``TRACE_ATOL``."""
+    v = np.asarray(p, float)
+    bad = v[~(np.isfinite(v) & (v >= 0.0))]
+    if bad.size:
+        raise ValueError(f"probability {float(bad[0])!r} is not finite and >= 0")
+    if not abs(v.sum() - 1.0) <= TRACE_ATOL:
+        raise ValueError(f"probabilities sum to {float(v.sum())!r}, not 1")
+    return v
+
+
 def maximal_classical_coupling(p, q) -> ClassicalCoupling:
     """Joint distribution with diagonal min(p, q) and the residual mass
     distributed as the product of the normalized residuals.
@@ -162,7 +175,7 @@ def maximal_classical_coupling(p, q) -> ClassicalCoupling:
     Achieves Pr{X != Y} = 0.5 * ||p - q||_1, the minimum over all
     couplings of p and q.
     """
-    pv, qv = np.asarray(p, float), np.asarray(q, float)
+    pv, qv = _distribution(p), _distribution(q)
     if pv.shape != qv.shape:
         raise ValueError("distributions must have equal length")
     m = np.minimum(pv, qv)

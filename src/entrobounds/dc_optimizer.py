@@ -58,6 +58,8 @@ _MAX_ITERS = 2000
 _SMOOTHING = (1e-2, 1e-6)
 _ASCENT_RTOL = 1e-6
 _ASCENT_EIGH = 100
+# The duality gap to which ``estimate_kappa`` solves each of its probes.
+_KAPPA_TOL = 1e-7
 
 
 class SingularMixtureError(RuntimeError):
@@ -504,8 +506,7 @@ def kappa_bracket(model: ConvexSetModel,
     return lo, hi, results
 
 
-def estimate_kappa(model: ConvexSetModel, rng=None, n_probes: int = 200,
-                   tol: float = 1e-7) -> float:
+def estimate_kappa(model: ConvexSetModel, rng=None, n_probes: int = 200) -> float:
     """Sampled estimate of the largest variation of D_C over states.
 
     D_C is convex, hence maximized on pure states; the max is probed over
@@ -513,7 +514,7 @@ def estimate_kappa(model: ConvexSetModel, rng=None, n_probes: int = 200,
     normalized generators and the maximally mixed state.  All of them are
     minimized in one lockstep stack.  Being a max and a min over finitely
     many points, the estimate can only fall short of the true variation
-    (up to ``tol``): an underestimate, not a certificate; callers flag it
+    (up to ``_KAPPA_TOL``): an underestimate, not a certificate; callers flag it
     as such.  ``kappa_bracket`` certifies kappa from both sides.
     """
     rng = np.random.default_rng(rng if rng is not None else 0)
@@ -525,5 +526,5 @@ def estimate_kappa(model: ConvexSetModel, rng=None, n_probes: int = 200,
         tr = g.trace()
         if tr > 1e-12:
             lo_candidates.append(DensityOperator(g.mat / tr))
-    values = [r.value for r in dc_minimize_stack(probes + lo_candidates, model, tol=tol)]
+    values = [r.value for r in dc_minimize_stack(probes + lo_candidates, model, tol=_KAPPA_TOL)]
     return max(values[:len(probes)]) - min(values)

@@ -111,8 +111,8 @@ def gibbs_entropy_g(n: float) -> float:
     """g(N) = (N+1) log2(N+1) - N log2 N, the single-mode thermal entropy
     at mean occupation N, evaluated as log2(N+1) + N log1p(1/N) log2 e so
     that nothing cancels at large N."""
-    if n < 0:
-        raise ValueError(f"mean occupation must be nonnegative, got {n!r}")
+    if not 0 <= n < math.inf:
+        raise ValueError(f"mean occupation must be nonnegative and finite, got {n!r}")
     if n < 1e-300:
         return 0.0
     return math.log2(n + 1) + n * math.log1p(1.0 / n) * LOG2_E

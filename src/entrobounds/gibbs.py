@@ -509,51 +509,45 @@ def meta_delta(epsilon: float, epsilon_prime: float) -> float:
     return (epsilon_prime - epsilon) / (1.0 + epsilon_prime)
 
 
-def _first_failure(*masks) -> tuple[int, int] | None:
-    """(k, i) of the first True of the masks in case order, entry i of every
-    mask before entry i + 1, and mask k before mask k + 1; None if none is."""
-    firsts = [(int(np.argmax(m)), k) for k, m in enumerate(masks) if m.any()]
-    return min(firsts)[::-1] if firsts else None
-
-
 def lemma4_meta5_bounds(hamiltonian: HamiltonianSpec, energy: float, lemma4_epsilons,
                         epsilons, epsilon_primes) -> tuple[np.ndarray, np.ndarray]:
     """Lemma 4 at each eps of ``lemma4_epsilons`` and Meta 5 at each
     (eps, eps') of ``epsilons`` and ``epsilon_primes``, each bit for bit its
     scalar form, with the Gibbs entropies S(gamma(E/eps)) and
     S(gamma(E/delta)) of both from one ``solve_betas`` call and the binary
-    entropies as ``von_neumann_entropies`` of the rows (x, 1 - x).  Of
-    several bad arguments, or several energies without a solution, the one
-    a case-by-case evaluation (Lemma 4, then Meta 5, of case i before case
-    i + 1) meets first raises; every argument is checked before the solve."""
-    eps4 = np.asarray(lemma4_epsilons, dtype=float).reshape(-1)
-    eps5 = np.asarray(epsilons, dtype=float).reshape(-1)
-    ep5 = np.asarray(epsilon_primes, dtype=float).reshape(-1)
-    bad = _first_failure(~((0.0 <= eps4) & (eps4 <= 1.0)),
-                         ~((0.0 <= eps5) & (eps5 < ep5) & (ep5 <= 1.0)))
-    if bad is not None:
-        k, i = bad
-        if k == 0:
-            _unit_interval(lemma4_epsilons[i])
-        else:
-            meta_delta(epsilons[i], epsilon_primes[i])
-    d = (ep5 - eps5) / (1.0 + ep5)
-    solve4 = eps4 != 0.0  # Lemma 4 at eps = 0 is 0, with no solve
-    e4 = eps4[solve4]
-    n4 = len(e4)
+    entropies as ``von_neumann_entropies`` of the rows (x, 1 - x).
+
+    One walk over the cases, Lemma 4 before Meta 5 of case i and case i
+    before case i + 1, checks each argument by its own rule
+    (``_unit_interval``, ``meta_delta``, which also gives delta) and lists
+    the energies E/eps and E/delta to solve in that order, so that the first
+    bad argument raises before any solve, and the first energy without a
+    solution raises after it."""
+    eps4, eps5, ep5 = (np.asarray(x, dtype=float).reshape(-1).tolist()
+                       for x in (lemma4_epsilons, epsilons, epsilon_primes))
+    cases, xs = [], []  # per solve: its Lemma 4 case (-1 for a Meta 5 one), its eps or delta
+    for i in range(max(len(eps4), len(eps5))):
+        if i < len(eps4):
+            _unit_interval(eps4[i])
+            if eps4[i] != 0.0:  # Lemma 4 at eps = 0 is 0, with no solve
+                cases.append(i)
+                xs.append(eps4[i])
+        if i < len(eps5):
+            cases.append(-1)
+            xs.append(meta_delta(eps5[i], ep5[i]))
+    x, case = np.array(xs, dtype=float), np.array(cases, dtype=int)
     with np.errstate(over="ignore"):  # E / eps past the floats is inf, as for a float
-        sols = solve_betas(hamiltonian, np.concatenate([energy / e4, energy / d]))
-    if any(sols.errors):
-        failed = np.array([err is not None for err in sols.errors], dtype=bool)
-        failed4 = np.zeros(len(eps4), dtype=bool)
-        failed4[solve4] = failed[:n4]
-        k, i = _first_failure(failed4, failed[n4:])
-        raise sols.errors[np.count_nonzero(solve4[:i]) if k == 0 else n4 + i]
-    s = sols.entropy
-    h4, h_ep, h_d = np.split(_binary_entropies(np.concatenate([e4, ep5, d])), [n4, n4 + len(d)])
+        sols = solve_betas(hamiltonian, energy / x)
+    for err in sols.errors:
+        if err is not None:
+            raise err
+    is4 = case >= 0
+    e4, d, ep = x[is4], x[~is4], np.array(ep5, dtype=float)
+    h4, h_ep, h_d = np.split(_binary_entropies(np.concatenate([e4, ep, d])),
+                             [len(e4), len(e4) + len(ep)])
     lemma4 = np.zeros(len(eps4))
-    lemma4[solve4] = 2.0 * e4 * s[:n4] + h4
-    return lemma4, (ep5 + 2.0 * d) * s[n4:] + h_ep + h_d
+    lemma4[case[is4]] = 2.0 * e4 * sols.entropy[is4] + h4
+    return lemma4, (ep + 2.0 * d) * sols.entropy[~is4] + h_ep + h_d
 
 
 def _binary_entropies(x: np.ndarray) -> np.ndarray:
@@ -623,7 +617,6 @@ class CutoffDecomposition:
     weight_gt: float
     state_le: object  # DensityOperator or BipartiteState
     state_gt: object
-    mean_energy: float
 
 
 def _energy_of(mat: np.ndarray, levels: np.ndarray, d_b: int) -> float:
@@ -672,7 +665,6 @@ def cutoff_decompose(state, hamiltonian: HamiltonianSpec, energy: float,
         weight_gt=lam,
         state_le=state_le,
         state_gt=state_gt,
-        mean_energy=e_state,
     )
 
 

@@ -11,8 +11,9 @@ together, one generator per case, and puts their records back in case
 order.  The ``fannes``, ``af``, ``energy_bounds``, ``couplings`` and
 ``cor_pure`` suites draw each case from its own generator as the scalar
 samplers do, validate and decompose the whole chunk as one stack
-(``states.density_stack``; ``states.pure_stack`` keeps pure states as
-vectors and ``states.embedded_stack`` block states as their blocks) and
+(``states.density_stack``, of the k x k blocks alone for
+``energy_bounds``; ``states.pure_stack`` keeps pure states as vectors and
+``states.embedded_stack`` assembled qc states as their blocks) and
 score it with the stacked checks and couplings, with the same report
 bytes.  A chunk holds at most ``states.CHUNK_BYTES`` (256 KiB) of dense
 matrices, one case at least, so that large states are never stacked
@@ -40,9 +41,9 @@ from . import couplings as cpl
 from . import gibbs as gb
 from .entropies import shannon_entropy, von_neumann_entropies
 from .linalg import block_spectra, trace_distances
-from .states import (CHUNK_BYTES, StateStack, block_marginals, density_stack, draw_pure_vectors,
-                     draw_qc, draw_state_matrices, embedded_stack, partial_traces, pure_stack,
-                     qc_blocks, sample_state)
+from .states import (CHUNK_BYTES, block_marginals, density_stack, draw_pure_vectors, draw_qc,
+                     draw_state_matrices, embedded_stack, partial_traces, pure_stack, qc_blocks,
+                     sample_state)
 
 REPORT_COLUMNS = ("suite", "case", "variant", "dim", "energy", "epsilon",
                   "epsilon_prime", "lhs", "rhs", "slack", "valid")
@@ -276,13 +277,13 @@ def _energy_bounds_bytes(h, e):
 
 def _case_energy_bounds(rngs, h, e):
     """A chunk of ``sample_energy_constrained`` pairs at ``e``, checked on
-    their k x k blocks: Lemma 4 and Meta 5 at their trace distance, with one
-    stacked solve for the chunk's Gibbs entropies."""
-    rows, dim, blocks = gb.draw_energy_block(h, e, _twice(rngs))
-    blocks = density_stack(blocks)
-    states = embedded_stack(rows[None], StateStack(*(a[:, None] for a in blocks[:2])), dim)
-    entropies = von_neumann_entropies(block_spectra(states.eigenvalues, dim)[0])
-    epsilons = trace_distances(states.mats[0::2], states.mats[1::2], dim).tolist()
+    their k x k blocks, each validated once: Lemma 4 and Meta 5 at their
+    trace distance as states of the ``dim``-level space, with one stacked
+    solve for the chunk's Gibbs entropies."""
+    _, dim, blocks = gb.draw_energy_block(h, e, _twice(rngs))
+    states = density_stack(blocks)
+    entropies = von_neumann_entropies(states.eigenvalues)
+    epsilons = trace_distances(states.mats[0::2, None], states.mats[1::2, None], dim).tolist()
     gaps = np.abs(entropies[0::2] - entropies[1::2]).tolist()
     primes = [min(1.0, eps + 0.1) for eps in epsilons]
     lemma4, meta5 = (x.tolist() for x in gb.lemma4_meta5_bounds(

@@ -83,6 +83,15 @@ class TestFormulas:
         with pytest.raises(ValueError, match="kappa"):
             dc_bound(0.1, -1.0)
 
+    def test_dc_rejects_a_nan_kappa(self):
+        with pytest.raises(ValueError, match="kappa must be nonnegative, got nan"):
+            dc_bound(0.1, math.nan)
+
+    def test_dc_at_eps_0_is_0_for_an_infinite_kappa(self):
+        # kappa_bracket certifies kappa = +inf where no mixture is full rank
+        assert dc_bound(0.0, math.inf) == 0.0
+        assert dc_bound(0.2, math.inf) == math.inf
+
     def test_dc_with_double_log_dim_equals_af(self):
         for eps in (0.05, 0.2, 0.7):
             for d in (2, 3, 5):

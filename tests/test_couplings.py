@@ -105,6 +105,16 @@ class TestClassicalCoupling:
         with pytest.raises(ValueError, match="equal length"):
             maximal_classical_coupling([0.5, 0.5], [1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("p, error", [
+        ([1.5, -0.5], r"probability -0\.5 is not finite and >= 0"),
+        ([2.0, 2.0], r"probabilities sum to 4\.0, not 1"),
+        ([0.5, np.nan], r"probability nan is not finite and >= 0"),
+    ], ids=["negative", "sum", "nan"])
+    def test_rejects_a_non_distribution(self, p, error):
+        for pair in ((p, [0.5, 0.5]), ([0.5, 0.5], p)):
+            with pytest.raises(ValueError, match=error):
+                maximal_classical_coupling(*pair)
+
 
 class TestDecomposition:
     def test_identical_pair_degenerate(self):

@@ -222,6 +222,11 @@ class TestGibbsEntropyG:
         with pytest.raises(ValueError, match="nonnegative"):
             gibbs_entropy_g(-0.5)
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf])
+    def test_non_finite_rejected(self, n):
+        with pytest.raises(ValueError, match=f"finite, got {n!r}"):
+            gibbs_entropy_g(n)
+
     def test_monotone_and_concave(self):
         grid = np.linspace(0.01, 50.0, 200)
         vals = np.array([gibbs_entropy_g(x) for x in grid])

@@ -576,12 +576,15 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["verify tightness", "witness fannes"])
     def test_empty_grid_exits_2(self, command, capsys):
-        # eps = 0.75 exceeds 1 - 1/d at d = 2, so nothing is checked
-        rc = cli.main([*command.split(), "--dims", "2", "--eps", "0.75"])
-        assert rc == cli.EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert "error:" in captured.err
-        assert captured.out == ""
+        # eps = 0.75 exceeds 1 - 1/d at d = 2, so nothing is checked; at
+        # d = 0 (where 1/d would divide by zero) and d = 1 there is no witness
+        for dims, error in (("2", "grid has no cases"), ("0", "dimension must be >= 2, got 0"),
+                            ("1", "dimension must be >= 2, got 1")):
+            rc = cli.main([*command.split(), "--dims", dims, "--eps", "0.75"])
+            assert rc == cli.EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and error in captured.err
+            assert captured.out == ""
 
     def test_witness_fannes(self, capsys):
         rc = cli.main(["witness", "fannes", "--dims", "2,4", "--eps", "0.25"])
@@ -1046,6 +1049,20 @@ class TestCli:
         default = capsys.readouterr().out
         assert cli.main(["gibbs-table", "--modes", "1.0", "--energies", "1"]) == cli.EXIT_OK
         assert capsys.readouterr().out == default
+
+    @pytest.mark.parametrize("hamiltonian", [("modes", "1.0,2.0"), ("levels", "0,1")],
+                             ids=["modes", "levels"])
+    def test_config_file_sets_the_gibbs_table_hamiltonian(self, hamiltonian, tmp_path, capsys):
+        key, value = hamiltonian
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text(f"{key}={value}\nenergies=1,2\n")
+        assert cli.main(["gibbs-table", "--config", str(cfg)]) == cli.EXIT_OK
+        from_file = capsys.readouterr().out
+        assert cli.main(["gibbs-table", f"--{key}", value, "--energies", "1,2"]) == cli.EXIT_OK
+        assert capsys.readouterr().out == from_file
+        # the commands that take no Hamiltonian reject it
+        assert cli.main(["verify", "gibbs", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        assert f"verify gibbs reads no setting {key!r}" in capsys.readouterr().err
 
     def test_gibbs_table_at_levels_of_any_scale(self, capsys):
         """Levels whose squares under- or overflow solve without a warning."""
