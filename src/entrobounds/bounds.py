@@ -19,6 +19,10 @@ spectra and B marginals of rho and sigma interleaved as drawn,
 ``check_cor_pure_stack`` pure states), and ``_reports`` builds every
 report list.  ``check_fannes``, ``check_af`` and ``check_cor_pure`` are
 stacks of one: a state brings the spectrum and marginals it holds.
+``check_fannes_witnesses`` and ``check_af_witnesses`` build the witness
+pairs at one d for a whole eps grid as one stack of their parts (1 x 1
+blocks, or factors) and score it with the same kernels, each record with
+the bits of ``check_fannes`` or ``check_af`` of its scalar pair.
 """
 
 from __future__ import annotations
@@ -30,8 +34,10 @@ import numpy as np
 
 from .entropies import binary_entropy, conditional_entropies, von_neumann_entropies
 from .dc_optimizer import ConvexSetModel, kappa_bracket
-from .linalg import factored_trace_distances, rank_one_factor, trace_distance
-from .states import (BipartiteState, DensityOperator, PureStack, b_marginal, density_stack,
+from .linalg import (block_spectra, factored_trace_distances, rank_one_factor, trace_distance,
+                     trace_distances)
+from .states import (BipartiteState, DensityOperator, PureStack, StateStack, b_marginal,
+                     density_stack, embedded_stack, factored_marginals, factored_traces,
                      maximally_entangled_state, pure_marginals, state_pair)
 
 @dataclass(frozen=True)
@@ -227,11 +233,27 @@ def fannes_admissible(d: int, epsilon: float) -> bool:
     return 0.0 < epsilon <= 1.0 - 1.0 / d
 
 
+def _fannes_witness_args(d: int, epsilons) -> None:
+    """Raise the error of the first eps of ``epsilons`` at which the Fannes
+    witness at d does not exist."""
+    for epsilon in epsilons:
+        if not fannes_admissible(d, epsilon):
+            raise ValueError(f"epsilon {epsilon!r} outside (0, 1 - 1/d]")
+
+
+def _af_witness_args(d: int, epsilons) -> None:
+    """Raise the error of d, else of the first eps of ``epsilons``, at which
+    the AF witness does not exist: d >= 2 and 0 < eps <= 1."""
+    _dimension(d)
+    for epsilon in epsilons:
+        if not 0.0 < epsilon <= 1.0:
+            raise ValueError(f"epsilon {epsilon!r} outside (0, 1]")
+
+
 def tightness_witness_fannes(d: int, epsilon: float):
     """(rho, sigma) saturating the Fannes-Audenaert bound:
     sigma = |0><0|, rho = (1-eps)|0><0| + eps/(d-1) (1 - |0><0|)."""
-    if not fannes_admissible(d, epsilon):
-        raise ValueError(f"epsilon {epsilon!r} outside (0, 1 - 1/d]")
+    _fannes_witness_args(d, [epsilon])
     probs = np.full(d, epsilon / (d - 1))
     probs[0] = 1.0 - epsilon
     rho = DensityOperator.diagonal(probs)
@@ -245,12 +267,51 @@ def tightness_witness_af(d: int, epsilon: float):
     the factor (Phi, [1-eps], eps/(d^2-1)) on sigma's own vector, so the
     trace distance of the pair needs no d^2 x d^2 eigendecomposition.
     The achieved gap is eps log2(d^2 - 1) + h(eps)."""
-    _dimension(d)
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon {epsilon!r} outside (0, 1]")
+    _af_witness_args(d, [epsilon])
     sigma = maximally_entangled_state(d)
     rho = BipartiteState.factored(sigma.factor[0], [1.0 - epsilon], epsilon / (d * d - 1), (d, d))
     return rho, sigma
+
+
+def check_fannes_witnesses(d: int, epsilons) -> list:
+    """``check_fannes(*tightness_witness_fannes(d, eps))`` at each eps of
+    ``epsilons``, bit for bit, as one stack: the diagonals of the pairs,
+    rho and sigma interleaved, held to the state rule as the 1 x 1 blocks
+    of their states (``states.embedded_stack``), eps from the blocks'
+    differences and the spectra sorted from the blocks.  The first eps
+    with no witness raises its error."""
+    _fannes_witness_args(d, epsilons)
+    eps = np.array(epsilons, dtype=float)
+    diags = np.zeros((2 * len(eps), d))
+    diags[0::2] = (eps / (d - 1))[:, None]
+    diags[0::2, 0] = 1.0 - eps
+    diags[1::2, 0] = 1.0
+    states = embedded_stack(np.arange(d)[:, None], StateStack(
+        diags.astype(complex)[:, :, None, None], diags[:, :, None]), d)
+    eps = trace_distances(states.mats[0::2], states.mats[1::2], d)
+    return check_fannes_stack(eps, block_spectra(states.eigenvalues, d)[0])
+
+
+def check_af_witnesses(d: int, epsilons) -> list:
+    """``check_af(*tightness_witness_af(d, eps))`` at each eps of ``epsilons``,
+    bit for bit, as one stack with no d^2 x d^2 matrix built: the factors
+    ``(Phi_d, [1-eps], eps/(d^2-1))`` and ``(Phi_d, [1], 0)`` interleaved,
+    held to the trace rule (``states.factored_traces``), eps from the renormalized
+    factors, the spectra sorted from them and the B marginals from
+    ``states.factored_marginals``.  The first bad argument raises its
+    error."""
+    _af_witness_args(d, epsilons)
+    eps = np.array(epsilons, dtype=float)
+    n, dim = 2 * len(eps), d * d
+    vecs = np.broadcast_to(maximally_entangled_state(d).factor[0], (n, dim, 1))
+    lam, c = np.ones((n, 1)), np.zeros(n)
+    lam[0::2, 0], c[0::2] = 1.0 - eps, eps / (d * d - 1)
+    tr = factored_traces(vecs, lam, c)
+    spectra = block_spectra(np.concatenate([lam, np.repeat(c[:, None], dim - 1, axis=1)], axis=1),
+                            dim)[0] / tr[:, None]
+    factors = vecs, lam / tr[:, None], c / tr
+    eps = factored_trace_distances(*(x[0::2] for x in factors), *(x[1::2] for x in factors))
+    return check_af_stack(eps, spectra, factored_marginals(vecs, lam, c, tr, (d, d)), d)
 
 
 def af_witness_gap(d: int, epsilon: float) -> float:

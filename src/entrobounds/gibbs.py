@@ -29,6 +29,9 @@ stacks.  Each kernel has at most one scalar name, which calls it directly
 with a stack of one and keeps its bits: ``solve_beta`` (of which
 ``gibbs_entropy`` reads the entropy), ``mean_energy``,
 ``log2_partition_function``, ``lemma4_bound`` and ``meta5_bound``.
+``check_oscillator_witnesses`` checks the entropy witness at one energy
+for a whole eps grid: one solve for gamma(E), the sigma rows as one
+stack and one ``lemma4_meta5_bounds`` call.
 
 The oscillator closed forms that split the energy equally among the
 modes (``oscillator_entropy_upper``, ``lemma7_bounds``) and
@@ -46,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import _af_form, _unit_interval
+from .bounds import BoundReport, _af_form, _unit_interval
 from .entropies import LOG2_E, binary_entropy, clipped_binary, von_neumann_entropies
 from .linalg import DENSE_DIM_LIMIT, HermitianOperator, check_dense_dim
 from .states import (
@@ -716,6 +719,31 @@ def _single_mode_truncation(energy: float, tail: float) -> int:
     return max(2, int(math.ceil(math.log(tail) / -math.log1p(1.0 / energy))))
 
 
+def _witness_levels(energy: float) -> int:
+    """The levels of the entropy witness at E, whose thermal tail is below
+    1e-13; 1 where E is not positive and finite (the witness raises)."""
+    return _single_mode_truncation(energy, 1e-13) + 1 if 0.0 < energy < math.inf else 1
+
+
+def _entropy_witnesses(energy: float, epsilons, n_max: int | None = None):
+    """The Hamiltonian, rho and the stack of sigma rows of the entropy witness
+    at E and each eps of ``epsilons`` (valid arguments), with one solve."""
+    cut = n_max if n_max is not None else _witness_levels(energy) - 1
+    h = HamiltonianSpec.oscillators([1.0], n_max=cut)
+    gamma = solve_beta(h, energy).checked_probabilities()
+    rho = np.zeros(cut + 1)
+    rho[0] = 1.0
+    eps = np.array(epsilons, dtype=float)[:, None]
+    sigma = (1.0 - eps) * rho + eps * gamma
+    return h, rho, sigma / sigma.sum(axis=1, keepdims=True)
+
+
+def _witness_energy(energy: float) -> None:
+    """The energy rule of the oscillator witnesses: positive and finite."""
+    if not 0.0 < energy < math.inf:
+        raise EnergyDomainError(f"energy must be positive and finite, got {energy!r}")
+
+
 def oscillator_tightness_witness(energy: float, epsilon: float,
                                  conditional: bool = False,
                                  n_max: int | None = None):
@@ -737,16 +765,10 @@ def oscillator_tightness_witness(energy: float, epsilon: float,
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon {epsilon!r} outside (0, 1]")
-    if not 0.0 < energy < math.inf:
-        raise EnergyDomainError(f"energy must be positive and finite, got {energy!r}")
+    _witness_energy(energy)
     if not conditional:
-        cut = n_max if n_max is not None else _single_mode_truncation(energy, 1e-13)
-        h = HamiltonianSpec.oscillators([1.0], n_max=cut)
-        gamma = solve_beta(h, energy).checked_probabilities()
-        rho = np.zeros(cut + 1)
-        rho[0] = 1.0
-        sigma = (1.0 - epsilon) * rho + epsilon * gamma
-        return rho, sigma / sigma.sum()
+        _, rho, sigma = _entropy_witnesses(energy, [epsilon], n_max)
+        return rho, sigma[0]
 
     cut = n_max if n_max is not None else min(_single_mode_truncation(energy, 1e-10), 63)
     h = HamiltonianSpec.oscillators([1.0], n_max=cut)
@@ -758,3 +780,27 @@ def oscillator_tightness_witness(energy: float, epsilon: float,
     sigma = BipartiteState._built(HermitianOperator.rank_one_kron(
         math.sqrt(1.0 - epsilon) * v, epsilon, gamma.mat, tau.mat), (d, d))
     return rho, sigma
+
+
+def check_oscillator_witnesses(energy: float, epsilons) -> list:
+    """The Lemma 4 record of the entropy witness
+    ``oscillator_tightness_witness(E, eps)`` at each eps of ``epsilons``, bit
+    for bit as each pair's Shannon entropies and ``lemma4_bound`` give it:
+    one solve for gamma(E), the sigma rows of all eps as one stack, their
+    entropies from ``von_neumann_entropies`` and the bounds from one
+    ``lemma4_meta5_bounds`` call.  The error of the first case with one is
+    raised: its bad eps, the energy's or its bound's."""
+    epsilons = list(epsilons)
+    bad = next((i for i, e in enumerate(epsilons) if not 0.0 < e <= 1.0), None)
+    good, reports = epsilons[:bad], []
+    if good:  # the first case gets past its eps
+        _witness_energy(energy)
+        h, rho, sigma = _entropy_witnesses(energy, good)
+        entropies = von_neumann_entropies(np.vstack([rho, sigma]))
+        lhs = np.abs(entropies[0] - entropies[1:]).tolist()
+        rhs = lemma4_meta5_bounds(h, energy, good, (), ())[0].tolist()
+        reports = [BoundReport(variant="oscillator_lemma4", dim=len(rho), lhs=lh, rhs=r,
+                               epsilon=e, energy=energy) for e, lh, r in zip(good, lhs, rhs)]
+    if bad is not None:
+        raise ValueError(f"epsilon {epsilons[bad]!r} outside (0, 1]")
+    return reports

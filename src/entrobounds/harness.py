@@ -23,7 +23,12 @@ each case its energy as an ``Each`` parameter, so that a chunk holds a
 whole energy grid (a case counts its row of Gibbs weights) and solves and
 checks it with one ``gibbs.solve_betas`` and one ``gibbs.entropy_checks``
 call; ``energy_bounds`` solves a chunk's Lemma 4 and Meta 5 energies in
-one stack.  Every other suite takes chunks of one case.
+one stack.  ``tightness`` and ``check_witnesses`` give each case its eps
+as an ``Each`` parameter, so that a chunk holds the cases of one
+``(witness, x)``, x the dimension (the energy, for the oscillator), and
+builds and checks them with one stacked witness check (a case counts the
+complex diagonals of its pair, or its row of sigma weights).  ``dc``
+takes chunks of one case (``_per_case``).
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import numpy as np
 from . import bounds as bnd
 from . import couplings as cpl
 from . import gibbs as gb
-from .entropies import shannon_entropy, von_neumann_entropies
+from .entropies import von_neumann_entropies
 from .linalg import block_spectra, trace_distances
 from .states import (CHUNK_BYTES, block_marginals, density_stack, draw_pure_vectors, draw_qc,
                      draw_state_matrices, embedded_stack, partial_traces, pure_stack, qc_blocks,
@@ -144,6 +149,10 @@ def _per_case(case):
 
 
 def _dims_by_samples(dims, samples):
+    """``samples`` cases of each d of ``dims``, every d held to the dimension
+    rule (d >= 2) before any case runs."""
+    for d in dims:
+        bnd._dimension(d)
     return [(d,) for d in dims for _ in range(samples)]
 
 
@@ -165,7 +174,7 @@ def _case_fannes(rngs, d):
 
 
 def _grid_af(dims, samples):
-    return [(d, classical_b) for d in dims for _ in range(samples)
+    return [(d, classical_b) for (d,) in _dims_by_samples(dims, samples)
             for classical_b in (False, True)]
 
 
@@ -295,22 +304,29 @@ def _case_energy_bounds(rngs, h, e):
 
 
 def _grid_tightness(dims, epsilons):
-    return [(witness, d, eps) for d in dims for eps in epsilons
+    return [(witness, d, Each(eps)) for d in dims for eps in epsilons
             if bnd.fannes_admissible(d, eps) for witness in ("fannes", "af")]
 
 
-@_per_case
-def _case_witness(rng, witness, x, eps):
-    """The ``witness`` pair at dimension (for the oscillator, energy) ``x``."""
-    if witness == "fannes":
-        return [bnd.check_fannes(*bnd.tightness_witness_fannes(x, eps))]
-    if witness == "af":
-        return [bnd.check_af(*bnd.tightness_witness_af(x, eps))]
-    p, q = gb.oscillator_tightness_witness(x, eps)
-    lhs = abs(shannon_entropy(p) - shannon_entropy(q))
-    h = gb.HamiltonianSpec.oscillators([1.0], n_max=len(p) - 1)
-    return [bnd.BoundReport(variant="oscillator_lemma4", dim=len(p), lhs=lhs,
-                            rhs=gb.lemma4_bound(h, x, eps), epsilon=eps, energy=x)]
+# each witness's check of a chunk: its pairs at one x and the chunk's eps
+_WITNESS_CHECKS = {"fannes": bnd.check_fannes_witnesses, "af": bnd.check_af_witnesses,
+                   "oscillator": gb.check_oscillator_witnesses}
+
+
+def _case_witness(rngs, witness, x, epsilons):
+    """A chunk of the ``witness`` pairs at dimension (for the oscillator,
+    energy) ``x``, one per eps of ``epsilons``, built and checked as one
+    stack; the first case with an error raises it."""
+    return [[rep] for rep in _WITNESS_CHECKS[witness](x, epsilons)]
+
+
+def _witness_bytes(witness, x, _epsilon):
+    """The bytes of a witness case's largest stacked part: the complex
+    diagonals of its pair (Fannes: d, AF: d^2 each), or its row of sigma
+    weights (oscillator)."""
+    if witness == "oscillator":
+        return 8 * gb._witness_levels(x)
+    return 2 * 16 * (x * x if witness == "af" else x)
 
 
 _SAMPLED = ("dims", "samples", "seed")
@@ -323,7 +339,7 @@ _SUITE_TABLE = {
     "gibbs": (_grid_gibbs, _case_gibbs, ("energies",), _gibbs_bytes),
     "energy_bounds": (_grid_energy_bounds, _case_energy_bounds, ("energies", "samples", "seed"),
                       _energy_bounds_bytes),
-    "tightness": (_grid_tightness, _case_witness, ("dims", "epsilons"), None),
+    "tightness": (_grid_tightness, _case_witness, ("dims", "epsilons"), _witness_bytes),
 }
 
 # Each suite and witness with the CampaignConfig fields it reads, a witness's axis first
@@ -386,10 +402,11 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
 def check_witnesses(name: str, xs, epsilons, tolerance: float) -> list:
     """``(x, eps, record)`` of the ``name`` witness over ``xs`` x ``epsilons``;
     the Fannes pair is checked only where 0 < eps <= 1 - 1/d."""
-    grid = [(name, x, eps) for x in xs for eps in epsilons
-            if name != "fannes" or bnd.fannes_admissible(x, eps)]
-    records = _check(f"witness {name}", grid, _case_witness, None, tolerance)
-    return [(x, eps, rec) for (_, x, eps), rec in zip(grid, records)]
+    pairs = [(x, eps) for x in xs for eps in epsilons
+             if name != "fannes" or bnd.fannes_admissible(x, eps)]
+    records = _check(f"witness {name}", [(name, x, Each(eps)) for x, eps in pairs],
+                     _case_witness, None, tolerance, _witness_bytes)
+    return [(x, eps, rec) for (x, eps), rec in zip(pairs, records)]
 
 
 # -- serialization -------------------------------------------------------------

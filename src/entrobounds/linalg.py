@@ -401,12 +401,15 @@ class HermitianOperator:
 def _factored_rows(vecs, lam, c) -> np.ndarray:
     """The diagonal block on the rows of ``vecs`` (all of ``V``, or some of
     its rows) of the unsymmetrized ``c 1 + V diag(lam - c) V^dagger``, or
-    the block of each row set of an (m, r, k) stack of them."""
+    the block of each row set of a (..., r, k) stack of them, with ``lam``
+    (..., k) and ``c`` (...) broadcast over the stack."""
     # outer products of contiguous columns, as np.outer takes them, not a BLAS
     # product: a projector is exactly np.outer(v, v^*) on any BLAS build
-    mat = np.tile(np.diag(np.full(vecs.shape[-2], c, dtype=complex)), (*vecs.shape[:-2], 1, 1))
-    left, right = vecs * (lam - c), vecs.conj()
-    for j in range(len(lam)):
+    c, r = np.asarray(c)[..., None], np.arange(vecs.shape[-2])
+    mat = np.zeros((*vecs.shape[:-1], vecs.shape[-2]), dtype=complex)
+    mat[..., r, r] = c
+    left, right = vecs * (lam - c)[..., None, :], vecs.conj()
+    for j in range(vecs.shape[-1]):
         a, b = np.ascontiguousarray(left[..., j]), np.ascontiguousarray(right[..., j])
         mat += a[..., :, None] * b[..., None, :]
     return mat

@@ -31,7 +31,9 @@ divided by.  ``pure_marginals`` gives their marginals as
 ``partial_traces`` of those matrices would.  ``embedded_stack`` is the
 state rule of block states (energy-constrained states, and qc states of
 ``qc_blocks``) for a stack of their blocks, and ``block_marginals`` gives
-their B marginals.  The sampling functions draw through
+their B marginals; ``factored_marginals`` gives those of a stack of
+factored states, and ``b_marginal`` of a block or factored state is the
+stack of one of these.  The sampling functions draw through
 ``draw_state_matrices``, ``draw_pure_vectors`` and ``draw_qc``, one case
 per generator in turn; ``sample_state``, ``sample_pure_state``,
 ``sample_pure_bipartite`` and ``sample_qc_state`` are their stacks of
@@ -274,12 +276,13 @@ def divisors(diags) -> np.ndarray:
     return np.where(_state_rules(0.0, tr), tr, 1.0)
 
 
-def factored_traces(vecs, lam) -> np.ndarray:
-    """The trace by which ``DensityOperator.factored(v, l)`` divides its
+def factored_traces(vecs, lam, c=None) -> np.ndarray:
+    """The trace by which ``DensityOperator.factored(v, l, c)`` divides its
     matrix, for each basis ``v`` of an (n, D, k) stack with its weights
-    ``l`` (n, k), so that ``l`` over it are the eigenvalues the state keeps:
+    ``l`` (n, k) and complement eigenvalue ``c`` (n,; 0 by default), so
+    that ``l`` and ``c`` over it are the eigenvalues the state keeps:
     ``divisors`` of ``linalg.factored_diagonals``."""
-    return divisors(factored_diagonals(vecs, lam, np.zeros(len(lam))))
+    return divisors(factored_diagonals(vecs, lam, np.zeros(len(lam)) if c is None else c))
 
 
 class PureStack(NamedTuple):
@@ -390,22 +393,44 @@ def partial_trace(state: BipartiteState, keep: str) -> DensityOperator:
 
 def b_marginal(state: BipartiteState) -> np.ndarray:
     """The unvalidated B marginal ``partial_traces(state.mat, state.dims, "B")``,
-    bit for bit.  A block (``block_marginals``) or factored state builds no
-    matrix: the d_A diagonal d_B x d_B blocks of a factor are formed by
-    the operations ``mat`` applies to their rows, as many at a time as
-    ``CHUNK_BYTES`` holds, and added in order, as the einsum adds them."""
+    bit for bit.  A block (``block_marginals``) or factored state
+    (``factored_marginals``) builds no matrix."""
     if state.block is not None:
         return block_marginals(state.block[0], state.block[1][None], state.dims)[0]
     if state.factor is None:
         return partial_traces(state.mat, state.dims, "B")
-    d_a, d_b = state.dims
-    vecs, lam, c = state._parts[1:]
+    return factored_marginals(*(np.array([x]) for x in state._parts[1:]),
+                              np.array([state._divisor or 1.0]), state.dims)[0]
+
+
+def factored_marginals(vecs, lam, c, traces, dims) -> np.ndarray:
+    """``b_marginal``, bit for bit and with no D x D matrix built, of each
+    state ``DensityOperator.factored(V, lam, c)`` on ``A (x) B`` of stacks
+    ``V`` (n, D, k), ``lam`` (n, k) and ``c`` (n,), with the traces
+    ``traces`` (n,) its trace rule divides it by (1 where it left it).  The
+    d_A diagonal d_B x d_B blocks of each are formed by the operations
+    ``mat`` applies to their rows, symmetrized and divided as ``mat`` is,
+    and added in the order of their A index, as the einsum adds them.
+    They are formed for as many whole states at a time as ``CHUNK_BYTES``
+    holds with the three temporaries of their symmetrization, else for one
+    state as many rows at a time as it holds of blocks alone."""
+    (d_a, d_b), n = dims, len(vecs)
+    rows = vecs.reshape(n, d_a, d_b, -1)
+    renormalized = traces != 1.0
     size = max(1, CHUNK_BYTES // (16 * d_b * d_b))
-    marginal = np.zeros((d_b, d_b), dtype=complex)
-    for rows in np.split(vecs.reshape(d_a, d_b, -1), range(size, d_a, size)):
-        for block in state._symmetrized_part(_factored_rows(rows, lam, c)):
-            marginal += block
-    return marginal
+    states = CHUNK_BYTES // (4 * 16 * d_b * d_b * d_a)
+    states, step = (states, d_a) if states else (1, size)
+    out = np.zeros((n, d_b, d_b), dtype=complex)
+    for s in range(0, n, states):
+        part = slice(s, s + states)
+        for i in range(0, d_a, step):
+            blocks = _symmetrized(_factored_rows(rows[part, i:i + step], lam[part, None],
+                                                 c[part, None]))
+            div = renormalized[part]
+            blocks[div] = _symmetrized(blocks[div] / traces[part][div, None, None, None])
+            for j in range(blocks.shape[1]):
+                out[part] += blocks[:, j]
+    return out
 
 
 def block_marginals(index, mats, dims) -> np.ndarray:

@@ -10,11 +10,13 @@ import warnings
 import numpy as np
 import pytest
 
-from entrobounds import cli, couplings, gibbs, harness
-from entrobounds.bounds import BoundReport, check_af, check_cor_pure, check_fannes
+from entrobounds import bounds, cli, couplings, gibbs, harness
+from entrobounds.bounds import (BoundReport, check_af, check_cor_pure, check_fannes,
+                                tightness_witness_af, tightness_witness_fannes)
 from entrobounds.couplings import diagonal_coupling, quantum_coupling
-from entrobounds.entropies import von_neumann_entropy
-from entrobounds.gibbs import HamiltonianSpec, lemma4_bound, meta5_bound, sample_energy_constrained
+from entrobounds.entropies import shannon_entropy, von_neumann_entropy
+from entrobounds.gibbs import (HamiltonianSpec, lemma4_bound, meta5_bound,
+                               oscillator_tightness_witness, sample_energy_constrained)
 from entrobounds.linalg import HermitianOperator, fidelity, trace_distance
 from entrobounds.states import (BipartiteState, StateStack, qc_blocks, sample_pure_bipartite,
                                 sample_state)
@@ -153,9 +155,26 @@ def _cor_pure_case(rng, d):
     return [check_cor_pure(phi, psi, which="ef")]
 
 
+def _witness_case(rng, witness, x, epsilons):
+    """The ``witness`` pair at dimension (for the oscillator, energy) ``x``
+    and the one eps of ``epsilons``, built and checked by the scalar names."""
+    (eps,) = epsilons
+    if witness == "fannes":
+        return [check_fannes(*tightness_witness_fannes(x, eps))]
+    if witness == "af":
+        return [check_af(*tightness_witness_af(x, eps))]
+    p, q = oscillator_tightness_witness(x, eps)
+    h = HamiltonianSpec.oscillators([1.0], n_max=len(p) - 1)
+    return [BoundReport(variant="oscillator_lemma4", dim=len(p),
+                        lhs=abs(shannon_entropy(p) - shannon_entropy(q)),
+                        rhs=lemma4_bound(h, x, eps), epsilon=eps, energy=x)]
+
+
 # each stacked suite's case, one state object at a time
 PER_CASE = {"fannes": _fannes_case, "af": _af_case, "energy_bounds": _energy_bounds_case,
-            "couplings": _couplings_case, "cor_pure": _cor_pure_case}
+            "couplings": _couplings_case, "cor_pure": _cor_pure_case, "tightness": _witness_case}
+
+WITNESS_EPSILONS = (0.01, 0.2, 0.5, 0.75, 0.99, 1.0)
 
 
 class TestCampaigns:
@@ -166,6 +185,7 @@ class TestCampaigns:
         ("energy_bounds", dict(energies=(0.5, 1.0, 3.0, 8.0, 40.0), samples=6)),
         ("couplings", dict(dims=(2, 3, 4, 9, 16), samples=3)),
         ("cor_pure", dict(dims=(2, 3, 4, 9, 16), samples=6)),
+        ("tightness", dict(dims=(2, 3, 5, 16, 64), epsilons=WITNESS_EPSILONS)),
     ])
     def test_stacked_suites_give_the_bytes_of_the_per_case_checks(self, suite, settings, seed):
         grid_fn, _, _, _ = harness._SUITE_TABLE[suite]
@@ -283,6 +303,31 @@ class TestCampaigns:
         for r, (_, _, *values) in zip(records, expected):
             got = [r["epsilon"], r["lhs"], r["rhs"]]
             assert got == pytest.approx([float.fromhex(x) for x in values], rel=0, abs=1e-13)
+
+    @pytest.mark.parametrize("name, xs, epsilons", [
+        ("fannes", (2, 3, 5, 16, 64), WITNESS_EPSILONS),
+        ("af", (2, 3, 5, 16, 64), WITNESS_EPSILONS),
+        ("oscillator", (0.5, 4.0, 100.0), (0.01, 0.25, 1.0)),
+    ])
+    def test_witness_chunks_give_the_bytes_of_the_per_case_checks(self, name, xs, epsilons):
+        grid = [(name, x, harness.Each(eps)) for x in xs for eps in epsilons
+                if name != "fannes" or bounds.fannes_admissible(x, eps)]
+        # the chunks hold several cases each, the d = 64 AF pair two at a time
+        assert len(harness._chunks(grid, harness._witness_bytes)) < len(grid)
+        per_case = harness._check(f"witness {name}", grid, harness._per_case(_witness_case),
+                                  None, CampaignConfig.tolerance)
+        rows = harness.check_witnesses(name, xs, epsilons, CampaignConfig.tolerance)
+        assert [(x, eps.value) for _, x, eps in grid] == [(x, eps) for x, eps, _ in rows]
+        chunked = CampaignReport([rec for *_, rec in rows])
+        for fmt in ("csv", "json"):
+            assert render_report(chunked, fmt) == render_report(CampaignReport(per_case), fmt)
+
+    def test_witness_chunks_hold_one_x_within_the_byte_budget(self):
+        grid = [("af", d, harness.Each(eps)) for d in (2, 300, 64, 2)
+                for eps in (0.25, 0.5, 1.0)]
+        # a d = 300 case (2.75 MiB) alone, two d = 64 cases (128 KiB each) at a time
+        assert [cases for cases, _ in harness._chunks(grid, harness._witness_bytes)] == [
+            [0, 1, 2, 9, 10, 11], [3], [4], [5], [6, 7], [8]]
 
     def test_chunks_hold_equal_parameters_within_the_byte_budget(self):
         grid = harness._dims_by_samples((2, 128, 2), 3)
@@ -731,14 +776,16 @@ class TestCli:
         assert solver_calls and {name for name, _ in solver_calls} == {"eigvalsh"}
 
     def test_tightness_suite_calls_no_vector_solver(self, solver_calls, tmp_path):
-        """The witnesses bring their spectra; an AF case calls one eigvalsh for
-        its trace distance and one more for its two B marginals, validated as
-        one stack, and a Fannes case, whose diagonal states are block
-        operators of 1 x 1 blocks, none: 24 calls for the 24 cases."""
+        """The witnesses bring their spectra; the chunk of the three AF cases
+        at each d calls one eigvalsh for their 2 x 2 trace-distance problems
+        and one more for their six B marginals, validated as one stack, and a
+        Fannes chunk, whose diagonal states are block operators of 1 x 1
+        blocks, none: 8 calls for the 24 cases."""
         argv = ["verify", "tightness", "--dims", "2,4,8,16", "--eps", "0.05,0.25,0.5",
                 "--out", str(tmp_path / "t.csv")]
         assert cli.main(argv) == cli.EXIT_OK
-        assert [name for name, _ in solver_calls] == ["eigvalsh"] * 24
+        assert solver_calls == [call for d in (2, 4, 8, 16)
+                                for call in (("eigvalsh", (3, 2, 2)), ("eigvalsh", (6, d, d)))]
 
     def test_classical_b_cases_decompose_no_qc_matrix(self, solver_calls, monkeypatch, tmp_path):
         """The classical_B states of ``verify af --dims 3`` are held as their
@@ -861,6 +908,27 @@ class TestCli:
                 assert line == (f"{name} d={d} eps={eps}: lhs={rec['lhs']:.6f} "
                                 f"rhs={rec['rhs']:.6f} slack={rec['slack']:.3e} "
                                 f"valid={rec['valid']}")
+
+    @pytest.mark.parametrize("argv", [
+        "witness af --dims 2,3 --eps 0.5,1.5",
+        "witness af --dims 2,1 --eps 0.5",
+        "witness af --dims 3,2,3 --eps 0.5,1.5",
+        "witness oscillator --energies 1,-1 --eps 0.5,0.25",
+        "witness oscillator --energies 1 --eps 0.5,0,2",
+        # E / eps past the largest float: the second case's bound fails first
+        "witness oscillator --energies 100 --eps 0.5,1e-310,2",
+        "witness oscillator --energies 100,1 --eps 2,1e-310",
+    ])
+    def test_a_witness_run_raises_the_error_of_its_first_failing_case(self, argv, capsys):
+        _, name, axis, xs, _, epsilons = argv.split()
+        xs = [(int if axis == "--dims" else float)(x) for x in xs.split(",")]
+        grid = [(name, x, harness.Each(float(eps))) for x in xs for eps in epsilons.split(",")]
+        with pytest.raises(ValueError) as per_case:
+            harness._check("witness", grid, harness._per_case(_witness_case), None, 0.0)
+        assert cli.main(argv.split()) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {per_case.value}\n"
+        assert captured.out == ""
 
     def test_witness_that_fails_partway_prints_no_line(self, capsys):
         rc = cli.main(["witness", "af", "--dims", "2", "--eps", "0.5,1.5"])
@@ -1076,7 +1144,6 @@ class TestCli:
             assert "attainable" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv, error", [
-        ("verify fannes --dims 0 --samples 2", "rank must be in [1, 0], got 0"),
         ("verify energy_bounds --energies -1 --samples 2", "no levels at or below energy -1.0"),
     ])
     def test_a_stacked_case_that_draws_nothing_exits_2(self, argv, error, capsys):
@@ -1100,6 +1167,27 @@ class TestCli:
         monkeypatch.setattr(harness, "_rng", no_generator)
         assert cli.main(["verify", suite]) == cli.EXIT_OK
         assert "violations=0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("d", [1, 0])
+    @pytest.mark.parametrize("command", [
+        *(f"verify {suite}" for suite, reads in SUITES.items()
+          if "dims" in reads and "samples" in reads),
+        "coupling-demo"])
+    def test_a_sampled_run_below_dimension_2_exits_2_before_any_case(self, command, d, tmp_path,
+                                                                     monkeypatch, capsys):
+        def no_case(seed, case):
+            raise AssertionError("a case ran")
+        monkeypatch.setattr(harness, "_rng", no_case)
+        out = tmp_path / "r.csv"
+        if command == "coupling-demo":
+            argv = [command, "--dims", str(d)]
+        else:  # a good dimension first: every d is checked before any case runs
+            argv = [*command.split(), "--dims", f"3,{d}", "--samples", "2", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"error: dimension must be >= 2, got {d}\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_corollaries_of_a_one_dimensional_marginal_exit_2(self, capsys):
         argv = ["verify", "cor_pure", "--dims", "1", "--samples", "5", "--tol", "0"]

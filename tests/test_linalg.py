@@ -246,7 +246,7 @@ class TestLazySpectrum:
 
     def test_pure_pair_and_af_witness_make_no_full_size_call(self, solver_calls):
         _case_cor_pure([np.random.default_rng(25)], 16)
-        _case_witness([None], "af", 16, 0.25)
+        _case_witness([None], "af", 16, [0.25])
         dims = [shape[-1] for _, shape in solver_calls]
         assert 256 not in dims
         assert 16 in dims  # the marginals are decomposed as before

@@ -23,6 +23,7 @@ from entrobounds.states import (
     density_stack,
     draw_state_matrices,
     embedded_stack,
+    factored_marginals,
     factored_traces,
     maximally_entangled_state,
     partial_trace,
@@ -142,6 +143,29 @@ class TestPartialTrace:
                 state = BipartiteState.factored(v[:, :k], w, c, dims)
                 marginal = b_marginal(state)
                 assert state._mat is None
+                assert marginal.tobytes() == partial_traces(state.mat, dims, "B").tobytes()
+
+    # whole states formed together at (2, 3), (3, 2) and (4, 4); one state in
+    # chunks of rows at (10, 48)
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 4), (10, 48)])
+    def test_factored_marginals_of_a_stack_match_the_dense_bits(self, dims):
+        """Ranks 1 to 3, with and without a complement eigenvalue and a
+        renormalized trace, stacked: each marginal is, bit for bit, the
+        einsum over its own state's ``mat``."""
+        rng = np.random.default_rng([37, *dims])
+        d = dims[0] * dims[1]
+        for k in range(1, 4):
+            v = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+            lam = rng.random(k)
+            lam = lam / lam.sum()
+            states = [BipartiteState.factored(v[:, :k], w, c, dims) for w, c in [
+                (lam, 0.0), (lam / 2, 0.5 / (d - k)), (lam * (1.0 + 4e-13), 0.0),
+                (lam / 2 * (1.0 + 4e-13), 0.5 / (d - k))]]
+            assert [s._divisor is None for s in states] == [True, True, False, False]
+            parts = [np.stack([s._parts[j] for s in states]) for j in (1, 2, 3)]
+            traces = np.array([s._divisor or 1.0 for s in states])
+            marginals = factored_marginals(*parts, traces, dims)
+            for state, marginal in zip(states, marginals):
                 assert marginal.tobytes() == partial_traces(state.mat, dims, "B").tobytes()
 
     def test_vector_marginals_match_partial_trace(self):
