@@ -27,8 +27,8 @@ import sys
 
 from . import couplings as cpl
 from . import gibbs as gb
-from .harness import (SUITES, WITNESSES, CampaignConfig, ConfigError, _rng, check_witnesses,
-                      emit_gibbs_table, run_campaign, sample_pair)
+from .harness import (SUITES, WITNESSES, CampaignConfig, ConfigError, _generators, _seed_states,
+                      check_witnesses, emit_gibbs_table, run_campaign, sample_pair)
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -176,7 +176,7 @@ def _cmd_coupling_demo(args, settings) -> int:
         raise ConfigError(f"coupling-demo takes one --dims value, got {len(settings['dims'])}")
     report = run_campaign(CampaignConfig("couplings", samples=1, **settings))
     d, seed = settings["dims"][0], settings["seed"]
-    rho, sigma = sample_pair(_rng(seed, 0), d)
+    rho, sigma = sample_pair(_generators(_seed_states(seed, [0]))[0], d)
     dec = cpl.build_decomposition(rho, sigma)
     recon = (sigma.mat + dec.epsilon * dec.delta.mat) / (1.0 + dec.epsilon)
     print(f"sampled pair: d={d} seed={seed} case=0 trace distance eps={dec.epsilon:.6f}")

@@ -2,9 +2,12 @@
 
 Determinism contract: the campaign seed and the case counter fully
 determine every sampled state.  Case ``k`` of a campaign with seed ``s``
-uses ``numpy.random.default_rng([s, k])``, so reports are reproducible
-bit-for-bit under the same config (wall-clock runtime is therefore kept
-out of the report payload).
+gets a generator in the exact state of ``numpy.random.default_rng([s,
+k])``: ``_seed_states`` hashes the ``SeedSequence`` of every case of the
+grid in one pass, and a chunk's generators are built from their rows when
+the chunk runs.  So reports are reproducible bit-for-bit under the same
+config (wall-clock runtime is therefore kept out of the report payload).
+These generators cannot ``spawn``: their seed sequence holds one state.
 
 Chunks: ``_check`` hands a case function the cases of equal parameters
 together, one generator per case, and puts their records back in case
@@ -34,6 +37,7 @@ takes chunks of one case (``_per_case``).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -103,8 +107,113 @@ class CampaignReport:
         return sum(1 for r in self.records if not r["valid"])
 
 
-def _rng(seed: int, case: int) -> np.random.Generator:
-    return np.random.default_rng([seed, case])
+# -- case generators -------------------------------------------------------------
+#
+# numpy's SeedSequence (numpy/random/bit_generator.pyx: ``hashmix``, ``mix``,
+# ``mix_entropy`` and ``generate_state``) with its default pool of 4 uint32
+# words, hashed for every case of a grid at once.  Its hash constants do not
+# depend on the data: the k-th call of ``hashmix`` xors with
+# INIT_A * MULT_A^k and multiplies by the next one, and ``generate_state``'s
+# k-th word does the same with INIT_B and MULT_B; both xor-shift by 16.
+
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL = 4
+# the pool words mixed into each pool word, and the pool words read in turn
+# by generate_state(4, uint64)'s eight uint32 words
+_OTHERS = [np.array([dst for dst in range(_POOL) if dst != src]) for src in range(_POOL)]
+_CYCLE = np.arange(8) % _POOL
+
+
+def _hash_chain(init, mult, calls):
+    """The (xor, mult) constants of ``calls`` hashes in turn, as uint32 columns."""
+    chain = [init]
+    for _ in range(calls):
+        chain.append(chain[-1] * mult & _MASK32)
+    chain = np.array(chain, dtype=np.uint32)[:, None]
+    return chain[:-1], chain[1:]
+
+
+@functools.cache
+def _hash_constants(n_words):
+    """Per step of ``mix_entropy`` on ``n_words`` words of entropy, the
+    (xor, mult) columns of its hashes: the pool fill (4), the mix of each
+    pool word into the other three (3 each), then each word past the pool
+    into all four (4 each); and those of ``generate_state``'s 8 words."""
+    sizes = [_POOL] + [_POOL - 1] * _POOL + [_POOL] * max(n_words - _POOL, 0)
+    xor, mult = _hash_chain(_INIT_A, _MULT_A, sum(sizes))
+    ends = np.cumsum(sizes)[:-1]
+    steps = list(zip(np.split(xor, ends), np.split(mult, ends)))
+    return steps, _hash_chain(_INIT_B, _MULT_B, 2 * _POOL)
+
+
+def _hashmix(value, constants):
+    value = (value ^ constants[0]) * constants[1]
+    value ^= value >> 16
+    return value
+
+
+def _mix(x, y):
+    result = _MIX_MULT_L * x
+    result -= _MIX_MULT_R * y
+    result ^= result >> 16
+    return result
+
+
+def _seed_words(seed) -> list:
+    """The little-endian 32-bit words of ``seed`` (0 is one word), as
+    ``SeedSequence`` splits an integer; the one home of the seed rule."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed}")
+    seed, words = int(seed), []
+    while True:
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            return words
+
+
+def _seed_states(seed, cases) -> np.ndarray:
+    """``SeedSequence([seed, k]).generate_state(4, np.uint64)`` of each case
+    k of ``cases``, one row each, hashed in one pass of uint32 arithmetic
+    over the cases (which wraps as numpy's does).  The entropy is the words
+    of ``seed``, then of k (below 2^32, one word)."""
+    words = _seed_words(seed)
+    cases = np.asarray(cases, dtype=np.uint32)
+    n_words = len(words) + 1
+    steps, generate = _hash_constants(n_words)
+    entropy = np.zeros((max(n_words, _POOL), len(cases)), dtype=np.uint32)
+    entropy[:n_words - 1] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[n_words - 1] = cases
+    pool = _hashmix(entropy[:_POOL], steps[0])
+    for src, constants in enumerate(steps[1:_POOL + 1]):
+        dst = _OTHERS[src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants))
+    for word, constants in zip(entropy[_POOL:], steps[_POOL + 1:]):
+        pool = _mix(pool, _hashmix(word, constants))
+    state = _hashmix(pool[_CYCLE], generate).astype(np.uint64)
+    return (state[0::2] | state[1::2] << np.uint64(32)).T.copy()
+
+
+class _SeedState(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands ``PCG64`` one precomputed state (a
+    contiguous row of ``_seed_states``), for the one request it makes,
+    ``generate_state(4, np.uint64)``.  It cannot spawn."""
+
+    def __init__(self, state):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def _generators(states) -> list:
+    """A generator per row of ``states``, in the state ``default_rng`` gives
+    the seed whose ``_seed_states`` row it is.  ``PCG64`` reads the row's
+    memory as it lies, so the rows are made contiguous first."""
+    return [np.random.Generator(np.random.PCG64(_SeedState(state)))
+            for state in np.ascontiguousarray(states)]
 
 
 class Each:
@@ -303,9 +412,19 @@ def _case_energy_bounds(rngs, h, e):
             for eps, lhs, ep, r4, r5 in zip(epsilons, gaps, primes, lemma4, meta5)]
 
 
+def _fannes_grid(dims, epsilons):
+    """``(d, eps)`` of each d of ``dims`` and eps of ``epsilons`` at which the
+    Fannes witness exists, every d held to d >= 2 and every eps to (0, 1]
+    (the AF witness's rule) before any case runs; an eps in (1 - 1/d, 1] is
+    skipped."""
+    for d in dims:
+        bnd._af_witness_args(d, epsilons)
+    return [(d, eps) for d in dims for eps in epsilons if bnd.fannes_admissible(d, eps)]
+
+
 def _grid_tightness(dims, epsilons):
-    return [(witness, d, Each(eps)) for d in dims for eps in epsilons
-            if bnd.fannes_admissible(d, eps) for witness in ("fannes", "af")]
+    return [(witness, d, Each(eps)) for d, eps in _fannes_grid(dims, epsilons)
+            for witness in ("fannes", "af")]
 
 
 # each witness's check of a chunk: its pairs at one x and the chunk's eps
@@ -370,13 +489,16 @@ def _chunks(grid, case_bytes):
 
 def _check(suite: str, grid, case_fn, seed, tolerance: float, case_bytes=None) -> list:
     """The rows of ``case_fn`` over ``grid``, in case order; the one place a
-    row gets its verdict.  The cases run in the chunks of ``_chunks``; with
-    ``seed`` None they draw nothing and get no generator."""
+    row gets its verdict.  The seed states of every case are hashed first,
+    and the cases run in the chunks of ``_chunks``, each chunk's generators
+    built as it runs; with ``seed`` None they draw nothing and get no
+    generator."""
     if not grid:
         raise ConfigError(f"the {suite} grid has no cases")
+    states = None if seed is None else _seed_states(seed, np.arange(len(grid)))
     reports = [None] * len(grid)
     for cases, params in _chunks(grid, case_bytes):
-        rngs = [None if seed is None else _rng(seed, case) for case in cases]
+        rngs = [None] * len(cases) if states is None else _generators(states[cases])
         for case, reps in zip(cases, case_fn(rngs, *params)):
             reports[case] = reps
     records = []
@@ -401,9 +523,12 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
 
 def check_witnesses(name: str, xs, epsilons, tolerance: float) -> list:
     """``(x, eps, record)`` of the ``name`` witness over ``xs`` x ``epsilons``;
-    the Fannes pair is checked only where 0 < eps <= 1 - 1/d."""
-    pairs = [(x, eps) for x in xs for eps in epsilons
-             if name != "fannes" or bnd.fannes_admissible(x, eps)]
+    the Fannes pair is checked only where 0 < eps <= 1 - 1/d, on a grid of
+    ``_fannes_grid``."""
+    if name == "fannes":
+        pairs = _fannes_grid(xs, epsilons)
+    else:
+        pairs = [(x, eps) for x in xs for eps in epsilons]
     records = _check(f"witness {name}", [(name, x, Each(eps)) for x, eps in pairs],
                      _case_witness, None, tolerance, _witness_bytes)
     return [(x, eps, rec) for (x, eps), rec in zip(pairs, records)]

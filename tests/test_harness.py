@@ -364,6 +364,27 @@ class TestCampaigns:
         b = run_campaign(CampaignConfig(suite="fannes", dims=(3,), samples=5, seed=2))
         assert [r["lhs"] for r in a.records] != [r["lhs"] for r in b.records]
 
+    @pytest.mark.parametrize("seed", [0, 1, 12, 2**32 - 1, 2**32, 2**64 + 5, 10**40])
+    def test_case_generators_are_those_of_default_rng(self, seed):
+        """Case k of seed s gets the generator ``default_rng([s, k])`` gives,
+        hashed for all the cases at once, whatever the words of s and k."""
+        cases = [0, 1, 2, 255, 2**32 - 1]
+        for k, rng in zip(cases, harness._generators(harness._seed_states(seed, cases)),
+                          strict=True):
+            expected = np.random.default_rng([seed, k])
+            assert rng.bit_generator.state == expected.bit_generator.state
+            assert rng.standard_normal(5).tolist() == expected.standard_normal(5).tolist()
+        with pytest.raises(TypeError):
+            rng.spawn(1)
+
+    def test_the_generators_of_a_whole_grid_are_those_of_default_rng(self):
+        states = harness._seed_states(12, np.arange(400))
+        # a strided view as well: PCG64 reads a row's memory as it lies
+        for view in (states, np.asfortranarray(states)):
+            for k, rng in enumerate(harness._generators(view)):
+                expected = np.random.default_rng([12, k])
+                assert rng.bit_generator.state == expected.bit_generator.state
+
     def test_csv_schema_line(self):
         text = render_report(run_campaign(CampaignConfig(suite="fannes", **SMALL)), "csv")
         assert text.startswith(SCHEMA_LINE + "\r\n")
@@ -1162,9 +1183,9 @@ class TestCli:
 
     @pytest.mark.parametrize("suite", ["gibbs", "tightness"])
     def test_a_suite_that_reads_no_seed_draws_no_generator(self, suite, monkeypatch, capsys):
-        def no_generator(seed, case):
+        def no_generator(seed, cases):
             raise AssertionError("a generator was drawn")
-        monkeypatch.setattr(harness, "_rng", no_generator)
+        monkeypatch.setattr(harness, "_seed_states", no_generator)
         assert cli.main(["verify", suite]) == cli.EXIT_OK
         assert "violations=0" in capsys.readouterr().out
 
@@ -1175,9 +1196,9 @@ class TestCli:
         "coupling-demo"])
     def test_a_sampled_run_below_dimension_2_exits_2_before_any_case(self, command, d, tmp_path,
                                                                      monkeypatch, capsys):
-        def no_case(seed, case):
+        def no_case(seed, cases):
             raise AssertionError("a case ran")
-        monkeypatch.setattr(harness, "_rng", no_case)
+        monkeypatch.setattr(harness, "_seed_states", no_case)
         out = tmp_path / "r.csv"
         if command == "coupling-demo":
             argv = [command, "--dims", str(d)]
@@ -1188,6 +1209,62 @@ class TestCli:
         assert captured.err == f"error: dimension must be >= 2, got {d}\n"
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        "verify tightness --dims 4 --eps 0.5,nan",
+        "verify tightness --dims 4 --eps 0.5,-1",
+        "verify tightness --dims 4 --eps 0.5,1.5",
+        "verify tightness --dims 2,4 --eps 0.9,0",
+        "witness fannes --dims 4 --eps 0.5,nan",
+        "witness fannes --dims 4 --eps 0.5,1.5",
+        "witness fannes --dims 2,4 --eps 0.9,-0.25",
+    ])
+    def test_an_eps_outside_the_unit_interval_exits_2_before_any_case(self, argv, tmp_path,
+                                                                      monkeypatch, capsys):
+        """Every eps of a Fannes grid is held to (0, 1], as the AF witness's
+        are; one in (1 - 1/d, 1] alone is skipped."""
+        def no_case(*args):
+            raise AssertionError("a case ran")
+        for witness in ("fannes", "af"):
+            monkeypatch.setitem(harness._WITNESS_CHECKS, witness, no_case)
+        bad = argv.split()[-1].split(",")[-1]
+        out = tmp_path / "t.csv"
+        argv = argv.split() + (["--out", str(out)] if argv.startswith("verify") else [])
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"error: epsilon {float(bad)!r} outside (0, 1]\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        "verify fannes --dims 2 --samples 2",
+        "verify energy_bounds --energies 1 --samples 2",
+        "verify dc --dims 2 --samples 1",
+        "coupling-demo",
+    ])
+    def test_a_negative_seed_exits_2_naming_it_before_any_case(self, argv, tmp_path,
+                                                              monkeypatch, capsys):
+        def no_case(states):
+            raise AssertionError("a case ran")
+        monkeypatch.setattr(harness, "_generators", no_case)
+        out = tmp_path / "r.csv"
+        argv = argv.split() + ["--seed", "-4"]
+        if argv[0] == "verify":
+            argv += ["--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be an integer >= 0, got -4\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_a_seed_of_many_words_samples_as_default_rng_does(self, capsys):
+        seed = 99999999999999999999999
+        records = run_campaign(CampaignConfig("fannes", dims=(3,), samples=2, seed=seed)).records
+        for case, rec in enumerate(records):
+            rho, sigma = harness.sample_pair(np.random.default_rng([seed, case]), 3)
+            assert rec["epsilon"] == trace_distance(rho, sigma)
+        assert cli.main(["coupling-demo", "--seed", str(seed)]) == cli.EXIT_OK
+        assert f"seed={seed} case=0" in capsys.readouterr().out
 
     def test_corollaries_of_a_one_dimensional_marginal_exit_2(self, capsys):
         argv = ["verify", "cor_pure", "--dims", "1", "--samples", "5", "--tol", "0"]
