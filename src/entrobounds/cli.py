@@ -27,8 +27,8 @@ import sys
 
 from . import couplings as cpl
 from . import gibbs as gb
-from .harness import (SUITES, WITNESSES, CampaignConfig, ConfigError, _generators, _seed_states,
-                      check_witnesses, emit_gibbs_table, run_campaign, sample_pair)
+from .harness import (SUITES, WITNESSES, CampaignConfig, ConfigError, check_coupling_demo,
+                      check_witnesses, emit_gibbs_table, run_campaign)
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -171,21 +171,20 @@ def _cmd_gibbs_table(args, settings) -> int:
 
 def _cmd_coupling_demo(args, settings) -> int:
     """Case 0 of ``verify couplings --samples 1``: its pair's diagnostics, then its records."""
-    settings = {"dims": (3,), "seed": 0, **settings}
+    settings = {"dims": (3,), "seed": 0, "tolerance": CampaignConfig.tolerance, **settings}
     if len(settings["dims"]) != 1:
         raise ConfigError(f"coupling-demo takes one --dims value, got {len(settings['dims'])}")
-    report = run_campaign(CampaignConfig("couplings", samples=1, **settings))
-    d, seed = settings["dims"][0], settings["seed"]
-    rho, sigma = sample_pair(_generators(_seed_states(seed, [0]))[0], d)
+    (d,), seed = settings["dims"], settings["seed"]
+    records, rho, sigma = check_coupling_demo(d, seed, settings["tolerance"])
     dec = cpl.build_decomposition(rho, sigma)
     recon = (sigma.mat + dec.epsilon * dec.delta.mat) / (1.0 + dec.epsilon)
     print(f"sampled pair: d={d} seed={seed} case=0 trace distance eps={dec.epsilon:.6f}")
     print(f"decomposition: max|omega - (sigma + eps Delta)/(1+eps)| = "
           f"{abs(dec.omega.mat - recon).max():.3e}")
     print(f"diagonal coupling: spectral eps={cpl.diagonal_coupling(rho, sigma).epsilon_mirsky:.6f}")
-    for rec in report.records:
+    for rec in records:
         print(f"{rec['variant']}: {_verdict(rec)}")
-    return _exit_code(report.records)
+    return _exit_code(records)
 
 
 # Each subcommand: its handler, the ``_SETTINGS`` fields it reads whatever its

@@ -19,6 +19,12 @@ the states that still need it, and a state drops out of every later
 eigendecomposition once it has finished.  ``dc_minimize`` is the stack
 of one.
 
+Kernel rule: a solve makes one ``eigh`` per derivative evaluation
+(``_slopes``) and one per accepted point (``_spectra``), whose eigen-data
+also serve the next gradient, and no other.  ``np.log2`` reads a
+contiguous array: on the flipped view that ``descending_eigh`` returns,
+its strided loop can round a last bit apart from the vectorised one.
+
 kappa, the largest variation of D_C over states, has one certified
 bracket, ``kappa_bracket``.  Its low end is exact: by Klein's inequality
 D(rho||gamma) >= -log2 tr gamma, so min_rho D_C(rho) = -log2 T with
@@ -60,6 +66,7 @@ _ASCENT_RTOL = 1e-6
 _ASCENT_EIGH = 100
 # The duality gap to which ``estimate_kappa`` solves each of its probes.
 _KAPPA_TOL = 1e-7
+_LN2 = math.log(2.0)
 
 
 class SingularMixtureError(RuntimeError):
@@ -150,8 +157,42 @@ def _spectra(rho: np.ndarray, mix: np.ndarray):
     """
     lam, u = descending_eigh(mix)
     left = _adjoint(u) @ rho
-    q = np.real(np.einsum("kij,kji->ki", left, u))
-    return lam, u, left @ u, q
+    return lam, u, left @ u, _diagonals(left, u)
+
+
+def _diagonals(left: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The diagonals (n, d) of ``left @ u``, real part."""
+    return np.real(np.einsum("kij,kji->ki", left, u))
+
+
+def _outside(support: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The weight of each diagonal ``q`` off its ``support_mask``."""
+    return np.where(support, 0.0, q).sum(axis=1)
+
+
+def _divided_differences(lam: np.ndarray, support) -> np.ndarray:
+    """First divided differences (n, d, d) of log2 at the eigenvalues
+    ``lam``, zero on the rows and columns off ``support`` (None: the whole
+    stack is inside it).
+
+    Off the support the eigenvalue is replaced by 1, so nothing here
+    divides by zero: the replaced values are positive and a - b is nonzero
+    off ``close``.  log2 reads a contiguous copy: on a strided view its
+    vector loop can round differently.
+    """
+    safe = np.ascontiguousarray(lam) if support is None else np.where(support, lam, 1.0)
+    a, b = safe[:, :, None], safe[:, None, :]
+    diff = a - b
+    larger = np.maximum(a, b)
+    close = np.abs(diff) <= 1e-10 * larger
+    log_safe = np.log2(safe)
+    np.copyto(diff, 1.0, where=close)
+    dd = (log_safe[:, :, None] - log_safe[:, None, :]) / diff
+    larger *= _LN2
+    np.divide(1.0, larger, out=dd, where=close)
+    if support is not None:
+        dd = np.where(support[:, :, None] & support[:, None, :], dd, 0.0)
+    return dd
 
 
 def _log2_divided_differences(lam: np.ndarray, q: np.ndarray):
@@ -159,28 +200,17 @@ def _log2_divided_differences(lam: np.ndarray, q: np.ndarray):
 
     Returns ``(dd, outside)``: the (n, d, d) divided differences, zero on
     rows and columns outside the support, and the weight ``q`` of rho
-    outside the support.
+    outside the support (exactly 0 where every eigenvalue is inside it).
     """
     support = support_mask(lam)
-    outside = np.where(support, 0.0, q).sum(axis=1)
-    # rows/cols outside the support never couple to rho when outside ~ 0;
-    # safe is positive and a - b is nonzero off ``close``, so nothing here
-    # divides by zero
-    safe = np.where(support, lam, 1.0)
-    a = safe[:, :, None]
-    b = safe[:, None, :]
-    log_safe = np.log2(safe)
-    close = np.abs(a - b) <= 1e-10 * np.maximum(a, b)
-    dd = np.where(close,
-                  1.0 / (np.maximum(a, b) * math.log(2.0)),
-                  (log_safe[:, :, None] - log_safe[:, None, :]) / np.where(close, 1.0, a - b))
-    dd = np.where(support[:, :, None] & support[:, None, :], dd, 0.0)
-    return dd, outside
+    if support.all():
+        return _divided_differences(lam, None), np.zeros(len(lam))
+    return _divided_differences(lam, support), _outside(support, q)
 
 
 def _contract(rho_tilde: np.ndarray, dd: np.ndarray, x_tilde: np.ndarray) -> np.ndarray:
     """-tr[rho Dlog2[x]] over the last two axes, all in the mixture eigenbasis."""
-    return -np.real(np.sum(rho_tilde.swapaxes(-1, -2) * (dd * x_tilde), axis=(-2, -1)))
+    return -(rho_tilde.swapaxes(-1, -2) * (dd * x_tilde)).sum(axis=(-2, -1)).real
 
 
 def _gradients(gens, lam, u, rho_tilde, q) -> np.ndarray:
@@ -197,11 +227,18 @@ def _gradients(gens, lam, u, rho_tilde, q) -> np.ndarray:
 def _slopes(rho: np.ndarray, mix: np.ndarray, d_mix: np.ndarray) -> np.ndarray:
     """Derivatives of the objective at the mixtures ``mix`` along the
     operator directions ``d_mix`` = sum_i d_i gamma_i; +inf where ``mix``
-    is singular on the support of rho (the objective is +inf there)."""
-    lam, u, rho_tilde, q = _spectra(rho, mix)
-    dd, outside = _log2_divided_differences(lam, q)
-    slopes = _contract(rho_tilde, dd, _adjoint(u) @ d_mix @ u)
-    slopes[outside > OUTSIDE_SUPPORT_ATOL] = math.inf
+    is singular on the support of rho (the objective is +inf there).
+    One ``descending_eigh``; the diagonal of rho in its basis is read only
+    where an eigenvalue is outside the support."""
+    lam, u = descending_eigh(mix)
+    u_h = _adjoint(u)
+    left = u_h @ rho
+    support = support_mask(lam)
+    inside = support.all()
+    dd = _divided_differences(lam, None if inside else support)
+    slopes = _contract(left @ u, dd, u_h @ d_mix @ u)
+    if not inside:
+        slopes[_outside(support, _diagonals(left, u)) > OUTSIDE_SUPPORT_ATOL] = math.inf
     return slopes
 
 
@@ -213,31 +250,36 @@ def _line_search(rho, mix, d_mix, slope0, t_max) -> np.ndarray:
     when its derivative there is <= 0; otherwise its root is found by
     Illinois regula falsi, bisecting while the upper end of its bracket has
     derivative +inf.  Each round evaluates the derivatives of all segments
-    still searching in one stack.
+    still searching in one stack.  The bracket is held for those segments
+    alone, in the order of ``run``, and is compressed only in a round
+    after which one of them stops.
     """
     t = t_max.copy()
-    hi, s_hi = t_max.copy(), _slopes(rho, mix + t_max[:, None, None] * d_mix, d_mix)
-    lo, s_lo = np.zeros_like(t_max), slope0.copy()
-    kept = np.zeros(len(t), dtype=int)  # +1: hi survived the last step, -1: lo did
+    s_hi = _slopes(rho, mix + t_max[:, None, None] * d_mix, d_mix)
     run = np.flatnonzero(s_hi > 0.0)
+    rho, mix, d_mix = rho[run], mix[run], d_mix[run]
+    lo, hi, s_lo, s_hi = np.zeros(run.size), t_max[run], slope0[run], s_hi[run]
+    flat, narrow = _SLOPE_RTOL * -slope0[run], _STEP_RTOL * t_max[run]
+    # Illinois: an end kept twice in a row has its slope halved, so that
+    # both ends of the bracket keep moving; a factor is 0.5 where the end
+    # was kept in the last round
+    f_lo = f_hi = np.ones(run.size)
     for _ in range(_LINE_SEARCH_ITERS):
         if not run.size:
             break
-        l, h, sl, sh = lo[run], hi[run], s_lo[run], s_hi[run]
-        t[run] = np.where(np.isinf(sh), 0.5 * (l + h), l - sl * (h - l) / (sh - sl))
-        s = _slopes(rho[run], mix[run] + t[run, None, None] * d_mix[run], d_mix[run])
-        moving = np.abs(s) > _SLOPE_RTOL * -slope0[run]
-        # Illinois: halve the slope of an end kept twice in a row, so that
-        # both ends of the bracket keep moving
-        up = moving & (s < 0.0)
-        down = moving & ~up
-        i_up, i_down = run[up], run[down]
-        s_hi[i_up[kept[i_up] > 0]] *= 0.5
-        s_lo[i_down[kept[i_down] < 0]] *= 0.5
-        lo[i_up], s_lo[i_up], kept[i_up] = t[i_up], s[up], 1
-        hi[i_down], s_hi[i_down], kept[i_down] = t[i_down], s[down], -1
-        run = run[moving]
-        run = run[hi[run] - lo[run] > _STEP_RTOL * t_max[run]]
+        t_run = np.where(np.isinf(s_hi), 0.5 * (lo + hi), lo - s_lo * (hi - lo) / (s_hi - s_lo))
+        t[run] = t_run
+        s = _slopes(rho, mix + t_run[:, None, None] * d_mix, d_mix)
+        up = s < 0.0
+        lo, s_lo = np.where(up, t_run, lo), np.where(up, s, s_lo * f_lo)
+        hi, s_hi = np.where(up, hi, t_run), np.where(up, s_hi * f_hi, s)
+        f_hi = np.where(up, 0.5, 1.0)
+        f_lo = 1.5 - f_hi
+        going = (np.abs(s) > flat) & (hi - lo > narrow)
+        if not going.all():
+            run, rho, mix, d_mix, lo, hi, s_lo, s_hi, flat, narrow, f_lo, f_hi = (
+                a[going] for a in (run, rho, mix, d_mix, lo, hi, s_lo, s_hi, flat, narrow,
+                                   f_lo, f_hi))
     return t
 
 
@@ -248,14 +290,32 @@ def _start_weights(start, m: int) -> np.ndarray:
     return SimplexPoint(w).weights
 
 
+def _check_tolerance(tol) -> None:
+    """A solver tolerance is a duality gap the solve can reach: finite, >= 0."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"solver tolerance must be a finite number >= 0, got {tol!r}")
+
+
+def _finish(results, live, done, it, value, w, gap, tol) -> None:
+    """The results of the elements ``done`` of ``live``, which finish at
+    iteration ``it``."""
+    for k, v, wk, g in zip(live[done].tolist(), value[done].tolist(), w[done],
+                           gap[done].tolist()):
+        results[k] = OptimizerResult(value=v, weights=SimplexPoint(wk), iterations=it,
+                                     converged=bool(g <= tol), gap=g)
+
+
 def dc_minimize_stack(rhos, model: ConvexSetModel, tol: float = 1e-6,
                       starts=None) -> list[OptimizerResult]:
     """``dc_minimize`` for each state of ``rhos``, run in lockstep.
 
     Every element follows exactly the iterations it would follow alone;
     the stack only shares the eigendecompositions of each round.
-    ``starts``, if given, holds one simplex point per state.
+    ``starts``, if given, holds one simplex point per state.  The solve
+    holds the state of its live elements alone, in the order of ``live``,
+    and compresses it only at an iteration at which one of them finishes.
     """
+    _check_tolerance(tol)
     rhos = [_model_state(r, model) for r in rhos]
     gens = _generators(model)
     n, m = len(rhos), len(gens)
@@ -270,62 +330,71 @@ def dc_minimize_stack(rhos, model: ConvexSetModel, tol: float = 1e-6,
     mix = _mixtures(gens, w)
     lam, u, rho_tilde, q = _spectra(rho, mix)
     value = relative_entropies(neg_s, lam, q)
-    gap = np.full(n, math.inf)
-    iterations = np.zeros(n, dtype=int)
-    stalled = np.zeros(n, dtype=int)
-    live = np.arange(n)
+    # a gradient reads its eigenvectors contiguous, so that its products go
+    # through BLAS whatever layout eigh leaves: on the flipped view they
+    # would take numpy's own loop, whose rounding need not match
+    u = np.ascontiguousarray(u)
+    results = [None] * n
+    live, stalled = np.arange(n), np.zeros(n, dtype=int)
     for it in range(1, _MAX_ITERS + 1):
         if not live.size:
             break
-        iterations[live] = it
-        grad = _gradients(gens, lam[live], u[live], rho_tilde[live], q[live])
+        grad = _gradients(gens, lam, u, rho_tilde, q)
         rows = np.arange(live.size)
-        fw_dir = -w[live]
+        fw_dir = -w
         fw_dir[rows, grad.argmin(axis=1)] += 1.0
-        gap[live] = -row_dots(grad, fw_dir)
-        searching = gap[live] > tol
-        live, grad, fw_dir = live[searching], grad[searching], fw_dir[searching]
-        if not live.size:
-            break
+        gap = -row_dots(grad, fw_dir)
+        searching = gap > tol
+        if not searching.all():
+            _finish(results, live, ~searching, it, value, w, gap, tol)
+            live, rho, neg_s, w, value, mix, lam, u, rho_tilde, q, stalled, gap, grad, fw_dir = (
+                a[searching] for a in (live, rho, neg_s, w, value, mix, lam, u, rho_tilde, q,
+                                       stalled, gap, grad, fw_dir))
+            if not live.size:
+                break
+            rows = np.arange(live.size)
         # away direction: push mass off the worst active vertex; weights
         # below 1e-12 are numerical dust, not candidates
-        rows = np.arange(live.size)
-        w_live = w[live]
-        away_vertex = np.where(w_live > 1e-12, grad, -math.inf).argmax(axis=1)
-        away_dir = w_live.copy()
+        away_vertex = np.where(w > 1e-12, grad, -math.inf).argmax(axis=1)
+        away_dir = w.copy()
         away_dir[rows, away_vertex] -= 1.0
         away_gap = -row_dots(grad, away_dir)
-        w_away = w_live[rows, away_vertex]
-        away = (away_gap > gap[live]) & (w_away < 1.0 - 1e-15)
+        w_away = w[rows, away_vertex]
+        away = (away_gap > gap) & (w_away < 1.0 - 1e-15)
         direction = np.where(away[:, None], away_dir, fw_dir)
-        slope0 = -np.where(away, away_gap, gap[live])
+        slope0 = -np.where(away, away_gap, gap)
         t_max = np.ones(live.size)
-        t_max[away] = w_away[away] / (1.0 - w_away[away])
-        t = _line_search(rho[live], mix[live], _mixtures(gens, direction), slope0, t_max)
+        np.divide(w_away, 1.0 - w_away, out=t_max, where=away)
+        t = _line_search(rho, mix, _mixtures(gens, direction), slope0, t_max)
         # drop step: by convexity the search returns t_max exactly when the
         # full away step is no worse; zero the vertex exactly, otherwise its
         # residual weight stalls future away steps
-        w_new = np.clip(w_live + t[:, None] * direction, 0.0, None)
+        w_new = np.maximum(w + t[:, None] * direction, 0.0)
         drop = away & (t == t_max)
         w_new[rows[drop], away_vertex[drop]] = 0.0
         w_new[w_new < 1e-12] = 0.0
         w_new /= w_new.sum(axis=1, keepdims=True)
         # the eigen-data of an accepted point also serve its next gradient
         mix_new = _mixtures(gens, w_new)
-        lam_new, u_new, rho_tilde_new, q_new = _spectra(rho[live], mix_new)
-        value_new = relative_entropies(neg_s[live], lam_new, q_new)
-        better = value_new < value[live]
-        acc = live[better]
-        w[acc], value[acc], mix[acc] = w_new[better], value_new[better], mix_new[better]
-        lam[acc], u[acc] = lam_new[better], u_new[better]
-        rho_tilde[acc], q[acc] = rho_tilde_new[better], q_new[better]
-        stalled[acc] = 0
-        stalled[live[~better]] += 1
-        live = live[stalled[live] < 100]
-    return [OptimizerResult(value=float(value[k]), weights=SimplexPoint(w[k]),
-                            iterations=int(iterations[k]), converged=bool(gap[k] <= tol),
-                            gap=float(gap[k]))
-            for k in range(n)]
+        lam_new, u_new, rho_tilde_new, q_new = _spectra(rho, mix_new)
+        value_new = relative_entropies(neg_s, lam_new, q_new)
+        better = value_new < value
+        new = (w_new, value_new, mix_new, lam_new, np.ascontiguousarray(u_new), rho_tilde_new,
+               q_new)
+        if better.all():
+            w, value, mix, lam, u, rho_tilde, q = new
+        else:
+            for old, part in zip((w, value, mix, lam, u, rho_tilde, q), new):
+                old[better] = part[better]
+        stalled = np.where(better, 0, stalled + 1)
+        going = stalled < 100
+        if not going.all():
+            _finish(results, live, ~going, it, value, w, gap, tol)
+            live, rho, neg_s, w, value, mix, lam, u, rho_tilde, q, stalled, gap = (
+                a[going] for a in (live, rho, neg_s, w, value, mix, lam, u, rho_tilde, q,
+                                   stalled, gap))
+    _finish(results, live, slice(None), _MAX_ITERS, value, w, gap, tol)
+    return results
 
 
 def dc_objective(rho: DensityOperator, model: ConvexSetModel, w) -> float:
@@ -357,7 +426,8 @@ def dc_minimize(rho: DensityOperator, model: ConvexSetModel,
     of ``value`` from the true minimum whether or not the run converged.
     Iteration stops early when 100 consecutive steps fail to improve the
     value.  ``start`` (default: the uniform weights) must be a point of
-    the simplex over the generators; anything else raises ``ValueError``.
+    the simplex over the generators, and ``tol`` a finite number >= 0;
+    anything else raises ``ValueError``.
     This is ``dc_minimize_stack`` on a stack of one.
     """
     starts = None if start is None else [start]
@@ -369,7 +439,8 @@ def _soft_min(lam: np.ndarray, mu: float):
     spectrum, which lies between lam[0] - mu ln d and lam[0], and its Gibbs
     weights p = exp(-lam/mu)/Z."""
     e = np.exp((lam[0] - lam) / mu)
-    return lam[0] - mu * math.log(e.sum()), e / e.sum()
+    total = e.sum()
+    return lam[0] - mu * math.log(total), e / total
 
 
 def _soft_min_derivatives(gens, lam, u, p, mu):
@@ -383,16 +454,16 @@ def _soft_min_derivatives(gens, lam, u, p, mu):
     their diagonals, a sum of squares in which nothing cancels.
     """
     g_tilde = _adjoint(u)[None] @ gens @ u[None]
-    diag = np.real(np.einsum("ijj->ij", g_tilde))
+    diag = g_tilde.diagonal(axis1=1, axis2=2).real
     grad = diag @ p
     # lam is ascending, so p[min(j, k)] is the larger weight of a pair
     index = np.arange(len(lam))
     p_low = p[np.minimum.outer(index, index)]
     spread = np.abs(lam[:, None] - lam[None, :])
-    dd = np.where(spread > 0.0,
-                  p_low * np.expm1(-spread / mu) / np.where(spread > 0.0, spread, 1.0),
+    apart = spread > 0.0
+    dd = np.where(apart, p_low * np.expm1(-spread / mu) / np.where(apart, spread, 1.0),
                   -p_low / mu)
-    np.fill_diagonal(dd, 0.0)
+    dd.flat[::len(lam) + 1] = 0.0
     centred = diag - grad[:, None]
     hess = (np.real(np.einsum("ijk,jk,ljk->il", g_tilde, dd, g_tilde.conj()))
             - (centred * p) @ centred.T / mu)
@@ -411,13 +482,15 @@ def _newton_step(grad, hess, w):
     while True:
         idx = np.flatnonzero(face)
         n = len(idx)
-        curvature = -hess[np.ix_(idx, idx)]
+        curvature = -hess[idx[:, None], idx]
         ridge = 1e-12 * (np.abs(grad).max() + max(curvature.diagonal().max(), 0.0))
         kkt = np.ones((n + 1, n + 1))
         kkt[:n, :n] = curvature + ridge * np.eye(n)
         kkt[n, n] = 0.0
+        rhs = np.zeros(n + 1)
+        rhs[:n] = grad[idx]
         step = np.zeros_like(w)
-        step[idx] = np.linalg.solve(kkt, np.append(grad[idx], 0.0))[:n]
+        step[idx] = np.linalg.solve(kkt, rhs)[:n]
         blocked = (w == 0.0) & (step < 0.0)
         if not blocked.any():
             return step
@@ -461,7 +534,7 @@ def _max_min_eigenvalue(gens: np.ndarray, scale: float):
         t = min(1.0, ratios.min())
         while budget:
             budget -= 1
-            w_new = np.clip(w + t * step, 0.0, None)
+            w_new = np.maximum(w + t * step, 0.0)
             w_new[ratios <= t] = 0.0
             w_new /= w_new.sum()
             lam_new, u_new = np.linalg.eigh(_mixtures(gens, w_new[None])[0])

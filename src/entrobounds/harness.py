@@ -50,9 +50,9 @@ from . import couplings as cpl
 from . import gibbs as gb
 from .entropies import von_neumann_entropies
 from .linalg import block_spectra, trace_distances
-from .states import (CHUNK_BYTES, block_marginals, density_stack, draw_pure_vectors, draw_qc,
-                     draw_state_matrices, embedded_stack, partial_traces, pure_stack, qc_blocks,
-                     sample_state)
+from .states import (CHUNK_BYTES, DensityOperator, block_marginals, density_stack,
+                     draw_pure_vectors, draw_qc, draw_state_matrices, embedded_stack,
+                     partial_traces, pure_stack, qc_blocks, sample_state)
 
 REPORT_COLUMNS = ("suite", "case", "variant", "dim", "energy", "epsilon",
                   "epsilon_prime", "lhs", "rhs", "slack", "valid")
@@ -311,11 +311,22 @@ def _case_dc(rng, d):
     return [bnd.check_dc(*sample_pair(rng, d), model)]
 
 
+def _draw_pairs(rngs, d):
+    """A chunk of ``sample_pair`` pairs as the stack of the rhos and that of
+    the sigmas, validated and decomposed in one pass, eigenvectors kept."""
+    return density_stack(draw_state_matrices(d, d, _twice(rngs)), vectors=True).split()
+
+
 def _case_couplings(rngs, d):
-    """A chunk of ``sample_pair`` pairs, coupled as one stack: the overlaps of
-    vartheta with psi and phi, F(psi, Theta) and the diagonal coupling's
-    largest eigenvalue, each against 1 - eps."""
-    rho, sigma = density_stack(draw_state_matrices(d, d, _twice(rngs)), vectors=True).split()
+    """A chunk of ``sample_pair`` pairs, coupled as one stack
+    (``_couplings_reports``)."""
+    return _couplings_reports(*_draw_pairs(rngs, d), d)
+
+
+def _couplings_reports(rho, sigma, d):
+    """The records of each pair of the stacks ``rho`` and ``sigma``: the
+    overlaps of vartheta with psi and phi, F(psi, Theta) and the diagonal
+    coupling's largest eigenvalue, each against 1 - eps."""
     qc = cpl.quantum_couplings(rho, sigma)
     rhs = {"quantum_overlap_psi": qc.overlap_psi,
            "quantum_overlap_phi": qc.overlap_phi,
@@ -519,6 +530,23 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     if config.output:
         write_report(report, config.output, config.format)
     return report
+
+
+def check_coupling_demo(d, seed, tolerance: float):
+    """Case 0 of ``verify couplings --dims d --samples 1 --seed seed``,
+    checked through ``_check``: ``(records, rho, sigma)``, its records and
+    its pair as states, drawn and decomposed once."""
+    pairs = []
+
+    def case(rngs, dim):
+        pairs.append(_draw_pairs(rngs, dim))
+        return _couplings_reports(*pairs[-1], dim)
+
+    records = _check("couplings", _dims_by_samples((d,), 1), case, seed, tolerance,
+                     _couplings_bytes)
+    rho, sigma = (DensityOperator._trusted(s.mats[0], s.eigenvalues[0], s.eigenvectors[0])
+                  for s in pairs[0])
+    return records, rho, sigma
 
 
 def check_witnesses(name: str, xs, epsilons, tolerance: float) -> list:

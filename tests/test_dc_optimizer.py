@@ -6,6 +6,7 @@ import pytest
 from entrobounds import dc_optimizer
 from entrobounds.bounds import ConvexSetModel
 from entrobounds.dc_optimizer import (
+    OptimizerResult,
     SimplexPoint,
     SingularMixtureError,
     dc_gradient,
@@ -15,9 +16,21 @@ from entrobounds.dc_optimizer import (
     estimate_kappa,
     kappa_bracket,
 )
-from entrobounds.entropies import conditional_entropy, relative_entropy, von_neumann_entropy
+from entrobounds.entropies import (
+    conditional_entropy,
+    relative_entropies,
+    relative_entropy,
+    von_neumann_entropies,
+    von_neumann_entropy,
+)
 from entrobounds.harness import CampaignConfig, run_campaign
-from entrobounds.linalg import HermitianOperator
+from entrobounds.linalg import (
+    OUTSIDE_SUPPORT_ATOL,
+    HermitianOperator,
+    descending_eigh,
+    row_dots,
+    support_mask,
+)
 from entrobounds.states import (
     BipartiteState,
     DensityOperator,
@@ -269,6 +282,26 @@ class TestMinimizer:
             dc_minimize(rho, model, start=start)
         assert solver_calls == [], "eigendecomposition before the start was checked"
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_a_tolerance_the_solve_cannot_meet_is_rejected(self, solver_calls, tol):
+        # a NaN tolerance stopped a solve after one iteration, unconverged;
+        # an infinite one certified the uniform start; a negative one ran
+        # every solve to its stall limit
+        rng = np.random.default_rng(9)
+        model = ConvexSetModel(generators=[sample_state(3, 3, rng).mat for _ in range(3)])
+        rho = sample_state(3, 3, rng)
+        solver_calls.clear()
+        for solve in (lambda: dc_minimize(rho, model, tol=tol),
+                      lambda: dc_minimize_stack([rho, rho], model, tol=tol)):
+            with pytest.raises(ValueError, match=f"finite number >= 0, got {tol!r}$"):
+                solve()
+        assert solver_calls == []
+
+    def test_a_zero_tolerance_is_met_by_a_zero_gap(self):
+        res = dc_minimize(sample_state(2, 2, np.random.default_rng(0)),
+                          ConvexSetModel(generators=[np.eye(2) / 2]), tol=0.0)
+        assert (res.converged, res.gap, res.iterations) == (True, 0.0, 1)
+
     def test_gap_bounds_suboptimality(self):
         rng = np.random.default_rng(6)
         gens = [sample_state(3, 3, rng).mat for _ in range(3)]
@@ -414,6 +447,26 @@ class TestLockstep:
         self.assert_matches_solo(rhos, model, stacked)
 
 
+class TestEigendecompositions:
+    def test_one_per_derivative_evaluation_and_per_accepted_point(self, monkeypatch,
+                                                                  solver_calls):
+        counts = dict.fromkeys(("_slopes", "_spectra"), 0)
+        for name in counts:
+            inner = getattr(dc_optimizer, name)
+
+            def counted(*args, _name=name, _inner=inner):
+                counts[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(dc_optimizer, name, counted)
+        model, rng = _campaign_model(0, 1, 3)
+        rhos = [sample_state(3, 3, rng), sample_state(3, 3, rng), sample_pure_state(3, rng)]
+        solver_calls.clear()
+        dc_minimize_stack(rhos, model)
+        assert counts["_slopes"] > counts["_spectra"] > 0
+        assert sum(name == "eigh" for name, _ in solver_calls) == sum(counts.values())
+
+
 class TestKappaEstimate:
     def test_singleton_maximally_mixed(self):
         # C = {1/d}: D_C(rho) = log2 d - S(rho), so kappa = log2 d exactly
@@ -533,3 +586,309 @@ class TestKappaBracket:
                             lambda gens, scale: (1e6, ascent(gens, scale)[1]))
         with pytest.raises(ArithmeticError, match="empty kappa bracket"):
             kappa_bracket(model)
+
+
+# -- reference kernels ---------------------------------------------------------
+#
+# The solver's kernels as they were before their rounds were leaned, kept
+# verbatim (renamed) as the references the lean ones must match bit for bit.
+
+
+def ref_adjoint(a):
+    return a.conj().swapaxes(-1, -2)
+
+
+def ref_spectra(rho, mix):
+    lam, u = descending_eigh(mix)
+    left = ref_adjoint(u) @ rho
+    q = np.real(np.einsum("kij,kji->ki", left, u))
+    return lam, u, left @ u, q
+
+
+def ref_log2_divided_differences(lam, q):
+    support = support_mask(lam)
+    outside = np.where(support, 0.0, q).sum(axis=1)
+    # rows/cols outside the support never couple to rho when outside ~ 0;
+    # safe is positive and a - b is nonzero off ``close``, so nothing here
+    # divides by zero
+    safe = np.where(support, lam, 1.0)
+    a = safe[:, :, None]
+    b = safe[:, None, :]
+    log_safe = np.log2(safe)
+    close = np.abs(a - b) <= 1e-10 * np.maximum(a, b)
+    dd = np.where(close,
+                  1.0 / (np.maximum(a, b) * math.log(2.0)),
+                  (log_safe[:, :, None] - log_safe[:, None, :]) / np.where(close, 1.0, a - b))
+    dd = np.where(support[:, :, None] & support[:, None, :], dd, 0.0)
+    return dd, outside
+
+
+def ref_contract(rho_tilde, dd, x_tilde):
+    return -np.real(np.sum(rho_tilde.swapaxes(-1, -2) * (dd * x_tilde), axis=(-2, -1)))
+
+
+def ref_gradients(gens, lam, u, rho_tilde, q):
+    dd, outside = ref_log2_divided_differences(lam, q)
+    if (outside > OUTSIDE_SUPPORT_ATOL).any():
+        raise SingularMixtureError(
+            f"rho has weight {outside.max():.3e} outside the mixture support"
+        )
+    g_tilde = ref_adjoint(u)[:, None] @ gens @ u[:, None]
+    return ref_contract(rho_tilde[:, None], dd[:, None], g_tilde)
+
+
+def ref_slopes(rho, mix, d_mix):
+    lam, u, rho_tilde, q = ref_spectra(rho, mix)
+    dd, outside = ref_log2_divided_differences(lam, q)
+    slopes = ref_contract(rho_tilde, dd, ref_adjoint(u) @ d_mix @ u)
+    slopes[outside > OUTSIDE_SUPPORT_ATOL] = math.inf
+    return slopes
+
+
+def ref_line_search(rho, mix, d_mix, slope0, t_max):
+    t = t_max.copy()
+    hi, s_hi = t_max.copy(), ref_slopes(rho, mix + t_max[:, None, None] * d_mix, d_mix)
+    lo, s_lo = np.zeros_like(t_max), slope0.copy()
+    kept = np.zeros(len(t), dtype=int)  # +1: hi survived the last step, -1: lo did
+    run = np.flatnonzero(s_hi > 0.0)
+    for _ in range(dc_optimizer._LINE_SEARCH_ITERS):
+        if not run.size:
+            break
+        l, h, sl, sh = lo[run], hi[run], s_lo[run], s_hi[run]
+        t[run] = np.where(np.isinf(sh), 0.5 * (l + h), l - sl * (h - l) / (sh - sl))
+        s = ref_slopes(rho[run], mix[run] + t[run, None, None] * d_mix[run], d_mix[run])
+        moving = np.abs(s) > dc_optimizer._SLOPE_RTOL * -slope0[run]
+        # Illinois: halve the slope of an end kept twice in a row, so that
+        # both ends of the bracket keep moving
+        up = moving & (s < 0.0)
+        down = moving & ~up
+        i_up, i_down = run[up], run[down]
+        s_hi[i_up[kept[i_up] > 0]] *= 0.5
+        s_lo[i_down[kept[i_down] < 0]] *= 0.5
+        lo[i_up], s_lo[i_up], kept[i_up] = t[i_up], s[up], 1
+        hi[i_down], s_hi[i_down], kept[i_down] = t[i_down], s[down], -1
+        run = run[moving]
+        run = run[hi[run] - lo[run] > dc_optimizer._STEP_RTOL * t_max[run]]
+    return t
+
+
+def ref_minimize_stack(rhos, model, tol=1e-6, starts=None):
+    rhos = [dc_optimizer._model_state(r, model) for r in rhos]
+    gens = dc_optimizer._generators(model)
+    n, m = len(rhos), len(gens)
+    if starts is None:
+        w = np.full((n, m), 1.0 / m)
+    else:
+        if len(starts) != n:
+            raise ValueError(f"{len(starts)} starts for {n} states")
+        w = np.array([dc_optimizer._start_weights(s, m) for s in starts])
+    rho = np.stack([r.mat for r in rhos])
+    neg_s = -von_neumann_entropies(np.stack([r.eigenvalues for r in rhos]))
+    mix = dc_optimizer._mixtures(gens, w)
+    lam, u, rho_tilde, q = ref_spectra(rho, mix)
+    value = relative_entropies(neg_s, lam, q)
+    gap = np.full(n, math.inf)
+    iterations = np.zeros(n, dtype=int)
+    stalled = np.zeros(n, dtype=int)
+    live = np.arange(n)
+    for it in range(1, dc_optimizer._MAX_ITERS + 1):
+        if not live.size:
+            break
+        iterations[live] = it
+        grad = ref_gradients(gens, lam[live], u[live], rho_tilde[live], q[live])
+        rows = np.arange(live.size)
+        fw_dir = -w[live]
+        fw_dir[rows, grad.argmin(axis=1)] += 1.0
+        gap[live] = -row_dots(grad, fw_dir)
+        searching = gap[live] > tol
+        live, grad, fw_dir = live[searching], grad[searching], fw_dir[searching]
+        if not live.size:
+            break
+        # away direction: push mass off the worst active vertex; weights
+        # below 1e-12 are numerical dust, not candidates
+        rows = np.arange(live.size)
+        w_live = w[live]
+        away_vertex = np.where(w_live > 1e-12, grad, -math.inf).argmax(axis=1)
+        away_dir = w_live.copy()
+        away_dir[rows, away_vertex] -= 1.0
+        away_gap = -row_dots(grad, away_dir)
+        w_away = w_live[rows, away_vertex]
+        away = (away_gap > gap[live]) & (w_away < 1.0 - 1e-15)
+        direction = np.where(away[:, None], away_dir, fw_dir)
+        slope0 = -np.where(away, away_gap, gap[live])
+        t_max = np.ones(live.size)
+        t_max[away] = w_away[away] / (1.0 - w_away[away])
+        t = ref_line_search(rho[live], mix[live], dc_optimizer._mixtures(gens, direction), slope0,
+                            t_max)
+        # drop step: by convexity the search returns t_max exactly when the
+        # full away step is no worse; zero the vertex exactly, otherwise its
+        # residual weight stalls future away steps
+        w_new = np.clip(w_live + t[:, None] * direction, 0.0, None)
+        drop = away & (t == t_max)
+        w_new[rows[drop], away_vertex[drop]] = 0.0
+        w_new[w_new < 1e-12] = 0.0
+        w_new /= w_new.sum(axis=1, keepdims=True)
+        # the eigen-data of an accepted point also serve its next gradient
+        mix_new = dc_optimizer._mixtures(gens, w_new)
+        lam_new, u_new, rho_tilde_new, q_new = ref_spectra(rho[live], mix_new)
+        value_new = relative_entropies(neg_s[live], lam_new, q_new)
+        better = value_new < value[live]
+        acc = live[better]
+        w[acc], value[acc], mix[acc] = w_new[better], value_new[better], mix_new[better]
+        lam[acc], u[acc] = lam_new[better], u_new[better]
+        rho_tilde[acc], q[acc] = rho_tilde_new[better], q_new[better]
+        stalled[acc] = 0
+        stalled[live[~better]] += 1
+        live = live[stalled[live] < 100]
+    return [OptimizerResult(value=float(value[k]), weights=SimplexPoint(w[k]),
+                            iterations=int(iterations[k]), converged=bool(gap[k] <= tol),
+                            gap=float(gap[k]))
+            for k in range(n)]
+
+
+def _unitary(d, rng):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _kernel_element(kind, d, rng):
+    """A (rho, mix, d_mix) triple of one of four kinds: 0 a generic mixture;
+    1 a mixture singular on the support of rho (slope +inf, the ``outside``
+    branch); 2 an exactly diagonal mixture with repeated eigenvalues; 3 a
+    rotated one, whose eigenvalues meet to rounding (the ``close`` branch)."""
+    rho = sample_state(d, d, rng).mat
+    mix = sample_state(d, d, rng).mat
+    if kind == 1:
+        mix = sample_state(d, max(d - 1 - int(rng.integers(0, 2)), 1), rng).mat
+    elif kind >= 2:
+        lam = np.repeat(rng.dirichlet(np.ones((d + 1) // 2)), 2)[:d]
+        mix = np.diag(lam / lam.sum()).astype(complex)
+        if kind == 3:
+            v = _unitary(d, rng)
+            mix = v @ mix @ v.conj().T
+            mix = 0.5 * (mix + mix.conj().T)
+    d_mix = sample_state(d, d, rng).mat - sample_state(d, d, rng).mat
+    return rho, mix, d_mix
+
+
+def _kernel_stacks():
+    """Seeded stacks of n in {1, 3, 32} elements at d in {2, 3, 4, 16}, each
+    cycling through the four kinds of ``_kernel_element`` from every offset."""
+    for n in (1, 3, 32):
+        for d in (2, 3, 4, 16):
+            rng = np.random.default_rng([n, d])
+            for offset in range(4):
+                parts = [_kernel_element((offset + k) % 4, d, rng) for k in range(n)]
+                yield n, d, offset, *(np.stack(p) for p in zip(*parts))
+
+
+def _segments(model, rhos, rng):
+    """The line-search inputs of a Frank-Wolfe or an away segment from a
+    random interior point for each state of ``rhos``, the way the solver
+    sets them up."""
+    gens = dc_optimizer._generators(model)
+    m = len(gens)
+    stack = {key: [] for key in ("rho", "mix", "d_mix", "slope0", "t_max")}
+    for i, rho in enumerate(rhos):
+        w = rng.dirichlet(np.ones(m))
+        grad = dc_gradient(rho, w, model)
+        if i % 2 == 0:
+            direction = -w
+            direction[int(np.argmin(grad))] += 1.0
+            t_max = 1.0
+        else:
+            k = int(np.argmax(grad))
+            direction = w.copy()
+            direction[k] -= 1.0
+            t_max = w[k] / (1.0 - w[k])
+        slope0 = float(grad @ direction)
+        if not slope0 < 0.0:
+            continue
+        stack["rho"].append(rho.mat)
+        stack["mix"].append(dc_optimizer._mixtures(gens, w[None])[0])
+        stack["d_mix"].append(dc_optimizer._mixtures(gens, direction[None])[0])
+        stack["slope0"].append(slope0)
+        stack["t_max"].append(t_max)
+    return tuple(np.array(v) for v in stack.values())
+
+
+RANK_DEFICIENT = ConvexSetModel(generators=[np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0]),
+                                            np.eye(3) / 3])
+
+
+class TestLeanKernels:
+    """The lean kernels against the references above, bit for bit."""
+
+    @pytest.mark.parametrize("n, d, offset, rho, mix, d_mix", list(_kernel_stacks()))
+    def test_slopes_and_divided_differences(self, n, d, offset, rho, mix, d_mix):
+        lam, u, rho_tilde, q = ref_spectra(rho, mix)
+        assert lam.strides[-1] < 0  # eigh's ascending output, read reversed
+        for spectrum in (lam, np.ascontiguousarray(lam)):
+            dd, outside = dc_optimizer._log2_divided_differences(spectrum, q)
+            ref_dd, ref_outside = ref_log2_divided_differences(spectrum, q)
+            assert np.array_equal(dd, ref_dd)
+            assert np.array_equal(outside, ref_outside)
+        slopes = dc_optimizer._slopes(rho, mix, d_mix)
+        assert np.array_equal(slopes, ref_slopes(rho, mix, d_mix))
+        if n > 1 and offset == 0:
+            assert np.isinf(slopes).any() and np.isfinite(slopes).any()
+
+    def test_log2_reads_a_contiguous_spectrum(self):
+        # eigenvalues at which numpy's strided log2 loop and its vectorised
+        # one round a last bit apart (seen on an AVX-512 build), passed as
+        # eigh's ascending spectrum read reversed
+        lam = np.sort([float.fromhex(h) for h in (
+            "0x1.1457cbb568bccp-8", "0x1.0c5b724b30654p-1", "0x1.1be8a4343e8f1p-1",
+            "0x1.ea47930762f58p-3", "0x1.9564cae08c9d9p-2", "0x1.ae150201c1e5ap-2",
+            "0x1.013fef94a59d1p-5", "0x1.252057864e609p-10")])[None]
+        view = lam[:, ::-1]
+        for got, want in zip(dc_optimizer._log2_divided_differences(view, np.zeros_like(view)),
+                             ref_log2_divided_differences(view, np.zeros_like(view))):
+            assert np.array_equal(got, want)
+
+    def test_the_stacks_reach_every_branch(self):
+        close = outside = 0
+        for *_, rho, mix, _ in _kernel_stacks():
+            lam, _, _, q = ref_spectra(rho, mix)
+            ties = np.abs(np.diff(lam, axis=1)) <= 1e-10 * lam[:, :-1]
+            close += int(ties.any())
+            outside += int((ref_log2_divided_differences(lam, q)[1] > OUTSIDE_SUPPORT_ATOL).any())
+        assert close and outside
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 16])
+    @pytest.mark.parametrize("n", [1, 3, 32])
+    def test_line_search(self, n, d):
+        rng = np.random.default_rng([n, d, 1])
+        model = ConvexSetModel(generators=[sample_state(d, int(rng.integers(1, d + 1)), rng).mat
+                                           for _ in range(2)] + [sample_state(d, d, rng).mat])
+        rhos = [sample_state(d, int(rng.integers(1, d + 1)), rng) for _ in range(n)]
+        args = _segments(model, rhos, rng)
+        assert np.array_equal(dc_optimizer._line_search(*args), ref_line_search(*args))
+
+    def test_line_search_to_singular_endpoints(self):
+        rng = np.random.default_rng(5)
+        rhos = [sample_state(3, 3, rng) for _ in range(16)]
+        args = _segments(RANK_DEFICIENT, rhos, rng)
+        singular = ref_slopes(args[0], args[1] + args[4][:, None, None] * args[2], args[2])
+        assert np.isinf(singular).any()
+        assert np.array_equal(dc_optimizer._line_search(*args), ref_line_search(*args))
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_minimize_stack(self, case):
+        rng = np.random.default_rng([7, case])
+        d, tol = [(3, 1e-6), (2, 1e-9), (4, 1e-3), (3, 1e-6)][case]
+        model = (RANK_DEFICIENT if case == 3 else
+                 ConvexSetModel(generators=[sample_state(d, int(rng.integers(1, d + 1)), rng).mat
+                                            for _ in range(3)] + [sample_state(d, d, rng).mat]))
+        rhos = ([sample_pure_state(d, rng) for _ in range(4)]
+                + [sample_state(d, int(rng.integers(1, d + 1)), rng) for _ in range(4)])
+        if case == 3:
+            rhos += [DensityOperator.diagonal([0.9, 0.1, 0.0]),
+                     DensityOperator.diagonal([0.0, 0.0, 1.0])]
+        starts = [rng.dirichlet(np.ones(len(model.generators))) for _ in rhos] if case else None
+        lean = dc_minimize_stack(rhos, model, tol=tol, starts=starts)
+        ref = ref_minimize_stack(rhos, model, tol=tol, starts=starts)
+        for a, b in zip(lean, ref, strict=True):
+            assert (a.value, a.gap, a.iterations, a.converged) == (b.value, b.gap, b.iterations,
+                                                                   b.converged)
+            assert np.array_equal(a.weights.weights, b.weights.weights)

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from entrobounds import bounds, cli, couplings, gibbs, harness
+from entrobounds import bounds, cli, couplings, gibbs, harness, states
 from entrobounds.bounds import (BoundReport, check_af, check_cor_pure, check_fannes,
                                 tightness_witness_af, tightness_witness_fannes)
 from entrobounds.couplings import diagonal_coupling, quantum_coupling
@@ -788,6 +788,16 @@ class TestCli:
             assert rec["case"] == 0
             assert line == (f"{rec['variant']}: lhs={rec['lhs']:.6f} rhs={rec['rhs']:.6f} "
                             f"slack={rec['slack']:.3e} valid={rec['valid']}")
+
+    def test_coupling_demo_draws_its_pair_once(self, monkeypatch, capsys):
+        """The diagnostics read the pair the couplings case drew and
+        decomposed, not a second draw of it."""
+        draws = []
+        ginibre = states._ginibre
+        monkeypatch.setattr(states, "_ginibre", lambda *args: draws.append(args) or ginibre(*args))
+        assert cli.main(["coupling-demo", "--dims", "3", "--seed", "2"]) == cli.EXIT_OK
+        assert "sampled pair: d=3 seed=2 case=0 " in capsys.readouterr().out
+        assert len(draws) == 1
 
     def test_fannes_campaign_calls_no_vector_solver(self, solver_calls, tmp_path):
         """The fannes records read spectra and trace distances alone."""
