@@ -12,13 +12,21 @@ Bound formulas (all in bits):
   E_C:  2 delta log2 d + (1+delta) h(delta/(1+delta));
   E_R (and its regularization): eps log2 d + (1+eps) h(eps/(1+eps)).
 
+Each formula is one array kernel over a stack of eps
+(``fannes_audenaert_bound_stack``, ``af_bound_stack``, ``dc_bound_stack``,
+``cor1_bounds_stack``, ``cor2_bound_stack``, all through the one h of
+``entropies.binary_entropies``); the scalar formula of the same name
+without ``_stack`` is its stack of one, bit for bit, and the first bad eps
+(in stack order) raises the scalar's error.
+
 Every checker recomputes eps from the states via the trace norm;
 caller-supplied eps is never trusted.  Each bound has one kernel over a
 stack of pairs (``check_fannes_stack`` and ``check_af_stack`` take the
 spectra and B marginals of rho and sigma interleaved as drawn,
 ``check_cor_pure_stack`` pure states), and ``_reports`` builds every
-report list.  ``check_fannes``, ``check_af`` and ``check_cor_pure`` are
-stacks of one: a state brings the spectrum and marginals it holds.
+report list, with one call of the formula's kernel at min(eps, 1).
+``check_fannes``, ``check_af`` and ``check_cor_pure`` are stacks of one:
+a state brings the spectrum and marginals it holds.
 ``check_fannes_witnesses`` and ``check_af_witnesses`` build the witness
 pairs at one d for a whole eps grid as one stack of their parts (1 x 1
 blocks, or factors) and score it with the same kernels, each record with
@@ -32,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropies import binary_entropy, conditional_entropies, von_neumann_entropies
+from .entropies import (binary_entropies, binary_entropy, conditional_entropies,
+                        von_neumann_entropies)
 from .dc_optimizer import ConvexSetModel, kappa_bracket
 from .linalg import (block_spectra, factored_trace_distances, rank_one_factor, trace_distance,
                      trace_distances)
@@ -67,70 +76,114 @@ def _unit_interval(epsilon: float) -> None:
         raise ValueError(f"epsilon {epsilon!r} outside [0, 1]")
 
 
+def _unit_intervals(epsilons) -> np.ndarray:
+    """``epsilons`` as a float array; the first eps (in stack order) outside
+    [0, 1], or NaN, raises the error of ``_unit_interval``."""
+    eps = np.asarray(epsilons, dtype=float)
+    bad = ~((eps >= 0.0) & (eps <= 1.0))
+    if bad.any():
+        _unit_interval(eps[bad][0].item())
+    return eps
+
+
 def _dimension(d: int) -> None:
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
 
 
+def _af_forms(eps: np.ndarray, coefficient: float) -> np.ndarray:
+    """eps c + (1+eps) h(eps/(1+eps)) at each eps of a stack, the shape of
+    every Alicki-Fannes-type bound."""
+    return eps * coefficient + (1.0 + eps) * binary_entropies(eps / (1.0 + eps))
+
+
 def _af_form(epsilon: float, coefficient: float) -> float:
-    """eps c + (1+eps) h(eps/(1+eps)), the shape of every Alicki-Fannes-type bound."""
-    return epsilon * coefficient + (1.0 + epsilon) * binary_entropy(epsilon / (1.0 + epsilon))
+    """The stack of one of ``_af_forms``."""
+    return float(_af_forms(np.array([epsilon], dtype=float), coefficient)[0])
+
+
+def fannes_audenaert_bound_stack(epsilons, d: int) -> np.ndarray:
+    """eps log2(d-1) + h(eps) at each eps of a stack, log2 d beyond 1 - 1/d."""
+    eps = _unit_intervals(epsilons)
+    _dimension(d)
+    return np.where(eps > 1.0 - 1.0 / d, math.log2(d),
+                    eps * math.log2(d - 1) + binary_entropies(eps))
 
 
 def fannes_audenaert_bound(epsilon: float, d: int) -> float:
-    _unit_interval(epsilon)
-    _dimension(d)
-    if epsilon > 1.0 - 1.0 / d:
-        return math.log2(d)
-    return epsilon * math.log2(d - 1) + binary_entropy(epsilon)
+    return float(fannes_audenaert_bound_stack([epsilon], d)[0])
+
+
+def af_bound_stack(epsilons, d_a: int, classical_b: bool = False) -> np.ndarray:
+    """2 eps log2 d_A + (1+eps) h(eps/(1+eps)) at each eps of a stack, with
+    the coefficient eps instead of 2 eps with ``classical_b``."""
+    eps = _unit_intervals(epsilons)
+    _dimension(d_a)
+    coeff = 1.0 if classical_b else 2.0
+    return _af_forms(eps, coeff * math.log2(d_a))
 
 
 def af_bound(epsilon: float, d_a: int, classical_b: bool = False) -> float:
-    _unit_interval(epsilon)
-    _dimension(d_a)
-    coeff = 1.0 if classical_b else 2.0
-    return _af_form(epsilon, coeff * math.log2(d_a))
+    return float(af_bound_stack([epsilon], d_a, classical_b)[0])
+
+
+def dc_bound_stack(epsilons, kappa: float) -> np.ndarray:
+    """eps kappa + (1+eps) h(eps/(1+eps)) at each eps of a stack; 0 at
+    eps = 0, also where the certified kappa is +inf."""
+    if not kappa >= 0:
+        raise ValueError(f"kappa must be nonnegative, got {kappa!r}")
+    eps = _unit_intervals(epsilons)
+    with np.errstate(invalid="ignore"):  # 0 inf at eps = 0, never read
+        return np.where(eps != 0.0, _af_forms(eps, kappa), 0.0)
 
 
 def dc_bound(epsilon: float, kappa: float) -> float:
-    """eps kappa + (1+eps) h(eps/(1+eps)); 0 at eps = 0, also where the
-    certified kappa is +inf."""
-    if not kappa >= 0:
-        raise ValueError(f"kappa must be nonnegative, got {kappa!r}")
-    _unit_interval(epsilon)
-    return _af_form(epsilon, kappa) if epsilon else 0.0
+    return float(dc_bound_stack([epsilon], kappa)[0])
 
 
-def cor1_delta(epsilon: float) -> float:
-    return math.sqrt(epsilon * (2.0 - epsilon))
+def cor1_delta(epsilon):
+    """delta = sqrt(eps(2-eps)) of an eps, or of each eps of a stack."""
+    return np.sqrt(epsilon * (2.0 - epsilon))
+
+
+def cor1_bounds_stack(epsilons, d: int):
+    """(E_F rhs, E_C rhs), each (n,), at delta = sqrt(eps(2-eps)) of each eps
+    of a stack; d is the smaller of the two local dimensions."""
+    eps = _unit_intervals(epsilons)
+    _dimension(d)
+    delta = cor1_delta(eps)
+    h_term = (1.0 + delta) * binary_entropies(delta / (1.0 + delta))
+    return delta * math.log2(d) + h_term, delta * (2.0 * math.log2(d)) + h_term
 
 
 def cor1_bounds(epsilon: float, d: int):
-    """(E_F rhs, E_C rhs) at delta = sqrt(eps(2-eps)); d is the smaller of
-    the two local dimensions."""
-    _unit_interval(epsilon)
+    """(E_F rhs, E_C rhs), the stack of one of ``cor1_bounds_stack``."""
+    ef, ec = cor1_bounds_stack([epsilon], d)
+    return float(ef[0]), float(ec[0])
+
+
+def cor2_bound_stack(epsilons, d: int) -> np.ndarray:
+    """E_R (and regularized E_R) continuity bound at each eps of a stack."""
+    eps = _unit_intervals(epsilons)
     _dimension(d)
-    delta = cor1_delta(epsilon)
-    return _af_form(delta, math.log2(d)), _af_form(delta, 2.0 * math.log2(d))
+    return _af_forms(eps, math.log2(d))
 
 
 def cor2_bound(epsilon: float, d: int) -> float:
-    """E_R (and regularized E_R) continuity bound."""
-    _unit_interval(epsilon)
-    _dimension(d)
-    return _af_form(epsilon, math.log2(d))
+    return float(cor2_bound_stack([epsilon], d)[0])
 
 
 # -- checkers ----------------------------------------------------------------
 
 
-def _reports(variant: str, dim: int, eps, values, rhs_at) -> list:
+def _reports(variant: str, dim: int, eps, values, bound) -> list:
     """The reports of n pairs: their trace distances ``eps`` (n,), the gaps
     |x_rho - x_sigma| of ``values`` (2n,), rho and sigma interleaved as
-    drawn, and the rhs ``rhs_at(min(eps, 1))``."""
+    drawn, and the rhs of one ``bound(min(eps, 1))`` call over the stack."""
     lhs = np.abs(values[0::2] - values[1::2])
-    return [BoundReport(variant=variant, dim=dim, lhs=lh, rhs=rhs_at(min(e, 1.0)), epsilon=e)
-            for e, lh in zip(eps.tolist(), lhs.tolist())]
+    rhs = bound(np.minimum(eps, 1.0))
+    return [BoundReport(variant=variant, dim=dim, lhs=lh, rhs=r, epsilon=e)
+            for e, lh, r in zip(eps.tolist(), lhs.tolist(), rhs.tolist())]
 
 
 def check_fannes_stack(eps, spectra) -> list:
@@ -138,7 +191,7 @@ def check_fannes_stack(eps, spectra) -> list:
     and the spectra (2n, d) of rho and sigma interleaved as drawn."""
     d = spectra.shape[-1]
     return _reports("fannes_exact", d, eps, von_neumann_entropies(spectra),
-                    lambda e: fannes_audenaert_bound(e, d))
+                    lambda e: fannes_audenaert_bound_stack(e, d))
 
 
 def check_af_stack(eps, spectra, b_marginals, d_a: int, classical_b: bool = False) -> list:
@@ -147,7 +200,7 @@ def check_af_stack(eps, spectra, b_marginals, d_a: int, classical_b: bool = Fals
     (2n, d_B, d_B) of rho and sigma interleaved as drawn."""
     variant = "af_classical_B" if classical_b else "af_general"
     return _reports(variant, d_a, eps, conditional_entropies(spectra, b_marginals),
-                    lambda e: af_bound(e, d_a, classical_b=classical_b))
+                    lambda e: af_bound_stack(e, d_a, classical_b))
 
 
 def check_fannes(rho: DensityOperator, sigma: DensityOperator) -> BoundReport:
@@ -185,10 +238,10 @@ def check_dc(rho: DensityOperator, sigma: DensityOperator,
     return BoundReport(variant="dc_generic", dim=model.dim, lhs=lhs, rhs=rhs, epsilon=eps)
 
 
-# which: (variant, rhs at (eps, d))
-_COROLLARIES = {"ef": ("ef_cor1", lambda e, d: cor1_bounds(e, d)[0]),
-                "ec": ("ec_cor1", lambda e, d: cor1_bounds(e, d)[1]),
-                "er": ("er_cor2", cor2_bound)}
+# which: (variant, rhs at each eps of a stack and d)
+_COROLLARIES = {"ef": ("ef_cor1", lambda e, d: cor1_bounds_stack(e, d)[0]),
+                "ec": ("ec_cor1", lambda e, d: cor1_bounds_stack(e, d)[1]),
+                "er": ("er_cor2", cor2_bound_stack)}
 
 
 def check_cor_pure_stack(phi: PureStack, psi: PureStack, dims, which: str = "ef") -> list:

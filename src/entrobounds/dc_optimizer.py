@@ -325,6 +325,8 @@ def dc_minimize_stack(rhos, model: ConvexSetModel, tol: float = 1e-6,
         if len(starts) != n:
             raise ValueError(f"{len(starts)} starts for {n} states")
         w = np.array([_start_weights(s, m) for s in starts])
+    if not n:
+        return []
     rho = np.stack([r.mat for r in rhos])
     neg_s = -von_neumann_entropies(np.stack([r.eigenvalues for r in rhos]))
     mix = _mixtures(gens, w)
@@ -590,6 +592,8 @@ def estimate_kappa(model: ConvexSetModel, rng=None, n_probes: int = 200) -> floa
     (up to ``_KAPPA_TOL``): an underestimate, not a certificate; callers flag it
     as such.  ``kappa_bracket`` certifies kappa from both sides.
     """
+    if n_probes < 0:
+        raise ValueError(f"n_probes must be >= 0, got {n_probes}")
     rng = np.random.default_rng(rng if rng is not None else 0)
     d = model.dim
     probes = [sample_pure_state(d, rng) for _ in range(n_probes)]

@@ -60,12 +60,22 @@ def shannon_entropy(p) -> float:
     return _h_terms(p)
 
 
+def binary_entropies(x) -> np.ndarray:
+    """h(x) = -x log2 x - (1-x) log2(1-x) at each x of a stack, as the
+    entropies of the rows (x, 1 - x); the one home of h.  The first x (in
+    stack order) outside [0, 1] by more than 1e-12, or NaN, raises; the
+    others are clamped to [0, 1]."""
+    x = np.asarray(x, dtype=float)
+    bad = ~((x >= -1e-12) & (x <= 1 + 1e-12))
+    if bad.any():
+        raise ValueError(f"binary entropy argument {x[bad][0].item()!r} outside [0, 1]")
+    x = np.minimum(np.maximum(x, 0.0), 1.0)
+    return von_neumann_entropies(np.stack([x, 1.0 - x], axis=1))
+
+
 def binary_entropy(x: float) -> float:
-    """h(x) = -x log2 x - (1-x) log2(1-x) on [0, 1]."""
-    if not -1e-12 <= x <= 1 + 1e-12:
-        raise ValueError(f"binary entropy argument {x!r} outside [0, 1]")
-    x = min(max(x, 0.0), 1.0)
-    return _h_terms([x, 1.0 - x])
+    """h(x) on [0, 1], the stack of one of ``binary_entropies``."""
+    return float(binary_entropies([x])[0])
 
 
 def clipped_binary(x: float) -> float:

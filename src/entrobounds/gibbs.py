@@ -24,7 +24,7 @@ element, as the scalar iteration applies them).  An energy without a
 solution keeps its own ``EnergyDomainError`` in the returned
 ``GibbsSolutions`` and fails none of the others.  ``entropy_checks`` (over
 an (n, n_max+1) weight stack per mode) and ``lemma4_meta5_bounds`` (whose
-binary entropies are ``von_neumann_entropies`` of (n, 2) rows) read those
+binary entropies come from one ``entropies.binary_entropies`` call) read those
 stacks.  Each kernel has at most one scalar name, which calls it directly
 with a stack of one and keeps its bits: ``solve_beta`` (of which
 ``gibbs_entropy`` reads the entropy), ``mean_energy``,
@@ -50,7 +50,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import BoundReport, _af_form, _unit_interval
-from .entropies import LOG2_E, binary_entropy, clipped_binary, von_neumann_entropies
+from .entropies import (LOG2_E, binary_entropies, binary_entropy, clipped_binary,
+                        von_neumann_entropies)
 from .linalg import DENSE_DIM_LIMIT, HermitianOperator, check_dense_dim
 from .states import (
     BipartiteState,
@@ -518,7 +519,7 @@ def lemma4_meta5_bounds(hamiltonian: HamiltonianSpec, energy: float, lemma4_epsi
     (eps, eps') of ``epsilons`` and ``epsilon_primes``, each bit for bit its
     scalar form, with the Gibbs entropies S(gamma(E/eps)) and
     S(gamma(E/delta)) of both from one ``solve_betas`` call and the binary
-    entropies as ``von_neumann_entropies`` of the rows (x, 1 - x).
+    entropies from one ``binary_entropies`` call.
 
     One walk over the cases, Lemma 4 before Meta 5 of case i and case i
     before case i + 1, checks each argument by its own rule
@@ -546,17 +547,11 @@ def lemma4_meta5_bounds(hamiltonian: HamiltonianSpec, energy: float, lemma4_epsi
             raise err
     is4 = case >= 0
     e4, d, ep = x[is4], x[~is4], np.array(ep5, dtype=float)
-    h4, h_ep, h_d = np.split(_binary_entropies(np.concatenate([e4, ep, d])),
+    h4, h_ep, h_d = np.split(binary_entropies(np.concatenate([e4, ep, d])),
                              [len(e4), len(e4) + len(ep)])
     lemma4 = np.zeros(len(eps4))
     lemma4[case[is4]] = 2.0 * e4 * sols.entropy[is4] + h4
     return lemma4, (ep + 2.0 * d) * sols.entropy[~is4] + h_ep + h_d
-
-
-def _binary_entropies(x: np.ndarray) -> np.ndarray:
-    """h(x) at each x in [0, 1] of a stack, as the entropies of the rows
-    (x, 1 - x): ``binary_entropy`` bit for bit."""
-    return von_neumann_entropies(np.stack([x, 1.0 - x], axis=1))
 
 
 def lemma4_bound(hamiltonian: HamiltonianSpec, energy: float, epsilon: float) -> float:

@@ -499,11 +499,11 @@ def _chunks(grid, case_bytes):
 
 
 def _check(suite: str, grid, case_fn, seed, tolerance: float, case_bytes=None) -> list:
-    """The rows of ``case_fn`` over ``grid``, in case order; the one place a
-    row gets its verdict.  The seed states of every case are hashed first,
-    and the cases run in the chunks of ``_chunks``, each chunk's generators
-    built as it runs; with ``seed`` None they draw nothing and get no
-    generator."""
+    """The rows of ``case_fn`` over ``grid``, in case order, each one dict in
+    ``REPORT_COLUMNS`` order; the one place a row gets its verdict.  The
+    seed states of every case are hashed first, and the cases run in the
+    chunks of ``_chunks``, each chunk's generators built as it runs; with
+    ``seed`` None they draw nothing and get no generator."""
     if not grid:
         raise ConfigError(f"the {suite} grid has no cases")
     states = None if seed is None else _seed_states(seed, np.arange(len(grid)))
@@ -515,9 +515,11 @@ def _check(suite: str, grid, case_fn, seed, tolerance: float, case_bytes=None) -
     records = []
     for case, reps in enumerate(reports):
         for rep in reps:
-            row = {**vars(rep), "suite": suite, "case": case, "slack": rep.slack,
-                   "valid": bool(rep.slack >= -tolerance)}
-            records.append({c: row[c] for c in REPORT_COLUMNS})
+            slack = rep.slack
+            records.append({"suite": suite, "case": case, "variant": rep.variant, "dim": rep.dim,
+                            "energy": rep.energy, "epsilon": rep.epsilon,
+                            "epsilon_prime": rep.epsilon_prime, "lhs": rep.lhs, "rhs": rep.rhs,
+                            "slack": slack, "valid": bool(slack >= -tolerance)})
     return records
 
 

@@ -108,20 +108,24 @@ def _symmetrized(mats):
 
 
 def _check_hermitian(mats):
-    """Scan each matrix of an (n, d, d) complex stack in turn: raise
-    ``ValueError`` for a non-finite entry, or for a deviation from
-    Hermiticity above ``HERMITICITY_ATOL max(1, largest |entry|)``."""
+    """Scan an (n, d, d) complex stack as one: raise ``ValueError`` for the
+    first matrix (in stack order) with a non-finite entry, or with a
+    deviation from Hermiticity above ``HERMITICITY_ATOL max(1, largest
+    |entry|)``."""
     largest = np.abs(mats).max(axis=(1, 2))
     with np.errstate(invalid="ignore"):  # inf - inf; the deviation is then never read
         dev = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2))
-    for mat, top, skew in zip(mats, largest.tolist(), dev.tolist()):
-        # NaN or inf anywhere makes the largest magnitude non-finite
-        if not top < np.inf:
-            bad = np.argwhere(~np.isfinite(mat))
-            raise ValueError(f"matrix has {len(bad)} non-finite entries, "
-                             f"the first at {tuple(int(i) for i in bad[0])}")
-        if skew > HERMITICITY_ATOL * max(1.0, top):
-            raise ValueError(f"matrix is not Hermitian (max deviation {skew:.3e})")
+    # NaN or inf anywhere makes the largest magnitude non-finite
+    finite = largest < np.inf
+    bad = ~finite | (dev > HERMITICITY_ATOL * np.maximum(1.0, largest))
+    if not bad.any():
+        return
+    j = np.flatnonzero(bad)[0]
+    if not finite[j]:
+        at = np.argwhere(~np.isfinite(mats[j]))
+        raise ValueError(f"matrix has {len(at)} non-finite entries, "
+                         f"the first at {tuple(int(i) for i in at[0])}")
+    raise ValueError(f"matrix is not Hermitian (max deviation {dev[j].item():.3e})")
 
 
 class HermitianOperator:

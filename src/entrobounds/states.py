@@ -13,10 +13,10 @@ Stacks
 ------
 ``density_stack`` is ``DensityOperator`` for an (n, d, d) stack of
 matrices: ``linalg.hermitian_stack`` followed by the state rules
-(``_state_rule``, through which every state goes, alone or stacked) and
-the repairs (``_clamped``, the renormalisation by ``RENORM_ATOL``) that
-the constructor applies, element by element and bit for bit, with no
-object built.  It returns a :class:`StateStack` of the ``eigvalsh``
+(``_state_rules``, through which every state goes, stacked or as a stack
+of one) and the repairs (``_clamped``, the renormalisation by
+``RENORM_ATOL``) that the constructor applies, element by element and bit
+for bit, with no object built.  It returns a :class:`StateStack` of the ``eigvalsh``
 spectra, with the ``eigh`` eigenvectors on request, so that the
 couplings decompose no state twice and a check that reads spectra alone
 runs no vector solver.
@@ -68,21 +68,27 @@ def _state_rule(lam_min: float, tr: float) -> bool:
     state PSD by construction) and trace ``tr``: raise
     ``StateValidationError`` below ``-PSD_ATOL`` or off from 1 by more than
     ``TRACE_ATOL``.  Returns whether the state is renormalized: whether its
-    trace is off from 1 by more than ``RENORM_ATOL``.  Every state, built
-    alone or in a stack (``_state_rules``), goes through it."""
-    if lam_min < -PSD_ATOL:
+    trace is off from 1 by more than ``RENORM_ATOL``.  ``_state_rules``
+    applies it to a stack as masks, and raises through it."""
+    if not lam_min >= -PSD_ATOL:  # NaN fails too
         raise StateValidationError(f"negative eigenvalue {lam_min:.3e} beyond tolerance")
-    if abs(tr - 1.0) > TRACE_ATOL:
+    if not abs(tr - 1.0) <= TRACE_ATOL:
         raise StateValidationError(f"trace {tr!r} is not 1")
     return abs(tr - 1.0) > RENORM_ATOL
 
 
 def _state_rules(lam_min, tr) -> np.ndarray:
-    """``_state_rule`` of each state of a stack, in turn: its smallest
-    eigenvalue (one for all, if a scalar) and its trace."""
-    lam_min = np.broadcast_to(lam_min, tr.shape)
-    return np.array([_state_rule(m, t) for m, t in zip(lam_min.tolist(), tr.tolist())],
-                    dtype=bool)
+    """``_state_rule`` of each state of a stack, as masks over the stack:
+    its smallest eigenvalue (one for all, if a scalar) and its trace (a
+    scalar for a state alone, which gets a scalar flag).  The first state
+    (in stack order) that the rule rejects raises its error.  Every state,
+    built alone or stacked, goes through it."""
+    dev = np.abs(tr - 1.0)
+    bad = ~((lam_min >= -PSD_ATOL) & (dev <= TRACE_ATOL))
+    if bad.any():
+        j = np.flatnonzero(bad)[0]
+        _state_rule(*(np.broadcast_to(x, dev.shape).flat[j].item() for x in (lam_min, tr)))
+    return dev > RENORM_ATOL
 
 
 def _clamped(lam, u):
@@ -105,7 +111,7 @@ class DensityOperator(HermitianOperator):
     produce -1e-14-scale noise) and the trace renormalized beyond
     ``RENORM_ATOL``.  Eigenvalues below ``-PSD_ATOL``, or a trace off from 1
     by more than ``TRACE_ATOL``, are rejected as genuinely invalid input
-    (``_state_rule``); ``density_stack`` applies the same rules and
+    (``_state_rules``); ``density_stack`` applies the same rules and
     repairs to a stack of arrays.  Validation reads the eigenvalues
     alone; the clamp also reads the eigenvectors.  An operator's
     structure and known spectrum are kept (a renormalized trace scales
@@ -127,7 +133,7 @@ class DensityOperator(HermitianOperator):
             if isinstance(mat_or_op, DensityOperator):
                 return
         lam, tr = self.eigenvalues, self.trace()
-        renormalized = _state_rule(lam[-1], tr)
+        renormalized = _state_rules(lam[-1], tr)
         if lam[-1] < 0.0:
             u = self.eigenvectors
             mat, lam = _clamped(lam, u)
@@ -169,7 +175,7 @@ class DensityOperator(HermitianOperator):
             state = DensityOperator.__new__(DensityOperator)
             state._take(mat)
             tr = state.trace()
-            if _state_rule(0.0, tr):
+            if _state_rules(0.0, tr):
                 state._renormalize(tr)
         else:
             state = DensityOperator._trusted(built_stack(np.asarray(mat)[None])[0])
@@ -481,20 +487,14 @@ def maximally_entangled_state(dim: int) -> BipartiteState:
 # -- sampling ----------------------------------------------------------------
 
 
-def _normals(rng, part) -> None:
-    """Fill the (2, n, m) buffer ``part`` from ``rng``: its real parts, then
-    its imaginary parts."""
-    rng.standard_normal(out=part[0])
-    rng.standard_normal(out=part[1])
-
-
 def _ginibre(rngs, n, m) -> np.ndarray:
     """One n x m complex Ginibre matrix from each generator of ``rngs`` in
-    turn (real parts, then imaginary parts), as an (len(rngs), n, m) stack."""
+    turn (real parts, then imaginary parts, in one C-order fill of its (2,
+    n, m) normals), as an (len(rngs), n, m) stack."""
     check_dense_dim(n)
     parts = np.empty((len(rngs), 2, n, m))
     for part, rng in zip(parts, rngs):
-        _normals(np.random.default_rng(rng), part)
+        np.random.default_rng(rng).standard_normal(out=part)
     return _complex(parts)
 
 
@@ -540,16 +540,17 @@ def sample_pure_bipartite(d_a: int, d_b: int, rng) -> BipartiteState:
 def draw_qc(d_a: int, d_x: int, rngs):
     """The draws of ``sample_qc_state``, one from each generator of ``rngs``
     in turn: its Dirichlet(1,..,1) weights and then the normals of its
-    full-rank blocks.  Returns the weights (n, d_x) and the unvalidated
-    blocks (n, d_x, d_a, d_a), all formed in one batched product."""
+    full-rank blocks (each block's real parts, then its imaginary parts, in
+    one C-order fill of the case's (d_x, 2, d_a, d_a) normals).  Returns the
+    weights (n, d_x) and the unvalidated blocks (n, d_x, d_a, d_a), all
+    formed in one batched product."""
     check_dense_dim(d_a)
     weights = np.empty((len(rngs), d_x))
     parts = np.empty((len(rngs), d_x, 2, d_a, d_a))
     for p, part, rng in zip(weights, parts, rngs):
         rng = np.random.default_rng(rng)
         p[:] = rng.dirichlet(np.ones(d_x))
-        for block in part:
-            _normals(rng, block)
+        rng.standard_normal(out=part)
     blocks = _hs_matrices(_complex(parts.reshape(-1, 2, d_a, d_a)))
     return weights, blocks.reshape(len(rngs), d_x, d_a, d_a)
 

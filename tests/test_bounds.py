@@ -7,6 +7,7 @@ from entrobounds.bounds import (
     BoundReport,
     ConvexSetModel,
     af_bound,
+    af_bound_stack,
     af_witness_gap,
     check_af,
     check_cor_pure,
@@ -14,16 +15,21 @@ from entrobounds.bounds import (
     check_dc,
     check_fannes,
     cor1_bounds,
+    cor1_bounds_stack,
     cor1_delta,
     cor2_bound,
+    cor2_bound_stack,
     dc_bound,
+    dc_bound_stack,
     fannes_audenaert_bound,
+    fannes_audenaert_bound_stack,
     tightness_witness_af,
     tightness_witness_fannes,
 )
 from entrobounds import dc_optimizer
 from entrobounds.dc_optimizer import dc_minimize, kappa_bracket
-from entrobounds.entropies import binary_entropy, conditional_entropy, von_neumann_entropy
+from entrobounds.entropies import (binary_entropies, binary_entropy, conditional_entropy,
+                                   von_neumann_entropy)
 from entrobounds.gibbs import HamiltonianSpec, gibbs_entropy, meta6_bound, meta_delta
 from entrobounds.linalg import HermitianOperator, rank_one_factor, trace_distance
 from entrobounds.states import (BipartiteState, DensityOperator, PureStack, factored_traces,
@@ -356,3 +362,201 @@ class TestWitnesses:
                 assert 0.0 <= rep.slack <= 2.0 * 1.0  # valid and close
                 assert rep.rhs - af_witness_gap(d, eps) == pytest.approx(
                     rep.slack, abs=1e-9)
+
+
+# -- reference formulas --------------------------------------------------------
+#
+# The scalar formulas as they were before each became the stack of one of an
+# array kernel, kept verbatim (renamed) as the references the kernels must
+# match bit for bit.
+
+
+def ref_h_terms(p: np.ndarray) -> float:
+    p = np.asarray(p, dtype=float)
+    p = p[p > 0.0]
+    return float(-(p * np.log2(p)).sum())
+
+
+def ref_binary_entropy(x: float) -> float:
+    """h(x) = -x log2 x - (1-x) log2(1-x) on [0, 1]."""
+    if not -1e-12 <= x <= 1 + 1e-12:
+        raise ValueError(f"binary entropy argument {x!r} outside [0, 1]")
+    x = min(max(x, 0.0), 1.0)
+    return ref_h_terms([x, 1.0 - x])
+
+
+def ref_unit_interval(epsilon: float) -> None:
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon {epsilon!r} outside [0, 1]")
+
+
+def ref_dimension(d: int) -> None:
+    if d < 2:
+        raise ValueError(f"dimension must be >= 2, got {d}")
+
+
+def ref_af_form(epsilon: float, coefficient: float) -> float:
+    """eps c + (1+eps) h(eps/(1+eps)), the shape of every Alicki-Fannes-type bound."""
+    return epsilon * coefficient + (1.0 + epsilon) * ref_binary_entropy(epsilon / (1.0 + epsilon))
+
+
+def ref_fannes_audenaert_bound(epsilon: float, d: int) -> float:
+    ref_unit_interval(epsilon)
+    ref_dimension(d)
+    if epsilon > 1.0 - 1.0 / d:
+        return math.log2(d)
+    return epsilon * math.log2(d - 1) + ref_binary_entropy(epsilon)
+
+
+def ref_af_bound(epsilon: float, d_a: int, classical_b: bool = False) -> float:
+    ref_unit_interval(epsilon)
+    ref_dimension(d_a)
+    coeff = 1.0 if classical_b else 2.0
+    return ref_af_form(epsilon, coeff * math.log2(d_a))
+
+
+def ref_dc_bound(epsilon: float, kappa: float) -> float:
+    """eps kappa + (1+eps) h(eps/(1+eps)); 0 at eps = 0, also where the
+    certified kappa is +inf."""
+    if not kappa >= 0:
+        raise ValueError(f"kappa must be nonnegative, got {kappa!r}")
+    ref_unit_interval(epsilon)
+    return ref_af_form(epsilon, kappa) if epsilon else 0.0
+
+
+def ref_cor1_delta(epsilon: float) -> float:
+    return math.sqrt(epsilon * (2.0 - epsilon))
+
+
+def ref_cor1_bounds(epsilon: float, d: int):
+    """(E_F rhs, E_C rhs) at delta = sqrt(eps(2-eps)); d is the smaller of
+    the two local dimensions."""
+    ref_unit_interval(epsilon)
+    ref_dimension(d)
+    delta = ref_cor1_delta(epsilon)
+    return ref_af_form(delta, math.log2(d)), ref_af_form(delta, 2.0 * math.log2(d))
+
+
+def ref_cor2_bound(epsilon: float, d: int) -> float:
+    """E_R (and regularized E_R) continuity bound."""
+    ref_unit_interval(epsilon)
+    ref_dimension(d)
+    return ref_af_form(epsilon, math.log2(d))
+
+
+def _bits(values) -> bytes:
+    """The bytes of ``values`` as float64, sign of zero included."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _epsilon_grid(d: int) -> list:
+    """Trace distances as a check meets them, each to be clipped by ``min(e,
+    1)``: 0, 1e-300, the Fannes branch point 1 - 1/d and its neighbours,
+    1, values above 1, and 10^4 seeded values in [0, 1] (a quarter of them
+    log-uniform down to 1e-300)."""
+    rng = np.random.default_rng(1507 + d)
+    branch = 1.0 - 1.0 / d
+    fixed = [0.0, -0.0, 1e-300, 5e-324, 1e-16, branch, math.nextafter(branch, 0.0),
+             math.nextafter(branch, 2.0), 0.5, math.nextafter(1.0, 0.0), 1.0,
+             math.nextafter(1.0, 2.0), 1.0 + 1e-12, 1.5, 2.0]
+    return (fixed + rng.uniform(0.0, 1.0, 7500).tolist()
+            + (10.0 ** rng.uniform(-300.0, 0.0, 2500)).tolist())
+
+
+class TestBoundKernels:
+    """Each bound formula is one array kernel over a stack of ``min(eps, 1)``
+    whose every element has the bits of the scalar formula it replaced,
+    and whose first bad argument in stack order raises that formula's
+    error."""
+
+    DIMS = (2, 3, 4, 7, 16, 1000)
+
+    @staticmethod
+    def clipped(grid):
+        return np.minimum(np.array(grid), 1.0), [min(e, 1.0) for e in grid]
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_fannes_audenaert(self, d):
+        eps, scalars = self.clipped(_epsilon_grid(d))
+        assert 1.0 - 1.0 / d in scalars
+        expected = [ref_fannes_audenaert_bound(e, d) for e in scalars]
+        assert _bits(fannes_audenaert_bound_stack(eps, d)) == _bits(expected)
+        assert _bits([fannes_audenaert_bound(e, d) for e in scalars[:200]]) == _bits(expected[:200])
+
+    @pytest.mark.parametrize("d", DIMS)
+    @pytest.mark.parametrize("classical_b", [False, True])
+    def test_af(self, d, classical_b):
+        eps, scalars = self.clipped(_epsilon_grid(d))
+        expected = [ref_af_bound(e, d, classical_b) for e in scalars]
+        assert _bits(af_bound_stack(eps, d, classical_b)) == _bits(expected)
+        assert _bits([af_bound(e, d, classical_b=classical_b) for e in scalars[:200]]) == _bits(
+            expected[:200])
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_cor1_and_cor2(self, d):
+        eps, scalars = self.clipped(_epsilon_grid(d))
+        ef, ec = zip(*(ref_cor1_bounds(e, d) for e in scalars))
+        got_ef, got_ec = cor1_bounds_stack(eps, d)
+        assert (_bits(got_ef), _bits(got_ec)) == (_bits(ef), _bits(ec))
+        assert _bits([cor1_bounds(e, d) for e in scalars[:200]]) == _bits(
+            list(zip(ef[:200], ec[:200])))
+        expected = [ref_cor2_bound(e, d) for e in scalars]
+        assert _bits(cor2_bound_stack(eps, d)) == _bits(expected)
+        assert _bits([cor2_bound(e, d) for e in scalars[:200]]) == _bits(expected[:200])
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.7, 3.5, math.log2(3), math.inf])
+    def test_dc(self, kappa):
+        eps, scalars = self.clipped(_epsilon_grid(3))
+        expected = [ref_dc_bound(e, kappa) for e in scalars]
+        assert _bits(dc_bound_stack(eps, kappa)) == _bits(expected)
+        assert _bits([dc_bound(e, kappa) for e in scalars[:200]]) == _bits(expected[:200])
+
+    def test_binary_entropies(self):
+        x = np.array([v for v in _epsilon_grid(5) if v <= 1.0 + 1e-12]
+                     + [-1e-12, -1e-13, -0.0, 1.0 + 1e-13])
+        expected = [ref_binary_entropy(v) for v in x.tolist()]
+        assert _bits(binary_entropies(x)) == _bits(expected)
+        assert _bits([binary_entropy(v) for v in x[:200].tolist()]) == _bits(expected[:200])
+
+    @staticmethod
+    def first_error(ref, args):
+        """The message of the first ``ref(*a)`` of ``args`` that raises."""
+        for a in args:
+            try:
+                ref(*a)
+            except ValueError as exc:
+                return str(exc)
+        raise AssertionError("no argument raises")
+
+    @pytest.mark.parametrize("grid", [[0.1, 1.5, -0.2, math.nan], [0.3, math.nan, 2.0],
+                                      [-0.0, 1.0, -1e-300, 1.5], [math.inf, 0.2]])
+    def test_the_first_bad_epsilon_raises_the_scalar_error(self, grid):
+        cases = [(fannes_audenaert_bound_stack, ref_fannes_audenaert_bound, (3,)),
+                 (af_bound_stack, ref_af_bound, (2, True)),
+                 (lambda e, d: cor1_bounds_stack(e, d)[0], ref_cor1_bounds, (4,)),
+                 (cor2_bound_stack, ref_cor2_bound, (4,)),
+                 (dc_bound_stack, ref_dc_bound, (0.5,))]
+        for kernel, ref, args in cases:
+            message = self.first_error(ref, [(e, *args) for e in grid])
+            with pytest.raises(ValueError) as info:
+                kernel(grid, *args)
+            assert str(info.value) == message
+
+    def test_the_first_bad_binary_argument_raises_the_scalar_error(self):
+        grid = [0.5, -1e-12, 1.0 + 2e-12, -0.5, math.nan]
+        message = self.first_error(ref_binary_entropy, [(x,) for x in grid])
+        assert message == "binary entropy argument 1.000000000002 outside [0, 1]"
+        with pytest.raises(ValueError) as info:
+            binary_entropies(grid)
+        assert str(info.value) == message
+        with pytest.raises(ValueError, match="argument nan outside"):
+            binary_entropies([0.5, math.nan])
+
+    def test_the_scalar_rules_of_the_other_arguments_keep_their_order(self):
+        with pytest.raises(ValueError, match="epsilon 1.5 outside"):
+            fannes_audenaert_bound_stack([0.5, 1.5], 1)
+        with pytest.raises(ValueError, match="dimension must be >= 2, got 1"):
+            af_bound_stack([0.5, 0.25], 1)
+        with pytest.raises(ValueError, match="kappa must be nonnegative, got -1.0"):
+            dc_bound_stack([1.5], -1.0)
+        assert cor2_bound_stack([], 3).shape == (0,)

@@ -401,6 +401,12 @@ class TestLineSearch:
 class TestLockstep:
     """A stack runs every state exactly as a stack of one does."""
 
+    def test_an_empty_stack_has_no_results_after_the_tolerance_rule(self):
+        model = ConvexSetModel([np.eye(2) / 2])
+        assert dc_minimize_stack([], model) == []
+        with pytest.raises(ValueError, match="solver tolerance must be a finite number >= 0"):
+            dc_minimize_stack([], model, tol=-1.0)
+
     @staticmethod
     def assert_matches_solo(rhos, model, stacked):
         for rho, res in zip(rhos, stacked, strict=True):
@@ -468,6 +474,13 @@ class TestEigendecompositions:
 
 
 class TestKappaEstimate:
+    def test_a_negative_probe_count_raises_and_names_it(self):
+        model = ConvexSetModel([np.eye(2) / 2])
+        with pytest.raises(ValueError, match="n_probes must be >= 0, got -3"):
+            estimate_kappa(model, n_probes=-3)
+        # no random probe: the basis vectors alone, D_C = 1 bit on each
+        assert estimate_kappa(model, n_probes=0) == pytest.approx(1.0, abs=1e-5)
+
     def test_singleton_maximally_mixed(self):
         # C = {1/d}: D_C(rho) = log2 d - S(rho), so kappa = log2 d exactly
         for d in (2, 3):

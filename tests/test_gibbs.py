@@ -9,6 +9,7 @@ import pytest
 
 from entrobounds import gibbs
 from entrobounds.entropies import (
+    binary_entropies,
     binary_entropy,
     conditional_entropy,
     gibbs_entropy_g,
@@ -910,7 +911,7 @@ class TestSolveBetas:
     def test_stacked_binary_entropies_are_binary_entropy(self):
         x = np.concatenate([[0.0, 1.0, 0.5, 1e-300, 1 - 1e-16],
                             np.random.default_rng(5).uniform(0, 1, 200)])
-        assert gibbs._binary_entropies(x).tolist() == [binary_entropy(v) for v in x.tolist()]
+        assert binary_entropies(x).tolist() == [binary_entropy(v) for v in x.tolist()]
 
     def test_the_first_bad_argument_raises_in_case_order(self):
         h = HamiltonianSpec.oscillators([1.0], n_max=40)

@@ -178,6 +178,14 @@ WITNESS_EPSILONS = (0.01, 0.2, 0.5, 0.75, 0.99, 1.0)
 
 
 class TestCampaigns:
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_each_record_holds_the_report_columns_in_order(self, suite):
+        config = CampaignConfig(suite, dims=(2,), energies=(1.0,), epsilons=(0.25,), samples=1,
+                                seed=3)
+        records = run_campaign(config).records
+        assert records and all(tuple(rec) == harness.REPORT_COLUMNS for rec in records)
+        assert all(rec["slack"] == rec["rhs"] - rec["lhs"] for rec in records)
+
     @pytest.mark.parametrize("seed", [1, 3, 12])
     @pytest.mark.parametrize("suite, settings", [
         ("fannes", dict(dims=(2, 3, 9, 16, 64), samples=5)),

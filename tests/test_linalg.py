@@ -6,8 +6,10 @@ import pytest
 
 from entrobounds.linalg import (
     DENSE_DIM_LIMIT,
+    HERMITICITY_ATOL,
     HermitianOperator,
     MatrixFunctionDomainError,
+    _check_hermitian,
     _symmetrized,
     as_operator,
     descending_eigh,
@@ -813,3 +815,57 @@ class TestSqrtOperatorMonotone:
             b = HermitianOperator(a.mat + g @ g.conj().T)
             diff = HermitianOperator(b.sqrt().mat - a.sqrt().mat)
             assert diff.eigenvalues[-1] >= -1e-9
+
+
+def ref_check_hermitian(mats):
+    """The matrix scan as it was before it looped only on failure, kept
+    verbatim (renamed) as the reference of its errors."""
+    largest = np.abs(mats).max(axis=(1, 2))
+    with np.errstate(invalid="ignore"):  # inf - inf; the deviation is then never read
+        dev = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    for mat, top, skew in zip(mats, largest.tolist(), dev.tolist()):
+        # NaN or inf anywhere makes the largest magnitude non-finite
+        if not top < np.inf:
+            bad = np.argwhere(~np.isfinite(mat))
+            raise ValueError(f"matrix has {len(bad)} non-finite entries, "
+                             f"the first at {tuple(int(i) for i in bad[0])}")
+        if skew > HERMITICITY_ATOL * max(1.0, top):
+            raise ValueError(f"matrix is not Hermitian (max deviation {skew:.3e})")
+
+
+class TestHermitianScan:
+    """The scan of a stack raises the error of its first bad matrix in stack
+    order, as the matrix-by-matrix scan did, and passes what it passed."""
+
+    @staticmethod
+    def stack(rng, defects):
+        mats = []
+        for defect in defects:
+            g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            m = (g + g.conj().T) * (1e6 if defect == "large" else 1.0)
+            if defect == "skew":
+                m[0, 2] += 1e-9
+            elif defect == "large":
+                m[0, 2] += 1e-6  # within 1e-11 of the largest entry
+            elif defect == "nan":
+                m[1, 2] = complex(0.0, np.nan)
+            elif defect == "inf":
+                m[2, 0] = np.inf
+            mats.append(m)
+        return np.array(mats)
+
+    @pytest.mark.parametrize("defects", [
+        ("ok", "skew", "nan"), ("ok", "nan", "skew"), ("inf", "skew"), ("skew", "inf"),
+        ("ok", "large", "ok", "skew"), ("ok", "large", "ok"), ("ok",), ("nan",),
+    ])
+    def test_the_first_bad_matrix_raises_in_stack_order(self, defects):
+        mats = self.stack(np.random.default_rng(len(defects)), defects)
+        try:
+            ref_check_hermitian(mats)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                _check_hermitian(mats)
+            assert str(info.value) == str(exc)
+        else:
+            assert set(defects) <= {"ok", "large"}
+            _check_hermitian(mats)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from entrobounds.dc_optimizer import (ConvexSetModel, dc_gradient, dc_minimize, 
                                       kappa_bracket)
 from entrobounds.entropies import relative_entropy, von_neumann_entropy
 from entrobounds.gibbs import HamiltonianSpec, cutoff_decompose, sample_energy_constrained
-from entrobounds.linalg import HermitianOperator, hermitian_stack, trace_distance, trace_distances
+from entrobounds.linalg import (PSD_ATOL, HermitianOperator, check_dense_dim, hermitian_stack,
+                                trace_distance, trace_distances)
+from entrobounds import states as st
 from entrobounds.states import (
     BipartiteState,
     DensityOperator,
@@ -21,6 +24,8 @@ from entrobounds.states import (
     block_marginals,
     built_stack,
     density_stack,
+    draw_pure_vectors,
+    draw_qc,
     draw_state_matrices,
     embedded_stack,
     factored_marginals,
@@ -476,3 +481,131 @@ class TestDensityStack:
         assert abs(padded[1].trace() - 1.0) < 1e-15  # renormalized
         eps = trace_distances(stack.mats[:1], stack.mats[1:], dim)
         assert eps[0] == trace_distance(*padded)
+
+
+# -- reference rules and draws --------------------------------------------------
+#
+# The state rule and the samplers' normal fills as they were before the rule
+# became masks over the stack and each case's normals one fill, kept
+# verbatim (renamed) as the references they must match bit for bit.
+
+
+def ref_state_rule(lam_min: float, tr: float) -> bool:
+    if lam_min < -PSD_ATOL:
+        raise StateValidationError(f"negative eigenvalue {lam_min:.3e} beyond tolerance")
+    if abs(tr - 1.0) > st.TRACE_ATOL:
+        raise StateValidationError(f"trace {tr!r} is not 1")
+    return abs(tr - 1.0) > st.RENORM_ATOL
+
+
+def ref_state_rules(lam_min, tr) -> np.ndarray:
+    lam_min = np.broadcast_to(lam_min, tr.shape)
+    return np.array([ref_state_rule(m, t) for m, t in zip(lam_min.tolist(), tr.tolist())],
+                    dtype=bool)
+
+
+def ref_normals(rng, part) -> None:
+    rng.standard_normal(out=part[0])
+    rng.standard_normal(out=part[1])
+
+
+def ref_ginibre(rngs, n, m) -> np.ndarray:
+    check_dense_dim(n)
+    parts = np.empty((len(rngs), 2, n, m))
+    for part, rng in zip(parts, rngs):
+        ref_normals(np.random.default_rng(rng), part)
+    return st._complex(parts)
+
+
+def ref_draw_qc(d_a: int, d_x: int, rngs):
+    check_dense_dim(d_a)
+    weights = np.empty((len(rngs), d_x))
+    parts = np.empty((len(rngs), d_x, 2, d_a, d_a))
+    for p, part, rng in zip(weights, parts, rngs):
+        rng = np.random.default_rng(rng)
+        p[:] = rng.dirichlet(np.ones(d_x))
+        for block in part:
+            ref_normals(rng, block)
+    blocks = st._hs_matrices(st._complex(parts.reshape(-1, 2, d_a, d_a)))
+    return weights, blocks.reshape(len(rngs), d_x, d_a, d_a)
+
+
+class TestStateRuleMasks:
+    """``_state_rules`` applies the state rule as masks over a stack: the
+    renormalization flags of the per-state rule, and the error of its first
+    rejected state in stack order; NaN fails both comparisons."""
+
+    def test_nan_fails_the_scalar_rule(self):
+        with pytest.raises(StateValidationError, match="trace nan is not 1"):
+            st._state_rule(0.0, float("nan"))
+        with pytest.raises(StateValidationError, match="negative eigenvalue nan beyond tolerance"):
+            st._state_rule(float("nan"), 1.0)
+
+    def test_nan_fails_the_stacked_rule(self):
+        with pytest.raises(StateValidationError, match="trace nan is not 1"):
+            st._state_rules(0.0, np.array([1.0, math.nan]))
+        with pytest.raises(StateValidationError, match="negative eigenvalue nan beyond tolerance"):
+            st._state_rules(np.array([0.0, math.nan]), np.array([1.0, 1.0]))
+
+    def test_flags_match_the_per_state_rule(self):
+        rng = np.random.default_rng(39)
+        offsets = np.concatenate([[0.0, 1e-14, -1e-14, 2e-14, -2e-14, 9e-9, -9e-9],
+                                  10.0 ** rng.uniform(-17, -8.1, 5000) * rng.choice([-1, 1], 5000)])
+        tr = 1.0 + offsets
+        lam_min = np.concatenate([[0.0, -PSD_ATOL, -0.0, 1.0, -1e-11],
+                                  rng.uniform(-1e-10, 1, 5002)])
+        assert st._state_rules(lam_min, tr).tolist() == ref_state_rules(lam_min, tr).tolist()
+        assert st._state_rules(0.0, tr).tolist() == ref_state_rules(0.0, tr).tolist()
+        assert st._state_rules(0.0, tr).dtype == bool
+
+    @pytest.mark.parametrize("lam_min, tr, message", [
+        ([0.0, -1e-9, 0.0], [1.0, 1.0, 2.0], "negative eigenvalue -1.000e-09 beyond tolerance"),
+        ([0.0, 0.0, -1.0], [1.0, 1.5, 1.0], r"trace 1\.5 is not 1"),
+        ([0.0, -1.0, 0.0], [1.0, 1.5, 1.0], "negative eigenvalue -1.000e\\+00 beyond"),
+    ])
+    def test_the_first_rejected_state_raises_its_error(self, lam_min, tr, message):
+        lam_min, tr = np.array(lam_min), np.array(tr)
+        with pytest.raises(StateValidationError, match=message):
+            ref_state_rules(lam_min, tr)
+        with pytest.raises(StateValidationError, match=message):
+            st._state_rules(lam_min, tr)
+
+    def test_no_valid_state_calls_the_per_state_rule(self, monkeypatch):
+        calls, rule = [], st._state_rule
+        monkeypatch.setattr(st, "_state_rule", lambda *a: calls.append(a) or rule(*a))
+        sample_state(3, 3, np.random.default_rng(2))
+        density_stack(draw_state_matrices(3, 3, [np.random.default_rng(2)] * 4))
+        DensityOperator._built(np.eye(3) / 3)
+        assert calls == []
+        with pytest.raises(StateValidationError, match=r"trace 1\.2 is not 1"):
+            DensityOperator(np.diag([0.6, 0.4, 0.2]))
+        assert len(calls) == 1
+
+
+class TestNormalFills:
+    """One ``standard_normal(out=...)`` fill of a C-contiguous buffer draws
+    the stream that one fill per real and imaginary part of each block
+    draws."""
+
+    @pytest.mark.parametrize("shape", [(2, 3, 3), (5, 2, 4, 4), (2, 128, 128)])
+    def test_one_fill_is_the_per_part_fills(self, shape):
+        whole, parts = np.empty(shape), np.empty(shape)
+        np.random.default_rng(7).standard_normal(out=whole)
+        rng = np.random.default_rng(7)
+        for part in parts.reshape(-1, *shape[-2:]):
+            rng.standard_normal(out=part)
+        assert whole.tobytes() == parts.tobytes()
+
+    @pytest.mark.parametrize("n, m", [(3, 3), (4, 1), (16, 16), (128, 128)])
+    def test_ginibre_draws_as_before(self, n, m):
+        got = st._ginibre([np.random.default_rng(k) for k in range(3)], n, m)
+        expected = ref_ginibre([np.random.default_rng(k) for k in range(3)], n, m)
+        assert got.tobytes() == expected.tobytes()
+        vecs = draw_pure_vectors(n, [np.random.default_rng(5)])
+        assert vecs.tobytes() == ref_ginibre([np.random.default_rng(5)], n, 1)[:, :, 0].tobytes()
+
+    @pytest.mark.parametrize("d_a, d_x", [(2, 2), (3, 3), (4, 2), (8, 8)])
+    def test_qc_draws_as_before(self, d_a, d_x):
+        got = draw_qc(d_a, d_x, [np.random.default_rng(k) for k in range(4)])
+        expected = ref_draw_qc(d_a, d_x, [np.random.default_rng(k) for k in range(4)])
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in expected]
