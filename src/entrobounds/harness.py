@@ -11,27 +11,26 @@ These generators cannot ``spawn``: their seed sequence holds one state.
 
 Chunks: ``_check`` hands a case function the cases of equal parameters
 together, one generator per case, and puts their records back in case
-order.  The ``fannes``, ``af``, ``energy_bounds``, ``couplings`` and
-``cor_pure`` suites draw each case from its own generator as the scalar
-samplers do, validate and decompose the whole chunk as one stack
+order.  The sampled suites draw each case from its own generator as the
+scalar samplers do, validate and decompose the whole chunk as one stack
 (``states.density_stack``, of the k x k blocks alone for
 ``energy_bounds``; ``states.pure_stack`` keeps pure states as vectors and
 ``states.embedded_stack`` assembled qc states as their blocks) and
-score it with the stacked checks and couplings, with the same report
-bytes.  A chunk holds at most ``states.CHUNK_BYTES`` (256 KiB) of dense
-matrices, one case at least, so that large states are never stacked
-beyond one case (a ``couplings`` case counts its d x d matrices: its
-Theta is held as parts).  ``gibbs`` and the ``gibbs-table`` rows give
-each case its energy as an ``Each`` parameter, so that a chunk holds a
-whole energy grid (a case counts its row of Gibbs weights) and solves and
-checks it with one ``gibbs.solve_betas`` and one ``gibbs.entropy_checks``
-call; ``energy_bounds`` solves a chunk's Lemma 4 and Meta 5 energies in
-one stack.  ``tightness`` and ``check_witnesses`` give each case its eps
-as an ``Each`` parameter, so that a chunk holds the cases of one
+score it with the stacked checks and couplings (a ``dc`` case with
+``check_dc`` on its own set), with the same report bytes.  A chunk holds
+at most ``states.CHUNK_BYTES`` (256 KiB) of dense matrices, one case at
+least, so that large states are never stacked beyond one case (a
+``couplings`` case counts its d x d matrices: its Theta is held as
+parts).  ``gibbs`` and the ``gibbs-table`` rows give each case its
+energy as an ``Each`` parameter, so that a chunk holds a whole energy
+grid (a case counts its row of Gibbs weights) and solves and checks it
+with one ``gibbs.solve_betas`` and one ``gibbs.entropy_checks`` call;
+``energy_bounds`` solves a chunk's Lemma 4 and Meta 5 energies in one
+stack.  ``tightness`` and ``check_witnesses`` give each case its eps as
+an ``Each`` parameter, so that a chunk holds the cases of one
 ``(witness, x)``, x the dimension (the energy, for the oscillator), and
 builds and checks them with one stacked witness check (a case counts the
-complex diagonals of its pair, or its row of sigma weights).  ``dc``
-takes chunks of one case (``_per_case``).
+complex diagonals of its pair, or its row of sigma weights).
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from .entropies import von_neumann_entropies
 from .linalg import block_spectra, trace_distances
 from .states import (CHUNK_BYTES, DensityOperator, block_marginals, density_stack,
                      draw_pure_vectors, draw_qc, draw_state_matrices, embedded_stack,
-                     partial_traces, pure_stack, qc_blocks, sample_state)
+                     partial_traces, pure_stack, qc_blocks)
 
 REPORT_COLUMNS = ("suite", "case", "variant", "dim", "energy", "epsilon",
                   "epsilon_prime", "lhs", "rhs", "slack", "valid")
@@ -196,23 +195,26 @@ def _seed_states(seed, cases) -> np.ndarray:
     return (state[0::2] | state[1::2] << np.uint64(32)).T.copy()
 
 
-class _SeedState(np.random.bit_generator.ISeedSequence):
-    """A seed sequence that hands ``PCG64`` one precomputed state (a
-    contiguous row of ``_seed_states``), for the one request it makes,
-    ``generate_state(4, np.uint64)``.  It cannot spawn."""
+@functools.cache
+def _seed_state():
+    """The seed sequence class that hands ``PCG64`` a row of ``_seed_states``,
+    built on first use, so that importing this module loads no ``numpy.random``."""
 
-    def __init__(self, state):
-        self.state = state
+    class _SeedState(np.random.bit_generator.ISeedSequence):
+        def __init__(self, state):
+            self.state = state
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.state
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return _SeedState
 
 
 def _generators(states) -> list:
     """A generator per row of ``states``, in the state ``default_rng`` gives
     the seed whose ``_seed_states`` row it is.  ``PCG64`` reads the row's
     memory as it lies, so the rows are made contiguous first."""
-    return [np.random.Generator(np.random.PCG64(_SeedState(state)))
+    return [np.random.Generator(np.random.PCG64(_seed_state()(state)))
             for state in np.ascontiguousarray(states)]
 
 
@@ -237,24 +239,18 @@ class Each:
 # -- suites -------------------------------------------------------------------
 #
 # A suite is a grid function, a case function, the CampaignConfig fields it
-# reads and, for a stacked suite, the bytes one case holds (``_SUITE_TABLE``).
-# The grid function takes those fields but ``seed`` as its arguments and
-# returns one parameter tuple per case.  The case function takes a chunk, a
-# list of per-case generators, and the parameters the chunk's cases share (an
-# ``Each`` parameter as the list of its values), and returns one list of
-# ``BoundReport``s per case; the cases of a suite that reads no ``seed`` draw
-# nothing and get None for a generator.  Fields a case leaves at None are blank
-# in the report.
+# reads and the bytes one case holds (``_SUITE_TABLE``).  The grid function
+# takes those fields but ``seed`` as its arguments and returns one parameter
+# tuple per case.  The case function takes a chunk, a list of per-case
+# generators, and the parameters the chunk's cases share (an ``Each`` parameter
+# as the list of its values), and returns one list of ``BoundReport``s per
+# case; the cases of a suite that reads no ``seed`` draw nothing and get None
+# for a generator.  Fields a case leaves at None are blank in the report.
 
 
 def _pair_bytes(d):
     """The bytes of a pair of complex d x d matrices."""
     return 2 * 16 * d * d
-
-
-def _per_case(case):
-    """The case function of chunks of ``case(rng, *params)``, one case at a time."""
-    return lambda rngs, *params: [case(rng, *params) for rng in rngs]
 
 
 def _dims_by_samples(dims, samples):
@@ -265,14 +261,8 @@ def _dims_by_samples(dims, samples):
     return [(d,) for d in dims for _ in range(samples)]
 
 
-def sample_pair(rng, d):
-    """The (rho, sigma) pair of a ``fannes``, ``dc`` or ``couplings`` case."""
-    return sample_state(d, d, rng), sample_state(d, d, rng)
-
-
 def _twice(rngs):
-    """Each case's generator twice: a pair draws rho before sigma, as
-    ``sample_pair`` does."""
+    """Each case's generator twice: a pair draws rho before sigma."""
     return [rng for rng in rngs for _ in range(2)]
 
 
@@ -304,21 +294,28 @@ def _case_af(rngs, d, classical_b):
     return [[rep] for rep in bnd.check_af_stack(eps, spectra, marginals, d, classical_b)]
 
 
-@_per_case
-def _case_dc(rng, d):
-    gens = [sample_state(d, d, rng) for _ in range(3)]
-    model = bnd.ConvexSetModel(generators=gens)
-    return [bnd.check_dc(*sample_pair(rng, d), model)]
+def _case_dc(rngs, d):
+    """Five ``sample_state`` draws on d x d per case (three generators, then
+    rho and sigma), validated as one stack; each case checked by ``check_dc``."""
+    states = density_stack(draw_state_matrices(d, d, [rng for rng in rngs for _ in range(5)]))
+    ops = [DensityOperator._trusted(mat, lam) for mat, lam in zip(states.mats, states.eigenvalues)]
+    return [[bnd.check_dc(ops[k + 3], ops[k + 4], bnd.ConvexSetModel(generators=ops[k:k + 3]))]
+            for k in range(0, len(ops), 5)]
+
+
+def _dc_bytes(d):
+    """The bytes of a dc case's five complex d x d states."""
+    return 5 * 16 * d * d
 
 
 def _draw_pairs(rngs, d):
-    """A chunk of ``sample_pair`` pairs as the stack of the rhos and that of
+    """A chunk of ``sample_state`` pairs as the stack of the rhos and that of
     the sigmas, validated and decomposed in one pass, eigenvectors kept."""
     return density_stack(draw_state_matrices(d, d, _twice(rngs)), vectors=True).split()
 
 
 def _case_couplings(rngs, d):
-    """A chunk of ``sample_pair`` pairs, coupled as one stack
+    """A chunk of ``sample_state`` pairs, coupled as one stack
     (``_couplings_reports``)."""
     return _couplings_reports(*_draw_pairs(rngs, d), d)
 
@@ -463,7 +460,7 @@ _SAMPLED = ("dims", "samples", "seed")
 _SUITE_TABLE = {
     "fannes": (_dims_by_samples, _case_fannes, _SAMPLED, _pair_bytes),
     "af": (_grid_af, _case_af, _SAMPLED, lambda d, qc: _pair_bytes(d) * (d if qc else d * d)),
-    "dc": (_dims_by_samples, _case_dc, _SAMPLED, None),
+    "dc": (_dims_by_samples, _case_dc, _SAMPLED, _dc_bytes),
     "couplings": (_dims_by_samples, _case_couplings, _SAMPLED, _couplings_bytes),
     "cor_pure": (_dims_by_samples, _case_cor_pure, _SAMPLED, _pair_bytes),
     "gibbs": (_grid_gibbs, _case_gibbs, ("energies",), _gibbs_bytes),
@@ -481,14 +478,14 @@ WITNESSES = {"fannes": ("dims", "epsilons"), "af": ("dims", "epsilons"),
 def _chunks(grid, case_bytes):
     """``(cases, params)`` of each chunk, in the order of its first case: the
     cases of equal ``params``, as many at a time as ``CHUNK_BYTES`` holds
-    of ``case_bytes(*params)`` (one at a time without ``case_bytes``), an
-    ``Each`` parameter given as the list of the chunk's values."""
+    of ``case_bytes(*params)``, one at least, an ``Each`` parameter given
+    as the list of the chunk's values."""
     groups = {}
     for case, params in enumerate(grid):
         groups.setdefault(params, []).append(case)
     chunks = []
     for params, cases in groups.items():
-        size = 1 if case_bytes is None else max(1, CHUNK_BYTES // max(case_bytes(*params), 1))
+        size = max(1, CHUNK_BYTES // max(case_bytes(*params), 1))
         each = [j for j, p in enumerate(params) if isinstance(p, Each)]
         for i in range(0, len(cases), size):
             part, shared = cases[i:i + size], list(params)
@@ -498,7 +495,7 @@ def _chunks(grid, case_bytes):
     return sorted(chunks, key=lambda chunk: chunk[0][0])
 
 
-def _check(suite: str, grid, case_fn, seed, tolerance: float, case_bytes=None) -> list:
+def _check(suite: str, grid, case_fn, seed, tolerance: float, case_bytes) -> list:
     """The rows of ``case_fn`` over ``grid``, in case order, each one dict in
     ``REPORT_COLUMNS`` order; the one place a row gets its verdict.  The
     seed states of every case are hashed first, and the cases run in the

@@ -199,14 +199,16 @@ class HermitianOperator:
     @classmethod
     def _trusted(cls, mat, eigenvalues=None, eigenvectors=None) -> "HermitianOperator":
         """A ``cls`` of a complex square matrix built from validated parts,
-        or left by the stacked rules (``states.density_stack``), with its
-        eigenpairs if known: symmetrized, and no rule applied again."""
+        or left by the stacked rules (``states.density_stack``), with each part
+        of its eigenpairs that is known (the rest decomposed on first read):
+        symmetrized, and no rule applied again."""
         op = cls.__new__(cls)
         # symmetrizing again changes no value, at most the sign of an exactly
         # zero part off the diagonal, which no sampled state has
         op._set_matrix(mat)
         if eigenvalues is not None:
             op._eigenvalues = _frozen(np.array(eigenvalues))
+        if eigenvectors is not None:
             op._eigenvectors = _frozen(np.array(eigenvectors))
         return op
 

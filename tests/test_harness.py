@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from entrobounds import bounds, cli, couplings, gibbs, harness, states
-from entrobounds.bounds import (BoundReport, check_af, check_cor_pure, check_fannes,
+from entrobounds.bounds import (BoundReport, check_af, check_cor_pure, check_dc, check_fannes,
                                 tightness_witness_af, tightness_witness_fannes)
 from entrobounds.couplings import diagonal_coupling, quantum_coupling
+from entrobounds.dc_optimizer import ConvexSetModel
 from entrobounds.entropies import shannon_entropy, von_neumann_entropy
 from entrobounds.gibbs import (HamiltonianSpec, lemma4_bound, meta5_bound,
                                oscillator_tightness_witness, sample_energy_constrained)
@@ -100,6 +101,18 @@ CASE_LAYOUT = {
 }
 
 
+def _per_case(case):
+    """The case function of chunks of ``case(rng, *params)``, one case at a
+    time: the reference that each stacked case function reproduces."""
+    return lambda rngs, *params: [case(rng, *params) for rng in rngs]
+
+
+def _one_case(*params):
+    """A case's bytes that fill a chunk alone, so that ``_per_case`` sees
+    one case at a time."""
+    return states.CHUNK_BYTES
+
+
 def _fannes_case(rng, d):
     return [check_fannes(sample_state(d, d, rng), sample_state(d, d, rng))]
 
@@ -137,6 +150,12 @@ def _energy_bounds_case(rng, h, e):
                         epsilon=eps, energy=e, epsilon_prime=ep)]
 
 
+def _dc_case(rng, d):
+    """Three generators, then rho and sigma, each a ``sample_state``."""
+    model = ConvexSetModel(generators=[sample_state(d, d, rng) for _ in range(3)])
+    return [check_dc(sample_state(d, d, rng), sample_state(d, d, rng), model)]
+
+
 def _couplings_case(rng, d):
     rho, sigma = sample_state(d, d, rng), sample_state(d, d, rng)
     qc = quantum_coupling(rho, sigma)
@@ -171,8 +190,9 @@ def _witness_case(rng, witness, x, epsilons):
 
 
 # each stacked suite's case, one state object at a time
-PER_CASE = {"fannes": _fannes_case, "af": _af_case, "energy_bounds": _energy_bounds_case,
-            "couplings": _couplings_case, "cor_pure": _cor_pure_case, "tightness": _witness_case}
+PER_CASE = {"fannes": _fannes_case, "af": _af_case, "dc": _dc_case,
+            "energy_bounds": _energy_bounds_case, "couplings": _couplings_case,
+            "cor_pure": _cor_pure_case, "tightness": _witness_case}
 
 WITNESS_EPSILONS = (0.01, 0.2, 0.5, 0.75, 0.99, 1.0)
 
@@ -190,6 +210,7 @@ class TestCampaigns:
     @pytest.mark.parametrize("suite, settings", [
         ("fannes", dict(dims=(2, 3, 9, 16, 64), samples=5)),
         ("af", dict(dims=(2, 3, 4), samples=6)),
+        ("dc", dict(dims=(2, 3), samples=3)),
         ("energy_bounds", dict(energies=(0.5, 1.0, 3.0, 8.0, 40.0), samples=6)),
         ("couplings", dict(dims=(2, 3, 4, 9, 16), samples=3)),
         ("cor_pure", dict(dims=(2, 3, 4, 9, 16), samples=6)),
@@ -197,8 +218,8 @@ class TestCampaigns:
     ])
     def test_stacked_suites_give_the_bytes_of_the_per_case_checks(self, suite, settings, seed):
         grid_fn, _, _, _ = harness._SUITE_TABLE[suite]
-        per_case = harness._check(suite, grid_fn(**settings), harness._per_case(PER_CASE[suite]),
-                                  seed, CampaignConfig.tolerance)
+        per_case = harness._check(suite, grid_fn(**settings), _per_case(PER_CASE[suite]),
+                                  seed, CampaignConfig.tolerance, _one_case)
         stacked = run_campaign(CampaignConfig(suite, seed=seed, **settings))
         for fmt in ("csv", "json"):
             assert render_report(stacked, fmt) == render_report(CampaignReport(per_case), fmt)
@@ -322,8 +343,8 @@ class TestCampaigns:
                 if name != "fannes" or bounds.fannes_admissible(x, eps)]
         # the chunks hold several cases each, the d = 64 AF pair two at a time
         assert len(harness._chunks(grid, harness._witness_bytes)) < len(grid)
-        per_case = harness._check(f"witness {name}", grid, harness._per_case(_witness_case),
-                                  None, CampaignConfig.tolerance)
+        per_case = harness._check(f"witness {name}", grid, _per_case(_witness_case),
+                                  None, CampaignConfig.tolerance, _one_case)
         rows = harness.check_witnesses(name, xs, epsilons, CampaignConfig.tolerance)
         assert [(x, eps.value) for _, x, eps in grid] == [(x, eps) for x, eps, _ in rows]
         chunked = CampaignReport([rec for *_, rec in rows])
@@ -341,7 +362,6 @@ class TestCampaigns:
         grid = harness._dims_by_samples((2, 128, 2), 3)
         assert harness._chunks(grid, harness._pair_bytes) == [
             ([0, 1, 2, 6, 7, 8], (2,)), ([3], (128,)), ([4], (128,)), ([5], (128,))]
-        assert harness._chunks(grid, None) == [([k], grid[k]) for k in range(9)]
 
     def test_af_records_come_out_in_case_order(self):
         # the grid alternates classical_b, so a chunk is every other case
@@ -565,6 +585,20 @@ class TestCli:
                              "--seed", "3", "--out", p]) == cli.EXIT_OK
         with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
             assert a.read() == b.read()
+
+    def test_importing_the_cli_loads_no_numpy_random(self):
+        """The case generators' seed sequence class is built on first use, so
+        a command that draws nothing never loads ``numpy.random``."""
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        script = ("import sys\nimport numpy\nprint('numpy.random' in sys.modules)\n"
+                  "import entrobounds.cli\nprint('numpy.random' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                              capture_output=True, text=True)
+        by_numpy, by_cli = proc.stdout.split()
+        if by_numpy == "True":
+            pytest.skip("this numpy loads numpy.random on its own import")
+        assert by_cli == "False"
 
     def test_verify_gibbs_applies_the_tolerance_once(self, capsys, monkeypatch):
         # formula-vs-direct gaps: 8.95e-10 at E=10, 2.80e-9 at E=10.5 (< 2 tol)
@@ -963,7 +997,7 @@ class TestCli:
         xs = [(int if axis == "--dims" else float)(x) for x in xs.split(",")]
         grid = [(name, x, harness.Each(float(eps))) for x in xs for eps in epsilons.split(",")]
         with pytest.raises(ValueError) as per_case:
-            harness._check("witness", grid, harness._per_case(_witness_case), None, 0.0)
+            harness._check("witness", grid, _per_case(_witness_case), None, 0.0, _one_case)
         assert cli.main(argv.split()) == cli.EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.err == f"error: {per_case.value}\n"
@@ -1279,7 +1313,8 @@ class TestCli:
         seed = 99999999999999999999999
         records = run_campaign(CampaignConfig("fannes", dims=(3,), samples=2, seed=seed)).records
         for case, rec in enumerate(records):
-            rho, sigma = harness.sample_pair(np.random.default_rng([seed, case]), 3)
+            rng = np.random.default_rng([seed, case])
+            rho, sigma = sample_state(3, 3, rng), sample_state(3, 3, rng)
             assert rec["epsilon"] == trace_distance(rho, sigma)
         assert cli.main(["coupling-demo", "--seed", str(seed)]) == cli.EXIT_OK
         assert f"seed={seed} case=0" in capsys.readouterr().out

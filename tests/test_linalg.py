@@ -13,6 +13,7 @@ from entrobounds.linalg import (
     _symmetrized,
     as_operator,
     descending_eigh,
+    eigenpairs,
     factored_trace_distances,
     fidelity,
     operator_norm,
@@ -141,6 +142,17 @@ class TestLazySpectrum:
         assert lam.tobytes() == alone.eigenvalues.tobytes()
         assert _names(solver_calls) == ["eigh", "eigvalsh", "eigvalsh"]
         assert np.abs((u * lam) @ u.conj().T - first.mat).max() <= 1e-13
+
+    def test_trusted_values_alone_leave_the_vectors_to_their_first_read(self, solver_calls):
+        """A state given its eigenvalues alone keeps them, and decomposes its
+        matrix for the eigenvectors when they are first read."""
+        state = sample_state(4, 4, np.random.default_rng(24))
+        solver_calls.clear()
+        op = DensityOperator._trusted(state.mat, state.eigenvalues)
+        assert op.eigenvalues.tobytes() == state.eigenvalues.tobytes()
+        assert solver_calls == []
+        assert op.eigenvectors.tobytes() == eigenpairs(state.mat)[1].tobytes()
+        assert solver_calls[0] == ("eigh", (4, 4))
 
     def test_pure_states_make_no_call(self, solver_calls):
         rng = np.random.default_rng(22)
