@@ -521,37 +521,43 @@ def lemma4_meta5_bounds(hamiltonian: HamiltonianSpec, energy: float, lemma4_epsi
     S(gamma(E/delta)) of both from one ``solve_betas`` call and the binary
     entropies from one ``binary_entropies`` call.
 
-    One walk over the cases, Lemma 4 before Meta 5 of case i and case i
-    before case i + 1, checks each argument by its own rule
-    (``_unit_interval``, ``meta_delta``, which also gives delta) and lists
-    the energies E/eps and E/delta to solve in that order, so that the first
-    bad argument raises before any solve, and the first energy without a
-    solution raises after it."""
-    eps4, eps5, ep5 = (np.asarray(x, dtype=float).reshape(-1).tolist()
-                       for x in (lemma4_epsilons, epsilons, epsilon_primes))
-    cases, xs = [], []  # per solve: its Lemma 4 case (-1 for a Meta 5 one), its eps or delta
-    for i in range(max(len(eps4), len(eps5))):
-        if i < len(eps4):
-            _unit_interval(eps4[i])
-            if eps4[i] != 0.0:  # Lemma 4 at eps = 0 is 0, with no solve
-                cases.append(i)
-                xs.append(eps4[i])
-        if i < len(eps5):
-            cases.append(-1)
-            xs.append(meta_delta(eps5[i], ep5[i]))
-    x, case = np.array(xs, dtype=float), np.array(cases, dtype=int)
+    The cases are walked in one order, Lemma 4 before Meta 5 of case i and
+    case i before case i + 1.  Each argument is checked by its own rule
+    (``_unit_interval``; ``meta_delta``, which also gives delta), as masks
+    over the stacks, and the first bad argument in walk order raises that
+    rule's error before any solve.  The energies E/eps and E/delta are
+    solved in walk order, so that the first energy without a solution
+    raises after it."""
+    eps4, eps5, ep = (np.asarray(x, dtype=float).reshape(-1)
+                      for x in (lemma4_epsilons, epsilons, epsilon_primes))
+    bad4 = ~((eps4 >= 0.0) & (eps4 <= 1.0))
+    bad5 = ~((eps5 >= 0.0) & (eps5 < ep) & (ep <= 1.0))
+    # the walk visits Lemma 4 of case i at 2 i and its Meta 5 at 2 i + 1
+    bad = np.concatenate([2 * np.flatnonzero(bad4), 2 * np.flatnonzero(bad5) + 1])
+    if bad.size:
+        i, meta = divmod(int(bad.min()), 2)
+        if not meta:
+            _unit_interval(eps4[i].item())
+        meta_delta(eps5[i].item(), ep[i].item())
+    solved = np.flatnonzero(eps4 != 0.0)  # Lemma 4 at eps = 0 is 0, with no solve
+    e4, d = eps4[solved], (ep - eps5) / (1.0 + ep)
+    x = np.concatenate([e4, d])
+    # the index in x of each solve at its place in the walk, interleaved
+    walk = np.full(2 * max(len(eps4), len(d)), -1)
+    walk[np.concatenate([2 * solved, 2 * np.arange(len(d)) + 1])] = np.arange(len(x))
+    order = walk[walk >= 0]
     with np.errstate(over="ignore"):  # E / eps past the floats is inf, as for a float
-        sols = solve_betas(hamiltonian, energy / x)
+        sols = solve_betas(hamiltonian, energy / x[order])
     for err in sols.errors:
         if err is not None:
             raise err
-    is4 = case >= 0
-    e4, d, ep = x[is4], x[~is4], np.array(ep5, dtype=float)
+    entropy = np.empty(len(x))
+    entropy[order] = sols.entropy
     h4, h_ep, h_d = np.split(binary_entropies(np.concatenate([e4, ep, d])),
                              [len(e4), len(e4) + len(ep)])
     lemma4 = np.zeros(len(eps4))
-    lemma4[case[is4]] = 2.0 * e4 * sols.entropy[is4] + h4
-    return lemma4, (ep + 2.0 * d) * sols.entropy[~is4] + h_ep + h_d
+    lemma4[solved] = 2.0 * e4 * entropy[:len(e4)] + h4
+    return lemma4, (ep + 2.0 * d) * entropy[len(e4):] + h_ep + h_d
 
 
 def lemma4_bound(hamiltonian: HamiltonianSpec, energy: float, epsilon: float) -> float:

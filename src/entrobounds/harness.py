@@ -409,15 +409,16 @@ def _case_energy_bounds(rngs, h, e):
     _, dim, blocks = gb.draw_energy_block(h, e, _twice(rngs))
     states = density_stack(blocks)
     entropies = von_neumann_entropies(states.eigenvalues)
-    epsilons = trace_distances(states.mats[0::2, None], states.mats[1::2, None], dim).tolist()
-    gaps = np.abs(entropies[0::2] - entropies[1::2]).tolist()
-    primes = [min(1.0, eps + 0.1) for eps in epsilons]
-    lemma4, meta5 = (x.tolist() for x in gb.lemma4_meta5_bounds(
-        h, e, [max(eps, 1e-12) for eps in epsilons], epsilons, primes))
-    return [[bnd.BoundReport(variant="lemma4", dim=h.dim, lhs=lhs, rhs=r4, epsilon=eps, energy=e),
-             bnd.BoundReport(variant="meta5", dim=h.dim, lhs=lhs, rhs=r5, epsilon=eps, energy=e,
+    eps = trace_distances(states.mats[0::2, None], states.mats[1::2, None], dim)
+    gaps = np.abs(entropies[0::2] - entropies[1::2])
+    # Python's min(1.0, x) and max(x, 1e-12), NaN included: fmin drops it, maximum keeps it
+    primes = np.fmin(1.0, eps + 0.1)
+    lemma4, meta5 = gb.lemma4_meta5_bounds(h, e, np.maximum(eps, 1e-12), eps, primes)
+    rows = zip(*(a.tolist() for a in (eps, gaps, primes, lemma4, meta5)))
+    return [[bnd.BoundReport(variant="lemma4", dim=h.dim, lhs=lhs, rhs=r4, epsilon=x, energy=e),
+             bnd.BoundReport(variant="meta5", dim=h.dim, lhs=lhs, rhs=r5, epsilon=x, energy=e,
                              epsilon_prime=ep)]
-            for eps, lhs, ep, r4, r5 in zip(epsilons, gaps, primes, lemma4, meta5)]
+            for x, lhs, ep, r4, r5 in rows]
 
 
 def _fannes_grid(dims, epsilons):

@@ -44,11 +44,17 @@ Conventions
 Stacks
 ------
 ``hermitian_stack`` is ``HermitianOperator`` for an (n, d, d) stack of
-matrices in one pass: the same scans (``_check_hermitian``, which the
-constructor runs on its stack of one), the same symmetrization
-(``_symmetrized``) and one batched ``descending_eigvalsh``, plus one
-batched ``descending_eigh`` only when the eigenvectors are asked for;
-every matrix gets the bits it would get alone.
+matrices in one pass: the same scans and symmetrization
+(``_check_hermitian``, which the constructor runs on its stack of one)
+and one batched ``descending_eigvalsh``, plus one batched
+``descending_eigh`` only when the eigenvectors are asked for; every
+matrix gets the bits it would get alone.  The scans and the
+symmetrization share one adjoint, written once, and each stage writes
+its output once, into an array the stage allocated itself: the input is
+only read.  The bits are those of the plain formulas ``m - m^dagger`` and
+``(m + m^dagger) / 2``, since halving in place is exact (``x * 0.5`` is
+``x / 2``); only the sign of an exactly zero part may differ, which no
+sampled matrix has.
 ``trace_distance`` is the stack of one of ``trace_distances`` (of
 matrices, or of blocks) or ``factored_trace_distances``,
 ``function_stack`` is ``apply_function`` over a stack of eigenpairs,
@@ -103,29 +109,48 @@ def _frozen(a):
 
 
 def _symmetrized(mats):
-    """``(m + m^dagger) / 2`` of a matrix or of each matrix of a stack."""
-    return (mats + mats.conj().swapaxes(-1, -2)) / 2
+    """``(m + m^dagger) / 2`` of a matrix or of each matrix of a stack, as a
+    new array: the sum, halved in place (``x * 0.5`` is ``x / 2``)."""
+    out = mats + mats.conj().swapaxes(-1, -2)
+    out *= 0.5
+    return out
+
+
+def _divided(mats, tr):
+    """``_symmetrized(m / t)`` of a matrix by a real ``t``, or of each matrix
+    of a stack by its own (``tr`` of shape ``mats.shape[:k]``): a state
+    renormalized by its trace."""
+    tr = np.asarray(tr)
+    return _symmetrized(mats / tr.reshape(tr.shape + (1,) * (mats.ndim - tr.ndim)))
 
 
 def _check_hermitian(mats):
-    """Scan an (n, d, d) complex stack as one: raise ``ValueError`` for the
+    """Scan an (n, d, d) complex stack as one, and return its symmetrized
+    matrices (``_symmetrized``) as a new array: raise ``ValueError`` for the
     first matrix (in stack order) with a non-finite entry, or with a
     deviation from Hermiticity above ``HERMITICITY_ATOL max(1, largest
-    |entry|)``."""
-    largest = np.abs(mats).max(axis=(1, 2))
+    |entry|)``.  The deviation ``m - m^dagger`` and the symmetrization read
+    one adjoint, written once, whose array then holds the result (the sum
+    in place, halved in place), and the deviation's magnitudes overwrite
+    those of the entries; ``mats`` is only read."""
+    adj = np.conjugate(mats.swapaxes(1, 2), out=np.empty(mats.shape, dtype=complex))
+    mag = np.abs(mats)
+    largest = mag.max(axis=(1, 2))
     with np.errstate(invalid="ignore"):  # inf - inf; the deviation is then never read
-        dev = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        dev = np.abs(np.subtract(mats, adj), out=mag).max(axis=(1, 2))
     # NaN or inf anywhere makes the largest magnitude non-finite
     finite = largest < np.inf
     bad = ~finite | (dev > HERMITICITY_ATOL * np.maximum(1.0, largest))
-    if not bad.any():
-        return
-    j = np.flatnonzero(bad)[0]
-    if not finite[j]:
-        at = np.argwhere(~np.isfinite(mats[j]))
-        raise ValueError(f"matrix has {len(at)} non-finite entries, "
-                         f"the first at {tuple(int(i) for i in at[0])}")
-    raise ValueError(f"matrix is not Hermitian (max deviation {dev[j].item():.3e})")
+    if bad.any():
+        j = np.flatnonzero(bad)[0]
+        if not finite[j]:
+            at = np.argwhere(~np.isfinite(mats[j]))
+            raise ValueError(f"matrix has {len(at)} non-finite entries, "
+                             f"the first at {tuple(int(i) for i in at[0])}")
+        raise ValueError(f"matrix is not Hermitian (max deviation {dev[j].item():.3e})")
+    np.add(mats, adj, out=adj)
+    adj *= 0.5
+    return adj
 
 
 class HermitianOperator:
@@ -185,13 +210,12 @@ class HermitianOperator:
         mat = np.asarray(mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
             raise ValueError(f"expected a non-empty square matrix, got shape {mat.shape}")
-        _check_hermitian(mat[None])
-        self._set_matrix(mat)
+        self._set_matrix(_check_hermitian(mat[None])[0])
 
     def _set_matrix(self, mat):
-        """Store ``(mat + mat^dagger) / 2``, frozen, with no structure or
+        """Store the symmetrized matrix ``mat``, frozen, with no structure or
         spectrum."""
-        self._mat = _frozen(_symmetrized(mat))
+        self._mat = _frozen(mat)
         self.dim = mat.shape[0]
         self.factor = self.block = self.kron = self._parts = self._divisor = None
         self._eigenvalues = self._eigenvectors = None
@@ -204,8 +228,8 @@ class HermitianOperator:
         symmetrized, and no rule applied again."""
         op = cls.__new__(cls)
         # symmetrizing again changes no value, at most the sign of an exactly
-        # zero part off the diagonal, which no sampled state has
-        op._set_matrix(mat)
+        # zero part, which no sampled state has
+        op._set_matrix(_symmetrized(mat))
         if eigenvalues is not None:
             op._eigenvalues = _frozen(np.array(eigenvalues))
         if eigenvectors is not None:
@@ -291,7 +315,7 @@ class HermitianOperator:
         """``mat`` (all or part of ``_dense()``) symmetrized, and divided by
         the recorded trace and symmetrized again, as a renormalized state."""
         mat = _symmetrized(mat)
-        return mat if self._divisor is None else _symmetrized(mat / self._divisor)
+        return mat if self._divisor is None else _divided(mat, self._divisor)
 
     def _dense(self) -> np.ndarray:
         """The unsymmetrized matrix of a structured operator, as its dense
@@ -550,10 +574,11 @@ def hermitian_stack(mats, vectors: bool = False):
     matrices, their non-increasing spectra (``descending_eigvalsh``,
     contiguous) and, with ``vectors``, the eigenvectors of one batched
     ``descending_eigh`` (views), else None.  The first matrix that the
-    constructor rejects raises its error."""
-    mats = np.asarray(mats, dtype=complex)
-    _check_hermitian(mats)
-    mats = _symmetrized(mats)
+    constructor rejects raises its error.  ``mats`` is only read:
+    ``_check_hermitian`` forms one adjoint for the scans and the
+    symmetrization and writes the symmetrized matrices over it, with the
+    bits of ``(m + m^dagger) / 2``."""
+    mats = _check_hermitian(np.asarray(mats, dtype=complex))
     return mats, descending_eigvalsh(mats), descending_eigh(mats)[1] if vectors else None
 
 

@@ -47,8 +47,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (PSD_ATOL, HermitianOperator, _factored_rows, _frozen, _operator_pair,
-                     _symmetrized, check_dense_dim, diagonal_traces, eigenpairs,
+from .linalg import (PSD_ATOL, HermitianOperator, _divided, _factored_rows, _frozen,
+                     _operator_pair, _symmetrized, check_dense_dim, diagonal_traces, eigenpairs,
                      factored_diagonals, hermitian_stack, unit_vectors)
 
 # A state's trace may be off from 1 by TRACE_ATOL, and is renormalized when
@@ -137,7 +137,7 @@ class DensityOperator(HermitianOperator):
         if lam[-1] < 0.0:
             u = self.eigenvectors
             mat, lam = _clamped(lam, u)
-            self._set_matrix(mat)
+            self._set_matrix(_symmetrized(mat))
             self._eigenvalues, self._eigenvectors = _frozen(lam), u
         elif renormalized:
             self._renormalize(tr)
@@ -151,10 +151,10 @@ class DensityOperator(HermitianOperator):
         matrix, if built, and its blocks (as ``embedded_stack``), or else a
         record of ``tr`` that ``mat`` divides by; the factor and spectrum."""
         if self._parts is None or self._mat is not None:
-            self._mat = _frozen(_symmetrized(self.mat / tr))
+            self._mat = _frozen(_divided(self.mat, tr))
         if self.block is not None:
             index, mats, spectra = self.block
-            self._parts = ("block", index, _frozen(_symmetrized(mats / tr)), _frozen(spectra / tr))
+            self._parts = ("block", index, _frozen(_divided(mats, tr)), _frozen(spectra / tr))
             self.block = self._parts[1:]
         elif self._parts is not None:
             self._divisor = tr
@@ -239,7 +239,9 @@ def density_stack(mats, vectors: bool = False) -> StateStack:
     that a check that reads spectra alone computes and holds no d x d
     basis per state.  Without them, a clamped state alone is decomposed
     with ``eigh``, as the constructor decomposes it, and its ``eigvalsh``
-    spectrum is clamped with those vectors."""
+    spectrum is clamped with those vectors.  ``mats`` is only read: the
+    clamp and the renormalization write into the new symmetrized stack of
+    ``hermitian_stack``, by the constructor's formulas, so with its bits."""
     mats, lam, u = hermitian_stack(mats, vectors)
     tr = np.trace(mats, axis1=1, axis2=2).real
     renormalized = _state_rules(lam[:, -1], tr)
@@ -264,11 +266,13 @@ def built_stack(mats) -> np.ndarray:
 
 
 def _renormalize(mats, lam, tr, which):
-    """Divide, in place, the matrices or blocks (symmetrized again) and
-    spectra (if any) of the states ``which`` by their traces ``tr``, as the
-    constructor renormalizes a state."""
+    """Divide, in place, the matrices or blocks (symmetrized again,
+    ``linalg._divided``) and spectra (if any) of the states ``which`` by
+    their traces ``tr``, as the constructor renormalizes a state."""
     rows = np.flatnonzero(which)
-    mats[rows] = _symmetrized(mats[rows] / tr[rows].reshape(-1, *(1,) * (mats.ndim - 1)))
+    if not rows.size:
+        return
+    mats[rows] = _divided(mats[rows], tr[rows])
     if lam is not None:
         lam[rows] /= tr[rows].reshape(-1, *(1,) * (lam.ndim - 1))
 
@@ -433,7 +437,7 @@ def factored_marginals(vecs, lam, c, traces, dims) -> np.ndarray:
             blocks = _symmetrized(_factored_rows(rows[part, i:i + step], lam[part, None],
                                                  c[part, None]))
             div = renormalized[part]
-            blocks[div] = _symmetrized(blocks[div] / traces[part][div, None, None, None])
+            blocks[div] = _divided(blocks[div], traces[part][div])
             for j in range(blocks.shape[1]):
                 out[part] += blocks[:, j]
     return out
@@ -489,24 +493,37 @@ def maximally_entangled_state(dim: int) -> BipartiteState:
 
 def _ginibre(rngs, n, m) -> np.ndarray:
     """One n x m complex Ginibre matrix from each generator of ``rngs`` in
-    turn (real parts, then imaginary parts, in one C-order fill of its (2,
-    n, m) normals), as an (len(rngs), n, m) stack."""
+    turn, as an (len(rngs), n, m) stack: ``(p0 + 1j p1) / sqrt(2)`` of one
+    C-order fill of its (2, n, m) normals ``(p0, p1)``, real parts first.
+    Each matrix is written once, into the stack, with the bits of that
+    division (``_complex_normals``)."""
     check_dense_dim(n)
     parts = np.empty((len(rngs), 2, n, m))
     for part, rng in zip(parts, rngs):
         np.random.default_rng(rng).standard_normal(out=part)
-    return _complex(parts)
+    return _complex_normals(parts)
 
 
-def _complex(parts) -> np.ndarray:
-    """The complex matrices of the normals ``parts`` (n, 2, dim, rank)."""
-    return (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2)
+def _complex_normals(normals) -> np.ndarray:
+    """``(p0 + 1j p1) / sqrt(2)`` of the real parts ``p0`` and imaginary parts
+    ``p1`` of normals (..., 2, n, m), as a new complex (..., n, m) array.
+    Each part is written once, as ``x * fl(1/sqrt(2))``, into the real and
+    imaginary views of the result: the bits of the complex division, as
+    numpy divides a complex by a real ``t`` as ``x * fl(1/t)``."""
+    g = np.empty(normals.shape[:-3] + normals.shape[-2:], dtype=complex)
+    np.multiply(normals[..., 0, :, :], 1.0 / np.sqrt(2), out=g.real)
+    np.multiply(normals[..., 1, :, :], 1.0 / np.sqrt(2), out=g.imag)
+    return g
 
 
 def _hs_matrices(g) -> np.ndarray:
-    """``g g^dagger / tr(g g^dagger)`` of each matrix of an (n, dim, rank) stack."""
+    """``g g^dagger / tr(g g^dagger)`` of each matrix of an (n, dim, rank)
+    stack: the product multiplied by ``fl(1/tr)`` in place, the bits of the
+    division, as numpy divides a complex by a real ``t`` as ``x * fl(1/t)``
+    for each real and imaginary part ``x``."""
     m = g @ g.conj().swapaxes(1, 2)
-    return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+    m *= (1.0 / np.trace(m, axis1=1, axis2=2).real)[:, None, None]
+    return m
 
 
 def draw_state_matrices(dim: int, rank: int, rngs) -> np.ndarray:
@@ -551,7 +568,7 @@ def draw_qc(d_a: int, d_x: int, rngs):
         rng = np.random.default_rng(rng)
         p[:] = rng.dirichlet(np.ones(d_x))
         rng.standard_normal(out=part)
-    blocks = _hs_matrices(_complex(parts.reshape(-1, 2, d_a, d_a)))
+    blocks = _hs_matrices(_complex_normals(parts).reshape(-1, d_a, d_a))
     return weights, blocks.reshape(len(rngs), d_x, d_a, d_a)
 
 

@@ -929,6 +929,40 @@ class TestSolveBetas:
         assert str(stacked.value) == str(first.value)
         assert str(first.value).startswith("energy -5.99")
 
+    def test_the_mask_rules_are_the_case_walk(self):
+        h = HamiltonianSpec.oscillators([1.0], n_max=40)
+        rng = np.random.default_rng(41)
+        values = [0.0, 1e-12, 0.3, 1.0, -0.1, 1.5, math.nan]
+        for trial in range(300):
+            n4, n5 = rng.integers(0, 6, 2)
+            pick = (lambda n: rng.choice(values, n).tolist()) if trial % 3 == 0 else (
+                lambda n: rng.uniform(0.0, 1.0, n).tolist())
+            eps4, eps5 = pick(n4), pick(n5)
+            primes = [min(1.0, x + 0.1) if trial % 2 else x + 0.2 for x in eps5]
+            args = (h, 2.0, eps4, eps5, primes)
+            try:
+                expected = ref_lemma4_meta5_bounds(*args)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as info:
+                    gibbs.lemma4_meta5_bounds(*args)
+                assert type(info.value) is type(exc) and str(info.value) == str(exc)
+            else:
+                got = gibbs.lemma4_meta5_bounds(*args)
+                assert [x.tobytes() for x in got] == [x.tobytes() for x in expected]
+
+    def test_energy_bound_columns_are_the_per_record_lists(self, monkeypatch):
+        seen = []
+        bounds = gibbs.lemma4_meta5_bounds
+        monkeypatch.setattr(gibbs, "lemma4_meta5_bounds",
+                            lambda *args: seen.append(args) or bounds(*args))
+        h = HamiltonianSpec.oscillators([1.0], n_max=40)
+        reports = _case_energy_bounds([np.random.default_rng(k) for k in range(6)], h, 2.0)
+        (_, _, floors, eps, primes), = seen
+        assert [r.epsilon for r, _ in reports] == eps.tolist()
+        assert floors.tolist() == [max(x, 1e-12) for x in eps.tolist()]
+        assert primes.tolist() == [min(1.0, x + 0.1) for x in eps.tolist()]
+        assert [r.epsilon_prime for _, r in reports] == primes.tolist()
+
     def test_a_one_mode_stack_takes_one_evaluation(self, monkeypatch):
         evals = []
         evaluate = gibbs._energies_and_slopes
@@ -957,3 +991,35 @@ def test_conditional_witness_builds_no_product_space_matrix(monkeypatch):
     assert rho.dims == sigma.dims == (58, 58)
     assert max(reads) == 58
     assert sigma.trace() == pytest.approx(1.0, abs=1e-12)
+
+
+def ref_lemma4_meta5_bounds(hamiltonian, energy, lemma4_epsilons, epsilons, epsilon_primes):
+    """``lemma4_meta5_bounds`` as it was before its argument rules became
+    masks, kept verbatim (renamed) as the reference of its bits and errors:
+    one walk over the cases in Python."""
+    from entrobounds.bounds import _unit_interval
+    eps4, eps5, ep5 = (np.asarray(x, dtype=float).reshape(-1).tolist()
+                       for x in (lemma4_epsilons, epsilons, epsilon_primes))
+    cases, xs = [], []
+    for i in range(max(len(eps4), len(eps5))):
+        if i < len(eps4):
+            _unit_interval(eps4[i])
+            if eps4[i] != 0.0:
+                cases.append(i)
+                xs.append(eps4[i])
+        if i < len(eps5):
+            cases.append(-1)
+            xs.append(meta_delta(eps5[i], ep5[i]))
+    x, case = np.array(xs, dtype=float), np.array(cases, dtype=int)
+    with np.errstate(over="ignore"):
+        sols = gibbs.solve_betas(hamiltonian, energy / x)
+    for err in sols.errors:
+        if err is not None:
+            raise err
+    is4 = case >= 0
+    e4, d, ep = x[is4], x[~is4], np.array(ep5, dtype=float)
+    h4, h_ep, h_d = np.split(binary_entropies(np.concatenate([e4, ep, d])),
+                             [len(e4), len(e4) + len(ep)])
+    lemma4 = np.zeros(len(eps4))
+    lemma4[case[is4]] = 2.0 * e4 * sols.entropy[is4] + h4
+    return lemma4, (ep + 2.0 * d) * sols.entropy[~is4] + h_ep + h_d

@@ -10,14 +10,17 @@ from entrobounds.linalg import (
     HermitianOperator,
     MatrixFunctionDomainError,
     _check_hermitian,
+    _divided,
     _symmetrized,
     as_operator,
     descending_eigh,
     eigenpairs,
     factored_trace_distances,
     fidelity,
+    hermitian_stack,
     operator_norm,
     trace_distance,
+    trace_distances,
     trace_norm,
 )
 from entrobounds.bounds import tightness_witness_af, tightness_witness_fannes
@@ -829,9 +832,16 @@ class TestSqrtOperatorMonotone:
             assert diff.eigenvalues[-1] >= -1e-9
 
 
+def ref_symmetrized(mats):
+    """The symmetrization as it was before it halved in place, kept verbatim
+    (renamed) as the reference of its bits."""
+    return (mats + mats.conj().swapaxes(-1, -2)) / 2
+
+
 def ref_check_hermitian(mats):
     """The matrix scan as it was before it looped only on failure, kept
-    verbatim (renamed) as the reference of its errors."""
+    verbatim (renamed) as the reference of its errors; it formed the
+    adjoint for itself, and the symmetrization formed it again."""
     largest = np.abs(mats).max(axis=(1, 2))
     with np.errstate(invalid="ignore"):  # inf - inf; the deviation is then never read
         dev = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2))
@@ -881,3 +891,81 @@ class TestHermitianScan:
         else:
             assert set(defects) <= {"ok", "large"}
             _check_hermitian(mats)
+
+
+def _stacks():
+    """Random complex stacks of n in {1, 5} matrices of d in {1, 2, 3, 17,
+    64, 128}: raw, and Hermitian up to the rounding of a Gram product."""
+    rng = np.random.default_rng(41)
+    for n in (1, 5):
+        for d in (1, 2, 3, 17, 64, 128):
+            g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+            yield n, d, g, g @ g.conj().swapaxes(1, 2)
+
+
+def _read_only(a):
+    a = np.array(a)
+    a.setflags(write=False)
+    return a
+
+
+class TestFrozenSymmetrization:
+    """The one-adjoint scan and symmetrization give the bits of the formulas
+    they replaced, and only read their input."""
+
+    def test_symmetrized_is_the_plain_formula(self):
+        for _, _, g, gram in _stacks():
+            for m in (g, gram, g[0]):
+                assert _symmetrized(m).tobytes() == ref_symmetrized(m).tobytes()
+
+    def test_divided_is_the_plain_formula(self):
+        rng = np.random.default_rng(43)
+        for n, _, g, gram in _stacks():
+            tr = rng.uniform(0.5, 2.0, n)
+            for m in (g, gram):
+                assert _divided(m, tr).tobytes() == ref_symmetrized(m / tr[:, None, None]).tobytes()
+                assert _divided(m[0], tr[0]).tobytes() == ref_symmetrized(m[0] / tr[0]).tobytes()
+            blocks = g.reshape(n, 1, *g.shape[1:])
+            assert (_divided(blocks, tr).tobytes()
+                    == ref_symmetrized(blocks / tr[:, None, None, None]).tobytes())
+
+    def test_the_scan_returns_the_symmetrized_stack(self):
+        for _, _, _, gram in _stacks():
+            ref_check_hermitian(gram)
+            assert _check_hermitian(gram).tobytes() == ref_symmetrized(gram).tobytes()
+            mats, lam, _ = hermitian_stack(gram, vectors=True)
+            assert mats.tobytes() == ref_symmetrized(gram).tobytes()
+            strided = gram[::-2]
+            assert hermitian_stack(strided)[0].tobytes() == ref_symmetrized(strided).tobytes()
+            assert lam.tobytes() == np.ascontiguousarray(
+                np.linalg.eigvalsh(ref_symmetrized(gram))[:, ::-1]).tobytes()
+            assert HermitianOperator(gram[-1]).mat.tobytes() == ref_symmetrized(gram[-1]).tobytes()
+
+    def test_read_only_inputs_are_left_untouched(self):
+        for n, _, g, gram in _stacks():
+            frozen = _read_only(gram)
+            before = frozen.tobytes()
+            out = hermitian_stack(frozen)[0]
+            op = HermitianOperator(frozen[0])
+            eps = trace_distances(frozen, _read_only(gram[::-1]))
+            sym, div = _symmetrized(frozen), _divided(frozen, _read_only(np.full(n, 2.0)))
+            assert frozen.tobytes() == before
+            assert out.flags.writeable and sym.flags.writeable and div.flags.writeable
+            assert not np.shares_memory(out, frozen) and not np.shares_memory(op.mat, frozen)
+            assert eps.shape == (n,)
+
+    @pytest.mark.parametrize("defects", [
+        ("ok", "skew", "nan"), ("ok", "nan", "skew"), ("inf", "skew"), ("skew", "inf"),
+        ("ok", "large", "ok", "skew"), ("nan",), ("skew",),
+    ])
+    def test_the_first_bad_matrix_raises_through_both_entries(self, defects):
+        mats = TestHermitianScan.stack(np.random.default_rng(7 * len(defects)), defects)
+        with pytest.raises(ValueError) as ref:
+            ref_check_hermitian(mats)
+        with pytest.raises(ValueError) as stacked:
+            hermitian_stack(_read_only(mats))
+        assert str(stacked.value) == str(ref.value)
+        first = next(j for j, defect in enumerate(defects) if defect not in ("ok", "large"))
+        with pytest.raises(ValueError) as alone:
+            HermitianOperator(_read_only(mats[first]))
+        assert str(alone.value) == str(ref.value)

@@ -486,8 +486,10 @@ class TestDensityStack:
 # -- reference rules and draws --------------------------------------------------
 #
 # The state rule and the samplers' normal fills as they were before the rule
-# became masks over the stack and each case's normals one fill, kept
-# verbatim (renamed) as the references they must match bit for bit.
+# became masks over the stack and each case's normals one fill, and the
+# draws' complex matrices, Hilbert-Schmidt scaling and renormalization as
+# they were before they were written in place, kept verbatim (renamed) as
+# the references they must match bit for bit.
 
 
 def ref_state_rule(lam_min: float, tr: float) -> bool:
@@ -509,12 +511,32 @@ def ref_normals(rng, part) -> None:
     rng.standard_normal(out=part[1])
 
 
+def ref_complex(parts) -> np.ndarray:
+    return (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2)
+
+
+def ref_hs_matrices(g) -> np.ndarray:
+    m = g @ g.conj().swapaxes(1, 2)
+    return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+
+
+def ref_symmetrized(mats):
+    return (mats + mats.conj().swapaxes(-1, -2)) / 2
+
+
+def ref_renormalize(mats, lam, tr, which):
+    rows = np.flatnonzero(which)
+    mats[rows] = ref_symmetrized(mats[rows] / tr[rows].reshape(-1, *(1,) * (mats.ndim - 1)))
+    if lam is not None:
+        lam[rows] /= tr[rows].reshape(-1, *(1,) * (lam.ndim - 1))
+
+
 def ref_ginibre(rngs, n, m) -> np.ndarray:
     check_dense_dim(n)
     parts = np.empty((len(rngs), 2, n, m))
     for part, rng in zip(parts, rngs):
         ref_normals(np.random.default_rng(rng), part)
-    return st._complex(parts)
+    return ref_complex(parts)
 
 
 def ref_draw_qc(d_a: int, d_x: int, rngs):
@@ -526,7 +548,7 @@ def ref_draw_qc(d_a: int, d_x: int, rngs):
         p[:] = rng.dirichlet(np.ones(d_x))
         for block in part:
             ref_normals(rng, block)
-    blocks = st._hs_matrices(st._complex(parts.reshape(-1, 2, d_a, d_a)))
+    blocks = ref_hs_matrices(ref_complex(parts.reshape(-1, 2, d_a, d_a)))
     return weights, blocks.reshape(len(rngs), d_x, d_a, d_a)
 
 
@@ -609,3 +631,78 @@ class TestNormalFills:
         got = draw_qc(d_a, d_x, [np.random.default_rng(k) for k in range(4)])
         expected = ref_draw_qc(d_a, d_x, [np.random.default_rng(k) for k in range(4)])
         assert [x.tobytes() for x in got] == [x.tobytes() for x in expected]
+
+
+def _read_only(a):
+    a = np.array(a)
+    a.setflags(write=False)
+    return a
+
+
+class TestFrozenDraws:
+    """The draws, the Hilbert-Schmidt scaling and the renormalization,
+    written in place, give the bits of the formulas they replaced (frozen
+    above), which also pins numpy's complex division by a real ``t`` to
+    ``x * fl(1/t)``; they only read their input."""
+
+    SIZES = [(n, d) for n in (1, 5) for d in (1, 2, 3, 17, 64, 128)]
+
+    @pytest.mark.parametrize("n, d", SIZES)
+    def test_complex_normals_are_the_complex_division(self, n, d):
+        normals = _read_only(np.random.default_rng(d).standard_normal((n, 2, d, d)))
+        before = normals.tobytes()
+        assert st._complex_normals(normals).tobytes() == ref_complex(normals).tobytes()
+        assert normals.tobytes() == before
+
+    @pytest.mark.parametrize("n, d", SIZES)
+    def test_hs_matrices_are_the_division_by_the_trace(self, n, d):
+        rng = np.random.default_rng(100 + d)
+        for rank in sorted({1, d}):
+            g = _read_only(ref_complex(rng.standard_normal((n, 2, d, rank))))
+            before = g.tobytes()
+            assert st._hs_matrices(g).tobytes() == ref_hs_matrices(g).tobytes()
+            assert g.tobytes() == before
+        rngs = [np.random.default_rng(k) for k in range(n)]
+        expected = ref_hs_matrices(ref_ginibre([np.random.default_rng(k) for k in range(n)], d, d))
+        assert draw_state_matrices(d, d, rngs).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n, d", SIZES)
+    def test_renormalize_divides_then_symmetrizes(self, n, d):
+        rng = np.random.default_rng(200 + d)
+        g = ref_complex(rng.standard_normal((n, 2, d, d)))
+        mats = ref_symmetrized(g @ g.conj().swapaxes(1, 2))
+        tr = _read_only(1.0 + rng.uniform(-1e-9, 1e-9, n))
+        lam = rng.uniform(0.0, 1.0, (n, d))
+        which = _read_only(rng.uniform(size=n) < 0.6)
+        got, got_lam, ref, ref_lam = mats.copy(), lam.copy(), mats.copy(), lam.copy()
+        st._renormalize(got, got_lam, tr, which)
+        ref_renormalize(ref, ref_lam, tr, which)
+        assert got.tobytes() == ref.tobytes() and got_lam.tobytes() == ref_lam.tobytes()
+        blocks, ref_blocks = mats[:, None].copy(), mats[:, None].copy()
+        st._renormalize(blocks, None, tr, which)
+        ref_renormalize(ref_blocks, None, tr, which)
+        assert blocks.tobytes() == ref_blocks.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 17, 64])
+    def test_a_state_alone_renormalizes_as_before(self, d):
+        g = ref_complex(np.random.default_rng(300 + d).standard_normal((1, 2, d, d)))
+        m = ref_hs_matrices(g)[0] * (1.0 + 1e-12)
+        sym = ref_symmetrized(m)
+        tr = np.trace(sym).real
+        assert abs(tr - 1.0) > st.RENORM_ATOL
+        state = DensityOperator(_read_only(m))
+        assert state.mat.tobytes() == ref_symmetrized(sym / tr).tobytes()
+        stacked = density_stack(_read_only(m[None]))
+        assert stacked.mats[0].tobytes() == state.mat.tobytes()
+        op = HermitianOperator._block_diagonal(d, np.arange(d)[None], sym[None], np.ones((1, d)))
+        block_tr = op.trace()
+        block = DensityOperator(op)
+        assert block.block[1].tobytes() == ref_symmetrized(sym[None] / block_tr).tobytes()
+
+    def test_density_stack_only_reads_its_input(self):
+        mats = _read_only(draw_state_matrices(3, 3, [np.random.default_rng(k) for k in range(6)]))
+        before = mats.tobytes()
+        stack = density_stack(mats, vectors=True)
+        assert mats.tobytes() == before and not np.shares_memory(stack.mats, mats)
+        assert not np.shares_memory(built_stack(mats), mats)
+        assert mats.tobytes() == before
