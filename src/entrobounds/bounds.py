@@ -24,9 +24,10 @@ caller-supplied eps is never trusted.  Each bound has one kernel over a
 stack of pairs (``check_fannes_stack`` and ``check_af_stack`` take the
 spectra and B marginals of rho and sigma interleaved as drawn,
 ``check_cor_pure_stack`` pure states), and ``_reports`` builds every
-report list, with one call of the formula's kernel at min(eps, 1).
-``check_fannes``, ``check_af`` and ``check_cor_pure`` are stacks of one:
-a state brings the spectrum and marginals it holds.
+kernel's ``BoundBlock``, the stack's records as columns, with one call of
+the formula's kernel at min(eps, 1).  ``check_fannes``, ``check_af`` and
+``check_cor_pure`` are stacks of one, the ``BoundReport`` of row 0 of
+their block: a state brings the spectrum and marginals it holds.
 ``check_fannes_witnesses`` and ``check_af_witnesses`` build the witness
 pairs at one d for a whole eps grid as one stack of their parts (1 x 1
 blocks, or factors) and score it with the same kernels, each record with
@@ -36,7 +37,8 @@ the bits of ``check_fannes`` or ``check_af`` of its scalar pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,6 +68,43 @@ class BoundReport:
     @property
     def slack(self) -> float:
         return self.rhs - self.lhs
+
+
+def _objects(values) -> np.ndarray:
+    """``values`` as a 1-D array of the Python objects themselves."""
+    values = list(values)
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
+class BoundBlock(NamedTuple):
+    """The records of a stack of checked bounds ``lhs <= rhs`` as columns:
+    each row's case position in its chunk (``case``), then the fields of
+    ``BoundReport``, each an array of one value per row, or one value that
+    every row shares (None for a blank column).  A stacked kernel returns
+    one; ``report`` reads one row back as a ``BoundReport``."""
+
+    case: np.ndarray
+    variant: object
+    dim: object
+    lhs: object
+    rhs: object
+    epsilon: object = None
+    energy: object = None
+    epsilon_prime: object = None
+
+    @classmethod
+    def of_reports(cls, reports) -> BoundBlock:
+        """The block of one list of ``BoundReport``s per case position, in
+        that order, each column an array of the reports' own values."""
+        rows = [(case, rep) for case, reps in enumerate(reports) for rep in reps]
+        return cls(np.array([case for case, _ in rows], dtype=int),
+                   *(_objects(getattr(rep, f.name) for _, rep in rows)
+                     for f in fields(BoundReport)))
+
+    def report(self, row: int = 0) -> BoundReport:
+        """Row ``row`` as a ``BoundReport`` of Python values."""
+        return BoundReport(*(col[row:row + 1].tolist()[0] if isinstance(col, np.ndarray) else col
+                             for col in self[1:]))
 
 
 # -- bound formulas ----------------------------------------------------------
@@ -176,17 +215,15 @@ def cor2_bound(epsilon: float, d: int) -> float:
 # -- checkers ----------------------------------------------------------------
 
 
-def _reports(variant: str, dim: int, eps, values, bound) -> list:
-    """The reports of n pairs: their trace distances ``eps`` (n,), the gaps
+def _reports(variant: str, dim: int, eps, values, bound) -> BoundBlock:
+    """The block of n pairs: their trace distances ``eps`` (n,), the gaps
     |x_rho - x_sigma| of ``values`` (2n,), rho and sigma interleaved as
     drawn, and the rhs of one ``bound(min(eps, 1))`` call over the stack."""
     lhs = np.abs(values[0::2] - values[1::2])
-    rhs = bound(np.minimum(eps, 1.0))
-    return [BoundReport(variant=variant, dim=dim, lhs=lh, rhs=r, epsilon=e)
-            for e, lh, r in zip(eps.tolist(), lhs.tolist(), rhs.tolist())]
+    return BoundBlock(np.arange(len(eps)), variant, dim, lhs, bound(np.minimum(eps, 1.0)), eps)
 
 
-def check_fannes_stack(eps, spectra) -> list:
+def check_fannes_stack(eps, spectra) -> BoundBlock:
     """The Fannes-Audenaert check of n pairs from their trace distances (n,)
     and the spectra (2n, d) of rho and sigma interleaved as drawn."""
     d = spectra.shape[-1]
@@ -194,7 +231,8 @@ def check_fannes_stack(eps, spectra) -> list:
                     lambda e: fannes_audenaert_bound_stack(e, d))
 
 
-def check_af_stack(eps, spectra, b_marginals, d_a: int, classical_b: bool = False) -> list:
+def check_af_stack(eps, spectra, b_marginals, d_a: int,
+                   classical_b: bool = False) -> BoundBlock:
     """The Alicki-Fannes check of n pairs on ``A (x) B`` from their trace
     distances (n,), and the spectra (2n, D) and unvalidated B marginals
     (2n, d_B, d_B) of rho and sigma interleaved as drawn."""
@@ -206,7 +244,7 @@ def check_af_stack(eps, spectra, b_marginals, d_a: int, classical_b: bool = Fals
 def check_fannes(rho: DensityOperator, sigma: DensityOperator) -> BoundReport:
     rho, sigma = state_pair(rho, sigma)
     eps = np.array([trace_distance(rho, sigma)])
-    return check_fannes_stack(eps, np.stack([rho.eigenvalues, sigma.eigenvalues]))[0]
+    return check_fannes_stack(eps, np.stack([rho.eigenvalues, sigma.eigenvalues])).report()
 
 
 def check_af(rho: BipartiteState, sigma: BipartiteState, classical_b: bool = False) -> BoundReport:
@@ -215,7 +253,7 @@ def check_af(rho: BipartiteState, sigma: BipartiteState, classical_b: bool = Fal
     eps = np.array([trace_distance(rho, sigma)])
     spectra = np.stack([rho.eigenvalues, sigma.eigenvalues])
     marginals = np.stack([b_marginal(rho), b_marginal(sigma)])
-    return check_af_stack(eps, spectra, marginals, rho.dims[0], classical_b)[0]
+    return check_af_stack(eps, spectra, marginals, rho.dims[0], classical_b).report()
 
 
 def check_dc(rho: DensityOperator, sigma: DensityOperator,
@@ -244,7 +282,8 @@ _COROLLARIES = {"ef": ("ef_cor1", lambda e, d: cor1_bounds_stack(e, d)[0]),
                 "er": ("er_cor2", cor2_bound_stack)}
 
 
-def check_cor_pure_stack(phi: PureStack, psi: PureStack, dims, which: str = "ef") -> list:
+def check_cor_pure_stack(phi: PureStack, psi: PureStack, dims,
+                         which: str = "ef") -> BoundBlock:
     """``check_cor_pure`` of each pair of two stacks of pure states on
     ``A (x) B`` of dimensions ``dims``, with no D x D matrix built: eps from
     the rank-one factors ``(v, [w], 0)``, clipped to 1, and the A marginals
@@ -274,7 +313,8 @@ def check_cor_pure(phi: BipartiteState, psi: BipartiteState, which: str = "ef") 
         raise ValueError("bipartite dimension mismatch")
     if any(rank_one_factor(state) is None for state in (phi, psi)):
         raise ValueError("check_cor_pure takes pure states (a rank-one factor)")
-    return check_cor_pure_stack(PureStack.of(phi), PureStack.of(psi), phi.dims, which)[0]
+    return check_cor_pure_stack(PureStack.of(phi), PureStack.of(psi), phi.dims,
+                                which).report()
 
 
 # -- extremal witnesses ------------------------------------------------------
@@ -326,7 +366,7 @@ def tightness_witness_af(d: int, epsilon: float):
     return rho, sigma
 
 
-def check_fannes_witnesses(d: int, epsilons) -> list:
+def check_fannes_witnesses(d: int, epsilons) -> BoundBlock:
     """``check_fannes(*tightness_witness_fannes(d, eps))`` at each eps of
     ``epsilons``, bit for bit, as one stack: the diagonals of the pairs,
     rho and sigma interleaved, held to the state rule as the 1 x 1 blocks
@@ -345,7 +385,7 @@ def check_fannes_witnesses(d: int, epsilons) -> list:
     return check_fannes_stack(eps, block_spectra(states.eigenvalues, d)[0])
 
 
-def check_af_witnesses(d: int, epsilons) -> list:
+def check_af_witnesses(d: int, epsilons) -> BoundBlock:
     """``check_af(*tightness_witness_af(d, eps))`` at each eps of ``epsilons``,
     bit for bit, as one stack with no d^2 x d^2 matrix built: the factors
     ``(Phi_d, [1-eps], eps/(d^2-1))`` and ``(Phi_d, [1], 0)`` interleaved,

@@ -136,12 +136,13 @@ def _exit_code(records) -> int:
 def _cmd_verify(args, settings) -> int:
     cfg = CampaignConfig(args.suite, **settings)
     report = run_campaign(cfg)
-    print(f"suite={cfg.suite} cases={len(report.records)} "
+    violations = report.violations
+    print(f"suite={cfg.suite} cases={report.size} "
           f"min_slack={report.min_slack:.3e} max_slack={report.max_slack:.3e} "
-          f"violations={report.violations}")
+          f"violations={violations}")
     if cfg.output:
         print(f"report written to {cfg.output}")
-    return _exit_code(report.records)
+    return EXIT_VIOLATIONS if violations else EXIT_OK
 
 
 def _cmd_witness(args, settings) -> int:

@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import BoundReport, _af_form, _unit_interval
+from .bounds import BoundBlock, _af_form, _objects, _unit_interval
 from .entropies import (LOG2_E, binary_entropies, binary_entropy, clipped_binary,
                         von_neumann_entropies)
 from .linalg import DENSE_DIM_LIMIT, HermitianOperator, check_dense_dim
@@ -783,8 +783,8 @@ def oscillator_tightness_witness(energy: float, epsilon: float,
     return rho, sigma
 
 
-def check_oscillator_witnesses(energy: float, epsilons) -> list:
-    """The Lemma 4 record of the entropy witness
+def check_oscillator_witnesses(energy: float, epsilons) -> BoundBlock:
+    """The block of the Lemma 4 records of the entropy witness
     ``oscillator_tightness_witness(E, eps)`` at each eps of ``epsilons``, bit
     for bit as each pair's Shannon entropies and ``lemma4_bound`` give it:
     one solve for gamma(E), the sigma rows of all eps as one stack, their
@@ -793,15 +793,14 @@ def check_oscillator_witnesses(energy: float, epsilons) -> list:
     raised: its bad eps, the energy's or its bound's."""
     epsilons = list(epsilons)
     bad = next((i for i, e in enumerate(epsilons) if not 0.0 < e <= 1.0), None)
-    good, reports = epsilons[:bad], []
-    if good:  # the first case gets past its eps
+    good = epsilons[:bad]
+    if bad != 0:  # the first case gets past its eps
         _witness_energy(energy)
         h, rho, sigma = _entropy_witnesses(energy, good)
         entropies = von_neumann_entropies(np.vstack([rho, sigma]))
-        lhs = np.abs(entropies[0] - entropies[1:]).tolist()
-        rhs = lemma4_meta5_bounds(h, energy, good, (), ())[0].tolist()
-        reports = [BoundReport(variant="oscillator_lemma4", dim=len(rho), lhs=lh, rhs=r,
-                               epsilon=e, energy=energy) for e, lh, r in zip(good, lhs, rhs)]
+        block = BoundBlock(np.arange(len(good)), "oscillator_lemma4", len(rho),
+                           np.abs(entropies[0] - entropies[1:]),
+                           lemma4_meta5_bounds(h, energy, good, (), ())[0], _objects(good), energy)
     if bad is not None:
         raise ValueError(f"epsilon {epsilons[bad]!r} outside (0, 1]")
-    return reports
+    return block

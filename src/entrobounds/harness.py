@@ -11,7 +11,9 @@ These generators cannot ``spawn``: their seed sequence holds one state.
 
 Chunks: ``_check`` hands a case function the cases of equal parameters
 together, one generator per case, and puts their records back in case
-order.  The sampled suites draw each case from its own generator as the
+order as columns: a case function returns its chunk's ``BoundBlock``,
+and the report keeps the blocks' arrays from the kernels to the file.
+The sampled suites draw each case from its own generator as the
 scalar samplers do, validate and decompose the whole chunk as one stack
 (``states.density_stack``, of the k x k blocks alone for
 ``energy_bounds``; ``states.pure_stack`` keeps pure states as vectors and
@@ -89,21 +91,44 @@ class CampaignConfig:
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CampaignReport:
-    records: list
+    """The rows of a campaign as columns: ``columns`` maps each of
+    ``REPORT_COLUMNS`` to one 1-D array of ``size`` values, or to the one
+    value every row shares (None for a blank column).  ``records`` builds
+    the rows as dicts when it is read; ``min_slack``, ``max_slack`` and
+    ``violations`` are the builtins' ``min``, ``max`` and count over the
+    columns' Python values, a NaN slack included."""
+
+    columns: dict
+    size: int
+
+    @classmethod
+    def of_records(cls, records) -> CampaignReport:
+        """The report of ``records``, dicts keyed by ``REPORT_COLUMNS``."""
+        return cls(_columns_of(records, REPORT_COLUMNS), len(records))
+
+    def values(self, name: str) -> list:
+        """Column ``name`` as a list of Python values, one per row."""
+        column = self.columns[name]
+        return column.tolist() if isinstance(column, np.ndarray) else [column] * self.size
+
+    @property
+    def records(self) -> list:
+        return [dict(zip(REPORT_COLUMNS, row))
+                for row in zip(*map(self.values, REPORT_COLUMNS))]
 
     @property
     def min_slack(self) -> float:
-        return min((r["slack"] for r in self.records), default=math.inf)
+        return min(self.values("slack"), default=math.inf)
 
     @property
     def max_slack(self) -> float:
-        return max((r["slack"] for r in self.records), default=-math.inf)
+        return max(self.values("slack"), default=-math.inf)
 
     @property
     def violations(self) -> int:
-        return sum(1 for r in self.records if not r["valid"])
+        return sum(1 for valid in self.values("valid") if not valid)
 
 
 # -- case generators -------------------------------------------------------------
@@ -243,9 +268,10 @@ class Each:
 # takes those fields but ``seed`` as its arguments and returns one parameter
 # tuple per case.  The case function takes a chunk, a list of per-case
 # generators, and the parameters the chunk's cases share (an ``Each`` parameter
-# as the list of its values), and returns one list of ``BoundReport``s per
-# case; the cases of a suite that reads no ``seed`` draw nothing and get None
-# for a generator.  Fields a case leaves at None are blank in the report.
+# as the list of its values), and returns the chunk's ``bounds.BoundBlock``,
+# its rows in any order, each with its case's position in the chunk; the
+# cases of a suite that reads no ``seed`` draw nothing and get None for a
+# generator.  Fields a block leaves at None are blank in the report.
 
 
 def _pair_bytes(d):
@@ -269,7 +295,7 @@ def _twice(rngs):
 def _case_fannes(rngs, d):
     states = density_stack(draw_state_matrices(d, d, _twice(rngs)))
     eps = trace_distances(states.mats[0::2], states.mats[1::2])
-    return [[rep] for rep in bnd.check_fannes_stack(eps, states.eigenvalues)]
+    return bnd.check_fannes_stack(eps, states.eigenvalues)
 
 
 def _grid_af(dims, samples):
@@ -291,7 +317,7 @@ def _case_af(rngs, d, classical_b):
         states = density_stack(draw_state_matrices(d * d, d * d, _twice(rngs)))
         spectra, marginals = states.eigenvalues, partial_traces(states.mats, (d, d), "B")
     eps = trace_distances(states.mats[0::2], states.mats[1::2], d * d)
-    return [[rep] for rep in bnd.check_af_stack(eps, spectra, marginals, d, classical_b)]
+    return bnd.check_af_stack(eps, spectra, marginals, d, classical_b)
 
 
 def _case_dc(rngs, d):
@@ -299,8 +325,9 @@ def _case_dc(rngs, d):
     rho and sigma), validated as one stack; each case checked by ``check_dc``."""
     states = density_stack(draw_state_matrices(d, d, [rng for rng in rngs for _ in range(5)]))
     ops = [DensityOperator._trusted(mat, lam) for mat, lam in zip(states.mats, states.eigenvalues)]
-    return [[bnd.check_dc(ops[k + 3], ops[k + 4], bnd.ConvexSetModel(generators=ops[k:k + 3]))]
-            for k in range(0, len(ops), 5)]
+    return bnd.BoundBlock.of_reports(
+        [[bnd.check_dc(ops[k + 3], ops[k + 4], bnd.ConvexSetModel(generators=ops[k:k + 3]))]
+         for k in range(0, len(ops), 5)])
 
 
 def _dc_bytes(d):
@@ -320,18 +347,22 @@ def _case_couplings(rngs, d):
     return _couplings_reports(*_draw_pairs(rngs, d), d)
 
 
+_COUPLING_VARIANTS = bnd._objects(("quantum_overlap_psi", "quantum_overlap_phi",
+                                    "quantum_fidelity_theta", "diagonal_largest_eigenvalue"))
+
+
 def _couplings_reports(rho, sigma, d):
-    """The records of each pair of the stacks ``rho`` and ``sigma``: the
+    """The block of the pairs of the stacks ``rho`` and ``sigma``, one row
+    per ``_COUPLING_VARIANTS`` entry and pair, variant by variant: the
     overlaps of vartheta with psi and phi, F(psi, Theta) and the diagonal
     coupling's largest eigenvalue, each against 1 - eps."""
     qc = cpl.quantum_couplings(rho, sigma)
-    rhs = {"quantum_overlap_psi": qc.overlap_psi,
-           "quantum_overlap_phi": qc.overlap_phi,
-           "quantum_fidelity_theta": qc.fidelity_theta,
-           "diagonal_largest_eigenvalue": cpl.diagonal_couplings(rho, sigma).largest_eigenvalue}
-    rhs = {v: r.tolist() for v, r in rhs.items()}
-    return [[bnd.BoundReport(variant=v, dim=d, lhs=1.0 - eps, rhs=r[k], epsilon=eps)
-             for v, r in rhs.items()] for k, eps in enumerate(qc.epsilon.tolist())]
+    rhs = (qc.overlap_psi, qc.overlap_phi, qc.fidelity_theta,
+           cpl.diagonal_couplings(rho, sigma).largest_eigenvalue)
+    n, k = len(qc.epsilon), len(rhs)
+    return bnd.BoundBlock(np.tile(np.arange(n), k), np.repeat(_COUPLING_VARIANTS, n), d,
+                          np.tile(1.0 - qc.epsilon, k), np.concatenate(rhs),
+                          np.tile(qc.epsilon, k))
 
 
 def _couplings_bytes(d):
@@ -346,7 +377,7 @@ def _case_cor_pure(rngs, d):
     """A chunk of ``sample_pure_bipartite`` pairs on d x d, checked by
     ``check_cor_pure`` as one stack."""
     phi, psi = pure_stack(draw_pure_vectors(d * d, _twice(rngs))).split()
-    return [[rep] for rep in bnd.check_cor_pure_stack(phi, psi, (d, d), which="ef")]
+    return bnd.check_cor_pure_stack(phi, psi, (d, d), which="ef")
 
 
 def _grid_gibbs(energies):
@@ -362,34 +393,26 @@ def _gibbs_bytes(h, _energy):
 
 
 def _gibbs_identities(h, energies):
-    """Per energy, the Gibbs table row and the record of its
-    formula-versus-direct gap, or the ``EnergyDomainError`` of an energy
-    with no solution, from one ``solve_betas`` and one ``entropy_checks``
-    call (the campaign tolerance is applied once, by _check)."""
+    """``(solutions, S_direct, gap, block)`` of ``energies``, from one
+    ``solve_betas`` and one ``entropy_checks`` call: the block holds the
+    formula-versus-direct gap of each energy with a solution (the campaign
+    tolerance is applied once, by _check)."""
     sols = gb.solve_betas(h, energies)
-    columns = zip(sols.beta.tolist(), sols.log2_partition.tolist(), sols.entropy.tolist(),
-                  *(x.tolist() for x in gb.entropy_checks(sols)))
-    out = []
-    for e, err, (beta, log2_z, entropy, direct, gap) in zip(energies, sols.errors, columns):
-        if err is not None:
-            out.append(err)
-            continue
-        out.append(({"E": e, "beta": beta, "log2_Z": log2_z, "S_formula": entropy,
-                     "S_direct": direct, "abs_diff": gap, "error": ""},
-                    bnd.BoundReport(variant="formula_vs_direct", dim=h.dim, lhs=gap, rhs=0.0,
-                                    energy=e)))
-    return out
+    direct, gap = gb.entropy_checks(sols)
+    solved = [i for i, err in enumerate(sols.errors) if err is None]
+    block = bnd.BoundBlock(np.array(solved, dtype=int), "formula_vs_direct", h.dim, gap[solved],
+                           0.0, energy=bnd._objects(sols.energies[i] for i in solved))
+    return sols, direct, gap, block
 
 
 def _case_gibbs(rngs, h, energies):
     """A chunk of Gibbs identities at ``energies``; the first energy with no
     solution raises its error."""
-    out = []
-    for identity in _gibbs_identities(h, energies):
-        if isinstance(identity, gb.EnergyDomainError):
-            raise identity
-        out.append([identity[1]])
-    return out
+    sols, _, _, block = _gibbs_identities(h, energies)
+    for err in sols.errors:
+        if err is not None:
+            raise err
+    return block
 
 
 def _grid_energy_bounds(energies, samples):
@@ -399,6 +422,9 @@ def _grid_energy_bounds(energies, samples):
 
 def _energy_bounds_bytes(h, e):
     return _pair_bytes(np.count_nonzero(h.levels <= e))
+
+
+_ENERGY_VARIANTS = bnd._objects(("lemma4", "meta5"))
 
 
 def _case_energy_bounds(rngs, h, e):
@@ -414,11 +440,11 @@ def _case_energy_bounds(rngs, h, e):
     # Python's min(1.0, x) and max(x, 1e-12), NaN included: fmin drops it, maximum keeps it
     primes = np.fmin(1.0, eps + 0.1)
     lemma4, meta5 = gb.lemma4_meta5_bounds(h, e, np.maximum(eps, 1e-12), eps, primes)
-    rows = zip(*(a.tolist() for a in (eps, gaps, primes, lemma4, meta5)))
-    return [[bnd.BoundReport(variant="lemma4", dim=h.dim, lhs=lhs, rhs=r4, epsilon=x, energy=e),
-             bnd.BoundReport(variant="meta5", dim=h.dim, lhs=lhs, rhs=r5, epsilon=x, energy=e,
-                             epsilon_prime=ep)]
-            for x, lhs, ep, r4, r5 in rows]
+    n = len(eps)
+    # the Lemma 4 rows, then the Meta 5 rows, whose eps' alone is not blank
+    return bnd.BoundBlock(np.tile(np.arange(n), 2), np.repeat(_ENERGY_VARIANTS, n), h.dim,
+                          np.tile(gaps, 2), np.concatenate([lemma4, meta5]), np.tile(eps, 2), e,
+                          np.concatenate([np.full(n, None), primes.astype(object)]))
 
 
 def _fannes_grid(dims, epsilons):
@@ -445,7 +471,7 @@ def _case_witness(rngs, witness, x, epsilons):
     """A chunk of the ``witness`` pairs at dimension (for the oscillator,
     energy) ``x``, one per eps of ``epsilons``, built and checked as one
     stack; the first case with an error raises it."""
-    return [[rep] for rep in _WITNESS_CHECKS[witness](x, epsilons)]
+    return _WITNESS_CHECKS[witness](x, epsilons)
 
 
 def _witness_bytes(witness, x, _epsilon):
@@ -496,37 +522,69 @@ def _chunks(grid, case_bytes):
     return sorted(chunks, key=lambda chunk: chunk[0][0])
 
 
-def _check(suite: str, grid, case_fn, seed, tolerance: float, case_bytes) -> list:
-    """The rows of ``case_fn`` over ``grid``, in case order, each one dict in
-    ``REPORT_COLUMNS`` order; the one place a row gets its verdict.  The
-    seed states of every case are hashed first, and the cases run in the
-    chunks of ``_chunks``, each chunk's generators built as it runs; with
-    ``seed`` None they draw nothing and get no generator."""
+_DTYPES = {float: np.float64, int: np.int64, bool: np.bool_}
+
+
+def _full(column, size) -> np.ndarray:
+    """``column`` as an array of ``size`` values: the array itself, or its
+    one value in the dtype that holds its type (float64, int64, bool), else
+    as an object."""
+    if isinstance(column, np.ndarray):
+        return column
+    return np.full(size, column, dtype=_DTYPES.get(type(column), object))
+
+
+def _column(parts, sizes):
+    """One report column from each chunk's block's value of it, in chunk
+    order: the one value of every block when all give the same (of one
+    type), else one array of the parts (``_full``), of their dtype where
+    they share one and of their Python values otherwise."""
+    first = parts[0]
+    if all(type(p) is type(first) and not isinstance(p, np.ndarray) and p == first
+           for p in parts):
+        return first
+    arrays = [_full(p, n) for p, n in zip(parts, sizes)]
+    if any(a.dtype != arrays[0].dtype for a in arrays):
+        arrays = [a.astype(object) for a in arrays]
+    return np.concatenate(arrays)
+
+
+def _check(suite: str, grid, case_fn, seed, tolerance: float, case_bytes) -> CampaignReport:
+    """The report of ``case_fn`` over ``grid``, its rows in case order; the
+    one place a row gets its verdict.  The seed states of every case are
+    hashed first, and the cases run in the chunks of ``_chunks``, each
+    chunk's generators built as it runs; with ``seed`` None they draw
+    nothing and get no generator.  The chunks' blocks stay columns: their
+    rows are mapped to the grid's cases and put in case order by one
+    stable sort (a block's rows of one case keep their order), and
+    ``slack = rhs - lhs`` and ``valid = slack >= -tolerance`` are computed
+    over the arrays, the IEEE operations of a row's own floats."""
     if not grid:
         raise ConfigError(f"the {suite} grid has no cases")
     states = None if seed is None else _seed_states(seed, np.arange(len(grid)))
-    reports = [None] * len(grid)
-    for cases, params in _chunks(grid, case_bytes):
-        rngs = [None] * len(cases) if states is None else _generators(states[cases])
-        for case, reps in zip(cases, case_fn(rngs, *params)):
-            reports[case] = reps
-    records = []
-    for case, reps in enumerate(reports):
-        for rep in reps:
-            slack = rep.slack
-            records.append({"suite": suite, "case": case, "variant": rep.variant, "dim": rep.dim,
-                            "energy": rep.energy, "epsilon": rep.epsilon,
-                            "epsilon_prime": rep.epsilon_prime, "lhs": rep.lhs, "rhs": rep.rhs,
-                            "slack": slack, "valid": bool(slack >= -tolerance)})
-    return records
+    cases, blocks = [], []
+    for chunk, params in _chunks(grid, case_bytes):
+        rngs = [None] * len(chunk) if states is None else _generators(states[chunk])
+        blocks.append(case_fn(rngs, *params))
+        cases.append(np.asarray(chunk)[blocks[-1].case])
+    case = np.concatenate(cases)
+    order = np.argsort(case, kind="stable")
+    sizes = [len(c) for c in cases]
+    columns = {"suite": suite, "case": case[order]}
+    for name in bnd.BoundBlock._fields[1:]:
+        column = _column([getattr(block, name) for block in blocks], sizes)
+        columns[name] = column[order] if isinstance(column, np.ndarray) else column
+    size = len(case)
+    slack = _full(columns["rhs"], size) - _full(columns["lhs"], size)
+    columns["slack"], columns["valid"] = slack, slack >= -tolerance
+    return CampaignReport(columns, size)
 
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     grid_fn, case_fn, reads, case_bytes = _SUITE_TABLE[config.suite]
     grid = grid_fn(**{f: getattr(config, f) for f in reads if f != "seed"})
     seed = config.seed if "seed" in reads else None
-    report = CampaignReport(_check(config.suite, grid, case_fn, seed, config.tolerance,
-                                   case_bytes))
+    report = _check(config.suite, grid, case_fn, seed, config.tolerance, case_bytes)
     if config.output:
         write_report(report, config.output, config.format)
     return report
@@ -543,7 +601,7 @@ def check_coupling_demo(d, seed, tolerance: float):
         return _couplings_reports(*pairs[-1], dim)
 
     records = _check("couplings", _dims_by_samples((d,), 1), case, seed, tolerance,
-                     _couplings_bytes)
+                     _couplings_bytes).records
     rho, sigma = (DensityOperator._trusted(s.mats[0], s.eigenvalues[0], s.eigenvectors[0])
                   for s in pairs[0])
     return records, rho, sigma
@@ -558,7 +616,7 @@ def check_witnesses(name: str, xs, epsilons, tolerance: float) -> list:
     else:
         pairs = [(x, eps) for x in xs for eps in epsilons]
     records = _check(f"witness {name}", [(name, x, Each(eps)) for x, eps in pairs],
-                     _case_witness, None, tolerance, _witness_bytes)
+                     _case_witness, None, tolerance, _witness_bytes).records
     return [(x, eps, rec) for (x, eps), rec in zip(pairs, records)]
 
 
@@ -575,37 +633,99 @@ def _format_value(v):
     return str(v)
 
 
-# The cells the csv writer renders as _format_value does: it writes a float by
-# its repr and an int or a str by its str
-_PLAIN = (float, int, str)
+def _columns_of(rows, names) -> dict:
+    """Each column ``names`` of ``rows`` (dicts) as an array of its values."""
+    return {name: bnd._objects(row[name] for row in rows) for name in names}
 
 
-def _write_csv(fh, schema_line: str, cols, rows) -> None:
-    """The schema line, the header ``cols`` and one line per row, each cell
-    as ``_format_value`` renders it."""
-    fh.write(schema_line + "\r\n")
-    writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
-    writer.writerow(cols)
-    writer.writerows([v if type(v) in _PLAIN else _format_value(v)
-                      for v in map(row.__getitem__, cols)] for row in rows)
+def _csv_quote(text: str) -> str:
+    """``text`` as ``csv.writer`` writes a cell of it within a row."""
+    buf = io.StringIO()
+    csv.writer(buf, quoting=csv.QUOTE_MINIMAL).writerow([text, ""])
+    return buf.getvalue()[:-3]  # less the empty cell and the line end: ',\r\n'
 
 
-# One record as the C encoder writes it with the item separator of the
-# ``indent=2`` layout of a record in a list: '{"k": v,\n    "k": v}'
-_encode_record = json.JSONEncoder(separators=(",\n    ", ": "), default=_format_value).encode
+def _csv_cell(value) -> str:
+    """The text of ``_format_value``, quoted as ``csv.writer`` quotes it
+    unless it is a number's, a bool's or None's, which it never quotes."""
+    text = _format_value(value)
+    return text if isinstance(value, (float, int, type(None))) else _csv_quote(text)
+
+
+# One cell per format, of any value: csv writes a cell of ``_format_value``'s
+# text, json the text of ``json.dumps(value, default=_format_value)``
+_CELL = {"csv": _csv_cell, "json": json.JSONEncoder(default=_format_value).encode}
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_BOOLS = {False: "false", True: "true"}
+
+
+def _cells(column, fmt: str):
+    """The cells of a column as ``fmt`` writes them: one string for the one
+    value of every row, else a list of one string per row.  An array of
+    floats takes ``float.__repr__`` (json spells NaN and +-inf as
+    ``json.dumps`` does), of ints ``int.__repr__`` and of bools one lookup;
+    a column of strings writes each distinct one once, and any other
+    column is written cell by cell."""
+    cell = _CELL[fmt]
+    if not isinstance(column, np.ndarray):
+        return cell(column)
+    values, kind = column.tolist(), column.dtype.kind
+    if kind == "f":
+        cells = list(map(float.__repr__, values))
+        if fmt == "json" and not np.isfinite(column).all():
+            cells = [_NONFINITE.get(c, c) for c in cells]
+        return cells
+    if kind in "iu":
+        return list(map(int.__repr__, values))
+    if kind == "b":
+        return list(map(_BOOLS.__getitem__, values))
+    if all(type(v) is str for v in values):
+        return list(map({v: cell(v) for v in set(values)}.__getitem__, values))
+    return list(map(cell, values))
+
+
+def _rows(columns: dict, names, size: int, fmt: str, layout) -> list:
+    """One text per row: the cells of ``names`` in order, each after its
+    label, joined by the separator, between the head and the tail of
+    ``layout``.  The cells of a column every row shares are written into
+    the row template once."""
+    head, sep, tail, labels = layout
+    varying, fields = [], []
+    for name, label in zip(names, labels):
+        cells = _cells(columns[name], fmt)
+        if isinstance(cells, list):
+            varying.append(cells)
+            cells = "%s"
+        else:
+            cells = cells.replace("%", "%%")
+        fields.append(label.replace("%", "%%") + cells)
+    template = head + sep.join(fields) + tail
+    if not varying:
+        return [template % ()] * size
+    return list(map(template.__mod__, zip(*varying)))
+
+
+def _write_csv(fh, schema_line: str, names, columns: dict, size: int) -> None:
+    """The schema line, the header ``names`` and one line per row of
+    ``columns``, each cell as ``csv.writer`` writes ``_format_value``'s."""
+    fh.write(schema_line + "\r\n" + ",".join(map(_csv_quote, names)) + "\r\n")
+    fh.write("".join(_rows(columns, names, size, "csv", ("", ",", "\r\n", [""] * len(names)))))
 
 
 def render_report(report: CampaignReport, fmt: str) -> str:
-    """The report as CSV or as JSON, the text of ``json.dumps(records,
-    indent=2, default=_format_value)`` with its records encoded one at a
-    time by the C encoder."""
+    """The report as CSV or as JSON, written from its columns: the text of
+    ``csv.writer`` rows of ``_format_value`` cells, or of
+    ``json.dumps(report.records, indent=2, default=_format_value)``, with
+    no row built as a dict (``_cells``, ``_rows``)."""
     if fmt == "json":
-        if not report.records:
+        if not report.size:
             return "[]\n"
-        return "[\n" + ",\n".join("  {\n    " + _encode_record(rec)[1:-1] + "\n  }"
-                                  for rec in report.records) + "\n]\n"
+        labels = [json.encoder.encode_basestring_ascii(name) + ": " for name in REPORT_COLUMNS]
+        rows = _rows(report.columns, REPORT_COLUMNS, report.size, "json",
+                     ("  {\n    ", ",\n    ", "\n  }", labels))
+        return "[\n" + ",\n".join(rows) + "\n]\n"
     buf = io.StringIO()
-    _write_csv(buf, SCHEMA_LINE, REPORT_COLUMNS, report.records)
+    _write_csv(buf, SCHEMA_LINE, REPORT_COLUMNS, report.columns, report.size)
     return buf.getvalue()
 
 
@@ -624,21 +744,21 @@ def emit_gibbs_table(hamiltonian: gb.HamiltonianSpec, energies, path=None,
     rows = []
 
     def case(rngs, h, energies):
-        reports = []
-        for e, identity in zip(energies, _gibbs_identities(h, energies)):
-            if isinstance(identity, gb.EnergyDomainError):
-                rows.append({**dict.fromkeys(GIBBS_TABLE_COLUMNS), "E": e, "error": str(identity)})
-                reports.append([])
+        sols, direct, gap, block = _gibbs_identities(h, energies)
+        for e, err, *values in zip(energies, sols.errors, sols.beta.tolist(),
+                                   sols.log2_partition.tolist(), sols.entropy.tolist(),
+                                   direct.tolist(), gap.tolist()):
+            if err is not None:
+                rows.append({**dict.fromkeys(GIBBS_TABLE_COLUMNS), "E": e, "error": str(err)})
             else:
-                rows.append(identity[0])
-                reports.append([identity[1]])
-        return reports
+                rows.append(dict(zip(GIBBS_TABLE_COLUMNS, (e, *values, ""))))
+        return block
 
     # the cases share the Hamiltonian, so their chunks come in case order
     records = _check("gibbs-table", [(hamiltonian, Each(e)) for e in energies], case, None,
-                     tolerance, _gibbs_bytes)
+                     tolerance, _gibbs_bytes).records
     if path:
         with open(path, "w", newline="") as fh:
             _write_csv(fh, "# entrobounds-gibbs-table v2: " + ",".join(GIBBS_TABLE_COLUMNS),
-                       GIBBS_TABLE_COLUMNS, rows)
+                       GIBBS_TABLE_COLUMNS, _columns_of(rows, GIBBS_TABLE_COLUMNS), len(rows))
     return rows, records

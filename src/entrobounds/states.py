@@ -560,14 +560,20 @@ def draw_qc(d_a: int, d_x: int, rngs):
     full-rank blocks (each block's real parts, then its imaginary parts, in
     one C-order fill of the case's (d_x, 2, d_a, d_a) normals).  Returns the
     weights (n, d_x) and the unvalidated blocks (n, d_x, d_a, d_a), all
-    formed in one batched product."""
+    formed in one batched product.
+
+    The weights are numpy's own ``dirichlet`` at alpha >= 0.1, bit for bit:
+    d_x standard exponentials (the gamma(1) variates) per case, each row
+    times the reciprocal of its sequential sum, normalized for the whole
+    chunk at once."""
     check_dense_dim(d_a)
     weights = np.empty((len(rngs), d_x))
     parts = np.empty((len(rngs), d_x, 2, d_a, d_a))
     for p, part, rng in zip(weights, parts, rngs):
         rng = np.random.default_rng(rng)
-        p[:] = rng.dirichlet(np.ones(d_x))
+        rng.standard_exponential(out=p)
         rng.standard_normal(out=part)
+    weights *= 1.0 / np.cumsum(weights, axis=1)[:, -1:]
     blocks = _hs_matrices(_complex_normals(parts).reshape(-1, d_a, d_a))
     return weights, blocks.reshape(len(rngs), d_x, d_a, d_a)
 

@@ -227,8 +227,9 @@ class TestCheckers:
             assert pure.weights.tolist() == [rank_one_factor(s)[1] for s in states]
             return pure
 
-        reports = check_cor_pure_stack(stack([p for p, _ in pairs]), stack([q for _, q in pairs]),
-                                       (3, 3), which="er")
+        block = check_cor_pure_stack(stack([p for p, _ in pairs]), stack([q for _, q in pairs]),
+                                     (3, 3), which="er")
+        reports = [block.report(row) for row in range(len(block.case))]
         assert reports == [check_cor_pure(p, q, which="er") for p, q in pairs]
         assert reports[1].epsilon < 1e-15 and reports[1].lhs == 0.0
 

@@ -609,7 +609,7 @@ class TestSampler:
         h = HamiltonianSpec.oscillators([1.0], n_max=40)
         idx = np.flatnonzero(h.levels <= energy)
         k = len(idx)
-        (lemma4, _), = _case_energy_bounds([np.random.default_rng(9)], h, energy)
+        lemma4 = _case_energy_bounds([np.random.default_rng(9)], h, energy).report(0)
         assert max(shape[-1] for _, shape in solver_calls) <= k
         for d_b in (None, 2):
             d = 1 if d_b is None else d_b
@@ -956,7 +956,9 @@ class TestSolveBetas:
         monkeypatch.setattr(gibbs, "lemma4_meta5_bounds",
                             lambda *args: seen.append(args) or bounds(*args))
         h = HamiltonianSpec.oscillators([1.0], n_max=40)
-        reports = _case_energy_bounds([np.random.default_rng(k) for k in range(6)], h, 2.0)
+        block = _case_energy_bounds([np.random.default_rng(k) for k in range(6)], h, 2.0)
+        # the block's six Lemma 4 rows, then its six Meta 5 rows
+        reports = [(block.report(k), block.report(k + 6)) for k in range(6)]
         (_, _, floors, eps, primes), = seen
         assert [r.epsilon for r, _ in reports] == eps.tolist()
         assert floors.tolist() == [max(x, 1e-12) for x in eps.tolist()]

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -103,8 +104,9 @@ CASE_LAYOUT = {
 
 def _per_case(case):
     """The case function of chunks of ``case(rng, *params)``, one case at a
-    time: the reference that each stacked case function reproduces."""
-    return lambda rngs, *params: [case(rng, *params) for rng in rngs]
+    time, its ``BoundReport``s wrapped into the chunk's block: the
+    reference that each stacked case function reproduces."""
+    return lambda rngs, *params: bounds.BoundBlock.of_reports([case(rng, *params) for rng in rngs])
 
 
 def _one_case(*params):
@@ -197,6 +199,22 @@ PER_CASE = {"fannes": _fannes_case, "af": _af_case, "dc": _dc_case,
 WITNESS_EPSILONS = (0.01, 0.2, 0.5, 0.75, 0.99, 1.0)
 
 
+def _reference_json(records):
+    return json.dumps(records, indent=2, default=harness._format_value) + "\n"
+
+
+def _reference_csv(schema_line, columns, rows):
+    """The schema line, then one ``csv.writer`` row of the header and of
+    each row's ``_format_value`` cells."""
+    buf = io.StringIO()
+    buf.write(schema_line + "\r\n")
+    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([harness._format_value(row[c]) for c in columns])
+    return buf.getvalue()
+
+
 class TestCampaigns:
     @pytest.mark.parametrize("suite", SUITES)
     def test_each_record_holds_the_report_columns_in_order(self, suite):
@@ -222,7 +240,7 @@ class TestCampaigns:
                                   seed, CampaignConfig.tolerance, _one_case)
         stacked = run_campaign(CampaignConfig(suite, seed=seed, **settings))
         for fmt in ("csv", "json"):
-            assert render_report(stacked, fmt) == render_report(CampaignReport(per_case), fmt)
+            assert render_report(stacked, fmt) == render_report(per_case, fmt)
 
     # (suite, variant, dim, eps, lhs, rhs) of `verify couplings --dims 2,16`
     # and `verify cor_pure --dims 2,3,16`, `--samples 1 --seed 12`, as the
@@ -347,9 +365,9 @@ class TestCampaigns:
                                   None, CampaignConfig.tolerance, _one_case)
         rows = harness.check_witnesses(name, xs, epsilons, CampaignConfig.tolerance)
         assert [(x, eps.value) for _, x, eps in grid] == [(x, eps) for x, eps, _ in rows]
-        chunked = CampaignReport([rec for *_, rec in rows])
+        chunked = CampaignReport.of_records([rec for *_, rec in rows])
         for fmt in ("csv", "json"):
-            assert render_report(chunked, fmt) == render_report(CampaignReport(per_case), fmt)
+            assert render_report(chunked, fmt) == render_report(per_case, fmt)
 
     def test_witness_chunks_hold_one_x_within_the_byte_budget(self):
         grid = [("af", d, harness.Each(eps)) for d in (2, 300, 64, 2)
@@ -437,8 +455,8 @@ class TestCampaigns:
         """A np.float64 field (whose repr names its type under numpy 2)
         writes the same CSV cell as the Python float."""
         report = run_campaign(CampaignConfig(suite="fannes", **SMALL))
-        as_numpy = CampaignReport([{k: np.float64(v) if type(v) is float else v
-                                    for k, v in r.items()} for r in report.records])
+        as_numpy = CampaignReport.of_records([{k: np.float64(v) if type(v) is float else v
+                                               for k, v in r.items()} for r in report.records])
         assert type(as_numpy.records[0]["lhs"]) is np.float64
         assert render_report(as_numpy, "csv") == render_report(report, "csv")
 
@@ -483,16 +501,27 @@ class TestCampaigns:
     def test_render_report_is_the_reference_serialization(self, records):
         """The JSON of ``json.dumps(indent=2)`` and the CSV of one writerow
         per row of ``_format_value`` cells, byte for byte."""
-        report = CampaignReport(records)
-        assert render_report(report, "json") == json.dumps(
-            records, indent=2, default=harness._format_value) + "\n"
-        buf = io.StringIO()
-        buf.write(SCHEMA_LINE + "\r\n")
-        writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL)
-        writer.writerow(harness.REPORT_COLUMNS)
-        for row in records:
-            writer.writerow([harness._format_value(row[c]) for c in harness.REPORT_COLUMNS])
-        assert render_report(report, "csv") == buf.getvalue()
+        report = CampaignReport.of_records(records)
+        assert render_report(report, "json") == _reference_json(records)
+        assert render_report(report, "csv") == _reference_csv(SCHEMA_LINE,
+                                                              harness.REPORT_COLUMNS, records)
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_each_suites_report_is_the_reference_serialization(self, suite):
+        """A report written from its columns is the serialization of its rows
+        as dicts, byte for byte: the floats, ints and bools of the kernels'
+        arrays, the constant and blank columns, the variant strings and the
+        eps' column of energy_bounds, blank on its Lemma 4 rows."""
+        cfg = CampaignConfig(suite, dims=(2, 3), energies=(1.0, 2.0), epsilons=(0.1, 0.3, 0.6),
+                             samples=2, seed=12)
+        report = run_campaign(cfg)
+        records = report.records
+        assert len(records) == report.size > 0
+        if suite == "energy_bounds":
+            assert {type(r["epsilon_prime"]) for r in records} == {type(None), float}
+        assert render_report(report, "json") == _reference_json(records)
+        assert render_report(report, "csv") == _reference_csv(SCHEMA_LINE,
+                                                              harness.REPORT_COLUMNS, records)
 
 
 class TestGibbsTable:
@@ -525,6 +554,18 @@ class TestGibbsTable:
         with open(path) as fh:
             first = fh.readline()
         assert first.startswith("# entrobounds-gibbs-table v2: E,beta,log2_Z,")
+
+    def test_the_table_file_is_the_reference_serialization(self, tmp_path):
+        """Error rows (blank cells and a message with commas) and solved
+        rows are written as ``csv.writer`` writes their dicts."""
+        path = tmp_path / "table.csv"
+        rows, _ = emit_gibbs_table(HamiltonianSpec.explicit([0.0, 1.0, 2.0]), [0.5, 0.75, 5.0],
+                                   path=str(path))
+        assert [bool(row["error"]) for row in rows] == [False, False, True]
+        assert "," in rows[2]["error"]
+        schema = "# entrobounds-gibbs-table v2: " + ",".join(harness.GIBBS_TABLE_COLUMNS)
+        with open(path, newline="") as fh:
+            assert fh.read() == _reference_csv(schema, harness.GIBBS_TABLE_COLUMNS, rows)
 
 
     def test_one_stacked_solve_per_grid_and_per_chunk(self, monkeypatch, capsys):
@@ -599,6 +640,34 @@ class TestCli:
         if by_numpy == "True":
             pytest.skip("this numpy loads numpy.random on its own import")
         assert by_cli == "False"
+
+    @pytest.mark.parametrize("slack, line, rc", [
+        ([np.nan, 0.5, -np.inf, np.inf], "min_slack=nan max_slack=nan violations=2", 1),
+        ([0.5, -np.inf, np.inf, np.nan], "min_slack=-inf max_slack=inf violations=2", 1),
+        ([np.inf, 0.5, 2.0, 1.0], "min_slack=5.000e-01 max_slack=inf violations=0", 0),
+        ([0.5, -np.inf, 2.0, 1.0], "min_slack=-inf max_slack=2.000e+00 violations=1", 1),
+    ])
+    def test_the_summary_line_reads_the_slack_column_as_the_builtins_do(
+            self, slack, line, rc, monkeypatch, capsys):
+        """min and max of a slack column keep the builtins' walk: a NaN
+        first is the result, a NaN after the first value is skipped (numpy's
+        min and max would give NaN for both), and a NaN is no valid row."""
+        report = run_campaign(CampaignConfig("fannes", dims=(2,), samples=4, seed=1))
+        slack = np.array(slack)
+        report = dataclasses.replace(report, columns={**report.columns, "slack": slack,
+                                                      "valid": slack >= -1e-9})
+        monkeypatch.setattr(cli, "run_campaign", lambda cfg: report)
+        assert cli.main(["verify", "fannes"]) == rc
+        assert capsys.readouterr().out == f"suite=fannes cases=4 {line}\n"
+        records = report.records
+        assert (report.min_slack, report.max_slack, report.violations) == pytest.approx((
+            min((r["slack"] for r in records), default=np.inf),
+            max((r["slack"] for r in records), default=-np.inf),
+            sum(1 for r in records if not r["valid"])), nan_ok=True)
+        # a float column's NaN and +-inf as json.dumps and csv.writer spell them
+        assert render_report(report, "json") == _reference_json(records)
+        assert render_report(report, "csv") == _reference_csv(SCHEMA_LINE,
+                                                              harness.REPORT_COLUMNS, records)
 
     def test_verify_gibbs_applies_the_tolerance_once(self, capsys, monkeypatch):
         # formula-vs-direct gaps: 8.95e-10 at E=10, 2.80e-9 at E=10.5 (< 2 tol)

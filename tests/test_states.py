@@ -632,6 +632,19 @@ class TestNormalFills:
         expected = ref_draw_qc(d_a, d_x, [np.random.default_rng(k) for k in range(4)])
         assert [x.tobytes() for x in got] == [x.tobytes() for x in expected]
 
+    def test_qc_weights_are_numpys_dirichlet(self):
+        """The exponentials normalized by their sequential sum are
+        ``rng.dirichlet(np.ones(k))`` bit for bit, and leave the generator
+        where it leaves it."""
+        for k in range(2, 20):
+            rngs = [np.random.default_rng([k, seed]) for seed in range(40)]
+            weights, _ = draw_qc(1, k, rngs)
+            for seed, (w, rng) in enumerate(zip(weights, rngs)):
+                ref = np.random.default_rng([k, seed])
+                assert w.tobytes() == ref.dirichlet(np.ones(k)).tobytes()
+                ref.standard_normal(2 * k)
+                assert rng.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes()
+
 
 def _read_only(a):
     a = np.array(a)
