@@ -391,8 +391,8 @@ def check_af_witnesses(d: int, epsilons) -> BoundBlock:
     ``(Phi_d, [1-eps], eps/(d^2-1))`` and ``(Phi_d, [1], 0)`` interleaved,
     held to the trace rule (``states.factored_traces``), eps from the renormalized
     factors, the spectra sorted from them and the B marginals from
-    ``states.factored_marginals``.  The first bad argument raises its
-    error."""
+    ``states.factored_marginals``, the kernel of ``b_marginal`` of a factor
+    in any stack.  The first bad argument raises its error."""
     _af_witness_args(d, epsilons)
     eps = np.array(epsilons, dtype=float)
     n, dim = 2 * len(eps), d * d

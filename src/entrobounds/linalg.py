@@ -308,21 +308,25 @@ class HermitianOperator:
     def mat(self) -> np.ndarray:
         if self._mat is None:
             check_dense_dim(self.dim)
-            self._mat = _frozen(self._symmetrized_part(self._dense()))
+            # divided by the recorded trace and symmetrized again, as a
+            # renormalized state
+            mat = _symmetrized(self._dense())
+            self._mat = _frozen(mat if self._divisor is None else _divided(mat, self._divisor))
         return self._mat
-
-    def _symmetrized_part(self, mat) -> np.ndarray:
-        """``mat`` (all or part of ``_dense()``) symmetrized, and divided by
-        the recorded trace and symmetrized again, as a renormalized state."""
-        mat = _symmetrized(mat)
-        return mat if self._divisor is None else _divided(mat, self._divisor)
 
     def _dense(self) -> np.ndarray:
         """The unsymmetrized matrix of a structured operator, as its dense
         construction forms it."""
         kind, *parts = self._parts
         if kind == "factor":
-            return _factored_rows(*parts)
+            # c on the diagonal, then the outer products of contiguous columns
+            # in column order, as np.outer takes them, not a BLAS product: a
+            # projector is exactly np.outer(v, v^*) on any BLAS build
+            vecs, lam, c = parts
+            mat = np.diag(np.full(self.dim, c, dtype=complex))
+            for a, b in zip((vecs * (lam - c)).T, vecs.conj().T):
+                mat += np.outer(a, b)
+            return mat
         if kind == "block":
             index, mats = parts[:2]
             mat = np.zeros((self.dim, self.dim), dtype=complex)
@@ -426,23 +430,6 @@ class HermitianOperator:
                 f"square root of operator with eigenvalue {self.eigenvalues[-1]!r}"
             )
         return self.apply_function(np.sqrt, support_only=True)
-
-
-def _factored_rows(vecs, lam, c) -> np.ndarray:
-    """The diagonal block on the rows of ``vecs`` (all of ``V``, or some of
-    its rows) of the unsymmetrized ``c 1 + V diag(lam - c) V^dagger``, or
-    the block of each row set of a (..., r, k) stack of them, with ``lam``
-    (..., k) and ``c`` (...) broadcast over the stack."""
-    # outer products of contiguous columns, as np.outer takes them, not a BLAS
-    # product: a projector is exactly np.outer(v, v^*) on any BLAS build
-    c, r = np.asarray(c)[..., None], np.arange(vecs.shape[-2])
-    mat = np.zeros((*vecs.shape[:-1], vecs.shape[-2]), dtype=complex)
-    mat[..., r, r] = c
-    left, right = vecs * (lam - c)[..., None, :], vecs.conj()
-    for j in range(vecs.shape[-1]):
-        a, b = np.ascontiguousarray(left[..., j]), np.ascontiguousarray(right[..., j])
-        mat += a[..., :, None] * b[..., None, :]
-    return mat
 
 
 def block_spectra(spectra, dim):

@@ -32,8 +32,9 @@ divided by.  ``pure_marginals`` gives their marginals as
 state rule of block states (energy-constrained states, and qc states of
 ``qc_blocks``) for a stack of their blocks, and ``block_marginals`` gives
 their B marginals; ``factored_marginals`` gives those of a stack of
-factored states, and ``b_marginal`` of a block or factored state is the
-stack of one of these.  The sampling functions draw through
+factored states by their Gram form, equal to ``partial_traces`` of their
+matrices to rounding, and ``b_marginal`` of a block or factored state is
+the stack of one of these.  The sampling functions draw through
 ``draw_state_matrices``, ``draw_pure_vectors`` and ``draw_qc``, one case
 per generator in turn; ``sample_state``, ``sample_pure_state``,
 ``sample_pure_bipartite`` and ``sample_qc_state`` are their stacks of
@@ -47,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (PSD_ATOL, HermitianOperator, _divided, _factored_rows, _frozen,
+from .linalg import (PSD_ATOL, HermitianOperator, _divided, _frozen,
                      _operator_pair, _symmetrized, check_dense_dim, diagonal_traces, eigenpairs,
                      factored_diagonals, hermitian_stack, unit_vectors)
 
@@ -402,9 +403,9 @@ def partial_trace(state: BipartiteState, keep: str) -> DensityOperator:
 
 
 def b_marginal(state: BipartiteState) -> np.ndarray:
-    """The unvalidated B marginal ``partial_traces(state.mat, state.dims, "B")``,
-    bit for bit.  A block (``block_marginals``) or factored state
-    (``factored_marginals``) builds no matrix."""
+    """The unvalidated B marginal ``partial_traces(state.mat, state.dims, "B")``.
+    A block state (``block_marginals``, bit for bit) or factored state
+    (``factored_marginals``, to rounding) builds no matrix."""
     if state.block is not None:
         return block_marginals(state.block[0], state.block[1][None], state.dims)[0]
     if state.factor is None:
@@ -414,32 +415,24 @@ def b_marginal(state: BipartiteState) -> np.ndarray:
 
 
 def factored_marginals(vecs, lam, c, traces, dims) -> np.ndarray:
-    """``b_marginal``, bit for bit and with no D x D matrix built, of each
-    state ``DensityOperator.factored(V, lam, c)`` on ``A (x) B`` of stacks
-    ``V`` (n, D, k), ``lam`` (n, k) and ``c`` (n,), with the traces
-    ``traces`` (n,) its trace rule divides it by (1 where it left it).  The
-    d_A diagonal d_B x d_B blocks of each are formed by the operations
-    ``mat`` applies to their rows, symmetrized and divided as ``mat`` is,
-    and added in the order of their A index, as the einsum adds them.
-    They are formed for as many whole states at a time as ``CHUNK_BYTES``
-    holds with the three temporaries of their symmetrization, else for one
-    state as many rows at a time as it holds of blocks alone."""
+    """``b_marginal``, with no D x D matrix built, of each state
+    ``DensityOperator.factored(V, lam, c)`` on ``A (x) B`` of stacks ``V``
+    (n, D, k), ``lam`` (n, k) and ``c`` (n,), with the traces ``traces``
+    (n,) its trace rule divides it by (1 where it left it): the Gram form
+    ``c d_A 1 + sum_k (lam_k - c) X_k^T X_k^*``, X_k the d_A x d_B reshape of
+    column k of V, of one batched product over the stack, symmetrized and
+    divided by the trace as the state rule divides a state.  It sums in
+    another order than the einsum over ``mat``, so it agrees with
+    ``partial_traces`` of ``mat`` to rounding, not bit for bit; a state
+    gets the same bits in any stack."""
     (d_a, d_b), n = dims, len(vecs)
-    rows = vecs.reshape(n, d_a, d_b, -1)
-    renormalized = traces != 1.0
-    size = max(1, CHUNK_BYTES // (16 * d_b * d_b))
-    states = CHUNK_BYTES // (4 * 16 * d_b * d_b * d_a)
-    states, step = (states, d_a) if states else (1, size)
-    out = np.zeros((n, d_b, d_b), dtype=complex)
-    for s in range(0, n, states):
-        part = slice(s, s + states)
-        for i in range(0, d_a, step):
-            blocks = _symmetrized(_factored_rows(rows[part, i:i + step], lam[part, None],
-                                                 c[part, None]))
-            div = renormalized[part]
-            blocks[div] = _divided(blocks[div], traces[part][div])
-            for j in range(blocks.shape[1]):
-                out[part] += blocks[:, j]
+    x = vecs.reshape(n, d_a, d_b, -1).swapaxes(1, 2)
+    # each operand written once, in C order, so that its reshape copies nothing
+    out = (np.multiply(x, (lam - c[:, None])[:, None, None], order="C").reshape(n, d_b, -1)
+           @ np.conjugate(x, order="C").reshape(n, d_b, -1).swapaxes(1, 2))
+    out[:, np.arange(d_b), np.arange(d_b)] += (c * d_a)[:, None]
+    out = _symmetrized(out)
+    _renormalize(out, None, traces, traces != 1.0)
     return out
 
 

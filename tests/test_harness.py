@@ -369,6 +369,36 @@ class TestCampaigns:
         for fmt in ("csv", "json"):
             assert render_report(chunked, fmt) == render_report(per_case, fmt)
 
+    def test_gram_marginals_keep_the_tightness_records_within_the_budget(self, monkeypatch):
+        """The factored B marginals formed by their Gram form move no row and
+        no verdict of ``verify tightness`` from those of the einsum over each
+        state's dense ``mat``, and no ``lhs``, ``rhs`` or ``slack`` by more
+        than 1e-12."""
+        config = CampaignConfig("tightness", dims=(2, 3, 5, 16),
+                                epsilons=(0.01, 0.2, 0.5, 0.75, 0.99, 1.0))
+        shipped = run_campaign(config).records
+        calls = []
+
+        def dense_marginals(vecs, lam, c, traces, dims):
+            calls.append(len(vecs))
+            marginals = []
+            for state_parts in zip(vecs, lam, c, traces):
+                state = BipartiteState.factored(*state_parts[:3], dims)
+                assert (state._divisor or 1.0) == state_parts[3]
+                marginals.append(states.partial_traces(state.mat, dims, "B"))
+            return np.stack(marginals)
+
+        monkeypatch.setattr(states, "factored_marginals", dense_marginals)
+        monkeypatch.setattr(bounds, "factored_marginals", dense_marginals)
+        dense = run_campaign(config).records
+        assert calls and len(shipped) == len(dense)
+        moved = ("lhs", "rhs", "slack")
+        for got, want in zip(shipped, dense):
+            assert {k: v for k, v in got.items() if k not in moved} == {
+                k: v for k, v in want.items() if k not in moved}
+            for key in moved:
+                assert abs(got[key] - want[key]) <= 1e-12
+
     def test_witness_chunks_hold_one_x_within_the_byte_budget(self):
         grid = [("af", d, harness.Each(eps)) for d in (2, 300, 64, 2)
                 for eps in (0.25, 0.5, 1.0)]

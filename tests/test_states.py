@@ -120,58 +120,88 @@ class TestPartialTrace:
     @pytest.mark.parametrize("eps", [0.05, 0.25, 0.5, 0.9, 1.0])
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
     def test_b_marginal_of_the_af_witness_builds_no_matrix(self, d, eps):
-        """The B marginal of a factored state adds its diagonal blocks, built
-        from the factor, with the bits ``partial_traces`` gives over the
-        dense matrix."""
+        """The B marginal of a factored state is the Gram form of its
+        factor, within 1e-14 of ``partial_traces`` over the dense matrix."""
         for state in tightness_witness_af(d, eps):
             marginal = partial_trace(state, "B")
             assert state._mat is None
             dense = partial_traces(state.mat, state.dims, "B")
-            assert marginal.mat.tobytes() == DensityOperator(dense).mat.tobytes()
+            np.testing.assert_allclose(marginal.mat, DensityOperator(dense).mat,
+                                       rtol=0, atol=1e-14)
 
-    # (10, 48): 36 KiB blocks, formed seven to a chunk, then three
-    @pytest.mark.parametrize("dims", [(1, 4), (2, 3), (3, 2), (4, 1), (5, 5), (10, 48)])
-    def test_b_marginal_of_a_factor_matches_the_dense_bits(self, dims):
-        """Ranks 1 to 3, a complement eigenvalue and a renormalized trace:
-        ``b_marginal`` of a factored state, formed in chunks of blocks with
-        no matrix built, is bit for bit the einsum over ``mat``."""
-        rng = np.random.default_rng(dims)
-        d = dims[0] * dims[1]
-        for k in range(1, min(d, 3) + 1):
-            v = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
-            lam = rng.random(k)
-            lam = lam / lam.sum()
-            parts = [(lam, 0.0), (lam * (1.0 + 4e-13), 0.0)]
-            if k < d:
-                parts += [(lam / 2, 0.5 / (d - k)), (lam / 2 * (1.0 + 4e-13), 0.5 / (d - k))]
-            for w, c in parts:
-                state = BipartiteState.factored(v[:, :k], w, c, dims)
+    @pytest.mark.parametrize("d", [2, 3, 16, 300])
+    def test_b_marginal_of_the_af_witness_is_maximally_mixed(self, d):
+        """Both AF witness states have B marginal 1/d, within 4 ulp beyond
+        the rounding of the witness vector itself: the squared modulus of
+        its entries (1, 2, 0 and 8 ulp off 1/d at d = 2, 3, 16 and 300)."""
+        eye = np.eye(d) / d
+        for eps in (0.05, 0.25, 0.5, 0.9, 1.0):
+            for state in tightness_witness_af(d, eps):
                 marginal = b_marginal(state)
                 assert state._mat is None
-                assert marginal.tobytes() == partial_traces(state.mat, dims, "B").tobytes()
+                x = state.factor[0][0, 0]
+                tol = 4 * np.spacing(1.0 / d) + abs(abs(x) ** 2 - 1.0 / d)
+                assert np.abs(marginal - eye).max() <= tol
 
-    # whole states formed together at (2, 3), (3, 2) and (4, 4); one state in
-    # chunks of rows at (10, 48)
+    @staticmethod
+    def _factored_states(rng, dims, k):
+        """Factored states of rank ``k`` on ``dims``: with and without a
+        complement eigenvalue and a renormalized trace."""
+        d = dims[0] * dims[1]
+        v = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+        lam = rng.random(k)
+        lam = lam / lam.sum()
+        parts = [(lam, 0.0), (lam * (1.0 + 4e-13), 0.0)]
+        if k < d:
+            parts += [(lam / 2, 0.5 / (d - k)), (lam / 2 * (1.0 + 4e-13), 0.5 / (d - k))]
+        states = [BipartiteState.factored(v[:, :k], w, c, dims) for w, c in parts]
+        assert [s._divisor is None for s in states] == [True, False, True, False][:len(states)]
+        return states
+
+    @pytest.mark.parametrize("dims", [(1, 4), (2, 3), (3, 2), (4, 1), (5, 5), (10, 48)])
+    def test_b_marginal_of_a_factor_matches_the_dense_einsum(self, dims):
+        """Ranks 1 to 3, a complement eigenvalue and a renormalized trace:
+        ``b_marginal`` of a factored state, with no matrix built, is within
+        1e-14 of the einsum over ``mat``."""
+        rng = np.random.default_rng(dims)
+        for k in range(1, min(dims[0] * dims[1], 3) + 1):
+            for state in self._factored_states(rng, dims, k):
+                marginal = b_marginal(state)
+                assert state._mat is None
+                np.testing.assert_allclose(marginal, partial_traces(state.mat, dims, "B"),
+                                           rtol=0, atol=1e-14)
+
+    @staticmethod
+    def _stacked(states):
+        """The stacked factors and recorded traces of factored states."""
+        return ([np.stack([s._parts[j] for s in states]) for j in (1, 2, 3)]
+                + [np.array([s._divisor or 1.0 for s in states])])
+
     @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 4), (10, 48)])
-    def test_factored_marginals_of_a_stack_match_the_dense_bits(self, dims):
+    def test_factored_marginals_of_a_stack_match_the_dense_einsum(self, dims):
         """Ranks 1 to 3, with and without a complement eigenvalue and a
-        renormalized trace, stacked: each marginal is, bit for bit, the
+        renormalized trace, stacked: each marginal is within 1e-14 of the
         einsum over its own state's ``mat``."""
         rng = np.random.default_rng([37, *dims])
-        d = dims[0] * dims[1]
         for k in range(1, 4):
-            v = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
-            lam = rng.random(k)
-            lam = lam / lam.sum()
-            states = [BipartiteState.factored(v[:, :k], w, c, dims) for w, c in [
-                (lam, 0.0), (lam / 2, 0.5 / (d - k)), (lam * (1.0 + 4e-13), 0.0),
-                (lam / 2 * (1.0 + 4e-13), 0.5 / (d - k))]]
-            assert [s._divisor is None for s in states] == [True, True, False, False]
-            parts = [np.stack([s._parts[j] for s in states]) for j in (1, 2, 3)]
-            traces = np.array([s._divisor or 1.0 for s in states])
-            marginals = factored_marginals(*parts, traces, dims)
+            states = self._factored_states(rng, dims, k)
+            marginals = factored_marginals(*self._stacked(states), dims)
             for state, marginal in zip(states, marginals):
-                assert marginal.tobytes() == partial_traces(state.mat, dims, "B").tobytes()
+                np.testing.assert_allclose(marginal, partial_traces(state.mat, dims, "B"),
+                                           rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 4), (10, 48)])
+    def test_factored_marginals_of_a_stack_are_those_of_each_state_alone(self, dims):
+        """Ranks 1 to 3, with and without a complement eigenvalue and a
+        renormalized trace: each marginal of the stack has the bits of
+        ``b_marginal`` of its state alone, on which a campaign's records
+        agree with the scalar checks."""
+        rng = np.random.default_rng([41, *dims])
+        for k in range(1, 4):
+            states = self._factored_states(rng, dims, k)
+            marginals = factored_marginals(*self._stacked(states), dims)
+            for state, marginal in zip(states, marginals):
+                assert marginal.tobytes() == b_marginal(state).tobytes()
 
     def test_vector_marginals_match_partial_trace(self):
         rng = np.random.default_rng(7)
