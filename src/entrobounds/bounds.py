@@ -47,9 +47,9 @@ from .entropies import (binary_entropies, binary_entropy, conditional_entropies,
 from .dc_optimizer import ConvexSetModel, kappa_bracket
 from .linalg import (block_spectra, factored_trace_distances, rank_one_factor, trace_distance,
                      trace_distances)
-from .states import (BipartiteState, DensityOperator, PureStack, StateStack, b_marginal,
-                     density_stack, embedded_stack, factored_marginals, factored_traces,
-                     maximally_entangled_state, pure_marginals, state_pair)
+from .states import (BipartiteState, DensityOperator, PureStack, StateStack, density_stack,
+                     embedded_stack, factored_marginals, factored_traces,
+                     maximally_entangled_state, marginal_of, state_pair)
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -252,7 +252,7 @@ def check_af(rho: BipartiteState, sigma: BipartiteState, classical_b: bool = Fal
         raise ValueError("bipartite dimension mismatch")
     eps = np.array([trace_distance(rho, sigma)])
     spectra = np.stack([rho.eigenvalues, sigma.eigenvalues])
-    marginals = np.stack([b_marginal(rho), b_marginal(sigma)])
+    marginals = np.stack([marginal_of(rho, "B"), marginal_of(sigma, "B")])
     return check_af_stack(eps, spectra, marginals, rho.dims[0], classical_b).report()
 
 
@@ -287,15 +287,17 @@ def check_cor_pure_stack(phi: PureStack, psi: PureStack, dims,
     """``check_cor_pure`` of each pair of two stacks of pure states on
     ``A (x) B`` of dimensions ``dims``, with no D x D matrix built: eps from
     the rank-one factors ``(v, [w], 0)``, clipped to 1, and the A marginals
-    from the vectors (``states.pure_marginals``), validated as one
-    stack."""
+    of the factors ``(v, [l], 0)`` with their recorded traces by the Gram
+    form (``states.factored_marginals``, the kernel of ``marginal_of`` a
+    factored state in any stack), validated as one stack."""
     if which not in _COROLLARIES:
         raise ValueError(f"unknown corollary bound {which!r}")
     variant, bound = _COROLLARIES[which]
     zero = np.zeros(len(phi.vectors))
     eps = factored_trace_distances(*(x for s in (phi, psi)
                                      for x in (s.vectors[:, :, None], s.weights[:, None], zero)))
-    marginals = np.stack([pure_marginals(phi, dims), pure_marginals(psi, dims)], axis=1)
+    marginals = np.stack([factored_marginals(s.vectors[:, :, None], s.scales[:, None], zero,
+                                             s.traces, dims, "A") for s in (phi, psi)], axis=1)
     spectra = density_stack(marginals.reshape(-1, dims[0], dims[0])).eigenvalues
     d = min(dims)
     return _reports(variant, d, np.minimum(eps, 1.0), von_neumann_entropies(spectra),
@@ -334,13 +336,19 @@ def _fannes_witness_args(d: int, epsilons) -> None:
             raise ValueError(f"epsilon {epsilon!r} outside (0, 1 - 1/d]")
 
 
+def _witness_epsilon(epsilon: float) -> ValueError | None:
+    """The error of an eps outside (0, 1] (NaN too), at which neither the AF
+    nor the oscillator witness exists, or None."""
+    return None if 0.0 < epsilon <= 1.0 else ValueError(f"epsilon {epsilon!r} outside (0, 1]")
+
+
 def _af_witness_args(d: int, epsilons) -> None:
     """Raise the error of d, else of the first eps of ``epsilons``, at which
-    the AF witness does not exist: d >= 2 and 0 < eps <= 1."""
+    the AF witness does not exist: d >= 2 and ``_witness_epsilon``."""
     _dimension(d)
     for epsilon in epsilons:
-        if not 0.0 < epsilon <= 1.0:
-            raise ValueError(f"epsilon {epsilon!r} outside (0, 1]")
+        if (error := _witness_epsilon(epsilon)) is not None:
+            raise error
 
 
 def tightness_witness_fannes(d: int, epsilon: float):
@@ -391,8 +399,8 @@ def check_af_witnesses(d: int, epsilons) -> BoundBlock:
     ``(Phi_d, [1-eps], eps/(d^2-1))`` and ``(Phi_d, [1], 0)`` interleaved,
     held to the trace rule (``states.factored_traces``), eps from the renormalized
     factors, the spectra sorted from them and the B marginals from
-    ``states.factored_marginals``, the kernel of ``b_marginal`` of a factor
-    in any stack.  The first bad argument raises its error."""
+    ``states.factored_marginals`` on B, the kernel of ``marginal_of`` a
+    factored state in any stack.  The first bad argument raises its error."""
     _af_witness_args(d, epsilons)
     eps = np.array(epsilons, dtype=float)
     n, dim = 2 * len(eps), d * d
@@ -404,7 +412,7 @@ def check_af_witnesses(d: int, epsilons) -> BoundBlock:
                             dim)[0] / tr[:, None]
     factors = vecs, lam / tr[:, None], c / tr
     eps = factored_trace_distances(*(x[0::2] for x in factors), *(x[1::2] for x in factors))
-    return check_af_stack(eps, spectra, factored_marginals(vecs, lam, c, tr, (d, d)), d)
+    return check_af_stack(eps, spectra, factored_marginals(vecs, lam, c, tr, (d, d), "B"), d)
 
 
 def af_witness_gap(d: int, epsilon: float) -> float:

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .linalg import OUTSIDE_SUPPORT_ATOL, PSD_ATOL, _operator_pair, support_mask
-from .states import BipartiteState, DensityOperator, as_state, b_marginal, density_stack
+from .states import BipartiteState, DensityOperator, as_state, density_stack, marginal_of
 
 LOG2_E = math.log2(math.e)
 
@@ -87,7 +87,7 @@ def clipped_binary(x: float) -> float:
 
 def conditional_entropy(state: BipartiteState) -> float:
     """S(A|B) of a bipartite state, the stack of one of ``conditional_entropies``."""
-    return float(conditional_entropies(state.eigenvalues[None], b_marginal(state)[None])[0])
+    return float(conditional_entropies(state.eigenvalues[None], marginal_of(state, "B")[None])[0])
 
 
 def relative_entropies(neg_s: np.ndarray, lam: np.ndarray, q: np.ndarray) -> np.ndarray:

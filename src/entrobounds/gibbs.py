@@ -36,7 +36,8 @@ stack and one ``lemma4_meta5_bounds`` call.
 The oscillator closed forms that split the energy equally among the
 modes (``oscillator_entropy_upper``, ``lemma7_bounds``) and
 ``HamiltonianSpec`` read their mode energies through one rule: at least
-one mode, each positive and finite.
+one mode, each positive and finite.  An energy and a beta have one rule,
+``_positive_finite``, and NaN and inf fail it.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import BoundBlock, _af_form, _objects, _unit_interval
+from .bounds import BoundBlock, _af_form, _objects, _unit_interval, _witness_epsilon
 from .entropies import (LOG2_E, binary_entropies, binary_entropy, clipped_binary,
                         von_neumann_entropies)
 from .linalg import DENSE_DIM_LIMIT, HermitianOperator, check_dense_dim
@@ -171,12 +172,18 @@ def _mode_energies(hbar_omegas) -> np.ndarray:
     return w
 
 
+def _positive_finite(name: str, x: float) -> None:
+    """The rule of an energy and of a beta: ``EnergyDomainError`` unless
+    0 < x < inf (NaN fails)."""
+    if not 0.0 < x < math.inf:
+        raise EnergyDomainError(f"{name} must be positive and finite, got {x!r}")
+
+
 def _equal_split(hbar_omegas, energy: float) -> tuple[int, float]:
     """(ell, sum_i log2(E/(ell hbar omega_i) + 1)): the energy E split
     equally among the ell modes, as the oscillator closed forms take it."""
     hw = _mode_energies(hbar_omegas)
-    if not 0.0 < energy < math.inf:
-        raise EnergyDomainError(f"energy must be positive and finite, got {energy!r}")
+    _positive_finite("energy", energy)
     n_modes = len(hw)
     e_bar = energy / n_modes
     return n_modes, float(np.log2(e_bar / hw + 1.0).sum())
@@ -189,8 +196,7 @@ def log2_partition_function(hamiltonian: HamiltonianSpec, beta: float) -> float:
     -sum_i log2(1 - e^{-x_i}), x_i = beta hbar omega_i, with 1 - e^{-x}
     from expm1.  It is finite wherever beta is, where Z itself would
     overflow past 1.8e308.  The stack of one of ``_log2_partitions``."""
-    if beta <= 0:
-        raise EnergyDomainError(f"beta must be positive, got {beta!r}")
+    _positive_finite("beta", beta)
     return float(_log2_partitions(hamiltonian, np.array([beta]))[0])
 
 
@@ -207,11 +213,14 @@ def _log2_partitions(hamiltonian: HamiltonianSpec, betas: np.ndarray) -> np.ndar
 def truncation_tail(hamiltonian: HamiltonianSpec, beta: float) -> float:
     """Relative Gibbs mass lost to the per-mode Fock cutoff,
     1 - prod_i (1 - q_i^{N+1}), taken as -expm1(sum_i log1p(-q_i^{N+1}))
-    so that a tail far below 1 ulp of 1 keeps its digits."""
+    so that a tail far below 1 ulp of 1 keeps its digits; its limit 1
+    where some q_i rounds to 1."""
+    _positive_finite("beta", beta)
     if hamiltonian.hbar_omegas is None:
         return 0.0
     q = np.exp(-beta * hamiltonian.hbar_omegas)
-    return float(-np.expm1(np.log1p(-q ** (hamiltonian.n_max + 1)).sum()))
+    with np.errstate(divide="ignore"):  # log1p(-1) is -inf, and -expm1(-inf) is 1
+        return float(-np.expm1(np.log1p(-q ** (hamiltonian.n_max + 1)).sum()))
 
 
 def _scaled_levels(hamiltonian: HamiltonianSpec) -> tuple[np.ndarray, int]:
@@ -250,8 +259,7 @@ def _energies_and_slopes(hamiltonian: HamiltonianSpec,
 
 
 def mean_energy(hamiltonian: HamiltonianSpec, beta: float) -> float:
-    if beta <= 0:
-        raise EnergyDomainError(f"beta must be positive, got {beta!r}")
+    _positive_finite("beta", beta)
     return float(_energies_and_slopes(hamiltonian, np.array([beta]))[0][0])
 
 
@@ -739,12 +747,6 @@ def _entropy_witnesses(energy: float, epsilons, n_max: int | None = None):
     return h, rho, sigma / sigma.sum(axis=1, keepdims=True)
 
 
-def _witness_energy(energy: float) -> None:
-    """The energy rule of the oscillator witnesses: positive and finite."""
-    if not 0.0 < energy < math.inf:
-        raise EnergyDomainError(f"energy must be positive and finite, got {energy!r}")
-
-
 def oscillator_tightness_witness(energy: float, epsilon: float,
                                  conditional: bool = False,
                                  n_max: int | None = None):
@@ -764,9 +766,9 @@ def oscillator_tightness_witness(energy: float, epsilon: float,
     Either case raises ``TruncationError`` when a given cutoff ``n_max``
     leaves a tail above 1e-9 (``GibbsSolution.checked_probabilities``).
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon {epsilon!r} outside (0, 1]")
-    _witness_energy(energy)
+    if (error := _witness_epsilon(epsilon)) is not None:
+        raise error
+    _positive_finite("energy", energy)
     if not conditional:
         _, rho, sigma = _entropy_witnesses(energy, [epsilon], n_max)
         return rho, sigma[0]
@@ -792,15 +794,15 @@ def check_oscillator_witnesses(energy: float, epsilons) -> BoundBlock:
     ``lemma4_meta5_bounds`` call.  The error of the first case with one is
     raised: its bad eps, the energy's or its bound's."""
     epsilons = list(epsilons)
-    bad = next((i for i, e in enumerate(epsilons) if not 0.0 < e <= 1.0), None)
+    bad = next((i for i, e in enumerate(epsilons) if _witness_epsilon(e) is not None), None)
     good = epsilons[:bad]
     if bad != 0:  # the first case gets past its eps
-        _witness_energy(energy)
+        _positive_finite("energy", energy)
         h, rho, sigma = _entropy_witnesses(energy, good)
         entropies = von_neumann_entropies(np.vstack([rho, sigma]))
         block = BoundBlock(np.arange(len(good)), "oscillator_lemma4", len(rho),
                            np.abs(entropies[0] - entropies[1:]),
                            lemma4_meta5_bounds(h, energy, good, (), ())[0], _objects(good), energy)
     if bad is not None:
-        raise ValueError(f"epsilon {epsilons[bad]!r} outside (0, 1]")
+        raise _witness_epsilon(epsilons[bad])
     return block

@@ -15,31 +15,30 @@ Stacks
 matrices: ``linalg.hermitian_stack`` followed by the state rules
 (``_state_rules``, through which every state goes, stacked or as a stack
 of one) and the repairs (``_clamped``, the renormalisation by
-``RENORM_ATOL``) that the constructor applies, element by element and bit
-for bit, with no object built.  It returns a :class:`StateStack` of the ``eigvalsh``
-spectra, with the ``eigh`` eigenvectors on request, so that the
-couplings decompose no state twice and a check that reads spectra alone
-runs no vector solver.
-``DensityOperator._built`` of a matrix is the stack of one of
-``built_stack``.  ``divisors`` is the trace rule of structured states
-(PSD by construction) for a stack of their diagonals, and
-``factored_traces`` that of ``DensityOperator.factored`` for a stack of
-bases, with no D x D matrix built, and ``pure_stack`` is
+``RENORM_ATOL``) that the constructor applies, element by element and
+bit for bit, with no object built.  It returns a :class:`StateStack` of
+the ``eigvalsh`` spectra, with the ``eigh`` eigenvectors on request, so
+that the couplings decompose no state twice and a check that reads
+spectra alone runs no vector solver.  ``DensityOperator._built`` of a
+matrix is the stack of one of ``built_stack``.  ``divisors`` is the trace
+rule of structured states (PSD by construction) for a stack of their
+diagonals, and ``factored_traces`` that of ``DensityOperator.factored``
+for a stack of bases, with no D x D matrix built, and ``pure_stack`` is
 ``DensityOperator.pure`` for an (n, D) stack of vectors: a
 :class:`PureStack` of unit vectors and the traces their matrices are
-divided by.  ``pure_marginals`` gives their marginals as
-``partial_traces`` of those matrices would.  ``embedded_stack`` is the
-state rule of block states (energy-constrained states, and qc states of
-``qc_blocks``) for a stack of their blocks, and ``block_marginals`` gives
-their B marginals; ``factored_marginals`` gives those of a stack of
-factored states by their Gram form, equal to ``partial_traces`` of their
-matrices to rounding, and ``b_marginal`` of a block or factored state is
-the stack of one of these.  The sampling functions draw through
-``draw_state_matrices``, ``draw_pure_vectors`` and ``draw_qc``, one case
-per generator in turn; ``sample_state``, ``sample_pure_state``,
-``sample_pure_bipartite`` and ``sample_qc_state`` are their stacks of
-one, so a stacked campaign draws each case exactly as the scalar
-samplers do.
+divided by.  ``embedded_stack`` is the state rule of block states
+(energy-constrained states, and qc states of ``qc_blocks``) for a stack
+of their blocks, and ``block_marginals`` gives their B marginals;
+``factored_marginals`` gives the marginals on either side of a stack of
+factored states (a pure stack, too, as its factors) by their Gram form,
+equal to ``partial_traces`` of their matrices to rounding.
+``marginal_of`` a state is the stack of one of the kernel of its kind
+and side, with the dense ``partial_traces`` for the rest.
+The sampling functions draw through ``draw_state_matrices``,
+``draw_pure_vectors`` and ``draw_qc``, one case per generator in turn;
+``sample_state``, ``sample_pure_state``, ``sample_pure_bipartite`` and
+``sample_qc_state`` are their stacks of one, so a stacked campaign draws
+each case exactly as the scalar samplers do.
 """
 
 from __future__ import annotations
@@ -330,25 +329,6 @@ def pure_stack(vecs) -> PureStack:
     return PureStack(v, factored_traces(v[:, :, None], np.ones((len(v), 1))), np.ones(len(v)))
 
 
-def pure_marginals(pure: PureStack, dims) -> np.ndarray:
-    """``partial_traces(m, dims, "A")`` of the matrix ``m`` of each state of a
-    pure stack on ``A (x) B``, bit for bit and with no D x D matrix built.
-    The entries of ``m`` it sums, ``(l v_ij) v_kj^*`` symmetrized and divided
-    by the trace as the constructor divides them, are formed for one index
-    j of B at a time and added in the order of j, the order of that
-    einsum."""
-    d_a, d_b = dims
-    v = pure.vectors.reshape(-1, d_a, d_b)
-    left = v * pure.scales[:, None, None]
-    renormalized = pure.traces != 1.0
-    out = 0.0
-    for j in range(d_b):
-        m = _symmetrized(left[:, :, j, None] * v.conj()[:, None, :, j])
-        m[renormalized] /= pure.traces[renormalized, None, None]
-        out = out + m
-    return out
-
-
 def embedded_stack(index, blocks: StateStack, dim: int) -> StateStack:
     """The blocks and their spectra, as ``DensityOperator._block_diagonal(
     dim, index, b, lam)`` holds them, of each PSD stack ``b`` (n, m, k, k) of
@@ -398,39 +378,45 @@ def state_pair(rho, sigma):
 
 def partial_trace(state: BipartiteState, keep: str) -> DensityOperator:
     """Marginal on subsystem ``keep`` ('A' or 'B'), validated."""
-    marginal = b_marginal(state) if keep == "B" else partial_traces(state.mat, state.dims, keep)
-    return DensityOperator(marginal)
+    return DensityOperator(marginal_of(state, keep))
 
 
-def b_marginal(state: BipartiteState) -> np.ndarray:
-    """The unvalidated B marginal ``partial_traces(state.mat, state.dims, "B")``.
-    A block state (``block_marginals``, bit for bit) or factored state
-    (``factored_marginals``, to rounding) builds no matrix."""
-    if state.block is not None:
+def marginal_of(state: BipartiteState, keep: str) -> np.ndarray:
+    """The unvalidated marginal ``partial_traces(state.mat, state.dims, keep)``.
+    A factored state on either side (``factored_marginals``, to rounding)
+    and a block state's B side (``block_marginals``, bit for bit) build no
+    matrix.  A bad ``keep`` raises the error of ``partial_traces`` before
+    any kernel runs."""
+    if keep not in ("A", "B"):
+        partial_traces(np.empty((0, 1, 1)), (1, 1), keep)  # raises its error
+    if state.factor is not None:
+        return factored_marginals(*(np.array([x]) for x in state._parts[1:]),
+                                  np.array([state._divisor or 1.0]), state.dims, keep)[0]
+    if state.block is not None and keep == "B":
         return block_marginals(state.block[0], state.block[1][None], state.dims)[0]
-    if state.factor is None:
-        return partial_traces(state.mat, state.dims, "B")
-    return factored_marginals(*(np.array([x]) for x in state._parts[1:]),
-                              np.array([state._divisor or 1.0]), state.dims)[0]
+    return partial_traces(state.mat, state.dims, keep)
 
 
-def factored_marginals(vecs, lam, c, traces, dims) -> np.ndarray:
-    """``b_marginal``, with no D x D matrix built, of each state
-    ``DensityOperator.factored(V, lam, c)`` on ``A (x) B`` of stacks ``V``
-    (n, D, k), ``lam`` (n, k) and ``c`` (n,), with the traces ``traces``
-    (n,) its trace rule divides it by (1 where it left it): the Gram form
-    ``c d_A 1 + sum_k (lam_k - c) X_k^T X_k^*``, X_k the d_A x d_B reshape of
-    column k of V, of one batched product over the stack, symmetrized and
-    divided by the trace as the state rule divides a state.  It sums in
-    another order than the einsum over ``mat``, so it agrees with
-    ``partial_traces`` of ``mat`` to rounding, not bit for bit; a state
-    gets the same bits in any stack."""
-    (d_a, d_b), n = dims, len(vecs)
-    x = vecs.reshape(n, d_a, d_b, -1).swapaxes(1, 2)
+def factored_marginals(vecs, lam, c, traces, dims, keep: str) -> np.ndarray:
+    """``marginal_of`` on ``keep`` ('A' or 'B'), with no D x D matrix built, of
+    each state ``DensityOperator.factored(V, lam, c)`` on ``A (x) B`` of
+    stacks ``V`` (n, D, k), ``lam`` (n, k) and ``c`` (n,), with the traces
+    ``traces`` (n,) its trace rule divides it by (1 where it left it): the
+    Gram form ``c d_B 1 + sum_k (lam_k - c) X_k X_k^dagger`` on A, or
+    ``c d_A 1 + sum_k (lam_k - c) X_k^T X_k^*`` on B, X_k the d_A x d_B
+    reshape of column k of V, of one batched product over the stack,
+    symmetrized and divided by the trace as the state rule divides a
+    state.  It sums in another order than the einsum over ``mat``, so it
+    agrees with ``partial_traces`` of ``mat`` to rounding, not bit for bit;
+    a state gets the same bits in any stack."""
+    x = vecs.reshape(len(vecs), *dims, -1)
+    if keep == "B":
+        x = x.swapaxes(1, 2)
+    n, d, rest = x.shape[:3]  # d the kept dimension, rest the traced-out one
     # each operand written once, in C order, so that its reshape copies nothing
-    out = (np.multiply(x, (lam - c[:, None])[:, None, None], order="C").reshape(n, d_b, -1)
-           @ np.conjugate(x, order="C").reshape(n, d_b, -1).swapaxes(1, 2))
-    out[:, np.arange(d_b), np.arange(d_b)] += (c * d_a)[:, None]
+    out = (np.multiply(x, (lam - c[:, None])[:, None, None], order="C").reshape(n, d, -1)
+           @ np.conjugate(x, order="C").reshape(n, d, -1).swapaxes(1, 2))
+    out[:, np.arange(d), np.arange(d)] += (c * rest)[:, None]
     out = _symmetrized(out)
     _renormalize(out, None, traces, traces != 1.0)
     return out

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from entrobounds import gibbs
+from entrobounds.bounds import check_af_witnesses, tightness_witness_af
 from entrobounds.entropies import (
     binary_entropies,
     binary_entropy,
@@ -160,8 +161,27 @@ class TestPartitionFunction:
     def test_beta_domain(self):
         with pytest.raises(EnergyDomainError, match="beta"):
             log2_partition_function(HamiltonianSpec.oscillators([1.0]), 0.0)
-        with pytest.raises(EnergyDomainError, match="beta must be positive, got 0.0"):
+        with pytest.raises(EnergyDomainError, match="beta must be positive and finite, got 0.0"):
             mean_energy(HamiltonianSpec.explicit([0.0, 1.0]), 0.0)
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("h", [HamiltonianSpec.oscillators([1.0, 2.0]),
+                                   HamiltonianSpec.explicit([0.0, 1.0, 3.0])],
+                             ids=["oscillators", "explicit"])
+    @pytest.mark.parametrize("f", [log2_partition_function, mean_energy, truncation_tail])
+    def test_every_beta_function_takes_beta_positive_and_finite(self, f, h, beta):
+        """One rule, 0 < beta < inf, with one message, on both kinds of
+        Hamiltonian; NaN and inf fail it rather than give nan or a numpy
+        warning."""
+        with pytest.raises(EnergyDomainError,
+                           match=f"^beta must be positive and finite, got {beta!r}$"):
+            f(h, beta)
+
+    @pytest.mark.parametrize("beta", [1e-300, 1e-17])
+    def test_truncation_tail_is_1_where_q_rounds_to_1(self, beta):
+        """exp(-beta hbar omega) rounds to 1: the tail is its limit 1, with
+        no divide-by-zero warning from log1p(-1)."""
+        assert truncation_tail(HamiltonianSpec.oscillators([1.0, 2.0]), beta) == 1.0
 
     def test_explicit_levels_have_no_truncation_tail(self):
         assert truncation_tail(HamiltonianSpec.explicit([0, 1]), 1.0) == 0.0
@@ -692,6 +712,26 @@ class TestWitnesses:
         for conditional in (False, True):
             with pytest.raises(EnergyDomainError, match="positive and finite"):
                 oscillator_tightness_witness(energy, 0.25, conditional=conditional)
+
+    @pytest.mark.parametrize("eps", [0.0, 1.5, math.nan])
+    def test_every_witness_raises_the_one_eps_error(self, eps):
+        """The AF and oscillator witnesses, alone and as a grid, read eps
+        through one rule: outside (0, 1], NaN included, each raises the same
+        text; a grid raises the energy's error before a later bad eps."""
+        message = f"epsilon {eps!r} outside (0, 1]"
+        calls = [lambda: tightness_witness_af(3, eps),
+                 lambda: check_af_witnesses(3, [0.5, eps]),
+                 lambda: oscillator_tightness_witness(1.0, eps),
+                 lambda: gibbs.check_oscillator_witnesses(1.0, [0.5, eps])]
+        for call in calls:
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert str(raised.value) == message
+        with pytest.raises(EnergyDomainError, match="energy must be positive and finite"):
+            gibbs.check_oscillator_witnesses(-1.0, [0.5, eps])
+        with pytest.raises(ValueError) as raised:
+            gibbs.check_oscillator_witnesses(-1.0, [eps, 0.5])
+        assert str(raised.value) == message
 
 
 def _reference_solve(h, energy, branches):

@@ -369,23 +369,27 @@ class TestCampaigns:
         for fmt in ("csv", "json"):
             assert render_report(chunked, fmt) == render_report(per_case, fmt)
 
-    def test_gram_marginals_keep_the_tightness_records_within_the_budget(self, monkeypatch):
-        """The factored B marginals formed by their Gram form move no row and
-        no verdict of ``verify tightness`` from those of the einsum over each
-        state's dense ``mat``, and no ``lhs``, ``rhs`` or ``slack`` by more
-        than 1e-12."""
-        config = CampaignConfig("tightness", dims=(2, 3, 5, 16),
-                                epsilons=(0.01, 0.2, 0.5, 0.75, 0.99, 1.0))
+    @pytest.mark.parametrize("config", [
+        CampaignConfig("tightness", dims=(2, 3, 5, 16), epsilons=(0.01, 0.2, 0.5, 0.75, 0.99, 1.0)),
+        CampaignConfig("cor_pure", dims=(2, 3, 16), samples=6, seed=12),
+    ], ids=["tightness", "cor_pure"])
+    def test_gram_marginals_keep_the_tightness_records_within_the_budget(self, monkeypatch,
+                                                                         config):
+        """The factored marginals formed by their Gram form (B of the AF
+        witnesses, A of the pure states) move no row and no verdict of
+        ``verify tightness`` or ``verify cor_pure`` from those of the einsum
+        over each state's dense ``mat``, and no ``lhs``, ``rhs`` or ``slack``
+        by more than 1e-12."""
         shipped = run_campaign(config).records
         calls = []
 
-        def dense_marginals(vecs, lam, c, traces, dims):
+        def dense_marginals(vecs, lam, c, traces, dims, keep):
             calls.append(len(vecs))
             marginals = []
             for state_parts in zip(vecs, lam, c, traces):
                 state = BipartiteState.factored(*state_parts[:3], dims)
                 assert (state._divisor or 1.0) == state_parts[3]
-                marginals.append(states.partial_traces(state.mat, dims, "B"))
+                marginals.append(states.partial_traces(state.mat, dims, keep))
             return np.stack(marginals)
 
         monkeypatch.setattr(states, "factored_marginals", dense_marginals)

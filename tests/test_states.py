@@ -20,7 +20,6 @@ from entrobounds.states import (
     as_state,
     PureStack,
     StateStack,
-    b_marginal,
     block_marginals,
     built_stack,
     density_stack,
@@ -30,10 +29,10 @@ from entrobounds.states import (
     embedded_stack,
     factored_marginals,
     factored_traces,
+    marginal_of,
     maximally_entangled_state,
     partial_trace,
     partial_traces,
-    pure_marginals,
     pure_stack,
     sample_pure_bipartite,
     sample_pure_state,
@@ -113,31 +112,44 @@ class TestPartialTrace:
             np.testing.assert_allclose(partial_trace(phi, keep).mat,
                                        np.eye(3) / 3, atol=1e-12)
 
-    def test_bad_keep(self):
-        with pytest.raises(ValueError, match="keep"):
-            partial_trace(maximally_entangled_state(2), "C")
+    @pytest.mark.parametrize("state", [
+        maximally_entangled_state(2),  # a factored state
+        tightness_witness_af(300, 0.5)[0],  # one above the dense limit
+        sample_qc_state(2, 3, np.random.default_rng(0)),  # a block state
+        BipartiteState(np.eye(6) / 6, (2, 3)),  # a dense state
+    ])
+    def test_bad_keep(self, state):
+        """A bad ``keep`` raises the error of ``partial_traces`` before any
+        kernel runs: no matrix is built, whatever kind of state."""
+        built = state._mat is not None
+        with pytest.raises(ValueError, match="keep must be 'A' or 'B', got 'C'"):
+            partial_trace(state, "C")
+        assert (state._mat is not None) == built
 
+    @pytest.mark.parametrize("keep", ["A", "B"])
     @pytest.mark.parametrize("eps", [0.05, 0.25, 0.5, 0.9, 1.0])
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
-    def test_b_marginal_of_the_af_witness_builds_no_matrix(self, d, eps):
-        """The B marginal of a factored state is the Gram form of its
+    def test_marginal_of_the_af_witness_builds_no_matrix(self, d, eps, keep):
+        """The marginals of a factored state are the Gram forms of its
         factor, within 1e-14 of ``partial_traces`` over the dense matrix."""
         for state in tightness_witness_af(d, eps):
-            marginal = partial_trace(state, "B")
+            marginal = partial_trace(state, keep)
             assert state._mat is None
-            dense = partial_traces(state.mat, state.dims, "B")
+            dense = partial_traces(state.mat, state.dims, keep)
             np.testing.assert_allclose(marginal.mat, DensityOperator(dense).mat,
                                        rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("keep", ["A", "B"])
     @pytest.mark.parametrize("d", [2, 3, 16, 300])
-    def test_b_marginal_of_the_af_witness_is_maximally_mixed(self, d):
-        """Both AF witness states have B marginal 1/d, within 4 ulp beyond
-        the rounding of the witness vector itself: the squared modulus of
-        its entries (1, 2, 0 and 8 ulp off 1/d at d = 2, 3, 16 and 300)."""
+    def test_marginal_of_the_af_witness_is_maximally_mixed(self, d, keep):
+        """Both AF witness states have A and B marginal 1/d, within 4 ulp
+        beyond the rounding of the witness vector itself: the squared
+        modulus of its entries (1, 2, 0 and 8 ulp off 1/d at d = 2, 3, 16 and
+        300)."""
         eye = np.eye(d) / d
         for eps in (0.05, 0.25, 0.5, 0.9, 1.0):
             for state in tightness_witness_af(d, eps):
-                marginal = b_marginal(state)
+                marginal = marginal_of(state, keep)
                 assert state._mat is None
                 x = state.factor[0][0, 0]
                 tol = 4 * np.spacing(1.0 / d) + abs(abs(x) ** 2 - 1.0 / d)
@@ -158,17 +170,18 @@ class TestPartialTrace:
         assert [s._divisor is None for s in states] == [True, False, True, False][:len(states)]
         return states
 
+    @pytest.mark.parametrize("keep", ["A", "B"])
     @pytest.mark.parametrize("dims", [(1, 4), (2, 3), (3, 2), (4, 1), (5, 5), (10, 48)])
-    def test_b_marginal_of_a_factor_matches_the_dense_einsum(self, dims):
+    def test_marginal_of_a_factor_matches_the_dense_einsum(self, dims, keep):
         """Ranks 1 to 3, a complement eigenvalue and a renormalized trace:
-        ``b_marginal`` of a factored state, with no matrix built, is within
-        1e-14 of the einsum over ``mat``."""
+        ``marginal_of`` a factored state on either side, with no matrix
+        built, is within 1e-14 of the einsum over ``mat``."""
         rng = np.random.default_rng(dims)
         for k in range(1, min(dims[0] * dims[1], 3) + 1):
             for state in self._factored_states(rng, dims, k):
-                marginal = b_marginal(state)
+                marginal = marginal_of(state, keep)
                 assert state._mat is None
-                np.testing.assert_allclose(marginal, partial_traces(state.mat, dims, "B"),
+                np.testing.assert_allclose(marginal, partial_traces(state.mat, dims, keep),
                                            rtol=0, atol=1e-14)
 
     @staticmethod
@@ -177,31 +190,33 @@ class TestPartialTrace:
         return ([np.stack([s._parts[j] for s in states]) for j in (1, 2, 3)]
                 + [np.array([s._divisor or 1.0 for s in states])])
 
+    @pytest.mark.parametrize("keep", ["A", "B"])
     @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 4), (10, 48)])
-    def test_factored_marginals_of_a_stack_match_the_dense_einsum(self, dims):
+    def test_factored_marginals_of_a_stack_match_the_dense_einsum(self, dims, keep):
         """Ranks 1 to 3, with and without a complement eigenvalue and a
         renormalized trace, stacked: each marginal is within 1e-14 of the
         einsum over its own state's ``mat``."""
         rng = np.random.default_rng([37, *dims])
         for k in range(1, 4):
             states = self._factored_states(rng, dims, k)
-            marginals = factored_marginals(*self._stacked(states), dims)
+            marginals = factored_marginals(*self._stacked(states), dims, keep)
             for state, marginal in zip(states, marginals):
-                np.testing.assert_allclose(marginal, partial_traces(state.mat, dims, "B"),
+                np.testing.assert_allclose(marginal, partial_traces(state.mat, dims, keep),
                                            rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("keep", ["A", "B"])
     @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 4), (10, 48)])
-    def test_factored_marginals_of_a_stack_are_those_of_each_state_alone(self, dims):
+    def test_factored_marginals_of_a_stack_are_those_of_each_state_alone(self, dims, keep):
         """Ranks 1 to 3, with and without a complement eigenvalue and a
         renormalized trace: each marginal of the stack has the bits of
-        ``b_marginal`` of its state alone, on which a campaign's records
+        ``marginal_of`` its state alone, on which a campaign's records
         agree with the scalar checks."""
         rng = np.random.default_rng([41, *dims])
         for k in range(1, 4):
             states = self._factored_states(rng, dims, k)
-            marginals = factored_marginals(*self._stacked(states), dims)
+            marginals = factored_marginals(*self._stacked(states), dims, keep)
             for state, marginal in zip(states, marginals):
-                assert marginal.tobytes() == b_marginal(state).tobytes()
+                assert marginal.tobytes() == marginal_of(state, keep).tobytes()
 
     def test_vector_marginals_match_partial_trace(self):
         rng = np.random.default_rng(7)
@@ -276,9 +291,9 @@ class TestSampling:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_block_marginals_are_the_dense_partial_traces(self, seed):
-        """``b_marginal`` of a block state (qc, energy-padded and blocks on
-        index sets that mix A indices, in any order) builds no matrix and is
-        bit for bit the einsum over ``mat``; ``block_marginals`` of the stack
+        """``marginal_of`` the B side of a block state (qc, energy-padded and
+        blocks on index sets that mix A indices, in any order) builds no
+        matrix and is bit for bit the einsum over ``mat``; ``block_marginals`` of the stack
         of their blocks is each state's."""
         rng = np.random.default_rng(seed)
         states = [sample_qc_state(4, 3, rng), sample_qc_state(3, 4, rng)]
@@ -288,7 +303,7 @@ class TestSampling:
         blocks = [sample_state(3, 3, rng).mat / 3 for _ in range(3)]
         states.append(BipartiteState.embedded(index, blocks, 12, (4, 3)))
         for state in states:
-            marginal = b_marginal(state)
+            marginal = marginal_of(state, "B")
             assert state._mat is None
             assert marginal.tobytes() == partial_traces(state.mat, state.dims, "B").tobytes()
             index, mats = state.block[:2]
@@ -465,11 +480,16 @@ class TestDensityStack:
         assert str(stacked.value) == str(scalar.value)
 
     @pytest.mark.parametrize("dims", [(3, 3), (2, 5)])
-    def test_pure_marginals_are_the_partial_traces_of_the_constructed_states(self, dims):
-        """``pure_marginals`` of a unit vector and of one whose trace the
-        trace rule renormalizes (``factored_traces``) are, byte for byte,
-        the partial traces of the states ``factored`` builds, with the
-        weights of their factors; ``pure_stack`` is ``DensityOperator.pure``."""
+    def test_a_marginals_of_a_pure_stack_are_the_partial_traces_of_the_constructed_states(
+            self, dims):
+        """``check_cor_pure_stack``'s A marginals, ``factored_marginals`` of a
+        pure stack as its factors ``(v, [l], 0)`` with their recorded traces,
+        of a unit vector and of one whose trace the trace rule renormalizes
+        (``factored_traces``), and of hand-built weights l that are not
+        1 / trace (kept, or renormalized): each is within 1e-14 of the
+        partial trace of the state ``factored`` builds, and has the bits of
+        ``marginal_of`` that state alone; ``pure_stack`` is
+        ``DensityOperator.pure``."""
         rng = np.random.default_rng(36)
         shape = (2, dims[0] * dims[1])
         raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -477,19 +497,22 @@ class TestDensityStack:
         vecs = unit.vectors * np.array([[1.0], [np.sqrt(1.0 + 3e-14)]])
         pure = PureStack(vecs, factored_traces(vecs[:, :, None], np.ones((2, 1))), np.ones(2))
         assert pure.traces[0] == 1.0 and pure.traces[1] != 1.0
-        states = [BipartiteState.factored(v[:, None], [1.0], 0.0, dims) for v in vecs]
-        assert pure_marginals(pure, dims).tobytes() == np.stack(
-            [partial_traces(s.mat, dims, "A") for s in states]).tobytes()
-        assert pure.weights.tolist() == [s.factor[1][0] for s in states]
-        # hand-built weights l that are not 1 / trace: kept (1 + 4e-15) or renormalized
+        stacks = [(pure, [BipartiteState.factored(v[:, None], [1.0], 0.0, dims) for v in vecs])]
+        assert pure.weights.tolist() == [s.factor[1][0] for s in stacks[0][1]]
         weights = np.array([1.0 + 4e-15, 1.0 + 3e-14])
         states = [BipartiteState.factored(unit.vectors[j, :, None], [w], 0.0, dims)
                   for j, w in enumerate(weights)]
         assert states[0]._divisor is None and states[1]._divisor is not None
         held = PureStack(unit.vectors, np.array([1.0, states[1]._divisor]), weights)
         assert held.weights.tolist() == [s.factor[1][0] for s in states]
-        assert pure_marginals(held, dims).tobytes() == np.stack(
-            [partial_traces(s.mat, dims, "A") for s in states]).tobytes()
+        stacks.append((held, states))
+        for stack, states in stacks:
+            marginals = factored_marginals(stack.vectors[:, :, None], stack.scales[:, None],
+                                           np.zeros(2), stack.traces, dims, "A")
+            for state, marginal in zip(states, marginals):
+                np.testing.assert_allclose(marginal, partial_traces(state.mat, dims, "A"),
+                                           rtol=0, atol=1e-14)
+                assert marginal.tobytes() == marginal_of(state, "A").tobytes()
         for v, w, r in zip(unit.vectors, unit.weights, raw):
             alone = DensityOperator.pure(r)
             assert v.tobytes() == alone.factor[0][:, 0].tobytes() and w == alone.factor[1][0]
