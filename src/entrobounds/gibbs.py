@@ -23,12 +23,13 @@ when it stops, and each taking exactly the iterates it would take alone
 element, as the scalar iteration applies them).  An energy without a
 solution keeps its own ``EnergyDomainError`` in the returned
 ``GibbsSolutions`` and fails none of the others.  ``entropy_checks`` (over
-an (n, n_max+1) weight stack per mode) and ``lemma4_meta5_bounds`` (whose
-binary entropies come from one ``entropies.binary_entropies`` call) read those
-stacks.  Each kernel has at most one scalar name, which calls it directly
-with a stack of one and keeps its bits: ``solve_beta`` (of which
-``gibbs_entropy`` reads the entropy), ``mean_energy``,
-``log2_partition_function``, ``lemma4_bound`` and ``meta5_bound``.
+an (n, n_max+1) weight stack per mode) and ``lemma4_meta5_bounds`` (at one
+energy or one per case, whose binary entropies come from one
+``entropies.binary_entropies`` call) read those stacks.  Each kernel has
+at most one scalar name, which calls it directly with a stack of one and
+keeps its bits: ``solve_beta`` (of which ``gibbs_entropy`` reads the
+entropy), ``mean_energy``, ``log2_partition_function``, ``lemma4_bound``
+and ``meta5_bound``.
 ``check_oscillator_witnesses`` checks the entropy witness at one energy
 for a whole eps grid: one solve for gamma(E), the sigma rows as one
 stack and one ``lemma4_meta5_bounds`` call.
@@ -521,13 +522,14 @@ def meta_delta(epsilon: float, epsilon_prime: float) -> float:
     return (epsilon_prime - epsilon) / (1.0 + epsilon_prime)
 
 
-def lemma4_meta5_bounds(hamiltonian: HamiltonianSpec, energy: float, lemma4_epsilons,
+def lemma4_meta5_bounds(hamiltonian: HamiltonianSpec, energy, lemma4_epsilons,
                         epsilons, epsilon_primes) -> tuple[np.ndarray, np.ndarray]:
     """Lemma 4 at each eps of ``lemma4_epsilons`` and Meta 5 at each
     (eps, eps') of ``epsilons`` and ``epsilon_primes``, each bit for bit its
     scalar form, with the Gibbs entropies S(gamma(E/eps)) and
     S(gamma(E/delta)) of both from one ``solve_betas`` call and the binary
-    entropies from one ``binary_entropies`` call.
+    entropies from one ``binary_entropies`` call.  ``energy`` is one E for
+    every case or one per case i, whose Lemma 4 and Meta 5 both take it.
 
     The cases are walked in one order, Lemma 4 before Meta 5 of case i and
     case i before case i + 1.  Each argument is checked by its own rule
@@ -550,12 +552,16 @@ def lemma4_meta5_bounds(hamiltonian: HamiltonianSpec, energy: float, lemma4_epsi
     solved = np.flatnonzero(eps4 != 0.0)  # Lemma 4 at eps = 0 is 0, with no solve
     e4, d = eps4[solved], (ep - eps5) / (1.0 + ep)
     x = np.concatenate([e4, d])
+    n = max(len(eps4), len(d))
     # the index in x of each solve at its place in the walk, interleaved
-    walk = np.full(2 * max(len(eps4), len(d)), -1)
+    walk = np.full(2 * n, -1)
     walk[np.concatenate([2 * solved, 2 * np.arange(len(d)) + 1])] = np.arange(len(x))
     order = walk[walk >= 0]
+    # the energy of each x: its case's, the one E broadcast to every case
+    energy = np.broadcast_to(np.asarray(energy, dtype=float), (n,))
+    e = np.concatenate([energy[solved], energy[:len(d)]])
     with np.errstate(over="ignore"):  # E / eps past the floats is inf, as for a float
-        sols = solve_betas(hamiltonian, energy / x[order])
+        sols = solve_betas(hamiltonian, e[order] / x[order])
     for err in sols.errors:
         if err is not None:
             raise err

@@ -15,20 +15,23 @@ order as columns: a case function returns its chunk's ``BoundBlock``,
 and the report keeps the blocks' arrays from the kernels to the file.
 The sampled suites draw each case from its own generator as the
 scalar samplers do, validate and decompose the whole chunk as one stack
-(``states.density_stack``, of the k x k blocks alone for
-``energy_bounds``; ``states.pure_stack`` keeps pure states as vectors and
-``states.embedded_stack`` assembled qc states as their blocks) and
-score it with the stacked checks and couplings (a ``dc`` case with
-``check_dc`` on its own set), with the same report bytes.  A chunk holds
-at most ``states.CHUNK_BYTES`` (256 KiB) of dense matrices, one case at
-least, so that large states are never stacked beyond one case (a
-``couplings`` case counts its d x d matrices: its Theta is held as
-parts).  ``gibbs`` and the ``gibbs-table`` rows give each case its
-energy as an ``Each`` parameter, so that a chunk holds a whole energy
-grid (a case counts its row of Gibbs weights) and solves and checks it
-with one ``gibbs.solve_betas`` and one ``gibbs.entropy_checks`` call;
-``energy_bounds`` solves a chunk's Lemma 4 and Meta 5 energies in one
-stack.  ``tightness`` and ``check_witnesses`` give each case its eps as
+(``states.density_stack``, for ``energy_bounds`` one stack of the k x k
+blocks of each distinct energy; ``states.pure_stack`` keeps pure states
+as vectors and ``states.embedded_stack`` assembled qc states as their
+blocks) and score it with the stacked checks and couplings (a ``dc``
+case with ``check_dc`` on its own set), with the same report bytes.  A
+chunk holds at most ``states.CHUNK_BYTES`` (256 KiB) of dense matrices,
+one case at least, so that large states are never stacked beyond one
+case (a ``couplings`` case counts its d x d matrices: its Theta is held
+as parts); cases whose sizes differ fill a chunk in case order.
+``gibbs``, the ``gibbs-table`` rows and ``energy_bounds`` give each case
+its energy as an ``Each`` parameter, so that a chunk holds a whole energy
+grid with one solve: ``gibbs`` (a case counts its row of Gibbs weights)
+solves and checks it with one ``gibbs.solve_betas`` and one
+``gibbs.entropy_checks`` call, and ``energy_bounds`` (a case counts its
+k x k pair) scores every case's Lemma 4 and Meta 5 with one
+``gibbs.lemma4_meta5_bounds`` call, each case at its own energy.
+``tightness`` and ``check_witnesses`` give each case its eps as
 an ``Each`` parameter, so that a chunk holds the cases of one
 ``(witness, x)``, x the dimension (the energy, for the oscillator), and
 builds and checks them with one stacked witness check (a case counts the
@@ -417,7 +420,7 @@ def _case_gibbs(rngs, h, energies):
 
 def _grid_energy_bounds(energies, samples):
     h = gb.HamiltonianSpec.oscillators([1.0], n_max=40)
-    return [(h, e) for e in energies for _ in range(samples)]
+    return [(h, Each(e)) for e in energies for _ in range(samples)]
 
 
 def _energy_bounds_bytes(h, e):
@@ -427,23 +430,48 @@ def _energy_bounds_bytes(h, e):
 _ENERGY_VARIANTS = bnd._objects(("lemma4", "meta5"))
 
 
-def _case_energy_bounds(rngs, h, e):
-    """A chunk of ``sample_energy_constrained`` pairs at ``e``, checked on
-    their k x k blocks, each validated once: Lemma 4 and Meta 5 at their
-    trace distance as states of the ``dim``-level space, with one stacked
-    solve for the chunk's Gibbs entropies."""
-    _, dim, blocks = gb.draw_energy_block(h, e, _twice(rngs))
-    states = density_stack(blocks)
-    entropies = von_neumann_entropies(states.eigenvalues)
-    eps = trace_distances(states.mats[0::2, None], states.mats[1::2, None], dim)
-    gaps = np.abs(entropies[0::2] - entropies[1::2])
+def _case_energy_bounds(rngs, h, energies):
+    """A chunk of ``sample_energy_constrained`` pairs, each at its case's
+    energy, checked on their k x k blocks: the pairs of each distinct energy
+    drawn and validated as one stack, in the order of its first case, and
+    Lemma 4 and Meta 5 at their trace distance as states of the
+    ``dim``-level space, with one stacked solve for the chunk's Gibbs
+    entropies.  The first error is that of the first energy with one, its
+    draw's before its solves'."""
+    groups = {}
+    for i, e in enumerate(energies):
+        groups.setdefault(e, []).append(i)
+    cases, eps, gaps = [], [], []
+    for e, group in groups.items():
+        try:
+            _, dim, blocks = gb.draw_energy_block(h, e, _twice([rngs[i] for i in group]))
+        except gb.EnergyDomainError:
+            if cases:  # the energies before this one solve first
+                _energy_bounds_block(h, energies, cases, eps, gaps)
+            raise
+        states = density_stack(blocks)
+        entropies = von_neumann_entropies(states.eigenvalues)
+        cases += group
+        eps.append(trace_distances(states.mats[0::2, None], states.mats[1::2, None], dim))
+        gaps.append(np.abs(entropies[0::2] - entropies[1::2]))
+    return _energy_bounds_block(h, energies, cases, eps, gaps)
+
+
+def _energy_bounds_block(h, energies, cases, eps, gaps):
+    """The block of the chunk positions ``cases`` whose pairs have the trace
+    distances ``eps`` and entropy gaps ``gaps`` (one array per energy, in
+    the order of ``cases``): Lemma 4 and Meta 5 at each case's energy from
+    one ``lemma4_meta5_bounds`` call."""
+    eps, gaps = np.concatenate(eps), np.concatenate(gaps)
+    energy = bnd._objects(energies[i] for i in cases)
     # Python's min(1.0, x) and max(x, 1e-12), NaN included: fmin drops it, maximum keeps it
     primes = np.fmin(1.0, eps + 0.1)
-    lemma4, meta5 = gb.lemma4_meta5_bounds(h, e, np.maximum(eps, 1e-12), eps, primes)
+    lemma4, meta5 = gb.lemma4_meta5_bounds(h, energy, np.maximum(eps, 1e-12), eps, primes)
     n = len(eps)
     # the Lemma 4 rows, then the Meta 5 rows, whose eps' alone is not blank
-    return bnd.BoundBlock(np.tile(np.arange(n), 2), np.repeat(_ENERGY_VARIANTS, n), h.dim,
-                          np.tile(gaps, 2), np.concatenate([lemma4, meta5]), np.tile(eps, 2), e,
+    return bnd.BoundBlock(np.tile(cases, 2), np.repeat(_ENERGY_VARIANTS, n), h.dim,
+                          np.tile(gaps, 2), np.concatenate([lemma4, meta5]), np.tile(eps, 2),
+                          np.tile(energy, 2),
                           np.concatenate([np.full(n, None), primes.astype(object)]))
 
 
@@ -504,18 +532,33 @@ WITNESSES = {"fannes": ("dims", "epsilons"), "af": ("dims", "epsilons"),
 
 def _chunks(grid, case_bytes):
     """``(cases, params)`` of each chunk, in the order of its first case: the
-    cases of equal ``params``, as many at a time as ``CHUNK_BYTES`` holds
-    of ``case_bytes(*params)``, one at least, an ``Each`` parameter given
-    as the list of the chunk's values."""
+    cases of equal ``params`` in case order, each chunk filled with as many
+    as ``CHUNK_BYTES`` holds of their ``case_bytes`` (taken of each case's
+    own ``Each`` values), one at least, an ``Each`` parameter given as the
+    list of the chunk's values."""
     groups = {}
     for case, params in enumerate(grid):
         groups.setdefault(params, []).append(case)
     chunks = []
     for params, cases in groups.items():
-        size = max(1, CHUNK_BYTES // max(case_bytes(*params), 1))
         each = [j for j, p in enumerate(params) if isinstance(p, Each)]
-        for i in range(0, len(cases), size):
-            part, shared = cases[i:i + size], list(params)
+        if each:  # a case's bytes may depend on its own values
+            columns = [[grid[c][j].value for c in cases] if j in each else [p] * len(cases)
+                       for j, p in enumerate(params)]
+            sizes, held, parts = {}, math.inf, []
+            for c, row in zip(cases, zip(*columns)):
+                if row not in sizes:
+                    sizes[row] = max(case_bytes(*row), 1)
+                if held + sizes[row] > CHUNK_BYTES:
+                    parts.append([])
+                    held = 0
+                parts[-1].append(c)
+                held += sizes[row]
+        else:
+            size = max(1, CHUNK_BYTES // max(case_bytes(*params), 1))
+            parts = [cases[i:i + size] for i in range(0, len(cases), size)]
+        for part in parts:
+            shared = list(params)
             for j in each:
                 shared[j] = [grid[c][j].value for c in part]
             chunks.append((part, tuple(shared)))
@@ -664,7 +707,8 @@ def _cells(column, fmt: str):
     value of every row, else a list of one string per row.  An array of
     floats takes ``float.__repr__`` (json spells NaN and +-inf as
     ``json.dumps`` does), of ints ``int.__repr__`` and of bools one lookup;
-    a column of strings writes each distinct one once, and any other
+    a column of strings writes each distinct one once, one of Python floats
+    and Nones takes ``float.__repr__`` and the blank cell, and any other
     column is written cell by cell."""
     cell = _CELL[fmt]
     if not isinstance(column, np.ndarray):
@@ -679,8 +723,13 @@ def _cells(column, fmt: str):
         return list(map(int.__repr__, values))
     if kind == "b":
         return list(map(_BOOLS.__getitem__, values))
-    if all(type(v) is str for v in values):
+    types = set(map(type, values))
+    if types == {str}:
         return list(map({v: cell(v) for v in set(values)}.__getitem__, values))
+    if types <= {float, type(None)}:
+        blank = cell(None)
+        cells = [blank if v is None else float.__repr__(v) for v in values]
+        return [_NONFINITE.get(c, c) for c in cells] if fmt == "json" else cells
     return list(map(cell, values))
 
 

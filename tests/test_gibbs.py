@@ -629,7 +629,7 @@ class TestSampler:
         h = HamiltonianSpec.oscillators([1.0], n_max=40)
         idx = np.flatnonzero(h.levels <= energy)
         k = len(idx)
-        lemma4 = _case_energy_bounds([np.random.default_rng(9)], h, energy).report(0)
+        lemma4 = _case_energy_bounds([np.random.default_rng(9)], h, [energy]).report(0)
         assert max(shape[-1] for _, shape in solver_calls) <= k
         for d_b in (None, 2):
             d = 1 if d_b is None else d_b
@@ -990,13 +990,53 @@ class TestSolveBetas:
                 got = gibbs.lemma4_meta5_bounds(*args)
                 assert [x.tobytes() for x in got] == [x.tobytes() for x in expected]
 
+    def test_per_case_energies_are_the_per_energy_calls(self):
+        """One energy per case gives each case the bits of its energy's own
+        call, and the error of the case walk: the first bad argument of any
+        case, else that of the first case whose solve fails, as each case
+        alone gives it through ``ref_lemma4_meta5_bounds``."""
+        h = HamiltonianSpec.oscillators([1.0], n_max=40)
+        rng = np.random.default_rng(45)
+        good_energies, bad_energies = [1e-3, 0.5, 2.0, 8.0], [0.0, -1.0, math.nan, math.inf]
+        values = [0.0, 1e-12, 0.3, 1.0, -0.1, 1.5, math.nan]
+        for trial in range(300):
+            n = int(rng.integers(1, 7))
+            energies = rng.choice(good_energies + bad_energies * (trial % 2), n).tolist()
+            eps = (rng.choice(values, n) if trial % 3 == 0 else rng.uniform(0.0, 1.0, n)).tolist()
+            eps4 = [max(x, 1e-12) if trial % 5 else x for x in eps]
+            primes = [min(1.0, x + 0.1) if trial % 2 else x + 0.2 for x in eps]
+            alone = []
+            for i in range(n):
+                try:
+                    alone.append(ref_lemma4_meta5_bounds(h, energies[i], eps4[i:i + 1],
+                                                         eps[i:i + 1], primes[i:i + 1]))
+                except ValueError as exc:
+                    alone.append(exc)
+            errors = [x for x in alone if isinstance(x, ValueError)]
+            if errors:
+                # any case's bad argument raises before every solve
+                expected = next((x for x in errors if not isinstance(x, EnergyDomainError)),
+                                errors[0])
+                with pytest.raises(ValueError) as info:
+                    gibbs.lemma4_meta5_bounds(h, energies, eps4, eps, primes)
+                assert type(info.value) is type(expected) and str(info.value) == str(expected)
+                continue
+            got = gibbs.lemma4_meta5_bounds(h, energies, eps4, eps, primes)
+            for k in range(2):
+                assert got[k].tobytes() == np.concatenate([x[k] for x in alone]).tobytes()
+            for energy in set(energies):
+                cases = [i for i, e in enumerate(energies) if e == energy]
+                own = gibbs.lemma4_meta5_bounds(h, energy, *([x[i] for i in cases]
+                                                             for x in (eps4, eps, primes)))
+                assert [x[cases].tobytes() for x in got] == [x.tobytes() for x in own]
+
     def test_energy_bound_columns_are_the_per_record_lists(self, monkeypatch):
         seen = []
         bounds = gibbs.lemma4_meta5_bounds
         monkeypatch.setattr(gibbs, "lemma4_meta5_bounds",
                             lambda *args: seen.append(args) or bounds(*args))
         h = HamiltonianSpec.oscillators([1.0], n_max=40)
-        block = _case_energy_bounds([np.random.default_rng(k) for k in range(6)], h, 2.0)
+        block = _case_energy_bounds([np.random.default_rng(k) for k in range(6)], h, [2.0] * 6)
         # the block's six Lemma 4 rows, then its six Meta 5 rows
         reports = [(block.report(k), block.report(k + 6)) for k in range(6)]
         (_, _, floors, eps, primes), = seen

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -140,7 +141,8 @@ def _af_case(rng, d, classical_b):
     return [check_af(rho, sigma, classical_b=classical_b)]
 
 
-def _energy_bounds_case(rng, h, e):
+def _energy_bounds_case(rng, h, energies):
+    (e,) = energies
     rho = sample_energy_constrained(h, e, rng=rng)
     sigma = sample_energy_constrained(h, e, rng=rng)
     eps = trace_distance(rho, sigma)
@@ -512,6 +514,61 @@ class TestCampaigns:
         grid = [(h, harness.Each(float(e))) for e in range(200)]
         assert [len(cases) for cases, _ in harness._chunks(grid, harness._gibbs_bytes)] == [127, 73]
 
+    @pytest.mark.parametrize("budget", [states.CHUNK_BYTES, 120_000])
+    def test_an_energy_grid_fills_its_chunks_to_the_byte_budget(self, budget, monkeypatch):
+        """An ``energy_bounds`` chunk spans energies of different k: each
+        chunk holds one case, or cases whose pairs fit the budget, and
+        takes cases in order until the next would not fit.  The
+        ``tightness`` and ``gibbs`` chunks, whose cases of one chunk hold
+        equal bytes, are those of sizing by the group's parameters."""
+        monkeypatch.setattr(harness, "CHUNK_BYTES", budget)
+
+        def by_params(grid, case_bytes):
+            """``_chunks`` as it sized a group: by ``case_bytes(*params)``."""
+            groups, chunks = {}, []
+            for case, params in enumerate(grid):
+                groups.setdefault(params, []).append(case)
+            for params, cases in groups.items():
+                size = max(1, budget // max(case_bytes(*params), 1))
+                chunks += [cases[i:i + size] for i in range(0, len(cases), size)]
+            return sorted(chunks)
+
+        grid = harness._grid_energy_bounds((0.5, 8.0, 3.0, 40.0, 1.0, 8.0), 5)
+        h = grid[0][0]
+        chunks = harness._chunks(grid, harness._energy_bounds_bytes)
+        assert [c for cases, _ in chunks for c in cases] == list(range(len(grid)))
+        held = [[harness._energy_bounds_bytes(h, e) for e in energies]
+                for _, (_, energies) in chunks]
+        for (cases, (shared, energies)), sizes, after in zip(chunks, held, held[1:] + [[math.inf]]):
+            assert shared is h and energies == [grid[c][1].value for c in cases]
+            assert len(cases) == 1 or sum(sizes) <= budget
+            assert sum(sizes) + after[0] > budget  # the next case did not fit
+        # k = 1, 9, 4, 41, 2 and 9 levels: four k = 41 pairs fill 211 KiB, two 105 KiB
+        assert [len(cases) for cases, _ in chunks] == (
+            [19, 11] if budget == states.CHUNK_BYTES else [16, 2, 11, 1])
+        for grid, case_bytes in [
+                (harness._grid_tightness((2, 3, 5, 16, 64, 300), WITNESS_EPSILONS),
+                 harness._witness_bytes),
+                (harness._grid_gibbs([0.5 * k for k in range(1, 400)]), harness._gibbs_bytes)]:
+            assert [cases for cases, _ in harness._chunks(grid, case_bytes)] == by_params(
+                grid, case_bytes)
+
+    def test_the_energy_column_keeps_each_cases_energy(self):
+        """An int energy stays an int, and cases of equal energies, drawn as
+        one stack, keep each their own; the records are otherwise those of
+        the float grid."""
+        report = run_campaign(CampaignConfig("energy_bounds", energies=(1, 2.5, 1.0, 4),
+                                             samples=2, seed=4))
+        assert [(type(e), e) for e in report.values("energy")] == [
+            (t, e) for t, e in ((int, 1), (float, 2.5), (float, 1.0), (int, 4)) for _ in range(4)]
+        floats = run_campaign(CampaignConfig("energy_bounds", energies=(1.0, 2.5, 1.0, 4.0),
+                                             samples=2, seed=4))
+        for got, want in zip(report.records, floats.records, strict=True):
+            assert {**got, "energy": float(got["energy"])} == want
+        lines = render_report(report, "csv").splitlines()[2:]
+        assert [line.split(",")[4] for line in lines] == ["1"] * 4 + ["2.5"] * 4 + ["1.0"] * 4 + [
+            "4"] * 4
+
     @pytest.mark.parametrize("suite", SUITES)
     def test_records_hold_python_values(self, suite):
         """Every record field is a Python str, int, float, bool or None, the
@@ -539,6 +596,28 @@ class TestCampaigns:
         assert render_report(report, "json") == _reference_json(records)
         assert render_report(report, "csv") == _reference_csv(SCHEMA_LINE,
                                                               harness.REPORT_COLUMNS, records)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("values", [
+        [1.5, None, math.nan, math.inf, -math.inf, -0.0, 1e-300, None],
+        [None, None],
+        [2.0, 1e16, -3.25],
+        [0.5, None, 2],
+        [np.float64(0.5), None, -math.inf],
+        [math.nan, True, None],
+        [],
+    ])
+    def test_an_object_column_writes_the_cells_of_each_value(self, values, fmt, monkeypatch):
+        """A column of Python floats and Nones writes, with one cell call
+        (that of the blank), what the per-cell path writes; one with an int,
+        a bool or a np.float64 still takes the per-cell path."""
+        cell = harness._CELL[fmt]
+        per_cell = list(map(cell, values))  # _cells' last branch: one call per value
+        calls = []
+        monkeypatch.setitem(harness._CELL, fmt, lambda v: calls.append(v) or cell(v))
+        assert harness._cells(bounds._objects(values), fmt) == per_cell
+        fast = {type(v) for v in values} <= {float, type(None)}
+        assert calls == ([None] if fast else values)
 
     @pytest.mark.parametrize("suite", SUITES)
     def test_each_suites_report_is_the_reference_serialization(self, suite):
@@ -603,8 +682,9 @@ class TestGibbsTable:
 
 
     def test_one_stacked_solve_per_grid_and_per_chunk(self, monkeypatch, capsys):
-        """``verify gibbs`` and each ``gibbs-table`` solve their whole grid
-        in one ``solve_betas`` call, ``energy_bounds`` one call per chunk."""
+        """``verify gibbs``, each ``gibbs-table`` and ``energy_bounds`` solve
+        their whole grid in one ``solve_betas`` call: an ``energy_bounds``
+        chunk spans its energy grid."""
         calls = []
         solve = gibbs.solve_betas
         monkeypatch.setattr(gibbs, "solve_betas",
@@ -620,7 +700,7 @@ class TestGibbsTable:
         calls.clear()
         argv = ["verify", "energy_bounds", "--energies", "1,2,4,8", "--samples", "10"]
         assert cli.main(argv) == cli.EXIT_OK
-        assert calls == [20] * 4  # a chunk's Lemma 4 and Meta 5 energies
+        assert calls == [80]  # the Lemma 4 and Meta 5 energies of the 40 cases
 
     def test_a_verify_gibbs_energy_outside_the_domain_exits_2(self, tmp_path, capsys):
         out = tmp_path / "g.csv"
@@ -1319,14 +1399,35 @@ class TestCli:
                              "--energies", "1,0.5"]) == cli.EXIT_OK
             assert "attainable" not in capsys.readouterr().out
 
-    @pytest.mark.parametrize("argv, error", [
-        ("verify energy_bounds --energies -1 --samples 2", "no levels at or below energy -1.0"),
+    ATTAINABLE = "outside the attainable open interval (0, inf)"
+
+    @pytest.mark.parametrize("energies, error", [
+        ("-1", "no levels at or below energy -1.0"),
+        ("0,-1", f"energy 0.0 {ATTAINABLE}"),
+        ("-1,0", "no levels at or below energy -1.0"),
+        ("1,0", f"energy 0.0 {ATTAINABLE}"),
+        ("inf,nan", f"energy inf {ATTAINABLE}"),
+        ("nan,inf", "no levels at or below energy nan"),
+        ("0,0,-1", f"energy 0.0 {ATTAINABLE}"),
+        ("1,-1,0", "no levels at or below energy -1.0"),
+        ("1,2,1,-1", "no levels at or below energy -1.0"),
     ])
-    def test_a_stacked_case_that_draws_nothing_exits_2(self, argv, error, capsys):
-        assert cli.main(argv.split()) == cli.EXIT_CONFIG
+    @pytest.mark.parametrize("budget", [states.CHUNK_BYTES, 1])
+    def test_a_stacked_case_that_draws_nothing_exits_2(self, energies, error, budget, tmp_path,
+                                                        monkeypatch, capsys):
+        """An energy grid that fails raises the error of its first energy
+        with one, in case order, its draw's before its solves': the message
+        of one chunk per energy, whether the energies share a chunk or each
+        case has its own."""
+        monkeypatch.setattr(harness, "CHUNK_BYTES", budget)
+        out = tmp_path / "r.csv"
+        argv = ["verify", "energy_bounds", f"--energies={energies}", "--samples", "2",
+                "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.err == f"error: {error}\n"
         assert captured.out == ""
+        assert not out.exists()
 
     def test_gibbs_table_rejects_a_subnormal_level(self, capsys):
         """beta would be about 1/level, past the largest float."""
