@@ -23,14 +23,15 @@ case with ``check_dc`` on its own set), with the same report bytes.  A
 chunk holds at most ``states.CHUNK_BYTES`` (256 KiB) of dense matrices,
 one case at least, so that large states are never stacked beyond one
 case (a ``couplings`` case counts its d x d matrices: its Theta is held
-as parts); cases whose sizes differ fill a chunk in case order.
+as parts), the cases filling each chunk in case order.
 ``gibbs``, the ``gibbs-table`` rows and ``energy_bounds`` give each case
-its energy as an ``Each`` parameter, so that a chunk holds a whole energy
-grid with one solve: ``gibbs`` (a case counts its row of Gibbs weights)
-solves and checks it with one ``gibbs.solve_betas`` and one
-``gibbs.entropy_checks`` call, and ``energy_bounds`` (a case counts its
-k x k pair) scores every case's Lemma 4 and Meta 5 with one
-``gibbs.lemma4_meta5_bounds`` call, each case at its own energy.
+its energy as an ``Each`` parameter, so that a chunk spans the energy
+grid, as far as ``CHUNK_BYTES`` holds, with one solve per chunk:
+``gibbs`` (a case counts its row of Gibbs weights) solves and checks a
+chunk with one ``gibbs.solve_betas`` and one ``gibbs.entropy_checks``
+call, and ``energy_bounds`` (a case counts its k x k pair) scores every
+case's Lemma 4 and Meta 5 with one ``gibbs.lemma4_meta5_bounds`` call,
+each case at its own energy.
 ``tightness`` and ``check_witnesses`` give each case its eps as
 an ``Each`` parameter, so that a chunk holds the cases of one
 ``(witness, x)``, x the dimension (the energy, for the oscillator), and
@@ -542,21 +543,16 @@ def _chunks(grid, case_bytes):
     chunks = []
     for params, cases in groups.items():
         each = [j for j, p in enumerate(params) if isinstance(p, Each)]
-        if each:  # a case's bytes may depend on its own values
-            columns = [[grid[c][j].value for c in cases] if j in each else [p] * len(cases)
-                       for j, p in enumerate(params)]
-            sizes, held, parts = {}, math.inf, []
-            for c, row in zip(cases, zip(*columns)):
-                if row not in sizes:
-                    sizes[row] = max(case_bytes(*row), 1)
-                if held + sizes[row] > CHUNK_BYTES:
-                    parts.append([])
-                    held = 0
-                parts[-1].append(c)
-                held += sizes[row]
-        else:
-            size = max(1, CHUNK_BYTES // max(case_bytes(*params), 1))
-            parts = [cases[i:i + size] for i in range(0, len(cases), size)]
+        sizes, held, parts = {}, math.inf, []
+        for c in cases:
+            row = tuple(p.value if isinstance(p, Each) else p for p in grid[c])
+            if row not in sizes:
+                sizes[row] = max(case_bytes(*row), 1)
+            if held + sizes[row] > CHUNK_BYTES:
+                parts.append([])
+                held = 0
+            parts[-1].append(c)
+            held += sizes[row]
         for part in parts:
             shared = list(params)
             for j in each:
@@ -707,8 +703,7 @@ def _cells(column, fmt: str):
     value of every row, else a list of one string per row.  An array of
     floats takes ``float.__repr__`` (json spells NaN and +-inf as
     ``json.dumps`` does), of ints ``int.__repr__`` and of bools one lookup;
-    a column of strings writes each distinct one once, one of Python floats
-    and Nones takes ``float.__repr__`` and the blank cell, and any other
+    a column of strings writes each distinct one once, and any other
     column is written cell by cell."""
     cell = _CELL[fmt]
     if not isinstance(column, np.ndarray):
@@ -723,13 +718,8 @@ def _cells(column, fmt: str):
         return list(map(int.__repr__, values))
     if kind == "b":
         return list(map(_BOOLS.__getitem__, values))
-    types = set(map(type, values))
-    if types == {str}:
+    if all(type(v) is str for v in values):
         return list(map({v: cell(v) for v in set(values)}.__getitem__, values))
-    if types <= {float, type(None)}:
-        blank = cell(None)
-        cells = [blank if v is None else float.__repr__(v) for v in values]
-        return [_NONFINITE.get(c, c) for c in cells] if fmt == "json" else cells
     return list(map(cell, values))
 
 

@@ -597,28 +597,6 @@ class TestCampaigns:
         assert render_report(report, "csv") == _reference_csv(SCHEMA_LINE,
                                                               harness.REPORT_COLUMNS, records)
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("values", [
-        [1.5, None, math.nan, math.inf, -math.inf, -0.0, 1e-300, None],
-        [None, None],
-        [2.0, 1e16, -3.25],
-        [0.5, None, 2],
-        [np.float64(0.5), None, -math.inf],
-        [math.nan, True, None],
-        [],
-    ])
-    def test_an_object_column_writes_the_cells_of_each_value(self, values, fmt, monkeypatch):
-        """A column of Python floats and Nones writes, with one cell call
-        (that of the blank), what the per-cell path writes; one with an int,
-        a bool or a np.float64 still takes the per-cell path."""
-        cell = harness._CELL[fmt]
-        per_cell = list(map(cell, values))  # _cells' last branch: one call per value
-        calls = []
-        monkeypatch.setitem(harness._CELL, fmt, lambda v: calls.append(v) or cell(v))
-        assert harness._cells(bounds._objects(values), fmt) == per_cell
-        fast = {type(v) for v in values} <= {float, type(None)}
-        assert calls == ([None] if fast else values)
-
     @pytest.mark.parametrize("suite", SUITES)
     def test_each_suites_report_is_the_reference_serialization(self, suite):
         """A report written from its columns is the serialization of its rows
