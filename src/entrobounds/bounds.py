@@ -136,11 +136,6 @@ def _af_forms(eps: np.ndarray, coefficient: float) -> np.ndarray:
     return eps * coefficient + (1.0 + eps) * binary_entropies(eps / (1.0 + eps))
 
 
-def _af_form(epsilon: float, coefficient: float) -> float:
-    """The stack of one of ``_af_forms``."""
-    return float(_af_forms(np.array([epsilon], dtype=float), coefficient)[0])
-
-
 def fannes_audenaert_bound_stack(epsilons, d: int) -> np.ndarray:
     """eps log2(d-1) + h(eps) at each eps of a stack, log2 d beyond 1 - 1/d."""
     eps = _unit_intervals(epsilons)

@@ -137,7 +137,7 @@ def _cmd_verify(args, settings) -> int:
     cfg = CampaignConfig(args.suite, **settings)
     report = run_campaign(cfg)
     violations = report.violations
-    print(f"suite={cfg.suite} cases={report.size} "
+    print(f"suite={cfg.suite} cases={report.cases} records={report.size} "
           f"min_slack={report.min_slack:.3e} max_slack={report.max_slack:.3e} "
           f"violations={violations}")
     if cfg.output:

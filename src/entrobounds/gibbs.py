@@ -23,16 +23,17 @@ when it stops, and each taking exactly the iterates it would take alone
 element, as the scalar iteration applies them).  An energy without a
 solution keeps its own ``EnergyDomainError`` in the returned
 ``GibbsSolutions`` and fails none of the others.  ``entropy_checks`` (over
-an (n, n_max+1) weight stack per mode) and ``lemma4_meta5_bounds`` (at one
-energy or one per case, whose binary entropies come from one
-``entropies.binary_entropies`` call) read those stacks.  Each kernel has
-at most one scalar name, which calls it directly with a stack of one and
-keeps its bits: ``solve_beta`` (of which ``gibbs_entropy`` reads the
-entropy), ``mean_energy``, ``log2_partition_function``, ``lemma4_bound``
-and ``meta5_bound``.
+an (n, n_max+1) weight stack per mode) and ``energy_bound_stack`` (Lemma
+4, Meta 5 and Meta 6 as rows of one solve, at one energy or one per row,
+whose binary entropies come from one ``entropies.binary_entropies`` call)
+read those stacks.  Each kernel has at most one scalar name per
+statement, which calls it directly with a stack of one and keeps its
+bits: ``solve_beta`` (of which ``gibbs_entropy`` reads the entropy),
+``mean_energy``, ``log2_partition_function``, and ``lemma4_bound``,
+``meta5_bound`` and ``meta6_bound`` of ``energy_bound_stack``.
 ``check_oscillator_witnesses`` checks the entropy witness at one energy
 for a whole eps grid: one solve for gamma(E), the sigma rows as one
-stack and one ``lemma4_meta5_bounds`` call.
+stack and one ``energy_bound_stack`` call of Lemma 4 rows.
 
 The oscillator closed forms that split the energy equally among the
 modes (``oscillator_entropy_upper``, ``lemma7_bounds``) and
@@ -51,9 +52,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import BoundBlock, _af_form, _objects, _unit_interval, _witness_epsilon
-from .entropies import (LOG2_E, binary_entropies, binary_entropy, clipped_binary,
-                        von_neumann_entropies)
+from .bounds import BoundBlock, _objects, _unit_interval, _witness_epsilon
+from .entropies import LOG2_E, binary_entropies, clipped_binary, von_neumann_entropies
 from .linalg import DENSE_DIM_LIMIT, HermitianOperator, check_dense_dim
 from .states import (
     BipartiteState,
@@ -522,80 +522,75 @@ def meta_delta(epsilon: float, epsilon_prime: float) -> float:
     return (epsilon_prime - epsilon) / (1.0 + epsilon_prime)
 
 
-def lemma4_meta5_bounds(hamiltonian: HamiltonianSpec, energy, lemma4_epsilons,
-                        epsilons, epsilon_primes) -> tuple[np.ndarray, np.ndarray]:
-    """Lemma 4 at each eps of ``lemma4_epsilons`` and Meta 5 at each
-    (eps, eps') of ``epsilons`` and ``epsilon_primes``, each bit for bit its
-    scalar form, with the Gibbs entropies S(gamma(E/eps)) and
-    S(gamma(E/delta)) of both from one ``solve_betas`` call and the binary
-    entropies from one ``binary_entropies`` call.  ``energy`` is one E for
-    every case or one per case i, whose Lemma 4 and Meta 5 both take it.
+def energy_bound_stack(hamiltonian: HamiltonianSpec, variants, energy, epsilons,
+                       epsilon_primes) -> np.ndarray:
+    """The rhs of each row: Lemma 4, Meta 5 or Meta 6 as its variant
+    (``lemma4``, ``meta5``, ``meta6``) names it, at the row's eps, eps' and
+    E, each bit for bit its scalar form.  The arguments broadcast against
+    each other, so ``energy`` is one E or one per row; a Lemma 4 row does
+    not read its eps' (None reads as NaN).  The Gibbs entropies
+    S(gamma(E/eps)) and S(gamma(E/delta)) come from one ``solve_betas``
+    call and the binary entropies from one ``binary_entropies`` call.
 
-    The cases are walked in one order, Lemma 4 before Meta 5 of case i and
-    case i before case i + 1.  Each argument is checked by its own rule
-    (``_unit_interval``; ``meta_delta``, which also gives delta), as masks
-    over the stacks, and the first bad argument in walk order raises that
-    rule's error before any solve.  The energies E/eps and E/delta are
-    solved in walk order, so that the first energy without a solution
-    raises after it."""
-    eps4, eps5, ep = (np.asarray(x, dtype=float).reshape(-1)
-                      for x in (lemma4_epsilons, epsilons, epsilon_primes))
-    bad4 = ~((eps4 >= 0.0) & (eps4 <= 1.0))
-    bad5 = ~((eps5 >= 0.0) & (eps5 < ep) & (ep <= 1.0))
-    # the walk visits Lemma 4 of case i at 2 i and its Meta 5 at 2 i + 1
-    bad = np.concatenate([2 * np.flatnonzero(bad4), 2 * np.flatnonzero(bad5) + 1])
-    if bad.size:
-        i, meta = divmod(int(bad.min()), 2)
-        if not meta:
-            _unit_interval(eps4[i].item())
-        meta_delta(eps5[i].item(), ep[i].item())
-    solved = np.flatnonzero(eps4 != 0.0)  # Lemma 4 at eps = 0 is 0, with no solve
-    e4, d = eps4[solved], (ep - eps5) / (1.0 + ep)
-    x = np.concatenate([e4, d])
-    n = max(len(eps4), len(d))
-    # the index in x of each solve at its place in the walk, interleaved
-    walk = np.full(2 * n, -1)
-    walk[np.concatenate([2 * solved, 2 * np.arange(len(d)) + 1])] = np.arange(len(x))
-    order = walk[walk >= 0]
-    # the energy of each x: its case's, the one E broadcast to every case
-    energy = np.broadcast_to(np.asarray(energy, dtype=float), (n,))
-    e = np.concatenate([energy[solved], energy[:len(d)]])
+    The rows are walked in order.  Each is checked by its variant's rule
+    (``_unit_interval`` for Lemma 4, ``meta_delta`` for Meta 5 and 6), as
+    masks over the stack, and the first bad row raises that rule's error
+    before any solve.  The energies E/eps (Lemma 4 at eps = 0 is 0, with no
+    solve) and E/delta are solved in row order, so that the first energy
+    without a solution raises."""
+    variants, energy, eps, ep = np.broadcast_arrays(
+        np.asarray(variants, dtype=object).reshape(-1),
+        *(np.asarray(x, dtype=float).reshape(-1) for x in (energy, epsilons, epsilon_primes)))
+    lemma4, meta6 = variants == "lemma4", variants == "meta6"
+    meta = meta6 | (variants == "meta5")
+    ok = np.where(lemma4, eps <= 1.0, (eps < ep) & (ep <= 1.0))
+    bad = ~((lemma4 | meta) & (eps >= 0.0) & ok)
+    if bad.any():
+        i = int(bad.argmax())
+        if not (lemma4[i] or meta[i]):
+            raise ValueError(f"no energy bound {variants[i]!r}: need lemma4, meta5 or meta6")
+        if lemma4[i]:
+            _unit_interval(eps[i].item())
+        meta_delta(eps[i].item(), ep[i].item())
+    # Lemma 4 as Meta 5 at eps' = 0 and delta = eps, where h(eps') = h(0) = 0
+    ep = np.where(lemma4, 0.0, ep)
+    x = np.where(lemma4, eps, (ep - eps) / (1.0 + ep))
+    solved = meta | (eps != 0.0)
     with np.errstate(over="ignore"):  # E / eps past the floats is inf, as for a float
-        sols = solve_betas(hamiltonian, e[order] / x[order])
+        sols = solve_betas(hamiltonian, energy[solved] / x[solved])
     for err in sols.errors:
         if err is not None:
             raise err
-    entropy = np.empty(len(x))
-    entropy[order] = sols.entropy
-    h4, h_ep, h_d = np.split(binary_entropies(np.concatenate([e4, ep, d])),
-                             [len(e4), len(e4) + len(ep)])
-    lemma4 = np.zeros(len(eps4))
-    lemma4[solved] = 2.0 * e4 * entropy[:len(e4)] + h4
-    return lemma4, (ep + 2.0 * d) * entropy[len(e4):] + h_ep + h_d
+    entropy, h_ep = np.zeros((2, len(x)))
+    entropy[solved] = sols.entropy
+    h = binary_entropies(np.concatenate([x, np.where(meta6, ep / (1.0 + ep), ep)[meta]]))
+    h_ep[meta] = h[len(x):]
+    # k (eps' + 2 delta) S + w h(.) + k h(delta), k = 2 and w = 1 + eps' for
+    # Meta 6, else 1: each row's own formula, as scaling by 1 or 2 is exact
+    k, w = np.where(meta6, 2.0, 1.0), np.where(meta6, 1.0 + ep, 1.0)
+    return k * (ep + 2.0 * x) * entropy + w * h_ep + k * h[:len(x)]
 
 
 def lemma4_bound(hamiltonian: HamiltonianSpec, energy: float, epsilon: float) -> float:
-    """Entropy continuity: 2 eps S(gamma(E/eps)) + h(eps); the Lemma 4
-    stack of one of ``lemma4_meta5_bounds``."""
-    return float(lemma4_meta5_bounds(hamiltonian, energy, [epsilon], (), ())[0][0])
+    """Entropy continuity: 2 eps S(gamma(E/eps)) + h(eps); the stack of one
+    of ``energy_bound_stack``."""
+    return float(energy_bound_stack(hamiltonian, "lemma4", energy, epsilon, None)[0])
 
 
 def meta5_bound(hamiltonian: HamiltonianSpec, energy: float,
                 epsilon: float, epsilon_prime: float) -> float:
     """(eps' + 2 delta) S(gamma(E/delta)) + h(eps') + h(delta),
-    delta = (eps' - eps)/(1 + eps'); the Meta 5 stack of one of
-    ``lemma4_meta5_bounds``."""
-    return float(lemma4_meta5_bounds(hamiltonian, energy, (), [epsilon], [epsilon_prime])[1][0])
+    delta = (eps' - eps)/(1 + eps'); the stack of one of
+    ``energy_bound_stack``."""
+    return float(energy_bound_stack(hamiltonian, "meta5", energy, epsilon, epsilon_prime)[0])
 
 
 def meta6_bound(hamiltonian: HamiltonianSpec, energy: float,
                 epsilon: float, epsilon_prime: float) -> float:
-    """Conditional-entropy analogue:
-    (2 eps' + 4 delta) S(gamma(E/delta)) + (1+eps') h(eps'/(1+eps')) + 2 h(delta)."""
-    d = meta_delta(epsilon, epsilon_prime)
-    return ((2.0 * epsilon_prime + 4.0 * d) * gibbs_entropy(hamiltonian, energy / d)
-            + _af_form(epsilon_prime, 0.0)
-            + 2.0 * binary_entropy(d))
+    """Conditional-entropy analogue: (2 eps' + 4 delta) S(gamma(E/delta))
+    + (1+eps') h(eps'/(1+eps')) + 2 h(delta); the stack of one of
+    ``energy_bound_stack``."""
+    return float(energy_bound_stack(hamiltonian, "meta6", energy, epsilon, epsilon_prime)[0])
 
 
 def lemma7_bounds(hbar_omegas, energy: float, epsilon: float, alpha: float):
@@ -688,7 +683,11 @@ def cutoff_decompose(state, hamiltonian: HamiltonianSpec, energy: float,
 
 def truncated_trace_distance_bound(epsilon: float, delta: float) -> float:
     """(eps + delta)/(1 - delta): the bound on the trace distance between
-    the renormalized below-cutoff components."""
+    the renormalized below-cutoff components, for eps in [0, 1] and delta
+    in (0, 1)."""
+    _unit_interval(epsilon)
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta {delta!r} outside (0, 1)")
     return (epsilon + delta) / (1.0 - delta)
 
 
@@ -797,7 +796,7 @@ def check_oscillator_witnesses(energy: float, epsilons) -> BoundBlock:
     for bit as each pair's Shannon entropies and ``lemma4_bound`` give it:
     one solve for gamma(E), the sigma rows of all eps as one stack, their
     entropies from ``von_neumann_entropies`` and the bounds from one
-    ``lemma4_meta5_bounds`` call.  The error of the first case with one is
+    ``energy_bound_stack`` call.  The error of the first case with one is
     raised: its bad eps, the energy's or its bound's."""
     epsilons = list(epsilons)
     bad = next((i for i, e in enumerate(epsilons) if _witness_epsilon(e) is not None), None)
@@ -806,9 +805,9 @@ def check_oscillator_witnesses(energy: float, epsilons) -> BoundBlock:
         _positive_finite("energy", energy)
         h, rho, sigma = _entropy_witnesses(energy, good)
         entropies = von_neumann_entropies(np.vstack([rho, sigma]))
+        rhs = energy_bound_stack(h, "lemma4", energy, good, None)
         block = BoundBlock(np.arange(len(good)), "oscillator_lemma4", len(rho),
-                           np.abs(entropies[0] - entropies[1:]),
-                           lemma4_meta5_bounds(h, energy, good, (), ())[0], _objects(good), energy)
+                           np.abs(entropies[0] - entropies[1:]), rhs, _objects(good), energy)
     if bad is not None:
         raise _witness_epsilon(epsilons[bad])
     return block

@@ -30,8 +30,8 @@ grid, as far as ``CHUNK_BYTES`` holds, with one solve per chunk:
 ``gibbs`` (a case counts its row of Gibbs weights) solves and checks a
 chunk with one ``gibbs.solve_betas`` and one ``gibbs.entropy_checks``
 call, and ``energy_bounds`` (a case counts its k x k pair) scores every
-case's Lemma 4 and Meta 5 with one ``gibbs.lemma4_meta5_bounds`` call,
-each case at its own energy.
+case's Lemma 4 and Meta 5 as rows of one ``gibbs.energy_bound_stack``
+call, each case at its own energy.
 ``tightness`` and ``check_witnesses`` give each case its eps as
 an ``Each`` parameter, so that a chunk holds the cases of one
 ``(witness, x)``, x the dimension (the energy, for the oscillator), and
@@ -133,6 +133,11 @@ class CampaignReport:
     @property
     def violations(self) -> int:
         return sum(1 for valid in self.values("valid") if not valid)
+
+    @property
+    def cases(self) -> int:
+        """The number of distinct cases the rows come from."""
+        return len(set(self.values("case")))
 
 
 # -- case generators -------------------------------------------------------------
@@ -461,19 +466,19 @@ def _case_energy_bounds(rngs, h, energies):
 def _energy_bounds_block(h, energies, cases, eps, gaps):
     """The block of the chunk positions ``cases`` whose pairs have the trace
     distances ``eps`` and entropy gaps ``gaps`` (one array per energy, in
-    the order of ``cases``): Lemma 4 and Meta 5 at each case's energy from
-    one ``lemma4_meta5_bounds`` call."""
-    eps, gaps = np.concatenate(eps), np.concatenate(gaps)
-    energy = bnd._objects(energies[i] for i in cases)
+    the order of ``cases``): one row per record, Lemma 4 before Meta 5 of
+    each case, at the case's energy, from one ``energy_bound_stack`` call."""
+    eps, gaps = (np.repeat(np.concatenate(x), 2) for x in (eps, gaps))
+    energy = np.repeat(bnd._objects(energies[i] for i in cases), 2)
+    variants = np.tile(_ENERGY_VARIANTS, len(cases))
+    lemma4 = variants == "lemma4"
     # Python's min(1.0, x) and max(x, 1e-12), NaN included: fmin drops it, maximum keeps it
-    primes = np.fmin(1.0, eps + 0.1)
-    lemma4, meta5 = gb.lemma4_meta5_bounds(h, energy, np.maximum(eps, 1e-12), eps, primes)
-    n = len(eps)
-    # the Lemma 4 rows, then the Meta 5 rows, whose eps' alone is not blank
-    return bnd.BoundBlock(np.tile(cases, 2), np.repeat(_ENERGY_VARIANTS, n), h.dim,
-                          np.tile(gaps, 2), np.concatenate([lemma4, meta5]), np.tile(eps, 2),
-                          np.tile(energy, 2),
-                          np.concatenate([np.full(n, None), primes.astype(object)]))
+    primes = np.fmin(1.0, eps + 0.1).astype(object)
+    primes[lemma4] = None  # a Lemma 4 row's eps' is blank
+    floors = np.where(lemma4, np.maximum(eps, 1e-12), eps)
+    return bnd.BoundBlock(np.repeat(cases, 2), variants, h.dim, gaps,
+                          gb.energy_bound_stack(h, variants, energy, floors, primes), eps,
+                          energy, primes)
 
 
 def _fannes_grid(dims, epsilons):

@@ -130,12 +130,14 @@ class TestFormulas:
         assert cor1_bounds(eps, d) == (delta * log_d + term(delta),
                                        2.0 * delta * log_d + term(delta))
         assert cor2_bound(eps, d) == eps * log_d + term(eps)
-        if eps > 0.0:
+        if eps > 0.0:  # Meta 6 at eps' = eps, several E and eps
             h = HamiltonianSpec.oscillators([1.0], n_max=d)
-            meta_d = meta_delta(0.0, eps)
-            assert meta6_bound(h, 1.0, 0.0, eps) == (
-                (2.0 * eps + 4.0 * meta_d) * gibbs_entropy(h, 1.0 / meta_d)
-                + term(eps) + 2.0 * binary_entropy(meta_d))
+            for energy in (1e-3, 1.0, 8.0, 1e4):
+                for low in (0.0, eps / 3.0, eps / 2.0):
+                    meta_d = meta_delta(low, eps)
+                    assert meta6_bound(h, energy, low, eps) == (
+                        (2.0 * eps + 4.0 * meta_d) * gibbs_entropy(h, energy / meta_d)
+                        + term(eps) + 2.0 * binary_entropy(meta_d))
 
     def test_monotone_in_epsilon(self):
         grid = np.linspace(1e-3, 1.0, 400)

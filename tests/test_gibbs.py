@@ -580,6 +580,12 @@ class TestCutoff:
 
     def test_truncated_trace_distance_bound(self):
         assert truncated_trace_distance_bound(0.1, 0.2) == pytest.approx(0.375)
+        # delta = 1 divided by zero, and delta > 1 or eps < 0 gave a negative bound
+        for delta in (0.0, 1.0, 2.0, math.nan):
+            with pytest.raises(ValueError, match=rf"delta {delta!r} outside \(0, 1\)$"):
+                truncated_trace_distance_bound(0.1, delta)
+        with pytest.raises(ValueError, match=r"epsilon -0.5 outside \[0, 1\]"):
+            truncated_trace_distance_bound(-0.5, 0.2)
 
     def test_truncated_states_within_bound(self):
         h = HamiltonianSpec.oscillators([1.0], n_max=60)
@@ -937,11 +943,11 @@ class TestSolveBetas:
         pairs = [(x, p) for x, p in zip(eps, primes) if x < p]
         for energy in (1e-3, 0.5, 2.0, 8.0, 1e6):
             lemma4 = [lemma4_bound(h, energy, x) for x in eps]
-            assert gibbs.lemma4_meta5_bounds(h, energy, eps, (), ())[0].tolist() == lemma4
+            assert _stacked(h, energy, eps, (), ())[0].tolist() == lemma4
             assert lemma4 == [0.0 if x == 0.0 else 2.0 * x * gibbs_entropy(h, energy / x)
                               + binary_entropy(x) for x in eps]
             meta5 = [meta5_bound(h, energy, x, p) for x, p in pairs]
-            assert gibbs.lemma4_meta5_bounds(h, energy, (), *zip(*pairs))[1].tolist() == meta5
+            assert _stacked(h, energy, (), *zip(*pairs))[1].tolist() == meta5
             deltas = [meta_delta(x, p) for x, p in pairs]
             assert meta5 == [(p + 2.0 * d) * gibbs_entropy(h, energy / d) + binary_entropy(p)
                              + binary_entropy(d) for (_, p), d in zip(pairs, deltas)]
@@ -957,15 +963,15 @@ class TestSolveBetas:
         h = HamiltonianSpec.oscillators([1.0], n_max=40)
         # case 1's Meta 5 pair comes before case 2's Lemma 4 argument
         with pytest.raises(ValueError, match=r"need 0 <= eps < eps' <= 1, got \(1.0, 1.0\)"):
-            gibbs.lemma4_meta5_bounds(h, 1.0, [0.5, 1.0, 1.5], [0.5, 1.0, 0.2], [0.6, 1.0, 0.3])
+            _stacked(h, 1.0, [0.5, 1.0, 1.5], [0.5, 1.0, 0.2], [0.6, 1.0, 0.3])
         with pytest.raises(ValueError, match=r"epsilon 1.5 outside \[0, 1\]"):
-            gibbs.lemma4_meta5_bounds(h, 1.0, [0.5, 1.5, 0.5], [0.5, 1.0, 0.2], [0.6, 1.0, 0.3])
+            _stacked(h, 1.0, [0.5, 1.5, 0.5], [0.5, 1.0, 0.2], [0.6, 1.0, 0.3])
         # at E < 0 every solve fails: case 0's Lemma 4 (eps = 0) solves
         # nothing, so case 0's Meta 5 energy comes before case 1's Lemma 4 one
         with pytest.raises(EnergyDomainError) as first:
             meta5_bound(h, -1.0, 0.0, 0.2)
         with pytest.raises(EnergyDomainError) as stacked:
-            gibbs.lemma4_meta5_bounds(h, -1.0, [0.0, 0.5], [0.0, 0.5], [0.2, 0.6])
+            _stacked(h, -1.0, [0.0, 0.5], [0.0, 0.5], [0.2, 0.6])
         assert str(stacked.value) == str(first.value)
         assert str(first.value).startswith("energy -5.99")
 
@@ -984,10 +990,10 @@ class TestSolveBetas:
                 expected = ref_lemma4_meta5_bounds(*args)
             except ValueError as exc:
                 with pytest.raises(ValueError) as info:
-                    gibbs.lemma4_meta5_bounds(*args)
+                    _stacked(*args)
                 assert type(info.value) is type(exc) and str(info.value) == str(exc)
             else:
-                got = gibbs.lemma4_meta5_bounds(*args)
+                got = _stacked(*args)
                 assert [x.tobytes() for x in got] == [x.tobytes() for x in expected]
 
     def test_per_case_energies_are_the_per_energy_calls(self):
@@ -1018,32 +1024,70 @@ class TestSolveBetas:
                 expected = next((x for x in errors if not isinstance(x, EnergyDomainError)),
                                 errors[0])
                 with pytest.raises(ValueError) as info:
-                    gibbs.lemma4_meta5_bounds(h, energies, eps4, eps, primes)
+                    _stacked(h, energies, eps4, eps, primes)
                 assert type(info.value) is type(expected) and str(info.value) == str(expected)
                 continue
-            got = gibbs.lemma4_meta5_bounds(h, energies, eps4, eps, primes)
+            got = _stacked(h, energies, eps4, eps, primes)
             for k in range(2):
                 assert got[k].tobytes() == np.concatenate([x[k] for x in alone]).tobytes()
             for energy in set(energies):
                 cases = [i for i, e in enumerate(energies) if e == energy]
-                own = gibbs.lemma4_meta5_bounds(h, energy, *([x[i] for i in cases]
-                                                             for x in (eps4, eps, primes)))
+                own = _stacked(h, energy, *([x[i] for i in cases] for x in (eps4, eps, primes)))
                 assert [x[cases].tobytes() for x in got] == [x.tobytes() for x in own]
 
     def test_energy_bound_columns_are_the_per_record_lists(self, monkeypatch):
         seen = []
-        bounds = gibbs.lemma4_meta5_bounds
-        monkeypatch.setattr(gibbs, "lemma4_meta5_bounds",
+        bounds = gibbs.energy_bound_stack
+        monkeypatch.setattr(gibbs, "energy_bound_stack",
                             lambda *args: seen.append(args) or bounds(*args))
         h = HamiltonianSpec.oscillators([1.0], n_max=40)
         block = _case_energy_bounds([np.random.default_rng(k) for k in range(6)], h, [2.0] * 6)
-        # the block's six Lemma 4 rows, then its six Meta 5 rows
-        reports = [(block.report(k), block.report(k + 6)) for k in range(6)]
-        (_, _, floors, eps, primes), = seen
-        assert [r.epsilon for r, _ in reports] == eps.tolist()
-        assert floors.tolist() == [max(x, 1e-12) for x in eps.tolist()]
-        assert primes.tolist() == [min(1.0, x + 0.1) for x in eps.tolist()]
-        assert [r.epsilon_prime for _, r in reports] == primes.tolist()
+        # one row per record, Lemma 4 before Meta 5 of each case
+        reports = [block.report(k) for k in range(12)]
+        (_, variants, energy, floors, primes), = seen
+        assert block.case.tolist() == [k // 2 for k in range(12)]
+        assert [r.variant for r in reports] == variants.tolist() == ["lemma4", "meta5"] * 6
+        assert energy.tolist() == [r.energy for r in reports] == [2.0] * 12
+        eps = [r.epsilon for r in reports[0::2]]
+        assert [r.epsilon for r in reports[1::2]] == eps
+        assert floors.tolist() == [f for x in eps for f in (max(x, 1e-12), x)]
+        assert primes.tolist() == [p for x in eps for p in (None, min(1.0, x + 0.1))]
+        assert [r.epsilon_prime for r in reports] == primes.tolist()
+
+    def test_mixed_rows_are_their_scalar_bounds_from_one_solve(self, monkeypatch):
+        """Lemma 4, Meta 5 and Meta 6 rows at their own energies take one
+        ``solve_betas`` call, each row the bits of its scalar bound; a bad
+        Meta 6 pair raises ``meta_delta``'s error at its row, before any
+        solve and before a later bad row."""
+        h = HamiltonianSpec.oscillators([1.0], n_max=40)
+        variants = ["meta6", "lemma4", "meta5", "lemma4", "meta6", "meta5", "lemma4", "meta6"]
+        energies = [0.5, 2.0, 8.0, 1.0, 1e-3, 3.0, 2.0, 1e4]
+        eps = [0.0, 0.3, 0.1, 0.0, 0.25, 0.0, 1.0, 0.5]
+        primes = [0.2, None, 0.4, None, 1.0, 1e-3, math.nan, 0.75]
+        meta = {"meta5": meta5_bound, "meta6": meta6_bound}
+        expected = [lemma4_bound(h, e, x) if v == "lemma4" else meta[v](h, e, x, p)
+                    for v, e, x, p in zip(variants, energies, eps, primes)]
+        calls = []
+        solve = gibbs.solve_betas
+        monkeypatch.setattr(gibbs, "solve_betas",
+                            lambda h, e: calls.append(e.tolist()) or solve(h, e))
+        got = gibbs.energy_bound_stack(h, variants, energies, eps, primes)
+        assert got.tobytes() == np.array(expected).tobytes()
+        # every row but Lemma 4 at eps = 0, in row order
+        assert calls == [[0.5 / meta_delta(0.0, 0.2), 2.0 / 0.3, 8.0 / meta_delta(0.1, 0.4),
+                          1e-3 / meta_delta(0.25, 1.0), 3.0 / meta_delta(0.0, 1e-3), 2.0,
+                          1e4 / meta_delta(0.5, 0.75)]]
+        calls.clear()
+        bad_eps, bad_primes = [*eps[:6], 1.5, 0.5], [*primes[:4], 0.2, *primes[5:]]
+        with pytest.raises(ValueError, match=re.escape("need 0 <= eps < eps' <= 1, "
+                                                       "got (0.25, 0.2)")):
+            gibbs.energy_bound_stack(h, variants, energies, bad_eps, bad_primes)
+        with pytest.raises(ValueError, match=r"epsilon 1.5 outside \[0, 1\]"):
+            gibbs.energy_bound_stack(h, variants, energies, bad_eps, primes)
+        with pytest.raises(ValueError, match="no energy bound 'lemma7'"):
+            gibbs.energy_bound_stack(h, [*variants[:3], "lemma7", *variants[4:]], energies,
+                                     bad_eps, bad_primes)
+        assert calls == []
 
     def test_a_one_mode_stack_takes_one_evaluation(self, monkeypatch):
         evals = []
@@ -1073,6 +1117,26 @@ def test_conditional_witness_builds_no_product_space_matrix(monkeypatch):
     assert rho.dims == sigma.dims == (58, 58)
     assert max(reads) == 58
     assert sigma.trace() == pytest.approx(1.0, abs=1e-12)
+
+
+def _stacked(hamiltonian, energy, lemma4_epsilons, epsilons, epsilon_primes):
+    """``gibbs.energy_bound_stack`` over the rows of the case walk of
+    ``ref_lemma4_meta5_bounds`` (Lemma 4 before Meta 5 of case i, case i
+    before case i + 1, each at its case's energy), its rhs split into the
+    Lemma 4 and the Meta 5 rows as that reference returns them."""
+    per_case = np.ndim(energy) > 0
+    rows = []
+    for i in range(max(len(lemma4_epsilons), len(epsilons))):
+        e = energy[i] if per_case else energy
+        if i < len(lemma4_epsilons):
+            rows.append(("lemma4", e, lemma4_epsilons[i], None))
+        if i < len(epsilons):
+            rows.append(("meta5", e, epsilons[i], epsilon_primes[i]))
+    variants, energies, eps, primes = (list(x) for x in zip(*rows)) if rows else ([],) * 4
+    rhs = gibbs.energy_bound_stack(hamiltonian, variants, energies if per_case else energy,
+                                   eps, primes)
+    is4 = np.array([v == "lemma4" for v in variants], dtype=bool)
+    return rhs[is4], rhs[~is4]
 
 
 def ref_lemma4_meta5_bounds(hamiltonian, energy, lemma4_epsilons, epsilons, epsilon_primes):

@@ -679,6 +679,7 @@ class TestGibbsTable:
         argv = ["verify", "energy_bounds", "--energies", "1,2,4,8", "--samples", "10"]
         assert cli.main(argv) == cli.EXIT_OK
         assert calls == [80]  # the Lemma 4 and Meta 5 energies of the 40 cases
+        assert "suite=energy_bounds cases=40 records=80 " in capsys.readouterr().out
 
     def test_a_verify_gibbs_energy_outside_the_domain_exits_2(self, tmp_path, capsys):
         out = tmp_path / "g.csv"
@@ -750,7 +751,7 @@ class TestCli:
                                                       "valid": slack >= -1e-9})
         monkeypatch.setattr(cli, "run_campaign", lambda cfg: report)
         assert cli.main(["verify", "fannes"]) == rc
-        assert capsys.readouterr().out == f"suite=fannes cases=4 {line}\n"
+        assert capsys.readouterr().out == f"suite=fannes cases=4 records=4 {line}\n"
         records = report.records
         assert (report.min_slack, report.max_slack, report.violations) == pytest.approx((
             min((r["slack"] for r in records), default=np.inf),
@@ -829,7 +830,7 @@ class TestCli:
         cfg.write_text("# a comment\ndims=2\n\nsamples=2\n  # indented\nseed=5\n")
         rc = cli.main(["verify", "fannes", "--config", str(cfg), "--samples", "4"])
         assert rc == cli.EXIT_OK
-        assert "cases=4" in capsys.readouterr().out
+        assert "cases=4 records=4" in capsys.readouterr().out
 
     def test_bad_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
@@ -1212,7 +1213,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, lines", [
         # 22500-dim couplings, 7.54 GiB each as a dense matrix
-        ("verify couplings --dims 150 --samples 1", "suite=couplings cases=4 "),
+        ("verify couplings --dims 150 --samples 1", "suite=couplings cases=1 records=4 "),
         # a 90000-dim witness, 121 GiB as a dense matrix
         ("witness af --dims 300", "af d=300 eps=0.25: "),
     ])
@@ -1513,5 +1514,5 @@ class TestCli:
         cfg.write_text(f"dims=2\nsamples=2\nseed=5\ntol=1e-9\nout={out}\nformat=json\n")
         rc = cli.main(["verify", "fannes", "--config", str(cfg), "--samples", "3"])
         assert rc == cli.EXIT_OK
-        assert "cases=3" in capsys.readouterr().out
+        assert "cases=3 records=3" in capsys.readouterr().out
         assert len(json.loads(out.read_text())) == 3
