@@ -331,19 +331,19 @@ def _fannes_witness_args(d: int, epsilons) -> None:
             raise ValueError(f"epsilon {epsilon!r} outside (0, 1 - 1/d]")
 
 
-def _witness_epsilon(epsilon: float) -> ValueError | None:
-    """The error of an eps outside (0, 1] (NaN too), at which neither the AF
-    nor the oscillator witness exists, or None."""
-    return None if 0.0 < epsilon <= 1.0 else ValueError(f"epsilon {epsilon!r} outside (0, 1]")
+def _witness_epsilons(epsilons) -> None:
+    """Raise the error of the first eps of ``epsilons`` outside (0, 1] (NaN
+    too), at which neither the AF nor the oscillator witness exists."""
+    for epsilon in epsilons:
+        if not 0.0 < epsilon <= 1.0:
+            raise ValueError(f"epsilon {epsilon!r} outside (0, 1]")
 
 
 def _af_witness_args(d: int, epsilons) -> None:
     """Raise the error of d, else of the first eps of ``epsilons``, at which
-    the AF witness does not exist: d >= 2 and ``_witness_epsilon``."""
+    the AF witness does not exist: d >= 2 and ``_witness_epsilons``."""
     _dimension(d)
-    for epsilon in epsilons:
-        if (error := _witness_epsilon(epsilon)) is not None:
-            raise error
+    _witness_epsilons(epsilons)
 
 
 def tightness_witness_fannes(d: int, epsilon: float):

@@ -39,7 +39,9 @@ The oscillator closed forms that split the energy equally among the
 modes (``oscillator_entropy_upper``, ``lemma7_bounds``) and
 ``HamiltonianSpec`` read their mode energies through one rule: at least
 one mode, each positive and finite.  An energy and a beta have one rule,
-``_positive_finite``, and NaN and inf fail it.
+``_positive_finite``, and NaN and inf fail it: every energy that enters
+the bounds, the draws, the cutoff or the witnesses meets it before any
+draw or solve, so a bad E raises its error, naming the E given.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import BoundBlock, _objects, _unit_interval, _witness_epsilon
+from .bounds import BoundBlock, _objects, _unit_interval, _witness_epsilons
 from .entropies import LOG2_E, binary_entropies, clipped_binary, von_neumann_entropies
 from .linalg import DENSE_DIM_LIMIT, HermitianOperator, check_dense_dim
 from .states import (
@@ -534,9 +536,10 @@ def energy_bound_stack(hamiltonian: HamiltonianSpec, variants, energy, epsilons,
 
     The rows are walked in order.  Each is checked by its variant's rule
     (``_unit_interval`` for Lemma 4, ``meta_delta`` for Meta 5 and 6), as
-    masks over the stack, and the first bad row raises that rule's error
-    before any solve.  The energies E/eps (Lemma 4 at eps = 0 is 0, with no
-    solve) and E/delta are solved in row order, so that the first energy
+    masks over the stack, and the first bad row raises before any solve:
+    the error of its variant, else of its E (``_positive_finite``), else of
+    its variant's rule.  The energies E/eps (Lemma 4 at eps = 0 is 0, with
+    no solve) and E/delta are solved in row order, so that the first energy
     without a solution raises."""
     variants, energy, eps, ep = np.broadcast_arrays(
         np.asarray(variants, dtype=object).reshape(-1),
@@ -544,11 +547,12 @@ def energy_bound_stack(hamiltonian: HamiltonianSpec, variants, energy, epsilons,
     lemma4, meta6 = variants == "lemma4", variants == "meta6"
     meta = meta6 | (variants == "meta5")
     ok = np.where(lemma4, eps <= 1.0, (eps < ep) & (ep <= 1.0))
-    bad = ~((lemma4 | meta) & (eps >= 0.0) & ok)
+    bad = ~((lemma4 | meta) & (0.0 < energy) & (energy < math.inf) & (eps >= 0.0) & ok)
     if bad.any():
         i = int(bad.argmax())
         if not (lemma4[i] or meta[i]):
             raise ValueError(f"no energy bound {variants[i]!r}: need lemma4, meta5 or meta6")
+        _positive_finite("energy", energy[i].item())
         if lemma4[i]:
             _unit_interval(eps[i].item())
         meta_delta(eps[i].item(), ep[i].item())
@@ -646,6 +650,7 @@ def cutoff_decompose(state, hamiltonian: HamiltonianSpec, energy: float,
     BipartiteState whose A factor is that space (global Hamiltonian
     H (x) 1); pinched components keep the bipartite structure.
     """
+    _positive_finite("energy", energy)
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta {delta!r} outside (0, 1]")
     state = as_state(state)
@@ -699,11 +704,11 @@ def draw_energy_block(hamiltonian: HamiltonianSpec, energy: float, rngs,
     """The draw of ``sample_energy_constrained``, one from each generator of
     ``rngs`` in turn: ``(rows, dim, blocks)``, the k d_b rows of the k levels
     at or below E in the padded space, that space's dimension and the
-    unvalidated full-rank states on those rows (len(rngs), k d_b, k d_b)."""
+    unvalidated full-rank states on those rows (len(rngs), k d_b, k d_b).
+    E must be positive and finite, so k >= 1 (the ground level is 0)."""
+    _positive_finite("energy", energy)
     levels = hamiltonian.levels
     idx = np.where(levels <= energy)[0]
-    if len(idx) == 0:
-        raise EnergyDomainError(f"no levels at or below energy {energy!r}")
     d = 1 if d_b is None else d_b
     check_dense_dim(len(levels) * d)
     rows = (idx[:, None] * d + np.arange(d)).ravel()
@@ -714,7 +719,7 @@ def sample_energy_constrained(hamiltonian: HamiltonianSpec, energy: float,
                               d_b: int | None = None, rng=None):
     """Random state supported on levels with E_n <= E (hence mean energy
     <= E), optionally extended by an unconstrained, entangled B factor
-    under the global Hamiltonian H (x) 1.
+    under the global Hamiltonian H (x) 1; E must be positive and finite.
 
     A full-rank state is sampled on the k d_b rows of the k levels at or
     below E (``draw_energy_block``) and held as the one block of the level
@@ -769,11 +774,11 @@ def oscillator_tightness_witness(energy: float, epsilon: float,
     or decomposed unless it is read.
 
     Either case raises ``TruncationError`` when a given cutoff ``n_max``
-    leaves a tail above 1e-9 (``GibbsSolution.checked_probabilities``).
+    leaves a tail above 1e-9 (``GibbsSolution.checked_probabilities``),
+    and the energy's error before the eps's.
     """
-    if (error := _witness_epsilon(epsilon)) is not None:
-        raise error
     _positive_finite("energy", energy)
+    _witness_epsilons([epsilon])
     if not conditional:
         _, rho, sigma = _entropy_witnesses(energy, [epsilon], n_max)
         return rho, sigma[0]
@@ -796,18 +801,13 @@ def check_oscillator_witnesses(energy: float, epsilons) -> BoundBlock:
     for bit as each pair's Shannon entropies and ``lemma4_bound`` give it:
     one solve for gamma(E), the sigma rows of all eps as one stack, their
     entropies from ``von_neumann_entropies`` and the bounds from one
-    ``energy_bound_stack`` call.  The error of the first case with one is
-    raised: its bad eps, the energy's or its bound's."""
+    ``energy_bound_stack`` call.  The energy, then each eps, is checked
+    before any work."""
     epsilons = list(epsilons)
-    bad = next((i for i, e in enumerate(epsilons) if _witness_epsilon(e) is not None), None)
-    good = epsilons[:bad]
-    if bad != 0:  # the first case gets past its eps
-        _positive_finite("energy", energy)
-        h, rho, sigma = _entropy_witnesses(energy, good)
-        entropies = von_neumann_entropies(np.vstack([rho, sigma]))
-        rhs = energy_bound_stack(h, "lemma4", energy, good, None)
-        block = BoundBlock(np.arange(len(good)), "oscillator_lemma4", len(rho),
-                           np.abs(entropies[0] - entropies[1:]), rhs, _objects(good), energy)
-    if bad is not None:
-        raise _witness_epsilon(epsilons[bad])
-    return block
+    _positive_finite("energy", energy)
+    _witness_epsilons(epsilons)
+    h, rho, sigma = _entropy_witnesses(energy, epsilons)
+    entropies = von_neumann_entropies(np.vstack([rho, sigma]))
+    rhs = energy_bound_stack(h, "lemma4", energy, epsilons, None)
+    return BoundBlock(np.arange(len(epsilons)), "oscillator_lemma4", len(rho),
+                      np.abs(entropies[0] - entropies[1:]), rhs, _objects(epsilons), energy)

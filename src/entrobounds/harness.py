@@ -31,7 +31,10 @@ grid, as far as ``CHUNK_BYTES`` holds, with one solve per chunk:
 chunk with one ``gibbs.solve_betas`` and one ``gibbs.entropy_checks``
 call, and ``energy_bounds`` (a case counts its k x k pair) scores every
 case's Lemma 4 and Meta 5 as rows of one ``gibbs.energy_bound_stack``
-call, each case at its own energy.
+call, each case at its own energy.  ``energy_bounds`` holds every energy
+of its grid to the energy rule (``gibbs._positive_finite``) before any
+case runs, as the sampled suites hold every d to d >= 2, so a bad E
+raises its error, in grid order, before any draw or solve.
 ``tightness`` and ``check_witnesses`` give each case its eps as
 an ``Each`` parameter, so that a chunk holds the cases of one
 ``(witness, x)``, x the dimension (the energy, for the oscillator), and
@@ -425,6 +428,10 @@ def _case_gibbs(rngs, h, energies):
 
 
 def _grid_energy_bounds(energies, samples):
+    """``samples`` cases of each E of ``energies``, every E held to the
+    energy rule (``gibbs._positive_finite``) before any case runs."""
+    for e in energies:
+        gb._positive_finite("energy", e)
     h = gb.HamiltonianSpec.oscillators([1.0], n_max=40)
     return [(h, Each(e)) for e in energies for _ in range(samples)]
 
@@ -441,33 +448,20 @@ def _case_energy_bounds(rngs, h, energies):
     energy, checked on their k x k blocks: the pairs of each distinct energy
     drawn and validated as one stack, in the order of its first case, and
     Lemma 4 and Meta 5 at their trace distance as states of the
-    ``dim``-level space, with one stacked solve for the chunk's Gibbs
-    entropies.  The first error is that of the first energy with one, its
-    draw's before its solves'."""
+    ``dim``-level space.  One row per record, Lemma 4 before Meta 5 of each
+    case, at the case's energy, from one ``energy_bound_stack`` call (one
+    stacked solve for the chunk's Gibbs entropies)."""
     groups = {}
     for i, e in enumerate(energies):
         groups.setdefault(e, []).append(i)
     cases, eps, gaps = [], [], []
     for e, group in groups.items():
-        try:
-            _, dim, blocks = gb.draw_energy_block(h, e, _twice([rngs[i] for i in group]))
-        except gb.EnergyDomainError:
-            if cases:  # the energies before this one solve first
-                _energy_bounds_block(h, energies, cases, eps, gaps)
-            raise
+        _, dim, blocks = gb.draw_energy_block(h, e, _twice([rngs[i] for i in group]))
         states = density_stack(blocks)
         entropies = von_neumann_entropies(states.eigenvalues)
         cases += group
         eps.append(trace_distances(states.mats[0::2, None], states.mats[1::2, None], dim))
         gaps.append(np.abs(entropies[0::2] - entropies[1::2]))
-    return _energy_bounds_block(h, energies, cases, eps, gaps)
-
-
-def _energy_bounds_block(h, energies, cases, eps, gaps):
-    """The block of the chunk positions ``cases`` whose pairs have the trace
-    distances ``eps`` and entropy gaps ``gaps`` (one array per energy, in
-    the order of ``cases``): one row per record, Lemma 4 before Meta 5 of
-    each case, at the case's energy, from one ``energy_bound_stack`` call."""
     eps, gaps = (np.repeat(np.concatenate(x), 2) for x in (eps, gaps))
     energy = np.repeat(bnd._objects(energies[i] for i in cases), 2)
     variants = np.tile(_ENERGY_VARIANTS, len(cases))

@@ -63,26 +63,25 @@ class StateValidationError(ValueError):
     pass
 
 
-def _state_rule(lam_min: float, tr: float) -> bool:
+def _state_rule(lam_min: float, tr: float):
     """The rules of a state of smallest eigenvalue ``lam_min`` (0 for a
     state PSD by construction) and trace ``tr``: raise
     ``StateValidationError`` below ``-PSD_ATOL`` or off from 1 by more than
-    ``TRACE_ATOL``.  Returns whether the state is renormalized: whether its
-    trace is off from 1 by more than ``RENORM_ATOL``.  ``_state_rules``
-    applies it to a stack as masks, and raises through it."""
+    ``TRACE_ATOL``.  ``_state_rules`` applies it to a stack as masks, and
+    raises through it."""
     if not lam_min >= -PSD_ATOL:  # NaN fails too
         raise StateValidationError(f"negative eigenvalue {lam_min:.3e} beyond tolerance")
     if not abs(tr - 1.0) <= TRACE_ATOL:
         raise StateValidationError(f"trace {tr!r} is not 1")
-    return abs(tr - 1.0) > RENORM_ATOL
 
 
 def _state_rules(lam_min, tr) -> np.ndarray:
     """``_state_rule`` of each state of a stack, as masks over the stack:
     its smallest eigenvalue (one for all, if a scalar) and its trace (a
-    scalar for a state alone, which gets a scalar flag).  The first state
-    (in stack order) that the rule rejects raises its error.  Every state,
-    built alone or stacked, goes through it."""
+    scalar for a state alone).  The first state (in stack order) that the
+    rule rejects raises its error; returns whether each is renormalized,
+    its trace off from 1 by more than ``RENORM_ATOL``.  Every state, built
+    alone or stacked, goes through it."""
     dev = np.abs(tr - 1.0)
     bad = ~((lam_min >= -PSD_ATOL) & (dev <= TRACE_ATOL))
     if bad.any():

@@ -622,10 +622,17 @@ class TestSampler:
         rho = sample_energy_constrained(h, 0.5, rng=np.random.default_rng(7))
         assert np.real(rho.mat[0, 0]) == pytest.approx(1.0, abs=1e-12)
 
-    def test_no_levels_error(self):
+    def test_a_bad_energy_draws_nothing(self, monkeypatch):
+        """E <= 0, which no level but the ground one lies below, and a
+        non-finite E fail the energy rule before any draw."""
+        def refuse(*args):
+            raise AssertionError("a state was drawn")
+        monkeypatch.setattr(gibbs, "draw_state_matrices", refuse)
         h = HamiltonianSpec.explicit([0.0, 1.0])
-        with pytest.raises(EnergyDomainError, match="no levels"):
-            sample_energy_constrained(h, -1.0, rng=0)
+        for energy in (-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(EnergyDomainError) as raised:
+                sample_energy_constrained(h, energy, rng=0)
+            assert str(raised.value) == f"energy must be positive and finite, got {energy!r}"
 
     @pytest.mark.parametrize("energy", [1.0, 8.0])
     def test_energy_bounds_decompose_no_padded_state(self, energy, solver_calls):
@@ -659,6 +666,31 @@ class TestSampler:
         # A-marginal energy within the constraint
         diag = np.real(np.diag(state.mat)).reshape(9, 3).sum(axis=1)
         assert (h.levels * diag).sum() <= 3.0 + 1e-9
+
+
+@pytest.mark.parametrize("energy", [0.0, -1.0, math.nan, math.inf])
+def test_each_energy_entry_point_rejects_a_bad_energy(energy, monkeypatch):
+    """The cutoff, the sampler (and its draw) and the oscillator witnesses
+    hold E to the energy rule, naming the E given, before any draw or
+    solve: an infinite E is not read as no constraint, nor a NaN E as a
+    cutoff at NaN."""
+    def refuse(*args):
+        raise AssertionError("a state was drawn or a beta solved")
+    monkeypatch.setattr(gibbs, "draw_state_matrices", refuse)
+    monkeypatch.setattr(gibbs, "solve_betas", refuse)
+    h = HamiltonianSpec.oscillators([1.0], n_max=20)
+    ground = DensityOperator.diagonal([1.0] + [0.0] * 20)
+    calls = [lambda: cutoff_decompose(ground, h, energy, 0.5),
+             lambda: cutoff_decompose(ground, h, energy, 2.0),  # before delta's rule
+             lambda: sample_energy_constrained(h, energy, rng=0),
+             lambda: sample_energy_constrained(h, energy, d_b=2, rng=0),
+             lambda: gibbs.draw_energy_block(h, energy, [0]),
+             lambda: gibbs.check_oscillator_witnesses(energy, [0.25, 1.0]),
+             lambda: oscillator_tightness_witness(energy, 0.25, conditional=True)]
+    for call in calls:
+        with pytest.raises(EnergyDomainError) as raised:
+            call()
+        assert str(raised.value) == f"energy must be positive and finite, got {energy!r}"
 
 
 class TestWitnesses:
@@ -723,7 +755,8 @@ class TestWitnesses:
     def test_every_witness_raises_the_one_eps_error(self, eps):
         """The AF and oscillator witnesses, alone and as a grid, read eps
         through one rule: outside (0, 1], NaN included, each raises the same
-        text; a grid raises the energy's error before a later bad eps."""
+        text; the oscillator witness raises the energy's error before any
+        bad eps, alone and as a grid, wherever the eps stands."""
         message = f"epsilon {eps!r} outside (0, 1]"
         calls = [lambda: tightness_witness_af(3, eps),
                  lambda: check_af_witnesses(3, [0.5, eps]),
@@ -733,11 +766,12 @@ class TestWitnesses:
             with pytest.raises(ValueError) as raised:
                 call()
             assert str(raised.value) == message
-        with pytest.raises(EnergyDomainError, match="energy must be positive and finite"):
-            gibbs.check_oscillator_witnesses(-1.0, [0.5, eps])
-        with pytest.raises(ValueError) as raised:
-            gibbs.check_oscillator_witnesses(-1.0, [eps, 0.5])
-        assert str(raised.value) == message
+        for call in (lambda: oscillator_tightness_witness(-1.0, eps),
+                     lambda: gibbs.check_oscillator_witnesses(-1.0, [0.5, eps]),
+                     lambda: gibbs.check_oscillator_witnesses(-1.0, [eps, 0.5])):
+            with pytest.raises(EnergyDomainError) as raised:
+                call()
+            assert str(raised.value) == "energy must be positive and finite, got -1.0"
 
 
 def _reference_solve(h, energy, branches):
@@ -966,14 +1000,19 @@ class TestSolveBetas:
             _stacked(h, 1.0, [0.5, 1.0, 1.5], [0.5, 1.0, 0.2], [0.6, 1.0, 0.3])
         with pytest.raises(ValueError, match=r"epsilon 1.5 outside \[0, 1\]"):
             _stacked(h, 1.0, [0.5, 1.5, 0.5], [0.5, 1.0, 0.2], [0.6, 1.0, 0.3])
-        # at E < 0 every solve fails: case 0's Lemma 4 (eps = 0) solves
-        # nothing, so case 0's Meta 5 energy comes before case 1's Lemma 4 one
+        # E < 0 fails the energy rule at row 0, case 0's Lemma 4 at eps = 0,
+        # which solves nothing; the error names E itself
+        bad_energy = "energy must be positive and finite, got -1.0"
         with pytest.raises(EnergyDomainError) as first:
             meta5_bound(h, -1.0, 0.0, 0.2)
         with pytest.raises(EnergyDomainError) as stacked:
             _stacked(h, -1.0, [0.0, 0.5], [0.0, 0.5], [0.2, 0.6])
-        assert str(stacked.value) == str(first.value)
-        assert str(first.value).startswith("energy -5.99")
+        assert str(stacked.value) == str(first.value) == bad_energy
+        # within a row its energy comes before its eps; an earlier row's eps first
+        with pytest.raises(EnergyDomainError, match=f"^{bad_energy}$"):
+            _stacked(h, [-1.0, 1.0], [1.5, 1.5], [0.5, 0.2], [0.6, 0.3])
+        with pytest.raises(ValueError, match=r"^epsilon 1.5 outside \[0, 1\]$"):
+            _stacked(h, [1.0, -1.0], [1.5, 0.5], [0.5, 0.2], [0.6, 0.3])
 
     def test_the_mask_rules_are_the_case_walk(self):
         h = HamiltonianSpec.oscillators([1.0], n_max=40)
@@ -999,8 +1038,9 @@ class TestSolveBetas:
     def test_per_case_energies_are_the_per_energy_calls(self):
         """One energy per case gives each case the bits of its energy's own
         call, and the error of the case walk: the first bad argument of any
-        case, else that of the first case whose solve fails, as each case
-        alone gives it through ``ref_lemma4_meta5_bounds``."""
+        case (its energy's, by the energy rule, before its eps'), else that
+        of the first case whose solve fails, as each case alone gives it
+        through the energy rule and ``ref_lemma4_meta5_bounds``."""
         h = HamiltonianSpec.oscillators([1.0], n_max=40)
         rng = np.random.default_rng(45)
         good_energies, bad_energies = [1e-3, 0.5, 2.0, 8.0], [0.0, -1.0, math.nan, math.inf]
@@ -1011,18 +1051,26 @@ class TestSolveBetas:
             eps = (rng.choice(values, n) if trial % 3 == 0 else rng.uniform(0.0, 1.0, n)).tolist()
             eps4 = [max(x, 1e-12) if trial % 5 else x for x in eps]
             primes = [min(1.0, x + 0.1) if trial % 2 else x + 0.2 for x in eps]
-            alone = []
+            alone, bad_arguments = [], []
             for i in range(n):
+                try:
+                    gibbs._positive_finite("energy", energies[i])
+                except EnergyDomainError as exc:
+                    alone.append(exc)
+                    bad_arguments.append(exc)
+                    continue
                 try:
                     alone.append(ref_lemma4_meta5_bounds(h, energies[i], eps4[i:i + 1],
                                                          eps[i:i + 1], primes[i:i + 1]))
+                except EnergyDomainError as exc:  # its solve's
+                    alone.append(exc)
                 except ValueError as exc:
                     alone.append(exc)
+                    bad_arguments.append(exc)
             errors = [x for x in alone if isinstance(x, ValueError)]
             if errors:
                 # any case's bad argument raises before every solve
-                expected = next((x for x in errors if not isinstance(x, EnergyDomainError)),
-                                errors[0])
+                expected = (bad_arguments or errors)[0]
                 with pytest.raises(ValueError) as info:
                     _stacked(h, energies, eps4, eps, primes)
                 assert type(info.value) is type(expected) and str(info.value) == str(expected)
@@ -1087,6 +1135,33 @@ class TestSolveBetas:
         with pytest.raises(ValueError, match="no energy bound 'lemma7'"):
             gibbs.energy_bound_stack(h, [*variants[:3], "lemma7", *variants[4:]], energies,
                                      bad_eps, bad_primes)
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_a_bad_energy_at_any_row_raises_before_any_solve(self, bad, monkeypatch):
+        """A bad E at any row position raises the energy rule's error for
+        that E, though an earlier row at eps = 0 solves nothing and a later
+        row has a bad eps, with no ``solve_betas`` call; the scalar bounds
+        raise it too."""
+        calls = []
+        monkeypatch.setattr(gibbs, "solve_betas", lambda h, e: calls.append(e))
+        h = HamiltonianSpec.oscillators([1.0], n_max=40)
+        message = f"^energy must be positive and finite, got {bad!r}$"
+        variants = ["lemma4", "meta5", "meta6", "lemma4", "meta6"]
+        eps, primes = [0.0, 0.1, 0.25, 0.5, 0.0], [None, 0.4, 1.0, None, 0.2]
+        for j in range(len(variants)):
+            energies = [2.0] * len(variants)
+            energies[j] = bad
+            with pytest.raises(EnergyDomainError, match=message):
+                gibbs.energy_bound_stack(h, variants, energies, eps, primes)
+            # a later row's bad eps does not come first
+            later_bad = eps[:j + 1] + [1.5] * (len(eps) - j - 1)
+            with pytest.raises(EnergyDomainError, match=message):
+                gibbs.energy_bound_stack(h, variants, energies, later_bad, primes)
+        for call in (lambda: lemma4_bound(h, bad, 0.25), lambda: lemma4_bound(h, bad, 0.0),
+                     lambda: meta5_bound(h, bad, 0.1, 0.3), lambda: meta6_bound(h, bad, 0.1, 0.3)):
+            with pytest.raises(EnergyDomainError, match=message):
+                call()
         assert calls == []
 
     def test_a_one_mode_stack_takes_one_evaluation(self, monkeypatch):

@@ -1150,8 +1150,8 @@ class TestCli:
         "witness af --dims 3,2,3 --eps 0.5,1.5",
         "witness oscillator --energies 1,-1 --eps 0.5,0.25",
         "witness oscillator --energies 1 --eps 0.5,0,2",
-        # E / eps past the largest float: the second case's bound fails first
-        "witness oscillator --energies 100 --eps 0.5,1e-310,2",
+        # E / eps past the largest float: the second case's bound fails
+        "witness oscillator --energies 100 --eps 0.5,1e-310",
         "witness oscillator --energies 100,1 --eps 2,1e-310",
     ])
     def test_a_witness_run_raises_the_error_of_its_first_failing_case(self, argv, capsys):
@@ -1163,6 +1163,16 @@ class TestCli:
         assert cli.main(argv.split()) == cli.EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.err == f"error: {per_case.value}\n"
+        assert captured.out == ""
+
+    def test_a_witness_chunk_checks_every_eps_before_its_bounds(self, capsys):
+        """A chunk holds its energy and every eps to their rules before any
+        work, so a later bad eps raises before an earlier case's bound
+        (E / eps past the largest float) fails."""
+        argv = ["witness", "oscillator", "--energies", "100", "--eps", "0.5,1e-310,2"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == "error: epsilon 2.0 outside (0, 1]\n"
         assert captured.out == ""
 
     def test_witness_that_fails_partway_prints_no_line(self, capsys):
@@ -1378,27 +1388,23 @@ class TestCli:
                              "--energies", "1,0.5"]) == cli.EXIT_OK
             assert "attainable" not in capsys.readouterr().out
 
-    ATTAINABLE = "outside the attainable open interval (0, inf)"
-
-    @pytest.mark.parametrize("energies, error", [
-        ("-1", "no levels at or below energy -1.0"),
-        ("0,-1", f"energy 0.0 {ATTAINABLE}"),
-        ("-1,0", "no levels at or below energy -1.0"),
-        ("1,0", f"energy 0.0 {ATTAINABLE}"),
-        ("inf,nan", f"energy inf {ATTAINABLE}"),
-        ("nan,inf", "no levels at or below energy nan"),
-        ("0,0,-1", f"energy 0.0 {ATTAINABLE}"),
-        ("1,-1,0", "no levels at or below energy -1.0"),
-        ("1,2,1,-1", "no levels at or below energy -1.0"),
+    @pytest.mark.parametrize("energies, bad", [
+        ("-1", "-1.0"), ("0,-1", "0.0"), ("-1,0", "-1.0"), ("1,0", "0.0"),
+        ("inf,nan", "inf"), ("nan,inf", "nan"), ("0,0,-1", "0.0"), ("1,-1,0", "-1.0"),
+        ("1,2,1,-1", "-1.0"),
     ])
     @pytest.mark.parametrize("budget", [states.CHUNK_BYTES, 1])
-    def test_a_stacked_case_that_draws_nothing_exits_2(self, energies, error, budget, tmp_path,
+    def test_a_stacked_case_that_draws_nothing_exits_2(self, energies, bad, budget, tmp_path,
                                                         monkeypatch, capsys):
-        """An energy grid that fails raises the error of its first energy
-        with one, in case order, its draw's before its solves': the message
-        of one chunk per energy, whether the energies share a chunk or each
-        case has its own."""
+        """An energy grid that fails the energy rule raises the error of its
+        first bad energy, in grid order, before any case draws or solves,
+        whether the energies share a chunk or each case has its own."""
+        def refuse(*args):
+            raise AssertionError("a case drew or solved")
         monkeypatch.setattr(harness, "CHUNK_BYTES", budget)
+        for name in ("draw_energy_block", "solve_betas"):
+            monkeypatch.setattr(gibbs, name, refuse)
+        error = f"energy must be positive and finite, got {bad}"
         out = tmp_path / "r.csv"
         argv = ["verify", "energy_bounds", f"--energies={energies}", "--samples", "2",
                 "--out", str(out)]
