@@ -177,9 +177,9 @@ def _mode_energies(hbar_omegas) -> np.ndarray:
 
 def _positive_finite(name: str, x: float) -> None:
     """The rule of an energy and of a beta: ``EnergyDomainError`` unless
-    0 < x < inf (NaN fails)."""
+    0 < x < inf (NaN fails), naming x as a float (``-1`` as ``-1.0``)."""
     if not 0.0 < x < math.inf:
-        raise EnergyDomainError(f"{name} must be positive and finite, got {x!r}")
+        raise EnergyDomainError(f"{name} must be positive and finite, got {float(x)!r}")
 
 
 def _equal_split(hbar_omegas, energy: float) -> tuple[int, float]:
@@ -739,9 +739,14 @@ def _single_mode_truncation(energy: float, tail: float) -> int:
 
 
 def _witness_levels(energy: float) -> int:
-    """The levels of the entropy witness at E, whose thermal tail is below
-    1e-13; 1 where E is not positive and finite (the witness raises)."""
-    return _single_mode_truncation(energy, 1e-13) + 1 if 0.0 < energy < math.inf else 1
+    """The levels of the entropy witness at a valid E: its tail is below 1e-13."""
+    return _single_mode_truncation(energy, 1e-13) + 1
+
+
+def _oscillator_witness_args(energy: float, epsilons) -> None:
+    """Raise the error of E, else of the first eps of ``epsilons`` outside (0, 1]."""
+    _positive_finite("energy", energy)
+    _witness_epsilons(epsilons)
 
 
 def _entropy_witnesses(energy: float, epsilons, n_max: int | None = None):
@@ -777,8 +782,7 @@ def oscillator_tightness_witness(energy: float, epsilon: float,
     leaves a tail above 1e-9 (``GibbsSolution.checked_probabilities``),
     and the energy's error before the eps's.
     """
-    _positive_finite("energy", energy)
-    _witness_epsilons([epsilon])
+    _oscillator_witness_args(energy, [epsilon])
     if not conditional:
         _, rho, sigma = _entropy_witnesses(energy, [epsilon], n_max)
         return rho, sigma[0]
@@ -804,8 +808,7 @@ def check_oscillator_witnesses(energy: float, epsilons) -> BoundBlock:
     ``energy_bound_stack`` call.  The energy, then each eps, is checked
     before any work."""
     epsilons = list(epsilons)
-    _positive_finite("energy", energy)
-    _witness_epsilons(epsilons)
+    _oscillator_witness_args(energy, epsilons)
     h, rho, sigma = _entropy_witnesses(energy, epsilons)
     entropies = von_neumann_entropies(np.vstack([rho, sigma]))
     rhs = energy_bound_stack(h, "lemma4", energy, epsilons, None)

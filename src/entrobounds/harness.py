@@ -39,7 +39,8 @@ raises its error, in grid order, before any draw or solve.
 an ``Each`` parameter, so that a chunk holds the cases of one
 ``(witness, x)``, x the dimension (the energy, for the oscillator), and
 builds and checks them with one stacked witness check (a case counts the
-complex diagonals of its pair, or its row of sigma weights).
+complex diagonals of its pair, or its row of sigma weights).  Every x, then
+every eps, of a witness grid meets its rules before any case runs.
 """
 
 from __future__ import annotations
@@ -475,24 +476,28 @@ def _case_energy_bounds(rngs, h, energies):
                           energy, primes)
 
 
-def _fannes_grid(dims, epsilons):
-    """``(d, eps)`` of each d of ``dims`` and eps of ``epsilons`` at which the
-    Fannes witness exists, every d held to d >= 2 and every eps to (0, 1]
-    (the AF witness's rule) before any case runs; an eps in (1 - 1/d, 1] is
-    skipped."""
-    for d in dims:
-        bnd._af_witness_args(d, epsilons)
-    return [(d, eps) for d in dims for eps in epsilons if bnd.fannes_admissible(d, eps)]
-
-
 def _grid_tightness(dims, epsilons):
-    return [(witness, d, Each(eps)) for d, eps in _fannes_grid(dims, epsilons)
+    return [(witness, d, Each(eps)) for d, eps in _witness_grid("fannes", dims, epsilons)
             for witness in ("fannes", "af")]
 
 
-# each witness's check of a chunk: its pairs at one x and the chunk's eps
+# each witness's check of a chunk (its pairs at one x and the chunk's eps)
+# and its rules of one x and every eps (the Fannes witness takes the AF's)
 _WITNESS_CHECKS = {"fannes": bnd.check_fannes_witnesses, "af": bnd.check_af_witnesses,
                    "oscillator": gb.check_oscillator_witnesses}
+_WITNESS_ARGS = {"fannes": bnd._af_witness_args, "af": bnd._af_witness_args,
+                 "oscillator": gb._oscillator_witness_args}
+
+
+def _witness_grid(name, xs, epsilons):
+    """``(x, eps)`` of each x of ``xs`` and eps of ``epsilons`` at which the
+    ``name`` witness exists, each x, then every eps, held to its rules
+    before any case runs, whatever the chunks; a Fannes eps in
+    (1 - 1/d, 1] is skipped."""
+    for x in xs:
+        _WITNESS_ARGS[name](x, epsilons)
+    return [(x, eps) for x in xs for eps in epsilons
+            if name != "fannes" or bnd.fannes_admissible(x, eps)]
 
 
 def _case_witness(rngs, witness, x, epsilons):
@@ -646,13 +651,10 @@ def check_coupling_demo(d, seed, tolerance: float):
 
 
 def check_witnesses(name: str, xs, epsilons, tolerance: float) -> list:
-    """``(x, eps, record)`` of the ``name`` witness over ``xs`` x ``epsilons``;
-    the Fannes pair is checked only where 0 < eps <= 1 - 1/d, on a grid of
-    ``_fannes_grid``."""
-    if name == "fannes":
-        pairs = _fannes_grid(xs, epsilons)
-    else:
-        pairs = [(x, eps) for x in xs for eps in epsilons]
+    """``(x, eps, record)`` of the ``name`` witness over ``xs`` x ``epsilons``
+    (``_witness_grid``); the Fannes pair is checked only where
+    0 < eps <= 1 - 1/d."""
+    pairs = _witness_grid(name, xs, epsilons)
     records = _check(f"witness {name}", [(name, x, Each(eps)) for x, eps in pairs],
                      _case_witness, None, tolerance, _witness_bytes).records
     return [(x, eps, rec) for (x, eps), rec in zip(pairs, records)]

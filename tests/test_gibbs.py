@@ -668,12 +668,13 @@ class TestSampler:
         assert (h.levels * diag).sum() <= 3.0 + 1e-9
 
 
-@pytest.mark.parametrize("energy", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("energy", [0.0, -1.0, math.nan, math.inf, 0, -1])
 def test_each_energy_entry_point_rejects_a_bad_energy(energy, monkeypatch):
-    """The cutoff, the sampler (and its draw) and the oscillator witnesses
-    hold E to the energy rule, naming the E given, before any draw or
-    solve: an infinite E is not read as no constraint, nor a NaN E as a
-    cutoff at NaN."""
+    """The cutoff, the sampler (and its draw), the oscillator witnesses and
+    the energy bounds, stacked or scalar, hold E to the energy rule, naming
+    the E given as a float (an int -1 as -1.0), before any draw or solve:
+    an infinite E is not read as no constraint, nor a NaN E as a cutoff at
+    NaN."""
     def refuse(*args):
         raise AssertionError("a state was drawn or a beta solved")
     monkeypatch.setattr(gibbs, "draw_state_matrices", refuse)
@@ -686,11 +687,15 @@ def test_each_energy_entry_point_rejects_a_bad_energy(energy, monkeypatch):
              lambda: sample_energy_constrained(h, energy, d_b=2, rng=0),
              lambda: gibbs.draw_energy_block(h, energy, [0]),
              lambda: gibbs.check_oscillator_witnesses(energy, [0.25, 1.0]),
-             lambda: oscillator_tightness_witness(energy, 0.25, conditional=True)]
+             lambda: oscillator_tightness_witness(energy, 0.25, conditional=True),
+             lambda: gibbs.energy_bound_stack(h, ["lemma4", "meta5"], energy, 0.25, 0.5),
+             lambda: lemma4_bound(h, energy, 0.25),
+             lambda: meta5_bound(h, energy, 0.1, 0.3),
+             lambda: meta6_bound(h, energy, 0.1, 0.3)]
     for call in calls:
         with pytest.raises(EnergyDomainError) as raised:
             call()
-        assert str(raised.value) == f"energy must be positive and finite, got {energy!r}"
+        assert str(raised.value) == f"energy must be positive and finite, got {float(energy)!r}"
 
 
 class TestWitnesses:
@@ -1013,6 +1018,27 @@ class TestSolveBetas:
             _stacked(h, [-1.0, 1.0], [1.5, 1.5], [0.5, 0.2], [0.6, 0.3])
         with pytest.raises(ValueError, match=r"^epsilon 1.5 outside \[0, 1\]$"):
             _stacked(h, [1.0, -1.0], [1.5, 0.5], [0.5, 0.2], [0.6, 0.3])
+        # past the rules, the energies E/x are solved in row order: on levels
+        # (0, 1, 3), whose largest mean energy is 4/3, neither E/delta = 3 nor
+        # E/eps = 2 has a solution, and the earlier row's solve error raises
+        h3 = HamiltonianSpec.explicit([0.0, 1.0, 3.0])
+        unsolved = {}
+        for e in (1.0 / meta_delta(0.0, 0.5), 2.0):
+            with pytest.raises(EnergyDomainError) as alone:
+                solve_beta(h3, e)
+            unsolved[e] = str(alone.value)
+        assert list(unsolved.values()) == [
+            f"energy {e!r} outside the attainable open interval (0, {4 / 3!r})" for e in unsolved]
+        meta5_first, lemma4_first = unsolved.values()
+        # case 0's Lemma 4 at eps = 0 solves nothing; its Meta 5 comes
+        # before case 1's Lemma 4, and in a stack of two the earlier row
+        with pytest.raises(EnergyDomainError, match=f"^{re.escape(meta5_first)}$"):
+            _stacked(h3, 1.0, [0.0, 0.5], [0.0, 0.5], [0.5, 0.6])
+        for variants, eps, primes, message in (
+                (["meta5", "lemma4"], [0.0, 0.5], [0.5, None], meta5_first),
+                (["lemma4", "meta5"], [0.5, 0.0], [None, 0.5], lemma4_first)):
+            with pytest.raises(EnergyDomainError, match=f"^{re.escape(message)}$"):
+                gibbs.energy_bound_stack(h3, variants, 1.0, eps, primes)
 
     def test_the_mask_rules_are_the_case_walk(self):
         h = HamiltonianSpec.oscillators([1.0], n_max=40)
@@ -1035,13 +1061,18 @@ class TestSolveBetas:
                 got = _stacked(*args)
                 assert [x.tobytes() for x in got] == [x.tobytes() for x in expected]
 
-    def test_per_case_energies_are_the_per_energy_calls(self):
+    @pytest.mark.parametrize("levels", [None, [0.0, 1.0, 3.0]])
+    def test_per_case_energies_are_the_per_energy_calls(self, levels):
         """One energy per case gives each case the bits of its energy's own
         call, and the error of the case walk: the first bad argument of any
         case (its energy's, by the energy rule, before its eps'), else that
         of the first case whose solve fails, as each case alone gives it
-        through the energy rule and ``ref_lemma4_meta5_bounds``."""
-        h = HamiltonianSpec.oscillators([1.0], n_max=40)
+        through the energy rule and ``ref_lemma4_meta5_bounds``.  On the
+        levels (0, 1, 3), whose largest mean energy is 4/3, some of the
+        valid energies have no solution, so that the solve errors meet."""
+        h = (HamiltonianSpec.oscillators([1.0], n_max=40) if levels is None
+             else HamiltonianSpec.explicit(levels))
+        solve_errors_first = 0
         rng = np.random.default_rng(45)
         good_energies, bad_energies = [1e-3, 0.5, 2.0, 8.0], [0.0, -1.0, math.nan, math.inf]
         values = [0.0, 1e-12, 0.3, 1.0, -0.1, 1.5, math.nan]
@@ -1071,6 +1102,7 @@ class TestSolveBetas:
             if errors:
                 # any case's bad argument raises before every solve
                 expected = (bad_arguments or errors)[0]
+                solve_errors_first += not bad_arguments
                 with pytest.raises(ValueError) as info:
                     _stacked(h, energies, eps4, eps, primes)
                 assert type(info.value) is type(expected) and str(info.value) == str(expected)
@@ -1082,6 +1114,7 @@ class TestSolveBetas:
                 cases = [i for i, e in enumerate(energies) if e == energy]
                 own = _stacked(h, energy, *([x[i] for i in cases] for x in (eps4, eps, primes)))
                 assert [x[cases].tobytes() for x in got] == [x.tobytes() for x in own]
+        assert (solve_errors_first > 0) == (levels is not None)
 
     def test_energy_bound_columns_are_the_per_record_lists(self, monkeypatch):
         seen = []

@@ -1165,11 +1165,17 @@ class TestCli:
         assert captured.err == f"error: {per_case.value}\n"
         assert captured.out == ""
 
-    def test_a_witness_chunk_checks_every_eps_before_its_bounds(self, capsys):
-        """A chunk holds its energy and every eps to their rules before any
-        work, so a later bad eps raises before an earlier case's bound
-        (E / eps past the largest float) fails."""
-        argv = ["witness", "oscillator", "--energies", "100", "--eps", "0.5,1e-310,2"]
+    @pytest.mark.parametrize("budget", [states.CHUNK_BYTES, 1])
+    @pytest.mark.parametrize("energies", ["100", "2000", "100,2000"])
+    def test_a_witness_grid_checks_every_eps_before_its_bounds(self, energies, budget,
+                                                               monkeypatch, capsys):
+        """A witness grid holds every energy and eps to their rules before
+        any work, so a later bad eps raises before an earlier case's bound
+        (E / eps past the largest float) fails, however the chunks split:
+        one chunk per energy at E = 100, one per eps from E ~ 1100 on, one
+        per case at a budget of 1 byte."""
+        monkeypatch.setattr(harness, "CHUNK_BYTES", budget)
+        argv = ["witness", "oscillator", "--energies", energies, "--eps", "0.5,1e-310,2"]
         assert cli.main(argv) == cli.EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.err == "error: epsilon 2.0 outside (0, 1]\n"
